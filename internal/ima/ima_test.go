@@ -1,8 +1,11 @@
 package ima
 
 import (
+	"bufio"
 	"crypto/sha256"
+	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -151,6 +154,57 @@ func TestParseListRejectsTamper(t *testing.T) {
 		if _, err := ParseList(bad); err == nil {
 			t.Errorf("malformed line accepted: %q", bad)
 		}
+	}
+}
+
+// TestParseListLineCap pins ParseList's line limit while the scanner
+// buffer grows on demand: a 100 KiB line parses, so does the longest line
+// that fits the 1 MiB cap with its newline, and one byte more is refused
+// as too long.
+func TestParseListLineCap(t *testing.T) {
+	short := NewList(nil).Append(sha256.Sum256(nil), "/").String()
+	// list holds one measurement whose serialized line is n bytes long.
+	list := func(n int) (string, string) {
+		path := "/" + strings.Repeat("p", n-len(short))
+		l := NewList([]byte("b"))
+		l.Append(sha256.Sum256(nil), path)
+		return l.Serialize(), path
+	}
+	for _, n := range []int{100 << 10, 1<<20 - 1} {
+		text, path := list(n)
+		parsed, err := ParseList(text)
+		if err != nil {
+			t.Fatalf("%d-byte line: %v", n, err)
+		}
+		if got := parsed.entries[parsed.Len()-1].Path; got != path {
+			t.Fatalf("%d-byte line: path of %d bytes, want %d", n, len(got), len(path))
+		}
+	}
+	text, _ := list(1 << 20)
+	_, err := ParseList(text)
+	if !errors.Is(err, bufio.ErrTooLong) || err.Error() != "ima: reading list: bufio.Scanner: token too long" {
+		t.Fatalf("over-cap line: got %v, want the scanner's too-long error", err)
+	}
+}
+
+// TestParseListAllocatesForItsLines: a short list no longer costs a
+// buffer the size of the line cap.
+func TestParseListAllocatesForItsLines(t *testing.T) {
+	l := NewList([]byte("b"))
+	for i := 0; i < 10; i++ {
+		l.Append(sha256.Sum256([]byte{byte(i)}), fmt.Sprintf("/bin/tool%d", i))
+	}
+	text := l.Serialize()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 10; i++ {
+		if _, err := ParseList(text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / 10; per > 256<<10 {
+		t.Fatalf("parsing a 10-line list allocated %d bytes", per)
 	}
 }
 

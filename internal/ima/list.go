@@ -123,7 +123,10 @@ var ErrMalformedList = errors.New("ima: malformed measurement list")
 func ParseList(text string) (*List, error) {
 	l := &List{}
 	sc := bufio.NewScanner(strings.NewReader(text))
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	// The buffer starts small and grows on demand up to the 1 MiB line
+	// cap: an appraisal parses every list it sees, and most lines are
+	// short.
+	sc.Buffer(nil, 1024*1024)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++

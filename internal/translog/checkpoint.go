@@ -107,49 +107,68 @@ func appendSnapshot(dst []byte, issuance map[string]uint64, revoked map[string]b
 	return dst
 }
 
-// parseSnapshot decodes appendSnapshot's encoding.
+// Smallest encodings of one snapshot record: a serial's length prefix
+// plus, for an issuance, its index. They cap how many records the bytes
+// left can hold, so a corrupt count cannot size a huge map.
+const (
+	minIssuanceRecord = 2 + 8
+	minRevokedRecord  = 2
+)
+
+// parseSnapshot decodes appendSnapshot's encoding. The maps are sized
+// from the encoded counts up front, so the open that adopts them never
+// rehashes.
 func parseSnapshot(snap []byte) (map[string]uint64, map[string]bool, error) {
 	bad := fmt.Errorf("%w: checkpoint serial snapshot undecodable", ErrStateCorrupt)
-	rd := bytes.NewReader(snap)
+	take := func(n int) ([]byte, bool) {
+		if len(snap) < n {
+			return nil, false
+		}
+		b := snap[:n]
+		snap = snap[n:]
+		return b, true
+	}
 	readStr := func() (string, bool) {
-		var u16 [2]byte
-		if _, err := rd.Read(u16[:]); err != nil {
-			return "", false
-		}
-		buf := make([]byte, binary.BigEndian.Uint16(u16[:]))
-		if _, err := rd.Read(buf); err != nil && len(buf) > 0 {
-			return "", false
-		}
-		return string(buf), true
-	}
-	var u32 [4]byte
-	if _, err := rd.Read(u32[:]); err != nil {
-		return nil, nil, bad
-	}
-	issuance := make(map[string]uint64)
-	for i := uint32(0); i < binary.BigEndian.Uint32(u32[:]); i++ {
-		serial, ok := readStr()
+		n, ok := take(2)
 		if !ok {
-			return nil, nil, bad
+			return "", false
 		}
-		var u64 [8]byte
-		if _, err := rd.Read(u64[:]); err != nil {
-			return nil, nil, bad
-		}
-		issuance[serial] = binary.BigEndian.Uint64(u64[:])
+		b, ok := take(int(binary.BigEndian.Uint16(n)))
+		return string(b), ok
 	}
-	if _, err := rd.Read(u32[:]); err != nil {
+	count := func(minRecord int) (int, bool) {
+		b, ok := take(4)
+		if !ok {
+			return 0, false
+		}
+		n := binary.BigEndian.Uint32(b)
+		return int(n), uint64(n) <= uint64(len(snap)/minRecord)
+	}
+	n, ok := count(minIssuanceRecord)
+	if !ok {
 		return nil, nil, bad
 	}
-	revoked := make(map[string]bool)
-	for i := uint32(0); i < binary.BigEndian.Uint32(u32[:]); i++ {
+	issuance := make(map[string]uint64, n)
+	for i := 0; i < n; i++ {
+		serial, ok := readStr()
+		idx, ok2 := take(8)
+		if !ok || !ok2 {
+			return nil, nil, bad
+		}
+		issuance[serial] = binary.BigEndian.Uint64(idx)
+	}
+	if n, ok = count(minRevokedRecord); !ok {
+		return nil, nil, bad
+	}
+	revoked := make(map[string]bool, n)
+	for i := 0; i < n; i++ {
 		serial, ok := readStr()
 		if !ok {
 			return nil, nil, bad
 		}
 		revoked[serial] = true
 	}
-	if rd.Len() != 0 {
+	if len(snap) != 0 {
 		return nil, nil, bad
 	}
 	return issuance, revoked, nil

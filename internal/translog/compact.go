@@ -6,8 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -159,75 +161,63 @@ func readArchive(dir string, first uint64, count int) ([][]byte, error) {
 	return payloads, nil
 }
 
-// coldRecord is one cold WAL record located for compaction.
-type coldRecord struct {
-	index   uint64
-	payload []byte
-}
-
 // coldWALRecords scans the store's WAL segments for records with global
-// index in [lo, hi), never touching each stream's newest segment when
-// tailSafe is set (the store may hold it open for append). The returned
-// records are globally sorted. Segments every record of which falls
-// below hi are reported in removable (candidates for deletion once
-// their records are archived), keyed by path with their max index.
-func coldWALRecords(dir string, lo, hi uint64, tailSafe bool) (records []coldRecord, removable map[string]uint64, err error) {
+// index in [lo, hi) and returns the entry encodings of the contiguous run
+// of them from lo, in index order — sub-slices of the segment buffers,
+// which the caller copies into an archive or the entry arena. Segments
+// every record of which falls below hi are reported in removable
+// (candidates for deletion once their records are archived), keyed by
+// path with their max index; each stream's newest segment is never
+// reported when tailSafe is set (the store may hold it open for append).
+// A torn record only ends its segment here: the live tail may be
+// mid-append.
+func coldWALRecords(dir string, lo, hi uint64, tailSafe bool) (run [][]byte, removable map[string]uint64, err error) {
 	firsts, shardFirsts, err := listAllSegments(dir)
 	if err != nil {
 		return nil, nil, err
 	}
+	streams := []walStream{{shard: -1}}
+	streamFirsts := [][]uint64{firsts}
+	for _, shard := range slices.Sorted(maps.Keys(shardFirsts)) {
+		streams = append(streams, walStream{shard: shard})
+		streamFirsts = append(streamFirsts, shardFirsts[shard])
+	}
 	removable = map[string]uint64{}
-	scan := func(path string, base uint64, sharded bool, isTail bool) error {
-		payloads, _, err := readSegment(path)
-		if err != nil && !errors.Is(err, errTornTail) {
-			return err
-		}
-		max := uint64(0)
-		all := true
-		for j, p := range payloads {
-			idx := base + uint64(j)
-			body := p
-			if sharded {
-				var serr error
-				idx, body, serr = splitIndexedRecord(p)
-				if serr != nil {
-					return serr
+	n := 0
+	for s := range streams {
+		st := &streams[s]
+		for i, first := range streamFirsts[s] {
+			if st.shard < 0 && first >= hi {
+				break
+			}
+			path := filepath.Join(dir, streamSegmentName(st.shard, first))
+			top, all, some := uint64(0), true, false
+			err := st.read(path, first, func(index uint64) error {
+				top, some = max(top, index), true
+				all = all && index < hi
+				if index >= lo && index < hi {
+					n++
 				}
-			}
-			if idx > max {
-				max = idx
-			}
-			if idx >= hi {
-				all = false
-			}
-			if idx >= lo && idx < hi {
-				records = append(records, coldRecord{index: idx, payload: body})
-			}
-		}
-		if all && len(payloads) > 0 && !(tailSafe && isTail) {
-			removable[path] = max
-		}
-		return nil
-	}
-	for i, first := range firsts {
-		if first >= hi {
-			break
-		}
-		path := filepath.Join(dir, segmentName(first))
-		if err := scan(path, first, false, i == len(firsts)-1); err != nil {
-			return nil, nil, err
-		}
-	}
-	for shard, sf := range shardFirsts {
-		for i, first := range sf {
-			path := filepath.Join(dir, shardSegmentName(shard, first))
-			if err := scan(path, first, true, i == len(sf)-1); err != nil {
+				return nil
+			})
+			if err != nil && !errors.Is(err, errTornTail) {
 				return nil, nil, err
 			}
+			if all && some && !(tailSafe && i == len(streamFirsts[s])-1) {
+				removable[path] = top
+			}
 		}
 	}
-	sort.Slice(records, func(i, j int) bool { return records[i].index < records[j].index })
-	return records, removable, nil
+	m := newMerge(lo, n)
+	for s := range streams {
+		_ = streams[s].each(func(_, _ int, index uint64, entry []byte) error {
+			if index >= lo && index < hi {
+				m.place(index, entry, streams[s].shard)
+			}
+			return nil
+		})
+	}
+	return m.payloads[:m.run()], removable, nil
 }
 
 // compact archives every WAL segment that sits entirely below the
@@ -254,40 +244,27 @@ func (s *Store) compact(c uint64) error {
 		}
 		watermark += uint64(arcCounts[i])
 	}
-	records, removable, err := coldWALRecords(s.dir, watermark, c, true)
-	if err != nil {
-		return err
-	}
 	// Archive the contiguous run from the watermark. A gap (a cold
 	// record still locked inside a straddling or tail segment) stops
 	// the run; everything past it stays in the WAL until a later pass.
-	run := len(records)
-	for i, r := range records {
-		if r.index != watermark+uint64(i) {
-			run = i
-			break
-		}
+	run, removable, err := coldWALRecords(s.dir, watermark, c, true)
+	if err != nil {
+		return err
 	}
-	archivedEnd := watermark + uint64(run)
-	if run > 0 {
-		for lo := 0; lo < run; {
-			sz := 0
-			hi := lo
-			for hi < run && (hi == lo || sz < archiveTargetBytes) {
-				sz += len(records[hi].payload)
-				hi++
-			}
-			payloads := make([][]byte, 0, hi-lo)
-			for _, r := range records[lo:hi] {
-				payloads = append(payloads, r.payload)
-			}
-			first := watermark + uint64(lo)
-			buf := encodeArchive(first, payloads)
-			if err := atomicWriteFile(filepath.Join(s.dir, archiveName(first, len(payloads))), buf, !s.cfg.NoSync); err != nil {
-				return err
-			}
-			lo = hi
+	archivedEnd := watermark + uint64(len(run))
+	for lo := 0; lo < len(run); {
+		sz := 0
+		hi := lo
+		for hi < len(run) && (hi == lo || sz < archiveTargetBytes) {
+			sz += len(run[hi])
+			hi++
 		}
+		first := watermark + uint64(lo)
+		buf := encodeArchive(first, run[lo:hi])
+		if err := atomicWriteFile(filepath.Join(s.dir, archiveName(first, hi-lo)), buf, !s.cfg.NoSync); err != nil {
+			return err
+		}
+		lo = hi
 	}
 	// Only now, with every cold record durably archived up to
 	// archivedEnd, unlink the WAL segments that fall entirely below it.
@@ -305,7 +282,7 @@ func (s *Store) compact(c uint64) error {
 			return err
 		}
 	}
-	if run > 0 {
+	if len(run) > 0 {
 		mCompactRuns.Inc()
 	}
 	return nil
@@ -341,16 +318,11 @@ func (s *Store) loadCold(c uint64) ([][]byte, []Hash, error) {
 			ErrStateCorrupt, len(payloads), c)
 	}
 	if uint64(len(payloads)) < c {
-		records, _, err := coldWALRecords(s.dir, uint64(len(payloads)), c, true)
+		run, _, err := coldWALRecords(s.dir, uint64(len(payloads)), c, true)
 		if err != nil {
 			return nil, nil, err
 		}
-		for i, r := range records {
-			if r.index != uint64(len(payloads))+uint64(i) {
-				break
-			}
-			payloads = append(payloads, r.payload)
-		}
+		payloads = append(payloads, run...)
 	}
 	if uint64(len(payloads)) != c {
 		return nil, nil, fmt.Errorf("%w: only %d of %d cold entries present across archives and segments",

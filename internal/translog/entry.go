@@ -13,6 +13,7 @@
 package translog
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -132,7 +133,7 @@ func unmarshalEntry(b []byte) (Entry, error) {
 	e.Timestamp = int64(binary.BigEndian.Uint64(b[2:10]))
 	b = b[10:]
 	var err error
-	var actor, host, serial, detail []byte
+	var actor, host, serial, measurement, detail []byte
 	if actor, b, err = readBytes(b); err != nil {
 		return e, err
 	}
@@ -142,7 +143,7 @@ func unmarshalEntry(b []byte) (Entry, error) {
 	if serial, b, err = readBytes(b); err != nil {
 		return e, err
 	}
-	if e.Measurement, b, err = readBytes(b); err != nil {
+	if measurement, b, err = readBytes(b); err != nil {
 		return e, err
 	}
 	if detail, b, err = readBytes(b); err != nil {
@@ -151,8 +152,10 @@ func unmarshalEntry(b []byte) (Entry, error) {
 	if len(b) != 0 {
 		return e, fmt.Errorf("%w: %d trailing bytes", ErrMalformedEntry, len(b))
 	}
-	if len(e.Measurement) == 0 {
-		e.Measurement = nil
+	// The fields are sub-slices of b: each is copied exactly once, so the
+	// entry never aliases the caller's buffer.
+	if len(measurement) > 0 {
+		e.Measurement = bytes.Clone(measurement)
 	}
 	e.Actor, e.Host, e.Serial, e.Detail = string(actor), string(host), string(serial), string(detail)
 	return e, nil
@@ -174,5 +177,5 @@ func readBytes(b []byte) (val, rest []byte, err error) {
 	if uint64(len(b)) < uint64(n) {
 		return nil, nil, ErrMalformedEntry
 	}
-	return append([]byte(nil), b[:n]...), b[n:], nil
+	return b[:n:n], b[n:], nil
 }

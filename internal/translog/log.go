@@ -8,6 +8,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -65,6 +66,17 @@ func (a *entryArena) count() uint64 { return a.base + uint64(len(a.offs)) }
 func (a *entryArena) add(payload []byte) {
 	a.offs = append(a.offs, uint64(len(a.data)))
 	a.data = append(a.data, payload...)
+}
+
+// reserve sizes the arena for appending payloads in one allocation
+// each for the bytes and the offsets.
+func (a *entryArena) reserve(payloads [][]byte) {
+	sz := 0
+	for _, p := range payloads {
+		sz += len(p)
+	}
+	a.data = slices.Grow(a.data, sz)
+	a.offs = slices.Grow(a.offs, len(payloads))
 }
 
 // payload returns the stored canonical encoding of entry i (callers
@@ -197,9 +209,14 @@ type Log struct {
 	// what tile serving may expose. An atomic, not l.mu: the tile read
 	// path must never wait on a commit holding the lock across an fsync.
 	committed atomic.Uint64
-	// tileMark is the committed size the background tile publisher has
-	// covered (mirrored in the statedir tiles/published file).
+	// tileMark is the committed size the tile publisher has covered
+	// (mirrored in the statedir tiles/published file). It only grows.
 	tileMark atomic.Uint64
+	// tileMu serialises every write to the statedir tile cache: the
+	// publisher, background or explicit, holds it for a whole run, and
+	// tile serving writes a missed tile through only when it is free.
+	// Writers of one file share its fixed temp name.
+	tileMu sync.Mutex
 	// tileBusy/tileWG coordinate the background tile publisher exactly
 	// as ckptBusy/ckptWG do the checkpoint writer.
 	tileBusy atomic.Bool

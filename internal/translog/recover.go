@@ -8,7 +8,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 )
 
@@ -23,24 +22,34 @@ import (
 // snapshot (rollback) or edited in place (tamper) is refused loudly by
 // whichever anchor still remembers the newer history.
 //
-// A sharded store replays one segment stream per host slot and
-// interleaves them back into the global order via the per-record global
-// index. Each stream gets the same refusals the single stream gets —
-// torn tails may only be at a stream's own end, interior damage is
-// corruption — and the crash window widens in one understood way: a
-// crash mid-cycle can land some streams' records and not others', so
-// the records beyond the persisted head may have index gaps. Recovery
-// keeps the longest contiguous prefix and treats everything past the
-// first gap as the torn tail it is; the anchors see the prefix, so a
-// "gap" that would cut into committed history is still refused as a
-// rollback before anything is touched.
+// Both layouts replay as segment streams: the single stream, whose
+// record index is its ordinal, or one stream per host slot of a sharded
+// store, whose records carry their global index. Each stream gets the
+// same refusals — torn tails may only be at a stream's own end, interior
+// damage is corruption — and every record is checksummed, cold ones
+// below a checkpoint included. The scan is zero-copy: payloads are
+// sub-slices of the segment buffers until the Log's entry arena copies
+// the suffix in. The streams are then merged by placement rather than
+// sorted: the scan counts the n records at or past the checkpoint, and
+// each lands in the slot its global index names, so the merge is O(n).
+// A record at or past checkpoint+n cannot be part of the contiguous
+// prefix and goes to a small overflow set that only duplicate detection
+// reads; a global index seen twice is corruption. For the sharded layout
+// the crash window widens in one understood way: a crash mid-cycle can
+// land some streams' records and not others', so the records beyond the
+// persisted head may have index gaps. Recovery keeps the longest
+// contiguous prefix and treats everything past the first gap as the torn
+// tail it is; the anchors see the prefix, so a "gap" that would cut into
+// committed history is still refused as a rollback before anything is
+// touched.
 
 // recovered is the verified disk state handed from recovery to the Log.
 type recovered struct {
 	entries []Entry
 	// payloads holds each entry's canonical encoding exactly as the WAL
-	// replay produced it — the Log adopts these bytes directly, so
-	// recovery never re-marshals what it already read and validated.
+	// replay read it — sub-slices of the segment buffers, which the Log
+	// copies into its entry arena — so recovery never re-marshals what it
+	// already read and validated, and no segment buffer outlives the open.
 	payloads [][]byte
 	// tree is the Merkle tree rebuilt over the recovered entries; the
 	// Log adopts it directly instead of hashing everything twice.
@@ -162,9 +171,10 @@ func recoverDir(dir string, cfg StoreConfig, sthAnchor *sthAnchor, extra []Trust
 	if err != nil {
 		return nil, err
 	}
-	var rec *recovered
-	var trims []trimOp
-	var segments int
+	// Either layout replays as a set of streams: the single stream, or
+	// one per host slot of a sharded store.
+	shards := 0
+	streamFirsts := [][]uint64{firsts}
 	switch {
 	case haveMeta:
 		// The pinned count from store creation wins over whatever
@@ -177,7 +187,7 @@ func recoverDir(dir string, cfg StoreConfig, sthAnchor *sthAnchor, extra []Trust
 			return nil, fmt.Errorf("%w: checkpoint covers %d segment streams in a store pinned to %d shards",
 				ErrStateCorrupt, len(ckpt.streamCounts), metaShards)
 		}
-		rec, trims, segments, err = recoverSharded(dir, metaShards, shardFirsts, ckpt)
+		shards = metaShards
 	case len(shardFirsts) > 0 || (len(firsts) == 0 && cfg.Shards > 1 && ckpt == nil):
 		nShards := cfg.Shards
 		if nShards <= 1 {
@@ -192,14 +202,26 @@ func recoverDir(dir string, cfg StoreConfig, sthAnchor *sthAnchor, extra []Trust
 			return nil, fmt.Errorf("%w: checkpoint covers %d segment streams but the store holds %d",
 				ErrStateCorrupt, len(ckpt.streamCounts), nShards)
 		}
-		rec, trims, segments, err = recoverSharded(dir, nShards, shardFirsts, ckpt)
+		shards = nShards
 	default:
 		if ckpt != nil && len(ckpt.streamCounts) != 0 {
 			return nil, fmt.Errorf("%w: sharded checkpoint (%d streams) in a single-stream store",
 				ErrStateCorrupt, len(ckpt.streamCounts))
 		}
-		rec, trims, segments, err = recoverSingle(dir, firsts, ckpt)
 	}
+	if shards > 0 {
+		for shard := range shardFirsts {
+			if shard >= shards {
+				return nil, fmt.Errorf("%w: segment stream %d in a store with %d shard slots",
+					ErrStateCorrupt, shard, shards)
+			}
+		}
+		streamFirsts = make([][]uint64, shards)
+		for shard, fs := range shardFirsts {
+			streamFirsts[shard] = fs
+		}
+	}
+	rec, trims, segments, err := replay(dir, shards, streamFirsts, ckpt)
 	if err != nil {
 		return nil, err
 	}
@@ -263,250 +285,259 @@ func recoverDir(dir string, cfg StoreConfig, sthAnchor *sthAnchor, extra []Trust
 	return rec, nil
 }
 
-// recoverSingle replays the legacy single-stream layout. With a
-// checkpoint, records below it are skipped without decoding (they are
-// summarized by the frozen subtree roots) and compaction may already
-// have removed whole cold segments, so the oldest surviving segment
-// need not start at zero — only at or below the checkpoint.
-func recoverSingle(dir string, firsts []uint64, ckpt *checkpoint) (*recovered, []trimOp, int, error) {
-	rec := &recovered{shards: 0, ckpt: ckpt}
-	base := uint64(0)
-	if ckpt != nil {
-		base = ckpt.size
-	}
-	var trims []trimOp
-	ordinal := base // global ordinal of the next record to read
-	for i, first := range firsts {
-		switch {
-		case i == 0 && ckpt == nil && first != 0:
-			return nil, nil, 0, fmt.Errorf("%w: segment %s starts at %d, want 0",
-				ErrStateCorrupt, segmentName(first), first)
-		case i == 0 && first > base:
-			// Compaction only removes segments below a checkpoint that
-			// was newer than them, so a WAL that resumes past the
-			// checkpoint means checkpoint.bin was swapped for an older
-			// one after the cold segments it summarized were removed.
-			return nil, nil, 0, fmt.Errorf("%w: checkpoint covers %d entries but the oldest WAL segment starts at %d",
-				ErrStateRollback, base, first)
-		case i == 0:
-			ordinal = first
-		case first != ordinal:
-			return nil, nil, 0, fmt.Errorf("%w: segment %s starts at %d, want %d",
-				ErrStateCorrupt, segmentName(first), first, ordinal)
-		}
-		path := filepath.Join(dir, segmentName(first))
-		payloads, clean, err := readSegment(path)
-		last := i == len(firsts)-1
-		switch {
-		case err == nil:
-		case errors.Is(err, errTornTail) && last:
-			// A crash mid-append leaves a partial final record; cut it
-			// (after verification) so appends resume on a frame boundary.
-			trims = append(trims, trimOp{path: path, truncate: int64(clean)})
-		case errors.Is(err, errTornTail):
-			return nil, nil, 0, fmt.Errorf("%w: segment %s ends mid-record but is not the tail",
-				ErrStateCorrupt, segmentName(first))
-		default:
-			return nil, nil, 0, err
-		}
-		for _, p := range payloads {
-			if ordinal < base {
-				ordinal++ // cold record, summarized by the checkpoint
-				continue
-			}
-			e, err := unmarshalEntry(p)
-			if err != nil {
-				return nil, nil, 0, fmt.Errorf("%w: entry %d undecodable: %v", ErrStateCorrupt, ordinal, err)
-			}
-			rec.entries = append(rec.entries, e)
-			rec.payloads = append(rec.payloads, p)
-			ordinal++
-		}
-		if last {
-			rec.tails = []streamTail{{
-				count: ordinal, tailFirst: first, tailClean: int64(clean), hasTail: true,
-			}}
-		}
-	}
-	if rec.tails == nil {
-		rec.tails = []streamTail{{count: base}}
-	}
-	return rec, trims, len(firsts), nil
+// merge interleaves WAL records into global index order by placement:
+// the record with global index i lands in slot i−lo, so merging n records
+// is O(n) with no sort. n — the count of in-range records, which the
+// checksum scan already knows — bounds the contiguous run from lo, so a
+// record at or past lo+n cannot belong to it and goes to the overflow
+// set instead, which only duplicate detection reads.
+type merge struct {
+	lo uint64
+	// payloads holds each placed record's entry encoding; nil is a hole.
+	payloads [][]byte
+	// over is the overflow set: indices at or past lo+len(payloads).
+	over map[uint64]bool
+	// dup is the smallest index placed twice, again is the stream of its
+	// second copy; hasDup reports whether there is one.
+	dup    uint64
+	again  int
+	hasDup bool
 }
 
-// shardRecord is one decoded sharded record, located precisely enough to
-// trim everything from it onward out of its stream.
-type shardRecord struct {
-	index   uint64
-	entry   Entry
-	payload []byte // the entry's canonical encoding as replayed
-	shard   int
-	// seg is the position of the record's segment in the shard's sorted
-	// segment list; off is the record's byte offset within that segment.
-	seg int
-	off int64
+func newMerge(lo uint64, n int) *merge {
+	return &merge{lo: lo, payloads: make([][]byte, n)}
 }
 
-// recoverSharded replays every per-host stream and interleaves the
-// records back into the global order. nShards is the store's pinned (or
-// derived) stream count. With a checkpoint, each stream skips records
-// whose global index is below it (the checkpoint's per-stream counts
-// say how many of each stream's ordinals are cold, so a compacted
-// stream may resume — or be entirely empty — past ordinal zero).
-func recoverSharded(dir string, nShards int, shardFirsts map[int][]uint64, ckpt *checkpoint) (*recovered, []trimOp, int, error) {
-	for shard := range shardFirsts {
-		if shard >= nShards {
-			return nil, nil, 0, fmt.Errorf("%w: segment stream %d in a store with %d shard slots",
-				ErrStateCorrupt, shard, nShards)
+// place files the record with the given global index (at least lo) from
+// stream shard and returns its slot: −1 for an overflow record or for a
+// duplicate, which keeps the first copy placed.
+func (m *merge) place(index uint64, entry []byte, shard int) int {
+	slot := index - m.lo
+	inSlots := slot < uint64(len(m.payloads))
+	switch {
+	case inSlots && m.payloads[slot] == nil:
+		m.payloads[slot] = entry
+		return int(slot)
+	case !inSlots && !m.over[index]:
+		if m.over == nil {
+			m.over = make(map[uint64]bool)
+		}
+		m.over[index] = true
+	case !m.hasDup || index < m.dup:
+		m.dup, m.again, m.hasDup = index, shard, true
+	}
+	return -1
+}
+
+// run returns the length of the contiguous run from lo: it ends at the
+// first hole, and just past the smallest duplicate — the same run a sort
+// by index followed by a contiguity check yields.
+func (m *merge) run() int {
+	n := len(m.payloads)
+	if m.hasDup && m.dup-m.lo < uint64(n) {
+		n = int(m.dup-m.lo) + 1
+	}
+	for i, p := range m.payloads[:n] {
+		if p == nil {
+			return i
 		}
 	}
+	return n
+}
+
+// replay reads every segment stream of the store — firsts[0] for the
+// single-stream layout (shards == 0), firsts[s] for host slot s of a
+// sharded one — and merges the records at or past the checkpoint into
+// global order. With a checkpoint, records below it are checked but not
+// decoded (the frozen subtree roots summarize them), and compaction may
+// already have removed a stream's oldest segments, so a stream may
+// resume — or be entirely empty — past ordinal zero, though never past
+// its checkpointed record count.
+//
+// The replay runs in three passes. The first reads and checksums every
+// segment and applies the per-stream refusals; it counts the suffix
+// records. The second decodes each suffix record straight into its
+// global slot. The third, only when the merge left records beyond the
+// contiguous prefix, plans the trims that cut them.
+func replay(dir string, shards int, firsts [][]uint64, ckpt *checkpoint) (*recovered, []trimOp, int, error) {
 	base := uint64(0)
-	bc := make([]uint64, nShards) // per-stream cold record counts
+	cold := make([]uint64, len(firsts)) // per-stream records below the checkpoint
 	if ckpt != nil {
 		base = ckpt.size
-		copy(bc, ckpt.streamCounts)
+		if shards == 0 {
+			cold[0] = base
+		} else {
+			copy(cold, ckpt.streamCounts)
+		}
 	}
-
-	var all []shardRecord
+	streams := make([]walStream, len(firsts))
 	var trims []trimOp
-	segments := 0
-	// counts/lastSeg/lastClean track each stream's pre-trim shape.
-	counts := make([]uint64, nShards)
-	segPaths := make([][]string, nShards)
-	tailClean := make([]int64, nShards)
-	for shard := 0; shard < nShards; shard++ {
-		counts[shard] = bc[shard] // fully compacted (or untouched) stream
-		firsts := shardFirsts[shard]
-		segments += len(firsts)
-		prevIndex := uint64(0)
-		haveRecord := false
-		for i, first := range firsts {
-			switch {
-			case i == 0 && ckpt == nil && first != 0:
-				return nil, nil, 0, fmt.Errorf("%w: segment %s starts at stream ordinal %d, want 0",
-					ErrStateCorrupt, shardSegmentName(shard, first), first)
-			case i == 0 && first > bc[shard]:
-				return nil, nil, 0, fmt.Errorf("%w: checkpoint covers %d records of stream %d but its oldest segment starts at %d",
-					ErrStateRollback, bc[shard], shard, first)
-			case i == 0:
-				counts[shard] = first
-			case first != counts[shard]:
-				return nil, nil, 0, fmt.Errorf("%w: segment %s starts at stream ordinal %d, want %d",
-					ErrStateCorrupt, shardSegmentName(shard, first), first, counts[shard])
-			}
-			path := filepath.Join(dir, shardSegmentName(shard, first))
-			segPaths[shard] = append(segPaths[shard], path)
-			payloads, clean, err := readSegment(path)
-			last := i == len(firsts)-1
-			switch {
-			case err == nil:
-			case errors.Is(err, errTornTail) && last:
-				trims = append(trims, trimOp{path: path, truncate: int64(clean)})
-			case errors.Is(err, errTornTail):
-				return nil, nil, 0, fmt.Errorf("%w: segment %s ends mid-record but is not the stream tail",
-					ErrStateCorrupt, shardSegmentName(shard, first))
-			default:
-				return nil, nil, 0, err
-			}
-			off := int64(0)
-			for _, p := range payloads {
-				index, body, err := splitIndexedRecord(p)
-				if err != nil {
-					return nil, nil, 0, err
-				}
-				if haveRecord && index <= prevIndex {
-					return nil, nil, 0, fmt.Errorf("%w: stream %d global index %d not increasing (previous %d)",
-						ErrStateCorrupt, shard, index, prevIndex)
-				}
-				prevIndex, haveRecord = index, true
-				if index >= base {
-					e, uerr := unmarshalEntry(body)
-					if uerr != nil {
-						return nil, nil, 0, fmt.Errorf("%w: entry %d undecodable: %v", ErrStateCorrupt, index, uerr)
-					}
-					all = append(all, shardRecord{index: index, entry: e, payload: body, shard: shard, seg: i, off: off})
-				}
-				off += recordHeaderLen + int64(len(p))
-				counts[shard]++
-			}
-			if last {
-				tailClean[shard] = int64(clean)
-			}
+	segments, n := 0, 0
+	// A refusal in the first pass is held back until the streams read
+	// before it are decoded: a one-pass replay met an undecodable entry of
+	// an earlier stream first, and the refusal must not change with the
+	// pass structure.
+	var scanErr error
+	for s := range streams {
+		st := &streams[s]
+		st.shard, st.count = s, cold[s]
+		if shards == 0 {
+			st.shard = -1
 		}
-	}
-
-	// Interleave: sort by global index, refuse duplicates, and keep the
-	// longest contiguous prefix from zero. Records past the first gap can
-	// only be the torn remains of the last uncommitted cycle — per-stream
-	// indices are increasing, so they form a suffix of each stream — and
-	// are trimmed like any other torn tail once the anchors accept. If
-	// the gap cut into committed history, the prefix is shorter than the
-	// persisted head and the anchors refuse before any trim runs.
-	sort.Slice(all, func(i, j int) bool { return all[i].index < all[j].index })
-	for i := 1; i < len(all); i++ {
-		if all[i].index == all[i-1].index {
-			return nil, nil, 0, fmt.Errorf("%w: global index %d appears in stream %d and stream %d",
-				ErrStateCorrupt, all[i].index, all[i-1].shard, all[i].shard)
-		}
-	}
-	prefix := len(all)
-	for i, r := range all {
-		if r.index != base+uint64(i) {
-			prefix = i
+		segments += len(firsts[s])
+		suffix, err := st.scan(dir, firsts[s], base, &trims)
+		n += suffix
+		if err != nil {
+			scanErr, streams = err, streams[:s+1]
 			break
 		}
 	}
 
-	rec := &recovered{shards: nShards, ckpt: ckpt}
-	for _, r := range all[:prefix] {
-		rec.entries = append(rec.entries, r.entry)
-		rec.payloads = append(rec.payloads, r.payload)
-	}
-	if prefix < len(all) {
-		// Plan the per-stream cuts: for each stream, everything from its
-		// first beyond-prefix record onward goes — truncate that record's
-		// segment at its offset, drop the stream's later segments.
-		cut := make(map[int]shardRecord)
-		dropped := make(map[int]uint64)
-		for _, r := range all[prefix:] {
-			if c, ok := cut[r.shard]; !ok || r.index < c.index {
-				cut[r.shard] = r
+	m := newMerge(base, n)
+	entries := make([]Entry, n)
+	for s := range streams {
+		err := streams[s].each(func(_, _ int, index uint64, entry []byte) error {
+			if index < base {
+				return nil
 			}
-			dropped[r.shard]++
-		}
-		for shard, c := range cut {
-			// The cut replaces any torn-tail trim already planned for the
-			// stream's last segment: the torn bytes sit after the cut.
-			kept := trims[:0]
-			for _, op := range trims {
-				if len(segPaths[shard]) > 0 && op.path == segPaths[shard][len(segPaths[shard])-1] {
-					continue
-				}
-				kept = append(kept, op)
+			e, err := unmarshalEntry(entry)
+			if err != nil {
+				return fmt.Errorf("%w: entry %d undecodable: %v", ErrStateCorrupt, index, err)
 			}
-			trims = kept
-			trims = append(trims, trimOp{path: segPaths[shard][c.seg], truncate: c.off})
-			for i := c.seg + 1; i < len(segPaths[shard]); i++ {
-				trims = append(trims, trimOp{path: segPaths[shard][i], remove: true})
+			if slot := m.place(index, entry, s); slot >= 0 {
+				entries[slot] = e
 			}
-			counts[shard] -= dropped[shard]
-			segPaths[shard] = segPaths[shard][:c.seg+1]
-			tailClean[shard] = c.off
+			return nil
+		})
+		if err != nil {
+			return nil, nil, 0, err
 		}
 	}
-
-	rec.tails = make([]streamTail, nShards)
-	for shard := 0; shard < nShards; shard++ {
-		tail := streamTail{count: counts[shard]}
-		if n := len(segPaths[shard]); n > 0 {
+	if scanErr != nil {
+		return nil, nil, 0, scanErr
+	}
+	if m.hasDup {
+		return nil, nil, 0, fmt.Errorf("%w: global index %d appears twice (again in stream %d)",
+			ErrStateCorrupt, m.dup, m.again)
+	}
+	// Keep the longest contiguous prefix from the checkpoint. Records past
+	// the first gap can only be the torn remains of the last uncommitted
+	// cycle — per-stream indices are increasing, so they form a suffix of
+	// each stream — and are trimmed like any other torn tail once the
+	// anchors accept. If the gap cut into committed history, the prefix is
+	// shorter than the persisted head and the anchors refuse before any
+	// trim runs.
+	prefix := m.run()
+	rec := &recovered{shards: shards, ckpt: ckpt, entries: entries[:prefix], payloads: m.payloads[:prefix]}
+	if prefix < n {
+		trims = planCuts(streams, base+uint64(prefix), trims)
+	}
+	rec.tails = make([]streamTail, len(streams))
+	for s := range streams {
+		st := &streams[s]
+		tail := streamTail{count: st.count}
+		if k := len(st.segs); k > 0 {
 			tail.hasTail = true
-			_, first, _ := parseShardSegmentName(filepath.Base(segPaths[shard][n-1]))
-			tail.tailFirst = first
-			tail.tailClean = tailClean[shard]
+			tail.tailFirst = st.segs[k-1].first
+			tail.tailClean = int64(len(st.segs[k-1].data))
 		}
-		rec.tails[shard] = tail
+		rec.tails[s] = tail
 	}
 	return rec, trims, segments, nil
+}
+
+// scan is replay's first pass over one stream, whose count holds its
+// checkpointed (cold) record count: it checks each segment's place in the
+// stream before reading it, checksums every record, refuses a torn record
+// anywhere but at the stream's end (and plans the cut of one there), and
+// requires global indices to increase along the stream. It returns how
+// many of the stream's records sit at or past base, the checkpoint size —
+// zero exactly when there is no checkpoint, as a checkpoint never covers
+// an empty log.
+func (st *walStream) scan(dir string, firsts []uint64, base uint64, trims *[]trimOp) (n int, err error) {
+	cold := st.count
+	prev, seen := uint64(0), false
+	for i, first := range firsts {
+		name := streamSegmentName(st.shard, first)
+		switch {
+		case i == 0 && base == 0 && first != 0:
+			return n, fmt.Errorf("%w: segment %s starts at stream ordinal %d, want 0", ErrStateCorrupt, name, first)
+		case i == 0 && first > cold:
+			// Compaction only removes segments below a checkpoint that was
+			// newer than them, so a stream that resumes past its checkpointed
+			// count means checkpoint.bin was swapped for an older one after
+			// the cold segments it summarized were removed.
+			return n, fmt.Errorf("%w: checkpoint covers %d records of the stream but its oldest segment %s starts at %d",
+				ErrStateRollback, cold, name, first)
+		case i > 0 && first != st.count:
+			return n, fmt.Errorf("%w: segment %s starts at stream ordinal %d, want %d",
+				ErrStateCorrupt, name, first, st.count)
+		}
+		path := filepath.Join(dir, name)
+		err := st.read(path, first, func(index uint64) error {
+			if seen && index <= prev {
+				return fmt.Errorf("%w: stream %d global index %d not increasing (previous %d)",
+					ErrStateCorrupt, st.shard, index, prev)
+			}
+			prev, seen = index, true
+			if index >= base {
+				n++
+			}
+			return nil
+		})
+		switch {
+		case err == nil:
+		case errors.Is(err, errTornTail) && i == len(firsts)-1:
+			// A crash mid-append leaves a partial final record; cut it
+			// (after verification) so appends resume on a frame boundary.
+			*trims = append(*trims, trimOp{path: path, truncate: int64(len(st.segs[i].data))})
+		case errors.Is(err, errTornTail):
+			return n, fmt.Errorf("%w: segment %s ends mid-record but is not the stream tail", ErrStateCorrupt, name)
+		default:
+			return n, err
+		}
+	}
+	return n, nil
+}
+
+// planCuts plans, for each stream holding records at or past end, the
+// cut of everything from its first such record onward: truncate that
+// record's segment at its offset and drop the stream's later segments.
+// A cut replaces any torn-tail trim already planned for the stream's
+// last segment — the torn bytes sit after the cut. The streams are cut
+// in memory too, so their tails describe where appends resume.
+func planCuts(streams []walStream, end uint64, trims []trimOp) []trimOp {
+	for s := range streams {
+		st := &streams[s]
+		cutSeg, cutOff, dropped := -1, 0, uint64(0)
+		_ = st.each(func(seg, off int, index uint64, _ []byte) error {
+			if index >= end {
+				if cutSeg < 0 {
+					cutSeg, cutOff = seg, off
+				}
+				dropped++
+			}
+			return nil
+		})
+		if cutSeg < 0 {
+			continue
+		}
+		tail := st.segs[len(st.segs)-1].path
+		kept := trims[:0]
+		for _, op := range trims {
+			if op.path != tail {
+				kept = append(kept, op)
+			}
+		}
+		trims = append(kept, trimOp{path: st.segs[cutSeg].path, truncate: int64(cutOff)})
+		for _, sg := range st.segs[cutSeg+1:] {
+			trims = append(trims, trimOp{path: sg.path, remove: true})
+		}
+		st.count -= dropped
+		st.segs[cutSeg].data = st.segs[cutSeg].data[:cutOff]
+		st.segs = st.segs[:cutSeg+1]
+	}
+	return trims
 }
 
 // OpenDurableLog opens (creating if needed) a write-ahead durable log in
@@ -566,25 +597,23 @@ func OpenDurableLog(signer crypto.Signer, dir string, cfg StoreConfig) (*Log, er
 	}
 	base := uint64(0)
 	if rec.ckpt != nil {
-		// The cold prefix stays on disk: the serial indexes come from the
-		// checkpoint's (signature-covered) snapshot, the arena starts at
-		// the checkpoint base, and frozenRoot pins what a later hydration
-		// of the archived entries must reproduce.
+		// The cold prefix stays on disk: the serial indexes are the
+		// checkpoint's (signature-covered) snapshot maps, adopted as
+		// decoded, the arena starts at the checkpoint base, and frozenRoot
+		// pins what a later hydration of the archived entries must
+		// reproduce.
 		base = rec.ckpt.size
 		l.frozenRoot = rec.ckpt.sth.RootHash
 		l.entries.base = base
-		for k, v := range rec.ckpt.issuance {
-			l.issuance[k] = v
-		}
-		for k := range rec.ckpt.revoked {
-			l.revoked[k] = true
-		}
+		l.issuance, l.revoked = rec.ckpt.issuance, rec.ckpt.revoked
 		store.lastCkpt.Store(base)
 	}
+	// The arena copies the replayed canonical bytes — the same bytes the
+	// recovery pass hashed into the rebuilt tree — out of the segment
+	// buffers, which the open then drops.
+	l.entries.reserve(rec.payloads)
 	for i, e := range rec.entries {
 		l.indexEntry(e, base+uint64(i))
-		// The arena adopts the replayed canonical bytes — the same bytes
-		// the recovery pass hashed into the rebuilt tree.
 		l.entries.add(rec.payloads[i])
 	}
 	size := rec.size()

@@ -115,6 +115,15 @@ func parseShardSegmentName(name string) (shard int, first uint64, ok bool) {
 	return int(s), n, true
 }
 
+// streamSegmentName names a segment of either layout: the single stream
+// (shard −1) or one host slot's stream.
+func streamSegmentName(shard int, first uint64) string {
+	if shard < 0 {
+		return segmentName(first)
+	}
+	return shardSegmentName(shard, first)
+}
+
 // listSegments returns the single-stream segment first-indices present
 // in dir, sorted.
 func listSegments(dir string) ([]uint64, error) {
@@ -198,42 +207,109 @@ func appendRecord(dst, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
-// scanSegment decodes every record in data. clean is the byte offset of
-// the end of the last intact record. A trailing partial record (fewer
-// bytes than its header claims, or a header cut short) yields errTornTail
-// with the intact prefix decoded; an impossible length or a checksum
-// mismatch on a complete record yields ErrStateCorrupt — that is damage,
-// not an interrupted write, and must never be silently dropped.
-func scanSegment(data []byte) (payloads [][]byte, clean int, err error) {
+// scanSegment checks every record in data, in order, and hands each
+// payload to fn. A payload is a sub-slice
+// of data, never a copy: it stays valid exactly as long as data does, so
+// a caller that keeps one past the scan must copy it. clean is the byte
+// offset of the end of the last intact record. A trailing partial record
+// (fewer bytes than its header claims, or a header cut short) yields
+// errTornTail; an impossible length or a checksum mismatch on a complete
+// record yields ErrStateCorrupt — that is damage, not an interrupted
+// write, and must never be silently dropped. Every record is checked
+// before fn sees it; an error from fn stops the scan and is returned.
+func scanSegment(data []byte, fn func(payload []byte) error) (clean int, err error) {
 	off := 0
 	for off < len(data) {
 		if len(data)-off < recordHeaderLen {
-			return payloads, off, errTornTail
+			return off, errTornTail
 		}
 		n := binary.BigEndian.Uint32(data[off : off+4])
 		if n > maxRecordBytes {
-			return payloads, off, fmt.Errorf("%w: record length %d exceeds %d", ErrStateCorrupt, n, maxRecordBytes)
+			return off, fmt.Errorf("%w: record length %d exceeds %d", ErrStateCorrupt, n, maxRecordBytes)
 		}
 		sum := binary.BigEndian.Uint32(data[off+4 : off+8])
 		body := data[off+recordHeaderLen:]
 		if uint64(len(body)) < uint64(n) {
-			return payloads, off, errTornTail
+			return off, errTornTail
 		}
-		payload := body[:n]
+		payload := body[:n:n]
 		if crc32.Checksum(payload, crcTable) != sum {
-			return payloads, off, fmt.Errorf("%w: record checksum mismatch at offset %d", ErrStateCorrupt, off)
+			return off, fmt.Errorf("%w: record checksum mismatch at offset %d", ErrStateCorrupt, off)
 		}
-		payloads = append(payloads, append([]byte(nil), payload...))
+		if err := fn(payload); err != nil {
+			return off, err
+		}
 		off += recordHeaderLen + int(n)
 	}
-	return payloads, off, nil
+	return off, nil
 }
 
-// readSegment loads and scans one segment file.
-func readSegment(path string) (payloads [][]byte, clean int, err error) {
+// walStream is one segment stream read back from disk, the way recovery
+// and compaction both see it: the single-stream layout (shard −1), whose
+// record index is the record's stream ordinal, or one host slot of a
+// sharded store, whose records carry their global index.
+type walStream struct {
+	shard int
+	segs  []walSeg
+	// count is the stream ordinal just past the last record read.
+	count uint64
+}
+
+// walSeg is one segment of a walStream.
+type walSeg struct {
+	path  string
+	first uint64 // stream ordinal of the segment's first record
+	data  []byte // the segment's intact, checksum-verified records
+}
+
+// record splits the payload of the record at stream ordinal ord into its
+// global index and entry encoding.
+func (st *walStream) record(ord uint64, payload []byte) (uint64, []byte, error) {
+	if st.shard < 0 {
+		return ord, payload, nil
+	}
+	return splitIndexedRecord(payload)
+}
+
+// read loads and scans the stream's next segment, whose first record is
+// stream ordinal first, calling fn with the global index of each record.
+// The segment joins st.segs with its intact records even when the scan
+// stops at a torn tail (the error is then errTornTail).
+func (st *walStream) read(path string, first uint64, fn func(index uint64) error) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, 0, fmt.Errorf("translog: reading segment %s: %w", filepath.Base(path), err)
+		return fmt.Errorf("translog: reading segment %s: %w", filepath.Base(path), err)
 	}
-	return scanSegment(data)
+	st.count = first
+	clean, err := scanSegment(data, func(payload []byte) error {
+		index, _, err := st.record(st.count, payload)
+		if err != nil {
+			return err
+		}
+		st.count++
+		return fn(index)
+	})
+	st.segs = append(st.segs, walSeg{path: path, first: first, data: data[:clean]})
+	return err
+}
+
+// each walks the records read so far, oldest first, handing fn each
+// record's segment position, byte offset, global index and entry
+// encoding. It re-reads no file and re-checks no checksum.
+func (st *walStream) each(fn func(seg, off int, index uint64, entry []byte) error) error {
+	for i, sg := range st.segs {
+		ord := sg.first
+		for off := 0; off < len(sg.data); ord++ {
+			end := off + recordHeaderLen + int(binary.BigEndian.Uint32(sg.data[off:off+4]))
+			index, entry, err := st.record(ord, sg.data[off+recordHeaderLen:end:end])
+			if err == nil {
+				err = fn(i, off, index, entry)
+			}
+			if err != nil {
+				return err
+			}
+			off = end
+		}
+	}
+	return nil
 }

@@ -1,0 +1,154 @@
+package translog
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// segmentPayloads collects the payloads scanSegment hands out for data.
+func segmentPayloads(data []byte) ([][]byte, error) {
+	var out [][]byte
+	_, err := scanSegment(data, func(p []byte) error {
+		out = append(out, p)
+		return nil
+	})
+	return out, err
+}
+
+// FuzzScanSegment frames fuzzer-chosen payloads into a segment — plain
+// records and sharded ones with their global index prefix — and checks
+// the scanner's contract on it: the intact segment comes back
+// byte-equal; a cut anywhere yields errTornTail with clean at the last
+// intact record (no error on a record boundary); a flipped bit yields
+// ErrStateCorrupt or errTornTail, and only the records before the
+// damaged one are handed out.
+//
+// Input layout: each record takes one byte — low six bits its payload
+// length, top bit the sharded framing — followed by its payload bytes.
+func FuzzScanSegment(f *testing.F) {
+	f.Fuzz(func(t *testing.T, script []byte, cut, flip uint32) {
+		var seg []byte
+		var want [][]byte
+		var ends []int // byte offset just past each record
+		for len(script) > 0 {
+			n := min(int(script[0]&0x3f), len(script)-1)
+			sharded := script[0]&0x80 != 0
+			p := script[1 : 1+n]
+			script = script[1+n:]
+			if sharded {
+				index := uint64(len(want)) * 977
+				seg = appendIndexedRecord(seg, index, p)
+				want = append(want, indexedPayload(index, p))
+			} else {
+				seg = appendRecord(seg, p)
+				want = append(want, p)
+			}
+			ends = append(ends, len(seg))
+		}
+		// check scans data and requires exactly the first k records back.
+		check := func(what string, data []byte, k int) (int, error) {
+			t.Helper()
+			got := 0
+			clean, err := scanSegment(data, func(p []byte) error {
+				if got >= k || !bytes.Equal(p, want[got]) {
+					t.Fatalf("%s: record %d handed out wrong", what, got)
+				}
+				got++
+				return nil
+			})
+			if got != k {
+				t.Fatalf("%s: %d records handed out, want %d", what, got, k)
+			}
+			return clean, err
+		}
+
+		if clean, err := check("intact", seg, len(want)); err != nil || clean != len(seg) {
+			t.Fatalf("intact segment: clean %d of %d, err %v", clean, len(seg), err)
+		}
+		if len(seg) == 0 {
+			return
+		}
+
+		c := int(cut % uint32(len(seg)))
+		k := 0
+		for k < len(ends) && ends[k] <= c {
+			k++
+		}
+		boundary := 0
+		if k > 0 {
+			boundary = ends[k-1]
+		}
+		clean, err := check("cut", seg[:c], k)
+		switch {
+		case clean != boundary:
+			t.Fatalf("cut at %d: clean %d, want %d", c, clean, boundary)
+		case c == boundary && err != nil:
+			t.Fatalf("cut on a record boundary: %v", err)
+		case c != boundary && !errors.Is(err, errTornTail):
+			t.Fatalf("cut at %d: %v, want errTornTail", c, err)
+		}
+
+		bit := int(flip % uint32(8*len(seg)))
+		mutated := bytes.Clone(seg)
+		mutated[bit/8] ^= 1 << (bit % 8)
+		damaged := 0
+		for ends[damaged] <= bit/8 {
+			damaged++
+		}
+		got := 0
+		_, err = scanSegment(mutated, func(p []byte) error {
+			if got >= damaged || !bytes.Equal(p, want[got]) {
+				t.Fatalf("flipped bit %d: damaged record %d handed out", bit, got)
+			}
+			got++
+			return nil
+		})
+		if !errors.Is(err, ErrStateCorrupt) && !errors.Is(err, errTornTail) {
+			t.Fatalf("flipped bit %d: %v, want ErrStateCorrupt or errTornTail", bit, err)
+		}
+	})
+}
+
+// TestScanSegmentAllocsConstant pins the zero-copy scan: payloads are
+// sub-slices of the segment buffer, so scanning allocates nothing per
+// record. A 16-record and a 4096-record segment cost the same
+// allocations, both scanned in memory and read from disk.
+func TestScanSegmentAllocsConstant(t *testing.T) {
+	build := func(n int) []byte {
+		var seg []byte
+		for i := 0; i < n; i++ {
+			seg = appendIndexedRecord(seg, uint64(i), testEntry(i).Marshal())
+		}
+		return seg
+	}
+	scanned := func(seg []byte) float64 {
+		return testing.AllocsPerRun(20, func() {
+			records := 0
+			if _, err := scanSegment(seg, func([]byte) error { records++; return nil }); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	read := func(seg []byte) float64 {
+		path := filepath.Join(t.TempDir(), shardSegmentName(0, 0))
+		if err := os.WriteFile(path, seg, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() {
+			st := walStream{shard: 0}
+			if err := st.read(path, 0, func(uint64) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := build(16), build(4096)
+	if a, b := scanned(small), scanned(large); a != b {
+		t.Errorf("scan: %v allocations for 16 records, %v for 4096", a, b)
+	}
+	if a, b := read(small), read(large); a != b {
+		t.Errorf("read: %v allocations for 16 records, %v for 4096", a, b)
+	}
+}

@@ -464,7 +464,7 @@ func TestShardedTamperDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payloads, _, err := scanSegment(data)
+	payloads, err := segmentPayloads(data)
 	if err != nil {
 		t.Fatal(err)
 	}

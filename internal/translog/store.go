@@ -179,12 +179,7 @@ type stream struct {
 
 // name renders the segment file name for the stream's segment whose
 // first record is ordinal first.
-func (st *stream) name(first uint64) string {
-	if st.shard < 0 {
-		return segmentName(first)
-	}
-	return shardSegmentName(st.shard, first)
-}
+func (st *stream) name(first uint64) string { return streamSegmentName(st.shard, first) }
 
 // openStoreDir creates the store directory and returns a Store resuming
 // the verified recovered state rec. anchors is the trust-anchor chain

@@ -381,7 +381,7 @@ func TestTamperDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payloads, _, err := scanSegment(data)
+	payloads, err := segmentPayloads(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -546,11 +546,10 @@ func TestSegmentFraming(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		junk := make([]byte, rng.Intn(512))
 		rng.Read(junk)
-		payloads, clean, err := scanSegment(junk)
+		clean, err := scanSegment(junk, func([]byte) error { return nil })
 		if err == nil && clean != len(junk) {
 			t.Fatalf("junk %d: clean scan stopped early", i)
 		}
-		_ = payloads
 	}
 }
 
@@ -652,7 +651,7 @@ func TestRefusedOpenDoesNotTruncate(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Tamper an interior payload byte with a fixed-up checksum...
-	payloads, _, err := scanSegment(data)
+	payloads, err := segmentPayloads(data)
 	if err != nil {
 		t.Fatal(err)
 	}

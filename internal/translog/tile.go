@@ -247,12 +247,15 @@ func (l *Log) Tile(level, index uint64, width int) (*Tile, error) {
 		return nil, err
 	}
 	t := &Tile{Level: level, Index: index, Hashes: hashes}
-	if full && l.store != nil {
+	if full && l.store != nil && l.tileMu.TryLock() {
 		// Write-through so the next request is a file read. Best effort:
-		// a failed cache write must not fail the tile it caches.
+		// a failed cache write must not fail the tile it caches, and
+		// while the publisher runs the request skips the write rather
+		// than wait — publication covers every full tile in turn.
 		if l.store.writeTile(t) == nil {
 			mTilesPublished.Inc()
 		}
+		l.tileMu.Unlock()
 	}
 	return t, nil
 }
@@ -264,25 +267,41 @@ func (l *Log) tilesDue(size uint64) bool {
 }
 
 // publishTilesBG is the background publisher goroutine spawned by the
-// commit path (at most one in flight, like the checkpoint writer).
+// commit path (at most one in flight, like the checkpoint writer). A
+// commit that completes a tile while a run is in flight cannot start
+// another, so the goroutine runs again until it has covered the head:
+// otherwise the last commits before a Close would leave the watermark
+// behind, and the next open would publish those tiles from a cold
+// prefix it must first hydrate.
 func (l *Log) publishTilesBG() {
 	defer l.tileWG.Done()
-	defer l.tileBusy.Store(false)
-	_ = l.PublishTiles()
+	for {
+		err := l.PublishTiles()
+		l.tileBusy.Store(false)
+		if err != nil || !l.tilesDue(l.committed.Load()) || !l.tileBusy.CompareAndSwap(false, true) {
+			return
+		}
+	}
 }
 
 // PublishTiles persists every full tile the committed tree supports
 // that the publisher has not yet covered, then advances the durable
 // watermark. The automatic path runs this in the background after
 // commits complete a tile; the method is exposed for operator tooling
-// and deterministic tests. Best-effort by design: on error the tiles
-// remain servable from the tree and the next trigger retries.
+// and deterministic tests. Runs, background ones included, take turns,
+// and the watermark never moves back. Best-effort by design: on error
+// the tiles remain servable from the tree and the next trigger retries.
 func (l *Log) PublishTiles() error {
 	if l.store == nil {
 		return fmt.Errorf("translog: publishing tiles of an in-memory log")
 	}
+	l.tileMu.Lock()
+	defer l.tileMu.Unlock()
 	n := l.committed.Load()
 	mark := l.tileMark.Load()
+	if n <= mark {
+		return nil // a run that finished first covered this head
+	}
 	for level := uint64(0); level <= maxTileLevel; level++ {
 		want := fullTileCount(n, level)
 		if want == 0 {

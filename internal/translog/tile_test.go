@@ -2,11 +2,13 @@ package translog
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -415,6 +417,100 @@ func TestTileServingTakesNoCommitLockAndHashesNothing(t *testing.T) {
 		t.Fatal("tile request blocked while the commit lock was held")
 	}
 	l.mu.Unlock()
+}
+
+// TestPublishTilesConcurrent races explicit PublishTiles calls from
+// several goroutines against the background publisher that the appends
+// keep triggering. Every run must succeed — the runs share each tile's
+// temp file name — the watermark must never move back, and every full
+// tile must end up on disk holding the tree's hashes.
+func TestPublishTilesConcurrent(t *testing.T) {
+	key := testSigner(t)
+	l, err := OpenDurableLog(key, t.TempDir(), StoreConfig{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	stop := make(chan struct{})
+	errs := make(chan error, 4)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			last := uint64(0)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := l.PublishTiles(); err != nil {
+					errs <- err
+					return
+				}
+				if mark := l.tileMark.Load(); mark < last {
+					errs <- fmt.Errorf("watermark moved back from %d to %d", last, mark)
+					return
+				} else {
+					last = mark
+				}
+			}
+		}()
+	}
+	appendAll(t, l, mixedEntries(10*TileWidth+40))
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if err := l.PublishTiles(); err != nil {
+		t.Fatal(err)
+	}
+	size := l.Size()
+	if mark := l.tileMark.Load(); mark != size || l.store.loadTileMark() != size {
+		t.Fatalf("watermark %d (file %d), want the committed size %d", mark, l.store.loadTileMark(), size)
+	}
+	for index := uint64(0); index < fullTileCount(size, 0); index++ {
+		tile, ok := l.store.readTile(0, index)
+		if !ok {
+			t.Fatalf("full tile %d missing from the cache", index)
+		}
+		want, err := l.tree.nodes(0, index*TileWidth, (index+1)*TileWidth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(tile.Hashes, want) {
+			t.Fatalf("cached tile %d differs from the tree", index)
+		}
+	}
+}
+
+// TestCloseLeavesTileWatermarkAtHead: commits that complete tiles while
+// the background publisher is busy must still be published before Close
+// returns. A watermark left behind makes the next open publish those
+// tiles itself, hydrating the cold prefix below a checkpoint to do it.
+func TestCloseLeavesTileWatermarkAtHead(t *testing.T) {
+	dir := t.TempDir()
+	l, err := OpenDurableLog(testSigner(t), dir, StoreConfig{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := mixedEntries(40 * TileWidth)
+	for len(entries) > 0 {
+		if _, err := l.AppendBatch(entries[:4*TileWidth]); err != nil {
+			t.Fatal(err)
+		}
+		entries = entries[4*TileWidth:]
+	}
+	size := l.Size()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if mark := (&Store{dir: dir}).loadTileMark(); mark != size {
+		t.Fatalf("tile watermark %d after Close, want the head %d", mark, size)
+	}
 }
 
 // TestTileHTTPCacheHeaders pins the cacheability matrix: what a front
