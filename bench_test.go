@@ -486,7 +486,7 @@ func benchLogEntry(i int) translog.Entry {
 // BenchmarkE11TranslogAppend measures the transparency log's write path
 // under the E-series cost model deployment: every committed batch costs
 // one Merkle root recomputation plus one ECDSA tree-head signature, so
-// the batched appender amortises the signature across the batch. The
+// the one-shard appender amortises the signature across each cycle. The
 // unbatched variant commits (and signs) per entry — the comparison is
 // the justification for the batched design on the hot attestation path.
 func BenchmarkE11TranslogAppend(b *testing.B) {
@@ -504,12 +504,12 @@ func BenchmarkE11TranslogAppend(b *testing.B) {
 			}
 		}
 	})
-	b.Run("batched-256", func(b *testing.B) {
+	b.Run("batched", func(b *testing.B) {
 		l, err := translog.NewLog(signer)
 		if err != nil {
 			b.Fatal(err)
 		}
-		a := translog.NewAppender(l, translog.AppenderConfig{MaxBatch: 256})
+		a := translog.NewShardedAppender(l, translog.ShardedAppenderConfig{Shards: 1})
 		defer a.Close()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -528,8 +528,8 @@ func BenchmarkE11TranslogAppend(b *testing.B) {
 }
 
 // BenchmarkE13TranslogDurableAppend measures what durability costs the
-// hot audit path: the batched appender over the statedir-backed WAL
-// (every committed batch = record writes + one segment fsync + one
+// hot audit path: the one-shard appender over the statedir-backed WAL
+// (every committed cycle = record writes + one segment fsync + one
 // atomic tree-head replacement) against the same appender on the
 // in-memory log. Batching amortises the fsync exactly like it amortises
 // the tree-head signature, so the per-entry cost must stay within 5x of
@@ -538,7 +538,7 @@ func BenchmarkE13TranslogDurableAppend(b *testing.B) {
 	d := newBenchDeployment(b, core.Options{})
 	signer := d.VM.CA().Signer()
 	run := func(b *testing.B, l *translog.Log) {
-		a := translog.NewAppender(l, translog.AppenderConfig{MaxBatch: 256})
+		a := translog.NewShardedAppender(l, translog.ShardedAppenderConfig{Shards: 1})
 		defer a.Close()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -554,14 +554,14 @@ func BenchmarkE13TranslogDurableAppend(b *testing.B) {
 			b.Fatalf("committed %d of %d entries", got, b.N)
 		}
 	}
-	b.Run("in-memory-batched-256", func(b *testing.B) {
+	b.Run("in-memory-batched", func(b *testing.B) {
 		l, err := translog.NewLog(signer)
 		if err != nil {
 			b.Fatal(err)
 		}
 		run(b, l)
 	})
-	b.Run("durable-batched-256", func(b *testing.B) {
+	b.Run("durable-batched", func(b *testing.B) {
 		l, err := translog.OpenDurableLog(signer, b.TempDir(), translog.StoreConfig{})
 		if err != nil {
 			b.Fatal(err)
@@ -876,8 +876,8 @@ func e15Anchor(b *testing.B, p *sgx.Platform, vendor *ecdsa.PrivateKey, dir stri
 }
 
 // BenchmarkE15SealedCommit measures what the enclave-sealed monotonic
-// head costs the hot audit path: the batched appender over the durable
-// WAL with the sealed anchor in the commit chain (per committed batch:
+// head costs the hot audit path: the one-shard appender over the durable
+// WAL with the sealed anchor in the commit chain (per committed cycle:
 // one ECall + counter read + seal, one atomic blob replacement, one
 // counter bump) against the same appender on the plain durable log.
 // Budget: the sealed per-entry cost must stay within 2x of the plain
@@ -892,7 +892,7 @@ func BenchmarkE15SealedCommit(b *testing.B) {
 		b.Fatal(err)
 	}
 	run := func(b *testing.B, l *translog.Log) {
-		a := translog.NewAppender(l, translog.AppenderConfig{MaxBatch: 256})
+		a := translog.NewShardedAppender(l, translog.ShardedAppenderConfig{Shards: 1})
 		defer a.Close()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -908,7 +908,7 @@ func BenchmarkE15SealedCommit(b *testing.B) {
 			b.Fatalf("committed %d of %d entries", got, b.N)
 		}
 	}
-	b.Run("durable-batched-256", func(b *testing.B) {
+	b.Run("durable-batched", func(b *testing.B) {
 		l, err := translog.OpenDurableLog(signer, b.TempDir(), translog.StoreConfig{})
 		if err != nil {
 			b.Fatal(err)
@@ -916,7 +916,7 @@ func BenchmarkE15SealedCommit(b *testing.B) {
 		defer l.Close()
 		run(b, l)
 	})
-	b.Run("sealed-batched-256", func(b *testing.B) {
+	b.Run("sealed-batched", func(b *testing.B) {
 		// A fresh platform per invocation: each b.N re-run gets a fresh
 		// "machine" whose counter starts in step with the fresh store.
 		platform := e15Platform(b)
@@ -982,18 +982,15 @@ func BenchmarkE15SealedRecovery(b *testing.B) {
 	}
 }
 
-// BenchmarkE16ShardedAppend measures the per-host sharded appender
-// against the single batched appender as the producing host count grows
+// BenchmarkE16ShardedAppend measures the appender at 16 shards against
+// the same appender at one shard as the producing host count grows
 // (1/4/16 hosts hammering concurrently, durable WAL underneath in both
-// cases). The single appender funnels every host through one mutex and
-// one ≤256-entry commit pipeline — per batch: one serial hash pass, one
-// tree-head signature, one fsync, one anchor bump. The sharded appender
-// buffers per host, prepares its merged cycles on every core, commits
-// up to hosts×256 entries under ONE signature/head/anchor bump, and
-// fans the records out to per-host WAL streams whose fsyncs overlap.
-// Targets: ≥3x aggregate throughput at 16 hosts vs the single appender,
-// and a per-entry durable cost within 1.5x of E13's single-producer
-// durable appender.
+// cases). One shard funnels every host through one buffer lock and one
+// WAL stream. Sixteen shards buffer per host, commit up to hosts×1024
+// entries under ONE signature/head/anchor bump per cycle, and fan the
+// records out to per-host WAL streams whose fsyncs overlap. Targets:
+// ≥3x aggregate throughput at 16 hosts vs one shard, and a per-entry
+// durable cost within 1.5x of E13's single-producer durable appender.
 func BenchmarkE16ShardedAppend(b *testing.B) {
 	d := newBenchDeployment(b, core.Options{})
 	signer := d.VM.CA().Signer()
@@ -1004,7 +1001,7 @@ func BenchmarkE16ShardedAppend(b *testing.B) {
 		actors[i] = fmt.Sprintf("fw-%d", i)
 		hostNames[i] = fmt.Sprintf("host-%d", i)
 	}
-	run := func(b *testing.B, l *translog.Log, ap translog.EntryAppender, hosts int) {
+	run := func(b *testing.B, l *translog.Log, ap *translog.ShardedAppender, hosts int) {
 		var wg sync.WaitGroup
 		b.ResetTimer()
 		for h := 0; h < hosts; h++ {
@@ -1037,22 +1034,16 @@ func BenchmarkE16ShardedAppend(b *testing.B) {
 		}
 	}
 	for _, hosts := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("hosts-%d/single-appender", hosts), func(b *testing.B) {
-			l, err := translog.OpenDurableLog(signer, b.TempDir(), translog.StoreConfig{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer l.Close()
-			run(b, l, translog.NewAppender(l, translog.AppenderConfig{}), hosts)
-		})
-		b.Run(fmt.Sprintf("hosts-%d/sharded-16", hosts), func(b *testing.B) {
-			l, err := translog.OpenDurableLog(signer, b.TempDir(), translog.StoreConfig{Shards: 16})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer l.Close()
-			run(b, l, translog.NewShardedAppender(l, translog.ShardedAppenderConfig{}), hosts)
-		})
+		for _, shards := range []int{1, 16} {
+			b.Run(fmt.Sprintf("hosts-%d/sharded-%d", hosts, shards), func(b *testing.B) {
+				l, err := translog.OpenDurableLog(signer, b.TempDir(), translog.StoreConfig{Shards: shards})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer l.Close()
+				run(b, l, translog.NewShardedAppender(l, translog.ShardedAppenderConfig{Shards: shards}), hosts)
+			})
+		}
 	}
 }
 

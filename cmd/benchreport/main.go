@@ -746,7 +746,7 @@ func runE10(runs int) (*metrics.Table, error) {
 
 // runE11 measures the transparency log's write path: per-entry commit
 // latency unbatched (one tree-head signature per entry) against the
-// batched appender (signature amortised over the batch).
+// one-shard appender (signature amortised over each sequencer cycle).
 func runE11(runs int) (*metrics.Table, error) {
 	ca, err := pki.NewCA("bench CA", time.Hour)
 	if err != nil {
@@ -779,7 +779,7 @@ func runE11(runs int) (*metrics.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	app := translog.NewAppender(batched, translog.AppenderConfig{MaxBatch: 256})
+	app := translog.NewShardedAppender(batched, translog.ShardedAppenderConfig{Shards: 1})
 	defer app.Close()
 	hb := metrics.NewHistogram("batched")
 	for r := 0; r < runs; r++ {
@@ -802,7 +802,7 @@ func runE11(runs int) (*metrics.Table, error) {
 	t := metrics.NewTable("E11 — transparency log appends (n="+fmt.Sprint(runs)+", "+fmt.Sprint(perRun)+" entries/run)",
 		"variant", "per-entry latency", "speedup")
 	t.AddRow("unbatched (sign per entry)", perEntry(uMean), "1.0×")
-	t.AddRow("batched appender (256/batch)", perEntry(bMean),
+	t.AddRow("batched appender (1 shard)", perEntry(bMean),
 		fmt.Sprintf("%.1f×", float64(uMean)/float64(bMean)))
 	return t, nil
 }
@@ -853,8 +853,8 @@ func runE12(runs int) (*metrics.Table, error) {
 }
 
 // runE13 measures what statedir durability costs the audit write path —
-// batched appends over the WAL (records + one fsync + one atomic
-// tree-head replacement per batch) against the in-memory appender — and
+// one-shard appends over the WAL (records + one fsync + one atomic
+// tree-head replacement per cycle) against the in-memory appender — and
 // how long crash recovery (replay + verify against the persisted signed
 // head) takes as the log grows.
 func runE13(runs int) (*metrics.Table, error) {
@@ -871,7 +871,7 @@ func runE13(runs int) (*metrics.Table, error) {
 	const perRun = 2048
 
 	appendAll := func(l *translog.Log) error {
-		app := translog.NewAppender(l, translog.AppenderConfig{MaxBatch: 256})
+		app := translog.NewShardedAppender(l, translog.ShardedAppenderConfig{Shards: 1})
 		defer app.Close()
 		for i := 0; i < perRun; i++ {
 			if err := app.Append(mkEntry(i)); err != nil {
@@ -936,8 +936,8 @@ func runE13(runs int) (*metrics.Table, error) {
 	mMean, dMean := hm.Summarize().Mean, hd.Summarize().Mean
 	t := metrics.NewTable("E13 — durable log appends + recovery (n="+fmt.Sprint(runs)+", "+fmt.Sprint(perRun)+" entries/run)",
 		"variant", "per-entry latency", "vs in-memory")
-	t.AddRow("in-memory appender (256/batch)", perEntry(mMean), "1.0×")
-	t.AddRow("durable WAL appender (256/batch)", perEntry(dMean),
+	t.AddRow("in-memory appender (1 shard)", perEntry(mMean), "1.0×")
+	t.AddRow("durable WAL appender (1 shard)", perEntry(dMean),
 		fmt.Sprintf("%.1f×", float64(dMean)/float64(mMean)))
 	t.AddRow(fmt.Sprintf("crash recovery (%d entries)", recovered),
 		fmt.Sprintf("%.1f ms total", float64(hr.Summarize().Mean)/float64(time.Millisecond)), "-")
@@ -1030,11 +1030,11 @@ func runE14(runs int) (*metrics.Table, error) {
 }
 
 // runE15 measures the enclave-sealed monotonic head: what sealing every
-// committed head (ECall + counter read + AEAD seal per batch, one
+// committed head (ECall + counter read + AEAD seal per cycle, one
 // atomic blob replacement, one counter bump) adds to the durable
-// batched append path, and what the extra unseal + counter check adds
+// one-shard append path, and what the extra unseal + counter check adds
 // to recovery. Budget: sealed appends must stay within 2.0x of the
-// plain durable appender — the anchor work is per batch, so the
+// plain durable appender — the anchor work is per cycle, so the
 // appender amortises it like the fsync and the head signature.
 func runE15(runs int) (*metrics.Table, error) {
 	ca, err := pki.NewCA("bench CA", time.Hour)
@@ -1062,7 +1062,7 @@ func runE15(runs int) (*metrics.Table, error) {
 	}
 	const perRun = 2048
 	appendAll := func(l *translog.Log) error {
-		app := translog.NewAppender(l, translog.AppenderConfig{MaxBatch: 256})
+		app := translog.NewShardedAppender(l, translog.ShardedAppenderConfig{Shards: 1})
 		defer app.Close()
 		for i := 0; i < perRun; i++ {
 			if err := app.Append(mkEntry(i)); err != nil {
@@ -1148,26 +1148,24 @@ func runE15(runs int) (*metrics.Table, error) {
 	}
 	t := metrics.NewTable("E15 — enclave-sealed monotonic head (n="+fmt.Sprint(runs)+", "+fmt.Sprint(perRun)+" entries/run)",
 		"variant", "per-entry latency", "vs durable")
-	t.AddRow("durable WAL appender (256/batch)", perEntry(dMean), "1.0×")
-	t.AddRow("sealed WAL appender (256/batch)", perEntry(sMean),
+	t.AddRow("durable WAL appender (1 shard)", perEntry(dMean), "1.0×")
+	t.AddRow("sealed WAL appender (1 shard)", perEntry(sMean),
 		fmt.Sprintf("%.2f× (%s)", ratio, verdict))
 	t.AddRow(fmt.Sprintf("sealed recovery (%d entries)", recovered),
 		fmt.Sprintf("%.1f ms total", float64(hr.Summarize().Mean)/float64(time.Millisecond)), "-")
 	return t, nil
 }
 
-// runE16 measures the per-host sharded appender against the single
-// batched appender as the producing host count grows, over durable
-// stores in both cases. The single appender serialises every host
-// behind one mutex and one ≤256-entry commit pipeline (per batch: one
-// hash pass, one tree-head signature, one fsync stream, one
-// persisted-head replacement); the sharded appender buffers per host
-// and its merging sequencer commits up to hosts×1024 entries as ONE
-// merged Merkle batch per cycle — one signature, one head, one anchor
-// bump — fanning the records out to per-host WAL segment streams whose
-// fsyncs overlap. Targets: ≥3.0x aggregate throughput at 16 hosts, and
-// a sharded per-entry durable cost within 1.5x of the E13 single-
-// producer durable appender.
+// runE16 measures the appender at 16 shards against the same appender
+// at one shard as the producing host count grows, over durable stores
+// in both cases. One shard serialises every host behind one buffer
+// lock, one ≤1024-entry cycle and one WAL stream; sixteen shards buffer
+// per host, and the merging sequencer commits up to hosts×1024 entries
+// as ONE merged Merkle batch per cycle — one signature, one head, one
+// anchor bump — fanning the records out to per-host WAL segment streams
+// whose fsyncs overlap. Targets: ≥3.0x aggregate throughput at 16
+// hosts, and a sharded per-entry durable cost within 1.5x of the E13
+// single-producer durable appender.
 func runE16(runs int) (*metrics.Table, error) {
 	ca, err := pki.NewCA("bench CA", time.Hour)
 	if err != nil {
@@ -1179,7 +1177,7 @@ func runE16(runs int) (*metrics.Table, error) {
 		hostNames[i] = fmt.Sprintf("host-%d", i)
 	}
 	const perRun = 1 << 16
-	produce := func(ap translog.EntryAppender, hosts int) error {
+	produce := func(ap *translog.ShardedAppender, hosts int) error {
 		var wg sync.WaitGroup
 		errs := make([]error, hosts)
 		for h := 0; h < hosts; h++ {
@@ -1207,27 +1205,18 @@ func runE16(runs int) (*metrics.Table, error) {
 		}
 		return ap.Flush()
 	}
-	measure := func(hosts int, sharded bool) (time.Duration, error) {
+	measure := func(hosts, shards int) (time.Duration, error) {
 		dir, err := os.MkdirTemp("", "benchreport-e16-")
 		if err != nil {
 			return 0, err
 		}
 		defer os.RemoveAll(dir)
-		cfg := translog.StoreConfig{}
-		if sharded {
-			cfg.Shards = 16
-		}
-		l, err := translog.OpenDurableLog(ca.Signer(), dir, cfg)
+		l, err := translog.OpenDurableLog(ca.Signer(), dir, translog.StoreConfig{Shards: shards})
 		if err != nil {
 			return 0, err
 		}
 		defer l.Close()
-		var ap translog.EntryAppender
-		if sharded {
-			ap = translog.NewShardedAppender(l, translog.ShardedAppenderConfig{})
-		} else {
-			ap = translog.NewAppender(l, translog.AppenderConfig{})
-		}
+		ap := translog.NewShardedAppender(l, translog.ShardedAppenderConfig{Shards: shards})
 		// One untimed warm-up run: the first pass grows buffers, arenas
 		// and tree levels that steady state recycles.
 		if err := produce(ap, hosts); err != nil {
@@ -1250,9 +1239,9 @@ func runE16(runs int) (*metrics.Table, error) {
 		return h.Summarize().Mean, nil
 	}
 
-	// The E13 baseline for the per-entry budget: the single durable
+	// The E13 baseline for the per-entry budget: the one-shard durable
 	// appender with one producer.
-	e13Mean, err := measure(1, false)
+	e13Mean, err := measure(1, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -1265,24 +1254,24 @@ func runE16(runs int) (*metrics.Table, error) {
 
 	t := metrics.NewTable("E16 — per-host sharded appender scaling (n="+fmt.Sprint(runs)+", "+fmt.Sprint(perRun)+" entries/run, durable WAL)",
 		"hosts × appender", "per-entry latency", "throughput", "speedup")
-	t.AddRow("1 × single (E13 baseline)", fmt.Sprintf("%.2f µs", perEntry(e13Mean)),
+	t.AddRow("1 × 1-shard (E13 baseline)", fmt.Sprintf("%.2f µs", perEntry(e13Mean)),
 		fmt.Sprintf("%.2f M entries/s", throughput(e13Mean)), "1.0×")
 	var final string
 	for _, hosts := range []int{1, 4, 16} {
 		single := e13Mean
 		if hosts != 1 {
-			if single, err = measure(hosts, false); err != nil {
+			if single, err = measure(hosts, 1); err != nil {
 				return nil, err
 			}
-			t.AddRow(fmt.Sprintf("%d × single", hosts), fmt.Sprintf("%.2f µs", perEntry(single)),
+			t.AddRow(fmt.Sprintf("%d × 1-shard", hosts), fmt.Sprintf("%.2f µs", perEntry(single)),
 				fmt.Sprintf("%.2f M entries/s", throughput(single)), "-")
 		}
-		sharded, err := measure(hosts, true)
+		sharded, err := measure(hosts, 16)
 		if err != nil {
 			return nil, err
 		}
 		speedup := float64(single) / float64(sharded)
-		row := fmt.Sprintf("%.2f× vs single", speedup)
+		row := fmt.Sprintf("%.2f× vs 1-shard", speedup)
 		if hosts == 16 {
 			verdict := "meets ≥3.0x target"
 			if speedup < 3.0 {
@@ -1321,7 +1310,7 @@ func runE17(runs int) (*metrics.Table, error) {
 	}
 	const perRun = 1 << 16
 	const hosts = 16
-	produce := func(ap translog.EntryAppender) error {
+	produce := func(ap *translog.ShardedAppender) error {
 		var wg sync.WaitGroup
 		errs := make([]error, hosts)
 		for h := 0; h < hosts; h++ {

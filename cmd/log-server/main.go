@@ -126,8 +126,8 @@ func runServe(dir *statedir.Dir, addr string, seal bool, nvFile string, shards i
 	// the process only exits via log.Fatal, and every committed batch is
 	// already fsynced — recovery picks up from the durable state exactly
 	// as a crash would.
-	// With -shards the WAL splits into per-host segment streams (the
-	// appenders stamp each record with its global index), letting a fleet
+	// With -shards the WAL splits into per-host segment streams (each
+	// record is stamped with its global index), letting a fleet
 	// of producers land in parallel streams while every cycle still
 	// commits one signed tree head. The layout is fixed when the store is
 	// first created; reopening an existing store keeps its layout.

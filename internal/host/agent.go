@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"time"
 
 	"vnfguard/internal/enclaveapp"
 	"vnfguard/internal/ra"
@@ -167,9 +168,13 @@ type Client struct {
 	http *http.Client
 }
 
+// clientTimeout bounds every agent request end to end, so a hung host
+// agent fails its own attestation or enrollment instead of stalling it.
+const clientTimeout = 10 * time.Second
+
 // NewClient builds an agent client.
 func NewClient(baseURL string) *Client {
-	return &Client{base: strings.TrimRight(baseURL, "/"), http: &http.Client{}}
+	return &Client{base: strings.TrimRight(baseURL, "/"), http: &http.Client{Timeout: clientTimeout}}
 }
 
 func (c *Client) post(path string, body, out any) error {

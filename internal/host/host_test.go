@@ -5,9 +5,12 @@ import (
 	"crypto/elliptic"
 	"crypto/rand"
 	"errors"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"vnfguard/internal/epid"
 	"vnfguard/internal/ima"
@@ -264,5 +267,37 @@ func TestAgentHTTPRoundTrip(t *testing.T) {
 	}
 	if _, err := client.VNFRAMsg1("ghost"); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Fatalf("unknown VNF: %v", err)
+	}
+}
+
+// TestAgentClientTimesOutOnHungAgent: a host agent that accepts the
+// connection but never answers must fail the request with a timeout
+// error, not stall the Verification Manager's attestation of it.
+func TestAgentClientTimesOutOnHungAgent(t *testing.T) {
+	release := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) { <-release }))
+	t.Cleanup(func() {
+		close(release)
+		srv.Close()
+	})
+	client := NewClient(srv.URL)
+	if got := client.http.Timeout; got != clientTimeout {
+		t.Fatalf("client timeout %v, want %v", got, clientTimeout)
+	}
+	// Tighten the bound so the test does not wait out the default.
+	client.http.Timeout = 150 * time.Millisecond
+	isTimeout := func(err error) bool {
+		var ne net.Error
+		return errors.As(err, &ne) && ne.Timeout()
+	}
+	start := time.Now()
+	if _, err := client.Attest([]byte("nonce"), false); !isTimeout(err) {
+		t.Fatalf("attest against a hung agent: got %v, want a timeout", err)
+	}
+	if _, err := client.VNFs(); !isTimeout(err) {
+		t.Fatalf("vnfs against a hung agent: got %v, want a timeout", err)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("client hung %v despite a 150ms timeout", elapsed)
 	}
 }

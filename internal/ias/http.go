@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
+	"time"
 
 	"vnfguard/internal/epid"
 	"vnfguard/internal/simtime"
@@ -132,6 +133,10 @@ type Client struct {
 	model       *simtime.CostModel
 }
 
+// clientTimeout bounds every report and SigRL request end to end, so a
+// hung attestation service fails an enrollment instead of stalling it.
+const clientTimeout = 10 * time.Second
+
 // NewClient constructs a client. signingCertPEM pins the AVR signer.
 func NewClient(baseURL, subscriptionKey string, signingCertPEM []byte, model *simtime.CostModel) (*Client, error) {
 	block := signingCertPEM
@@ -141,7 +146,7 @@ func NewClient(baseURL, subscriptionKey string, signingCertPEM []byte, model *si
 	}
 	return &Client{
 		baseURL:     strings.TrimRight(baseURL, "/"),
-		httpClient:  &http.Client{},
+		httpClient:  &http.Client{Timeout: clientTimeout},
 		key:         subscriptionKey,
 		signingCert: cert,
 		model:       model,

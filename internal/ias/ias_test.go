@@ -6,10 +6,12 @@ import (
 	"crypto/rand"
 	"encoding/base64"
 	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"vnfguard/internal/epid"
 	"vnfguard/internal/sgx"
@@ -403,5 +405,48 @@ func TestReportsCounter(t *testing.T) {
 	}
 	if svc.Reports() != 3 {
 		t.Fatalf("reports = %d", svc.Reports())
+	}
+}
+
+// TestClientTimesOutOnHungService: an attestation service that accepts
+// the connection but never answers must fail the request with a timeout
+// error, not hang the enrollment that asked.
+func TestClientTimesOutOnHungService(t *testing.T) {
+	issuer, err := epid.NewIssuer(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := NewService(issuer.GroupPublicKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) { <-release }))
+	t.Cleanup(func() {
+		close(release)
+		srv.Close()
+	})
+	client, err := NewClient(srv.URL, "k", svc.SigningCertPEM(), simtime.ZeroCosts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := client.httpClient.Timeout; got != clientTimeout {
+		t.Fatalf("client timeout %v, want %v", got, clientTimeout)
+	}
+	// Tighten the bound so the test does not wait out the default.
+	client.httpClient.Timeout = 150 * time.Millisecond
+	isTimeout := func(err error) bool {
+		var ne net.Error
+		return errors.As(err, &ne) && ne.Timeout()
+	}
+	start := time.Now()
+	if _, err := client.VerifyQuote([]byte("quote"), "nonce"); !isTimeout(err) {
+		t.Fatalf("report against a hung service: got %v, want a timeout", err)
+	}
+	if _, err := client.SigRL(issuer.GroupPublicKey().GID); !isTimeout(err) {
+		t.Fatalf("sigrl against a hung service: got %v, want a timeout", err)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("client hung %v despite a 150ms timeout", elapsed)
 	}
 }

@@ -3,12 +3,16 @@ package ima
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // GoldenDB holds the Verification Manager's expected measurement values:
 // for each path, the set of acceptable file hashes. It drives appraisal of
-// integrity measurement lists obtained through attestation.
+// integrity measurement lists obtained through attestation. Its methods
+// are safe for concurrent use, so a golden relearn may run beside
+// appraisals; set AllowUnknown before the database is shared.
 type GoldenDB struct {
+	mu      sync.RWMutex
 	allowed map[string]map[[32]byte]bool
 	require map[string]bool
 	// AllowUnknown, when true, tolerates measured paths absent from the
@@ -26,6 +30,13 @@ func NewGoldenDB() *GoldenDB {
 
 // Allow registers an acceptable hash for a path.
 func (db *GoldenDB) Allow(path string, hash [32]byte) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	db.allow(path, hash)
+}
+
+// allow is Allow for callers holding db.mu.
+func (db *GoldenDB) allow(path string, hash [32]byte) {
 	set, ok := db.allowed[path]
 	if !ok {
 		set = make(map[[32]byte]bool)
@@ -37,13 +48,19 @@ func (db *GoldenDB) Allow(path string, hash [32]byte) {
 // Require marks a path that must appear in every appraised list (e.g. the
 // VNF binary itself). Required paths are implicitly allowed with the
 // hashes registered via Allow.
-func (db *GoldenDB) Require(path string) { db.require[path] = true }
+func (db *GoldenDB) Require(path string) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	db.require[path] = true
+}
 
 // LearnFromList registers every entry of a known-good list as allowed —
 // the enrollment-time "golden run" workflow.
 func (db *GoldenDB) LearnFromList(l *List) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	for _, e := range l.Entries() {
-		db.Allow(e.Path, e.FileHash)
+		db.allow(e.Path, e.FileHash)
 	}
 }
 
@@ -66,6 +83,8 @@ type AppraisalResult struct {
 // Appraise checks every entry of the list against the database and
 // verifies that all required paths are present.
 func (db *GoldenDB) Appraise(l *List) AppraisalResult {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
 	res := AppraisalResult{Trusted: true}
 	seen := make(map[string]bool)
 	for _, e := range l.Entries() {

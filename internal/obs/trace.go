@@ -6,13 +6,15 @@ import (
 	"time"
 )
 
-// CycleTrace is the lightweight per-cycle record the sharded append
-// pipeline fills as a sequencer cycle moves through its phases: which
-// shard slots fed the cycle and how long each stage took. The struct is
-// embedded in the sequencer's ping-ponged cycle buffers and reset per
-// cycle, so steady-state tracing allocates nothing; its one consumer is
-// the slow-cycle diagnostic log (ShardedAppenderConfig.SlowCycleBudget),
-// which renders it as one structured line.
+// CycleTrace is the lightweight per-cycle record the transparency log's
+// one append pipeline fills as a sequencer cycle moves through its
+// phases: which shard slots fed the cycle and how long each stage took.
+// Every async append path runs through that sequencer, one-shard logs
+// included. The struct is embedded in the sequencer's ping-ponged cycle
+// buffers and reset per cycle, so steady-state tracing allocates
+// nothing; its one consumer is the slow-cycle diagnostic log
+// (ShardedAppenderConfig.SlowCycleBudget), which renders it as one
+// structured line.
 type CycleTrace struct {
 	// Entries is the merged batch size.
 	Entries int

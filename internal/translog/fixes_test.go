@@ -89,21 +89,29 @@ func (s slowSigner) Sign(r io.Reader, digest []byte, opts crypto.SignerOpts) ([]
 }
 
 // raceAppender builds an appender frozen in the exact state the
-// Flush/Close race produces: an entry slipped into the buffer between
-// Close's drain and `closed` being set, so the loop goroutine's *final*
-// commit — which runs after Close has already returned — still has to
-// commit it. No loop goroutine is started: the test plays its role, so
-// the interleaving is deterministic instead of a scheduler lottery.
-func raceAppender(l *Log) *Appender {
-	a := &Appender{
-		log:      l,
-		maxBatch: 4,
-		interval: time.Hour,
-		kick:     make(chan struct{}, 1),
-		done:     make(chan struct{}),
+// Flush/Close race produces: an entry slipped into shard 0's buffer
+// between Close's drain and the shards being closed, so the sequencer's
+// *final* cycle — which runs after Close has already returned — still
+// has to commit it. No sequencer goroutine is started: the test plays
+// its role, so the interleaving is deterministic instead of a scheduler
+// lottery.
+func raceAppender(l *Log, shards int) *ShardedAppender {
+	a := &ShardedAppender{
+		log:       l,
+		shards:    make([]*hostShard, shards),
+		maxBatch:  4,
+		interval:  time.Hour,
+		workers:   1,
+		shardInst: shardInstruments(shards),
+		slowLog:   func(string, ...any) {},
+		kick:      make(chan struct{}, 1),
+		done:      make(chan struct{}),
+	}
+	for i := range a.shards {
+		a.shards[i] = &hostShard{closed: true}
 	}
 	a.idle = sync.NewCond(&a.mu)
-	a.pending = []Entry{{Type: EntryAttestOK, Actor: "late", Detail: "OK"}}
+	a.shards[0].pending = []Entry{{Type: EntryAttestOK, Actor: "late", Host: "host-0", Detail: "OK"}}
 	a.closed = true
 	close(a.done)
 	return a
@@ -118,7 +126,7 @@ func TestFlushWaitsOutFinalCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := raceAppender(l)
+	a := raceAppender(l, 1)
 	flushed := make(chan error, 1)
 	go func() { flushed <- a.Flush() }()
 	select {
@@ -128,7 +136,7 @@ func TestFlushWaitsOutFinalCommit(t *testing.T) {
 	case <-time.After(100 * time.Millisecond):
 		// Still waiting: correct.
 	}
-	a.commit() // the loop goroutine's final commit
+	a.commitCycle() // the sequencer's final cycle
 	if err := <-flushed; err != nil {
 		t.Fatalf("flush: %v", err)
 	}
@@ -147,11 +155,11 @@ func TestFlushReportsFinalCommitError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := raceAppender(l)
+	a := raceAppender(l, 1)
 	flushed := make(chan error, 1)
 	go func() { flushed <- a.Flush() }()
 	time.Sleep(20 * time.Millisecond) // let Flush reach its wait
-	a.commit()
+	a.commitCycle()
 	if err := <-flushed; err == nil {
 		t.Fatal("Flush swallowed the final batch's commit error")
 	}
@@ -167,7 +175,7 @@ func TestFlushCloseStress(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a := NewAppender(l, AppenderConfig{MaxBatch: 4, FlushInterval: time.Millisecond})
+		a := NewShardedAppender(l, ShardedAppenderConfig{Shards: 1, MaxBatch: 4, FlushInterval: time.Millisecond})
 		var appended atomic.Uint64
 		var wg sync.WaitGroup
 		wg.Add(2)
@@ -239,7 +247,7 @@ func TestFlushReportsFinalBatchError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := NewAppender(l, AppenderConfig{MaxBatch: 256, FlushInterval: time.Hour})
+	a := NewShardedAppender(l, ShardedAppenderConfig{Shards: 1, MaxBatch: 256, FlushInterval: time.Hour})
 	if err := a.Append(testEntry(0)); err != nil {
 		t.Fatal(err)
 	}

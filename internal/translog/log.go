@@ -22,7 +22,7 @@ var (
 	ErrBadSTH     = errors.New("translog: tree head signature invalid") //lint:allow unusedexport verification error contract of exported Log/Client methods; errors.Is target
 	ErrLogRevoked = errors.New("translog: credential revoked in log")
 	ErrIndexRange = errors.New("translog: entry index out of range") //lint:allow unusedexport proof-request error contract of exported Log methods; errors.Is target
-	ErrClosedLog  = errors.New("translog: appender closed")          //lint:allow unusedexport append error contract of exported Appender methods; errors.Is target
+	ErrClosedLog  = errors.New("translog: appender closed")          //lint:allow unusedexport append error contract of exported ShardedAppender methods; errors.Is target
 )
 
 // SignedTreeHead is the log's signed commitment to its state at one size:
@@ -253,8 +253,8 @@ func (l *Log) signHead(size uint64, root Hash) (SignedTreeHead, error) {
 }
 
 // Append commits one entry immediately (one root recomputation and one
-// tree-head signature) and returns its index. Hot paths should prefer an
-// Appender, which batches these costs.
+// tree-head signature) and returns its index. Hot paths should prefer a
+// ShardedAppender, which batches these costs.
 func (l *Log) Append(e Entry) (uint64, error) {
 	indices, err := l.AppendBatch([]Entry{e})
 	if err != nil {
@@ -270,7 +270,7 @@ func (l *Log) AppendBatch(batch []Entry) ([]uint64, error) {
 		return nil, nil
 	}
 	payloads, hashes := prepareEntries(batch, 1)
-	first, err := l.appendPrepared(batch, payloads, hashes)
+	first, err := l.appendPrepared(batch, payloads, hashes, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -284,16 +284,11 @@ func (l *Log) AppendBatch(batch []Entry) ([]uint64, error) {
 // appendPrepared commits entries whose canonical encodings and leaf
 // hashes were computed by the caller — the merging sequencer prepares
 // its large merged cycles on every core before funnelling them through
-// the log lock here. Returns the first committed index; the batch
-// occupies [first, first+len(batch)).
-func (l *Log) appendPrepared(batch []Entry, payloads [][]byte, hashes []Hash) (uint64, error) {
-	return l.appendPreparedTraced(batch, payloads, hashes, nil)
-}
-
-// appendPreparedTraced is appendPrepared with an optional per-cycle
-// trace (the sequencer threads its cycle record through; ordinary
-// batches pass nil). The phase histograms are observed either way.
-func (l *Log) appendPreparedTraced(batch []Entry, payloads [][]byte, hashes []Hash, tr *obs.CycleTrace) (uint64, error) {
+// the log lock here. tr is the sequencer's per-cycle trace, nil for
+// ordinary batches; the phase histograms are observed either way.
+// Returns the first committed index; the batch occupies
+// [first, first+len(batch)).
+func (l *Log) appendPrepared(batch []Entry, payloads [][]byte, hashes []Hash, tr *obs.CycleTrace) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	first := l.entries.count()
@@ -742,158 +737,4 @@ func (l *Log) SerialRevoked(serial string) bool {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	return l.revoked[serial]
-}
-
-// Appender buffers entries and commits them to the log in batches, so
-// producers on the hot attestation path pay only a mutex and a slice
-// append — hashing and tree-head signing happen once per batch on a
-// background goroutine. On a durable log (OpenDurableLog) the same
-// batching amortises the fsyncs: each committed batch is one segment
-// fsync plus one atomic tree-head replacement, regardless of batch size.
-type Appender struct {
-	log *Log
-
-	maxBatch int
-	interval time.Duration
-
-	mu      sync.Mutex
-	pending []Entry
-	// committing marks a batch handed to the log but not yet committed;
-	// Flush must wait it out, not only the buffer drain.
-	committing bool
-	closed     bool
-	err        error
-	idle       *sync.Cond // broadcast whenever pending drains
-
-	kick chan struct{}
-	done chan struct{}
-}
-
-// AppenderConfig tunes batching.
-type AppenderConfig struct {
-	// MaxBatch commits as soon as this many entries are buffered
-	// (default 256).
-	MaxBatch int
-	// FlushInterval bounds how long a buffered entry waits for a batch to
-	// fill (default 5ms).
-	FlushInterval time.Duration
-}
-
-// NewAppender starts a batched appender for log.
-func NewAppender(log *Log, cfg AppenderConfig) *Appender {
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 256
-	}
-	if cfg.FlushInterval <= 0 {
-		cfg.FlushInterval = 5 * time.Millisecond
-	}
-	a := &Appender{
-		log:      log,
-		maxBatch: cfg.MaxBatch,
-		interval: cfg.FlushInterval,
-		kick:     make(chan struct{}, 1),
-		done:     make(chan struct{}),
-	}
-	a.idle = sync.NewCond(&a.mu)
-	go a.loop()
-	return a
-}
-
-// Append buffers one entry for asynchronous commitment. It never blocks
-// on hashing or signing.
-func (a *Appender) Append(e Entry) error {
-	a.mu.Lock()
-	if a.closed {
-		a.mu.Unlock()
-		return ErrClosedLog
-	}
-	a.pending = append(a.pending, e)
-	full := len(a.pending) >= a.maxBatch
-	a.mu.Unlock()
-	if full {
-		select {
-		case a.kick <- struct{}{}:
-		default:
-		}
-	}
-	return nil
-}
-
-// Flush blocks until every entry buffered before the call is committed,
-// returning the first commit error if any batch failed.
-func (a *Appender) Flush() error {
-	select {
-	case a.kick <- struct{}{}:
-	default:
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	// Wait out the buffer AND any in-flight commit, even when the
-	// appender is closing: Close's final commit drains pending and
-	// broadcasts, so this cannot hang — but returning early on closed
-	// would let a Flush racing Close report nil before the last batch
-	// (and its error) lands.
-	for len(a.pending) > 0 || a.committing {
-		a.idle.Wait()
-	}
-	return a.err
-}
-
-// Close flushes and stops the background goroutine.
-func (a *Appender) Close() error {
-	err := a.Flush()
-	a.mu.Lock()
-	if a.closed {
-		a.mu.Unlock()
-		return err
-	}
-	a.closed = true
-	a.mu.Unlock()
-	close(a.done)
-	return err
-}
-
-func (a *Appender) loop() {
-	ticker := time.NewTicker(a.interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-a.done:
-			a.commit()
-			return
-		case <-a.kick:
-			a.commit()
-		case <-ticker.C:
-			a.commit()
-		}
-	}
-}
-
-// commit drains the buffer in MaxBatch-bounded chunks, each committed
-// (hashed and tree-head-signed) as one batch.
-func (a *Appender) commit() {
-	for {
-		a.mu.Lock()
-		if len(a.pending) == 0 {
-			a.idle.Broadcast()
-			a.mu.Unlock()
-			return
-		}
-		n := len(a.pending)
-		if n > a.maxBatch {
-			n = a.maxBatch
-		}
-		batch := a.pending[:n:n]
-		a.pending = a.pending[n:]
-		a.committing = true
-		a.mu.Unlock()
-		_, err := a.log.AppendBatch(batch)
-		a.mu.Lock()
-		a.committing = false
-		if err != nil && a.err == nil {
-			a.err = err
-		}
-		a.idle.Broadcast()
-		a.mu.Unlock()
-	}
 }

@@ -550,7 +550,7 @@ func planCuts(streams []walStream, end uint64, trims []trimOp) []trimOp {
 // anchor raises ErrSealedRollback even when every file on disk was
 // rewound consistently). Every committed batch is durably persisted
 // (records fsynced, latest signed tree head atomically replaced, every
-// anchor updated) before AppendBatch returns, so the batched Appender
+// anchor updated) before AppendBatch returns, so the ShardedAppender
 // amortises the fsync the same way it amortises the tree-head
 // signature. With cfg.Shards > 1 the WAL is split into per-host segment
 // streams — see StoreConfig.Shards and the ShardedAppender. Close the

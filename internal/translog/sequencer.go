@@ -97,7 +97,7 @@ func (sa *ShardedAppender) commitCycle() {
 		next := make(chan *cycleBuffers, 1)
 		go func(bufs *cycleBuffers) { next <- sa.gatherPrepare(bufs) }(spare)
 		commitStart := time.Now()
-		_, err := sa.log.appendPreparedTraced(cur.batch, cur.payloads, cur.hashes, &cur.trace)
+		_, err := sa.log.appendPrepared(cur.batch, cur.payloads, cur.hashes, &cur.trace)
 		if err != nil {
 			sa.mu.Lock()
 			if sa.err == nil {
@@ -190,9 +190,8 @@ func prepareEntries(batch []Entry, workers int) ([][]byte, []Hash) {
 
 // prepareEntriesInto computes the canonical encodings and leaf hashes
 // for bufs.batch, fanning the work across workers when the batch is big
-// enough to pay for the goroutines. This is the serial cost the single
-// appender pays under its own commit; the sequencer's merged cycles run
-// it on every core before the log lock is taken. Entries marshal into
+// enough to pay for the goroutines. The sequencer's merged cycles run it
+// on every core before the log lock is taken. Entries marshal into
 // an arena with the RFC 6962 leaf prefix in place — the leaf hash runs
 // straight over the arena, no per-entry allocation — and the arena and
 // result slices recycle through bufs across cycles.

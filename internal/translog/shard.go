@@ -7,26 +7,23 @@ import (
 	"time"
 )
 
-// Per-host sharding: the single Appender funnels every VM host's audit
-// entries through one mutex, one batch stream and one fsync pipeline —
-// fine for one host, a scaling wall for a fleet. The ShardedAppender
-// gives each host its own buffer (keyed by the statedir HostInfoFile
-// identity every Entry carries in its Host field) behind its own lock,
-// and a background merging sequencer (sequencer.go) that drains ready
-// shard batches round-robin and commits them as ONE merged Merkle batch
-// per cycle: one tree-head signature, one persisted-head replacement and
+// The ShardedAppender is the log's one batching front: producers pay a
+// shard lock and a slice append, and a background merging sequencer
+// (sequencer.go) does the hashing, signing and fsyncs. Each host gets
+// its own buffer (keyed by the statedir HostInfoFile identity every
+// Entry carries in its Host field) behind its own lock, so producers
+// on different hosts never contend. The sequencer drains ready shard
+// batches round-robin and commits them as ONE merged Merkle batch per
+// cycle: one tree-head signature, one persisted-head replacement and
 // one trust-anchor bump cover every host's entries for that cycle,
 // instead of each host paying them separately. On a sharded durable
 // store (StoreConfig.Shards) each host's records also land in the
 // host's own WAL segment stream, written and fsynced in parallel.
+// Shards: 1 is the single-stream case — one buffer, the same cycle.
 //
 // The trust story is unchanged: global indices are assigned under the
 // log lock, every cycle commits through Log.appendPrepared exactly like
 // an ordinary batch, and the TrustAnchor chain sees one head per cycle.
-
-// defaultShards is the shard count used when neither the config nor the
-// log's store names one.
-const defaultShards = 16
 
 // ShardOf maps a host identity to its shard slot in [0, shards). The
 // Verification Manager maps each enrolled host through this same
@@ -41,37 +38,18 @@ func ShardOf(host string, shards int) int {
 	return int(h.Sum32() % uint32(shards))
 }
 
-// EntryAppender is the batching front producers push audit entries
-// through: the single Appender or the per-host ShardedAppender. Both
-// honour the same contract — Append never blocks on hashing, signing or
-// fsync; Flush waits out everything buffered before the call including
-// in-flight commits; Close flushes, then refuses further appends with
-// ErrClosedLog.
-type EntryAppender interface {
-	Append(Entry) error
-	Flush() error
-	Close() error
-}
-
-var (
-	_ EntryAppender = (*Appender)(nil)
-	_ EntryAppender = (*ShardedAppender)(nil)
-)
-
 // ShardedAppenderConfig tunes the sharded appender.
 type ShardedAppenderConfig struct {
-	// Shards is the number of per-host buffers. Defaults to the log
-	// store's shard count when the log is sharded-durable, else
-	// defaultShards.
+	// Shards is the number of per-host buffers. A sharded durable store
+	// overrides it with the shard count pinned at store creation, so the
+	// buffers line up with the WAL streams; otherwise it defaults to 1.
 	Shards int
 	// MaxBatch caps how many entries one shard contributes to one
 	// sequencer cycle (default 1024) — so one chatty host cannot starve
-	// the others out of a cycle. The default is deliberately larger than
-	// the single Appender's 256: the merged cycle is what amortises the
+	// the others out of a cycle. The merged cycle is what amortises the
 	// tree-head signature, the persisted-head replacement and the anchor
 	// bump, and the sequencer prepares the cycle off the log lock, so a
-	// bigger quantum buys throughput without stretching the lock hold
-	// the way a bigger single-appender batch would.
+	// large quantum buys throughput without stretching the lock hold.
 	MaxBatch int
 	// FlushInterval bounds how long a buffered entry waits for a cycle
 	// (default 5ms).
@@ -105,7 +83,10 @@ type hostShard struct {
 func (sh *hostShard) buffered() int { return len(sh.pending) - sh.head }
 
 // ShardedAppender buffers entries per host and commits them through a
-// merging sequencer. See the package notes above.
+// merging sequencer. See the package notes above. Append never blocks
+// on hashing, signing or fsync; Flush waits out everything buffered
+// before the call, in-flight cycles included; Close flushes, then
+// refuses further appends with ErrClosedLog.
 type ShardedAppender struct {
 	log      *Log
 	shards   []*hostShard
@@ -140,12 +121,9 @@ type ShardedAppender struct {
 
 // NewShardedAppender starts a sharded appender for log.
 func NewShardedAppender(log *Log, cfg ShardedAppenderConfig) *ShardedAppender {
-	shards := cfg.Shards
-	if shards <= 0 {
-		shards = defaultShards
-		if log.store != nil && log.store.shardCount() > 1 {
-			shards = log.store.shardCount()
-		}
+	shards := max(cfg.Shards, 1)
+	if log.store != nil && log.store.shardCount() > 1 {
+		shards = log.store.shardCount()
 	}
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 1024
@@ -221,9 +199,8 @@ func (sa *ShardedAppender) buffered() int {
 }
 
 // Flush blocks until every entry buffered before the call is committed,
-// returning the first commit error if any cycle failed. As with the
-// single Appender, it waits out an in-flight cycle even when the
-// appender is closing — the sequencer's final cycle drains the buffers
+// returning the first commit error if any cycle failed. It waits out
+// an in-flight cycle even when the appender is closing — the sequencer's final cycle drains the buffers
 // and broadcasts, so this cannot hang, and returning early would let a
 // Flush racing Close report nil before the last cycle (and its error)
 // lands.

@@ -786,23 +786,7 @@ func TestShardedFlushWaitsOutFinalCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sa := &ShardedAppender{
-		log:       l,
-		shards:    []*hostShard{{}, {}},
-		maxBatch:  4,
-		interval:  time.Hour,
-		workers:   1,
-		shardInst: shardInstruments(2),
-		slowLog:   func(string, ...any) {},
-		kick:      make(chan struct{}, 1),
-		done:      make(chan struct{}),
-	}
-	sa.idle = sync.NewCond(&sa.mu)
-	sa.shards[0].pending = []Entry{{Type: EntryAttestOK, Actor: "late", Host: "host-0", Detail: "OK"}}
-	sa.shards[0].closed = true
-	sa.shards[1].closed = true
-	sa.closed = true
-	close(sa.done)
+	sa := raceAppender(l, 2)
 
 	flushed := make(chan error, 1)
 	go func() { flushed <- sa.Flush() }()

@@ -450,7 +450,7 @@ func TestDurableAppenderConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := NewAppender(l, AppenderConfig{MaxBatch: 64})
+	a := NewShardedAppender(l, ShardedAppenderConfig{Shards: 1, MaxBatch: 64})
 
 	const producers, perProducer = 8, 200
 	var wg sync.WaitGroup

@@ -38,8 +38,8 @@ var (
 
 	// Cycle phase breakdown. gather and marshal run on the sequencer
 	// before the log lock; merkle, sign, wal_sync and anchor_commit run
-	// inside the commit (and are also observed for single-appender
-	// batches, which have no gather/marshal phase of their own).
+	// inside the commit (and are also observed for direct AppendBatch
+	// calls, which have no gather/marshal phase of their own).
 	phaseHelp     = "Commit pipeline stage latency, labelled by phase."
 	mPhaseGather  = obsReg.Histogram("translog_cycle_phase_seconds", phaseHelp, "phase", "gather")
 	mPhaseMarshal = obsReg.Histogram("translog_cycle_phase_seconds", phaseHelp, "phase", "marshal")

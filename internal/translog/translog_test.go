@@ -246,7 +246,7 @@ func TestAppenderBatchesAndFlushes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := NewAppender(l, AppenderConfig{MaxBatch: 16, FlushInterval: time.Hour})
+	a := NewShardedAppender(l, ShardedAppenderConfig{Shards: 1, MaxBatch: 16, FlushInterval: time.Hour})
 	defer a.Close()
 	const n = 100
 	for i := 0; i < n; i++ {

@@ -173,13 +173,13 @@ type Manager struct {
 	goldenIMA *ima.GoldenDB
 
 	// tlog is the transparency log recording every trust decision;
-	// tlogAppender batches the hot-path attestation entries — the single
-	// Appender, or the per-host ShardedAppender when the log store is
-	// sharded. tlogOwned marks a durable log the Manager opened itself
-	// (from Config.LogDir) and must therefore close.
+	// tlogAppender batches the hot-path attestation entries through the
+	// merging sequencer, one buffer per log shard (Shards: 1 for a
+	// single-stream log). tlogOwned marks a durable log the Manager
+	// opened itself (from Config.LogDir) and must therefore close.
 	tlog         *translog.Log
 	tlogOwned    bool
-	tlogAppender translog.EntryAppender
+	tlogAppender *translog.ShardedAppender
 	tlogShards   int
 
 	tracer func(phase string, d time.Duration)
@@ -261,12 +261,6 @@ func New(cfg Config) (*Manager, error) {
 	if tlog.Durable() {
 		logShards = tlog.StoreShards()
 	}
-	var appender translog.EntryAppender
-	if logShards > 1 {
-		appender = translog.NewShardedAppender(tlog, translog.ShardedAppenderConfig{Shards: logShards})
-	} else {
-		appender = translog.NewAppender(tlog, translog.AppenderConfig{})
-	}
 	return &Manager{
 		name:         cfg.Name,
 		key:          key,
@@ -275,7 +269,7 @@ func New(cfg Config) (*Manager, error) {
 		ca:           ca,
 		tlog:         tlog,
 		tlogOwned:    ownsLog,
-		tlogAppender: appender,
+		tlogAppender: translog.NewShardedAppender(tlog, translog.ShardedAppenderConfig{Shards: logShards}),
 		tlogShards:   logShards,
 		policy:       cfg.Policy,
 		provMode:     cfg.ProvisionMode,

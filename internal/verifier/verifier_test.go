@@ -6,6 +6,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -137,6 +138,41 @@ func TestHostAttestationTrusted(t *testing.T) {
 	if !d.m.HostTrusted("host-a") {
 		t.Fatal("host not marked trusted")
 	}
+}
+
+// TestGoldenRelearnConcurrentWithAttest: a golden relearn (map writes
+// in the golden database) racing host appraisals (map reads) must be
+// safe; run under -race.
+func TestGoldenRelearnConcurrentWithAttest(t *testing.T) {
+	d := newDeployment(t, deployOpts{})
+	d.deployAndLearn(t, "fw-1")
+	const rounds = 50
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			if err := d.m.LearnHostGolden("host-a"); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			app, err := d.m.AttestHost("host-a")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !app.Trusted {
+				t.Errorf("round %d: findings %v", i, app.Findings)
+				return
+			}
+		}
+	}()
+	wg.Wait()
 }
 
 func TestHostAttestationDetectsTamperedBinary(t *testing.T) {
