@@ -1,6 +1,7 @@
-// Package vnfguard's root benchmark suite regenerates every experiment in
-// EXPERIMENTS.md (E1–E10). Each benchmark maps to one experiment row; see
-// DESIGN.md §4 for the experiment index. Benchmarks run under the default
+// Package vnfguard's root benchmark suite runs the experiments E1–E10 and
+// the transparency-log experiments after them. Each benchmark maps to one
+// experiment row; cmd/benchreport prints the same experiments as tables
+// and holds the experiment index. Benchmarks run under the default
 // literature-derived cost model (simtime.DefaultCosts) so that modeled
 // hardware costs — EPID quote generation, IAS WAN round trips, enclave
 // transitions, TPM quotes — shape the results as they would on a real

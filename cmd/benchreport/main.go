@@ -1,7 +1,7 @@
-// Command benchreport regenerates every experiment in EXPERIMENTS.md
-// (E1–E15): it assembles deployments per DESIGN.md §4, runs the
-// workloads, and prints one table per experiment. Pass -markdown to emit
-// GitHub-flavored tables for pasting into EXPERIMENTS.md.
+// Command benchreport regenerates every experiment (E1–E20; the index is
+// the experiments table below): it assembles a deployment per
+// experiment, runs the workloads, and prints one table per experiment.
+// Pass -markdown to emit GitHub-flavored tables.
 //
 // Usage:
 //

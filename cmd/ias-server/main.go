@@ -1,8 +1,8 @@
 // Command ias-server runs the simulated Intel Attestation Service as a
 // standalone HTTP service. It owns the EPID group: on first start it
 // creates the issuer and persists it to the state directory so container
-// hosts can provision platforms into the group (the manufacture-time flow;
-// see DESIGN.md §2).
+// hosts can provision platforms into the group (the manufacture-time
+// flow).
 //
 //	ias-server -addr 127.0.0.1:7014 -state-dir ./state
 package main

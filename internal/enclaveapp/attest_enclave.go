@@ -1,12 +1,15 @@
 package enclaveapp
 
 import (
+	"bytes"
 	"crypto/ecdsa"
 	"crypto/sha256"
 	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 
 	"vnfguard/internal/sgx"
 	"vnfguard/internal/tpm"
@@ -51,15 +54,93 @@ type HostEvidence struct {
 // Verifiers recompute it and compare against the quoted report data.
 func (ev *HostEvidence) BindingDigest() [32]byte {
 	h := sha256.New()
-	h.Write([]byte(ev.IML))
+	io.WriteString(h, ev.IML)
 	h.Write(ev.Nonce)
 	if ev.TPMQuote != nil {
 		b, _ := json.Marshal(ev.TPMQuote)
 		h.Write(b)
 	}
 	var out [32]byte
-	copy(out[:], h.Sum(nil))
+	h.Sum(out[:0])
 	return out
+}
+
+// evidenceVersion is the first byte of the binary evidence encoding.
+const evidenceVersion = 1
+
+// ErrEvidenceEncoding reports host evidence bytes that are not a valid
+// binary encoding: a wrong version byte, a truncated field, a length
+// beyond the input, trailing bytes or an undecodable TPM quote.
+var ErrEvidenceEncoding = errors.New("enclaveapp: malformed host evidence encoding")
+
+// MarshalBinary encodes the evidence as a version byte followed by four
+// uvarint-length-prefixed fields: IML, nonce, TPM quote (its JSON, empty
+// when absent) and quote. The attestation ECall and the host agent both
+// carry evidence in this form, so the IML crosses each hop as a copy.
+func (ev *HostEvidence) MarshalBinary() ([]byte, error) {
+	var tpmJSON []byte
+	if ev.TPMQuote != nil {
+		var err error
+		if tpmJSON, err = json.Marshal(ev.TPMQuote); err != nil {
+			return nil, fmt.Errorf("enclaveapp: encoding TPM quote: %w", err)
+		}
+	}
+	n := 1 + len(ev.IML) + len(ev.Nonce) + len(tpmJSON) + len(ev.Quote) + 4*binary.MaxVarintLen64
+	b := append(make([]byte, 0, n), evidenceVersion)
+	b = binary.AppendUvarint(b, uint64(len(ev.IML)))
+	b = append(b, ev.IML...)
+	for _, field := range [][]byte{ev.Nonce, tpmJSON, ev.Quote} {
+		b = binary.AppendUvarint(b, uint64(len(field)))
+		b = append(b, field...)
+	}
+	return b, nil
+}
+
+// UnmarshalBinary decodes MarshalBinary output. It copies what it keeps,
+// so data may be reused afterwards. Every refusal wraps
+// ErrEvidenceEncoding.
+func (ev *HostEvidence) UnmarshalBinary(data []byte) error {
+	if len(data) == 0 || data[0] != evidenceVersion {
+		return fmt.Errorf("%w: not version %d", ErrEvidenceEncoding, evidenceVersion)
+	}
+	rest := data[1:]
+	var fields [4][]byte
+	for i := range fields {
+		n, k := binary.Uvarint(rest)
+		if k <= 0 {
+			return fmt.Errorf("%w: field %d length", ErrEvidenceEncoding, i)
+		}
+		rest = rest[k:]
+		if n > uint64(len(rest)) {
+			return fmt.Errorf("%w: field %d of %d bytes exceeds the %d left", ErrEvidenceEncoding, i, n, len(rest))
+		}
+		fields[i], rest = rest[:n], rest[n:]
+	}
+	if len(rest) != 0 {
+		return fmt.Errorf("%w: %d trailing bytes", ErrEvidenceEncoding, len(rest))
+	}
+	var q *tpm.Quote
+	if len(fields[2]) > 0 {
+		q = new(tpm.Quote)
+		if err := json.Unmarshal(fields[2], q); err != nil {
+			return fmt.Errorf("%w: TPM quote: %v", ErrEvidenceEncoding, err)
+		}
+	}
+	*ev = HostEvidence{
+		IML:      string(fields[0]),
+		Nonce:    cloneOrNil(fields[1]),
+		TPMQuote: q,
+		Quote:    cloneOrNil(fields[3]),
+	}
+	return nil
+}
+
+// cloneOrNil copies b, mapping an empty field to nil.
+func cloneOrNil(b []byte) []byte {
+	if len(b) == 0 {
+		return nil
+	}
+	return bytes.Clone(b)
 }
 
 // AttestationEnclave wraps the launched integrity-attestation enclave.
@@ -86,13 +167,6 @@ func WithAttestationCode(version string) AttestationEnclaveOption {
 type evidenceRequest struct {
 	NonceB64 string `json:"nonce"`
 	UseTPM   bool   `json:"use_tpm"`
-}
-
-// evidenceReply is the ECALL result (report still needs quoting).
-type evidenceReply struct {
-	IML       string     `json:"iml"`
-	TPMQuote  *tpm.Quote `json:"tpm_quote,omitempty"`
-	ReportB64 string     `json:"report"`
 }
 
 // NewAttestationEnclave launches the attestation enclave on a platform.
@@ -153,7 +227,8 @@ func NewAttestationEnclave(p *sgx.Platform, signer *ecdsa.PrivateKey, host HostS
 
 // handleHostEvidence is the enclave's ECALL: gather the IML (and TPM quote
 // when requested) via OCALLs, bind them into report data, and emit a local
-// report targeted at the quoting enclave.
+// report targeted at the quoting enclave. The reply is the evidence in its
+// binary encoding, with the encoded report in the quote slot.
 func handleHostEvidence(p *sgx.Platform) sgx.ECallHandler {
 	return func(ctx *sgx.Context, args []byte) ([]byte, error) {
 		var req evidenceRequest
@@ -168,8 +243,7 @@ func handleHostEvidence(p *sgx.Platform) sgx.ECallHandler {
 		if err != nil {
 			return nil, fmt.Errorf("enclaveapp: reading IML: %w", err)
 		}
-		reply := evidenceReply{IML: string(imlBytes)}
-		ev := HostEvidence{IML: reply.IML, Nonce: nonce}
+		ev := HostEvidence{IML: string(imlBytes), Nonce: nonce}
 		if req.UseTPM {
 			raw, err := ctx.OCall(OCallTPMQuote, nonce)
 			if err != nil {
@@ -179,13 +253,11 @@ func handleHostEvidence(p *sgx.Platform) sgx.ECallHandler {
 			if err := json.Unmarshal(raw, &q); err != nil {
 				return nil, fmt.Errorf("enclaveapp: TPM quote decode: %w", err)
 			}
-			reply.TPMQuote = &q
 			ev.TPMQuote = &q
 		}
 		rd := sgx.ReportDataFromHash(ev.BindingDigest())
-		report := ctx.Report(p.QE().TargetInfo(), rd)
-		reply.ReportB64 = base64.StdEncoding.EncodeToString(sgx.EncodeReport(report))
-		return json.Marshal(reply)
+		ev.Quote = sgx.EncodeReport(ctx.Report(p.QE().TargetInfo(), rd))
+		return ev.MarshalBinary()
 	}
 }
 
@@ -203,15 +275,11 @@ func (a *AttestationEnclave) CollectEvidence(nonce []byte, useTPM bool) (*HostEv
 	if err != nil {
 		return nil, err
 	}
-	var reply evidenceReply
-	if err := json.Unmarshal(out, &reply); err != nil {
+	var ev HostEvidence
+	if err := ev.UnmarshalBinary(out); err != nil {
 		return nil, fmt.Errorf("enclaveapp: evidence reply: %w", err)
 	}
-	reportBytes, err := base64.StdEncoding.DecodeString(reply.ReportB64)
-	if err != nil {
-		return nil, err
-	}
-	report, err := sgx.DecodeReport(reportBytes)
+	report, err := sgx.DecodeReport(ev.Quote)
 	if err != nil {
 		return nil, err
 	}
@@ -219,12 +287,8 @@ func (a *AttestationEnclave) CollectEvidence(nonce []byte, useTPM bool) (*HostEv
 	if err != nil {
 		return nil, fmt.Errorf("enclaveapp: quoting host evidence: %w", err)
 	}
-	return &HostEvidence{
-		IML:      reply.IML,
-		Nonce:    append([]byte(nil), nonce...),
-		TPMQuote: reply.TPMQuote,
-		Quote:    quote.Encode(),
-	}, nil
+	ev.Quote = quote.Encode()
+	return &ev, nil
 }
 
 // Identity returns the enclave's launched identity (for golden-value

@@ -8,10 +8,12 @@ import (
 	"crypto/sha256"
 	"crypto/tls"
 	"crypto/x509"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"io"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
@@ -198,6 +200,125 @@ func TestTPMModeDetectsTamperedIML(t *testing.T) {
 	if list.Aggregate() == ev.TPMQuote.PCRValues[0] {
 		t.Fatal("tampered IML matches TPM PCR — tamper not detectable")
 	}
+}
+
+// --- host evidence encoding ----------------------------------------------------
+
+func mustMarshalEvidence(t *testing.T, ev *HostEvidence) []byte {
+	t.Helper()
+	b, err := ev.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func TestHostEvidenceBinaryRoundTrip(t *testing.T) {
+	fx := newFixture(t)
+	fx.measure(t, "/usr/bin/vnf-fw", []byte("fw v1"))
+	ae, err := NewAttestationEnclave(fx.plat, fx.vendor, fx.hostSvc, sgx.SPID{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ae.Destroy()
+	for _, useTPM := range []bool{false, true} {
+		ev, err := ae.CollectEvidence([]byte("nonce"), useTPM)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got HostEvidence
+		if err := got.UnmarshalBinary(mustMarshalEvidence(t, ev)); err != nil {
+			t.Fatalf("tpm=%v: %v", useTPM, err)
+		}
+		if !reflect.DeepEqual(&got, ev) || got.BindingDigest() != ev.BindingDigest() {
+			t.Fatalf("tpm=%v: evidence changed in a round trip", useTPM)
+		}
+	}
+}
+
+// evidenceRefusals derives, from a valid encoding of ev, every damaged
+// form the decoder must refuse with ErrEvidenceEncoding.
+func evidenceRefusals(t *testing.T, ev *HostEvidence, enc []byte) map[string][]byte {
+	t.Helper()
+	oldJSON, err := json.Marshal(ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrongVersion := bytes.Clone(enc)
+	wrongVersion[0]++
+	// The IML length claims every byte of the input, more than is left.
+	oversized := binary.AppendUvarint([]byte{evidenceVersion}, uint64(len(enc)))
+	oversized = append(oversized, enc[1+uvarintLen(len(ev.IML)):]...)
+	return map[string][]byte{
+		"empty":          nil,
+		"version only":   enc[:1],
+		"truncated half": enc[:len(enc)/2],
+		"truncated":      enc[:len(enc)-1],
+		"trailing byte":  append(bytes.Clone(enc), 0),
+		"wrong version":  wrongVersion,
+		"oversized":      oversized,
+		"varint overrun": append([]byte{evidenceVersion}, bytes.Repeat([]byte{0xff}, 11)...),
+		"old JSON body":  oldJSON,
+	}
+}
+
+func uvarintLen(n int) int { return len(binary.AppendUvarint(nil, uint64(n))) }
+
+func TestHostEvidenceBinaryRefusals(t *testing.T) {
+	ev := &HostEvidence{IML: "10 iml\n", Nonce: []byte("n"), Quote: []byte("q")}
+	cases := evidenceRefusals(t, ev, mustMarshalEvidence(t, ev))
+	cases["bad TPM quote"] = []byte{evidenceVersion, 0, 0, 1, '{', 0}
+	for name, data := range cases {
+		var got HostEvidence
+		if err := got.UnmarshalBinary(data); !errors.Is(err, ErrEvidenceEncoding) {
+			t.Errorf("%s: got %v, want ErrEvidenceEncoding", name, err)
+		}
+	}
+}
+
+// FuzzHostEvidenceBinary feeds the decoder what an untrusted host could
+// send. Arbitrary bytes either decode to evidence that re-encodes to a
+// fixed point or are refused with ErrEvidenceEncoding; the same bytes
+// used as evidence fields round-trip, and every damaged form of their
+// encoding, an old JSON body among them, is refused with that sentinel.
+func FuzzHostEvidenceBinary(f *testing.F) {
+	f.Add([]byte("10 iml\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var ev HostEvidence
+		if err := ev.UnmarshalBinary(data); err != nil {
+			if !errors.Is(err, ErrEvidenceEncoding) {
+				t.Fatalf("decode refused without the sentinel: %v", err)
+			}
+		} else {
+			enc := mustMarshalEvidence(t, &ev)
+			var again HostEvidence
+			if err := again.UnmarshalBinary(enc); err != nil {
+				t.Fatalf("re-encoded evidence refused: %v", err)
+			}
+			if !reflect.DeepEqual(&again, &ev) || !bytes.Equal(mustMarshalEvidence(t, &again), enc) {
+				t.Fatal("decoded evidence does not re-encode to a fixed point")
+			}
+		}
+
+		half := len(data) / 2
+		src := &HostEvidence{IML: string(data), Nonce: cloneOrNil(data[:half]), Quote: cloneOrNil(data[half:])}
+		if len(data)%2 == 1 {
+			src.TPMQuote = &tpm.Quote{Nonce: src.Nonce, PCRs: []int{ima.PCRIndex}, PCRDigest: sha256.Sum256(data)}
+		}
+		enc := mustMarshalEvidence(t, src)
+		var got HostEvidence
+		if err := got.UnmarshalBinary(enc); err != nil {
+			t.Fatalf("round trip refused: %v", err)
+		}
+		if !reflect.DeepEqual(&got, src) {
+			t.Fatal("round trip changed the evidence")
+		}
+		for name, bad := range evidenceRefusals(t, src, enc) {
+			if err := got.UnmarshalBinary(bad); !errors.Is(err, ErrEvidenceEncoding) {
+				t.Fatalf("%s: got %v, want ErrEvidenceEncoding", name, err)
+			}
+		}
+	})
 }
 
 func TestTamperedAttestationEnclaveMeasuresDifferently(t *testing.T) {

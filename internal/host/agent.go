@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -63,7 +65,16 @@ func (h *Host) Handler() http.Handler {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		writeJSON(w, ev)
+		body, err := ev.MarshalBinary()
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		// Binary, not JSON: the IML is the bulk of the reply, and the
+		// codec carries it as a length-prefixed copy.
+		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		w.Write(body)
 	})
 	mux.HandleFunc("GET "+pathVNFs, func(w http.ResponseWriter, r *http.Request) {
 		names, err := h.VNFs()
@@ -177,41 +188,78 @@ func NewClient(baseURL string) *Client {
 	return &Client{base: strings.TrimRight(baseURL, "/"), http: &http.Client{Timeout: clientTimeout}}
 }
 
-func (c *Client) post(path string, body, out any) error {
+// maxResponseBytes bounds the body of every agent response the client
+// reads.
+const maxResponseBytes = 4 << 20
+
+// ErrResponseTooLarge reports an agent response body over the client's
+// 4 MiB limit. The client refuses such a reply whole rather than decode
+// a truncated one.
+var ErrResponseTooLarge = errors.New("host client: response body exceeds 4 MiB")
+
+// postRaw posts body as JSON and returns the body of a 200 reply.
+func (c *Client) postRaw(path string, body any) ([]byte, error) {
 	var reader io.Reader
 	if body != nil {
 		buf, err := json.Marshal(body)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		reader = bytes.NewReader(buf)
 	}
 	resp, err := c.http.Post(c.base+path, "application/json", reader)
 	if err != nil {
-		return fmt.Errorf("host client: POST %s: %w", path, err)
+		return nil, fmt.Errorf("host client: POST %s: %w", path, err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
+	data, err := readBody(resp)
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("host client: POST %s: %w", path, err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("host client: POST %s: status %d: %s", path, resp.StatusCode, strings.TrimSpace(string(data)))
+		return nil, fmt.Errorf("host client: POST %s: status %d: %s", path, resp.StatusCode, strings.TrimSpace(string(data)))
 	}
-	if out != nil {
-		return json.Unmarshal(data, out)
-	}
-	return nil
+	return data, nil
 }
 
-// Attest requests host evidence.
+// readBody reads a response body of at most maxResponseBytes, sized up
+// front from its Content-Length when the agent sent one.
+func readBody(resp *http.Response) ([]byte, error) {
+	var buf bytes.Buffer
+	if n := resp.ContentLength; n > 0 && n <= maxResponseBytes {
+		// MinRead spare bytes let the final read see EOF without
+		// growing the buffer.
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, maxResponseBytes+1)); err != nil {
+		return nil, err
+	}
+	if buf.Len() > maxResponseBytes {
+		return nil, ErrResponseTooLarge
+	}
+	return buf.Bytes(), nil
+}
+
+func (c *Client) post(path string, body, out any) error {
+	data, err := c.postRaw(path, body)
+	if err != nil || out == nil {
+		return err
+	}
+	return json.Unmarshal(data, out)
+}
+
+// Attest requests host evidence. The agent replies in the evidence's
+// binary encoding.
 func (c *Client) Attest(nonce []byte, useTPM bool) (*enclaveapp.HostEvidence, error) {
-	var ev enclaveapp.HostEvidence
-	err := c.post(pathAttest, attestRequest{
+	data, err := c.postRaw(pathAttest, attestRequest{
 		NonceB64: base64.StdEncoding.EncodeToString(nonce), UseTPM: useTPM,
-	}, &ev)
+	})
 	if err != nil {
 		return nil, err
+	}
+	var ev enclaveapp.HostEvidence
+	if err := ev.UnmarshalBinary(data); err != nil {
+		return nil, fmt.Errorf("host client: POST %s: %w", pathAttest, err)
 	}
 	return &ev, nil
 }

@@ -5,6 +5,7 @@ import (
 	"crypto/elliptic"
 	"crypto/rand"
 	"errors"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -299,5 +300,48 @@ func TestAgentClientTimesOutOnHungAgent(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("client hung %v despite a 150ms timeout", elapsed)
+	}
+}
+
+// TestClientResponseTooLarge: a reply one byte over the client's limit is
+// refused as too large, not truncated into a decode error.
+func TestClientResponseTooLarge(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Write(make([]byte, maxResponseBytes+1))
+	}))
+	defer srv.Close()
+	_, err := NewClient(srv.URL).Attest([]byte("nonce"), false)
+	if !errors.Is(err, ErrResponseTooLarge) {
+		t.Fatalf("attest with a %d-byte reply: got %v, want ErrResponseTooLarge", maxResponseBytes+1, err)
+	}
+}
+
+// TestAgentAttestAllocationsFlat: fetching evidence over HTTP costs no
+// allocation per IML entry, on the agent or the client side: the list
+// crosses the ECall and the wire as a length-prefixed copy.
+func TestAgentAttestAllocationsFlat(t *testing.T) {
+	attestAllocs := func(entries int) float64 {
+		h := newHost(t, false)
+		for i := h.IMA().Len(); i < entries; i++ {
+			path := fmt.Sprintf("/usr/lib/vnf/module-%05d.so", i)
+			h.IMA().HandleEvent(ima.Event{Path: path, Hook: ima.HookBprmCheck, Mask: ima.MayExec}, []byte(path))
+		}
+		if h.IMA().Len() != entries {
+			t.Fatalf("host measured %d entries, want %d", h.IMA().Len(), entries)
+		}
+		srv := httptest.NewServer(h.Handler())
+		defer srv.Close()
+		client := NewClient(srv.URL)
+		return testing.AllocsPerRun(5, func() {
+			if _, err := client.Attest([]byte("nonce"), false); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := attestAllocs(10), attestAllocs(10_000)
+	t.Logf("allocations per attest: %v at 10 entries, %v at 10000", small, large)
+	if large-small > 100 {
+		t.Fatalf("attest allocates %v times at 10 entries, %v at 10000: cost grows with the list", small, large)
 	}
 }

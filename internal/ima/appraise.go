@@ -59,8 +59,8 @@ func (db *GoldenDB) Require(path string) {
 func (db *GoldenDB) LearnFromList(l *List) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	for _, e := range l.Entries() {
-		db.allow(e.Path, e.FileHash)
+	for i := range l.entries {
+		db.allow(l.entries[i].Path, l.entries[i].FileHash)
 	}
 }
 
@@ -87,9 +87,12 @@ func (db *GoldenDB) Appraise(l *List) AppraisalResult {
 	defer db.mu.RUnlock()
 	res := AppraisalResult{Trusted: true}
 	seen := make(map[string]bool)
-	for _, e := range l.Entries() {
+	for i := range l.entries {
+		e := &l.entries[i]
 		res.Appraised++
-		seen[e.Path] = true
+		if db.require[e.Path] {
+			seen[e.Path] = true
+		}
 		set, known := db.allowed[e.Path]
 		switch {
 		case !known && e.Path == BootAggregatePath:

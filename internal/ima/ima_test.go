@@ -3,9 +3,11 @@ package ima
 import (
 	"bufio"
 	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -205,6 +207,131 @@ func TestParseListAllocatesForItsLines(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if per := (after.TotalAlloc - before.TotalAlloc) / 10; per > 256<<10 {
 		t.Fatalf("parsing a 10-line list allocated %d bytes", per)
+	}
+}
+
+// parseListReference is ParseList as it was written over strings, kept as
+// the oracle FuzzParseList checks the byte-slice parser against.
+func parseListReference(text string) (*List, error) {
+	l := &List{}
+	sc := bufio.NewScanner(strings.NewReader(text))
+	sc.Buffer(nil, 1024*1024)
+	lineNo := 0
+	for sc.Scan() {
+		lineNo++
+		line := strings.TrimSpace(sc.Text())
+		if line == "" {
+			continue
+		}
+		fields := strings.SplitN(line, " ", 5)
+		if len(fields) != 5 {
+			return nil, fmt.Errorf("%w: line %d: %d fields", ErrMalformedList, lineNo, len(fields))
+		}
+		if fields[0] != "10" {
+			return nil, fmt.Errorf("%w: line %d: pcr %q", ErrMalformedList, lineNo, fields[0])
+		}
+		if fields[2] != "ima-ng" {
+			return nil, fmt.Errorf("%w: line %d: template %q", ErrMalformedList, lineNo, fields[2])
+		}
+		th, err := hex.DecodeString(fields[1])
+		if err != nil || len(th) != 32 {
+			return nil, fmt.Errorf("%w: line %d: template hash", ErrMalformedList, lineNo)
+		}
+		fhText, ok := strings.CutPrefix(fields[3], "sha256:")
+		if !ok {
+			return nil, fmt.Errorf("%w: line %d: file hash algorithm", ErrMalformedList, lineNo)
+		}
+		fh, err := hex.DecodeString(fhText)
+		if err != nil || len(fh) != 32 {
+			return nil, fmt.Errorf("%w: line %d: file hash", ErrMalformedList, lineNo)
+		}
+		var fileHash [32]byte
+		copy(fileHash[:], fh)
+		e := l.Append(fileHash, fields[4])
+		if hex.EncodeToString(e.TemplateHash[:]) != fields[1] {
+			return nil, fmt.Errorf("%w: line %d: template hash mismatch (list tampered)", ErrMalformedList, lineNo)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("ima: reading list: %w", err)
+	}
+	return l, nil
+}
+
+// FuzzParseList checks ParseList against parseListReference: the same
+// entries and aggregate, or the same error text. pad extends the text's
+// last line by pad×32 bytes, so a seed reaches the 1 MiB line cap
+// without a megabyte of corpus.
+func FuzzParseList(f *testing.F) {
+	l := NewList([]byte("boot"))
+	l.Append(sha256.Sum256([]byte("a")), "/usr/bin/a")
+	l.Append(sha256.Sum256([]byte("b")), "/opt/with space/b c")
+	f.Add(l.Serialize(), uint16(0))
+	f.Fuzz(func(t *testing.T, text string, pad uint16) {
+		text += strings.Repeat("p", int(pad)*32)
+		got, gotErr := ParseList(text)
+		want, wantErr := parseListReference(text)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("error %v, reference error %v", gotErr, wantErr)
+		}
+		if gotErr != nil {
+			if gotErr.Error() != wantErr.Error() {
+				t.Fatalf("error %q, reference error %q", gotErr, wantErr)
+			}
+			return
+		}
+		if !slices.Equal(got.entries, want.entries) || got.aggregate != want.aggregate {
+			t.Fatalf("parsed %d entries, reference %d; aggregates equal: %v",
+				len(got.entries), len(want.entries), got.aggregate == want.aggregate)
+		}
+	})
+}
+
+// listOf builds a list of n measurements with paths of typical length.
+func listOf(n int) *List {
+	l := NewList([]byte("boot"))
+	for i := 1; i < n; i++ {
+		l.Append(sha256.Sum256([]byte{byte(i), byte(i >> 8)}), fmt.Sprintf("/usr/lib/vnf/module-%06d.so", i))
+	}
+	return l
+}
+
+// TestSerializeAllocatesOnce pins Serialize to one presized buffer: its
+// allocation count does not grow with the list.
+func TestSerializeAllocatesOnce(t *testing.T) {
+	short, long := listOf(10), listOf(2000)
+	if got := long.Serialize(); got != referenceSerialize(long) {
+		t.Fatal("Serialize differs from the per-entry String rendering")
+	}
+	a := testing.AllocsPerRun(20, func() { short.Serialize() })
+	b := testing.AllocsPerRun(20, func() { long.Serialize() })
+	if a != b || b > 1 {
+		t.Fatalf("Serialize allocates %v times for 10 entries, %v for 2000; want one allocation for both", a, b)
+	}
+}
+
+// referenceSerialize renders a list with fmt, line by line, as Serialize
+// did before it wrote into one buffer.
+func referenceSerialize(l *List) string {
+	var b strings.Builder
+	for _, e := range l.Entries() {
+		fmt.Fprintf(&b, "%d %x %s sha256:%x %s\n", e.PCR, e.TemplateHash, e.Template, e.FileHash, e.Path)
+	}
+	return b.String()
+}
+
+// TestParseListAllocsPerLine pins ParseList to at most two allocations
+// per line, amortised: the entry slice's growth and the path string.
+func TestParseListAllocsPerLine(t *testing.T) {
+	const n = 2000
+	text := listOf(n).Serialize()
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := ParseList(text); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perLine := allocs / n; perLine > 2 {
+		t.Fatalf("ParseList allocates %.2f times per line, want at most 2", perLine)
 	}
 }
 

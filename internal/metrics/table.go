@@ -5,8 +5,8 @@ import (
 	"strings"
 )
 
-// Table renders aligned plain-text tables in the style used by
-// EXPERIMENTS.md. Columns are sized to the widest cell.
+// Table renders aligned plain-text tables, the form cmd/benchreport prints
+// its experiments in. Columns are sized to the widest cell.
 type Table struct {
 	title     string
 	headers   []string

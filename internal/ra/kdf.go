@@ -8,8 +8,8 @@
 //
 // Structure follows the SDK protocol: ECDH on P-256, a key-derivation key
 // from the shared secret, and SMK/SK/MK/VK subkeys. The SDK's AES-CMAC is
-// replaced by HMAC-SHA256 (noted in DESIGN.md); message layouts and
-// verification order are preserved.
+// replaced by HMAC-SHA256, as the Go standard library has no CMAC; message
+// layouts and verification order are preserved.
 package ra
 
 import (

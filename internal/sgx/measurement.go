@@ -5,8 +5,8 @@
 // attestation reports, sealing, and EPID quotes from a quoting enclave.
 //
 // Hardware costs (transitions, quote generation, sealing) are charged to a
-// simtime.CostModel so experiments exhibit realistic shapes; see DESIGN.md
-// §2 for the substitution rationale.
+// simtime.CostModel, so experiments run without SGX hardware yet keep the
+// latency shape it would give them.
 package sgx
 
 import (

@@ -95,8 +95,8 @@ type CostModel struct {
 }
 
 // DefaultCosts returns a CostModel with literature-derived SGX1/TPM/WAN
-// values. All experiments in EXPERIMENTS.md run under this model unless
-// stated otherwise.
+// values. Every experiment (bench_test.go, cmd/benchreport) runs under this
+// model unless it states otherwise.
 func DefaultCosts() *CostModel {
 	m := &CostModel{sleeper: NewSleeper()}
 	m.costs[OpECall] = 4 * time.Microsecond
