@@ -10,9 +10,9 @@ import (
 
 // Machine-readable bench artifacts: BENCH_<name>.json files written
 // next to the text tables, so the perf trajectory of the repo can be
-// tracked by tooling instead of by eyeballing table diffs. Both
-// cmd/benchreport (-json-dir) and the Go benchmarks (BENCH_JSON_DIR)
-// emit this shape, and CI uploads the files as artifacts.
+// tracked by tooling instead of by eyeballing table diffs.
+// cmd/benchreport -json-dir writes one per experiment, and CI uploads
+// the files as artifacts.
 
 // BenchArtifact is the serialised result of one experiment or
 // benchmark run.
@@ -21,11 +21,6 @@ type BenchArtifact struct {
 	Name string `json:"name"`
 	// Description is the experiment's one-line description.
 	Description string `json:"description,omitempty"`
-	// Ops is the total measured operation count, when the producer
-	// counts one (benchmarks report b.N here).
-	Ops int64 `json:"ops,omitempty"`
-	// NsPerOp is the headline per-operation cost, when meaningful.
-	NsPerOp float64 `json:"ns_per_op,omitempty"`
 	// Summaries carries the percentile summaries behind the table.
 	Summaries []SummaryData `json:"summaries,omitempty"`
 	// Table is the rendered result table in structured form.

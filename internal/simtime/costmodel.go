@@ -95,7 +95,7 @@ type CostModel struct {
 }
 
 // DefaultCosts returns a CostModel with literature-derived SGX1/TPM/WAN
-// values. Every experiment (bench_test.go, cmd/benchreport) runs under this
+// values. Every experiment (internal/experiment) runs under this
 // model unless it states otherwise.
 func DefaultCosts() *CostModel {
 	m := &CostModel{sleeper: NewSleeper()}

@@ -449,7 +449,7 @@ func (w *Witness) persistCursors() error {
 // rollback conviction; an element that fails inclusion is a split-view
 // conviction — in both cases the evidence pairs the cursor's recorded
 // head with the served one. This is the whole per-witness audit cost,
-// proportional to the assigned slice, not the fleet (BenchmarkE20).
+// proportional to the assigned slice, not the fleet (experiment E20).
 func (w *Witness) AuditShards(served SignedTreeHead, src ShardAuditSource, maxPerShard uint64) error {
 	if err := served.Verify(w.pub); err != nil {
 		return err
