@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"vnfguard/internal/metrics"
+	"vnfguard/internal/translog"
 )
 
 func TestRegistryListsE1ToE20Once(t *testing.T) {
@@ -138,5 +139,49 @@ func TestEveryExperimentRunsOnce(t *testing.T) {
 				t.Errorf("table %q has %d rows", data.Title, len(data.Rows))
 			}
 		})
+	}
+}
+
+// TestAppendAndRecoveryCountEntries pins the counts the log cases check:
+// an append body fails unless every entry was committed, and a recovery
+// body unless it reopens exactly the population it wrote.
+func TestAppendAndRecoveryCountEntries(t *testing.T) {
+	ca, _, err := newCA()
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := translog.NewLog(ca.Signer())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := appendOneShard(l, 5); err != nil {
+		t.Fatal(err)
+	}
+	if err := committed(l, 0, 6); err == nil || !strings.Contains(err.Error(), "committed 5 of 6 entries") {
+		t.Fatalf("committed(5 of 6) = %v", err)
+	}
+
+	env := &Env{}
+	defer env.Close()
+	var dir string
+	st := func(d string) (translog.StoreConfig, error) { dir = d; return translog.StoreConfig{}, nil }
+	body, done, err := env.Open(Case{Name: "recovery", Open: recovery(ca, st, 100, 90)}, &stopwatch{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer done()
+	if err := body(2); err != nil {
+		t.Fatal(err)
+	}
+	// A log that no longer holds the population the case wrote.
+	grown, err := translog.OpenDurableLog(ca.Signer(), dir, translog.StoreConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := errors.Join(fill(grown, 100, 101, entry), grown.Close()); err != nil {
+		t.Fatal(err)
+	}
+	if err := body(1); err == nil || !strings.Contains(err.Error(), "recovered 101 of 100 entries") {
+		t.Fatalf("recovery of a grown log = %v", err)
 	}
 }

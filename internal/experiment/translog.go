@@ -28,6 +28,9 @@ const (
 	// shardedRun is the entries per call of the multi-host cases (E16,
 	// E17).
 	shardedRun = 1 << 16
+	// recoveryRun is the population the recovery cases (E13, E15)
+	// reopen.
+	recoveryRun = 1 << 14
 	// fillBatch bounds the AppendBatch size used to populate logs.
 	fillBatch = 8192
 )
@@ -87,27 +90,48 @@ func serve(env *Env, h http.Handler) (string, error) {
 	return "http://" + ln.Addr().String(), nil
 }
 
-// appendOneShard commits n entries through a fresh one-shard appender.
+// committed checks that l grew by exactly n entries from before.
+func committed(l *translog.Log, before uint64, n int) error {
+	if got := l.Size() - before; got != uint64(n) {
+		return fmt.Errorf("committed %d of %d entries", got, n)
+	}
+	return nil
+}
+
+// appendOneShard commits n entries through a fresh one-shard appender
+// and checks every one was committed.
 func appendOneShard(l *translog.Log, n int) error {
+	before := l.Size()
 	app := translog.NewShardedAppender(l, translog.ShardedAppenderConfig{Shards: 1})
 	for i := 0; i < n; i++ {
 		if err := app.Append(entry(i)); err != nil {
 			return errors.Join(err, app.Close())
 		}
 	}
-	return app.Close()
+	if err := app.Close(); err != nil {
+		return err
+	}
+	return committed(l, before, n)
 }
 
-// durableAppends returns a case Open that opens the durable log in dir
-// with the store configuration cfg makes and appends through fresh
-// one-shard appenders.
-func durableAppends(ca *pki.CA, dir string, cfg func() (translog.StoreConfig, error)) func(*Env) (Body, error) {
+// A store gives the store configuration of the durable log in dir.
+type store func(dir string) (translog.StoreConfig, error)
+
+func plainStore(string) (translog.StoreConfig, error) { return translog.StoreConfig{}, nil }
+
+// durableAppends returns a case Open that opens a durable log in a
+// fresh directory and appends through fresh one-shard appenders.
+func durableAppends(ca *pki.CA, st store) func(*Env) (Body, error) {
 	return func(env *Env) (Body, error) {
-		c, err := cfg()
+		dir, err := env.tempDir()
 		if err != nil {
 			return nil, err
 		}
-		l, err := translog.OpenDurableLog(ca.Signer(), dir, c)
+		cfg, err := st(dir)
+		if err != nil {
+			return nil, err
+		}
+		l, err := translog.OpenDurableLog(ca.Signer(), dir, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -116,17 +140,53 @@ func durableAppends(ca *pki.CA, dir string, cfg func() (translog.StoreConfig, er
 	}
 }
 
-func plainStore() (translog.StoreConfig, error) { return translog.StoreConfig{}, nil }
-
-// reopen recovers the durable log in dir, closes it again and returns
-// the recovered size.
-func reopen(ca *pki.CA, dir string, cfg translog.StoreConfig) (uint64, error) {
-	l, err := translog.OpenDurableLog(ca.Signer(), dir, cfg)
-	if err != nil {
-		return 0, err
+// recovery returns a case Open that writes population entries to a
+// durable log in a fresh directory — checkpointed after the first
+// checkpointAt of them, when that is not 0 — and closes it; its body
+// reopens the log once per operation and refuses any other size.
+func recovery(ca *pki.CA, st store, population, checkpointAt int) func(*Env) (Body, error) {
+	return func(env *Env) (Body, error) {
+		dir, err := env.tempDir()
+		if err != nil {
+			return nil, err
+		}
+		cfg, err := st(dir)
+		if err != nil {
+			return nil, err
+		}
+		l, err := translog.OpenDurableLog(ca.Signer(), dir, cfg)
+		if err != nil {
+			return nil, err
+		}
+		err = fill(l, 0, checkpointAt, entry)
+		if err == nil && checkpointAt > 0 {
+			err = l.Checkpoint()
+		}
+		if err == nil {
+			err = fill(l, checkpointAt, population, entry)
+		}
+		if err := errors.Join(err, l.Close()); err != nil {
+			return nil, err
+		}
+		return each(func(int) error {
+			cfg, err := st(dir)
+			if err != nil {
+				return err
+			}
+			re, err := translog.OpenDurableLog(ca.Signer(), dir, cfg)
+			if err != nil {
+				return err
+			}
+			got := re.Size()
+			if err := re.Close(); err != nil {
+				return err
+			}
+			if got != uint64(population) {
+				return fmt.Errorf("recovered %d of %d entries", got, population)
+			}
+			return nil
+		}), nil
 	}
-	size := l.Size()
-	return size, l.Close()
 }
 
 // produce has hosts concurrent producers append n entries between them,
@@ -288,7 +348,7 @@ func e12(env *Env) (*Plan, error) {
 // appends over the WAL (records, one fsync and one atomic tree-head
 // replacement per cycle) against the in-memory log — and crash
 // recovery (replay and verification against the persisted signed head)
-// of what the durable case wrote.
+// of a recoveryRun-entry durable log.
 func e13(env *Env) (*Plan, error) {
 	ca, _, err := newCA()
 	if err != nil {
@@ -298,19 +358,11 @@ func e13(env *Env) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	dir, err := env.tempDir()
-	if err != nil {
-		return nil, err
-	}
-	var recovered uint64
 	return &Plan{
 		Cases: []Case{
 			{Name: "in-memory", Ops: appendRun, Body: func(n int) error { return appendOneShard(mem, n) }},
-			{Name: "durable", Ops: appendRun, Open: durableAppends(ca, dir, plainStore)},
-			{Name: "recovery", Body: each(func(int) (err error) {
-				recovered, err = reopen(ca, dir, translog.StoreConfig{})
-				return err
-			})},
+			{Name: "durable", Ops: appendRun, Open: durableAppends(ca, plainStore)},
+			{Name: "recovery", Open: recovery(ca, plainStore, recoveryRun, 0)},
 		},
 		Table: func(runs int, r Results) (*metrics.Table, error) {
 			m, d := r.Mean("in-memory"), r.Mean("durable")
@@ -318,7 +370,7 @@ func e13(env *Env) (*Plan, error) {
 				"variant", "per-entry latency", "vs in-memory")
 			t.AddRow("in-memory appender (1 shard)", us(m, 2), "1.0×")
 			t.AddRow("durable WAL appender (1 shard)", us(d, 2), fmt.Sprintf("%.1f×", ratio(d, m)))
-			t.AddRow(fmt.Sprintf("crash recovery (%d entries)", recovered),
+			t.AddRow(fmt.Sprintf("crash recovery (%d entries)", recoveryRun),
 				fmt.Sprintf("%.1f ms total", float64(r.Mean("recovery"))/float64(time.Millisecond)), "-")
 			return t, nil
 		},
@@ -405,35 +457,25 @@ func e15(env *Env) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	platform, err := sgx.NewPlatform("bench-machine", issuer, simtime.DefaultCosts())
-	if err != nil {
-		return nil, err
-	}
-	durDir, err := env.tempDir()
-	if err != nil {
-		return nil, err
-	}
-	sealDir, err := env.tempDir()
-	if err != nil {
-		return nil, err
-	}
-	sealed := func() (translog.StoreConfig, error) {
-		a, err := translog.NewSealedHeadAnchor(platform, vendor, filepath.Join(sealDir, translog.SealedHeadFileName), pub)
+	// Each log gets its own platform: the monotonic counter is per
+	// platform, and a fresh log on a bumped counter reads as a rollback.
+	platforms := map[string]*sgx.Platform{}
+	sealed := func(dir string) (translog.StoreConfig, error) {
+		if platforms[dir] == nil {
+			p, err := sgx.NewPlatform("bench-machine", issuer, simtime.DefaultCosts())
+			if err != nil {
+				return translog.StoreConfig{}, err
+			}
+			platforms[dir] = p
+		}
+		a, err := translog.NewSealedHeadAnchor(platforms[dir], vendor, filepath.Join(dir, translog.SealedHeadFileName), pub)
 		return translog.StoreConfig{Anchors: []translog.TrustAnchor{a}}, err
 	}
-	var recovered uint64
 	return &Plan{
 		Cases: []Case{
-			{Name: "durable", Ops: appendRun, Open: durableAppends(ca, durDir, plainStore)},
-			{Name: "sealed", Ops: appendRun, Open: durableAppends(ca, sealDir, sealed)},
-			{Name: "sealed-recovery", Body: each(func(int) error {
-				cfg, err := sealed()
-				if err != nil {
-					return err
-				}
-				recovered, err = reopen(ca, sealDir, cfg)
-				return err
-			})},
+			{Name: "durable", Ops: appendRun, Open: durableAppends(ca, plainStore)},
+			{Name: "sealed", Ops: appendRun, Open: durableAppends(ca, sealed)},
+			{Name: "sealed-recovery", Open: recovery(ca, sealed, recoveryRun, 0)},
 		},
 		Table: func(runs int, r Results) (*metrics.Table, error) {
 			d, s := r.Mean("durable"), r.Mean("sealed")
@@ -443,7 +485,7 @@ func e15(env *Env) (*Plan, error) {
 			t.AddRow("durable WAL appender (1 shard)", us(d, 2), "1.0×")
 			t.AddRow("sealed WAL appender (1 shard)", us(s, 2),
 				fmt.Sprintf("%.2f× (%s)", rt, verdict(rt <= 2.0, "within ≤2.0× budget", "OVER ≤2.0× budget")))
-			t.AddRow(fmt.Sprintf("sealed recovery (%d entries)", recovered),
+			t.AddRow(fmt.Sprintf("sealed recovery (%d entries)", recoveryRun),
 				fmt.Sprintf("%.1f ms total", float64(r.Mean("sealed-recovery"))/float64(time.Millisecond)), "-")
 			return t, nil
 		},
@@ -580,7 +622,7 @@ func e18(env *Env) (*Plan, error) {
 		return nil, err
 	}
 	const suffix = 256
-	cfg := translog.StoreConfig{NoSync: true}
+	noSync := func(string) (translog.StoreConfig, error) { return translog.StoreConfig{NoSync: true}, nil }
 	sizes := []int{10_000, 100_000, 1_000_000}
 	name := func(size int, ckpt bool) string {
 		return fmt.Sprintf("%s-%d", verdict(ckpt, "checkpointed", "full-replay"), size)
@@ -588,38 +630,11 @@ func e18(env *Env) (*Plan, error) {
 	var cases []Case
 	for _, size := range sizes {
 		for _, ckpt := range []bool{false, true} {
-			cases = append(cases, Case{Name: name(size, ckpt), Open: func(env *Env) (Body, error) {
-				dir, err := env.tempDir()
-				if err != nil {
-					return nil, err
-				}
-				l, err := translog.OpenDurableLog(ca.Signer(), dir, cfg)
-				if err != nil {
-					return nil, err
-				}
-				env.cleanup(l.Close)
-				if err := fill(l, 0, size-suffix, entry); err != nil {
-					return nil, err
-				}
-				if ckpt {
-					if err := l.Checkpoint(); err != nil {
-						return nil, err
-					}
-				}
-				if err := fill(l, size-suffix, size, entry); err != nil {
-					return nil, err
-				}
-				if err := l.Close(); err != nil {
-					return nil, err
-				}
-				return each(func(int) error {
-					got, err := reopen(ca, dir, cfg)
-					if err == nil && got != uint64(size) {
-						err = fmt.Errorf("short recovery: %d of %d entries", got, size)
-					}
-					return err
-				}), nil
-			}})
+			at := 0
+			if ckpt {
+				at = size - suffix
+			}
+			cases = append(cases, Case{Name: name(size, ckpt), Open: recovery(ca, noSync, size, at)})
 		}
 	}
 	return &Plan{Cases: cases, Table: func(runs int, r Results) (*metrics.Table, error) {

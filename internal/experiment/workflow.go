@@ -192,24 +192,26 @@ func e3(env *Env) (*Plan, error) {
 	modes := []enclaveapp.ProvisionMode{enclaveapp.ModeVMGenerated, enclaveapp.ModeCSR}
 	var cases []Case
 	for _, mode := range modes {
-		d, err := trusted(env, core.Options{Provision: mode})
-		if err != nil {
-			return nil, err
-		}
-		cases = append(cases, Case{Name: string(mode), Body: each(func(i int) error {
-			name := fmt.Sprintf("fw-e3-%d", i)
-			err := env.untimed(func() error {
-				if err := deploy(d, name); err != nil {
+		cases = append(cases, Case{Name: string(mode), Open: func(env *Env) (Body, error) {
+			d, err := trusted(env, core.Options{Provision: mode})
+			if err != nil {
+				return nil, err
+			}
+			return each(func(i int) error {
+				name := fmt.Sprintf("fw-e3-%d", i)
+				err := env.untimed(func() error {
+					if err := deploy(d, name); err != nil {
+						return err
+					}
+					return attestHost(d)
+				})
+				if err != nil {
 					return err
 				}
-				return attestHost(d)
-			})
-			if err != nil {
+				_, err = d.VM.EnrollVNF(d.HostName(0), name)
 				return err
-			}
-			_, err = d.VM.EnrollVNF(d.HostName(0), name)
-			return err
-		})})
+			}), nil
+		}})
 	}
 	return &Plan{Cases: cases, Table: func(runs int, r Results) (*metrics.Table, error) {
 		t := metrics.NewTable("E3 — use case 2: VNF enrollment (n="+fmt.Sprint(runs)+")",
@@ -249,43 +251,48 @@ func e4(env *Env) (*Plan, error) {
 	}
 	var cases []Case
 	for _, v := range variants {
-		d, enr, ce, err := enrolled(env, core.Options{Mode: v.mode, Trust: v.trust, Model: simtime.ZeroCosts()})
-		if err != nil {
-			return nil, err
-		}
-		if v.trust == controller.TrustKeystore {
-			d.Server.PinCertificate(enr.Cert)
-		}
-		client := func() (*controller.Client, error) {
-			if v.mode == controller.ModeHTTP {
-				return controller.NewClient(d.ControllerURL(), nil), nil
-			}
-			cfg, err := ce.ClientTLSConfig(core.ServerName)
-			if err != nil {
-				return nil, err
-			}
-			return controller.NewClient(d.ControllerURL(), cfg), nil
-		}
-		keep, err := client()
-		if err != nil {
-			return nil, err
-		}
-		env.cleanup(func() error { keep.CloseIdle(); return nil })
-		cases = append(cases,
-			Case{Name: v.slug + "/per-connection", Body: each(func(int) error {
-				var c *controller.Client
-				if err := env.untimed(func() (err error) { c, err = client(); return err }); err != nil {
-					return err
+		for _, reuse := range []bool{false, true} {
+			cases = append(cases, Case{Name: v.slug + verdict(reuse, "/keep-alive", "/per-connection"), Open: func(env *Env) (Body, error) {
+				d, enr, ce, err := enrolled(env, core.Options{Mode: v.mode, Trust: v.trust, Model: simtime.ZeroCosts()})
+				if err != nil {
+					return nil, err
 				}
-				if _, err := c.Summary(); err != nil {
-					return err
+				if v.trust == controller.TrustKeystore {
+					d.Server.PinCertificate(enr.Cert)
 				}
-				return env.untimed(func() error { c.CloseIdle(); return nil })
-			})},
-			Case{Name: v.slug + "/keep-alive", Body: each(func(int) error {
-				_, err := keep.Summary()
-				return err
-			})})
+				client := func() (*controller.Client, error) {
+					if v.mode == controller.ModeHTTP {
+						return controller.NewClient(d.ControllerURL(), nil), nil
+					}
+					cfg, err := ce.ClientTLSConfig(core.ServerName)
+					if err != nil {
+						return nil, err
+					}
+					return controller.NewClient(d.ControllerURL(), cfg), nil
+				}
+				if reuse {
+					keep, err := client()
+					if err != nil {
+						return nil, err
+					}
+					env.cleanup(func() error { keep.CloseIdle(); return nil })
+					return each(func(int) error {
+						_, err := keep.Summary()
+						return err
+					}), nil
+				}
+				return each(func(int) error {
+					var c *controller.Client
+					if err := env.untimed(func() (err error) { c, err = client(); return err }); err != nil {
+						return err
+					}
+					if _, err := c.Summary(); err != nil {
+						return err
+					}
+					return env.untimed(func() error { c.CloseIdle(); return nil })
+				}), nil
+			}})
+		}
 	}
 	return &Plan{Cases: cases, Table: func(runs int, r Results) (*metrics.Table, error) {
 		t := metrics.NewTable("E4 — REST latency per security mode (n="+fmt.Sprint(runs)+")",
@@ -426,30 +433,32 @@ func e6(env *Env) (*Plan, error) {
 	var phases [][2]*metrics.Histogram
 	var cases []Case
 	for _, entries := range sizes {
-		d, err := trusted(env, core.Options{})
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < entries; i++ {
-			d.Hosts[0].IMA().HandleEvent(ima.Event{
-				Path: fmt.Sprintf("/usr/lib/mod-%04d.so", i),
-				Hook: ima.HookBprmCheck, Mask: ima.MayExec, UID: 0,
-			}, []byte(fmt.Sprintf("module %d", i)))
-		}
-		if err := d.LearnGolden(); err != nil {
-			return nil, err
-		}
 		h := [2]*metrics.Histogram{metrics.NewHistogram("evidence"), metrics.NewHistogram("appraisal")}
-		d.VM.SetTracer(func(phase string, dur time.Duration) {
-			switch phase {
-			case "host-evidence":
-				h[0].Observe(dur)
-			case "host-appraisal":
-				h[1].Observe(dur)
-			}
-		})
 		phases = append(phases, h)
-		cases = append(cases, Case{Name: fmt.Sprintf("iml-%d", entries), Body: each(func(int) error { return attestHost(d) })})
+		cases = append(cases, Case{Name: fmt.Sprintf("iml-%d", entries), Open: func(env *Env) (Body, error) {
+			d, err := trusted(env, core.Options{})
+			if err != nil {
+				return nil, err
+			}
+			for i := 0; i < entries; i++ {
+				d.Hosts[0].IMA().HandleEvent(ima.Event{
+					Path: fmt.Sprintf("/usr/lib/mod-%04d.so", i),
+					Hook: ima.HookBprmCheck, Mask: ima.MayExec, UID: 0,
+				}, []byte(fmt.Sprintf("module %d", i)))
+			}
+			if err := d.LearnGolden(); err != nil {
+				return nil, err
+			}
+			d.VM.SetTracer(func(phase string, dur time.Duration) {
+				switch phase {
+				case "host-evidence":
+					h[0].Observe(dur)
+				case "host-appraisal":
+					h[1].Observe(dur)
+				}
+			})
+			return each(func(int) error { return attestHost(d) }), nil
+		}})
 	}
 	return &Plan{Cases: cases, Table: func(runs int, r Results) (*metrics.Table, error) {
 		t := metrics.NewTable("E6 — host attestation vs IML size (n="+fmt.Sprint(runs)+")",
@@ -469,21 +478,25 @@ func e7(env *Env) (*Plan, error) {
 		name, slug string
 		tpm        bool
 	}{{"software IML", "software-iml", false}, {"TPM-rooted IML", "tpm-rooted-iml", true}}
-	var hosts []*core.Deployment
+	opts := func(tpm bool) core.Options { return core.Options{EnableTPM: tpm, RequireTPM: tpm} }
 	var cases []Case
 	for _, c := range configs {
-		d, err := trusted(env, core.Options{EnableTPM: c.tpm, RequireTPM: c.tpm})
-		if err != nil {
-			return nil, err
-		}
-		hosts = append(hosts, d)
-		cases = append(cases, Case{Name: c.slug, Body: each(func(int) error { return attestHost(d) })})
+		cases = append(cases, Case{Name: c.slug, Open: func(env *Env) (Body, error) {
+			d, err := trusted(env, opts(c.tpm))
+			if err != nil {
+				return nil, err
+			}
+			return each(func(int) error { return attestHost(d) }), nil
+		}})
 	}
 	return &Plan{Cases: cases, Table: func(runs int, r Results) (*metrics.Table, error) {
 		t := metrics.NewTable("E7 — TPM-rooted IMA (n="+fmt.Sprint(runs)+")",
 			"configuration", "attest mean", "IML-rewrite detected")
-		for i, c := range configs {
-			d := hosts[i]
+		for _, c := range configs {
+			d, err := trusted(env, opts(c.tpm))
+			if err != nil {
+				return nil, err
+			}
 			pre, _ := d.Hosts[0].IMA().Snapshot()
 			d.Hosts[0].TamperBinary("fw-0", "/usr/bin/firewall", []byte("malware"))
 			forged, err := ima.ParseList(pre)
@@ -509,42 +522,44 @@ func e8(env *Env) (*Plan, error) {
 	name := func(i int) string { return fmt.Sprintf("fw-s%d", i) }
 	var cases []Case
 	for _, k := range sizes {
-		d, err := trusted(env, core.Options{})
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < k; i++ {
-			if err := d.DeployVNF(0, name(i), "firewall"); err != nil {
+		cases = append(cases, Case{Name: fmt.Sprintf("vnfs-%d", k), Ops: k, Open: func(env *Env) (Body, error) {
+			d, err := trusted(env, core.Options{})
+			if err != nil {
 				return nil, err
 			}
-		}
-		if err := d.LearnGolden(); err != nil {
-			return nil, err
-		}
-		cases = append(cases, Case{Name: fmt.Sprintf("vnfs-%d", k), Ops: k, Body: func(n int) error {
-			for start := 0; start < n; start += k {
-				batch := min(k, n-start)
-				if err := env.untimed(func() error { return attestHost(d) }); err != nil {
-					return err
+			for i := 0; i < k; i++ {
+				if err := d.DeployVNF(0, name(i), "firewall"); err != nil {
+					return nil, err
 				}
-				for i := 0; i < batch; i++ {
-					if _, err := d.VM.EnrollVNF(d.HostName(0), name(i)); err != nil {
+			}
+			if err := d.LearnGolden(); err != nil {
+				return nil, err
+			}
+			return func(n int) error {
+				for start := 0; start < n; start += k {
+					batch := min(k, n-start)
+					if err := env.untimed(func() error { return attestHost(d) }); err != nil {
 						return err
 					}
-				}
-				err := env.untimed(func() error {
 					for i := 0; i < batch; i++ {
-						if err := d.VM.RevokeVNF(name(i)); err != nil {
+						if _, err := d.VM.EnrollVNF(d.HostName(0), name(i)); err != nil {
 							return err
 						}
 					}
-					return nil
-				})
-				if err != nil {
-					return err
+					err := env.untimed(func() error {
+						for i := 0; i < batch; i++ {
+							if err := d.VM.RevokeVNF(name(i)); err != nil {
+								return err
+							}
+						}
+						return nil
+					})
+					if err != nil {
+						return err
+					}
 				}
-			}
-			return nil
+				return nil
+			}, nil
 		}})
 	}
 	return &Plan{Cases: cases, Table: func(runs int, r Results) (*metrics.Table, error) {
