@@ -68,45 +68,57 @@ func credentialCode(vmPub *ecdsa.PublicKey) []byte {
 	return append([]byte(credentialEnclaveVersion), elliptic.Marshal(elliptic.P256(), vmPub.X, vmPub.Y)...)
 }
 
-// NewCredentialEnclave launches a credential enclave trusting vmPub as its
-// challenger identity.
-func NewCredentialEnclave(p *sgx.Platform, signer *ecdsa.PrivateKey, vmPub *ecdsa.PublicKey, spid sgx.SPID) (*CredentialEnclave, error) {
-	ce := &CredentialEnclave{
-		platform: p,
-		spid:     spid,
-		vmPub:    vmPub,
-		sessions: make(map[uint32]*tlsSession),
-	}
-	spec := sgx.EnclaveSpec{
+// credentialSpec is the credential enclave build trusting vmPub. The
+// handlers do not contribute to the measurement, so signing and pinning
+// pass nil and only a launch installs them.
+func credentialSpec(vmPub *ecdsa.PublicKey, handlers map[string]sgx.ECallHandler) sgx.EnclaveSpec {
+	return sgx.EnclaveSpec{
 		Name:       "credential",
 		ProdID:     2,
 		SVN:        1,
 		Attributes: sgx.Attributes{Mode64: true},
 		HeapPages:  16,
 		Modules: []sgx.CodeModule{{
-			Name: "credential",
-			Code: credentialCode(vmPub),
-			Handlers: map[string]sgx.ECallHandler{
-				"ra_msg1":       ce.handleRAMsg1,
-				"ra_msg23":      ce.handleRAMsg23,
-				"ra_msg4":       ce.handleRAMsg4,
-				"channel_frame": ce.handleChannelFrame,
-				"sign":          ce.handleSign,
-				"pubkey":        ce.handlePubKey,
-				"cert_info":     ce.handleCertInfo,
-				"hmac":          ce.handleHMAC,
-				"status":        ce.handleStatus,
-				"tls_handshake": ce.handleTLSHandshake,
-				"tls_read":      ce.handleTLSRead,
-				"tls_write":     ce.handleTLSWrite,
-				"tls_close":     ce.handleTLSClose,
-			},
+			Name:     "credential",
+			Code:     credentialCode(vmPub),
+			Handlers: handlers,
 		}},
 	}
-	ss, err := sgx.SignEnclave(spec, signer)
-	if err != nil {
-		return nil, err
+}
+
+// SignCredentialEnclave produces the vendor SIGSTRUCT of the credential
+// enclave trusting vmPub. A host signs it once, the way a vendor ships a
+// signed image, and launches every VNF's credential enclave with it.
+func SignCredentialEnclave(signer *ecdsa.PrivateKey, vmPub *ecdsa.PublicKey) (*sgx.SigStruct, error) {
+	return sgx.SignEnclave(credentialSpec(vmPub, nil), signer)
+}
+
+// NewCredentialEnclave launches a credential enclave trusting vmPub as its
+// challenger identity, under the vendor SIGSTRUCT ss
+// (SignCredentialEnclave). The platform still recomputes the measurement
+// and checks ss on every launch.
+func NewCredentialEnclave(p *sgx.Platform, ss *sgx.SigStruct, vmPub *ecdsa.PublicKey, spid sgx.SPID) (*CredentialEnclave, error) {
+	ce := &CredentialEnclave{
+		platform: p,
+		spid:     spid,
+		vmPub:    vmPub,
+		sessions: make(map[uint32]*tlsSession),
 	}
+	spec := credentialSpec(vmPub, map[string]sgx.ECallHandler{
+		"ra_msg1":       ce.handleRAMsg1,
+		"ra_msg23":      ce.handleRAMsg23,
+		"ra_msg4":       ce.handleRAMsg4,
+		"channel_frame": ce.handleChannelFrame,
+		"sign":          ce.handleSign,
+		"pubkey":        ce.handlePubKey,
+		"cert_info":     ce.handleCertInfo,
+		"hmac":          ce.handleHMAC,
+		"status":        ce.handleStatus,
+		"tls_handshake": ce.handleTLSHandshake,
+		"tls_read":      ce.handleTLSRead,
+		"tls_write":     ce.handleTLSWrite,
+		"tls_close":     ce.handleTLSClose,
+	})
 	e, err := p.Launch(spec, ss)
 	if err != nil {
 		return nil, err
@@ -468,18 +480,7 @@ func (ce *CredentialEnclave) Destroy() { ce.enclave.Destroy() }
 // ExpectedCredentialMeasurement computes the MRENCLAVE the Verification
 // Manager pins for credential enclaves trusting vmPub.
 func ExpectedCredentialMeasurement(signer *ecdsa.PrivateKey, vmPub *ecdsa.PublicKey) (sgx.Measurement, error) {
-	spec := sgx.EnclaveSpec{
-		Name:       "credential",
-		ProdID:     2,
-		SVN:        1,
-		Attributes: sgx.Attributes{Mode64: true},
-		HeapPages:  16,
-		Modules: []sgx.CodeModule{{
-			Name: "credential",
-			Code: credentialCode(vmPub),
-		}},
-	}
-	ss, err := sgx.SignEnclave(spec, signer)
+	ss, err := SignCredentialEnclave(signer, vmPub)
 	if err != nil {
 		return sgx.Measurement{}, err
 	}

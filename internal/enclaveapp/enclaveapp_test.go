@@ -127,7 +127,7 @@ func TestAttestationEnclaveEvidence(t *testing.T) {
 		t.Fatal("quote does not bind evidence")
 	}
 	// The quote verifies under the group key.
-	if err := sgx.VerifyQuote(quote, fx.issuer.GroupPublicKey(), nil); err != nil {
+	if err := sgx.VerifyQuote(quote, fx.issuer.GroupPublicKey(), nil, nil); err != nil {
 		t.Fatalf("quote invalid: %v", err)
 	}
 	// The quoted identity matches the canonical build.
@@ -467,7 +467,11 @@ func provision(t *testing.T, vm *vmSide, ce *CredentialEnclave, ca *pki.CA, cn s
 
 func newCredEnclave(t *testing.T, fx *fixture) *CredentialEnclave {
 	t.Helper()
-	ce, err := NewCredentialEnclave(fx.plat, fx.vendor, &fx.vmKey.PublicKey, sgx.SPID{1})
+	ss, err := SignCredentialEnclave(fx.vendor, &fx.vmKey.PublicKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ce, err := NewCredentialEnclave(fx.plat, ss, &fx.vmKey.PublicKey, sgx.SPID{1})
 	if err != nil {
 		t.Fatal(err)
 	}

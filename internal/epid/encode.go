@@ -6,8 +6,12 @@ import (
 	"fmt"
 )
 
-// ErrTruncated reports a malformed encoded signature.
-var ErrTruncated = errors.New("epid: truncated signature encoding")
+// Decode refusals. Every DecodeSignature error wraps ErrMalformedSignature;
+// ErrTruncated narrows it to an encoding that ends inside a field.
+var (
+	ErrMalformedSignature = errors.New("epid: malformed signature encoding")
+	ErrTruncated          = fmt.Errorf("%w: truncated", ErrMalformedSignature)
+)
 
 // Encode serialises the signature with a deterministic length-prefixed
 // binary layout (the SGX quote carries this blob opaquely).
@@ -55,7 +59,7 @@ func DecodeSignature(b []byte) (*Signature, error) {
 		return nil, err
 	}
 	if len(b) != 0 {
-		return nil, fmt.Errorf("epid: %d trailing bytes in signature", len(b))
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrMalformedSignature, len(b))
 	}
 	return s, nil
 }

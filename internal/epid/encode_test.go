@@ -106,3 +106,29 @@ func TestDecodeMutationFuzz(t *testing.T) {
 		}
 	}
 }
+
+// FuzzDecodeSignature feeds DecodeSignature the opaque signature field of
+// a quote from an untrusted host. Accepted bytes re-encode byte-equal, a
+// cut one is refused as truncated and an extra byte as malformed; every
+// refusal wraps ErrMalformedSignature, never a panic.
+func FuzzDecodeSignature(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := DecodeSignature(data)
+		if err != nil {
+			if !errors.Is(err, ErrMalformedSignature) {
+				t.Fatalf("refusal without ErrMalformedSignature: %v", err)
+			}
+			return
+		}
+		enc := s.Encode()
+		if !bytes.Equal(enc, data) {
+			t.Fatal("accepted signature does not re-encode byte-equal")
+		}
+		if _, err := DecodeSignature(enc[:len(enc)-1]); !errors.Is(err, ErrTruncated) {
+			t.Fatalf("cut encoding: got %v, want ErrTruncated", err)
+		}
+		if _, err := DecodeSignature(append(enc, 0)); !errors.Is(err, ErrMalformedSignature) {
+			t.Fatalf("extra byte: got %v, want ErrMalformedSignature", err)
+		}
+	})
+}

@@ -33,6 +33,8 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+
+	"vnfguard/internal/sigmemo"
 )
 
 // GroupID identifies an EPID group (the GID field of SGX messages).
@@ -186,8 +188,12 @@ type RevocationLists struct {
 }
 
 // Verify checks sig over msg under the group public key, honoring the
-// revocation lists (rl may be nil).
-func Verify(gpk *GroupPublicKey, msg []byte, sig *Signature, rl *RevocationLists) error {
+// revocation lists (rl may be nil). creds, when non-nil, remembers
+// membership credentials that verified: the issuer's signature over a
+// member key never changes, so a verifier that sees the same platform
+// again skips that check. The revocation lists and the member's
+// signature over msg are checked on every call, before and after it.
+func Verify(gpk *GroupPublicKey, msg []byte, sig *Signature, rl *RevocationLists, creds *sigmemo.Memo) error {
 	if sig.GID != gpk.GID {
 		return ErrWrongGroup
 	}
@@ -214,7 +220,7 @@ func Verify(gpk *GroupPublicKey, msg []byte, sig *Signature, rl *RevocationLists
 	}
 	memberPub := &ecdsa.PublicKey{Curve: elliptic.P256(), X: x, Y: y}
 	credDigest := credentialDigest(sig.GID, sig.MemberID, sig.MemberPub)
-	if !ecdsa.VerifyASN1(gpk.Key, credDigest[:], sig.Credential) {
+	if !creds.Verify(gpk.Key, credDigest, sig.Credential) {
 		return ErrBadCredential
 	}
 	digest := signatureDigest(msg, sig.Basename, sig.Pseudonym)

@@ -29,7 +29,7 @@ func TestSignVerifyRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(is.GroupPublicKey(), msg, sig, nil); err != nil {
+	if err := Verify(is.GroupPublicKey(), msg, sig, nil, nil); err != nil {
 		t.Fatalf("valid signature rejected: %v", err)
 	}
 }
@@ -40,7 +40,7 @@ func TestVerifyRejectsTamperedMessage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(is.GroupPublicKey(), []byte("tampered"), sig, nil); !errors.Is(err, ErrBadSignature) {
+	if err := Verify(is.GroupPublicKey(), []byte("tampered"), sig, nil, nil); !errors.Is(err, ErrBadSignature) {
 		t.Fatalf("got %v, want ErrBadSignature", err)
 	}
 }
@@ -55,7 +55,7 @@ func TestVerifyRejectsForeignGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(other.GroupPublicKey(), []byte("m"), sig, nil); !errors.Is(err, ErrWrongGroup) {
+	if err := Verify(other.GroupPublicKey(), []byte("m"), sig, nil, nil); !errors.Is(err, ErrWrongGroup) {
 		t.Fatalf("got %v, want ErrWrongGroup", err)
 	}
 }
@@ -75,7 +75,7 @@ func TestVerifyRejectsForgedCredential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(is.GroupPublicKey(), []byte("m"), sig, nil); !errors.Is(err, ErrBadCredential) {
+	if err := Verify(is.GroupPublicKey(), []byte("m"), sig, nil, nil); !errors.Is(err, ErrBadCredential) {
 		t.Fatalf("got %v, want ErrBadCredential", err)
 	}
 }
@@ -87,7 +87,7 @@ func TestPrivRLRevocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	rl := &RevocationLists{Priv: [][32]byte{m.PseudonymSecret()}}
-	if err := Verify(is.GroupPublicKey(), []byte("m"), sig, rl); !errors.Is(err, ErrMemberRevoked) {
+	if err := Verify(is.GroupPublicKey(), []byte("m"), sig, rl, nil); !errors.Is(err, ErrMemberRevoked) {
 		t.Fatalf("got %v, want ErrMemberRevoked", err)
 	}
 	// A different member stays valid under the same RL.
@@ -99,7 +99,7 @@ func TestPrivRLRevocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(is.GroupPublicKey(), []byte("m"), sig2, rl); err != nil {
+	if err := Verify(is.GroupPublicKey(), []byte("m"), sig2, rl, nil); err != nil {
 		t.Fatalf("unrevoked member rejected: %v", err)
 	}
 }
@@ -112,7 +112,7 @@ func TestSigRLRevocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	rl := &RevocationLists{Sig: [][32]byte{sig.Pseudonym}}
-	if err := Verify(is.GroupPublicKey(), []byte("m"), sig, rl); !errors.Is(err, ErrSignatureRevoked) {
+	if err := Verify(is.GroupPublicKey(), []byte("m"), sig, rl, nil); !errors.Is(err, ErrSignatureRevoked) {
 		t.Fatalf("got %v, want ErrSignatureRevoked", err)
 	}
 	// Same member, different basename → different pseudonym → accepted.
@@ -120,7 +120,7 @@ func TestSigRLRevocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(is.GroupPublicKey(), []byte("m"), sig2, rl); err != nil {
+	if err := Verify(is.GroupPublicKey(), []byte("m"), sig2, rl, nil); err != nil {
 		t.Fatalf("different basename rejected: %v", err)
 	}
 }
@@ -132,7 +132,7 @@ func TestGroupRevocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	rl := &RevocationLists{Groups: []GroupID{7}}
-	if err := Verify(is.GroupPublicKey(), []byte("m"), sig, rl); !errors.Is(err, ErrGroupRevoked) {
+	if err := Verify(is.GroupPublicKey(), []byte("m"), sig, rl, nil); !errors.Is(err, ErrGroupRevoked) {
 		t.Fatalf("got %v, want ErrGroupRevoked", err)
 	}
 }
@@ -179,12 +179,12 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 	}
 	enc := sig.Encode()
 	for _, n := range []int{0, 5, 11, len(enc) / 2, len(enc) - 1} {
-		if _, err := DecodeSignature(enc[:n]); err == nil {
-			t.Fatalf("truncation to %d bytes accepted", n)
+		if _, err := DecodeSignature(enc[:n]); !errors.Is(err, ErrTruncated) || !errors.Is(err, ErrMalformedSignature) {
+			t.Fatalf("truncation to %d bytes: got %v, want ErrTruncated", n, err)
 		}
 	}
-	if _, err := DecodeSignature(append(enc, 0x00)); err == nil {
-		t.Fatal("trailing byte accepted")
+	if _, err := DecodeSignature(append(enc, 0x00)); !errors.Is(err, ErrMalformedSignature) || errors.Is(err, ErrTruncated) {
+		t.Fatalf("trailing byte: got %v, want ErrMalformedSignature", err)
 	}
 }
 
@@ -207,7 +207,7 @@ func TestDecodeEncodePropertyRandomMessages(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return Verify(gpk, msg, dec, nil) == nil
+		return Verify(gpk, msg, dec, nil, nil) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -222,7 +222,7 @@ func TestSignaturesNotReplayableAcrossMessages(t *testing.T) {
 	}
 	// Forwarding A's signature for message B must fail even with a valid
 	// credential and pseudonym.
-	if err := Verify(is.GroupPublicKey(), []byte("msg-B"), sig, nil); err == nil {
+	if err := Verify(is.GroupPublicKey(), []byte("msg-B"), sig, nil, nil); err == nil {
 		t.Fatal("cross-message replay accepted")
 	}
 }

@@ -85,10 +85,12 @@ type Host struct {
 	imaSys   *ima.System
 	tpmDev   *tpm.TPM
 	attEncl  *enclaveapp.AttestationEnclave
-	vendor   *ecdsa.PrivateKey
-	vmPub    *ecdsa.PublicKey
-	spid     sgx.SPID
-	model    *simtime.CostModel
+	// credSig is the credential enclave's vendor SIGSTRUCT, signed once
+	// in New and presented at every credential-enclave launch.
+	credSig *sgx.SigStruct
+	vmPub   *ecdsa.PublicKey
+	spid    sgx.SPID
+	model   *simtime.CostModel
 
 	mu          sync.Mutex
 	fs          map[string][]byte // host filesystem view (merged images)
@@ -111,13 +113,16 @@ func New(cfg Config) (*Host, error) {
 	h := &Host{
 		name:       cfg.Name,
 		platform:   platform,
-		vendor:     cfg.VendorKey,
 		vmPub:      cfg.VMPub,
 		spid:       cfg.SPID,
 		model:      cfg.Model,
 		fs:         make(map[string][]byte),
 		containers: make(map[string]*Container),
 		enclaves:   make(map[string]*enclaveapp.CredentialEnclave),
+	}
+	h.credSig, err = enclaveapp.SignCredentialEnclave(cfg.VendorKey, cfg.VMPub)
+	if err != nil {
+		return nil, err
 	}
 	h.imaSys = ima.NewSystem(cfg.Policy, cfg.Model, []byte("boot:"+cfg.Name))
 	if cfg.EnableTPM {
@@ -221,7 +226,7 @@ func (h *Host) RunContainer(im *Image, vnfName string) (*Container, error) {
 		}, fs[cfgPath])
 	}
 
-	ce, err := enclaveapp.NewCredentialEnclave(h.platform, h.vendor, h.vmPub, h.spid)
+	ce, err := enclaveapp.NewCredentialEnclave(h.platform, h.credSig, h.vmPub, h.spid)
 	if err != nil {
 		return nil, fmt.Errorf("host: launching credential enclave: %w", err)
 	}

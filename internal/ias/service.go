@@ -18,6 +18,7 @@ import (
 
 	"vnfguard/internal/epid"
 	"vnfguard/internal/sgx"
+	"vnfguard/internal/sigmemo"
 )
 
 // QuoteStatus is the isvEnclaveQuoteStatus vocabulary of AVRs.
@@ -53,6 +54,10 @@ type Service struct {
 	// subscriptionKeys gates API access as IAS does.
 	subscriptionKeys map[string]bool
 	reports          int64
+	// creds remembers EPID membership credentials (group key over member
+	// key) that verified. Revocation lists, the quote's member signature
+	// and the AVR signature still run for every quote.
+	creds *sigmemo.Memo
 }
 
 // NewService creates a service trusting the given groups. At least one
@@ -67,6 +72,7 @@ func NewService(groups ...*epid.GroupPublicKey) (*Service, error) {
 		minCPUSVN:        1,
 		signer:           signer,
 		subscriptionKeys: make(map[string]bool),
+		creds:            sigmemo.New(),
 	}
 	for _, g := range groups {
 		s.groups[g.GID] = g
@@ -172,7 +178,7 @@ func (s *Service) VerifyQuote(quoteBytes []byte, nonce string) (*AVR, error) {
 		return nil, fmt.Errorf("%w: gid %d", ErrUnknownGroup, quote.GID)
 	}
 
-	switch verr := sgx.VerifyQuote(quote, gpk, &rl); {
+	switch verr := sgx.VerifyQuote(quote, gpk, &rl, s.creds); {
 	case verr == nil:
 		if quote.Body.CPUSVN[0] < minSVN {
 			status = StatusGroupOutOfDate

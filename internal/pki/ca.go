@@ -4,8 +4,12 @@
 // and signing every freshly generated VNF client certificate with it; the
 // controller then validates signatures instead of tracking individual
 // certificates. This package provides that CA: issuance of server and
-// client certificates (the latter from CSRs so private keys can stay
-// inside enclaves), revocation with signed CRLs, and chain verification.
+// client certificates, revocation with signed CRLs, and chain
+// verification. A client certificate is issued either straight from a
+// public key the caller generated itself (the paper's design, where the
+// Verification Manager generates the VNF key pair) or from a CSR, whose
+// proof of possession is checked, so the private key can stay inside the
+// enclave that generated it.
 package pki
 
 import (
@@ -150,10 +154,11 @@ func (ca *CA) IssueServerCert(commonName string, dnsNames []string, ips []net.IP
 	return x509.ParseCertificate(der)
 }
 
-// SignClientCSR validates a PKCS#10 request and issues a client-auth
-// certificate bound to the CSR's subject and public key. This is step 5's
-// issuance path: the key pair is generated inside the credential enclave,
-// only the CSR leaves it.
+// SignClientCSR validates a PKCS#10 request — parse, then the
+// proof-of-possession signature check — and issues a client-auth
+// certificate bound to the CSR's subject and public key. This is the
+// hardening mode's issuance path: the key pair is generated inside the
+// credential enclave and only the CSR leaves it.
 func (ca *CA) SignClientCSR(csrDER []byte, validity time.Duration) (*x509.Certificate, error) {
 	csr, err := x509.ParseCertificateRequest(csrDER)
 	if err != nil {
@@ -162,18 +167,28 @@ func (ca *CA) SignClientCSR(csrDER []byte, validity time.Duration) (*x509.Certif
 	if err := csr.CheckSignature(); err != nil {
 		return nil, fmt.Errorf("%w: proof of possession failed: %v", ErrBadCSR, err)
 	}
+	return ca.IssueClientCert(csr.Subject, csr.PublicKey, validity)
+}
+
+// IssueClientCert issues a client-auth certificate for subject and pub.
+// Callers that hold the key themselves — the Verification Manager, which
+// generates the VNF key pair in the paper's design — need no CSR: a
+// request signed by a key generated a moment earlier proves nothing the
+// caller does not already know.
+func (ca *CA) IssueClientCert(subject pkix.Name, pub crypto.PublicKey, validity time.Duration) (*x509.Certificate, error) {
 	if validity <= 0 {
 		validity = DefaultValidity
 	}
+	now := time.Now()
 	tmpl := &x509.Certificate{
 		SerialNumber: ca.takeSerial(),
-		Subject:      csr.Subject,
-		NotBefore:    time.Now().Add(-time.Minute),
-		NotAfter:     time.Now().Add(validity),
+		Subject:      subject,
+		NotBefore:    now.Add(-time.Minute),
+		NotAfter:     now.Add(validity),
 		KeyUsage:     x509.KeyUsageDigitalSignature,
 		ExtKeyUsage:  []x509.ExtKeyUsage{x509.ExtKeyUsageClientAuth},
 	}
-	der, err := x509.CreateCertificate(rand.Reader, tmpl, ca.cert, csr.PublicKey, ca.key)
+	der, err := x509.CreateCertificate(rand.Reader, tmpl, ca.cert, pub, ca.key)
 	if err != nil {
 		return nil, fmt.Errorf("pki: issuing client certificate: %w", err)
 	}
@@ -268,12 +283,16 @@ func CheckAgainstCRL(cert *x509.Certificate, crl *x509.RevocationList, issuer *x
 	return nil
 }
 
-// CreateCSR builds a PKCS#10 request for the given subject using signer
-// (which may be an enclave-resident key that only exposes signing).
+// ClientSubject is the subject of a VNF client certificate: the VNF's
+// common name under the vnfguard-vnf organization.
+func ClientSubject(commonName string) pkix.Name {
+	return pkix.Name{CommonName: commonName, Organization: []string{"vnfguard-vnf"}}
+}
+
+// CreateCSR builds a PKCS#10 request for ClientSubject(commonName) using
+// signer (which may be an enclave-resident key that only exposes signing).
 func CreateCSR(commonName string, signer crypto.Signer) ([]byte, error) {
-	tmpl := &x509.CertificateRequest{
-		Subject: pkix.Name{CommonName: commonName, Organization: []string{"vnfguard-vnf"}},
-	}
+	tmpl := &x509.CertificateRequest{Subject: ClientSubject(commonName)}
 	der, err := x509.CreateCertificateRequest(rand.Reader, tmpl, signer)
 	if err != nil {
 		return nil, fmt.Errorf("pki: creating CSR: %w", err)

@@ -1,9 +1,12 @@
 package pki
 
 import (
+	"bytes"
+	"crypto/ecdsa"
 	"crypto/x509"
 	"errors"
 	"net"
+	"slices"
 	"testing"
 	"time"
 )
@@ -141,8 +144,72 @@ func TestCRLNumberMonotonic(t *testing.T) {
 
 func TestSignClientCSRRejectsGarbage(t *testing.T) {
 	ca := newCA(t)
-	if _, err := ca.SignClientCSR([]byte("not a csr"), time.Hour); !errors.Is(err, ErrBadCSR) {
-		t.Fatalf("got %v, want ErrBadCSR", err)
+	key, err := GenerateKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	csr, err := CreateCSR("vnf-1", key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The DER ends in the signature's last byte: flipping its low bit
+	// keeps the request well-formed but breaks proof of possession.
+	flipped := append([]byte(nil), csr...)
+	flipped[len(flipped)-1] ^= 0x01
+	if _, err := x509.ParseCertificateRequest(flipped); err != nil {
+		t.Fatalf("flipped CSR no longer parses: %v", err)
+	}
+	for name, der := range map[string][]byte{
+		"garbage":         []byte("not a csr"),
+		"flipped-sig-bit": flipped,
+	} {
+		if _, err := ca.SignClientCSR(der, time.Hour); !errors.Is(err, ErrBadCSR) {
+			t.Fatalf("%s: got %v, want ErrBadCSR", name, err)
+		}
+	}
+	if got := ca.Issued(); got != 0 {
+		t.Fatalf("refused requests issued %d certificates", got)
+	}
+}
+
+// TestIssueClientCertMatchesCSRPath pins that skipping the CSR changes
+// nothing a relying party sees: for the same key, the direct and CSR
+// paths issue the same subject, usages and validity window.
+func TestIssueClientCertMatchesCSRPath(t *testing.T) {
+	ca := newCA(t)
+	key, err := GenerateKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	csr, err := CreateCSR("vnf-1", key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaCSR, err := ca.SignClientCSR(csr, time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := ca.IssueClientCert(ClientSubject("vnf-1"), &key.PublicKey, time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(direct.RawSubject, viaCSR.RawSubject) {
+		t.Fatalf("subject %q, CSR path %q", direct.Subject, viaCSR.Subject)
+	}
+	if direct.KeyUsage != viaCSR.KeyUsage {
+		t.Fatalf("key usage %v, CSR path %v", direct.KeyUsage, viaCSR.KeyUsage)
+	}
+	if !slices.Equal(direct.ExtKeyUsage, viaCSR.ExtKeyUsage) {
+		t.Fatalf("ext key usage %v, CSR path %v", direct.ExtKeyUsage, viaCSR.ExtKeyUsage)
+	}
+	if d, c := direct.NotAfter.Sub(direct.NotBefore), viaCSR.NotAfter.Sub(viaCSR.NotBefore); d != c {
+		t.Fatalf("validity window %v, CSR path %v", d, c)
+	}
+	if !direct.PublicKey.(*ecdsa.PublicKey).Equal(&key.PublicKey) {
+		t.Fatal("direct certificate does not carry the caller's key")
+	}
+	if err := ca.VerifyClient(direct); err != nil {
+		t.Fatalf("direct certificate rejected: %v", err)
 	}
 }
 

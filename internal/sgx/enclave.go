@@ -191,7 +191,7 @@ func (p *Platform) Launch(spec EnclaveSpec, ss *SigStruct) (*Enclave, error) {
 	}
 	pub := &ecdsa.PublicKey{Curve: elliptic.P256(), X: x, Y: y}
 	digest := sigStructDigest(ss.Measurement, ss.ProdID, ss.SVN, ss.Attributes, ss.SignerPub)
-	if !ecdsa.VerifyASN1(pub, digest[:], ss.Signature) {
+	if !p.sigs.Verify(pub, digest, ss.Signature) {
 		return nil, ErrBadSigStruct
 	}
 

@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"vnfguard/internal/epid"
+	"vnfguard/internal/sigmemo"
 	"vnfguard/internal/simtime"
 )
 
@@ -33,6 +34,12 @@ type Platform struct {
 	nvPath string
 
 	qe *QuotingEnclave
+
+	// sigs remembers SIGSTRUCT signatures that verified, so launching
+	// another enclave from the same signed image skips the repeat ECDSA
+	// verification. The measurement is still recomputed and compared on
+	// every launch.
+	sigs *sigmemo.Memo
 
 	mu           sync.Mutex
 	nextEnclave  uint64
@@ -83,6 +90,7 @@ func NewPlatform(name string, issuer *epid.Issuer, model *simtime.CostModel, opt
 		model:    model,
 		epcLimit: DefaultEPCPages,
 		enclaves: make(map[uint64]*Enclave),
+		sigs:     sigmemo.New(),
 	}
 	if _, err := rand.Read(p.rootSeal[:]); err != nil {
 		return nil, fmt.Errorf("sgx: fusing seal root: %w", err)

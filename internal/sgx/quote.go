@@ -8,6 +8,7 @@ import (
 	"fmt"
 
 	"vnfguard/internal/epid"
+	"vnfguard/internal/sigmemo"
 )
 
 // SPID is the service-provider ID registered with the attestation service;
@@ -77,10 +78,14 @@ func (q *Quote) Encode() []byte {
 // quote.
 const quoteFixedLen = 2 + 2 + 4 + 2 + 2 + 32 + reportBodyLen
 
-// DecodeQuote parses an encoded quote.
+// ErrMalformedQuote is wrapped by every DecodeQuote refusal.
+var ErrMalformedQuote = errors.New("sgx: malformed quote")
+
+// DecodeQuote parses an encoded quote. Quotes arrive from untrusted hosts,
+// so every refusal wraps ErrMalformedQuote.
 func DecodeQuote(b []byte) (*Quote, error) {
 	if len(b) < quoteFixedLen+4 {
-		return nil, errors.New("sgx: truncated quote")
+		return nil, fmt.Errorf("%w: truncated at %d bytes", ErrMalformedQuote, len(b))
 	}
 	q := &Quote{}
 	q.Version = binary.LittleEndian.Uint16(b[0:2])
@@ -91,14 +96,14 @@ func DecodeQuote(b []byte) (*Quote, error) {
 	copy(q.Basename[:], b[12:44])
 	body, err := decodeReportBody(b[44 : 44+reportBodyLen])
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrMalformedQuote, err)
 	}
 	q.Body = body
 	rest := b[quoteFixedLen:]
 	sigLen := binary.BigEndian.Uint32(rest[:4])
 	rest = rest[4:]
 	if uint32(len(rest)) != sigLen {
-		return nil, errors.New("sgx: quote signature length mismatch")
+		return nil, fmt.Errorf("%w: signature length %d, %d bytes follow", ErrMalformedQuote, sigLen, len(rest))
 	}
 	q.Signature = append([]byte(nil), rest...)
 	return q, nil
@@ -106,12 +111,14 @@ func DecodeQuote(b []byte) (*Quote, error) {
 
 // VerifyQuote checks the quote's EPID signature under the group public key
 // and revocation lists. It is the core of what IAS does server-side.
-func VerifyQuote(q *Quote, gpk *epid.GroupPublicKey, rl *epid.RevocationLists) error {
+// creds is the verifier's membership-credential memo (see epid.Verify);
+// nil checks the credential every time.
+func VerifyQuote(q *Quote, gpk *epid.GroupPublicKey, rl *epid.RevocationLists, creds *sigmemo.Memo) error {
 	sig, err := epid.DecodeSignature(q.Signature)
 	if err != nil {
 		return fmt.Errorf("sgx: quote signature: %w", err)
 	}
-	return epid.Verify(gpk, q.signedPayload(), sig, rl)
+	return epid.Verify(gpk, q.signedPayload(), sig, rl, creds)
 }
 
 // qeMeasurement is the well-known measurement of the quoting enclave code,

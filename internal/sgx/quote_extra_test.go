@@ -25,7 +25,7 @@ func TestUnlinkableQuotesHaveDistinctPseudonyms(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := VerifyQuote(q, issuer.GroupPublicKey(), nil); err != nil {
+		if err := VerifyQuote(q, issuer.GroupPublicKey(), nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		sig, err := epid.DecodeSignature(q.Signature)

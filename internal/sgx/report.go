@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"fmt"
 )
 
 // ReportData is the caller-chosen 64-byte field bound into reports and
@@ -52,14 +53,27 @@ func (b *ReportBody) Encode() []byte {
 
 const reportBodyLen = 16 + 8 + 32 + 32 + 2 + 2 + 64
 
-// decodeReportBody parses an encoded body.
+// attributesMask covers the attribute bits Attributes.encode can set.
+const attributesMask = 1<<1 | 1<<2 | 0xFFFFFFFF<<32
+
+// ErrMalformedReport is wrapped by every refusal to decode a report or a
+// report body.
+var ErrMalformedReport = errors.New("sgx: malformed report")
+
+// decodeReportBody parses an encoded body. Attribute bits outside
+// attributesMask are refused: they would not survive a re-encode, so the
+// decoded body would differ from the bytes that were MACed or signed.
 func decodeReportBody(p []byte) (ReportBody, error) {
 	var b ReportBody
-	if len(p) < reportBodyLen {
-		return b, errors.New("sgx: truncated report body")
+	if len(p) != reportBodyLen {
+		return b, fmt.Errorf("%w: body is %d bytes, want %d", ErrMalformedReport, len(p), reportBodyLen)
+	}
+	attrs := binary.LittleEndian.Uint64(p[16:24])
+	if attrs&^attributesMask != 0 {
+		return b, fmt.Errorf("%w: reserved attribute bits %#x", ErrMalformedReport, attrs&^attributesMask)
 	}
 	copy(b.CPUSVN[:], p[0:16])
-	b.Attributes = decodeAttributes(binary.LittleEndian.Uint64(p[16:24]))
+	b.Attributes = decodeAttributes(attrs)
 	copy(b.MRENCLAVE[:], p[24:56])
 	copy(b.MRSIGNER[:], p[56:88])
 	b.ISVProdID = binary.LittleEndian.Uint16(p[88:90])

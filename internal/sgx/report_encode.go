@@ -1,6 +1,6 @@
 package sgx
 
-import "errors"
+import "fmt"
 
 // EncodeReport serialises a report for transport between an application
 // enclave and the quoting enclave (the AESM hand-off in the SDK).
@@ -11,10 +11,11 @@ func EncodeReport(r *Report) []byte {
 	return out
 }
 
-// DecodeReport parses EncodeReport output.
+// DecodeReport parses EncodeReport output. Every refusal wraps
+// ErrMalformedReport.
 func DecodeReport(b []byte) (*Report, error) {
 	if len(b) != reportBodyLen+32 {
-		return nil, errors.New("sgx: report encoding length")
+		return nil, fmt.Errorf("%w: %d bytes, want %d", ErrMalformedReport, len(b), reportBodyLen+32)
 	}
 	body, err := decodeReportBody(b[:reportBodyLen])
 	if err != nil {

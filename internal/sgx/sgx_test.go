@@ -491,7 +491,7 @@ func TestQuoteLifecycle(t *testing.T) {
 	if q.Body.MRENCLAVE != e.Identity().MRENCLAVE {
 		t.Fatal("quote body identity mismatch")
 	}
-	if err := VerifyQuote(q, issuer.GroupPublicKey(), nil); err != nil {
+	if err := VerifyQuote(q, issuer.GroupPublicKey(), nil, nil); err != nil {
 		t.Fatalf("valid quote rejected: %v", err)
 	}
 
@@ -500,13 +500,13 @@ func TestQuoteLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyQuote(dec, issuer.GroupPublicKey(), nil); err != nil {
+	if err := VerifyQuote(dec, issuer.GroupPublicKey(), nil, nil); err != nil {
 		t.Fatalf("decoded quote rejected: %v", err)
 	}
 
 	// Tampering with the body invalidates the signature.
 	dec.Body.ReportData[0] ^= 0xFF
-	if err := VerifyQuote(dec, issuer.GroupPublicKey(), nil); err == nil {
+	if err := VerifyQuote(dec, issuer.GroupPublicKey(), nil, nil); err == nil {
 		t.Fatal("tampered quote accepted")
 	}
 }
@@ -655,15 +655,15 @@ func TestReportDataFromHash(t *testing.T) {
 }
 
 func TestDecodeQuoteErrors(t *testing.T) {
-	if _, err := DecodeQuote(nil); err == nil {
-		t.Fatal("nil quote decoded")
+	if _, err := DecodeQuote(nil); !errors.Is(err, ErrMalformedQuote) {
+		t.Fatalf("nil quote: got %v, want ErrMalformedQuote", err)
 	}
-	if _, err := DecodeQuote(make([]byte, quoteFixedLen+3)); err == nil {
-		t.Fatal("short quote decoded")
+	if _, err := DecodeQuote(make([]byte, quoteFixedLen+3)); !errors.Is(err, ErrMalformedQuote) {
+		t.Fatalf("short quote: got %v, want ErrMalformedQuote", err)
 	}
 	buf := make([]byte, quoteFixedLen+4+10)
 	buf[quoteFixedLen+3] = 99 // sigLen=99 but only 10 bytes follow
-	if _, err := DecodeQuote(buf); err == nil {
-		t.Fatal("length-mismatched quote decoded")
+	if _, err := DecodeQuote(buf); !errors.Is(err, ErrMalformedQuote) {
+		t.Fatalf("length-mismatched quote: got %v, want ErrMalformedQuote", err)
 	}
 }

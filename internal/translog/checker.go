@@ -4,6 +4,8 @@ import (
 	"crypto/ecdsa"
 	"crypto/x509"
 	"fmt"
+
+	"vnfguard/internal/sigmemo"
 )
 
 // ProofSource supplies credential proof bundles: the in-process *Log or
@@ -21,14 +23,24 @@ type ProofSource interface {
 // compromised VM (or stolen CA key) can still mint certificates, but it
 // cannot use them against the controller without committing evidence to
 // the append-only log.
+//
+// The checker remembers tree heads whose signature it has verified, so a
+// client reconnecting while the log has not moved costs one inclusion
+// proof, not another ECDSA verification.
 func NewCredentialChecker(pub *ecdsa.PublicKey, source ProofSource) func(*x509.Certificate) error {
+	return newCredentialChecker(pub, source, sigmemo.New())
+}
+
+// newCredentialChecker is NewCredentialChecker with the head memo
+// supplied, so tests can watch it.
+func newCredentialChecker(pub *ecdsa.PublicKey, source ProofSource, heads *sigmemo.Memo) func(*x509.Certificate) error {
 	return func(cert *x509.Certificate) error {
 		serial := cert.SerialNumber.String()
 		pb, err := source.ProveSerial(serial)
 		if err != nil {
 			return fmt.Errorf("translog: credential %s: %w", serial, err)
 		}
-		if err := pb.Verify(pub); err != nil {
+		if err := pb.verify(pub, heads); err != nil {
 			return fmt.Errorf("translog: credential %s: %w", serial, err)
 		}
 		if pb.Entry.Serial != serial || (pb.Entry.Type != EntryEnroll && pb.Entry.Type != EntryProvision) {

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"vnfguard/internal/obs"
+	"vnfguard/internal/sigmemo"
 )
 
 // Errors.
@@ -149,8 +150,13 @@ func (sth SignedTreeHead) signingDigest() [sha256.Size]byte {
 
 // Verify checks the tree-head signature against the log's public key.
 func (sth SignedTreeHead) Verify(pub *ecdsa.PublicKey) error {
-	digest := sth.signingDigest()
-	if !ecdsa.VerifyASN1(pub, digest[:], sth.Signature) {
+	return sth.verify(pub, nil)
+}
+
+// verify is Verify through a relying party's memo of heads whose
+// signature already verified; a nil memo verifies every time.
+func (sth SignedTreeHead) verify(pub *ecdsa.PublicKey, sigs *sigmemo.Memo) error {
+	if !sigs.Verify(pub, sth.signingDigest(), sth.Signature) {
 		return ErrBadSTH
 	}
 	return nil
@@ -666,7 +672,13 @@ type ProofBundle struct {
 // Verify checks the bundle end to end: tree-head signature, then the
 // inclusion of the entry's leaf under that head.
 func (pb *ProofBundle) Verify(pub *ecdsa.PublicKey) error {
-	if err := pb.STH.Verify(pub); err != nil {
+	return pb.verify(pub, nil)
+}
+
+// verify is Verify with the head's signature checked through sigs (see
+// SignedTreeHead.verify); the inclusion proof is always recomputed.
+func (pb *ProofBundle) verify(pub *ecdsa.PublicKey, sigs *sigmemo.Memo) error {
+	if err := pb.STH.verify(pub, sigs); err != nil {
 		return err
 	}
 	return VerifyInclusion(LeafHash(pb.Entry.Marshal()), pb.Index, pb.STH.Size, pb.Proof, pb.STH.RootHash)

@@ -162,11 +162,7 @@ func (m *Manager) provision(rec *hostRecord, enr *Enrollment) (cert *x509.Certif
 		if err != nil {
 			return nil, err
 		}
-		csr, err := pki.CreateCSR(enr.CommonName, key)
-		if err != nil {
-			return nil, err
-		}
-		cert, err = m.ca.SignClientCSR(csr, m.certValidity)
+		cert, err = m.ca.IssueClientCert(pki.ClientSubject(enr.CommonName), &key.PublicKey, m.certValidity)
 		if err != nil {
 			return nil, err
 		}
