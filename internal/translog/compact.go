@@ -192,7 +192,7 @@ func coldWALRecords(dir string, lo, hi uint64, tailSafe bool) (run [][]byte, rem
 			}
 			path := filepath.Join(dir, streamSegmentName(st.shard, first))
 			top, all, some := uint64(0), true, false
-			err := st.read(path, first, func(index uint64) error {
+			err := st.read(path, first, func(_ int, index uint64) error {
 				top, some = max(top, index), true
 				all = all && index < hi
 				if index >= lo && index < hi {
@@ -328,9 +328,5 @@ func (s *Store) loadCold(c uint64) ([][]byte, []Hash, error) {
 		return nil, nil, fmt.Errorf("%w: only %d of %d cold entries present across archives and segments",
 			ErrStateCorrupt, len(payloads), c)
 	}
-	hashes := make([]Hash, len(payloads))
-	for i, p := range payloads {
-		hashes[i] = LeafHash(p)
-	}
-	return payloads, hashes, nil
+	return payloads, leafHashes(payloads), nil
 }

@@ -116,48 +116,59 @@ func (e Entry) appendTo(out []byte) []byte {
 	return out
 }
 
-// unmarshalEntry parses a canonical encoding, rejecting truncated input,
-// trailing bytes and unknown types.
-func unmarshalEntry(b []byte) (Entry, error) {
-	var e Entry
+// entryFields is a validated canonical encoding viewed in place: the
+// byte fields are sub-slices of the parsed buffer, so they are valid
+// exactly as long as it is.
+type entryFields struct {
+	typ       EntryType
+	timestamp int64
+	// The five length-prefixed fields, in encoding order.
+	actor, host, serial, measurement, detail []byte
+}
+
+// parseEntry validates a canonical encoding without copying or
+// allocating, rejecting a bad version, an unknown type, truncated
+// input and trailing bytes. It is the one entry parser: unmarshalEntry
+// builds on it, and recovery uses it directly, reading only the type
+// and serial of records it never needs to materialise.
+func parseEntry(b []byte) (entryFields, error) {
+	var f entryFields
 	if len(b) < 10 {
-		return e, ErrMalformedEntry
+		return f, ErrMalformedEntry
 	}
 	if b[0] != entryVersion {
-		return e, fmt.Errorf("%w: version %d", ErrMalformedEntry, b[0])
+		return f, fmt.Errorf("%w: version %d", ErrMalformedEntry, b[0])
 	}
-	e.Type = EntryType(b[1])
-	if e.Type < EntryEnroll || e.Type > EntryRevoke {
-		return e, fmt.Errorf("%w: %d", ErrUnknownType, b[1])
+	f.typ = EntryType(b[1])
+	if f.typ < EntryEnroll || f.typ > EntryRevoke {
+		return f, fmt.Errorf("%w: %d", ErrUnknownType, b[1])
 	}
-	e.Timestamp = int64(binary.BigEndian.Uint64(b[2:10]))
+	f.timestamp = int64(binary.BigEndian.Uint64(b[2:10]))
 	b = b[10:]
-	var err error
-	var actor, host, serial, measurement, detail []byte
-	if actor, b, err = readBytes(b); err != nil {
-		return e, err
-	}
-	if host, b, err = readBytes(b); err != nil {
-		return e, err
-	}
-	if serial, b, err = readBytes(b); err != nil {
-		return e, err
-	}
-	if measurement, b, err = readBytes(b); err != nil {
-		return e, err
-	}
-	if detail, b, err = readBytes(b); err != nil {
-		return e, err
+	for _, field := range []*[]byte{&f.actor, &f.host, &f.serial, &f.measurement, &f.detail} {
+		var err error
+		if *field, b, err = readBytes(b); err != nil {
+			return f, err
+		}
 	}
 	if len(b) != 0 {
-		return e, fmt.Errorf("%w: %d trailing bytes", ErrMalformedEntry, len(b))
+		return f, fmt.Errorf("%w: %d trailing bytes", ErrMalformedEntry, len(b))
 	}
-	// The fields are sub-slices of b: each is copied exactly once, so the
-	// entry never aliases the caller's buffer.
-	if len(measurement) > 0 {
-		e.Measurement = bytes.Clone(measurement)
+	return f, nil
+}
+
+// unmarshalEntry parses a canonical encoding into an Entry that never
+// aliases b: each field is copied exactly once.
+func unmarshalEntry(b []byte) (Entry, error) {
+	f, err := parseEntry(b)
+	if err != nil {
+		return Entry{}, err
 	}
-	e.Actor, e.Host, e.Serial, e.Detail = string(actor), string(host), string(serial), string(detail)
+	e := Entry{Type: f.typ, Timestamp: f.timestamp, Actor: string(f.actor), Host: string(f.host),
+		Serial: string(f.serial), Detail: string(f.detail)}
+	if len(f.measurement) > 0 {
+		e.Measurement = bytes.Clone(f.measurement)
+	}
 	return e, nil
 }
 

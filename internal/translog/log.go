@@ -302,7 +302,7 @@ func (l *Log) appendPrepared(batch []Entry, payloads [][]byte, hashes []Hash, tr
 		l.entries.add(p)
 	}
 	phase := time.Now()
-	size := l.tree.appendParallel(hashes, prepareWorkers())
+	size := l.tree.append(hashes, prepareWorkers())
 	// The commit must be atomic: a failure after the tree grew would
 	// leave entries that a later head signs over but the serial indexes
 	// never saw — so roll the tree and entry list back on any error.
@@ -459,7 +459,7 @@ func (l *Log) hydrate() error {
 		return err
 	}
 	pre := newTree()
-	pre.appendParallel(hashes, prepareWorkers())
+	pre.append(hashes, prepareWorkers())
 	root, err := pre.rootAt(base)
 	if err != nil {
 		return err
@@ -497,14 +497,19 @@ func (l *Log) indexEntry(e Entry, idx uint64) {
 		s := ShardOf(e.Host, l.shardStreams)
 		l.shardIdx[s] = append(l.shardIdx[s], idx)
 	}
-	if e.Serial == "" {
-		return
+	if e.Serial != "" {
+		l.indexSerial(e.Type, e.Serial, idx)
 	}
-	switch e.Type {
+}
+
+// indexSerial files one serial-carrying entry at idx in the serial
+// maps. Entries must arrive in index order: the latest issuance wins.
+func (l *Log) indexSerial(typ EntryType, serial string, idx uint64) {
+	switch typ {
 	case EntryEnroll, EntryProvision:
-		l.issuance[e.Serial] = idx
+		l.issuance[serial] = idx
 	case EntryRevoke:
-		l.revoked[e.Serial] = true
+		l.revoked[serial] = true
 	}
 }
 

@@ -3,7 +3,9 @@ package translog
 import (
 	"crypto/sha256"
 	"errors"
+	"hash"
 	"math/bits"
+	"slices"
 	"sync"
 )
 
@@ -24,6 +26,30 @@ func LeafHash(data []byte) Hash { //lint:allow unusedexport client-side proof AP
 	buf[0] = leafPrefix
 	copy(buf[1:], data)
 	return sha256.Sum256(buf)
+}
+
+// leafPrefixByte is the leaf domain prefix as a slice a digest can
+// take without a per-call allocation.
+var leafPrefixByte = []byte{leafPrefix}
+
+// leafHashInto hashes data into its leaf through d, a SHA-256 digest
+// the caller reuses across leaves: bulk hashing allocates nothing per
+// leaf, unlike LeafHash.
+func leafHashInto(d hash.Hash, out *Hash, data []byte) {
+	d.Reset()
+	d.Write(leafPrefixByte)
+	d.Write(data)
+	d.Sum(out[:0])
+}
+
+// leafHashes hashes every payload into its leaf.
+func leafHashes(payloads [][]byte) []Hash {
+	d := sha256.New()
+	out := make([]Hash, len(payloads))
+	for i, p := range payloads {
+		leafHashInto(d, &out[i], p)
+	}
+	return out
 }
 
 func nodeHash(l, r Hash) Hash {
@@ -54,7 +80,7 @@ var errColdRange = errors.New("translog: range below the checkpoint is not resid
 // hash array per level: levels[0] holds the leaves and levels[k][i] is
 // the root of the complete subtree over leaves [i·2^k, (i+1)·2^k). Every
 // complete range RFC 6962's recursions visit is aligned, so it resolves
-// to a single array lookup; appends only extend the right spine —
+// to a single array lookup; appends only extend each level's array —
 // O(1) amortised hashing per leaf with no cache invalidation, which is
 // what keeps batched commits cheap as the log grows.
 //
@@ -62,8 +88,8 @@ var errColdRange = errors.New("translog: range below the checkpoint is not resid
 // are not resident, and level k stores only the nodes with global index
 // ≥ off(k) — the frozen subtree roots of frozen's binary decomposition
 // sit at exactly those boundary positions, so the per-level arrays stay
-// contiguous and the append spine-walk pairs new nodes with frozen
-// block roots with no special cases beyond the off(k) index shift.
+// contiguous and append pairs new nodes with frozen block roots with
+// no special cases beyond the off(k) index shift.
 // Every root, proof and consistency computation for ranges at or above
 // frozen resolves exactly as in a full tree (the RFC recursions only
 // visit the decomposition positions, which are resident); a lookup that
@@ -118,40 +144,14 @@ func (t *tree) sizeLocked() uint64 {
 	return t.off(0) + uint64(len(t.levels[0]))
 }
 
-// append adds leaf hashes and returns the new size.
-func (t *tree) append(hashes ...Hash) uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, h := range hashes {
-		t.levels[0] = append(t.levels[0], h)
-		// Complete freshly-paired subtrees bottom-up along the right
-		// spine. i is the new node's global index; the stored arrays
-		// begin at off(k), which is always even, so an odd i pairs with
-		// a resident i-1 (possibly a frozen block root).
-		i := t.off(0) + uint64(len(t.levels[0])) - 1
-		for k := 0; i&1 == 1; k++ {
-			if k+1 >= len(t.levels) {
-				t.levels = append(t.levels, nil)
-			}
-			o := t.off(k)
-			t.levels[k+1] = append(t.levels[k+1], nodeHash(t.levels[k][i-1-o], t.levels[k][i-o]))
-			i >>= 1
-		}
-	}
-	return t.sizeLocked()
-}
-
-// appendParallel adds a large batch of leaf hashes with the interior
-// hashing fanned across workers. After n leaves level k always holds
-// exactly n>>k nodes, so the batch's new nodes at each level are a
-// contiguous data-parallel range computed from pairs one level down —
-// the same array sequential append builds, without its per-leaf spine
-// walk serialising the merged cycles the sequencer commits.
-func (t *tree) appendParallel(hashes []Hash, workers int) uint64 {
+// append adds a batch of leaf hashes and returns the new size. It is
+// the tree's one append: after n leaves level k always holds exactly
+// n>>k nodes, so the batch's new nodes at each level are a contiguous
+// range computed from pairs one level down, filled level by level.
+// Large levels are fanned across workers; with one worker, or a level
+// too small to pay for goroutines, the fill runs inline.
+func (t *tree) append(hashes []Hash, workers int) uint64 {
 	const chunk = 512
-	if workers <= 1 || len(hashes) < 2*chunk {
-		return t.append(hashes...)
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.levels[0] = append(t.levels[0], hashes...)
@@ -174,24 +174,12 @@ func (t *tree) appendParallel(hashes []Hash, workers int) uint64 {
 			t.levels = append(t.levels, nil)
 		}
 		lHave, lWant := int(have-oUp), int(want-oUp)
-		nodes := t.levels[k+1]
-		if cap(nodes) < lWant {
-			// Grow with doubling headroom in one shot — append's
-			// temp-slice growth would reallocate every batch.
-			grown := make([]Hash, lWant, max(lWant, 2*cap(nodes)))
-			copy(grown, nodes)
-			nodes = grown
-		} else {
-			nodes = nodes[:lWant]
-		}
-		fill := func(lo, hi int) {
-			for li := lo; li < hi; li++ {
-				j := oUp + uint64(li) // global index at level k+1
-				nodes[li] = nodeHash(below[2*j-oBelow], below[2*j+1-oBelow])
-			}
-		}
-		if lWant-lHave < 2*chunk {
-			fill(lHave, lWant)
+		// Grow under the runtime's append policy, like level 0: its
+		// headroom amortises small commits without doubling the memory
+		// of a large level.
+		nodes := slices.Grow(t.levels[k+1], lWant-lHave)[:lWant]
+		if workers <= 1 || lWant-lHave < 2*chunk {
+			fillLevel(nodes, below, oUp, oBelow, lHave, lWant)
 		} else {
 			var wg sync.WaitGroup
 			for lo := lHave; lo < lWant; lo += chunk {
@@ -202,7 +190,7 @@ func (t *tree) appendParallel(hashes []Hash, workers int) uint64 {
 				wg.Add(1)
 				go func(lo, hi int) {
 					defer wg.Done()
-					fill(lo, hi)
+					fillLevel(nodes, below, oUp, oBelow, lo, hi)
 				}(lo, hi)
 			}
 			wg.Wait()
@@ -210,6 +198,16 @@ func (t *tree) appendParallel(hashes []Hash, workers int) uint64 {
 		t.levels[k+1] = nodes
 	}
 	return t.sizeLocked()
+}
+
+// fillLevel computes the level-k+1 nodes at stored positions [lo, hi)
+// from their child pairs in below, the level-k array; oUp and oBelow
+// are the two levels' off() shifts.
+func fillLevel(nodes, below []Hash, oUp, oBelow uint64, lo, hi int) {
+	for li := lo; li < hi; li++ {
+		j := oUp + uint64(li) // global index at level k+1
+		nodes[li] = nodeHash(below[2*j-oBelow], below[2*j+1-oBelow])
+	}
 }
 
 // truncate discards leaves beyond size n — the rollback of a failed

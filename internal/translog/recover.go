@@ -1,13 +1,16 @@
 package translog
 
 import (
+	"cmp"
 	"crypto"
 	"crypto/ecdsa"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 )
 
@@ -42,15 +45,32 @@ import (
 // tail it is; the anchors see the prefix, so a "gap" that would cut into
 // committed history is still refused as a rollback before anything is
 // touched.
+//
+// Placing a suffix record is the whole of its second pass: the one entry
+// parser validates it in place (an undecodable entry is still
+// corruption), its leaf hash goes into the same slot of a presized hash
+// array through one reused digest, and only a serial-carrying record
+// leaves anything more behind — its slot, type and serial, which the
+// serial index replays in global order. No record is decoded into an
+// Entry, and the tree is built from the hash array by the same bulk
+// append every commit uses. The second pass starts at each stream's
+// first record past the checkpoint, which the scan noted: cold records
+// are checksummed once and never walked again.
 
 // recovered is the verified disk state handed from recovery to the Log.
 type recovered struct {
-	entries []Entry
 	// payloads holds each entry's canonical encoding exactly as the WAL
 	// replay read it — sub-slices of the segment buffers, which the Log
 	// copies into its entry arena — so recovery never re-marshals what it
 	// already read and validated, and no segment buffer outlives the open.
 	payloads [][]byte
+	// hashes holds the leaf hash of each payload, computed in the replay
+	// pass that validated it; the tree is built from them in one append.
+	hashes []Hash
+	// serials lists the recovered records that carry a credential serial,
+	// in global order — all the serial index needs, so no other field of
+	// a recovered entry is ever decoded.
+	serials []serialRecord
 	// tree is the Merkle tree rebuilt over the recovered entries; the
 	// Log adopts it directly instead of hashing everything twice.
 	tree *tree
@@ -67,7 +87,7 @@ type recovered struct {
 	// layout, shards entries otherwise.
 	tails []streamTail
 	// ckpt is the verified checkpoint the replay was based from (nil for
-	// a full replay). With a checkpoint, entries/payloads hold only the
+	// a full replay). With a checkpoint, payloads/hashes hold only the
 	// suffix — global ordinals [ckpt.size, size) — and tree is seeded
 	// from the checkpoint's frozen subtree roots.
 	ckpt *checkpoint
@@ -77,9 +97,18 @@ type recovered struct {
 // the replayed suffix.
 func (r *recovered) size() uint64 {
 	if r.ckpt != nil {
-		return r.ckpt.size + uint64(len(r.entries))
+		return r.ckpt.size + uint64(len(r.payloads))
 	}
-	return uint64(len(r.entries))
+	return uint64(len(r.payloads))
+}
+
+// serialRecord is what recovery keeps of a record carrying a serial:
+// its slot (global index minus the checkpoint base), its type, and the
+// serial itself, a sub-slice of the segment buffer.
+type serialRecord struct {
+	slot   int
+	typ    EntryType
+	serial []byte
 }
 
 // streamTail is one stream's resumption point.
@@ -231,9 +260,7 @@ func recoverDir(dir string, cfg StoreConfig, sthAnchor *sthAnchor, extra []Trust
 	} else {
 		rec.tree = newTree()
 	}
-	for _, p := range rec.payloads {
-		rec.tree.append(LeafHash(p))
-	}
+	rec.tree.append(rec.hashes, prepareWorkers())
 	size := rec.size()
 	// Anchors only ever remember heads at or past the checkpoint — a
 	// checkpoint is written only after its head was committed through
@@ -269,9 +296,9 @@ func recoverDir(dir string, cfg StoreConfig, sthAnchor *sthAnchor, extra []Trust
 	sth, have := sthAnchor.Persisted()
 	rec.sth = sth
 	rec.sthStale = !have || size != sth.Size
-	mRecoverEntries.Add(uint64(len(rec.entries)))
+	mRecoverEntries.Add(uint64(len(rec.payloads)))
 	if rec.ckpt != nil {
-		mRecoverSuffixEntries.Add(uint64(len(rec.entries)))
+		mRecoverSuffixEntries.Add(uint64(len(rec.payloads)))
 	}
 	for _, op := range trims {
 		if op.remove {
@@ -356,9 +383,10 @@ func (m *merge) run() int {
 //
 // The replay runs in three passes. The first reads and checksums every
 // segment and applies the per-stream refusals; it counts the suffix
-// records. The second decodes each suffix record straight into its
-// global slot. The third, only when the merge left records beyond the
-// contiguous prefix, plans the trims that cut them.
+// records. The second validates each suffix record in place, files it
+// in its global slot and hashes its leaf there. The third, only when
+// the merge left records beyond the contiguous prefix, plans the trims
+// that cut them.
 func replay(dir string, shards int, firsts [][]uint64, ckpt *checkpoint) (*recovered, []trimOp, int, error) {
 	base := uint64(0)
 	cold := make([]uint64, len(firsts)) // per-stream records below the checkpoint
@@ -394,18 +422,25 @@ func replay(dir string, shards int, firsts [][]uint64, ckpt *checkpoint) (*recov
 	}
 
 	m := newMerge(base, n)
-	entries := make([]Entry, n)
+	hashes := make([]Hash, n)
+	var serials []serialRecord
+	d := sha256.New()
 	for s := range streams {
 		err := streams[s].each(func(_, _ int, index uint64, entry []byte) error {
 			if index < base {
 				return nil
 			}
-			e, err := unmarshalEntry(entry)
+			f, err := parseEntry(entry)
 			if err != nil {
 				return fmt.Errorf("%w: entry %d undecodable: %v", ErrStateCorrupt, index, err)
 			}
-			if slot := m.place(index, entry, s); slot >= 0 {
-				entries[slot] = e
+			slot := m.place(index, entry, s)
+			if slot < 0 {
+				return nil
+			}
+			leafHashInto(d, &hashes[slot], entry)
+			if len(f.serial) > 0 {
+				serials = append(serials, serialRecord{slot: slot, typ: f.typ, serial: f.serial})
 			}
 			return nil
 		})
@@ -428,7 +463,12 @@ func replay(dir string, shards int, firsts [][]uint64, ckpt *checkpoint) (*recov
 	// shorter than the persisted head and the anchors refuse before any
 	// trim runs.
 	prefix := m.run()
-	rec := &recovered{shards: shards, ckpt: ckpt, entries: entries[:prefix], payloads: m.payloads[:prefix]}
+	// The streams were walked one after another; the serial index must see
+	// the records in global order, exactly as the commits indexed them.
+	slices.SortFunc(serials, func(a, b serialRecord) int { return cmp.Compare(a.slot, b.slot) })
+	kept, _ := slices.BinarySearchFunc(serials, prefix, func(r serialRecord, p int) int { return cmp.Compare(r.slot, p) })
+	rec := &recovered{shards: shards, ckpt: ckpt, payloads: m.payloads[:prefix],
+		hashes: hashes[:prefix], serials: serials[:kept]}
 	if prefix < n {
 		trims = planCuts(streams, base+uint64(prefix), trims)
 	}
@@ -474,13 +514,19 @@ func (st *walStream) scan(dir string, firsts []uint64, base uint64, trims *[]tri
 				ErrStateCorrupt, name, first, st.count)
 		}
 		path := filepath.Join(dir, name)
-		err := st.read(path, first, func(index uint64) error {
+		err := st.read(path, first, func(off int, index uint64) error {
 			if seen && index <= prev {
 				return fmt.Errorf("%w: stream %d global index %d not increasing (previous %d)",
 					ErrStateCorrupt, st.shard, index, prev)
 			}
 			prev, seen = index, true
 			if index >= base {
+				if n == 0 {
+					// Indices increase along the stream, so every record
+					// from here on is at or past the checkpoint: the later
+					// passes start here instead of re-walking cold records.
+					st.from = walPos{seg: len(st.segs), off: off, ord: st.count - 1}
+				}
 				n++
 			}
 			return nil
@@ -496,6 +542,9 @@ func (st *walStream) scan(dir string, firsts []uint64, base uint64, trims *[]tri
 		default:
 			return n, err
 		}
+	}
+	if n == 0 {
+		st.from = walPos{seg: len(st.segs)}
 	}
 	return n, nil
 }
@@ -612,9 +661,11 @@ func OpenDurableLog(signer crypto.Signer, dir string, cfg StoreConfig) (*Log, er
 	// recovery pass hashed into the rebuilt tree — out of the segment
 	// buffers, which the open then drops.
 	l.entries.reserve(rec.payloads)
-	for i, e := range rec.entries {
-		l.indexEntry(e, base+uint64(i))
-		l.entries.add(rec.payloads[i])
+	for _, p := range rec.payloads {
+		l.entries.add(p)
+	}
+	for _, sr := range rec.serials {
+		l.indexSerial(sr.typ, string(sr.serial), base+uint64(sr.slot))
 	}
 	size := rec.size()
 	sth := rec.sth

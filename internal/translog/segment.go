@@ -56,7 +56,15 @@ var errTornTail = errors.New("translog: torn record at segment tail")
 // segmentName renders the file name for the segment whose first entry
 // has the given tree index.
 func segmentName(first uint64) string {
-	return fmt.Sprintf("%s%020d%s", segmentPrefix, first, segmentSuffix)
+	return segmentPrefix + zeroPadded(first, 20) + segmentSuffix
+}
+
+// zeroPadded renders n in decimal, zero-padded to width digits. The
+// segment names use it rather than fmt, whose pooled printers make the
+// allocation count of naming a segment vary under the race detector.
+func zeroPadded(n uint64, width int) string {
+	s := strconv.FormatUint(n, 10)
+	return strings.Repeat("0", max(width-len(s), 0)) + s
 }
 
 // parseSegmentName extracts the first-entry index from a segment file
@@ -89,7 +97,7 @@ const maxShardSlots = 9999
 // shardSegmentName renders the file name for the sharded segment of the
 // given host slot whose first record is the stream-local ordinal first.
 func shardSegmentName(shard int, first uint64) string {
-	return fmt.Sprintf("%s%04d-%020d%s", shardSegmentPrefix, shard, first, segmentSuffix)
+	return shardSegmentPrefix + zeroPadded(uint64(shard), 4) + "-" + zeroPadded(first, 20) + segmentSuffix
 }
 
 // parseShardSegmentName extracts the host slot and stream-local first
@@ -253,6 +261,17 @@ type walStream struct {
 	segs  []walSeg
 	// count is the stream ordinal just past the last record read.
 	count uint64
+	// from is where each starts walking; the zero value is the first
+	// record read. Recovery moves it past the records below the
+	// checkpoint once their checksums are verified.
+	from walPos
+}
+
+// walPos locates a record in a walStream: its segment, its byte offset
+// in that segment, and its stream ordinal.
+type walPos struct {
+	seg, off int
+	ord      uint64
 }
 
 // walSeg is one segment of a walStream.
@@ -272,34 +291,41 @@ func (st *walStream) record(ord uint64, payload []byte) (uint64, []byte, error) 
 }
 
 // read loads and scans the stream's next segment, whose first record is
-// stream ordinal first, calling fn with the global index of each record.
-// The segment joins st.segs with its intact records even when the scan
-// stops at a torn tail (the error is then errTornTail).
-func (st *walStream) read(path string, first uint64, fn func(index uint64) error) error {
+// stream ordinal first, calling fn with the byte offset and global index
+// of each record. The segment joins st.segs with its intact records even
+// when the scan stops at a torn tail (the error is then errTornTail).
+func (st *walStream) read(path string, first uint64, fn func(off int, index uint64) error) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("translog: reading segment %s: %w", filepath.Base(path), err)
 	}
 	st.count = first
+	off := 0
 	clean, err := scanSegment(data, func(payload []byte) error {
 		index, _, err := st.record(st.count, payload)
 		if err != nil {
 			return err
 		}
+		at := off
+		off += recordHeaderLen + len(payload)
 		st.count++
-		return fn(index)
+		return fn(at, index)
 	})
 	st.segs = append(st.segs, walSeg{path: path, first: first, data: data[:clean]})
 	return err
 }
 
-// each walks the records read so far, oldest first, handing fn each
-// record's segment position, byte offset, global index and entry
-// encoding. It re-reads no file and re-checks no checksum.
+// each walks the records read so far from st.from on, oldest first,
+// handing fn each record's segment position, byte offset, global index
+// and entry encoding. It re-reads no file and re-checks no checksum.
 func (st *walStream) each(fn func(seg, off int, index uint64, entry []byte) error) error {
-	for i, sg := range st.segs {
-		ord := sg.first
-		for off := 0; off < len(sg.data); ord++ {
+	for i := st.from.seg; i < len(st.segs); i++ {
+		sg := st.segs[i]
+		off, ord := 0, sg.first
+		if i == st.from.seg && st.from.off > 0 {
+			off, ord = st.from.off, st.from.ord
+		}
+		for ; off < len(sg.data); ord++ {
 			end := off + recordHeaderLen + int(binary.BigEndian.Uint32(sg.data[off:off+4]))
 			index, entry, err := st.record(ord, sg.data[off+recordHeaderLen:end:end])
 			if err == nil {

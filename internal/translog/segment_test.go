@@ -139,7 +139,7 @@ func TestScanSegmentAllocsConstant(t *testing.T) {
 		}
 		return testing.AllocsPerRun(20, func() {
 			st := walStream{shard: 0}
-			if err := st.read(path, 0, func(uint64) error { return nil }); err != nil {
+			if err := st.read(path, 0, func(int, uint64) error { return nil }); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -150,5 +150,98 @@ func TestScanSegmentAllocsConstant(t *testing.T) {
 	}
 	if a, b := read(small), read(large); a != b {
 		t.Errorf("read: %v allocations for 16 records, %v for 4096", a, b)
+	}
+}
+
+// TestReplayAllocsConstant pins the lean suffix pass: replay validates
+// each record in place and hashes its leaf into a presized slot, so a
+// 16-entry and a 4096-entry suffix with no serials cost the same
+// allocations, in both layouts. What remains grows only with the number
+// of segments and of serial-carrying records.
+func TestReplayAllocsConstant(t *testing.T) {
+	entry := func(i int) []byte {
+		return Entry{Type: EntryAttestOK, Timestamp: int64(i), Actor: "fw", Host: "host-0", Detail: "OK"}.Marshal()
+	}
+	// store writes n records as one segment per stream and returns the
+	// directory and the stream firsts replay takes.
+	store := func(n, shards int) (string, [][]uint64) {
+		dir := t.TempDir()
+		streams := max(shards, 1)
+		segs := make([][]byte, streams)
+		for i := 0; i < n; i++ {
+			if shards == 0 {
+				segs[0] = appendRecord(segs[0], entry(i))
+			} else {
+				segs[i%shards] = appendIndexedRecord(segs[i%shards], uint64(i), entry(i))
+			}
+		}
+		firsts := make([][]uint64, streams)
+		for s, seg := range segs {
+			shard := s
+			if shards == 0 {
+				shard = -1
+			}
+			if err := os.WriteFile(filepath.Join(dir, streamSegmentName(shard, 0)), seg, 0o600); err != nil {
+				t.Fatal(err)
+			}
+			firsts[s] = []uint64{0}
+		}
+		return dir, firsts
+	}
+	allocs := func(n, shards int) float64 {
+		dir, firsts := store(n, shards)
+		return testing.AllocsPerRun(10, func() {
+			rec, _, _, err := replay(dir, shards, firsts, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rec.payloads) != n || len(rec.hashes) != n || len(rec.serials) != 0 {
+				t.Fatalf("replayed %d payloads, %d hashes, %d serials; want %d, %d, 0",
+					len(rec.payloads), len(rec.hashes), len(rec.serials), n, n)
+			}
+		})
+	}
+	for _, shards := range []int{0, 4} {
+		if a, b := allocs(16, shards), allocs(4096, shards); a != b {
+			t.Errorf("%d shards: %v allocations replaying 16 records, %v for 4096", shards, a, b)
+		}
+	}
+}
+
+// TestScanNotesSuffixStart pins that the checksum scan records where a
+// stream's records at or past the checkpoint begin, so the later passes
+// walk only those: for a checkpoint before, inside and after the
+// records of a two-segment stream, each yields exactly the suffix.
+func TestScanNotesSuffixStart(t *testing.T) {
+	dir := t.TempDir()
+	var firsts []uint64
+	for first := uint64(0); first < 100; first += 50 {
+		var seg []byte
+		for i := first; i < first+50; i++ {
+			seg = appendIndexedRecord(seg, 3*i, testEntry(int(i)).Marshal())
+		}
+		if err := os.WriteFile(filepath.Join(dir, shardSegmentName(0, first)), seg, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		firsts = append(firsts, first)
+	}
+	for _, base := range []uint64{0, 1, 74, 150, 151, 297, 298} {
+		st := walStream{shard: 0}
+		n, err := st.scan(dir, firsts, base, new([]trimOp))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []uint64
+		if err := st.each(func(_, _ int, index uint64, _ []byte) error {
+			got = append(got, index)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		want := 100 - (base+2)/3 // indices 0, 3, …, 297 at or past base
+		if len(got) != n || uint64(n) != want || (n > 0 && got[0] < base) {
+			t.Fatalf("base %d: scan counted %d, each walked %d starting at %v; want %d from the first index ≥ base",
+				base, n, len(got), got[:min(1, len(got))], want)
+		}
 	}
 }

@@ -886,3 +886,87 @@ func TestShardedFlushCloseStress(t *testing.T) {
 		re.Close()
 	}
 }
+
+// TestSerialIndexGlobalOrderAcrossStreams pins that recovery rebuilds
+// the serial index in global order, not stream by stream: each serial's
+// issuance entries sit in different host streams, the later one in a
+// lower-numbered stream, so indexing stream by stream would let the
+// older issuance win. Serial 8001 is enrolled and then re-provisioned;
+// serial 8002 is enrolled, provisioned and revoked across three
+// streams. After a reopen — with no checkpoint, with the entries in the
+// suffix past one, and with a checkpoint covering them — ProveSerial
+// must name the same index as before close, and the revocation must
+// still refuse.
+func TestSerialIndexGlobalOrderAcrossStreams(t *testing.T) {
+	const shards = 3
+	host := func(s int) string { return hostForShard(t, shards, s) }
+	filler := []Entry{
+		{Type: EntryAttestOK, Timestamp: 1, Actor: host(0), Host: host(0), Detail: "OK"},
+		{Type: EntryAttestOK, Timestamp: 2, Actor: host(1), Host: host(1), Detail: "OK"},
+		{Type: EntryAttestOK, Timestamp: 3, Actor: host(2), Host: host(2), Detail: "OK"},
+	}
+	serials := []Entry{
+		{Type: EntryEnroll, Timestamp: 10, Actor: "fw-a", Host: host(2), Serial: "8001"},
+		{Type: EntryProvision, Timestamp: 11, Actor: "fw-a", Host: host(0), Serial: "8001"},
+		{Type: EntryEnroll, Timestamp: 12, Actor: "fw-b", Host: host(2), Serial: "8002"},
+		{Type: EntryProvision, Timestamp: 13, Actor: "fw-b", Host: host(1), Serial: "8002"},
+		{Type: EntryRevoke, Timestamp: 14, Actor: "fw-b", Host: host(0), Serial: "8002"},
+	}
+	for _, mode := range []string{"no-checkpoint", "suffix", "checkpointed"} {
+		t.Run(mode, func(t *testing.T) {
+			key := testSigner(t)
+			dir := t.TempDir()
+			cfg := checkpointedConfig(shards)
+			l, err := OpenDurableLog(key, dir, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			appendAll(t, l, filler)
+			if mode == "suffix" {
+				if err := l.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			appendAll(t, l, serials)
+			if mode == "checkpointed" {
+				if err := l.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// The provision of 8001 (global index 4) supersedes its enroll
+			// at 3; 8002's latest issuance is its provision at 6.
+			check := func(t *testing.T, log *Log) {
+				t.Helper()
+				pb, err := log.ProveSerial("8001")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if pb.Index != 4 || pb.Entry.Type != EntryProvision {
+					t.Fatalf("serial 8001 proved at index %d (%v), want the provision at 4", pb.Index, pb.Entry.Type)
+				}
+				if err := pb.Verify(&key.PublicKey); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := log.ProveSerial("8002"); !errors.Is(err, ErrLogRevoked) {
+					t.Fatalf("revoked serial 8002: got %v, want ErrLogRevoked", err)
+				}
+				log.mu.RLock()
+				idx := log.issuance["8002"]
+				log.mu.RUnlock()
+				if idx != 6 {
+					t.Fatalf("serial 8002 indexed at %d, want its provision at 6", idx)
+				}
+			}
+			check(t, l)
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			re, err := OpenDurableLog(key, dir, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			check(t, re)
+		})
+	}
+}

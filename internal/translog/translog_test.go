@@ -5,11 +5,14 @@ import (
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/rand"
+	"crypto/sha256"
 	"crypto/x509"
 	"errors"
 	"fmt"
 	"io"
 	"math/big"
+	"math/bits"
+	mrand "math/rand"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -90,7 +93,7 @@ func TestInclusionProofsExhaustive(t *testing.T) {
 	var leaves []Hash
 	for i := 0; i < 65; i++ {
 		leaves = append(leaves, LeafHash(testEntry(i).Marshal()))
-		tr.append(leaves[i])
+		tr.append(leaves[i:i+1], 1)
 		n := uint64(i + 1)
 		root, err := tr.rootAt(n)
 		if err != nil {
@@ -124,7 +127,7 @@ func TestConsistencyProofsExhaustive(t *testing.T) {
 	var roots []Hash
 	roots = append(roots, emptyRoot())
 	for i := 0; i < 65; i++ {
-		tr.append(LeafHash(testEntry(i).Marshal()))
+		tr.append([]Hash{LeafHash(testEntry(i).Marshal())}, 1)
 		root, err := tr.rootAt(uint64(i + 1))
 		if err != nil {
 			t.Fatal(err)
@@ -153,9 +156,111 @@ func TestConsistencyProofsExhaustive(t *testing.T) {
 	}
 }
 
+// rfc6962Root is MTH(D[n]) computed straight from RFC 6962 §2.1's
+// recursion over leaf hashes — the reference the level-array tree must
+// reproduce. memo caches complete power-of-two ranges by (start, size)
+// so computing the root at every size of a long run stays cheap.
+func rfc6962Root(leaves []Hash, lo int, memo map[[2]int]Hash) Hash {
+	n := len(leaves)
+	switch {
+	case n == 0:
+		return sha256.Sum256(nil)
+	case n == 1:
+		return leaves[0]
+	}
+	perfect := n&(n-1) == 0
+	if h, ok := memo[[2]int{lo, n}]; ok && perfect {
+		return h
+	}
+	k := 1
+	for 2*k < n {
+		k *= 2
+	}
+	l, r := rfc6962Root(leaves[:k], lo, memo), rfc6962Root(leaves[k:], lo+k, memo)
+	h := sha256.Sum256(append(append([]byte{0x01}, l[:]...), r[:]...))
+	if perfect {
+		memo[[2]int{lo, n}] = h
+	}
+	return h
+}
+
+// TestTreeAppendMatchesRFC6962 drives the tree's one append over random
+// batch splits — single leaves through batches big enough to fan a
+// level across workers — on full trees and on suffix trees opened over
+// a frozen checkpoint prefix, comparing the root at every size with the
+// reference hash. After each bulk append it truncates back and checks
+// the earlier roots are restored exactly, then re-appends.
+func TestTreeAppendMatchesRFC6962(t *testing.T) {
+	rng := mrand.New(mrand.NewSource(6962))
+	leaves := make([]Hash, 3000)
+	for i := range leaves {
+		leaves[i] = LeafHash([]byte(fmt.Sprint("leaf-", i)))
+	}
+	memo := make(map[[2]int]Hash)
+	refRoots := make([]Hash, len(leaves)+1)
+	for n := range refRoots {
+		refRoots[n] = rfc6962Root(leaves[:n], 0, memo)
+	}
+	checkRoots := func(t *testing.T, tr *tree, lo, hi uint64) {
+		t.Helper()
+		if got := tr.size(); got != hi {
+			t.Fatalf("size %d, want %d", got, hi)
+		}
+		for n := lo; n <= hi; n++ {
+			root, err := tr.rootAt(n)
+			if err != nil {
+				t.Fatalf("rootAt(%d): %v", n, err)
+			}
+			if root != refRoots[n] {
+				t.Fatalf("root at size %d differs from the RFC 6962 hash", n)
+			}
+		}
+	}
+	for _, frozen := range []uint64{0, 1, 5, 64, 77} {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("frozen=%d/workers=%d", frozen, workers), func(t *testing.T) {
+				tr := newTree()
+				if frozen > 0 {
+					var blocks []Hash
+					for lo, rem := uint64(0), frozen; rem > 0; {
+						b := uint64(1) << (bits.Len64(rem) - 1)
+						blocks = append(blocks, rfc6962Root(leaves[lo:lo+b], int(lo), memo))
+						lo, rem = lo+b, rem-b
+					}
+					tr = newTreeFromFrozen(frozen, blocks)
+				}
+				checkRoots(t, tr, frozen, frozen)
+				size := frozen
+				for batch := 0; size < uint64(len(leaves)); batch++ {
+					n := uint64(1 + rng.Intn(40))
+					switch {
+					case batch == 2:
+						n = uint64(2100 + rng.Intn(400)) // fans level 1 across workers
+					case rng.Intn(8) == 0:
+						n = uint64(200 + rng.Intn(400))
+					}
+					n = min(n, uint64(len(leaves))-size)
+					if got := tr.append(leaves[size:size+n], workers); got != size+n {
+						t.Fatalf("append returned size %d, want %d", got, size+n)
+					}
+					checkRoots(t, tr, size, size+n)
+					// Roll the bulk append back, partly or wholly, and
+					// re-append it.
+					back := size + uint64(rng.Int63n(int64(n)+1))
+					tr.truncate(back)
+					checkRoots(t, tr, max(frozen, back-min(back, 8)), back)
+					tr.append(leaves[back:size+n], workers)
+					checkRoots(t, tr, back, size+n)
+					size += n
+				}
+			})
+		}
+	}
+}
+
 func TestVerifyConsistencyEmptyPrefix(t *testing.T) {
 	tr := newTree()
-	tr.append(LeafHash([]byte("a")), LeafHash([]byte("b")))
+	tr.append([]Hash{LeafHash([]byte("a")), LeafHash([]byte("b"))}, 1)
 	root, _ := tr.rootAt(2)
 	if err := VerifyConsistency(0, 2, emptyRoot(), root, nil); err != nil {
 		t.Fatalf("empty prefix: %v", err)
