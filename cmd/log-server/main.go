@@ -58,10 +58,10 @@ func main() {
 	gossipAddr := flag.String("gossip-addr", "127.0.0.1:0", "gossip listen address (monitor mode)")
 	peers := flag.String("peers", "", "comma-separated peer witness gossip URLs (monitor mode; default: discover via state dir)")
 	seal := flag.Bool("seal", false, "anchor the served log's tree head in an enclave-sealed monotonic counter (serve mode)")
-	shards := flag.Int("shards", 0, "per-host WAL shard count for the served log (serve mode; >1 splits the WAL into per-host segment streams; fixed at store creation)")
+	shards := flag.Int("shards", 0, "per-host WAL shard count for the served log (serve mode; >1 splits the WAL into per-host segment streams; 0 or 1 keeps one stream; fixed at store creation)")
 	checkpointEvery := flag.Uint64("checkpoint-every", 0, "write an anchor-verified recovery checkpoint (and compact cold WAL segments into archives) every N committed entries (serve mode; 0 disables)")
 	quorum := flag.Int("quorum", 0, "per-shard witness quorum Q (serve mode; >0 partitions the witness audit plane and serves quorum co-signed heads; requires -witnesses)")
-	witnessShards := flag.Int("witness-shards", 0, "audit-plane shard stream count (serve mode; default: the store shard count, or 1 for an unsharded store; must match the store shard count when both are set)")
+	witnessShards := flag.Int("witness-shards", 0, "audit-plane shard stream count (serve mode; 0 takes the store shard count, 1 for a one-stream store; must match the store shard count when the store has more than one stream)")
 	witnessNames := flag.String("witnesses", "", "comma-separated witness names forming the co-signing roster (serve mode with -quorum; startup waits for each to publish its key)")
 	nvFile := flag.String("sgx-nv", "sgx-nv-log-server.json", "platform NV file for -seal (models fuses+flash; keep it OUTSIDE the state dir)")
 	wait := flag.Duration("wait", 30*time.Second, "how long to wait for shared material")
@@ -173,7 +173,7 @@ func runServe(dir *statedir.Dir, addr string, seal bool, nvFile string, shards i
 		}
 		streamShards := witnessShards
 		if streamShards == 0 {
-			streamShards = max(l.StoreShards(), 1)
+			streamShards = l.StoreShards()
 		}
 		if err := l.EnableShardStreams(streamShards); err != nil {
 			log.Fatal(err)

@@ -273,7 +273,7 @@ func main() {
 	//    sharded appender — each host its own buffer and WAL stream, the
 	//    merging sequencer committing one tree head per cycle — and
 	//    recovery interleaves the streams back into the exact global
-	//    history a single-stream log would hold.
+	//    history an in-memory log would hold.
 	fmt.Println()
 	fmt.Println("--- per-host shards: one merged tree head for a fleet of hosts ---")
 	runShardedAct(d.VM.CA().Signer(), logKey)
@@ -604,8 +604,8 @@ func runSealedAct(signer crypto.Signer, logKey *ecdsa.PublicKey) {
 // with their global index), while the merging sequencer commits every
 // cycle as ONE Merkle batch — one tree-head signature and one anchor
 // bump no matter how many hosts were ready. A restart then interleaves
-// the streams back into the global order, reproducing the exact root a
-// single-stream log over the same entries computes; deleting one host's
+// the streams back into the global order, reproducing the exact root an
+// in-memory log over the same entries computes; deleting one host's
 // newest stream segment is still refused as a rollback of the whole log.
 func runShardedAct(signer crypto.Signer, logKey *ecdsa.PublicKey) {
 	dir, err := os.MkdirTemp("", "vnfguard-sharded-log-")
@@ -643,7 +643,7 @@ func runShardedAct(signer crypto.Signer, logKey *ecdsa.PublicKey) {
 	fmt.Printf("%d hosts × %d verdicts appended concurrently: %d entries across %d per-host stream files, one signed head (size %d)\n",
 		hosts, perHost, len(entries), len(streams), grown.Size)
 
-	// Restart: the interleaved replay reproduces the exact single-stream
+	// Restart: the interleaved replay reproduces the exact global
 	// history — same root a plain log computes over the same sequence.
 	re, err := translog.OpenDurableLog(signer, dir, cfg)
 	check(err)
@@ -656,10 +656,10 @@ func runShardedAct(signer crypto.Signer, logKey *ecdsa.PublicKey) {
 	refRoot, err := ref.RootAt(uint64(len(entries)))
 	check(err)
 	if reRoot != root || reRoot != refRoot {
-		log.Fatal("interleaved recovery diverged from the single-stream history")
+		log.Fatal("interleaved recovery diverged from the in-memory history")
 	}
 	check(re.Close())
-	fmt.Printf("restart interleaved %d streams back into the global order: root identical to a single-stream log ✓\n", len(streams))
+	fmt.Printf("restart interleaved %d streams back into the global order: root identical to an in-memory log ✓\n", len(streams))
 
 	// Per-host history is still globally protected: rewinding ONE host's
 	// stream refuses the whole log at open.
@@ -668,7 +668,7 @@ func runShardedAct(signer crypto.Signer, logKey *ecdsa.PublicKey) {
 	if _, err := translog.OpenDurableLog(signer, dir, cfg); errors.Is(err, translog.ErrStateRollback) {
 		fmt.Printf("one host's stream rewound: open refused ✓ (%v)\n", err)
 	} else {
-		log.Fatalf("single-stream rewind not convicted: %v", err)
+		log.Fatalf("one-stream rewind not convicted: %v", err)
 	}
 }
 

@@ -3,12 +3,17 @@ package ra
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 
 	"vnfguard/internal/epid"
 )
 
-// Message framing errors.
-var ErrTruncated = errors.New("ra: truncated message")
+// Decode refusals. Every DecodeMsg1–DecodeMsg4 error wraps ErrMalformed;
+// ErrTruncated narrows it to an encoding that ends inside a field.
+var (
+	ErrMalformed = errors.New("ra: malformed message")
+	ErrTruncated = fmt.Errorf("%w: truncated", ErrMalformed)
+)
 
 // Msg1 opens the exchange: the attester's ephemeral ECDH public key and
 // its platform's EPID group.
@@ -38,7 +43,7 @@ func DecodeMsg1(b []byte) (*Msg1, error) {
 		return nil, err
 	}
 	if len(b) != 0 {
-		return nil, errors.New("ra: trailing bytes in msg1")
+		return nil, fmt.Errorf("%w: %d trailing bytes in msg1", ErrMalformed, len(b))
 	}
 	return m, nil
 }
@@ -113,10 +118,16 @@ func DecodeMsg2(b []byte) (*Msg2, error) {
 		return nil, ErrTruncated
 	}
 	copy(m.MAC[:], b[:32])
-	count := binary.BigEndian.Uint32(b[32:36])
+	// The SigRL count comes from an unauthenticated peer: it is checked
+	// against the bytes that remain, in 64 bits so count*32 cannot wrap,
+	// before anything is allocated for it.
+	count := uint64(binary.BigEndian.Uint32(b[32:36]))
 	b = b[36:]
-	if uint32(len(b)) != count*32 {
+	if uint64(len(b)) < count*32 {
 		return nil, ErrTruncated
+	}
+	if uint64(len(b)) != count*32 {
+		return nil, fmt.Errorf("%w: %d trailing bytes in msg2", ErrMalformed, uint64(len(b))-count*32)
 	}
 	m.SigRL = make([][32]byte, count)
 	for i := range m.SigRL {
@@ -164,7 +175,7 @@ func DecodeMsg3(b []byte) (*Msg3, error) {
 		return nil, err
 	}
 	if len(b) != 0 {
-		return nil, errors.New("ra: trailing bytes in msg3")
+		return nil, fmt.Errorf("%w: %d trailing bytes in msg3", ErrMalformed, len(b))
 	}
 	return m, nil
 }
@@ -207,14 +218,20 @@ func DecodeMsg4(b []byte) (*Msg4, error) {
 	if len(b) < 1 {
 		return nil, ErrTruncated
 	}
+	if b[0] > 1 {
+		return nil, fmt.Errorf("%w: msg4 trust flag %d", ErrMalformed, b[0])
+	}
 	m := &Msg4{Trusted: b[0] == 1}
 	status, b, err := readBytes(b[1:])
 	if err != nil {
 		return nil, err
 	}
 	m.Status = string(status)
-	if len(b) != 32 {
+	if len(b) < 32 {
 		return nil, ErrTruncated
+	}
+	if len(b) > 32 {
+		return nil, fmt.Errorf("%w: %d trailing bytes in msg4", ErrMalformed, len(b)-32)
 	}
 	copy(m.MAC[:], b)
 	return m, nil
@@ -233,7 +250,7 @@ func readBytes(b []byte) (val, rest []byte, err error) {
 	}
 	n := binary.BigEndian.Uint32(b[:4])
 	b = b[4:]
-	if uint32(len(b)) < n {
+	if uint64(len(b)) < uint64(n) {
 		return nil, nil, ErrTruncated
 	}
 	return append([]byte(nil), b[:n]...), b[n:], nil

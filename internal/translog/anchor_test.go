@@ -304,7 +304,7 @@ func TestSingleShardAmnesiaRewind(t *testing.T) {
 		}
 		// Shard 0 segments created after the snapshot vanish in the
 		// rewind.
-		_, shardFirsts, err := listAllSegments(dir)
+		shardFirsts, err := listStreams(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -769,7 +769,7 @@ func TestHeadlessTornStoreRefused(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, sthFileName)); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(filepath.Join(dir, segmentName(0)), 3); err != nil {
+	if err := os.Truncate(filepath.Join(dir, shardSegmentName(0, 0)), 3); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := OpenDurableLog(key, dir, StoreConfig{}); !errors.Is(err, ErrStateTampered) {

@@ -21,7 +21,7 @@ import (
 // A checkpoint persists, for one already-committed tree head: the
 // frozen subtree roots of the head size's binary decomposition (≤64
 // hashes, whatever the log size), the signed tree head itself, the
-// per-stream record counts of a sharded layout, and a snapshot of the
+// per-stream WAL record counts, and a snapshot of the
 // serial indexes (issuance map + revoked set) derived from the cold
 // entries. Recovery seeds a suffix tree from the blocks, replays only
 // records at or past the checkpoint, and hands the trust-anchor chain a
@@ -53,9 +53,9 @@ type checkpoint struct {
 	size   uint64
 	sth    SignedTreeHead
 	blocks []Hash
-	// streamCounts is the per-stream record count at the checkpoint for
-	// a sharded layout (nil for the single stream): how many of each
-	// stream's records are cold.
+	// streamCounts is each WAL stream's record count at the checkpoint:
+	// how many of its records are cold. A checkpoint without them was
+	// written by the retired single-stream layout (ErrLegacyLayout).
 	streamCounts []uint64
 	issuance     map[string]uint64
 	revoked      map[string]bool

@@ -16,7 +16,7 @@ import (
 // taxonomy, never silently ignored.
 //
 // The input script: byte 0 picks the entry count (20..275), byte 1 the
-// layout (single-stream or 2..4 shard streams), byte 2 where in the
+// stream count (0 — one stream — or 2..4), byte 2 where in the
 // sequence the checkpoint lands, byte 3 the post-close scenario —
 // nothing, stray rename-discipline temp files, a torn frame on a stream
 // tail, a second checkpoint generation, a rolled-back head (must refuse
@@ -91,24 +91,7 @@ func FuzzCheckpointedRecovery(f *testing.F) {
 		case 2:
 			// Crash mid-append: a torn frame on a stream tail past the
 			// committed head must be trimmed, not refused.
-			raw := []byte{0x00, 0x00, 0x00, 0x7F, 0xAA}
-			if shards > 0 {
-				appendToStreamTail(t, dir, 0, raw)
-			} else {
-				firsts, err := listSegments(dir)
-				if err != nil || len(firsts) == 0 {
-					t.Fatalf("no segments: %v", err)
-				}
-				path := filepath.Join(dir, segmentName(firsts[len(firsts)-1]))
-				fh, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o600)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := fh.Write(raw); err != nil {
-					t.Fatal(err)
-				}
-				fh.Close()
-			}
+			appendToStreamTail(t, dir, 0, []byte{0x00, 0x00, 0x00, 0x7F, 0xAA})
 		case 4:
 			if err := os.WriteFile(filepath.Join(dir, sthFileName), oldSTH, 0o600); err != nil {
 				t.Fatal(err)

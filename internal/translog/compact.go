@@ -172,12 +172,12 @@ func readArchive(dir string, first uint64, count int) ([][]byte, error) {
 // A torn record only ends its segment here: the live tail may be
 // mid-append.
 func coldWALRecords(dir string, lo, hi uint64, tailSafe bool) (run [][]byte, removable map[string]uint64, err error) {
-	firsts, shardFirsts, err := listAllSegments(dir)
+	shardFirsts, err := listStreams(dir)
 	if err != nil {
 		return nil, nil, err
 	}
-	streams := []walStream{{shard: -1}}
-	streamFirsts := [][]uint64{firsts}
+	var streams []walStream
+	var streamFirsts [][]uint64
 	for _, shard := range slices.Sorted(maps.Keys(shardFirsts)) {
 		streams = append(streams, walStream{shard: shard})
 		streamFirsts = append(streamFirsts, shardFirsts[shard])
@@ -187,10 +187,7 @@ func coldWALRecords(dir string, lo, hi uint64, tailSafe bool) (run [][]byte, rem
 	for s := range streams {
 		st := &streams[s]
 		for i, first := range streamFirsts[s] {
-			if st.shard < 0 && first >= hi {
-				break
-			}
-			path := filepath.Join(dir, streamSegmentName(st.shard, first))
+			path := filepath.Join(dir, shardSegmentName(st.shard, first))
 			top, all, some := uint64(0), true, false
 			err := st.read(path, first, func(_ int, index uint64) error {
 				top, some = max(top, index), true

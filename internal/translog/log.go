@@ -184,9 +184,6 @@ type Log struct {
 	issuance map[string]uint64
 	// revoked marks serials with an EntryRevoke in the log.
 	revoked map[string]bool
-	// shardScratch is the reusable host→shard routing buffer for sharded
-	// stores, guarded by mu like every commit-path structure.
-	shardScratch []int
 	// shardStreams/shardIdx, when enabled (EnableShardStreams), maintain
 	// the per-shard view of the committed sequence: shardIdx[s] lists the
 	// global indices of shard s's entries in commit order — what the
@@ -329,26 +326,15 @@ func (l *Log) appendPrepared(batch []Entry, payloads [][]byte, hashes []Hash, tr
 		tr.TreeHash, tr.Sign = merkle, sign
 	}
 	if l.store != nil {
-		// A sharded store routes each record to its host's segment
-		// stream; the global index travels inside the record, assigned
-		// here under the same lock that orders the commits. The scratch
-		// is protected by that lock too.
-		var shardIdx []int
-		if n := l.store.shardCount(); n > 1 {
-			if cap(l.shardScratch) < len(batch) {
-				l.shardScratch = make([]int, len(batch))
-			}
-			shardIdx = l.shardScratch[:len(batch)]
-			for i, e := range batch {
-				shardIdx[i] = ShardOf(e.Host, n)
-			}
-		}
 		// Durability before visibility: the batch's records hit disk
 		// (fsynced) and the new head is atomically persisted before any
 		// reader can obtain a proof against it. A failed persist rolls
 		// the in-memory state back and latches the store failed, so the
-		// log never acknowledges an entry the disk may not hold.
-		if err := l.store.appendBatch(payloads, shardIdx, sth, tr); err != nil {
+		// log never acknowledges an entry the disk may not hold. The
+		// store routes each record to its host's segment stream; the
+		// global index travels inside the record, assigned here under the
+		// same lock that orders the commits.
+		if err := l.store.appendBatch(batch, payloads, sth, tr); err != nil {
 			rollback()
 			return 0, err
 		}
@@ -518,7 +504,7 @@ func (l *Log) Durable() bool { return l.store != nil }
 
 // StoreShards reports the durable store's per-host stream count — the
 // count pinned at store creation, whatever StoreConfig.Shards said at
-// this open. Zero for in-memory and single-stream logs.
+// this open. At least one for a durable log; zero for an in-memory one.
 func (l *Log) StoreShards() int {
 	if l.store == nil {
 		return 0

@@ -125,7 +125,7 @@ func TestMergeEdgeCases(t *testing.T) {
 		{"stream compaction emptied", compacted, nil, 50, emptied},
 		{"stream compaction emptied, tail segment gone", func(t *testing.T, dir string, key *ecdsa.PrivateKey) StoreConfig {
 			cfg := compacted(t, dir, key)
-			_, shardFirsts, err := listAllSegments(dir)
+			shardFirsts, err := listStreams(dir)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -25,19 +25,18 @@ import (
 // snapshot (rollback) or edited in place (tamper) is refused loudly by
 // whichever anchor still remembers the newer history.
 //
-// Both layouts replay as segment streams: the single stream, whose
-// record index is its ordinal, or one stream per host slot of a sharded
-// store, whose records carry their global index. Each stream gets the
-// same refusals — torn tails may only be at a stream's own end, interior
-// damage is corruption — and every record is checksummed, cold ones
-// below a checkpoint included. The scan is zero-copy: payloads are
+// The store replays as one segment stream per host slot, whose records
+// carry their global index. Each stream gets the same refusals — torn
+// tails may only be at a stream's own end, interior damage is
+// corruption — and every record is checksummed, cold ones below a
+// checkpoint included. The scan is zero-copy: payloads are
 // sub-slices of the segment buffers until the Log's entry arena copies
 // the suffix in. The streams are then merged by placement rather than
 // sorted: the scan counts the n records at or past the checkpoint, and
 // each lands in the slot its global index names, so the merge is O(n).
 // A record at or past checkpoint+n cannot be part of the contiguous
 // prefix and goes to a small overflow set that only duplicate detection
-// reads; a global index seen twice is corruption. For the sharded layout
+// reads; a global index seen twice is corruption. With several streams
 // the crash window widens in one understood way: a crash mid-cycle can
 // land some streams' records and not others', so the records beyond the
 // persisted head may have index gaps. Recovery keeps the longest
@@ -80,11 +79,8 @@ type recovered struct {
 	// caller must sign a fresh head over the full recovered tree.
 	sth      SignedTreeHead
 	sthStale bool
-	// shards is the layout found on disk (or configured for a fresh
-	// store): 0 for the single stream, else the per-host stream count.
-	shards int
-	// tails describes where appends resume: one entry for the single
-	// layout, shards entries otherwise.
+	// tails describes where appends resume, one entry per host-slot
+	// stream: the pinned count, or the configured one for a fresh store.
 	tails []streamTail
 	// ckpt is the verified checkpoint the replay was based from (nil for
 	// a full replay). With a checkpoint, payloads/hashes hold only the
@@ -170,23 +166,19 @@ func applyTrims(dir string, trims []trimOp, noSync bool) error {
 	return nil
 }
 
-// recoverDir replays the store directory — whichever layout it holds —
-// and verifies it against the trust-anchor chain (the built-in sthAnchor
-// first, then any extras).
+// recoverDir replays the store directory and verifies it against the
+// trust-anchor chain (the built-in sthAnchor first, then any extras).
 func recoverDir(dir string, cfg StoreConfig, sthAnchor *sthAnchor, extra []TrustAnchor) (*recovered, error) {
 	recoverStart := time.Now()
 	if cfg.Shards > maxShardSlots {
 		//lint:allow errtaxonomy config validation rejecting the open request, not a classification of on-disk state
 		return nil, fmt.Errorf("translog: %d shards exceeds the %d-slot segment naming limit", cfg.Shards, maxShardSlots)
 	}
-	firsts, shardFirsts, err := listAllSegments(dir)
+	shardFirsts, err := listStreams(dir)
 	if err != nil {
 		return nil, err
 	}
-	if len(firsts) > 0 && len(shardFirsts) > 0 {
-		return nil, fmt.Errorf("%w: store holds both single-stream and sharded segments", ErrStateCorrupt)
-	}
-	metaShards, haveMeta, err := loadShardCount(dir)
+	shards, haveMeta, err := loadShardCount(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -200,57 +192,32 @@ func recoverDir(dir string, cfg StoreConfig, sthAnchor *sthAnchor, extra []Trust
 	if err != nil {
 		return nil, err
 	}
-	// Either layout replays as a set of streams: the single stream, or
-	// one per host slot of a sharded store.
-	shards := 0
-	streamFirsts := [][]uint64{firsts}
-	switch {
-	case haveMeta:
-		// The pinned count from store creation wins over whatever
-		// cfg.Shards says today: the layout — and the host→stream
-		// routing — is fixed for the store's lifetime.
-		if len(firsts) > 0 {
-			return nil, fmt.Errorf("%w: single-stream segments in a store pinned to %d shards", ErrStateCorrupt, metaShards)
-		}
-		if ckpt != nil && len(ckpt.streamCounts) != metaShards {
-			return nil, fmt.Errorf("%w: checkpoint covers %d segment streams in a store pinned to %d shards",
-				ErrStateCorrupt, len(ckpt.streamCounts), metaShards)
-		}
-		shards = metaShards
-	case len(shardFirsts) > 0 || (len(firsts) == 0 && cfg.Shards > 1 && ckpt == nil):
-		nShards := cfg.Shards
-		if nShards <= 1 {
-			nShards = 2 // layout is sharded regardless of what cfg says now
-		}
+	if ckpt != nil && len(ckpt.streamCounts) == 0 {
+		return nil, fmt.Errorf("%w: checkpoint without per-stream record counts", ErrLegacyLayout)
+	}
+	// The pinned count from store creation wins over whatever cfg.Shards
+	// says today: the host→stream routing is fixed for the store's
+	// lifetime. Without a pin (a store being created), the count is the
+	// configured one, widened to cover any stream already on disk.
+	if !haveMeta {
+		shards = max(cfg.Shards, 1)
 		for shard := range shardFirsts {
-			if shard >= nShards {
-				nShards = shard + 1
-			}
-		}
-		if ckpt != nil && len(ckpt.streamCounts) != nShards {
-			return nil, fmt.Errorf("%w: checkpoint covers %d segment streams but the store holds %d",
-				ErrStateCorrupt, len(ckpt.streamCounts), nShards)
-		}
-		shards = nShards
-	default:
-		if ckpt != nil && len(ckpt.streamCounts) != 0 {
-			return nil, fmt.Errorf("%w: sharded checkpoint (%d streams) in a single-stream store",
-				ErrStateCorrupt, len(ckpt.streamCounts))
+			shards = max(shards, shard+1)
 		}
 	}
-	if shards > 0 {
-		for shard := range shardFirsts {
-			if shard >= shards {
-				return nil, fmt.Errorf("%w: segment stream %d in a store with %d shard slots",
-					ErrStateCorrupt, shard, shards)
-			}
-		}
-		streamFirsts = make([][]uint64, shards)
-		for shard, fs := range shardFirsts {
-			streamFirsts[shard] = fs
-		}
+	if ckpt != nil && len(ckpt.streamCounts) != shards {
+		return nil, fmt.Errorf("%w: checkpoint covers %d segment streams in a store with %d",
+			ErrStateCorrupt, len(ckpt.streamCounts), shards)
 	}
-	rec, trims, segments, err := replay(dir, shards, streamFirsts, ckpt)
+	streamFirsts := make([][]uint64, shards)
+	for shard, fs := range shardFirsts {
+		if shard >= shards {
+			return nil, fmt.Errorf("%w: segment stream %d in a store with %d shard slots",
+				ErrStateCorrupt, shard, shards)
+		}
+		streamFirsts[shard] = fs
+	}
+	rec, trims, segments, err := replay(dir, streamFirsts, ckpt)
 	if err != nil {
 		return nil, err
 	}
@@ -284,12 +251,12 @@ func recoverDir(dir string, cfg StoreConfig, sthAnchor *sthAnchor, extra []Trust
 		}
 	}
 	// Physical mutations only after every anchor accepted: trim the torn
-	// material, and pin a freshly created sharded layout's stream count.
+	// material, and pin a freshly created store's stream count.
 	if err := applyTrims(dir, trims, cfg.NoSync); err != nil {
 		return nil, err
 	}
-	if rec.shards > 0 && !haveMeta {
-		if err := saveShardCount(dir, rec.shards, cfg.NoSync); err != nil {
+	if !haveMeta {
+		if err := saveShardCount(dir, shards, cfg.NoSync); err != nil {
 			return nil, err
 		}
 	}
@@ -372,9 +339,8 @@ func (m *merge) run() int {
 	return n
 }
 
-// replay reads every segment stream of the store — firsts[0] for the
-// single-stream layout (shards == 0), firsts[s] for host slot s of a
-// sharded one — and merges the records at or past the checkpoint into
+// replay reads every segment stream of the store — firsts[s] for host
+// slot s — and merges the records at or past the checkpoint into
 // global order. With a checkpoint, records below it are checked but not
 // decoded (the frozen subtree roots summarize them), and compaction may
 // already have removed a stream's oldest segments, so a stream may
@@ -387,16 +353,12 @@ func (m *merge) run() int {
 // in its global slot and hashes its leaf there. The third, only when
 // the merge left records beyond the contiguous prefix, plans the trims
 // that cut them.
-func replay(dir string, shards int, firsts [][]uint64, ckpt *checkpoint) (*recovered, []trimOp, int, error) {
+func replay(dir string, firsts [][]uint64, ckpt *checkpoint) (*recovered, []trimOp, int, error) {
 	base := uint64(0)
 	cold := make([]uint64, len(firsts)) // per-stream records below the checkpoint
 	if ckpt != nil {
 		base = ckpt.size
-		if shards == 0 {
-			cold[0] = base
-		} else {
-			copy(cold, ckpt.streamCounts)
-		}
+		copy(cold, ckpt.streamCounts)
 	}
 	streams := make([]walStream, len(firsts))
 	var trims []trimOp
@@ -409,9 +371,6 @@ func replay(dir string, shards int, firsts [][]uint64, ckpt *checkpoint) (*recov
 	for s := range streams {
 		st := &streams[s]
 		st.shard, st.count = s, cold[s]
-		if shards == 0 {
-			st.shard = -1
-		}
 		segments += len(firsts[s])
 		suffix, err := st.scan(dir, firsts[s], base, &trims)
 		n += suffix
@@ -467,7 +426,7 @@ func replay(dir string, shards int, firsts [][]uint64, ckpt *checkpoint) (*recov
 	// the records in global order, exactly as the commits indexed them.
 	slices.SortFunc(serials, func(a, b serialRecord) int { return cmp.Compare(a.slot, b.slot) })
 	kept, _ := slices.BinarySearchFunc(serials, prefix, func(r serialRecord, p int) int { return cmp.Compare(r.slot, p) })
-	rec := &recovered{shards: shards, ckpt: ckpt, payloads: m.payloads[:prefix],
+	rec := &recovered{ckpt: ckpt, payloads: m.payloads[:prefix],
 		hashes: hashes[:prefix], serials: serials[:kept]}
 	if prefix < n {
 		trims = planCuts(streams, base+uint64(prefix), trims)
@@ -498,7 +457,7 @@ func (st *walStream) scan(dir string, firsts []uint64, base uint64, trims *[]tri
 	cold := st.count
 	prev, seen := uint64(0), false
 	for i, first := range firsts {
-		name := streamSegmentName(st.shard, first)
+		name := shardSegmentName(st.shard, first)
 		switch {
 		case i == 0 && base == 0 && first != 0:
 			return n, fmt.Errorf("%w: segment %s starts at stream ordinal %d, want 0", ErrStateCorrupt, name, first)
@@ -525,7 +484,7 @@ func (st *walStream) scan(dir string, firsts []uint64, base uint64, trims *[]tri
 					// Indices increase along the stream, so every record
 					// from here on is at or past the checkpoint: the later
 					// passes start here instead of re-walking cold records.
-					st.from = walPos{seg: len(st.segs), off: off, ord: st.count - 1}
+					st.from = walPos{seg: len(st.segs), off: off}
 				}
 				n++
 			}
@@ -601,9 +560,9 @@ func planCuts(streams []walStream, end uint64, trims []trimOp) []trimOp {
 // (records fsynced, latest signed tree head atomically replaced, every
 // anchor updated) before AppendBatch returns, so the ShardedAppender
 // amortises the fsync the same way it amortises the tree-head
-// signature. With cfg.Shards > 1 the WAL is split into per-host segment
-// streams — see StoreConfig.Shards and the ShardedAppender. Close the
-// returned log to release the store and anchors.
+// signature. The WAL is split into cfg.Shards per-host segment streams
+// (one for 0 or 1) — see StoreConfig.Shards and the ShardedAppender.
+// Close the returned log to release the store and anchors.
 func OpenDurableLog(signer crypto.Signer, dir string, cfg StoreConfig) (*Log, error) {
 	pub, ok := signer.Public().(*ecdsa.PublicKey)
 	if !ok {

@@ -7,39 +7,48 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// On-disk segment format. A segment is a flat sequence of records, each
-// holding one canonical-encoded log entry:
+// On-disk segment format. A store keeps one segment stream per host
+// slot (StoreConfig.Shards of them, at least one). A segment is a flat
+// sequence of records:
 //
 //	uint32 length (big endian) ‖ uint32 CRC-32C of payload ‖ payload
 //
-// There is no segment header: the file name carries everything the
-// recovery pass needs. seg-<first>.wal holds the entries starting at
-// tree index <first> (20-digit zero-padded decimal, so lexical order is
-// index order). Records never straddle segments, and every byte of a
-// segment belongs to some record — any flipped bit lands in a length, a
-// checksum or a payload, and each of those is detected on replay.
+// and every payload is the entry's 8-byte big-endian global tree index
+// followed by its canonical encoding, so recovery can interleave the
+// streams back into the exact global order the sequencer committed; the
+// CRC covers index prefix and entry alike. There is no segment header:
+// the file name carries everything the recovery pass needs.
+// seg-h<shard>-<first>.wal holds the records of host slot <shard>
+// (4 digits) starting at stream-local ordinal <first> (20 digits), both
+// zero-padded decimal, so lexical order is (shard, ordinal) order —
+// streams rotate independently. Records never straddle segments, and
+// every byte of a segment belongs to some record — any flipped bit lands
+// in a length, a checksum or a payload, and each of those is detected on
+// replay.
 //
-// A sharded store (StoreConfig.Shards > 1) keeps one segment stream per
-// host slot instead: seg-h<shard>-<first>.wal, where <first> is the
-// stream-local record ordinal (streams rotate independently) and every
-// record payload is prefixed with the entry's 8-byte big-endian global
-// tree index, so recovery can interleave the per-host streams back into
-// the exact global order the sequencer committed. The frame itself is
-// unchanged — the CRC covers index prefix and entry alike.
+// The retired single-stream layout (seg-<first>.wal, records without the
+// index prefix, no shard-count pin, checkpoints without per-stream
+// counts) is refused at open with ErrLegacyLayout.
 
 const (
 	segmentSuffix = ".wal"
 	segmentPrefix = "seg-"
 	// recordHeaderLen is the length + checksum prefix.
 	recordHeaderLen = 8
-	// maxRecordBytes bounds a single entry's canonical encoding: recovery
-	// rejects larger claimed lengths instead of allocating for them.
+	// maxRecordBytes bounds a record payload: recovery rejects larger
+	// claimed lengths instead of allocating for them.
 	maxRecordBytes = 1 << 20
+	// shardIndexLen is the global-index prefix every record payload
+	// carries.
+	shardIndexLen = 8
+	// maxEntryBytes bounds a single entry's canonical encoding: the index
+	// prefix rides inside the same record frame.
+	maxEntryBytes = maxRecordBytes - shardIndexLen
 	// defaultSegmentMaxBytes caps a segment before rotation.
 	defaultSegmentMaxBytes = 1 << 20
 )
@@ -53,12 +62,6 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // is ErrStateCorrupt.
 var errTornTail = errors.New("translog: torn record at segment tail")
 
-// segmentName renders the file name for the segment whose first entry
-// has the given tree index.
-func segmentName(first uint64) string {
-	return segmentPrefix + zeroPadded(first, 20) + segmentSuffix
-}
-
 // zeroPadded renders n in decimal, zero-padded to width digits. The
 // segment names use it rather than fmt, whose pooled printers make the
 // allocation count of naming a segment vary under the race detector.
@@ -67,21 +70,13 @@ func zeroPadded(n uint64, width int) string {
 	return strings.Repeat("0", max(width-len(s), 0)) + s
 }
 
-// parseSegmentName extracts the first-entry index from a segment file
-// name, reporting ok=false for unrelated files.
-func parseSegmentName(name string) (first uint64, ok bool) {
-	if !strings.HasPrefix(name, segmentPrefix) || !strings.HasSuffix(name, segmentSuffix) {
-		return 0, false
-	}
-	digits := strings.TrimSuffix(strings.TrimPrefix(name, segmentPrefix), segmentSuffix)
-	if len(digits) != 20 {
-		return 0, false
-	}
-	n, err := strconv.ParseUint(digits, 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return n, true
+// isLegacySegmentName reports a segment of the retired single-stream
+// layout: seg-<20-digit first index>.wal.
+func isLegacySegmentName(name string) bool {
+	digits, ok := strings.CutPrefix(name, segmentPrefix)
+	digits, ok2 := strings.CutSuffix(digits, segmentSuffix)
+	_, err := strconv.ParseUint(digits, 10, 64)
+	return ok && ok2 && len(digits) == 20 && err == nil
 }
 
 // shardSegmentPrefix marks a per-host segment stream; the 4-digit shard
@@ -101,8 +96,8 @@ func shardSegmentName(shard int, first uint64) string {
 }
 
 // parseShardSegmentName extracts the host slot and stream-local first
-// ordinal from a sharded segment name, ok=false for unrelated files
-// (including single-stream seg-<first>.wal names).
+// ordinal from a segment name, ok=false for unrelated files (including
+// retired single-stream seg-<first>.wal names).
 func parseShardSegmentName(name string) (shard int, first uint64, ok bool) {
 	if !strings.HasPrefix(name, shardSegmentPrefix) || !strings.HasSuffix(name, segmentSuffix) {
 		return 0, 0, false
@@ -123,69 +118,32 @@ func parseShardSegmentName(name string) (shard int, first uint64, ok bool) {
 	return int(s), n, true
 }
 
-// streamSegmentName names a segment of either layout: the single stream
-// (shard −1) or one host slot's stream.
-func streamSegmentName(shard int, first uint64) string {
-	if shard < 0 {
-		return segmentName(first)
-	}
-	return shardSegmentName(shard, first)
-}
-
-// listSegments returns the single-stream segment first-indices present
-// in dir, sorted.
-func listSegments(dir string) ([]uint64, error) {
-	firsts, _, err := listAllSegments(dir)
-	return firsts, err
-}
-
-// listAllSegments scans dir once and returns both layouts: the sorted
-// single-stream firsts and, per shard slot, the sorted stream-local
-// firsts of that shard's segments. Recovery refuses a directory holding
-// both layouts, so exactly one of the returns is normally non-empty.
-func listAllSegments(dir string) (firsts []uint64, shardFirsts map[int][]uint64, err error) {
+// listStreams scans dir once and returns, per shard slot, the sorted
+// stream-local firsts of that slot's segments. A segment of the retired
+// single-stream layout fails the listing with ErrLegacyLayout.
+func listStreams(dir string) (map[int][]uint64, error) {
 	names, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, nil, fmt.Errorf("translog: reading store dir: %w", err)
+		return nil, fmt.Errorf("translog: reading store dir: %w", err)
 	}
-	shardFirsts = make(map[int][]uint64)
+	shardFirsts := make(map[int][]uint64)
 	for _, de := range names {
+		if isLegacySegmentName(de.Name()) {
+			return nil, fmt.Errorf("%w: %s", ErrLegacyLayout, de.Name())
+		}
 		if shard, first, ok := parseShardSegmentName(de.Name()); ok {
 			shardFirsts[shard] = append(shardFirsts[shard], first)
-			continue
-		}
-		if first, ok := parseSegmentName(de.Name()); ok {
-			firsts = append(firsts, first)
 		}
 	}
-	sort.Slice(firsts, func(i, j int) bool { return firsts[i] < firsts[j] })
 	for _, fs := range shardFirsts {
-		sort.Slice(fs, func(i, j int) bool { return fs[i] < fs[j] })
+		slices.Sort(fs)
 	}
-	return firsts, shardFirsts, nil
+	return shardFirsts, nil
 }
 
-// shardIndexLen is the global-index prefix every sharded record payload
-// carries.
-const shardIndexLen = 8
-
-// maxShardedEntryBytes bounds a single entry's canonical encoding in a
-// sharded store: the index prefix rides inside the same record frame, so
-// the entry itself gets 8 bytes less than the single-stream limit.
-const maxShardedEntryBytes = maxRecordBytes - shardIndexLen
-
-// indexedPayload builds a sharded record payload: the entry's global
-// tree index followed by its canonical encoding. It travels under the
-// ordinary record CRC, so the index is covered by the same checksum.
-func indexedPayload(index uint64, payload []byte) []byte {
-	rec := make([]byte, shardIndexLen, shardIndexLen+len(payload))
-	binary.BigEndian.PutUint64(rec, index)
-	return append(rec, payload...)
-}
-
-// appendIndexedRecord frames one sharded record into dst without
-// materialising the combined payload — the CRC runs over the index
-// prefix and the entry as two updates of the same checksum.
+// appendIndexedRecord frames one record into dst: the entry's global
+// tree index, then its canonical encoding, under one CRC that runs over
+// both as two updates of the same checksum.
 func appendIndexedRecord(dst []byte, index uint64, payload []byte) []byte {
 	var idx [shardIndexLen]byte
 	binary.BigEndian.PutUint64(idx[:], index)
@@ -201,18 +159,9 @@ func appendIndexedRecord(dst []byte, index uint64, payload []byte) []byte {
 // splitIndexedRecord undoes appendIndexedRecord's payload layout.
 func splitIndexedRecord(rec []byte) (index uint64, payload []byte, err error) {
 	if len(rec) < shardIndexLen {
-		return 0, nil, fmt.Errorf("%w: sharded record too short for its index prefix", ErrStateCorrupt)
+		return 0, nil, fmt.Errorf("%w: record too short for its index prefix", ErrStateCorrupt)
 	}
 	return binary.BigEndian.Uint64(rec[:shardIndexLen]), rec[shardIndexLen:], nil
-}
-
-// appendRecord frames one payload into dst.
-func appendRecord(dst, payload []byte) []byte {
-	var hdr [recordHeaderLen]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:], crc32.Checksum(payload, crcTable))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
 }
 
 // scanSegment checks every record in data, in order, and hands each
@@ -252,10 +201,8 @@ func scanSegment(data []byte, fn func(payload []byte) error) (clean int, err err
 	return off, nil
 }
 
-// walStream is one segment stream read back from disk, the way recovery
-// and compaction both see it: the single-stream layout (shard −1), whose
-// record index is the record's stream ordinal, or one host slot of a
-// sharded store, whose records carry their global index.
+// walStream is one host slot's segment stream read back from disk, the
+// way recovery and compaction both see it.
 type walStream struct {
 	shard int
 	segs  []walSeg
@@ -267,11 +214,10 @@ type walStream struct {
 	from walPos
 }
 
-// walPos locates a record in a walStream: its segment, its byte offset
-// in that segment, and its stream ordinal.
+// walPos locates a record in a walStream: its segment and its byte
+// offset in that segment.
 type walPos struct {
 	seg, off int
-	ord      uint64
 }
 
 // walSeg is one segment of a walStream.
@@ -279,15 +225,6 @@ type walSeg struct {
 	path  string
 	first uint64 // stream ordinal of the segment's first record
 	data  []byte // the segment's intact, checksum-verified records
-}
-
-// record splits the payload of the record at stream ordinal ord into its
-// global index and entry encoding.
-func (st *walStream) record(ord uint64, payload []byte) (uint64, []byte, error) {
-	if st.shard < 0 {
-		return ord, payload, nil
-	}
-	return splitIndexedRecord(payload)
 }
 
 // read loads and scans the stream's next segment, whose first record is
@@ -302,7 +239,7 @@ func (st *walStream) read(path string, first uint64, fn func(off int, index uint
 	st.count = first
 	off := 0
 	clean, err := scanSegment(data, func(payload []byte) error {
-		index, _, err := st.record(st.count, payload)
+		index, _, err := splitIndexedRecord(payload)
 		if err != nil {
 			return err
 		}
@@ -321,13 +258,13 @@ func (st *walStream) read(path string, first uint64, fn func(off int, index uint
 func (st *walStream) each(fn func(seg, off int, index uint64, entry []byte) error) error {
 	for i := st.from.seg; i < len(st.segs); i++ {
 		sg := st.segs[i]
-		off, ord := 0, sg.first
-		if i == st.from.seg && st.from.off > 0 {
-			off, ord = st.from.off, st.from.ord
+		off := 0
+		if i == st.from.seg {
+			off = st.from.off
 		}
-		for ; off < len(sg.data); ord++ {
+		for off < len(sg.data) {
 			end := off + recordHeaderLen + int(binary.BigEndian.Uint32(sg.data[off:off+4]))
-			index, entry, err := st.record(ord, sg.data[off+recordHeaderLen:end:end])
+			index, entry, err := splitIndexedRecord(sg.data[off+recordHeaderLen : end : end])
 			if err == nil {
 				err = fn(i, off, index, entry)
 			}

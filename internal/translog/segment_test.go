@@ -2,11 +2,32 @@ package translog
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 )
+
+// appendRecord frames one raw payload into dst — a record with no index
+// prefix, for tests of the framing alone and of payloads rewritten in
+// place.
+func appendRecord(dst, payload []byte) []byte {
+	var hdr [recordHeaderLen]byte
+	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
+	binary.BigEndian.PutUint32(hdr[4:], crc32.Checksum(payload, crcTable))
+	dst = append(dst, hdr[:]...)
+	return append(dst, payload...)
+}
+
+// indexedPayload builds the payload appendIndexedRecord frames: the
+// entry's global tree index followed by its canonical encoding.
+func indexedPayload(index uint64, payload []byte) []byte {
+	rec := make([]byte, shardIndexLen, shardIndexLen+len(payload))
+	binary.BigEndian.PutUint64(rec, index)
+	return append(rec, payload...)
+}
 
 // segmentPayloads collects the payloads scanSegment hands out for data.
 func segmentPayloads(data []byte) ([][]byte, error) {
@@ -156,8 +177,8 @@ func TestScanSegmentAllocsConstant(t *testing.T) {
 // TestReplayAllocsConstant pins the lean suffix pass: replay validates
 // each record in place and hashes its leaf into a presized slot, so a
 // 16-entry and a 4096-entry suffix with no serials cost the same
-// allocations, in both layouts. What remains grows only with the number
-// of segments and of serial-carrying records.
+// allocations, with one stream and with four. What remains grows only
+// with the number of segments and of serial-carrying records.
 func TestReplayAllocsConstant(t *testing.T) {
 	entry := func(i int) []byte {
 		return Entry{Type: EntryAttestOK, Timestamp: int64(i), Actor: "fw", Host: "host-0", Detail: "OK"}.Marshal()
@@ -166,22 +187,13 @@ func TestReplayAllocsConstant(t *testing.T) {
 	// directory and the stream firsts replay takes.
 	store := func(n, shards int) (string, [][]uint64) {
 		dir := t.TempDir()
-		streams := max(shards, 1)
-		segs := make([][]byte, streams)
+		segs := make([][]byte, shards)
 		for i := 0; i < n; i++ {
-			if shards == 0 {
-				segs[0] = appendRecord(segs[0], entry(i))
-			} else {
-				segs[i%shards] = appendIndexedRecord(segs[i%shards], uint64(i), entry(i))
-			}
+			segs[i%shards] = appendIndexedRecord(segs[i%shards], uint64(i), entry(i))
 		}
-		firsts := make([][]uint64, streams)
+		firsts := make([][]uint64, shards)
 		for s, seg := range segs {
-			shard := s
-			if shards == 0 {
-				shard = -1
-			}
-			if err := os.WriteFile(filepath.Join(dir, streamSegmentName(shard, 0)), seg, 0o600); err != nil {
+			if err := os.WriteFile(filepath.Join(dir, shardSegmentName(s, 0)), seg, 0o600); err != nil {
 				t.Fatal(err)
 			}
 			firsts[s] = []uint64{0}
@@ -191,7 +203,7 @@ func TestReplayAllocsConstant(t *testing.T) {
 	allocs := func(n, shards int) float64 {
 		dir, firsts := store(n, shards)
 		return testing.AllocsPerRun(10, func() {
-			rec, _, _, err := replay(dir, shards, firsts, nil)
+			rec, _, _, err := replay(dir, firsts, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -201,7 +213,7 @@ func TestReplayAllocsConstant(t *testing.T) {
 			}
 		})
 	}
-	for _, shards := range []int{0, 4} {
+	for _, shards := range []int{1, 4} {
 		if a, b := allocs(16, shards), allocs(4096, shards); a != b {
 			t.Errorf("%d shards: %v allocations replaying 16 records, %v for 4096", shards, a, b)
 		}

@@ -17,7 +17,7 @@ import (
 // leaf-hash the merged batch on every core; commit it through
 // Log.appendPrepared as ONE batch — global indices assigned under the
 // log lock, one tree-head signature, one persisted head, one
-// trust-anchor bump. On a sharded store the commit also fans the
+// trust-anchor bump. On a durable store the commit also fans the
 // records out to the per-host segment streams, which write and fsync in
 // parallel. The per-entry cost of the serial commit work therefore
 // shrinks with the number of hosts that had entries ready, which is

@@ -16,10 +16,10 @@ import (
 // batches round-robin and commits them as ONE merged Merkle batch per
 // cycle: one tree-head signature, one persisted-head replacement and
 // one trust-anchor bump cover every host's entries for that cycle,
-// instead of each host paying them separately. On a sharded durable
-// store (StoreConfig.Shards) each host's records also land in the
-// host's own WAL segment stream, written and fsynced in parallel.
-// Shards: 1 is the single-stream case — one buffer, the same cycle.
+// instead of each host paying them separately. On a durable store
+// (StoreConfig.Shards) each host's records also land in the host's own
+// WAL segment stream, written and fsynced in parallel. Shards: 1 is the
+// one-stream case — one buffer, the same cycle.
 //
 // The trust story is unchanged: global indices are assigned under the
 // log lock, every cycle commits through Log.appendPrepared exactly like
@@ -40,9 +40,10 @@ func ShardOf(host string, shards int) int {
 
 // ShardedAppenderConfig tunes the sharded appender.
 type ShardedAppenderConfig struct {
-	// Shards is the number of per-host buffers. A sharded durable store
-	// overrides it with the shard count pinned at store creation, so the
-	// buffers line up with the WAL streams; otherwise it defaults to 1.
+	// Shards is the number of per-host buffers. A durable store of more
+	// than one stream overrides it with the count pinned at store
+	// creation, so the buffers line up with the WAL streams; otherwise it
+	// defaults to 1.
 	Shards int
 	// MaxBatch caps how many entries one shard contributes to one
 	// sequencer cycle (default 1024) — so one chatty host cannot starve

@@ -13,8 +13,8 @@ import (
 // multi-host append interleavings and a fuzzer-chosen crash point, then
 // checks the invariant the whole design rests on: recovery from the
 // interleaved per-host segment streams always reproduces the exact
-// global order — and therefore the exact root hash — of a reference
-// single-stream log holding the entries that durably landed, with each
+// global order — and therefore the exact root hash — of an in-memory
+// reference log holding the entries that durably landed, with each
 // stream's torn tail truncated independently.
 //
 // The input script: byte 0 picks the host count (1..4), byte 1 the shard
@@ -146,8 +146,8 @@ func FuzzShardedRecovery(f *testing.F) {
 		if got := re.Entries(0, re.Size()); len(expect) > 0 && !reflect.DeepEqual(got, expect) {
 			t.Fatal("replayed global order diverged from the reference order")
 		}
-		// The root must equal a single-stream reference log's root over
-		// the same entries.
+		// The root must equal an in-memory reference log's root over the
+		// same entries.
 		ref, err := NewLog(key)
 		if err != nil {
 			t.Fatal(err)
@@ -164,7 +164,7 @@ func FuzzShardedRecovery(f *testing.F) {
 			t.Fatal(err)
 		}
 		if gotRoot != refRoot {
-			t.Fatal("sharded recovery root differs from single-stream reference root")
+			t.Fatal("sharded recovery root differs from the reference root")
 		}
 		// Appends resume on a clean frame boundary and survive a reopen:
 		// the per-stream truncation was physical.
@@ -190,7 +190,7 @@ func FuzzShardedRecovery(f *testing.F) {
 // file-level effect of a crash mid-way through a stream write.
 func appendToStreamTail(t *testing.T, dir string, shard int, raw []byte) {
 	t.Helper()
-	_, shardFirsts, err := listAllSegments(dir)
+	shardFirsts, err := listStreams(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,7 +68,7 @@ func shardedConfig(shards int) StoreConfig {
 // TestShardedRoundTrip is the sharded headline property: a multi-host
 // log over per-host segment streams survives close/reopen with the
 // identical root, head, global entry order and serial lookups — and its
-// root is bit-identical to a single-stream store fed the same sequence,
+// root is bit-identical to an in-memory log fed the same sequence,
 // because sharding changes the WAL layout, never the tree.
 func TestShardedRoundTrip(t *testing.T) {
 	key := testSigner(t)
@@ -90,7 +90,7 @@ func TestShardedRoundTrip(t *testing.T) {
 	}
 
 	// The streams really are per-host: more than one stream exists.
-	_, shardFirsts, err := listAllSegments(dir)
+	shardFirsts, err := listStreams(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,13 +121,11 @@ func TestShardedRoundTrip(t *testing.T) {
 		t.Fatal("tree head changed across sharded recovery")
 	}
 
-	// Reference single-stream store over the same sequence: exact root.
-	refDir := t.TempDir()
-	ref, err := OpenDurableLog(key, refDir, StoreConfig{SegmentMaxBytes: 1024})
+	// Reference in-memory log over the same sequence: exact root.
+	ref, err := NewLog(key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ref.Close()
 	if _, err := ref.AppendBatch(entries); err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +134,7 @@ func TestShardedRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if refRoot != rootAfter {
-		t.Fatal("sharded root differs from single-stream root over the same entries")
+		t.Fatal("sharded root differs from the in-memory root over the same entries")
 	}
 
 	// Serial lookups were rebuilt from the interleaved replay.
@@ -274,7 +272,7 @@ func TestShardedTornTailPerStream(t *testing.T) {
 	}
 
 	// Torn write on one stream's newest segment.
-	_, shardFirsts, err := listAllSegments(dir)
+	shardFirsts, err := listStreams(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +351,7 @@ func TestShardedCrashMidCycleTrimsToPrefix(t *testing.T) {
 	}
 	appendRaw := func(shard int, index uint64, e Entry) {
 		t.Helper()
-		_, shardFirsts, err := listAllSegments(dir)
+		shardFirsts, err := listStreams(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -420,7 +418,7 @@ func TestShardedSingleStreamRollbackDetected(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, shardFirsts, err := listAllSegments(dir)
+	shardFirsts, err := listStreams(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +449,7 @@ func TestShardedTamperDetected(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, shardFirsts, err := listAllSegments(dir)
+	shardFirsts, err := listStreams(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,32 +519,11 @@ func TestShardedDuplicateIndexCorrupt(t *testing.T) {
 	}
 }
 
-// TestMixedLayoutRefused: a directory holding both single-stream and
-// sharded segments is no layout at all — refuse it loudly.
-func TestMixedLayoutRefused(t *testing.T) {
-	key := testSigner(t)
-	dir := t.TempDir()
-	l, err := OpenDurableLog(key, dir, StoreConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendAll(t, l, mixedEntries(5))
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	e := Entry{Type: EntryAttestOK, Timestamp: 9, Actor: "fw", Host: "host-9", Detail: "OK"}
-	if err := os.WriteFile(filepath.Join(dir, shardSegmentName(0, 0)),
-		appendIndexedRecord(nil, 5, e.Marshal()), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenDurableLog(key, dir, StoreConfig{}); !errors.Is(err, ErrStateCorrupt) {
-		t.Fatalf("mixed layouts: got %v, want ErrStateCorrupt", err)
-	}
-}
-
-// TestShardedLayoutStickiness: opening an existing single-stream store
-// with Shards configured keeps the single stream — the layout is fixed
-// at store creation, never silently migrated.
+// TestShardedLayoutStickiness: a store created with Shards 0 is the
+// one-stream case of the sharded layout — its count (1) is pinned like
+// any other, so reopening it with Shards configured keeps the one
+// stream, never silently migrating, and the audit plane may still pick
+// any shard-stream count over it.
 func TestShardedLayoutStickiness(t *testing.T) {
 	key := testSigner(t)
 	dir := t.TempDir()
@@ -558,23 +535,29 @@ func TestShardedLayoutStickiness(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if n, ok, err := loadShardCount(dir); err != nil || !ok || n != 1 {
+		t.Fatalf("pinned shard count %d (pinned %v, err %v), want 1", n, ok, err)
+	}
 	re, err := OpenDurableLog(key, dir, StoreConfig{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := re.StoreShards(); got != 1 {
+		t.Fatalf("reopen with Shards=4 remapped the store to %d streams, want the pinned 1", got)
+	}
 	appendAll(t, re, hostEntries(10, 3))
+	if err := re.EnableShardStreams(3); err != nil {
+		t.Fatalf("shard streams over a one-stream store: %v", err)
+	}
 	if err := re.Close(); err != nil {
 		t.Fatal(err)
 	}
-	firsts, shardFirsts, err := listAllSegments(dir)
+	shardFirsts, err := listStreams(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(shardFirsts) != 0 {
-		t.Fatalf("existing single-stream store grew %d shard streams", len(shardFirsts))
-	}
-	if len(firsts) == 0 {
-		t.Fatal("single stream vanished")
+	if len(shardFirsts) != 1 || len(shardFirsts[0]) == 0 {
+		t.Fatalf("one-stream store holds streams %v, want stream 0 alone", shardFirsts)
 	}
 }
 
@@ -610,7 +593,7 @@ func TestShardCountPinnedAtCreation(t *testing.T) {
 		}
 	}
 	// Every stream on disk stays within the pinned slot range.
-	_, shardFirsts, err := listAllSegments(dir)
+	shardFirsts, err := listStreams(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -645,9 +628,10 @@ func TestShardCountLimit(t *testing.T) {
 	l.Close()
 }
 
-// TestShardedOversizeEntryRefused: the sharded frame reserves 8 bytes
-// for the global index, so the entry bound is tighter — and refusal must
-// come before any byte is written, leaving the store healthy.
+// TestShardedOversizeEntryRefused: the record frame reserves 8 bytes
+// for the global index, so the entry bound is tighter than the frame's
+// — and refusal must come before any byte is written, leaving the store
+// healthy.
 func TestShardedOversizeEntryRefused(t *testing.T) {
 	key := testSigner(t)
 	dir := t.TempDir()
@@ -656,7 +640,7 @@ func TestShardedOversizeEntryRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	huge := Entry{Type: EntryAttestFail, Actor: "fw-big", Host: "host-0", Detail: string(make([]byte, maxShardedEntryBytes+1))}
+	huge := Entry{Type: EntryAttestFail, Actor: "fw-big", Host: "host-0", Detail: string(make([]byte, maxEntryBytes+1))}
 	if _, err := l.Append(huge); !errors.Is(err, ErrEntryTooLarge) {
 		t.Fatalf("oversize sharded entry: got %v, want ErrEntryTooLarge", err)
 	}
@@ -665,8 +649,8 @@ func TestShardedOversizeEntryRefused(t *testing.T) {
 	}
 }
 
-// TestShardSegmentNameRoundTrip pins the sharded file-name encoding and
-// its disjointness from the single-stream names.
+// TestShardSegmentNameRoundTrip pins the segment file-name encoding and
+// its disjointness from the retired single-stream names.
 func TestShardSegmentNameRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		shard int
@@ -678,12 +662,13 @@ func TestShardSegmentNameRoundTrip(t *testing.T) {
 				tc.shard, tc.first, shardSegmentName(tc.shard, tc.first), shard, first, ok)
 		}
 	}
-	// Single-stream names never parse as sharded and vice versa.
-	if _, _, ok := parseShardSegmentName(segmentName(7)); ok {
+	// Retired single-stream names never parse as stream segments and
+	// vice versa.
+	if _, _, ok := parseShardSegmentName("seg-00000000000000000007.wal"); ok {
 		t.Fatal("single-stream name parsed as sharded")
 	}
-	if _, ok := parseSegmentName(shardSegmentName(1, 7)); ok {
-		t.Fatal("sharded name parsed as single-stream")
+	if isLegacySegmentName(shardSegmentName(1, 7)) {
+		t.Fatal("sharded name taken for single-stream")
 	}
 	for _, bad := range []string{"seg-h12-00000000000000000007.wal", "seg-h0001-7.wal", "seg-h0001-0000000000000000000x.wal"} {
 		if _, _, ok := parseShardSegmentName(bad); ok {

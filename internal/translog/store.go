@@ -33,6 +33,10 @@ var (
 	// root contradicts the persisted signed tree head — history was
 	// rewritten in place.
 	ErrStateTampered = errors.New("translog: on-disk log state tampered") //lint:allow unusedexport README-documented recovery taxonomy; reaches callers wrapped in open errors
+	// ErrLegacyLayout reports a store written in the retired single-stream
+	// WAL layout. The open refuses it before any file in it is trimmed,
+	// re-signed or pinned.
+	ErrLegacyLayout = errors.New("translog: store uses the retired single-stream WAL layout") //lint:allow unusedexport README-documented open refusal; reaches callers wrapped in open errors
 )
 
 // Append-path errors the HTTP layer maps to status codes, so a producer
@@ -51,16 +55,16 @@ var (
 // sthFileName holds the latest durably persisted signed tree head.
 const sthFileName = "sth.json"
 
-// shardsFileName pins a sharded store's stream count at creation, so
-// reopening with a different StoreConfig.Shards cannot silently change
-// the host→stream routing (the on-disk layout really is fixed at store
+// shardsFileName pins a store's stream count at creation, so reopening
+// with a different StoreConfig.Shards cannot silently change the
+// host→stream routing (the stream count really is fixed at store
 // creation, as documented). The count is layout metadata, not trust
 // state: the records themselves are authenticated by their global
 // indices under the signed root, whatever stream they sit in.
 const shardsFileName = "shards"
 
-// loadShardCount reads the pinned stream count; ok=false when the store
-// predates sharding or is single-stream.
+// loadShardCount reads the pinned stream count; ok=false when none is
+// pinned yet (a store being created).
 func loadShardCount(dir string) (int, bool, error) {
 	data, err := os.ReadFile(filepath.Join(dir, shardsFileName))
 	if errors.Is(err, os.ErrNotExist) {
@@ -70,7 +74,7 @@ func loadShardCount(dir string) (int, bool, error) {
 		return 0, false, fmt.Errorf("translog: reading shard count: %w", err)
 	}
 	n, perr := strconv.Atoi(strings.TrimSpace(string(data)))
-	if perr != nil || n < 2 || n > maxShardSlots {
+	if perr != nil || n < 1 || n > maxShardSlots {
 		return 0, false, fmt.Errorf("%w: shard count file holds %q", ErrStateCorrupt, strings.TrimSpace(string(data)))
 	}
 	return n, true, nil
@@ -95,16 +99,15 @@ type StoreConfig struct {
 	// recovered state at open and notified of every committed head, in
 	// order. Anchors that implement io.Closer are closed with the store.
 	Anchors []TrustAnchor
-	// Shards, when > 1, splits the WAL into that many per-host segment
-	// streams (seg-h<shard>-*.wal): every entry is routed to the stream
-	// ShardOf picks for its host and framed with its global tree index,
-	// so a merging sequencer can commit many hosts' batches under one
-	// tree head — the touched streams are written and fsynced in
-	// parallel, then the head and anchor chain bump once per cycle —
-	// while recovery interleaves the streams back into the exact global
-	// order. The layout is fixed at store creation: opening an existing
-	// store keeps whichever layout is on disk. 0 or 1 keeps the single
-	// stream.
+	// Shards splits the WAL into that many per-host segment streams
+	// (seg-h<shard>-*.wal): every entry is routed to the stream ShardOf
+	// picks for its host and framed with its global tree index, so a
+	// merging sequencer can commit many hosts' batches under one tree
+	// head — the touched streams are written and fsynced in parallel,
+	// then the head and anchor chain bump once per cycle — while recovery
+	// interleaves the streams back into the exact global order. 0 or 1
+	// keeps one stream. The count is pinned at store creation: opening an
+	// existing store keeps whichever count is on disk.
 	Shards int
 	// CheckpointEvery, when > 0, persists an anchor-verified checkpoint
 	// (frozen subtree roots + serial-index snapshot, signed by the log
@@ -144,12 +147,8 @@ type Store struct { //lint:allow unusedexport the documented storage layer benea
 	compactMu sync.Mutex
 
 	mu sync.Mutex
-	// shards is the active layout: 0 for the legacy single stream,
-	// otherwise the number of per-host streams. It is fixed at open.
-	shards int
-	// streams are the append tails — one for the single layout, shards
-	// of them otherwise. Streams rotate their segment files
-	// independently.
+	// streams are the append tails, one per host slot, fixed at open.
+	// Streams rotate their segment files independently.
 	streams []*stream
 	// size is the number of durably framed entries.
 	size uint64
@@ -159,8 +158,7 @@ type Store struct { //lint:allow unusedexport the documented storage layer benea
 	failed error
 }
 
-// stream is one append tail: the legacy whole-log stream (shard < 0) or
-// one host slot's segment stream.
+// stream is one host slot's append tail.
 type stream struct {
 	shard int
 	// active is the open tail segment (nil until the first append or
@@ -168,8 +166,7 @@ type stream struct {
 	active     *os.File
 	activeSize int64
 	// count is the number of records durably framed in this stream — the
-	// next segment's first ordinal (for the legacy stream this equals
-	// the global entry count).
+	// next segment's first ordinal.
 	count uint64
 	// scratch is the stream's reusable frame buffer: one writer owns a
 	// stream at a time, so recycling it keeps a large commit cycle from
@@ -179,7 +176,7 @@ type stream struct {
 
 // name renders the segment file name for the stream's segment whose
 // first record is ordinal first.
-func (st *stream) name(first uint64) string { return streamSegmentName(st.shard, first) }
+func (st *stream) name(first uint64) string { return shardSegmentName(st.shard, first) }
 
 // openStoreDir creates the store directory and returns a Store resuming
 // the verified recovered state rec. anchors is the trust-anchor chain
@@ -188,15 +185,12 @@ func openStoreDir(dir string, cfg StoreConfig, anchors []TrustAnchor, rec *recov
 	if cfg.SegmentMaxBytes <= 0 {
 		cfg.SegmentMaxBytes = defaultSegmentMaxBytes
 	}
-	s := &Store{dir: dir, cfg: cfg, anchors: anchors, shards: rec.shards, size: rec.size()}
+	s := &Store{dir: dir, cfg: cfg, anchors: anchors, size: rec.size()}
 	for _, a := range anchors {
 		s.anchorHist = append(s.anchorHist, anchorHistogram(a.Name()))
 	}
 	for i, tail := range rec.tails {
-		st := &stream{shard: -1, count: tail.count}
-		if rec.shards > 0 {
-			st.shard = i
-		}
+		st := &stream{shard: i, count: tail.count}
 		if tail.hasTail {
 			path := filepath.Join(dir, st.name(tail.tailFirst))
 			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o600)
@@ -222,9 +216,8 @@ func (s *Store) closeStreams() {
 }
 
 // shardCount reports the number of per-host streams the store writes
-// (0 for the legacy single-stream layout). Fixed at open, so reading it
-// without the lock is safe.
-func (s *Store) shardCount() int { return s.shards }
+// (at least one). Fixed at open, so reading it without the lock is safe.
+func (s *Store) shardCount() int { return len(s.streams) }
 
 // checkpointDue reports whether the committed size has outgrown the
 // newest checkpoint by the configured interval.
@@ -232,14 +225,10 @@ func (s *Store) checkpointDue(size uint64) bool {
 	return s.cfg.CheckpointEvery > 0 && size >= s.lastCkpt.Load()+s.cfg.CheckpointEvery
 }
 
-// streamCounts snapshots each stream's durable record count (nil for
-// the single-stream layout, whose count is the global size). Callers
+// streamCounts snapshots each stream's durable record count. Callers
 // hold the log lock, so no commit is in flight and the counts
 // correspond exactly to the committed tree.
 func (s *Store) streamCounts() []uint64 {
-	if s.shards == 0 {
-		return nil
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	counts := make([]uint64, len(s.streams))
@@ -249,9 +238,9 @@ func (s *Store) streamCounts() []uint64 {
 	return counts
 }
 
-// appendBatch durably frames the batch payloads and then commits sth to
-// every trust anchor. shardIdx routes each payload to its host stream in
-// a sharded store (ignored — may be nil — for the single stream).
+// appendBatch durably frames the batch payloads — payloads[i] is the
+// canonical encoding of batch[i] — and then commits sth to every trust
+// anchor.
 // Ordering matters for crash consistency: records first (fsynced), tree
 // head second — a crash in between leaves extra durable entries beyond
 // the head, which recovery accepts and re-signs; the reverse order could
@@ -260,7 +249,7 @@ func (s *Store) streamCounts() []uint64 {
 // anchor (persisted head, witness head, sealed counter) has recorded it.
 // tr, when non-nil, receives the cycle's wal_sync and anchor_commit
 // phase durations (the sequencer's trace record).
-func (s *Store) appendBatch(payloads [][]byte, shardIdx []int, sth SignedTreeHead, tr *obs.CycleTrace) error {
+func (s *Store) appendBatch(batch []Entry, payloads [][]byte, sth SignedTreeHead, tr *obs.CycleTrace) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.failed != nil {
@@ -271,29 +260,13 @@ func (s *Store) appendBatch(payloads [][]byte, shardIdx []int, sth SignedTreeHea
 	// open with ErrStateCorrupt — a log that bricks itself. Refusing here
 	// keeps the in-memory and on-disk state consistent (the caller rolls
 	// the batch back) without latching the store failed.
-	limit := maxRecordBytes
-	if s.shards > 0 {
-		limit = maxShardedEntryBytes
-	}
 	for _, p := range payloads {
-		if len(p) > limit {
-			return fmt.Errorf("%w: encoding is %d bytes, record limit %d", ErrEntryTooLarge, len(p), limit)
+		if len(p) > maxEntryBytes {
+			return fmt.Errorf("%w: encoding is %d bytes, record limit %d", ErrEntryTooLarge, len(p), maxEntryBytes)
 		}
 	}
 	phase := time.Now()
-	var err error
-	if s.shards > 0 {
-		err = s.writeShardedRecords(payloads, shardIdx)
-	} else {
-		size := 0
-		for _, p := range payloads {
-			size += recordHeaderLen + len(p)
-		}
-		err = s.streams[0].write(s, len(payloads), size, func(i int, dst []byte) []byte {
-			return appendRecord(dst, payloads[i])
-		})
-	}
-	if err != nil {
+	if err := s.writeRecords(batch, payloads); err != nil {
 		s.failed = fmt.Errorf("%w: %w", ErrStoreFailed, err)
 		return s.failed
 	}
@@ -313,34 +286,29 @@ func (s *Store) appendBatch(payloads [][]byte, shardIdx []int, sth SignedTreeHea
 	return nil
 }
 
-// writeShardedRecords routes each payload to its host stream, stamped
-// with its global index, and writes the touched streams concurrently —
-// they are separate files, so their record writes and fsyncs overlap.
+// writeRecords routes each payload to the stream ShardOf picks for its
+// entry's host, stamped with its global index, and writes the touched
+// streams concurrently — they are separate files, so their record
+// writes and fsyncs overlap.
 // Every stream's write must return before the head is persisted, which
 // preserves the records-before-head crash ordering; a failure in any
 // stream fails the batch (and the caller latches the store), because a
 // partially landed cycle may no longer match the in-memory log.
-func (s *Store) writeShardedRecords(payloads [][]byte, shardIdx []int) error {
-	perShard := make([][]int, s.shards)
-	for i := range payloads {
-		shard := 0
-		if i < len(shardIdx) {
-			shard = shardIdx[i]
-		}
-		if shard < 0 || shard >= s.shards {
-			return fmt.Errorf("translog: shard %d out of range (store has %d)", shard, s.shards)
-		}
+func (s *Store) writeRecords(batch []Entry, payloads [][]byte) error {
+	perShard := make([][]int, len(s.streams))
+	for i, e := range batch {
+		shard := ShardOf(e.Host, len(perShard))
 		perShard[shard] = append(perShard[shard], i)
 	}
 	var wg sync.WaitGroup
-	errs := make([]error, s.shards)
+	errs := make([]error, len(perShard))
 	base := s.size
 	for shard, idxs := range perShard {
 		if len(idxs) == 0 {
 			continue
 		}
 		wg.Add(1)
-		go func(shard int, idxs []int) {
+		go func() {
 			defer wg.Done()
 			size := 0
 			for _, i := range idxs {
@@ -350,7 +318,7 @@ func (s *Store) writeShardedRecords(payloads [][]byte, shardIdx []int) error {
 				i := idxs[k]
 				return appendIndexedRecord(dst, base+uint64(i), payloads[i])
 			})
-		}(shard, idxs)
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -387,8 +355,8 @@ func (s *Store) commitHeadLocked(sth SignedTreeHead) error {
 // the cycle's records land in one buffer with no per-record allocation.
 // Every touched segment is fsynced before the batch is acknowledged:
 // rotation syncs the segment it retires, and the tail sync below covers
-// the one left active. Callers hold s.mu (or, for the parallel sharded
-// path, own the stream exclusively for the duration).
+// the one left active. A call owns the stream exclusively: writeRecords
+// runs under s.mu with at most one writer per stream.
 func (st *stream) write(s *Store, n, sizeHint int, frame func(i int, dst []byte) []byte) error {
 	if cap(st.scratch) < sizeHint {
 		st.scratch = make([]byte, 0, sizeHint)

@@ -222,7 +222,7 @@ func TestTornTailTruncated(t *testing.T) {
 		if len(tail) > 8 {
 			binary.BigEndian.PutUint32(tail[:4], 64)
 		}
-		seg := filepath.Join(dir, segmentName(0))
+		seg := filepath.Join(dir, shardSegmentName(0, 0))
 		f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0o600)
 		if err != nil {
 			t.Fatal(err)
@@ -277,11 +277,11 @@ func TestRecoverEntriesBeyondHead(t *testing.T) {
 	}
 
 	extra := Entry{Type: EntryAttestOK, Timestamp: 42, Actor: "fw-crash", Host: "host-0", Detail: "OK"}
-	f, err := os.OpenFile(filepath.Join(dir, segmentName(0)), os.O_WRONLY|os.O_APPEND, 0o600)
+	f, err := os.OpenFile(filepath.Join(dir, shardSegmentName(0, 0)), os.O_WRONLY|os.O_APPEND, 0o600)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write(appendRecord(nil, extra.Marshal())); err != nil {
+	if _, err := f.Write(appendIndexedRecord(nil, 20, extra.Marshal())); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -320,7 +320,7 @@ func TestCorruptChecksumRejected(t *testing.T) {
 	appendAll(t, l, mixedEntries(60))
 	l.Close()
 
-	seg := filepath.Join(dir, segmentName(0))
+	seg := filepath.Join(dir, shardSegmentName(0, 0))
 	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
@@ -348,14 +348,15 @@ func TestRollbackDetected(t *testing.T) {
 	appendAll(t, l, mixedEntries(400))
 	l.Close()
 
-	firsts, err := listSegments(dir)
+	shardFirsts, err := listStreams(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	firsts := shardFirsts[0]
 	if len(firsts) < 2 {
 		t.Fatalf("want multiple segments, got %d", len(firsts))
 	}
-	if err := os.Remove(filepath.Join(dir, segmentName(firsts[len(firsts)-1]))); err != nil {
+	if err := os.Remove(filepath.Join(dir, shardSegmentName(0, firsts[len(firsts)-1]))); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := OpenDurableLog(key, dir, smallSegments()); !errors.Is(err, ErrStateRollback) {
@@ -376,7 +377,7 @@ func TestTamperDetected(t *testing.T) {
 	appendAll(t, l, mixedEntries(30))
 	l.Close()
 
-	seg := filepath.Join(dir, segmentName(0))
+	seg := filepath.Join(dir, shardSegmentName(0, 0))
 	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
@@ -387,12 +388,16 @@ func TestTamperDetected(t *testing.T) {
 	}
 	// Rewrite entry 3's actor and re-frame the whole segment with
 	// correct checksums.
-	victim, err := unmarshalEntry(payloads[3])
+	index, body, err := splitIndexedRecord(payloads[3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim, err := unmarshalEntry(body)
 	if err != nil {
 		t.Fatal(err)
 	}
 	victim.Actor = "ghost"
-	payloads[3] = victim.Marshal()
+	payloads[3] = indexedPayload(index, victim.Marshal())
 	var rewritten []byte
 	for _, p := range payloads {
 		rewritten = appendRecord(rewritten, p)
@@ -517,7 +522,7 @@ func TestSegmentFraming(t *testing.T) {
 	}
 	appendAll(t, l, mixedEntries(50))
 	l.Close()
-	segData, err := os.ReadFile(filepath.Join(src, segmentName(0)))
+	segData, err := os.ReadFile(filepath.Join(src, shardSegmentName(0, 0)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +536,7 @@ func TestSegmentFraming(t *testing.T) {
 		mutated := append([]byte(nil), segData...)
 		mutated[rng.Intn(len(mutated))] ^= byte(1 + rng.Intn(255))
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, segmentName(0)), mutated, 0o600); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, shardSegmentName(0, 0)), mutated, 0o600); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(filepath.Join(dir, sthFileName), sthData, 0o600); err != nil {
@@ -553,17 +558,18 @@ func TestSegmentFraming(t *testing.T) {
 	}
 }
 
-// TestSegmentNameRoundTrip pins the file-name encoding recovery sorts by.
+// TestSegmentNameRoundTrip pins the retired single-stream file names
+// (seg-<20-digit first index>.wal) that open refuses a store by: every
+// such name is recognised, and nothing else is.
 func TestSegmentNameRoundTrip(t *testing.T) {
 	for _, n := range []uint64{0, 1, 255, 1 << 40} {
-		first, ok := parseSegmentName(segmentName(n))
-		if !ok || first != n {
-			t.Fatalf("round trip %d -> %q -> %d/%v", n, segmentName(n), first, ok)
+		if name := segmentPrefix + zeroPadded(n, 20) + segmentSuffix; !isLegacySegmentName(name) {
+			t.Fatalf("%q not recognised as a single-stream segment", name)
 		}
 	}
-	for _, bad := range []string{"seg-.wal", "seg-123.wal", "sth.json", "seg-0000000000000000000x.wal"} {
-		if _, ok := parseSegmentName(bad); ok {
-			t.Fatalf("%q parsed as a segment", bad)
+	for _, bad := range []string{"seg-.wal", "seg-123.wal", "sth.json", "seg-0000000000000000000x.wal", shardSegmentName(0, 0)} {
+		if isLegacySegmentName(bad) {
+			t.Fatalf("%q taken for a single-stream segment", bad)
 		}
 	}
 }
@@ -645,7 +651,7 @@ func TestRefusedOpenDoesNotTruncate(t *testing.T) {
 	appendAll(t, l, mixedEntries(20))
 	l.Close()
 
-	seg := filepath.Join(dir, segmentName(0))
+	seg := filepath.Join(dir, shardSegmentName(0, 0))
 	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
@@ -655,12 +661,16 @@ func TestRefusedOpenDoesNotTruncate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	victim, err := unmarshalEntry(payloads[1])
+	index, body, err := splitIndexedRecord(payloads[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim, err := unmarshalEntry(body)
 	if err != nil {
 		t.Fatal(err)
 	}
 	victim.Actor = "ghost"
-	payloads[1] = victim.Marshal()
+	payloads[1] = indexedPayload(index, victim.Marshal())
 	var rewritten []byte
 	for _, p := range payloads {
 		rewritten = appendRecord(rewritten, p)
@@ -682,5 +692,94 @@ func TestRefusedOpenDoesNotTruncate(t *testing.T) {
 		if len(after) != len(rewritten) {
 			t.Fatalf("attempt %d: refused open modified the store (%d -> %d bytes)", attempt, len(rewritten), len(after))
 		}
+	}
+}
+
+// TestLegacySingleStreamRefused: a store in the retired single-stream
+// layout (seg-<first>.wal segments whose records carry no index prefix,
+// no shard-count pin, a checkpoint without per-stream counts) is refused
+// with ErrLegacyLayout — bare, beside its signed head, and beside a
+// checkpoint — and the refused open changes no file: nothing is
+// trimmed, re-signed or pinned.
+func TestLegacySingleStreamRefused(t *testing.T) {
+	key := testSigner(t)
+	entries := mixedEntries(30)
+	ref, err := NewLog(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.AppendBatch(entries); err != nil {
+		t.Fatal(err)
+	}
+	size := ref.Size()
+	blocks, err := ref.tree.blocks(size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two single-stream segments, the second torn at its tail — a trim a
+	// lenient open would perform.
+	var segs [2][]byte
+	for i, e := range entries {
+		segs[i/20] = appendRecord(segs[i/20], e.Marshal())
+	}
+	segs[1] = append(segs[1], 0x00, 0x01)
+	legacy := func(t *testing.T, withHead, withCkpt bool) string {
+		dir := t.TempDir()
+		for i, first := range []uint64{0, 20} {
+			name := segmentPrefix + zeroPadded(first, 20) + segmentSuffix
+			if err := os.WriteFile(filepath.Join(dir, name), segs[i], 0o600); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if withHead {
+			if err := persistSTHFile(dir, ref.STH(), true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if withCkpt {
+			ck := &checkpoint{size: size, sth: ref.STH(), blocks: blocks,
+				issuance: ref.issuance, revoked: ref.revoked}
+			if _, err := writeCheckpointFile(dir, ck, key, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return dir
+	}
+	for _, tc := range []struct {
+		name               string
+		withHead, withCkpt bool
+	}{{"bare", false, false}, {"head", true, false}, {"checkpoint", true, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := legacy(t, tc.withHead, tc.withCkpt)
+			before := snapshotDir(t, dir)
+			for _, shards := range []int{0, 4} {
+				if _, err := OpenDurableLog(key, dir, StoreConfig{Shards: shards}); !errors.Is(err, ErrLegacyLayout) {
+					t.Fatalf("Shards=%d: got %v, want ErrLegacyLayout", shards, err)
+				}
+				if after := snapshotDir(t, dir); !reflect.DeepEqual(after, before) {
+					t.Fatalf("Shards=%d: refused open changed the store: %d files before, %d after", shards, len(before), len(after))
+				}
+			}
+		})
+	}
+
+	// A single-stream checkpoint is refused on its own too, beside a
+	// stream segment whose records it would misread.
+	dir := legacy(t, true, true)
+	for _, first := range []uint64{0, 20} {
+		if err := os.Remove(filepath.Join(dir, segmentPrefix+zeroPadded(first, 20)+segmentSuffix)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, shardSegmentName(0, 0)),
+		appendIndexedRecord(nil, size, testEntry(99).Marshal()), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	before := snapshotDir(t, dir)
+	if _, err := OpenDurableLog(key, dir, StoreConfig{}); !errors.Is(err, ErrLegacyLayout) {
+		t.Fatalf("single-stream checkpoint: got %v, want ErrLegacyLayout", err)
+	}
+	if after := snapshotDir(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatal("refused open changed the store")
 	}
 }

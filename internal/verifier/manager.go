@@ -175,7 +175,7 @@ type Manager struct {
 	// tlog is the transparency log recording every trust decision;
 	// tlogAppender batches the hot-path attestation entries through the
 	// merging sequencer, one buffer per log shard (Shards: 1 for a
-	// single-stream log). tlogOwned marks a durable log the Manager
+	// one-stream log). tlogOwned marks a durable log the Manager
 	// opened itself (from Config.LogDir) and must therefore close.
 	tlog         *translog.Log
 	tlogOwned    bool

@@ -209,8 +209,7 @@ func TestRestartShardedDurableLog(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The WAL really is sharded: per-host stream files exist, legacy
-	// single-stream files do not.
+	// The WAL really is sharded: per-host stream files exist.
 	shardSegs, err := filepath.Glob(filepath.Join(logDir, "seg-h*.wal"))
 	if err != nil {
 		t.Fatal(err)
