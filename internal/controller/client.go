@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/tls"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -52,79 +52,108 @@ func NewClientWithDialer(baseURL string, dial func(ctx context.Context, network,
 // CloseIdle releases pooled connections.
 func (c *Client) CloseIdle() { c.http.CloseIdleConnections() }
 
-func (c *Client) do(method, path string, body, out any) error {
+// maxReplyBytes bounds the body of every controller reply the client
+// reads.
+const maxReplyBytes = 1 << 20
+
+// ErrResponseTooLarge reports a controller reply body over 1 MiB; the
+// client refuses it whole rather than decode a truncated document.
+var ErrResponseTooLarge = errors.New("controller client: response body exceeds 1 MiB")
+
+// do sends one request with an already encoded body and returns the body
+// of a 200 reply.
+func (c *Client) do(method, path string, body []byte) ([]byte, error) {
 	var reader io.Reader
 	if body != nil {
-		buf, err := json.Marshal(body)
-		if err != nil {
-			return err
-		}
-		reader = bytes.NewReader(buf)
+		reader = bytes.NewReader(body)
 	}
 	req, err := http.NewRequest(method, c.base+path, reader)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return fmt.Errorf("controller client: %s %s: %w", method, path, err)
+		return nil, fmt.Errorf("controller client: %s %s: %w", method, path, err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	data, err := readBody(resp)
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("controller client: %s %s: %w", method, path, err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("controller client: %s %s: status %d: %s", method, path, resp.StatusCode, strings.TrimSpace(string(data)))
+		return nil, fmt.Errorf("controller client: %s %s: status %d: %s", method, path, resp.StatusCode, strings.TrimSpace(string(data)))
 	}
-	if out != nil {
-		if err := json.Unmarshal(data, out); err != nil {
-			return fmt.Errorf("controller client: decoding %s: %w", path, err)
-		}
+	return data, nil
+}
+
+// readBody reads a reply body of at most maxReplyBytes, sized up front
+// from Content-Length when the server sent one.
+func readBody(resp *http.Response) ([]byte, error) {
+	var buf bytes.Buffer
+	if n := resp.ContentLength; n > 0 && n <= maxReplyBytes {
+		// MinRead spare bytes let the final read see EOF without
+		// growing the buffer.
+		buf.Grow(int(n) + bytes.MinRead)
 	}
-	return nil
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, maxReplyBytes+1)); err != nil {
+		return nil, err
+	}
+	if buf.Len() > maxReplyBytes {
+		return nil, ErrResponseTooLarge
+	}
+	return buf.Bytes(), nil
+}
+
+// get fetches path and decodes its reply with strict, falling back to
+// encoding/json.
+func get[T any](c *Client, path string, strict func(*reader) (T, bool)) (T, error) {
+	data, err := c.do(http.MethodGet, path, nil)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	v, err := decode(data, strict)
+	if err != nil {
+		return v, fmt.Errorf("controller client: decoding %s: %w", path, err)
+	}
+	return v, nil
 }
 
 // Summary fetches deployment counts.
 func (c *Client) Summary() (Summary, error) {
-	var s Summary
-	err := c.do(http.MethodGet, PathSummary, nil, &s)
-	return s, err
+	return get(c, PathSummary, readSummary)
 }
 
 // Health checks the controller health resource.
 func (c *Client) Health() (bool, error) {
-	var out map[string]bool
-	if err := c.do(http.MethodGet, PathHealth, nil, &out); err != nil {
-		return false, err
-	}
-	return out["healthy"], nil
+	out, err := get[map[string]bool](c, PathHealth, nil)
+	return out["healthy"], err
 }
 
 // Links fetches the topology links.
 func (c *Client) Links() ([]netsim.LinkInfo, error) {
-	var out []netsim.LinkInfo
-	err := c.do(http.MethodGet, PathLinks, nil, &out)
-	return out, err
+	return get(c, PathLinks, readLinks)
 }
 
 // PushFlow installs a static flow entry.
 func (c *Client) PushFlow(spec FlowSpec) error {
-	return c.do(http.MethodPost, PathStaticFlow, spec, nil)
+	_, err := c.do(http.MethodPost, PathStaticFlow, appendFlowSpec(make([]byte, 0, 256), &spec))
+	return err
 }
 
 // DeleteFlow removes a static flow entry by name.
 func (c *Client) DeleteFlow(name string) error {
-	return c.do(http.MethodDelete, PathStaticFlow, map[string]string{"name": name}, nil)
+	_, err := c.do(http.MethodDelete, PathStaticFlow, appendNamed(make([]byte, 0, 16+len(name)), "name", name))
+	return err
 }
 
 // ListFlows fetches static flows on one switch.
 func (c *Client) ListFlows(dpid string) (map[string]FlowSpec, error) {
-	var out map[string]map[string]FlowSpec
-	if err := c.do(http.MethodGet, PathFlowList+dpid+"/json", nil, &out); err != nil {
+	out, err := get(c, PathFlowList+dpid+"/json", readFlowList)
+	if err != nil {
 		return nil, err
 	}
 	return out[dpid], nil

@@ -11,9 +11,11 @@ package controller
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"vnfguard/internal/netsim"
@@ -26,28 +28,30 @@ type Controller struct {
 	network *netsim.Network
 	started time.Time
 
-	mu sync.Mutex
-	// flows maps entry name → the pushed spec (Floodlight's static flow
+	// mu orders static-flow changes with the data plane they program.
+	mu sync.RWMutex
+	// flows holds each switch's static flow entries sorted by name;
+	// switchOf maps an entry name to its switch (Floodlight's static flow
 	// pusher is name-keyed across the deployment).
-	flows map[string]FlowSpec
+	flows    map[string][]FlowSpec
+	switchOf map[string]string
 	// packetIns counts southbound punts.
-	packetIns uint64
+	packetIns atomic.Uint64
 	// requests counts REST calls served.
-	requests uint64
+	requests atomic.Uint64
 }
 
 // New creates a controller managing the given forwarding plane.
 func New(name string, network *netsim.Network) *Controller {
 	c := &Controller{
-		name:    name,
-		network: network,
-		started: time.Now(),
-		flows:   make(map[string]FlowSpec),
+		name:     name,
+		network:  network,
+		started:  time.Now(),
+		flows:    make(map[string][]FlowSpec),
+		switchOf: make(map[string]string),
 	}
 	network.SetPacketInHandler(func(dpid string, inPort int, pkt netsim.Packet) {
-		c.mu.Lock()
-		c.packetIns++
-		c.mu.Unlock()
+		c.packetIns.Add(1)
 	})
 	return c
 }
@@ -59,24 +63,10 @@ func (c *Controller) Name() string { return c.name }
 func (c *Controller) Network() *netsim.Network { return c.network }
 
 // PacketIns reports punted packets.
-func (c *Controller) PacketIns() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.packetIns
-}
+func (c *Controller) PacketIns() uint64 { return c.packetIns.Load() }
 
 // Requests reports REST calls served.
-func (c *Controller) Requests() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.requests
-}
-
-func (c *Controller) countRequest() {
-	c.mu.Lock()
-	c.requests++
-	c.mu.Unlock()
-}
+func (c *Controller) Requests() uint64 { return c.requests.Load() }
 
 // FlowSpec is the static-flow-pusher JSON entry, following Floodlight's
 // string-typed field conventions.
@@ -196,46 +186,76 @@ func parsePrefix(s string) (netip.Prefix, error) {
 	return p, nil
 }
 
-// PushFlow validates and installs a static flow entry.
+// PushFlow validates and installs a static flow entry. Names are unique
+// across the deployment: pushing a name that lives on another switch
+// moves the entry there.
 func (c *Controller) PushFlow(spec FlowSpec) error {
 	entry, err := spec.compile()
 	if err != nil {
 		return err
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if err := c.network.InstallFlow(spec.Switch, entry); err != nil {
 		return err
 	}
-	c.mu.Lock()
-	c.flows[spec.Name] = spec
-	c.mu.Unlock()
+	if old, ok := c.switchOf[spec.Name]; ok && old != spec.Switch {
+		c.unindex(old, spec.Name)
+		// The index held the entry, so the old switch does too.
+		c.network.RemoveFlow(old, spec.Name)
+	}
+	c.switchOf[spec.Name] = spec.Switch
+	flows := c.flows[spec.Switch]
+	i, found := slices.BinarySearchFunc(flows, spec.Name, byName)
+	if found {
+		flows[i] = spec
+	} else {
+		c.flows[spec.Switch] = slices.Insert(flows, i, spec)
+	}
 	return nil
 }
 
 // DeleteFlow removes a static flow entry by name.
 func (c *Controller) DeleteFlow(name string) error {
 	c.mu.Lock()
-	spec, ok := c.flows[name]
-	if ok {
-		delete(c.flows, name)
-	}
-	c.mu.Unlock()
+	defer c.mu.Unlock()
+	dpid, ok := c.switchOf[name]
 	if !ok {
 		return fmt.Errorf("controller: no static flow %q", name)
 	}
-	return c.network.RemoveFlow(spec.Switch, name)
+	delete(c.switchOf, name)
+	c.unindex(dpid, name)
+	return c.network.RemoveFlow(dpid, name)
 }
 
-// FlowsOn lists static flow entries for one switch.
-func (c *Controller) FlowsOn(dpid string) []FlowSpec {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []FlowSpec
-	for _, spec := range c.flows {
-		if spec.Switch == dpid {
-			out = append(out, spec)
-		}
+// unindex drops name from dpid's entries; c.mu is held.
+func (c *Controller) unindex(dpid, name string) {
+	flows := c.flows[dpid]
+	if i, found := slices.BinarySearchFunc(flows, name, byName); found {
+		flows = slices.Delete(flows, i, i+1)
 	}
-	return out
+	if len(flows) == 0 {
+		delete(c.flows, dpid)
+	} else {
+		c.flows[dpid] = flows
+	}
+}
+
+func byName(s FlowSpec, name string) int { return strings.Compare(s.Name, name) }
+
+// FlowsOn lists static flow entries for one switch, sorted by name.
+func (c *Controller) FlowsOn(dpid string) []FlowSpec {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return slices.Clone(c.flows[dpid])
+}
+
+// flowListReply encodes the flow-list reply for one switch.
+func (c *Controller) flowListReply(dpid string) []byte {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	flows := c.flows[dpid]
+	return appendFlowList(make([]byte, 0, 64+256*len(flows)), dpid, flows)
 }
 
 // Summary mirrors Floodlight's controller summary resource.
@@ -248,9 +268,9 @@ type Summary struct {
 
 // Summary reports deployment counts.
 func (c *Controller) Summary() Summary {
-	c.mu.Lock()
-	flows := len(c.flows)
-	c.mu.Unlock()
+	c.mu.RLock()
+	flows := len(c.switchOf)
+	c.mu.RUnlock()
 	return Summary{
 		Switches:         len(c.network.Switches()),
 		Hosts:            len(c.network.Hosts()),

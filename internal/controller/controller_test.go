@@ -322,3 +322,48 @@ func TestRESTRejectsMalformedFlow(t *testing.T) {
 		t.Fatalf("malformed flow: %v", err)
 	}
 }
+
+// TestRepushOtherSwitch pushes one name to two switches in turn. Names are
+// unique across the deployment, so the entry moves: the first switch must
+// not keep a copy that no REST call can list or remove.
+func TestRepushOtherSwitch(t *testing.T) {
+	n := testNet(t)
+	if _, err := n.AddSwitch("00:00:02"); err != nil {
+		t.Fatal(err)
+	}
+	c := New("ctrl", n)
+	for _, dpid := range []string{"00:00:01", "00:00:02"} {
+		if err := c.PushFlow(FlowSpec{Name: "x", Switch: dpid, Actions: "output=2"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := func(dpid string) int {
+		s, err := n.Switch(dpid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(s.Flows())
+	}
+	if held("00:00:01") != 0 || len(c.FlowsOn("00:00:01")) != 0 {
+		t.Fatalf("first switch still holds the re-pushed entry: %d installed", held("00:00:01"))
+	}
+	if held("00:00:02") != 1 || len(c.FlowsOn("00:00:02")) != 1 || c.Summary().StaticFlows != 1 {
+		t.Fatalf("second switch: %d installed, %d listed, summary %+v", held("00:00:02"), len(c.FlowsOn("00:00:02")), c.Summary())
+	}
+	if err := c.DeleteFlow("x"); err != nil {
+		t.Fatal(err)
+	}
+	if held("00:00:01")+held("00:00:02") != 0 || c.Summary().StaticFlows != 0 {
+		t.Fatalf("after delete: %d + %d installed", held("00:00:01"), held("00:00:02"))
+	}
+	// A failed move leaves the entry where it was.
+	if err := c.PushFlow(FlowSpec{Name: "y", Switch: "00:00:01", Actions: "drop"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.PushFlow(FlowSpec{Name: "y", Switch: "ghost", Actions: "drop"}); err == nil {
+		t.Fatal("push to an unknown switch accepted")
+	}
+	if held("00:00:01") != 1 || len(c.FlowsOn("00:00:01")) != 1 {
+		t.Fatalf("failed move dropped the entry: %d installed", held("00:00:01"))
+	}
+}

@@ -1,9 +1,7 @@
 package controller
 
 import (
-	"context"
 	"crypto/x509"
-	"encoding/json"
 	"io"
 	"net/http"
 )
@@ -18,26 +16,13 @@ const (
 	PathFlowList   = "/wm/staticflowpusher/list/"
 )
 
-// principalKey carries the authenticated client identity through request
-// contexts in trusted-HTTPS mode.
-type principalKey struct{}
-
 // Principal returns the authenticated client CN, or "" for unauthenticated
 // modes.
 func Principal(r *http.Request) string {
-	if v, ok := r.Context().Value(principalKey{}).(string); ok {
-		return v
+	if r.TLS != nil && len(r.TLS.PeerCertificates) > 0 {
+		return r.TLS.PeerCertificates[0].Subject.CommonName
 	}
 	return ""
-}
-
-// withPrincipal attaches the client certificate CN when present.
-func withPrincipal(r *http.Request) *http.Request {
-	if r.TLS != nil && len(r.TLS.PeerCertificates) > 0 {
-		cn := r.TLS.PeerCertificates[0].Subject.CommonName
-		return r.WithContext(context.WithValue(r.Context(), principalKey{}, cn))
-	}
-	return r
 }
 
 // Handler returns the controller's north-bound REST interface.
@@ -51,38 +36,34 @@ func (c *Controller) Handler() http.Handler {
 	mux.HandleFunc("DELETE "+PathStaticFlow, c.handleDeleteFlow)
 	mux.HandleFunc("GET "+PathFlowList+"{dpid}/json", c.handleFlowList)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		c.countRequest()
-		mux.ServeHTTP(w, withPrincipal(r))
+		c.requests.Add(1)
+		mux.ServeHTTP(w, r)
 	})
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
+// writeReply sends a reply the codec encoded, ending it with the newline
+// json.Encoder writes.
+func writeReply(w http.ResponseWriter, b []byte) {
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
+	w.Write(append(b, '\n'))
 }
 
 func (c *Controller) handleSummary(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, c.Summary())
+	writeReply(w, appendSummary(make([]byte, 0, 128), c.Summary()))
 }
 
 func (c *Controller) handleHealth(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, map[string]bool{"healthy": true})
+	writeReply(w, []byte(`{"healthy":true}`))
 }
 
 func (c *Controller) handleLinks(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, c.network.Links())
+	links := c.network.Links()
+	writeReply(w, appendLinks(make([]byte, 0, 16+96*len(links)), links))
 }
 
 func (c *Controller) handleDevices(w http.ResponseWriter, r *http.Request) {
-	type device struct {
-		Host string `json:"host"`
-	}
 	hosts := c.network.Hosts()
-	out := make([]device, len(hosts))
-	for i, h := range hosts {
-		out[i] = device{Host: h}
-	}
-	writeJSON(w, out)
+	writeReply(w, appendDevices(make([]byte, 0, 16+32*len(hosts)), hosts))
 }
 
 func (c *Controller) handlePushFlow(w http.ResponseWriter, r *http.Request) {
@@ -91,8 +72,8 @@ func (c *Controller) handlePushFlow(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "read error", http.StatusBadRequest)
 		return
 	}
-	var spec FlowSpec
-	if err := json.Unmarshal(body, &spec); err != nil {
+	spec, err := decode(body, readFlowSpec)
+	if err != nil {
 		http.Error(w, "malformed flow entry", http.StatusBadRequest)
 		return
 	}
@@ -101,7 +82,7 @@ func (c *Controller) handlePushFlow(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	writeJSON(w, map[string]string{"status": "Entry pushed"})
+	writeReply(w, appendNamed(make([]byte, 0, 32), "status", "Entry pushed"))
 }
 
 func (c *Controller) handleDeleteFlow(w http.ResponseWriter, r *http.Request) {
@@ -110,10 +91,8 @@ func (c *Controller) handleDeleteFlow(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "read error", http.StatusBadRequest)
 		return
 	}
-	var req struct {
-		Name string `json:"name"`
-	}
-	if err := json.Unmarshal(body, &req); err != nil || req.Name == "" {
+	req, err := decode(body, readDeleteRequest)
+	if err != nil || req.Name == "" {
 		http.Error(w, "malformed delete request", http.StatusBadRequest)
 		return
 	}
@@ -121,17 +100,11 @@ func (c *Controller) handleDeleteFlow(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
 	}
-	writeJSON(w, map[string]string{"status": "Entry " + req.Name + " deleted"})
+	writeReply(w, appendNamed(make([]byte, 0, 32+len(req.Name)), "status", "Entry "+req.Name+" deleted"))
 }
 
 func (c *Controller) handleFlowList(w http.ResponseWriter, r *http.Request) {
-	dpid := r.PathValue("dpid")
-	flows := c.FlowsOn(dpid)
-	out := make(map[string]FlowSpec, len(flows))
-	for _, f := range flows {
-		out[f.Name] = f
-	}
-	writeJSON(w, map[string]map[string]FlowSpec{dpid: out})
+	writeReply(w, c.flowListReply(r.PathValue("dpid")))
 }
 
 // VerifyClientChain builds the trusted-HTTPS VerifyPeerCertificate hook:

@@ -2,8 +2,10 @@ package controller
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -91,5 +93,41 @@ func TestPacketInCounting(t *testing.T) {
 	}
 	if c.PacketIns() != 1 {
 		t.Fatalf("packet-ins = %d", c.PacketIns())
+	}
+}
+
+// TestResponseTooLarge refuses a reply over 1 MiB whole, with or without
+// a Content-Length, instead of decoding a truncated document; a reply of
+// exactly 1 MiB still reads.
+func TestResponseTooLarge(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		size   int
+		length bool
+	}{
+		{"chunked", maxReplyBytes + 1, false},
+		{"content-length", maxReplyBytes + 1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if tc.length {
+					w.Header().Set("Content-Length", strconv.Itoa(tc.size))
+				}
+				w.Write([]byte(`{"# Switches":1`))
+				w.Write([]byte(strings.Repeat(" ", tc.size-len(`{"# Switches":1}`))))
+				w.Write([]byte(`}`))
+			}))
+			defer srv.Close()
+			if _, err := NewClient(srv.URL, nil).Summary(); !errors.Is(err, ErrResponseTooLarge) {
+				t.Fatalf("got %v, want ErrResponseTooLarge", err)
+			}
+		})
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(`{"# Switches":1` + strings.Repeat(" ", maxReplyBytes-len(`{"# Switches":1}`)) + `}`))
+	}))
+	defer srv.Close()
+	if s, err := NewClient(srv.URL, nil).Summary(); err != nil || s.Switches != 1 {
+		t.Fatalf("1 MiB reply: %+v, %v", s, err)
 	}
 }
