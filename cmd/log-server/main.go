@@ -260,10 +260,6 @@ func runMonitor(dir *statedir.Dir, url, name, gossipAddr, peersFlag string, inte
 		log.Printf("witness %q restored persisted head: size=%d root=%x…", name, last.Size, last.RootHash[:8])
 	}
 	pool := translog.NewGossipPool(name, witness, client)
-	// Assemble consistency proofs from cached immutable tiles instead of
-	// hitting the server's per-request proof endpoint every advance — a
-	// witness fleet's polling load becomes cacheable tile fetches.
-	pool.UseTileProofs(0)
 
 	// A deployment with a pinned witness partition runs this witness in
 	// partitioned mode: audit only the assigned shard streams, gossip the

@@ -2,6 +2,8 @@ package controller
 
 import (
 	"crypto/x509"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 )
@@ -67,9 +69,8 @@ func (c *Controller) handleDevices(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Controller) handlePushFlow(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		http.Error(w, "read error", http.StatusBadRequest)
+	body, ok := readRequest(w, r, 1<<20)
+	if !ok {
 		return
 	}
 	spec, err := decode(body, readFlowSpec)
@@ -86,9 +87,8 @@ func (c *Controller) handlePushFlow(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Controller) handleDeleteFlow(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<16))
-	if err != nil {
-		http.Error(w, "read error", http.StatusBadRequest)
+	body, ok := readRequest(w, r, 1<<16)
+	if !ok {
 		return
 	}
 	req, err := decode(body, readDeleteRequest)
@@ -101,6 +101,24 @@ func (c *Controller) handleDeleteFlow(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeReply(w, appendNamed(make([]byte, 0, 32+len(req.Name)), "status", "Entry "+req.Name+" deleted"))
+}
+
+// readRequest reads a request body of at most limit bytes. A longer
+// body is refused whole with 413 — never decoded truncated and called
+// malformed — and a failed read with 400; either way ok is false and
+// the reply is written.
+func readRequest(w http.ResponseWriter, r *http.Request, limit int64) (body []byte, ok bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		http.Error(w, fmt.Sprintf("request body exceeds %d bytes", limit), http.StatusRequestEntityTooLarge)
+		return nil, false
+	case err != nil:
+		http.Error(w, "read error", http.StatusBadRequest)
+		return nil, false
+	}
+	return body, true
 }
 
 func (c *Controller) handleFlowList(w http.ResponseWriter, r *http.Request) {

@@ -131,3 +131,47 @@ func TestResponseTooLarge(t *testing.T) {
 		t.Fatalf("1 MiB reply: %+v, %v", s, err)
 	}
 }
+
+// TestRequestBodyTooLarge: a well-formed push or delete body over the
+// handler's cap is refused whole with 413, not decoded truncated and
+// called malformed; a body at the cap still reaches the decoder.
+func TestRequestBodyTooLarge(t *testing.T) {
+	c := New("ctrl", testNet(t))
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	send := func(method, body string) int {
+		t.Helper()
+		req, err := http.NewRequest(method, srv.URL+PathStaticFlow, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	// padded returns a document of exactly size bytes whose name field
+	// fills the room the rest leaves.
+	padded := func(size int, pre, post string) string {
+		return pre + strings.Repeat("a", size-len(pre)-len(post)) + post
+	}
+	const pushPre, pushPost = `{"name":"`, `","switch":"00:00:01","actions":"output=2"}`
+	const delPre, delPost = `{"name":"`, `"}`
+	for _, tc := range []struct {
+		name   string
+		method string
+		body   string
+		want   int
+	}{
+		{"push over 1 MiB", http.MethodPost, padded(1<<20+1, pushPre, pushPost), http.StatusRequestEntityTooLarge},
+		{"push at 1 MiB", http.MethodPost, padded(1<<20, pushPre, pushPost), http.StatusOK},
+		{"delete over 64 KiB", http.MethodDelete, padded(1<<16+1, delPre, delPost), http.StatusRequestEntityTooLarge},
+		{"delete at 64 KiB", http.MethodDelete, padded(1<<16, delPre, delPost), http.StatusNotFound},
+	} {
+		if got := send(tc.method, tc.body); got != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}

@@ -4,7 +4,11 @@ import (
 	"crypto/ecdsa"
 	"crypto/tls"
 	"crypto/x509"
+	"errors"
+	"math/big"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -144,5 +148,25 @@ func TestRevocationEffectiveMidSession(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "403") {
 		t.Fatalf("want a 403 rejection, got: %v", err)
+	}
+}
+
+// TestCredentialLogResponseTooLarge: a credential gate reading a remote
+// log whose lookup reply runs past the client's 4 MiB cap refuses the
+// credential with the named translog.ErrResponseTooLarge, instead of
+// judging a truncated bundle.
+func TestCredentialLogResponseTooLarge(t *testing.T) {
+	ca, err := pki.NewCA("vm-ca", time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flood := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte("{" + strings.Repeat(" ", 4<<20) + "}"))
+	}))
+	defer flood.Close()
+	caPub := ca.Certificate().PublicKey.(*ecdsa.PublicKey)
+	check := translog.NewCredentialChecker(caPub, translog.NewTileProofSource(translog.NewClient(flood.URL, caPub), 0))
+	if err := check(&x509.Certificate{SerialNumber: big.NewInt(77)}); !errors.Is(err, translog.ErrResponseTooLarge) {
+		t.Fatalf("got %v, want translog.ErrResponseTooLarge", err)
 	}
 }

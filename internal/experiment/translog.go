@@ -2,12 +2,14 @@ package experiment
 
 import (
 	"crypto/ecdsa"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -653,11 +655,12 @@ func e18(env *Env) (*Plan, error) {
 // e19 times tile-based proof serving at the scale the design is for: a
 // 10^6-entry log served over HTTP, and an auditor that needs inclusion
 // proofs for a recurring working set of credentials. The baseline asks
-// the per-request InclusionProof endpoint (one round trip per proof, the
-// server walks its tree each time). The tile modes assemble the same
-// proofs client-side from content-addressed tiles: cold thrashes a tiny
-// LRU (every proof re-fetches its tiles), warm holds the working set's
-// tiles pre-expanded, so a proof costs a few array reads and zero HTTP.
+// a per-request proof endpoint (proofEndpoint: one round trip and one
+// JSON decode per proof, the server walks its tree each time). The tile
+// modes assemble the same proofs client-side from content-addressed
+// tiles: cold thrashes a tiny LRU (every proof re-fetches its tiles),
+// warm holds the working set's tiles pre-expanded, so a proof costs a
+// few array reads and zero HTTP.
 // Every proof is verified against the tree root in all modes. The
 // acceptance verdict: warm tile assembly must beat the endpoint by ≥10x.
 func e19(env *Env) (*Plan, error) {
@@ -681,6 +684,10 @@ func e19(env *Env) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
+	endpoint, err := serve(env, proofEndpoint(l))
+	if err != nil {
+		return nil, err
+	}
 	sth := l.STH()
 	// The working set is a fixed cycle of indices spread across the
 	// whole tree, so the warm mode can cover it up front.
@@ -700,7 +707,7 @@ func e19(env *Env) (*Plan, error) {
 	var cases []Case
 	for _, m := range modes {
 		cases = append(cases, Case{Name: m.name, Reps: proofsPerRun, Open: func(*Env) (Body, error) {
-			proofs := translog.NewClient(url, nil).InclusionProof
+			proofs := endpointProofs(endpoint)
 			if m.tiles > 0 {
 				asm := translog.NewTileAssembler(translog.NewClient(url, nil), m.tiles)
 				assemblers[m.name], proofs = asm, asm.InclusionProof
@@ -737,6 +744,52 @@ func e19(env *Env) (*Plan, error) {
 		}
 		return t, nil
 	}}, nil
+}
+
+// proofEndpoint is E19's baseline server: GET ?index=&size= answers
+// {"proof": [...]}, the audit path l computes for that request.
+func proofEndpoint(l *translog.Log) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		index, err1 := strconv.ParseUint(r.URL.Query().Get("index"), 10, 64)
+		size, err2 := strconv.ParseUint(r.URL.Query().Get("size"), 10, 64)
+		if err1 != nil || err2 != nil {
+			http.Error(w, "bad index/size", http.StatusBadRequest)
+			return
+		}
+		proof, err := l.InclusionProof(index, size)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(wireProof{Proof: proof})
+	})
+}
+
+// wireProof is proofEndpoint's reply.
+type wireProof struct {
+	Proof []translog.Hash `json:"proof"`
+}
+
+// endpointProofs is the baseline's client: one round trip and one JSON
+// decode per proof.
+func endpointProofs(base string) func(index, size uint64) ([]translog.Hash, error) {
+	return func(index, size uint64) ([]translog.Hash, error) {
+		resp, err := http.Get(fmt.Sprintf("%s?index=%d&size=%d", base, index, size))
+		if err != nil {
+			return nil, err
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			return nil, err
+		}
+		var out wireProof
+		if err := json.Unmarshal(body, &out); err != nil {
+			return nil, err
+		}
+		return out.Proof, nil
+	}
 }
 
 // e20 times the partitioned audit plane's scaling claim: as the fleet

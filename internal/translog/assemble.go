@@ -204,8 +204,8 @@ func (a *TileAssembler) RootAt(size uint64) (Hash, error) {
 
 // TileProofSource is a ProofSource that assembles inclusion proofs from
 // tiles instead of asking the server to compute them: the lookup
-// endpoint resolves serial → (index, entry, head) with ?proof=0, and
-// the audit path folds locally from the LRU — giving the controller a
+// endpoint resolves serial → (index, entry, head), and the audit path
+// folds locally from the LRU — giving the controller a
 // local proof cache keyed by tile, with zero proof computation on the
 // sequencer's side.
 type TileProofSource struct {

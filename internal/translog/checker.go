@@ -8,9 +8,10 @@ import (
 	"vnfguard/internal/sigmemo"
 )
 
-// ProofSource supplies credential proof bundles: the in-process *Log or
-// the HTTP *Client both qualify, so the controller can sit next to the VM
-// or audit a remote log server with the same hook.
+// ProofSource supplies credential proof bundles: the in-process *Log, or
+// a TileProofSource over the in-process log or a remote log server, so
+// the controller can sit next to the VM or audit a remote log with the
+// same hook.
 type ProofSource interface {
 	ProveSerial(serial string) (*ProofBundle, error)
 }
@@ -35,17 +36,25 @@ func NewCredentialChecker(pub *ecdsa.PublicKey, source ProofSource) func(*x509.C
 // supplied, so tests can watch it.
 func newCredentialChecker(pub *ecdsa.PublicKey, source ProofSource, heads *sigmemo.Memo) func(*x509.Certificate) error {
 	return func(cert *x509.Certificate) error {
-		serial := cert.SerialNumber.String()
-		pb, err := source.ProveSerial(serial)
-		if err != nil {
-			return fmt.Errorf("translog: credential %s: %w", serial, err)
-		}
-		if err := pb.verify(pub, heads); err != nil {
-			return fmt.Errorf("translog: credential %s: %w", serial, err)
-		}
-		if pb.Entry.Serial != serial || (pb.Entry.Type != EntryEnroll && pb.Entry.Type != EntryProvision) {
-			return fmt.Errorf("%w: proof bundle does not cover serial %s", ErrNotLogged, serial)
-		}
-		return nil
+		_, err := proveCredential(pub, source, heads, cert)
+		return err
 	}
+}
+
+// proveCredential fetches the proof bundle for cert's serial, verifies
+// it against pub (remembering verified heads in heads) and checks that
+// it records the credential's issuance. It returns the verified bundle.
+func proveCredential(pub *ecdsa.PublicKey, source ProofSource, heads *sigmemo.Memo, cert *x509.Certificate) (*ProofBundle, error) {
+	serial := cert.SerialNumber.String()
+	pb, err := source.ProveSerial(serial)
+	if err != nil {
+		return nil, fmt.Errorf("translog: credential %s: %w", serial, err)
+	}
+	if err := pb.verify(pub, heads); err != nil {
+		return nil, fmt.Errorf("translog: credential %s: %w", serial, err)
+	}
+	if pb.Entry.Serial != serial || (pb.Entry.Type != EntryEnroll && pb.Entry.Type != EntryProvision) {
+		return nil, fmt.Errorf("%w: proof bundle does not cover serial %s", ErrNotLogged, serial)
+	}
+	return pb, nil
 }

@@ -28,6 +28,7 @@ import (
 	"sync"
 	"time"
 
+	"vnfguard/internal/sigmemo"
 	"vnfguard/internal/statedir"
 )
 
@@ -520,9 +521,8 @@ func (c *CosignCollector) Equivocations() []*EquivocationError {
 // ---- quorum-gated credential checking -------------------------------------
 
 // ConsistencyProver produces RFC 6962 consistency proofs between two
-// tree sizes — Client and TileAssembler both qualify, so the quorum
-// checker runs equally over the consistency endpoint or tile-assembled
-// proofs.
+// tree sizes — the in-process *Log, a TileAssembler and a
+// TileProofSource all qualify.
 type ConsistencyProver interface {
 	ConsistencyProof(first, second uint64) ([]Hash, error)
 }
@@ -533,19 +533,14 @@ type ConsistencyProver interface {
 // it, or consistency-proven into it. A bundle whose head is newer than
 // anything Q witnesses have co-signed is refused (ErrQuorumNotReached):
 // the log's own signature stopped being sufficient the moment the
-// deployment pinned a roster.
+// deployment pinned a roster. Its first half is NewCredentialChecker's,
+// head memo included.
 func NewQuorumCredentialChecker(pub *ecdsa.PublicKey, roster *WitnessRoster, source ProofSource, proofs ConsistencyProver, cosigned CosignSource) func(*x509.Certificate) error {
+	heads := sigmemo.New()
 	return func(cert *x509.Certificate) error {
-		serial := cert.SerialNumber.String()
-		pb, err := source.ProveSerial(serial)
+		pb, err := proveCredential(pub, source, heads, cert)
 		if err != nil {
-			return fmt.Errorf("translog: credential %s: %w", serial, err)
-		}
-		if err := pb.Verify(pub); err != nil {
-			return fmt.Errorf("translog: credential %s: %w", serial, err)
-		}
-		if pb.Entry.Serial != serial || (pb.Entry.Type != EntryEnroll && pb.Entry.Type != EntryProvision) {
-			return fmt.Errorf("%w: proof bundle does not cover serial %s", ErrNotLogged, serial)
+			return err
 		}
 		ch, err := cosigned()
 		if err != nil {

@@ -71,13 +71,13 @@ func OpenWitnessState(dir *statedir.Dir, name string, pub *ecdsa.PublicKey) (*Wi
 type GossipPool struct {
 	name string
 	w    *Witness
-	// log audits the server under watch: served heads and consistency
-	// proofs. May be nil for a pure relay witness (gossip only).
+	// log audits the server under watch: served heads, shard streams
+	// and the tiles every proof is assembled from. May be nil for a pure
+	// relay witness (gossip only).
 	log *Client
 
-	// tiles, when set (UseTileProofs), assembles consistency proofs
-	// client-side from cached tiles instead of asking the server's
-	// consistency endpoint per advance.
+	// tiles assembles consistency and audit inclusion proofs from the
+	// watched log's tiles; nil exactly when log is.
 	tiles *TileAssembler
 
 	mu       sync.Mutex
@@ -101,24 +101,20 @@ type GossipPool struct {
 const defaultMaxAuditPerShard = 4096
 
 // NewGossipPool builds a pool for witness w (named for evidence
-// attribution) watching the log served by logClient.
+// attribution) watching the log served by logClient (nil: a pure relay).
+// A watching pool assembles every proof it needs from the log's tiles
+// through a default-sized cache: a fleet of witnesses each advancing on
+// every served head is a handful of immutable, usually cached tile
+// fetches per advance, folded locally. An assembled proof convinces the
+// witness only through the same VerifyConsistency and VerifyInclusion
+// checks any proof must pass, so a bad tile fails verification and
+// never passes it.
 func NewGossipPool(name string, w *Witness, logClient *Client) *GossipPool {
-	return &GossipPool{name: name, w: w, log: logClient}
-}
-
-// UseTileProofs switches the pool's consistency-proof fetches onto a
-// tile assembler over the watched log, caching up to cacheTiles
-// expanded tiles (≤ 0: default). A fleet of witnesses each advancing on
-// every served head is exactly the fan-out per-request proof
-// computation cannot serve: with tiles, each advance is a handful of
-// immutable (and usually already-cached) tile fetches, folded locally.
-// Harmless to verification — an assembled proof convinces the witness
-// through the same VerifyConsistency check a server-computed one must
-// pass. Call before the pool starts exchanging.
-func (g *GossipPool) UseTileProofs(cacheTiles int) {
-	if g.log != nil {
-		g.tiles = NewTileAssembler(g.log, cacheTiles)
+	g := &GossipPool{name: name, w: w, log: logClient}
+	if logClient != nil {
+		g.tiles = NewTileAssembler(logClient, 0)
 	}
+	return g
 }
 
 // EnablePartition switches the pool into partitioned-audit mode: the
@@ -177,30 +173,19 @@ func (g *GossipPool) Partition() *WitnessPartition {
 	return g.part
 }
 
-// auditSource composes the shard-audit read path: stream slices always
-// come from the watched log's shard endpoint; inclusion proofs ride the
-// tile assembler when UseTileProofs is on, so the per-entry audit
-// fan-out hits the cacheable tile path instead of the proof endpoint.
+// auditSource composes the shard-audit read path: stream slices come
+// from the watched log's shard endpoint, inclusion proofs from the tile
+// assembler, so the per-entry audit fan-out hits the cacheable tile
+// path.
 func (g *GossipPool) auditSource() ShardAuditSource {
-	if g.tiles != nil {
-		return &tileShardSource{stream: g.log, proofs: g.tiles}
-	}
-	return g.log
+	return tileShardSource{g.log, g.tiles}
 }
 
-// tileShardSource is a ShardAuditSource splitting streams and proofs
-// across transports.
+// tileShardSource is the remote ShardAuditSource: ShardStream from the
+// shard endpoint, InclusionProof from tiles.
 type tileShardSource struct {
-	stream *Client
-	proofs *TileAssembler
-}
-
-func (t *tileShardSource) ShardStream(shard int, start, count uint64) (uint64, []IndexedEntry, error) {
-	return t.stream.ShardStream(shard, start, count)
-}
-
-func (t *tileShardSource) InclusionProof(index, size uint64) ([]Hash, error) {
-	return t.proofs.InclusionProof(index, size)
+	*Client
+	*TileAssembler
 }
 
 // Name returns the pool's witness name.
@@ -253,21 +238,15 @@ func (g *GossipPool) latch(err error) error {
 	return err
 }
 
-// fetchConsistency proxies proofs from the watched log; without one the
-// merge can only compare equal-size heads. With tiles enabled the proof
-// is assembled locally from cached tiles, falling back to the server's
-// consistency endpoint if the tile read path cannot cover the range
-// (e.g. an old server without the tile endpoint).
+// fetchConsistency assembles proofs from the watched log's tiles;
+// without a log the merge can only compare equal-size heads. A tile the
+// server cannot serve (missing, corrupt framing) is an error — the
+// witness is degraded — never a conviction.
 func (g *GossipPool) fetchConsistency(first, second uint64) ([]Hash, error) {
-	if g.log == nil {
+	if g.tiles == nil {
 		return nil, errors.New("translog: gossip pool has no log to fetch consistency proofs from")
 	}
-	if g.tiles != nil {
-		if proof, err := g.tiles.ConsistencyProof(first, second); err == nil {
-			return proof, nil
-		}
-	}
-	return g.log.ConsistencyProof(first, second)
+	return g.tiles.ConsistencyProof(first, second)
 }
 
 // ReceiveHead folds in a head observed from a peer (the server side of

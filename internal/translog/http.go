@@ -17,13 +17,11 @@ import (
 
 // Log-server REST paths (CT-inspired, JSON bodies).
 const (
-	pathSTH         = "/translog/v1/sth"
-	pathEntries     = "/translog/v1/entries"
-	pathInclusion   = "/translog/v1/inclusion"
-	pathConsistency = "/translog/v1/consistency"
-	pathLookup      = "/translog/v1/lookup"
-	pathAppend      = "/translog/v1/append"
-	pathGossip      = "/translog/v1/gossip"
+	pathSTH     = "/translog/v1/sth"
+	pathEntries = "/translog/v1/entries"
+	pathLookup  = "/translog/v1/lookup"
+	pathAppend  = "/translog/v1/append"
+	pathGossip  = "/translog/v1/gossip"
 	// pathTile is the tile subtree: GET {level}/{index} for a full tile,
 	// GET {level}/{index}.p/{width} for a partial right-edge tile.
 	pathTile = "/translog/v1/tile/"
@@ -37,8 +35,8 @@ const (
 )
 
 // Cache-Control values. Everything a tile-based log serves is either
-// immutable (named by content: full tiles, entry ranges and proofs below
-// a signed head never change) or the one moving part (the head itself,
+// immutable (named by content: full tiles and entry ranges below a
+// signed head never change) or the one moving part (the head itself,
 // the right edge), which must revalidate. Getting these right is what
 // lets a plain HTTP cache in front of the log absorb the fan-out of
 // millions of verifying clients.
@@ -66,14 +64,13 @@ type wireEntry struct {
 	Canonical []byte `json:"canonical"`
 }
 
-type wireProof struct {
-	Proof []Hash `json:"proof"`
-}
-
+// wireBundle is the lookup reply: a serial's entry, its index and the
+// signed head it is committed under. It carries no audit path — clients
+// fold that from tiles — so a client still expecting a server-computed
+// path gets none, and its verification fails instead of passing.
 type wireBundle struct {
 	Index uint64         `json:"index"`
 	Entry []byte         `json:"entry"`
-	Proof []Hash         `json:"proof"`
 	STH   SignedTreeHead `json:"sth"`
 }
 
@@ -157,59 +154,16 @@ func Handler(l *Log) http.Handler {
 		}
 		writeJSON(w, wireShardStream{Total: total, Entries: entries})
 	})
-	mux.HandleFunc("GET "+pathInclusion, func(w http.ResponseWriter, r *http.Request) {
-		index, err1 := queryUint(r, "index")
-		size, err2 := queryUint(r, "size")
-		if err1 != nil || err2 != nil {
-			http.Error(w, "bad index/size", http.StatusBadRequest)
-			return
-		}
-		proof, err := l.InclusionProof(index, size)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		// The parameters pin the tree the path is computed in, so the
-		// response below a signed head is as immutable as the tiles it
-		// could be assembled from.
-		if size <= l.STH().Size {
-			w.Header().Set("Cache-Control", cacheImmutable)
-		}
-		writeJSON(w, wireProof{Proof: proof})
-	})
-	mux.HandleFunc("GET "+pathConsistency, func(w http.ResponseWriter, r *http.Request) {
-		first, err1 := queryUint(r, "first")
-		second, err2 := queryUint(r, "second")
-		if err1 != nil || err2 != nil {
-			http.Error(w, "bad first/second", http.StatusBadRequest)
-			return
-		}
-		proof, err := l.ConsistencyProof(first, second)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if second <= l.STH().Size {
-			w.Header().Set("Cache-Control", cacheImmutable)
-		}
-		writeJSON(w, wireProof{Proof: proof})
-	})
 	mux.HandleFunc("GET "+pathLookup, func(w http.ResponseWriter, r *http.Request) {
 		serial := r.URL.Query().Get("serial")
 		if serial == "" {
 			http.Error(w, "missing serial", http.StatusBadRequest)
 			return
 		}
-		// proof=0 skips the server-side audit path: tile-assembling
-		// clients fold it locally from cached tiles, so the sequencer's
-		// machine does a map read and an entry copy, nothing more.
-		var pb *ProofBundle
-		var err error
-		if r.URL.Query().Get("proof") == "0" {
-			pb, err = l.lookupBundle(serial)
-		} else {
-			pb, err = l.ProveSerial(serial)
-		}
+		// No audit path: clients fold it locally from cached tiles, so
+		// the sequencer's machine does a map read and an entry copy,
+		// nothing more.
+		pb, err := l.lookupBundle(serial)
 		if err != nil {
 			// Revoked and never-logged are distinct verdicts for a
 			// relying party; encode the difference in the status code so
@@ -221,12 +175,11 @@ func Handler(l *Log) http.Handler {
 			http.Error(w, err.Error(), status)
 			return
 		}
-		writeJSON(w, wireBundle{Index: pb.Index, Entry: pb.Entry.Marshal(), Proof: pb.Proof, STH: pb.STH})
+		writeJSON(w, wireBundle{Index: pb.Index, Entry: pb.Entry.Marshal(), STH: pb.STH})
 	})
 	mux.HandleFunc("POST "+pathAppend, func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(io.LimitReader(r.Body, 4<<20))
-		if err != nil {
-			http.Error(w, "read error", http.StatusBadRequest)
+		body, ok := readRequest(w, r, 4<<20)
+		if !ok {
 			return
 		}
 		var in []wireEntry
@@ -468,9 +421,8 @@ func GossipHandler(p *GossipPool) http.Handler {
 		writeJSON(w, p.localView())
 	})
 	mux.HandleFunc("POST "+pathGossip, func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-		if err != nil {
-			http.Error(w, "read error", http.StatusBadRequest)
+		body, ok := readRequest(w, r, 1<<20)
+		if !ok {
 			return
 		}
 		var in wireGossip
@@ -512,9 +464,8 @@ func GossipHandler(p *GossipPool) http.Handler {
 func CosignHandler(col *CosignCollector) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST "+pathCosign, func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-		if err != nil {
-			http.Error(w, "read error", http.StatusBadRequest)
+		body, ok := readRequest(w, r, 1<<20)
+		if !ok {
 			return
 		}
 		var in wireCosign
@@ -559,6 +510,24 @@ func CosignHandler(col *CosignCollector) http.Handler {
 		}
 	})
 	return mux
+}
+
+// readRequest reads a request body of at most limit bytes. A longer
+// body is refused whole with 413 — never decoded truncated and called
+// malformed — and a failed read with 400; either way ok is false and
+// the reply is written.
+func readRequest(w http.ResponseWriter, r *http.Request, limit int64) (body []byte, ok bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		http.Error(w, fmt.Sprintf("request body exceeds %d bytes", limit), http.StatusRequestEntityTooLarge)
+		return nil, false
+	case err != nil:
+		http.Error(w, "read error", http.StatusBadRequest)
+		return nil, false
+	}
+	return body, true
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
@@ -636,18 +605,66 @@ func newClientWithConfig(baseURL string, pub *ecdsa.PublicKey, cfg clientConfig)
 // BaseURL returns the server URL the client talks to.
 func (c *Client) BaseURL() string { return c.base }
 
-func (c *Client) get(path string, out any) error {
-	resp, err := c.http.Get(c.base + path)
+// Reply caps: the most bytes a Client reads of one reply body. A reply
+// past its cap is refused whole with ErrResponseTooLarge; the client
+// refuses it rather than pages it.
+const (
+	maxReplyBytes     = 4 << 20  // head, entries, shard slices, lookup
+	maxTileReplyBytes = 64 << 10 // one framed tile
+	maxPostReplyBytes = 1 << 20  // append, gossip and cosign replies, cosigned head
+)
+
+// ErrResponseTooLarge reports a log-server or witness reply body over
+// the cap of the Client method that read it; the client refuses it whole
+// rather than decode a truncated document.
+var ErrResponseTooLarge = errors.New("translog client: response body exceeds its size cap")
+
+// do sends one request — a GET when body is nil, else a JSON POST — and
+// returns the reply's status and body, read through readReply. what
+// names the call in errors.
+func (c *Client) do(what, path string, body []byte, limit int64) (int, []byte, error) {
+	var resp *http.Response
+	var err error
+	if body == nil {
+		resp, err = c.http.Get(c.base + path)
+	} else {
+		resp, err = c.http.Post(c.base+path, "application/json", bytes.NewReader(body))
+	}
 	if err != nil {
-		return fmt.Errorf("translog client: GET %s: %w", path, err)
+		return 0, nil, fmt.Errorf("translog client: %s: %w", what, err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
+	data, err := readReply(resp, limit)
+	if err != nil {
+		// A peer that dies mid-body must surface as the transport error
+		// it is, not as a truncated (or empty) server message.
+		return 0, nil, fmt.Errorf("translog client: %s: reading response (status %d): %w", what, resp.StatusCode, err)
+	}
+	return resp.StatusCode, data, nil
+}
+
+// readReply reads a reply body of at most limit bytes. It reads one
+// byte past the cap, so a longer body is refused with
+// ErrResponseTooLarge.
+func readReply(resp *http.Response, limit int64) ([]byte, error) {
+	data, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
+	if err != nil {
+		return nil, err
+	}
+	if int64(len(data)) > limit {
+		return nil, ErrResponseTooLarge
+	}
+	return data, nil
+}
+
+// get fetches path and decodes its 200 reply into out.
+func (c *Client) get(path string, out any) error {
+	status, data, err := c.do("GET "+path, path, nil, maxReplyBytes)
 	if err != nil {
 		return err
 	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("translog client: GET %s: status %d: %s", path, resp.StatusCode, strings.TrimSpace(string(data)))
+	if status != http.StatusOK {
+		return fmt.Errorf("translog client: GET %s: status %d: %s", path, status, strings.TrimSpace(string(data)))
 	}
 	return json.Unmarshal(data, out)
 }
@@ -683,25 +700,6 @@ func (c *Client) Entries(start, count uint64) ([]Entry, error) {
 	return out, nil
 }
 
-// InclusionProof fetches the audit path for index at size.
-func (c *Client) InclusionProof(index, size uint64) ([]Hash, error) {
-	var wire wireProof
-	if err := c.get(fmt.Sprintf("%s?index=%d&size=%d", pathInclusion, index, size), &wire); err != nil {
-		return nil, err
-	}
-	return wire.Proof, nil
-}
-
-// ConsistencyProof fetches the proof that size first is a prefix of size
-// second.
-func (c *Client) ConsistencyProof(first, second uint64) ([]Hash, error) {
-	var wire wireProof
-	if err := c.get(fmt.Sprintf("%s?first=%d&second=%d", pathConsistency, first, second), &wire); err != nil {
-		return nil, err
-	}
-	return wire.Proof, nil
-}
-
 // Tile fetches the tile at (level, index) with the given width
 // (TileWidth for a full tile). Tiles carry no signatures — they are
 // only believed through the proofs they assemble into — so no key check
@@ -712,17 +710,12 @@ func (c *Client) Tile(level, index uint64, width int) (*Tile, error) {
 	if width != TileWidth {
 		path = fmt.Sprintf("%s.p/%d", path, width)
 	}
-	resp, err := c.http.Get(c.base + path)
-	if err != nil {
-		return nil, fmt.Errorf("translog client: GET %s: %w", path, err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
+	status, data, err := c.do("GET "+path, path, nil, maxTileReplyBytes)
 	if err != nil {
 		return nil, err
 	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("translog client: GET %s: status %d: %s", path, resp.StatusCode, strings.TrimSpace(string(data)))
+	if status != http.StatusOK {
+		return nil, fmt.Errorf("translog client: GET %s: status %d: %s", path, status, strings.TrimSpace(string(data)))
 	}
 	t, terr := decodeTile(data)
 	if terr != nil {
@@ -734,62 +727,23 @@ func (c *Client) Tile(level, index uint64, width int) (*Tile, error) {
 	return t, nil
 }
 
-// ProveSerial fetches and cryptographically verifies a credential proof
-// bundle (the remote controller-side counterpart of Log.ProveSerial).
-func (c *Client) ProveSerial(serial string) (*ProofBundle, error) {
-	pb, err := c.fetchLookup(serial, true)
-	if err != nil {
-		return nil, err
-	}
-	if c.pub != nil {
-		if err := pb.Verify(c.pub); err != nil {
-			return nil, err
-		}
-	}
-	return pb, nil
-}
-
 // lookupBundle resolves a serial to its proof bundle minus the audit
-// path (?proof=0): the tile assembler folds the path locally. Only the
-// head signature can be checked here — inclusion is exactly what the
+// path: the tile assembler folds the path locally. Only the head
+// signature can be checked here — inclusion is exactly what the
 // assembled proof will establish.
 func (c *Client) lookupBundle(serial string) (*ProofBundle, error) {
-	pb, err := c.fetchLookup(serial, false)
+	status, data, err := c.do("lookup", pathLookup+"?serial="+url.QueryEscape(serial), nil, maxReplyBytes)
 	if err != nil {
 		return nil, err
 	}
-	if c.pub != nil {
-		if err := pb.STH.Verify(c.pub); err != nil {
-			return nil, err
-		}
-	}
-	return pb, nil
-}
-
-// fetchLookup fetches the lookup endpoint, with or without the
-// server-computed audit path.
-func (c *Client) fetchLookup(serial string, withProof bool) (*ProofBundle, error) {
-	path := c.base + pathLookup + "?serial=" + url.QueryEscape(serial)
-	if !withProof {
-		path += "&proof=0"
-	}
-	resp, err := c.http.Get(path)
-	if err != nil {
-		return nil, fmt.Errorf("translog client: lookup: %w", err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
-	if err != nil {
-		return nil, err
-	}
-	switch resp.StatusCode {
+	switch status {
 	case http.StatusOK:
 	case http.StatusGone:
 		return nil, ErrLogRevoked
 	case http.StatusNotFound:
 		return nil, fmt.Errorf("%w: serial %s", ErrNotLogged, serial)
 	default:
-		return nil, fmt.Errorf("translog client: lookup: status %d: %s", resp.StatusCode, strings.TrimSpace(string(data)))
+		return nil, fmt.Errorf("translog client: lookup: status %d: %s", status, strings.TrimSpace(string(data)))
 	}
 	var wire wireBundle
 	if err := json.Unmarshal(data, &wire); err != nil {
@@ -799,7 +753,12 @@ func (c *Client) fetchLookup(serial string, withProof bool) (*ProofBundle, error
 	if err != nil {
 		return nil, err
 	}
-	return &ProofBundle{Index: wire.Index, Entry: entry, Proof: wire.Proof, STH: wire.STH}, nil
+	if c.pub != nil {
+		if err := wire.STH.Verify(c.pub); err != nil {
+			return nil, err
+		}
+	}
+	return &ProofBundle{Index: wire.Index, Entry: entry, STH: wire.STH}, nil
 }
 
 // Append submits a batch to the remote log (Verification Manager use).
@@ -821,18 +780,11 @@ func (c *Client) AppendSTH(batch []Entry) (SignedTreeHead, error) {
 	if err != nil {
 		return SignedTreeHead{}, err
 	}
-	resp, err := c.http.Post(c.base+pathAppend, "application/json", bytes.NewReader(body))
+	status, data, err := c.do("append", pathAppend, body, maxPostReplyBytes)
 	if err != nil {
-		return SignedTreeHead{}, fmt.Errorf("translog client: append: %w", err)
+		return SignedTreeHead{}, err
 	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		// A peer that dies mid-body must surface as the transport error
-		// it is, not as a truncated (or empty) server message.
-		return SignedTreeHead{}, fmt.Errorf("translog client: append: reading response (status %d): %w", resp.StatusCode, err)
-	}
-	switch resp.StatusCode {
+	switch status {
 	case http.StatusOK:
 		var out struct {
 			STH SignedTreeHead `json:"sth"`
@@ -846,14 +798,15 @@ func (c *Client) AppendSTH(batch []Entry) (SignedTreeHead, error) {
 			}
 		}
 		return out.STH, nil
-	case http.StatusBadRequest:
-		// The server classified the batch itself as unacceptable: the
-		// producer must drop it, not retry it into the same wall.
+	case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+		// The server classified the batch itself as unacceptable — bad
+		// entries, or a body over its cap: the producer must drop it, not
+		// retry it into the same wall.
 		return SignedTreeHead{}, fmt.Errorf("%w: %s", ErrAppendRejected, strings.TrimSpace(string(data)))
 	case http.StatusServiceUnavailable:
 		return SignedTreeHead{}, fmt.Errorf("%w: %s", ErrLogUnavailable, strings.TrimSpace(string(data)))
 	default:
-		return SignedTreeHead{}, fmt.Errorf("translog client: append: status %d: %s", resp.StatusCode, strings.TrimSpace(string(data)))
+		return SignedTreeHead{}, fmt.Errorf("translog client: append: status %d: %s", status, strings.TrimSpace(string(data)))
 	}
 }
 
@@ -878,16 +831,11 @@ func (c *Client) exchangeView(v wireGossip) (wireGossip, error) {
 	if err != nil {
 		return wireGossip{}, err
 	}
-	resp, err := c.http.Post(c.base+pathGossip, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return wireGossip{}, fmt.Errorf("translog client: gossip: %w", err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	status, data, err := c.do("gossip", pathGossip, body, maxPostReplyBytes)
 	if err != nil {
 		return wireGossip{}, err
 	}
-	switch resp.StatusCode {
+	switch status {
 	case http.StatusOK:
 		var out wireGossip
 		if err := json.Unmarshal(data, &out); err != nil {
@@ -917,14 +865,14 @@ func (c *Client) exchangeView(v wireGossip) (wireGossip, error) {
 		return wireGossip{}, ce
 	default:
 		return wireGossip{}, fmt.Errorf("translog client: gossip: status %d: %s",
-			resp.StatusCode, strings.TrimSpace(string(data)))
+			status, strings.TrimSpace(string(data)))
 	}
 }
 
 // ShardStream fetches shard s's stream slice [start, start+count) and
-// the stream's total length — the remote half of ShardAuditSource. The
-// elements carry no signatures; each is believed only through the
-// inclusion proof the auditing witness folds it into.
+// the stream's total length — the stream half of the witness's
+// ShardAuditSource. The elements carry no signatures; each is believed
+// only through the inclusion proof the auditing witness folds it into.
 func (c *Client) ShardStream(shard int, start, count uint64) (uint64, []IndexedEntry, error) {
 	var out wireShardStream
 	if err := c.get(fmt.Sprintf("%s?shard=%d&start=%d&count=%d", pathShard, shard, start, count), &out); err != nil {
@@ -945,16 +893,11 @@ func (c *Client) SubmitCosign(sth SignedTreeHead, ws WitnessSignature) (int, err
 	if err != nil {
 		return 0, err
 	}
-	resp, err := c.http.Post(c.base+pathCosign, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return 0, fmt.Errorf("translog client: cosign: %w", err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	status, data, err := c.do("cosign", pathCosign, body, maxPostReplyBytes)
 	if err != nil {
 		return 0, err
 	}
-	switch resp.StatusCode {
+	switch status {
 	case http.StatusOK:
 		var ack wireCosignAck
 		if err := json.Unmarshal(data, &ack); err != nil {
@@ -970,7 +913,7 @@ func (c *Client) SubmitCosign(sth SignedTreeHead, ws WitnessSignature) (int, err
 		}
 		return 0, rej.toError()
 	default:
-		return 0, fmt.Errorf("translog client: cosign: status %d: %s", resp.StatusCode, strings.TrimSpace(string(data)))
+		return 0, fmt.Errorf("translog client: cosign: status %d: %s", status, strings.TrimSpace(string(data)))
 	}
 }
 
@@ -981,16 +924,11 @@ func (c *Client) SubmitCosign(sth SignedTreeHead, ws WitnessSignature) (int, err
 // against its pinned roster — the server is exactly the party a quorum
 // artifact must not be taken on faith from.
 func (c *Client) Cosigned() (*CosignedHead, error) {
-	resp, err := c.http.Get(c.base + pathCosigned)
-	if err != nil {
-		return nil, fmt.Errorf("translog client: cosigned: %w", err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	status, data, err := c.do("cosigned", pathCosigned, nil, maxPostReplyBytes)
 	if err != nil {
 		return nil, err
 	}
-	switch resp.StatusCode {
+	switch status {
 	case http.StatusOK:
 		var ch CosignedHead
 		if err := json.Unmarshal(data, &ch); err != nil {
@@ -1005,7 +943,7 @@ func (c *Client) Cosigned() (*CosignedHead, error) {
 	case http.StatusNotFound:
 		return nil, fmt.Errorf("%w: %s", ErrQuorumNotReached, strings.TrimSpace(string(data)))
 	default:
-		return nil, fmt.Errorf("translog client: cosigned: status %d: %s", resp.StatusCode, strings.TrimSpace(string(data)))
+		return nil, fmt.Errorf("translog client: cosigned: status %d: %s", status, strings.TrimSpace(string(data)))
 	}
 }
 

@@ -19,9 +19,8 @@ type IndexedEntry struct {
 
 // ShardAuditSource serves the partitioned witness audit: shard-stream
 // slices plus the inclusion proofs pinning them to a head. The
-// in-process *Log and the HTTP *Client both qualify; the gossip pool
-// composes a tile-assembling variant so audit proofs ride the cacheable
-// tile path.
+// in-process *Log qualifies; over HTTP the gossip pool composes one from
+// the shard endpoint and tile-assembled proofs.
 type ShardAuditSource interface {
 	ShardStream(shard int, start, count uint64) (total uint64, entries []IndexedEntry, err error)
 	InclusionProof(index, size uint64) ([]Hash, error)

@@ -557,8 +557,8 @@ func TestTileHTTPCacheHeaders(t *testing.T) {
 		{"/translog/v1/entries?start=0&count=10", 200, cacheImmutable},
 		{"/translog/v1/entries?start=590&count=20", 200, cacheNoCache}, // clamped at the head
 		{"/translog/v1/entries?start=0&count=0", 200, cacheNoCache},
-		{"/translog/v1/inclusion?index=3&size=600", 200, cacheImmutable},
-		{"/translog/v1/consistency?first=10&second=600", 200, cacheImmutable},
+		{"/translog/v1/inclusion?index=3&size=600", 404, ""},      // retired: proofs fold from tiles
+		{"/translog/v1/consistency?first=10&second=600", 404, ""}, // retired: proofs fold from tiles
 	}
 	for _, c := range cases {
 		resp, cache := get(c.path)
@@ -684,7 +684,6 @@ func TestGossipTileProofs(t *testing.T) {
 	defer srv.Close()
 
 	pool := NewGossipPool("w0", NewWitness(&key.PublicKey), NewClient(srv.URL, &key.PublicKey))
-	pool.UseTileProofs(8)
 	if err := pool.Exchange(); err != nil {
 		t.Fatal(err)
 	}

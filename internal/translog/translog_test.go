@@ -419,31 +419,37 @@ func TestHTTPServerAndClient(t *testing.T) {
 	if len(entries) != 10 || entries[3].Actor != "vnf-3" {
 		t.Fatalf("entries fetch wrong: %d", len(entries))
 	}
-	proof, err := c.InclusionProof(3, sth.Size)
+	// Proofs fold from tiles fetched over HTTP.
+	asm := NewTileAssembler(c, 0)
+	proof, err := asm.InclusionProof(3, sth.Size)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := VerifyInclusion(LeafHash(entries[3].Marshal()), 3, sth.Size, proof, sth.RootHash); err != nil {
 		t.Fatal(err)
 	}
-	pb, err := c.ProveSerial("103")
+	source := NewTileProofSource(c, 0)
+	pb, err := source.ProveSerial("103")
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pb.Verify(&key.PublicKey); err != nil {
 		t.Fatal(err)
 	}
 	if pb.Entry.Actor != "vnf-3" {
 		t.Fatalf("lookup wrong entry: %+v", pb.Entry)
 	}
-	if _, err := c.ProveSerial("99999"); err == nil {
+	if _, err := source.ProveSerial("99999"); err == nil {
 		t.Fatal("unknown serial proved remotely")
 	}
 	// Revoked classification travels as protocol (410), not prose.
 	if err := c.Append([]Entry{{Type: EntryRevoke, Timestamp: 99, Actor: "vnf-3", Serial: "103"}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.ProveSerial("103"); !errors.Is(err, ErrLogRevoked) {
+	if _, err := source.ProveSerial("103"); !errors.Is(err, ErrLogRevoked) {
 		t.Fatalf("want ErrLogRevoked over HTTP, got %v", err)
 	}
-	cons, err := c.ConsistencyProof(4, 10)
+	cons, err := asm.ConsistencyProof(4, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

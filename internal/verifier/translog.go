@@ -42,18 +42,6 @@ func (m *Manager) CredentialChecker() func(cert *x509.Certificate) error {
 	return translog.NewCredentialChecker(pub, translog.NewLogTileProofSource(m.tlog, 0))
 }
 
-// QuorumCredentialChecker is CredentialChecker for a deployment running
-// partitioned witnesses: the hook additionally requires every proof's
-// head to chain (by consistency proof) to a head at least Q roster
-// witnesses co-signed after auditing their shard slices. cosigned names
-// the quorum artifact source — an in-process collector's Cosigned or a
-// remote client's.
-func (m *Manager) QuorumCredentialChecker(roster *translog.WitnessRoster, cosigned translog.CosignSource) func(cert *x509.Certificate) error {
-	pub := m.ca.Certificate().PublicKey.(*ecdsa.PublicKey)
-	source := translog.NewLogTileProofSource(m.tlog, 0)
-	return translog.NewQuorumCredentialChecker(pub, roster, source, source, cosigned)
-}
-
 // FlushLog forces any buffered attestation entries into the tree (tests
 // and orderly shutdown).
 func (m *Manager) FlushLog() error { return m.tlogAppender.Flush() }
