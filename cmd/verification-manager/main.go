@@ -347,8 +347,10 @@ func runWorkflow(dir *statedir.Dir, hostList, enrollList string, learn, requireT
 			newSTH, err := client.AppendSTH(entries)
 			switch {
 			case errors.Is(err, translog.ErrAppendRejected):
-				// 400: resending this suffix can never succeed — say so
-				// instead of retrying it into the same wall forever.
+				// The server refused the entries themselves (AppendSTH
+				// already splits the suffix into requests under its body
+				// cap): resending can never succeed — say so instead of
+				// retrying it into the same wall forever.
 				log.Printf("log server rejected mirrored entries as invalid (not retryable): %v", err)
 			case errors.Is(err, translog.ErrLogUnavailable):
 				log.Printf("log server store unavailable — will mirror the suffix next run: %v", err)

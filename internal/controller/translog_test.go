@@ -170,3 +170,36 @@ func TestCredentialLogResponseTooLarge(t *testing.T) {
 		t.Fatalf("got %v, want translog.ErrResponseTooLarge", err)
 	}
 }
+
+// TestCredentialLogMalformedTile: a credential gate reading a remote log
+// whose tile replies are damaged in transit refuses the credential with
+// the named translog.ErrMalformedTile, not as a verdict on the log.
+func TestCredentialLogMalformedTile(t *testing.T) {
+	ca, err := pki.NewCA("vm-ca", time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, err := translog.NewLog(ca.Signer())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(1); i <= 3; i++ {
+		if _, err := log.Append(translog.Entry{Type: translog.EntryEnroll, Timestamp: i, Actor: "fw", Serial: big.NewInt(76 + i).String()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := translog.Handler(log)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !strings.Contains(r.URL.Path, "/tile/") {
+			h.ServeHTTP(w, r)
+			return
+		}
+		w.Write([]byte("not a tile"))
+	}))
+	defer srv.Close()
+	caPub := ca.Certificate().PublicKey.(*ecdsa.PublicKey)
+	check := translog.NewCredentialChecker(caPub, translog.NewTileProofSource(translog.NewClient(srv.URL, caPub), 0))
+	if err := check(&x509.Certificate{SerialNumber: big.NewInt(77)}); !errors.Is(err, translog.ErrMalformedTile) {
+		t.Fatalf("got %v, want translog.ErrMalformedTile", err)
+	}
+}

@@ -13,6 +13,7 @@ import (
 
 	"vnfguard/internal/sgx"
 	"vnfguard/internal/tpm"
+	"vnfguard/internal/wire"
 )
 
 // OCALL names served by the host runtime for the attestation enclave.
@@ -100,24 +101,16 @@ func (ev *HostEvidence) MarshalBinary() ([]byte, error) {
 // so data may be reused afterwards. Every refusal wraps
 // ErrEvidenceEncoding.
 func (ev *HostEvidence) UnmarshalBinary(data []byte) error {
-	if len(data) == 0 || data[0] != evidenceVersion {
+	r := wire.NewReader(data)
+	if v := r.U8(); v != evidenceVersion {
 		return fmt.Errorf("%w: not version %d", ErrEvidenceEncoding, evidenceVersion)
 	}
-	rest := data[1:]
 	var fields [4][]byte
 	for i := range fields {
-		n, k := binary.Uvarint(rest)
-		if k <= 0 {
-			return fmt.Errorf("%w: field %d length", ErrEvidenceEncoding, i)
-		}
-		rest = rest[k:]
-		if n > uint64(len(rest)) {
-			return fmt.Errorf("%w: field %d of %d bytes exceeds the %d left", ErrEvidenceEncoding, i, n, len(rest))
-		}
-		fields[i], rest = rest[:n], rest[n:]
+		fields[i] = r.Fixed(r.Uvarint())
 	}
-	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrEvidenceEncoding, len(rest))
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("%w: %w", ErrEvidenceEncoding, err)
 	}
 	var q *tpm.Quote
 	if len(fields[2]) > 0 {

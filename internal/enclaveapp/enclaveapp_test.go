@@ -39,7 +39,7 @@ type fixture struct {
 	hostSvc HostServices
 }
 
-func newFixture(t *testing.T) *fixture {
+func newFixture(t testing.TB) *fixture {
 	t.Helper()
 	issuer, err := epid.NewIssuer(300)
 	if err != nil {
@@ -93,7 +93,7 @@ func newFixture(t *testing.T) *fixture {
 	return fx
 }
 
-func (fx *fixture) measure(t *testing.T, path string, content []byte) {
+func (fx *fixture) measure(t testing.TB, path string, content []byte) {
 	t.Helper()
 	fx.imaSys.HandleEvent(ima.Event{Path: path, Hook: ima.HookBprmCheck, Mask: ima.MayExec, UID: 0}, content)
 }
@@ -347,7 +347,7 @@ type vmSide struct {
 	codec *secchan.RecordCodec
 }
 
-func runEnrollment(t *testing.T, fx *fixture, ce *CredentialEnclave) *vmSide {
+func runEnrollment(t testing.TB, fx *fixture, ce *CredentialEnclave) *vmSide {
 	t.Helper()
 	m1, err := ce.RAMsg1()
 	if err != nil {
@@ -381,7 +381,7 @@ func runEnrollment(t *testing.T, fx *fixture, ce *CredentialEnclave) *vmSide {
 }
 
 // provision pushes credentials in the given mode and returns cert + key.
-func provision(t *testing.T, vm *vmSide, ce *CredentialEnclave, ca *pki.CA, cn string, mode ProvisionMode) *x509.Certificate {
+func provision(t testing.TB, vm *vmSide, ce *CredentialEnclave, ca *pki.CA, cn string, mode ProvisionMode) *x509.Certificate {
 	t.Helper()
 	var payload ProvisionPayload
 	payload.Mode = mode
@@ -465,7 +465,7 @@ func provision(t *testing.T, vm *vmSide, ce *CredentialEnclave, ca *pki.CA, cn s
 	return cert
 }
 
-func newCredEnclave(t *testing.T, fx *fixture) *CredentialEnclave {
+func newCredEnclave(t testing.TB, fx *fixture) *CredentialEnclave {
 	t.Helper()
 	ss, err := SignCredentialEnclave(fx.vendor, &fx.vmKey.PublicKey)
 	if err != nil {
@@ -691,7 +691,7 @@ func TestHMACWithProvisionedKey(t *testing.T) {
 // --- in-enclave TLS -------------------------------------------------------------
 
 // startTLSServer runs a mutual-TLS echo server trusting ca for clients.
-func startTLSServer(t *testing.T, ca *pki.CA) (addr string, stop func()) {
+func startTLSServer(t testing.TB, ca *pki.CA) (addr string, stop func()) {
 	t.Helper()
 	serverKey, err := pki.GenerateKey()
 	if err != nil {
@@ -728,7 +728,7 @@ func startTLSServer(t *testing.T, ca *pki.CA) (addr string, stop func()) {
 	return ln.Addr().String(), func() { ln.Close(); <-done }
 }
 
-func provisionedEnclave(t *testing.T) (*fixture, *CredentialEnclave, *pki.CA, string, func()) {
+func provisionedEnclave(t testing.TB) (*fixture, *CredentialEnclave, *pki.CA, string, func()) {
 	t.Helper()
 	fx := newFixture(t)
 	ce := newCredEnclave(t, fx)

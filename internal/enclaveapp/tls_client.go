@@ -6,8 +6,6 @@ import (
 	"crypto/sha256"
 	"crypto/tls"
 	"crypto/x509"
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -16,6 +14,7 @@ import (
 
 	"vnfguard/internal/sgx"
 	"vnfguard/internal/simtime"
+	"vnfguard/internal/wire"
 )
 
 // TLSMode selects how much of the TLS stack runs inside the enclave.
@@ -144,9 +143,22 @@ func (c *ocallConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
-type tlsHandshakeArgs struct {
-	ID         uint32 `json:"id"`
-	ServerName string `json:"server_name"`
+// Refusals of the full-session TLS ECalls. The host chooses every
+// argument and session id, so each refusal is named.
+var (
+	ErrECallEncoding  = errors.New("enclaveapp: malformed TLS ECall arguments or result")
+	ErrUnknownSession = errors.New("enclaveapp: unknown TLS session")
+	ErrNotHandshaken  = errors.New("enclaveapp: TLS session not handshaken")
+	ErrHandshaken     = errors.New("enclaveapp: TLS session already handshaken")
+)
+
+// maxServerName caps tls_handshake's server name (a DNS name is at most
+// 253 bytes).
+const maxServerName = 255
+
+// malformed wraps a wire refusal of an ECall's arguments or result.
+func malformed(what string, err error) error {
+	return fmt.Errorf("%w: %s: %w", ErrECallEncoding, what, err)
 }
 
 func (ce *CredentialEnclave) getSession(id uint32) (*tlsSession, error) {
@@ -154,19 +166,36 @@ func (ce *CredentialEnclave) getSession(id uint32) (*tlsSession, error) {
 	defer ce.tlsMu.Unlock()
 	s, ok := ce.sessions[id]
 	if !ok {
-		return nil, fmt.Errorf("enclaveapp: unknown TLS session %d", id)
+		return nil, fmt.Errorf("%w: %d", ErrUnknownSession, id)
 	}
 	return s, nil
 }
 
-func (ce *CredentialEnclave) handleTLSHandshake(ctx *sgx.Context, args []byte) ([]byte, error) {
-	var req tlsHandshakeArgs
-	if err := json.Unmarshal(args, &req); err != nil {
-		return nil, err
+// handshakenSession returns the session id names once its handshake is
+// done: only then may records move through it.
+func (ce *CredentialEnclave) handshakenSession(id uint32) (*tlsSession, error) {
+	sess, err := ce.getSession(id)
+	if err == nil && sess.conn == nil {
+		err = fmt.Errorf("%w: %d", ErrNotHandshaken, id)
 	}
-	sess, err := ce.getSession(req.ID)
+	return sess, err
+}
+
+// handleTLSHandshake runs the handshake of a session DialTLS opened.
+// Arguments: u32 id ‖ u32-length-prefixed server name.
+func (ce *CredentialEnclave) handleTLSHandshake(ctx *sgx.Context, args []byte) ([]byte, error) {
+	r := wire.NewReader(args)
+	id := r.U32()
+	serverName := string(r.Bytes32(maxServerName))
+	if err := r.Done(); err != nil {
+		return nil, malformed("tls_handshake", err)
+	}
+	sess, err := ce.getSession(id)
 	if err != nil {
 		return nil, err
+	}
+	if sess.conn != nil {
+		return nil, fmt.Errorf("%w: %d", ErrHandshaken, id)
 	}
 	key, err := ce.loadKey(ctx)
 	if err != nil {
@@ -188,7 +217,7 @@ func (ce *CredentialEnclave) handleTLSHandshake(ctx *sgx.Context, args []byte) (
 	cfg := &tls.Config{
 		MinVersion:   tls.VersionTLS12,
 		RootCAs:      roots,
-		ServerName:   req.ServerName,
+		ServerName:   serverName,
 		Certificates: []tls.Certificate{{Certificate: [][]byte{certDER}, PrivateKey: key}},
 	}
 	conn := tls.Client(&ocallConn{Conn: sess.raw, model: ce.platform.Model()}, cfg)
@@ -205,21 +234,17 @@ const (
 	tlsReadEOF = 1
 )
 
+// handleTLSRead reads up to max bytes (capped at 1 MiB) of application
+// data. Arguments: u32 id ‖ u32 max. Result: status byte ‖ data.
 func (ce *CredentialEnclave) handleTLSRead(ctx *sgx.Context, args []byte) ([]byte, error) {
-	if len(args) != 8 {
-		return nil, errors.New("enclaveapp: tls_read args")
+	r := wire.NewReader(args)
+	id, maxLen := r.U32(), min(r.U32(), 1<<20)
+	if err := r.Done(); err != nil {
+		return nil, malformed("tls_read", err)
 	}
-	id := binary.BigEndian.Uint32(args[:4])
-	maxLen := binary.BigEndian.Uint32(args[4:8])
-	if maxLen > 1<<20 {
-		maxLen = 1 << 20
-	}
-	sess, err := ce.getSession(id)
+	sess, err := ce.handshakenSession(id)
 	if err != nil {
 		return nil, err
-	}
-	if sess.conn == nil {
-		return nil, errors.New("enclaveapp: session not handshaken")
 	}
 	buf := make([]byte, maxLen+1)
 	n, err := sess.conn.Read(buf[1:])
@@ -234,29 +259,30 @@ func (ce *CredentialEnclave) handleTLSRead(ctx *sgx.Context, args []byte) ([]byt
 	return buf[:1+n], nil
 }
 
+// handleTLSWrite sends application data. Arguments: u32 id ‖ data.
+// Result: u32 bytes written.
 func (ce *CredentialEnclave) handleTLSWrite(ctx *sgx.Context, args []byte) ([]byte, error) {
-	if len(args) < 4 {
-		return nil, errors.New("enclaveapp: tls_write args")
+	r := wire.NewReader(args)
+	id := r.U32()
+	data := r.Rest()
+	if err := r.Done(); err != nil {
+		return nil, malformed("tls_write", err)
 	}
-	id := binary.BigEndian.Uint32(args[:4])
-	sess, err := ce.getSession(id)
+	sess, err := ce.handshakenSession(id)
 	if err != nil {
 		return nil, err
 	}
-	if sess.conn == nil {
-		return nil, errors.New("enclaveapp: session not handshaken")
-	}
-	n, err := sess.conn.Write(args[4:])
-	out := make([]byte, 4)
-	binary.BigEndian.PutUint32(out, uint32(n))
-	return out, err
+	n, err := sess.conn.Write(data)
+	return wire.AppendU32(nil, uint32(n)), err
 }
 
+// handleTLSClose ends a session. Arguments: u32 id.
 func (ce *CredentialEnclave) handleTLSClose(ctx *sgx.Context, args []byte) ([]byte, error) {
-	if len(args) != 4 {
-		return nil, errors.New("enclaveapp: tls_close args")
+	r := wire.NewReader(args)
+	id := r.U32()
+	if err := r.Done(); err != nil {
+		return nil, malformed("tls_close", err)
 	}
-	id := binary.BigEndian.Uint32(args)
 	ce.tlsMu.Lock()
 	sess, ok := ce.sessions[id]
 	delete(ce.sessions, id)
@@ -280,10 +306,7 @@ func (ce *CredentialEnclave) DialTLS(raw net.Conn, serverName string) (*FullSess
 	ce.sessions[id] = &tlsSession{raw: raw}
 	ce.tlsMu.Unlock()
 
-	args, err := json.Marshal(tlsHandshakeArgs{ID: id, ServerName: serverName})
-	if err != nil {
-		return nil, err
-	}
+	args := wire.AppendBytes32(wire.AppendU32(nil, id), serverName)
 	if _, err := ce.enclave.ECall("tls_handshake", args); err != nil {
 		ce.tlsMu.Lock()
 		delete(ce.sessions, id)
@@ -303,18 +326,17 @@ type FullSessionConn struct {
 
 // Read moves decrypted application data out of the enclave.
 func (c *FullSessionConn) Read(p []byte) (int, error) {
-	args := make([]byte, 8)
-	binary.BigEndian.PutUint32(args[:4], c.id)
-	binary.BigEndian.PutUint32(args[4:8], uint32(len(p)))
-	out, err := c.ce.enclave.ECall("tls_read", args)
+	out, err := c.ce.enclave.ECall("tls_read", wire.AppendU32(wire.AppendU32(make([]byte, 0, 8), c.id), uint32(len(p))))
 	if err != nil {
 		return 0, err
 	}
-	if len(out) < 1 {
-		return 0, errors.New("enclaveapp: malformed tls_read result")
+	r := wire.NewReader(out)
+	status := r.U8()
+	n := copy(p, r.Rest())
+	if err := r.Done(); err != nil {
+		return 0, malformed("tls_read result", err)
 	}
-	n := copy(p, out[1:])
-	if out[0] == tlsReadEOF {
+	if status == tlsReadEOF {
 		return n, io.EOF
 	}
 	return n, nil
@@ -322,24 +344,21 @@ func (c *FullSessionConn) Read(p []byte) (int, error) {
 
 // Write moves plaintext into the enclave for encryption and transmission.
 func (c *FullSessionConn) Write(p []byte) (int, error) {
-	args := make([]byte, 4+len(p))
-	binary.BigEndian.PutUint32(args[:4], c.id)
-	copy(args[4:], p)
-	out, err := c.ce.enclave.ECall("tls_write", args)
+	out, err := c.ce.enclave.ECall("tls_write", append(wire.AppendU32(make([]byte, 0, 4+len(p)), c.id), p...))
 	if err != nil {
 		return 0, err
 	}
-	if len(out) != 4 {
-		return 0, errors.New("enclaveapp: malformed tls_write result")
+	r := wire.NewReader(out)
+	n := r.U32()
+	if err := r.Done(); err != nil {
+		return 0, malformed("tls_write result", err)
 	}
-	return int(binary.BigEndian.Uint32(out)), nil
+	return int(n), nil
 }
 
 // Close shuts the in-enclave session down.
 func (c *FullSessionConn) Close() error {
-	args := make([]byte, 4)
-	binary.BigEndian.PutUint32(args, c.id)
-	_, err := c.ce.enclave.ECall("tls_close", args)
+	_, err := c.ce.enclave.ECall("tls_close", wire.AppendU32(nil, c.id))
 	return err
 }
 

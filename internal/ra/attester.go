@@ -63,7 +63,7 @@ func (a *Attester) ProcessMsg2(m2 *Msg2, quote QuoteFunc) (*Msg3, error) {
 	}
 	gbPub, err := ecdh.P256().NewPublicKey(m2.Gb)
 	if err != nil {
-		return nil, fmt.Errorf("ra: msg2 Gb: %w", err)
+		return nil, fmt.Errorf("%w: msg2 Gb: %v", ErrMalformed, err)
 	}
 	// Verify the challenger's signature over (Gb ‖ Ga) before trusting
 	// anything derived from Gb — this authenticates the exchange to the

@@ -63,7 +63,7 @@ func (c *Challenger) ProcessMsg1(m1 *Msg1, sigRL [][32]byte) (*Msg2, error) {
 	}
 	gaPub, err := ecdh.P256().NewPublicKey(m1.Ga)
 	if err != nil {
-		return nil, fmt.Errorf("ra: msg1 Ga: %w", err)
+		return nil, fmt.Errorf("%w: msg1 Ga: %v", ErrMalformed, err)
 	}
 	c.priv, err = ecdh.P256().GenerateKey(rand.Reader)
 	if err != nil {

@@ -1,11 +1,11 @@
 package ra
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
 	"vnfguard/internal/epid"
+	"vnfguard/internal/wire"
 )
 
 // Decode refusals. Every DecodeMsg1–DecodeMsg4 error wraps ErrMalformed;
@@ -14,6 +14,18 @@ var (
 	ErrMalformed = errors.New("ra: malformed message")
 	ErrTruncated = fmt.Errorf("%w: truncated", ErrMalformed)
 )
+
+// maxField caps each length-prefixed field. The largest real one is
+// msg3's quote, a few hundred bytes.
+const maxField = 1 << 20
+
+// refuse wraps a wire refusal of the named message in the RA sentinels.
+func refuse(msg string, err error) error {
+	return wire.Refuse(fmt.Errorf("%s: %w", msg, err), ErrTruncated, ErrMalformed)
+}
+
+// clone copies b, an empty field to nil.
+func clone(b []byte) []byte { return append([]byte(nil), b...) }
 
 // Msg1 opens the exchange: the attester's ephemeral ECDH public key and
 // its platform's EPID group.
@@ -24,26 +36,17 @@ type Msg1 struct {
 
 // Encode serialises msg1.
 func (m *Msg1) Encode() []byte {
-	out := make([]byte, 0, 4+4+len(m.Ga))
-	var u32 [4]byte
-	binary.BigEndian.PutUint32(u32[:], uint32(m.GID))
-	out = append(out, u32[:]...)
-	out = appendBytes(out, m.Ga)
-	return out
+	out := wire.AppendU32(make([]byte, 0, 4+4+len(m.Ga)), uint32(m.GID))
+	return wire.AppendBytes32(out, m.Ga)
 }
 
 // DecodeMsg1 parses msg1.
 func DecodeMsg1(b []byte) (*Msg1, error) {
-	if len(b) < 8 {
-		return nil, ErrTruncated
-	}
-	m := &Msg1{GID: epid.GroupID(binary.BigEndian.Uint32(b[:4]))}
-	var err error
-	if m.Ga, b, err = readBytes(b[4:]); err != nil {
-		return nil, err
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes in msg1", ErrMalformed, len(b))
+	r := wire.NewReader(b)
+	m := &Msg1{GID: epid.GroupID(r.U32())}
+	m.Ga = clone(r.Bytes32(maxField))
+	if err := r.Done(); err != nil {
+		return nil, refuse("msg1", err)
 	}
 	return m, nil
 }
@@ -69,29 +72,20 @@ func (m *Msg2) macInput() []byte {
 	out := make([]byte, 0, len(m.Gb)+16+4+len(m.SigSP))
 	out = append(out, m.Gb...)
 	out = append(out, m.SPID[:]...)
-	var u16 [2]byte
-	binary.BigEndian.PutUint16(u16[:], m.QuoteType)
-	out = append(out, u16[:]...)
-	binary.BigEndian.PutUint16(u16[:], m.KDFID)
-	out = append(out, u16[:]...)
-	out = append(out, m.SigSP...)
-	return out
+	out = wire.AppendU16(out, m.QuoteType)
+	out = wire.AppendU16(out, m.KDFID)
+	return append(out, m.SigSP...)
 }
 
 // Encode serialises msg2.
 func (m *Msg2) Encode() []byte {
-	out := appendBytes(nil, m.Gb)
+	out := wire.AppendBytes32(nil, m.Gb)
 	out = append(out, m.SPID[:]...)
-	var u16 [2]byte
-	binary.BigEndian.PutUint16(u16[:], m.QuoteType)
-	out = append(out, u16[:]...)
-	binary.BigEndian.PutUint16(u16[:], m.KDFID)
-	out = append(out, u16[:]...)
-	out = appendBytes(out, m.SigSP)
+	out = wire.AppendU16(out, m.QuoteType)
+	out = wire.AppendU16(out, m.KDFID)
+	out = wire.AppendBytes32(out, m.SigSP)
 	out = append(out, m.MAC[:]...)
-	var n [4]byte
-	binary.BigEndian.PutUint32(n[:], uint32(len(m.SigRL)))
-	out = append(out, n[:]...)
+	out = wire.AppendU32(out, uint32(len(m.SigRL)))
 	for _, p := range m.SigRL {
 		out = append(out, p[:]...)
 	}
@@ -100,38 +94,23 @@ func (m *Msg2) Encode() []byte {
 
 // DecodeMsg2 parses msg2.
 func DecodeMsg2(b []byte) (*Msg2, error) {
-	m := &Msg2{}
-	var err error
-	if m.Gb, b, err = readBytes(b); err != nil {
-		return nil, err
+	r := wire.NewReader(b)
+	m := &Msg2{Gb: clone(r.Bytes32(maxField))}
+	copy(m.SPID[:], r.Fixed(16))
+	m.QuoteType = r.U16()
+	m.KDFID = r.U16()
+	m.SigSP = clone(r.Bytes32(maxField))
+	copy(m.MAC[:], r.Fixed(32))
+	// The SigRL count comes from an unauthenticated peer: the cursor
+	// checks count*32 (in 64 bits, so it cannot wrap) against the bytes
+	// left before anything is sized from it.
+	sigRL := r.Fixed(uint64(r.U32()) * 32)
+	if err := r.Done(); err != nil {
+		return nil, refuse("msg2", err)
 	}
-	if len(b) < 16+4 {
-		return nil, ErrTruncated
-	}
-	copy(m.SPID[:], b[:16])
-	m.QuoteType = binary.BigEndian.Uint16(b[16:18])
-	m.KDFID = binary.BigEndian.Uint16(b[18:20])
-	if m.SigSP, b, err = readBytes(b[20:]); err != nil {
-		return nil, err
-	}
-	if len(b) < 32+4 {
-		return nil, ErrTruncated
-	}
-	copy(m.MAC[:], b[:32])
-	// The SigRL count comes from an unauthenticated peer: it is checked
-	// against the bytes that remain, in 64 bits so count*32 cannot wrap,
-	// before anything is allocated for it.
-	count := uint64(binary.BigEndian.Uint32(b[32:36]))
-	b = b[36:]
-	if uint64(len(b)) < count*32 {
-		return nil, ErrTruncated
-	}
-	if uint64(len(b)) != count*32 {
-		return nil, fmt.Errorf("%w: %d trailing bytes in msg2", ErrMalformed, uint64(len(b))-count*32)
-	}
-	m.SigRL = make([][32]byte, count)
+	m.SigRL = make([][32]byte, len(sigRL)/32)
 	for i := range m.SigRL {
-		copy(m.SigRL[i][:], b[i*32:(i+1)*32])
+		copy(m.SigRL[i][:], sigRL[i*32:])
 	}
 	return m, nil
 }
@@ -153,29 +132,20 @@ func (m *Msg3) macInput() []byte {
 
 // Encode serialises msg3.
 func (m *Msg3) Encode() []byte {
-	out := make([]byte, 0, 32+8+len(m.Ga)+len(m.Quote))
-	out = append(out, m.MAC[:]...)
-	out = appendBytes(out, m.Ga)
-	out = appendBytes(out, m.Quote)
-	return out
+	out := append(make([]byte, 0, 32+8+len(m.Ga)+len(m.Quote)), m.MAC[:]...)
+	out = wire.AppendBytes32(out, m.Ga)
+	return wire.AppendBytes32(out, m.Quote)
 }
 
 // DecodeMsg3 parses msg3.
 func DecodeMsg3(b []byte) (*Msg3, error) {
-	if len(b) < 32 {
-		return nil, ErrTruncated
-	}
+	r := wire.NewReader(b)
 	m := &Msg3{}
-	copy(m.MAC[:], b[:32])
-	var err error
-	if m.Ga, b, err = readBytes(b[32:]); err != nil {
-		return nil, err
-	}
-	if m.Quote, b, err = readBytes(b); err != nil {
-		return nil, err
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes in msg3", ErrMalformed, len(b))
+	copy(m.MAC[:], r.Fixed(32))
+	m.Ga = clone(r.Bytes32(maxField))
+	m.Quote = clone(r.Bytes32(maxField))
+	if err := r.Done(); err != nil {
+		return nil, refuse("msg3", err)
 	}
 	return m, nil
 }
@@ -208,50 +178,21 @@ func (m *Msg4) Encode() []byte {
 	} else {
 		out = append(out, 0)
 	}
-	out = appendBytes(out, []byte(m.Status))
-	out = append(out, m.MAC[:]...)
-	return out
+	out = wire.AppendBytes32(out, m.Status)
+	return append(out, m.MAC[:]...)
 }
 
 // DecodeMsg4 parses msg4.
 func DecodeMsg4(b []byte) (*Msg4, error) {
-	if len(b) < 1 {
-		return nil, ErrTruncated
+	r := wire.NewReader(b)
+	flag := r.U8()
+	m := &Msg4{Trusted: flag == 1, Status: string(r.Bytes32(maxField))}
+	copy(m.MAC[:], r.Fixed(32))
+	if err := r.Done(); err != nil {
+		return nil, refuse("msg4", err)
 	}
-	if b[0] > 1 {
-		return nil, fmt.Errorf("%w: msg4 trust flag %d", ErrMalformed, b[0])
+	if flag > 1 {
+		return nil, fmt.Errorf("%w: msg4 trust flag %d", ErrMalformed, flag)
 	}
-	m := &Msg4{Trusted: b[0] == 1}
-	status, b, err := readBytes(b[1:])
-	if err != nil {
-		return nil, err
-	}
-	m.Status = string(status)
-	if len(b) < 32 {
-		return nil, ErrTruncated
-	}
-	if len(b) > 32 {
-		return nil, fmt.Errorf("%w: %d trailing bytes in msg4", ErrMalformed, len(b)-32)
-	}
-	copy(m.MAC[:], b)
 	return m, nil
-}
-
-func appendBytes(dst, b []byte) []byte {
-	var n [4]byte
-	binary.BigEndian.PutUint32(n[:], uint32(len(b)))
-	dst = append(dst, n[:]...)
-	return append(dst, b...)
-}
-
-func readBytes(b []byte) (val, rest []byte, err error) {
-	if len(b) < 4 {
-		return nil, nil, ErrTruncated
-	}
-	n := binary.BigEndian.Uint32(b[:4])
-	b = b[4:]
-	if uint64(len(b)) < uint64(n) {
-		return nil, nil, ErrTruncated
-	}
-	return append([]byte(nil), b[:n]...), b[n:], nil
 }

@@ -6,21 +6,72 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+	"testing/quick"
 )
+
+func newCodec(t *testing.T, key string, role Role) *RecordCodec {
+	t.Helper()
+	var sk [16]byte
+	copy(sk[:], key)
+	c, err := NewCodec(sk, role)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
 
 func newCodecPair(t *testing.T) (*RecordCodec, *RecordCodec) {
 	t.Helper()
-	var sk [16]byte
-	copy(sk[:], "0123456789abcdef")
-	a, err := NewCodec(sk, RoleInitiator)
-	if err != nil {
+	return newCodec(t, "0123456789abcdef", RoleInitiator), newCodec(t, "0123456789abcdef", RoleResponder)
+}
+
+func TestInvalidRole(t *testing.T) {
+	if _, err := NewCodec([16]byte{}, Role(9)); err == nil {
+		t.Fatal("invalid role accepted")
+	}
+}
+
+// TestBidirectionalSequences: each direction keeps its own sequence, so
+// records in both directions open in order on the same pair.
+func TestBidirectionalSequences(t *testing.T) {
+	a, b := newCodecPair(t)
+	for _, dir := range []struct {
+		from, to *RecordCodec
+		typ      uint8
+	}{{a, b, TypeProvision}, {b, a, TypeAck}} {
+		var frames [][]byte
+		for i := 0; i < 5; i++ {
+			f, err := dir.from.Seal(dir.typ, []byte{byte(i)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames = append(frames, f)
+		}
+		for i, f := range frames {
+			typ, p, err := dir.to.Open(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if typ != dir.typ || p[0] != byte(i) {
+				t.Fatalf("type %d record %d: got type %d payload %v", dir.typ, i, typ, p)
+			}
+		}
+	}
+}
+
+func TestRoundTripProperty(t *testing.T) {
+	a, b := newCodecPair(t)
+	f := func(payload []byte, typ uint8) bool {
+		frame, err := a.Seal(typ, payload)
+		if err != nil {
+			return false
+		}
+		gotType, gotPayload, err := b.Open(frame)
+		return err == nil && gotType == typ && bytes.Equal(gotPayload, payload)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewCodec(sk, RoleResponder)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return a, b
 }
 
 func TestCodecSealOpenRoundTrip(t *testing.T) {
@@ -74,34 +125,54 @@ func TestCodecOpenTruncation(t *testing.T) {
 	}
 }
 
-// TestCodecOpenMalformed covers structured corruption beyond truncation.
+// TestCodecOpenMalformed covers structured corruption beyond truncation,
+// and the receivers that must not open an intact frame: one under
+// another key, one that took the sender's role, and one that already
+// opened it (a replay).
 func TestCodecOpenMalformed(t *testing.T) {
+	intact := func(f []byte) []byte { return f }
 	mutate := []struct {
 		name string
 		mod  func(frame []byte) []byte
+		// recv, when set, replaces the sender's true peer.
+		recv func(t *testing.T) *RecordCodec
+		// replay opens the intact frame once before the mutated one.
+		replay bool
 	}{
-		{"trailing garbage", func(f []byte) []byte { return append(append([]byte(nil), f...), 0xFF) }},
-		{"length too large", func(f []byte) []byte {
+		{name: "wrong key", mod: intact, recv: func(t *testing.T) *RecordCodec {
+			return newCodec(t, "fedcba9876543210", RoleResponder)
+		}},
+		{name: "same role both ends", mod: intact, recv: func(t *testing.T) *RecordCodec {
+			return newCodec(t, "0123456789abcdef", RoleInitiator)
+		}},
+		{name: "replay", mod: intact, replay: true},
+		{name: "type forged as revoke", mod: func(f []byte) []byte {
+			out := append([]byte(nil), f...)
+			out[4] = TypeRevoke
+			return out
+		}},
+		{name: "trailing garbage", mod: func(f []byte) []byte { return append(append([]byte(nil), f...), 0xFF) }},
+		{name: "length too large", mod: func(f []byte) []byte {
 			out := append([]byte(nil), f...)
 			binary.BigEndian.PutUint32(out[:4], uint32(len(f)-5)+1)
 			return out
 		}},
-		{"length zeroed", func(f []byte) []byte {
+		{name: "length zeroed", mod: func(f []byte) []byte {
 			out := append([]byte(nil), f...)
 			binary.BigEndian.PutUint32(out[:4], 0)
 			return out
 		}},
-		{"type flipped", func(f []byte) []byte {
+		{name: "type flipped", mod: func(f []byte) []byte {
 			out := append([]byte(nil), f...)
 			out[4] ^= 0xFF
 			return out
 		}},
-		{"first ct byte flipped", func(f []byte) []byte {
+		{name: "first ct byte flipped", mod: func(f []byte) []byte {
 			out := append([]byte(nil), f...)
 			out[5] ^= 0x01
 			return out
 		}},
-		{"last tag byte flipped", func(f []byte) []byte {
+		{name: "last tag byte flipped", mod: func(f []byte) []byte {
 			out := append([]byte(nil), f...)
 			out[len(out)-1] ^= 0x80
 			return out
@@ -110,9 +181,17 @@ func TestCodecOpenMalformed(t *testing.T) {
 	for _, tc := range mutate {
 		t.Run(tc.name, func(t *testing.T) {
 			a, b := newCodecPair(t)
+			if tc.recv != nil {
+				b = tc.recv(t)
+			}
 			frame, err := a.Seal(TypeAck, []byte("payload"))
 			if err != nil {
 				t.Fatal(err)
+			}
+			if tc.replay {
+				if _, _, err := b.Open(frame); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if _, _, err := b.Open(tc.mod(frame)); !errors.Is(err, ErrAuth) {
 				t.Fatalf("corrupted frame accepted: %v", err)

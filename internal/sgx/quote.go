@@ -9,6 +9,7 @@ import (
 
 	"vnfguard/internal/epid"
 	"vnfguard/internal/sigmemo"
+	"vnfguard/internal/wire"
 )
 
 // SPID is the service-provider ID registered with the attestation service;
@@ -64,48 +65,45 @@ func (q *Quote) signedPayload() []byte {
 
 // Encode serialises the quote for transport to the attestation service.
 func (q *Quote) Encode() []byte {
-	payload := q.signedPayload()
-	out := make([]byte, 0, len(payload)+4+len(q.Signature))
-	out = append(out, payload...)
-	var n [4]byte
-	binary.BigEndian.PutUint32(n[:], uint32(len(q.Signature)))
-	out = append(out, n[:]...)
-	out = append(out, q.Signature...)
-	return out
+	return wire.AppendBytes32(q.signedPayload(), q.Signature)
 }
 
 // quoteFixedLen is the length of the fixed (signed) prefix of an encoded
 // quote.
 const quoteFixedLen = 2 + 2 + 4 + 2 + 2 + 32 + reportBodyLen
 
+// maxQuoteSig caps the quote's signature field, an encoded EPID
+// signature of a few hundred bytes.
+const maxQuoteSig = 64 << 10
+
 // ErrMalformedQuote is wrapped by every DecodeQuote refusal.
 var ErrMalformedQuote = errors.New("sgx: malformed quote")
 
-// DecodeQuote parses an encoded quote. Quotes arrive from untrusted hosts,
-// so every refusal wraps ErrMalformedQuote.
+// DecodeQuote parses an encoded quote: the fixed signed prefix, then the
+// length-prefixed signature. Quotes arrive from untrusted hosts, so
+// every refusal wraps ErrMalformedQuote. It copies what it keeps.
 func DecodeQuote(b []byte) (*Quote, error) {
-	if len(b) < quoteFixedLen+4 {
-		return nil, fmt.Errorf("%w: truncated at %d bytes", ErrMalformedQuote, len(b))
+	r := wire.NewReader(b)
+	fixed := r.Fixed(quoteFixedLen)
+	sig := r.Bytes32(maxQuoteSig)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrMalformedQuote, err)
 	}
-	q := &Quote{}
-	q.Version = binary.LittleEndian.Uint16(b[0:2])
-	q.SignType = QuoteSignType(binary.LittleEndian.Uint16(b[2:4]))
-	q.GID = epid.GroupID(binary.LittleEndian.Uint32(b[4:8]))
-	q.QESVN = binary.LittleEndian.Uint16(b[8:10])
-	q.PCESVN = binary.LittleEndian.Uint16(b[10:12])
-	copy(q.Basename[:], b[12:44])
-	body, err := decodeReportBody(b[44 : 44+reportBodyLen])
+	body, err := decodeReportBody(fixed[44:])
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrMalformedQuote, err)
 	}
-	q.Body = body
-	rest := b[quoteFixedLen:]
-	sigLen := binary.BigEndian.Uint32(rest[:4])
-	rest = rest[4:]
-	if uint32(len(rest)) != sigLen {
-		return nil, fmt.Errorf("%w: signature length %d, %d bytes follow", ErrMalformedQuote, sigLen, len(rest))
+	le := binary.LittleEndian
+	q := &Quote{
+		Version:   le.Uint16(fixed[0:2]),
+		SignType:  QuoteSignType(le.Uint16(fixed[2:4])),
+		GID:       epid.GroupID(le.Uint32(fixed[4:8])),
+		QESVN:     le.Uint16(fixed[8:10]),
+		PCESVN:    le.Uint16(fixed[10:12]),
+		Body:      body,
+		Signature: append([]byte(nil), sig...),
 	}
-	q.Signature = append([]byte(nil), rest...)
+	copy(q.Basename[:], fixed[12:44])
 	return q, nil
 }
 

@@ -13,6 +13,8 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+
+	"vnfguard/internal/wire"
 )
 
 // Checkpoints: anchor-verified summaries of the cold prefix, so open
@@ -85,24 +87,14 @@ func ckptDigest(hdr, snap []byte) [sha256.Size]byte {
 // nothing in particular (order does not matter — the signature covers
 // whatever order was written, and loads rebuild the maps).
 func appendSnapshot(dst []byte, issuance map[string]uint64, revoked map[string]bool) []byte {
-	var u32 [4]byte
-	var u64 [8]byte
-	var u16 [2]byte
-	binary.BigEndian.PutUint32(u32[:], uint32(len(issuance)))
-	dst = append(dst, u32[:]...)
+	dst = wire.AppendU32(dst, uint32(len(issuance)))
 	for serial, idx := range issuance {
-		binary.BigEndian.PutUint16(u16[:], uint16(len(serial)))
-		dst = append(dst, u16[:]...)
-		dst = append(dst, serial...)
-		binary.BigEndian.PutUint64(u64[:], idx)
-		dst = append(dst, u64[:]...)
+		dst = append(wire.AppendU16(dst, uint16(len(serial))), serial...)
+		dst = wire.AppendU64(dst, idx)
 	}
-	binary.BigEndian.PutUint32(u32[:], uint32(len(revoked)))
-	dst = append(dst, u32[:]...)
+	dst = wire.AppendU32(dst, uint32(len(revoked)))
 	for serial := range revoked {
-		binary.BigEndian.PutUint16(u16[:], uint16(len(serial)))
-		dst = append(dst, u16[:]...)
-		dst = append(dst, serial...)
+		dst = append(wire.AppendU16(dst, uint16(len(serial))), serial...)
 	}
 	return dst
 }
@@ -119,59 +111,58 @@ const (
 // from the encoded counts up front, so the open that adopts them never
 // rehashes.
 func parseSnapshot(snap []byte) (map[string]uint64, map[string]bool, error) {
-	bad := fmt.Errorf("%w: checkpoint serial snapshot undecodable", ErrStateCorrupt)
-	take := func(n int) ([]byte, bool) {
-		if len(snap) < n {
-			return nil, false
+	r := wire.NewReader(snap)
+	// count reads a record count, refusing one the bytes left cannot
+	// hold before any map is sized from it.
+	count := func(minRecord int) int {
+		n := uint64(r.U32())
+		if n > uint64(r.Len()/minRecord) {
+			r.Fixed(n * uint64(minRecord)) // past the end: refused as truncated
+			return 0
 		}
-		b := snap[:n]
-		snap = snap[n:]
-		return b, true
+		return int(n)
 	}
-	readStr := func() (string, bool) {
-		n, ok := take(2)
-		if !ok {
-			return "", false
-		}
-		b, ok := take(int(binary.BigEndian.Uint16(n)))
-		return string(b), ok
-	}
-	count := func(minRecord int) (int, bool) {
-		b, ok := take(4)
-		if !ok {
-			return 0, false
-		}
-		n := binary.BigEndian.Uint32(b)
-		return int(n), uint64(n) <= uint64(len(snap)/minRecord)
-	}
-	n, ok := count(minIssuanceRecord)
-	if !ok {
-		return nil, nil, bad
-	}
+	serial := func() string { return string(r.Fixed(uint64(r.U16()))) }
+	n := count(minIssuanceRecord)
 	issuance := make(map[string]uint64, n)
 	for i := 0; i < n; i++ {
-		serial, ok := readStr()
-		idx, ok2 := take(8)
-		if !ok || !ok2 {
-			return nil, nil, bad
-		}
-		issuance[serial] = binary.BigEndian.Uint64(idx)
+		s := serial()
+		issuance[s] = r.U64()
 	}
-	if n, ok = count(minRevokedRecord); !ok {
-		return nil, nil, bad
-	}
+	n = count(minRevokedRecord)
 	revoked := make(map[string]bool, n)
 	for i := 0; i < n; i++ {
-		serial, ok := readStr()
-		if !ok {
-			return nil, nil, bad
-		}
-		revoked[serial] = true
+		revoked[serial()] = true
 	}
-	if len(snap) != 0 {
-		return nil, nil, bad
+	if err := r.Done(); err != nil {
+		return nil, nil, fmt.Errorf("%w: checkpoint serial snapshot undecodable: %w", ErrStateCorrupt, err)
 	}
 	return issuance, revoked, nil
+}
+
+// Checkpoints, archives and tiles share one envelope: an 8-byte magic,
+// the body, and a big-endian CRC-32C over magic and body.
+var (
+	errEnvelopeMagic = errors.New("translog: short file or wrong magic")
+	errEnvelopeCRC   = errors.New("translog: checksum mismatch")
+)
+
+// sealEnvelope appends the CRC-32C of buf, which starts with its magic.
+func sealEnvelope(buf []byte) []byte {
+	return wire.AppendU32(buf, crc32.Checksum(buf, crcTable))
+}
+
+// openEnvelope checks data's magic and CRC-32C and returns the body
+// between them.
+func openEnvelope(data []byte, magic [8]byte) ([]byte, error) {
+	if len(data) < len(magic)+4 || !bytes.Equal(data[:len(magic)], magic[:]) {
+		return nil, errEnvelopeMagic
+	}
+	end := len(data) - 4
+	if crc32.Checksum(data[:end], crcTable) != binary.BigEndian.Uint32(data[end:]) {
+		return nil, errEnvelopeCRC
+	}
+	return data[len(magic):end], nil
 }
 
 // foldBlocks folds decomposition roots (largest first) into MTH(D[0:n]):
@@ -198,20 +189,10 @@ func writeCheckpointFile(dir string, ck *checkpoint, signer crypto.Signer, noSyn
 	if err != nil {
 		return 0, fmt.Errorf("translog: signing checkpoint: %w", err)
 	}
-	buf := make([]byte, 0, len(ckptMagic)+12+len(hdr)+len(sig)+len(snap)+4)
-	buf = append(buf, ckptMagic[:]...)
-	var u32 [4]byte
-	binary.BigEndian.PutUint32(u32[:], uint32(len(hdr)))
-	buf = append(buf, u32[:]...)
-	buf = append(buf, hdr...)
-	binary.BigEndian.PutUint32(u32[:], uint32(len(sig)))
-	buf = append(buf, u32[:]...)
-	buf = append(buf, sig...)
-	binary.BigEndian.PutUint32(u32[:], uint32(len(snap)))
-	buf = append(buf, u32[:]...)
-	buf = append(buf, snap...)
-	binary.BigEndian.PutUint32(u32[:], crc32.Checksum(buf, crcTable))
-	buf = append(buf, u32[:]...)
+	buf := append(make([]byte, 0, len(ckptMagic)+12+len(hdr)+len(sig)+len(snap)+4), ckptMagic[:]...)
+	buf = wire.AppendBytes32(buf, hdr)
+	buf = wire.AppendBytes32(buf, sig)
+	buf = sealEnvelope(wire.AppendBytes32(buf, snap))
 	if err := atomicWriteFile(filepath.Join(dir, checkpointFileName), buf, !noSync); err != nil {
 		return 0, err
 	}
@@ -231,31 +212,16 @@ func loadCheckpoint(dir string, pub *ecdsa.PublicKey) (*checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("translog: reading checkpoint: %w", err)
 	}
-	if len(data) < len(ckptMagic)+16 || !bytes.Equal(data[:len(ckptMagic)], ckptMagic[:]) {
-		return nil, fmt.Errorf("%w: checkpoint file malformed", ErrStateCorrupt)
+	body, err := openEnvelope(data, ckptMagic)
+	if err != nil {
+		return nil, fmt.Errorf("%w: checkpoint: %w", ErrStateCorrupt, err)
 	}
-	body, crcBytes := data[:len(data)-4], data[len(data)-4:]
-	if crc32.Checksum(body, crcTable) != binary.BigEndian.Uint32(crcBytes) {
-		return nil, fmt.Errorf("%w: checkpoint checksum mismatch", ErrStateCorrupt)
-	}
-	rest := body[len(ckptMagic):]
-	next := func() ([]byte, bool) {
-		if len(rest) < 4 {
-			return nil, false
-		}
-		n := binary.BigEndian.Uint32(rest[:4])
-		if uint64(len(rest)-4) < uint64(n) {
-			return nil, false
-		}
-		sec := rest[4 : 4+n]
-		rest = rest[4+n:]
-		return sec, true
-	}
-	hdrBytes, ok1 := next()
-	sig, ok2 := next()
-	snap, ok3 := next()
-	if !ok1 || !ok2 || !ok3 || len(rest) != 0 {
-		return nil, fmt.Errorf("%w: checkpoint file malformed", ErrStateCorrupt)
+	r := wire.NewReader(body)
+	hdrBytes := r.Bytes32(wire.Unbounded)
+	sig := r.Bytes32(wire.Unbounded)
+	snap := r.Bytes32(wire.Unbounded)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("%w: checkpoint file malformed: %w", ErrStateCorrupt, err)
 	}
 	var hdr ckptHeader
 	if err := json.Unmarshal(hdrBytes, &hdr); err != nil {

@@ -1,11 +1,8 @@
 package translog
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"maps"
 	"os"
 	"path/filepath"
@@ -13,6 +10,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"vnfguard/internal/wire"
 )
 
 // Cold-segment compaction: WAL segments whose every record sits below
@@ -104,21 +103,12 @@ func encodeArchive(first uint64, payloads [][]byte) []byte {
 	for _, p := range payloads {
 		size += 4 + len(p)
 	}
-	buf := make([]byte, 0, size)
-	buf = append(buf, arcMagic[:]...)
-	var u64 [8]byte
-	binary.BigEndian.PutUint64(u64[:], first)
-	buf = append(buf, u64[:]...)
-	var u32 [4]byte
-	binary.BigEndian.PutUint32(u32[:], uint32(len(payloads)))
-	buf = append(buf, u32[:]...)
+	buf := wire.AppendU64(append(make([]byte, 0, size), arcMagic[:]...), first)
+	buf = wire.AppendU32(buf, uint32(len(payloads)))
 	for _, p := range payloads {
-		binary.BigEndian.PutUint32(u32[:], uint32(len(p)))
-		buf = append(buf, u32[:]...)
-		buf = append(buf, p...)
+		buf = wire.AppendBytes32(buf, p)
 	}
-	binary.BigEndian.PutUint32(u32[:], crc32.Checksum(buf, crcTable))
-	return append(buf, u32[:]...)
+	return sealEnvelope(buf)
 }
 
 // readArchive loads one archive, verifying its CRC and that its header
@@ -129,34 +119,20 @@ func readArchive(dir string, first uint64, count int) ([][]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("translog: reading archive %s: %w", name, err)
 	}
-	if len(data) < len(arcMagic)+16 || !bytes.Equal(data[:len(arcMagic)], arcMagic[:]) {
-		return nil, fmt.Errorf("%w: archive %s malformed", ErrStateCorrupt, name)
+	body, err := openEnvelope(data, arcMagic)
+	if err != nil {
+		return nil, fmt.Errorf("%w: archive %s: %w", ErrStateCorrupt, name, err)
 	}
-	body, crcBytes := data[:len(data)-4], data[len(data)-4:]
-	if crc32.Checksum(body, crcTable) != binary.BigEndian.Uint32(crcBytes) {
-		return nil, fmt.Errorf("%w: archive %s checksum mismatch", ErrStateCorrupt, name)
-	}
-	rest := body[len(arcMagic):]
-	gotFirst := binary.BigEndian.Uint64(rest[:8])
-	gotCount := binary.BigEndian.Uint32(rest[8:12])
-	if gotFirst != first || int(gotCount) != count {
+	r := wire.NewReader(body)
+	if gotFirst, gotCount := r.U64(), r.U32(); gotFirst != first || int(gotCount) != count {
 		return nil, fmt.Errorf("%w: archive %s header disagrees with its name", ErrStateCorrupt, name)
 	}
-	rest = rest[12:]
 	payloads := make([][]byte, 0, count)
 	for i := 0; i < count; i++ {
-		if len(rest) < 4 {
-			return nil, fmt.Errorf("%w: archive %s truncated", ErrStateCorrupt, name)
-		}
-		n := binary.BigEndian.Uint32(rest[:4])
-		if uint64(len(rest)-4) < uint64(n) {
-			return nil, fmt.Errorf("%w: archive %s truncated", ErrStateCorrupt, name)
-		}
-		payloads = append(payloads, rest[4:4+n])
-		rest = rest[4+n:]
+		payloads = append(payloads, r.Bytes32(wire.Unbounded))
 	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: archive %s holds trailing bytes", ErrStateCorrupt, name)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("%w: archive %s malformed: %w", ErrStateCorrupt, name, err)
 	}
 	return payloads, nil
 }

@@ -14,9 +14,10 @@ package translog
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"vnfguard/internal/wire"
 )
 
 // EntryType enumerates auditable Verification Manager actions.
@@ -104,16 +105,12 @@ func (e Entry) marshalledSize() int {
 // appendTo appends the canonical encoding to out — the allocation-free
 // form batch committers use to marshal a whole cycle into one arena.
 func (e Entry) appendTo(out []byte) []byte {
-	out = append(out, entryVersion, byte(e.Type))
-	var u64 [8]byte
-	binary.BigEndian.PutUint64(u64[:], uint64(e.Timestamp))
-	out = append(out, u64[:]...)
-	out = appendBytes(out, []byte(e.Actor))
-	out = appendBytes(out, []byte(e.Host))
-	out = appendBytes(out, []byte(e.Serial))
-	out = appendBytes(out, e.Measurement)
-	out = appendBytes(out, []byte(e.Detail))
-	return out
+	out = wire.AppendU64(append(out, entryVersion, byte(e.Type)), uint64(e.Timestamp))
+	out = wire.AppendBytes32(out, e.Actor)
+	out = wire.AppendBytes32(out, e.Host)
+	out = wire.AppendBytes32(out, e.Serial)
+	out = wire.AppendBytes32(out, e.Measurement)
+	return wire.AppendBytes32(out, e.Detail)
 }
 
 // entryFields is a validated canonical encoding viewed in place: the
@@ -132,27 +129,22 @@ type entryFields struct {
 // builds on it, and recovery uses it directly, reading only the type
 // and serial of records it never needs to materialise.
 func parseEntry(b []byte) (entryFields, error) {
-	var f entryFields
-	if len(b) < 10 {
-		return f, ErrMalformedEntry
+	r := wire.NewReader(b)
+	version := r.U8()
+	f := entryFields{typ: EntryType(r.U8()), timestamp: int64(r.U64())}
+	f.actor = r.Bytes32(wire.Unbounded)
+	f.host = r.Bytes32(wire.Unbounded)
+	f.serial = r.Bytes32(wire.Unbounded)
+	f.measurement = r.Bytes32(wire.Unbounded)
+	f.detail = r.Bytes32(wire.Unbounded)
+	if err := r.Done(); err != nil {
+		return f, fmt.Errorf("%w: %w", ErrMalformedEntry, err)
 	}
-	if b[0] != entryVersion {
-		return f, fmt.Errorf("%w: version %d", ErrMalformedEntry, b[0])
+	if version != entryVersion {
+		return f, fmt.Errorf("%w: version %d", ErrMalformedEntry, version)
 	}
-	f.typ = EntryType(b[1])
 	if f.typ < EntryEnroll || f.typ > EntryRevoke {
-		return f, fmt.Errorf("%w: %d", ErrUnknownType, b[1])
-	}
-	f.timestamp = int64(binary.BigEndian.Uint64(b[2:10]))
-	b = b[10:]
-	for _, field := range []*[]byte{&f.actor, &f.host, &f.serial, &f.measurement, &f.detail} {
-		var err error
-		if *field, b, err = readBytes(b); err != nil {
-			return f, err
-		}
-	}
-	if len(b) != 0 {
-		return f, fmt.Errorf("%w: %d trailing bytes", ErrMalformedEntry, len(b))
+		return f, fmt.Errorf("%w: %d", ErrUnknownType, f.typ)
 	}
 	return f, nil
 }
@@ -170,23 +162,4 @@ func unmarshalEntry(b []byte) (Entry, error) {
 		e.Measurement = bytes.Clone(f.measurement)
 	}
 	return e, nil
-}
-
-func appendBytes(dst, b []byte) []byte {
-	var n [4]byte
-	binary.BigEndian.PutUint32(n[:], uint32(len(b)))
-	dst = append(dst, n[:]...)
-	return append(dst, b...)
-}
-
-func readBytes(b []byte) (val, rest []byte, err error) {
-	if len(b) < 4 {
-		return nil, nil, ErrMalformedEntry
-	}
-	n := binary.BigEndian.Uint32(b[:4])
-	b = b[4:]
-	if uint64(len(b)) < uint64(n) {
-		return nil, nil, ErrMalformedEntry
-	}
-	return b[:n:n], b[n:], nil
 }

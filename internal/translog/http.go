@@ -178,7 +178,7 @@ func Handler(l *Log) http.Handler {
 		writeJSON(w, wireBundle{Index: pb.Index, Entry: pb.Entry.Marshal(), STH: pb.STH})
 	})
 	mux.HandleFunc("POST "+pathAppend, func(w http.ResponseWriter, r *http.Request) {
-		body, ok := readRequest(w, r, 4<<20)
+		body, ok := readRequest(w, r, maxAppendBody)
 		if !ok {
 			return
 		}
@@ -767,19 +767,43 @@ func (c *Client) Append(batch []Entry) error {
 	return err
 }
 
+// maxAppendBody caps one append request's body. The handler answers a
+// longer one 413; AppendSTH splits a batch into requests under it.
+const maxAppendBody = 4 << 20
+
 // AppendSTH submits a batch and returns the server's fresh signed tree
 // head covering it — the head a producer publishes to witnesses, so the
 // witness set anchors on what the *server* signed, not on a head from a
-// different log under the same key.
+// different log under the same key. A batch whose JSON passes
+// maxAppendBody goes as consecutive requests, each under the cap, and
+// the head is the last one's. A failed request returns its error after
+// the requests before it have landed: the server's size says where a
+// retry resumes.
 func (c *Client) AppendSTH(batch []Entry) (SignedTreeHead, error) {
-	wire := make([]wireEntry, len(batch))
-	for i, e := range batch {
-		wire[i] = wireEntry{Canonical: e.Marshal()}
+	body := []byte{'['}
+	for _, e := range batch {
+		elem, err := json.Marshal(wireEntry{Canonical: e.Marshal()})
+		if err != nil {
+			return SignedTreeHead{}, err
+		}
+		// Flush before this entry, its comma and the closing bracket
+		// would pass the cap.
+		if len(body) > 1 && len(body)+len(elem)+2 > maxAppendBody {
+			if _, err := c.appendBody(append(body, ']')); err != nil {
+				return SignedTreeHead{}, err
+			}
+			body = []byte{'['}
+		}
+		if len(body) > 1 {
+			body = append(body, ',')
+		}
+		body = append(body, elem...)
 	}
-	body, err := json.Marshal(wire)
-	if err != nil {
-		return SignedTreeHead{}, err
-	}
+	return c.appendBody(append(body, ']'))
+}
+
+// appendBody posts one append request: a JSON array of wire entries.
+func (c *Client) appendBody(body []byte) (SignedTreeHead, error) {
 	status, data, err := c.do("append", pathAppend, body, maxPostReplyBytes)
 	if err != nil {
 		return SignedTreeHead{}, err

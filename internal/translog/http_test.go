@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -138,10 +139,55 @@ func TestRequestBodyTooLarge(t *testing.T) {
 			t.Errorf("POST %s with a %d-byte body: status %d, want 413", tc.path, len(tc.body), resp.StatusCode)
 		}
 	}
-	if _, err := NewClient(srv.URL, &key.PublicKey).AppendSTH(batch); !errors.Is(err, ErrAppendRejected) {
-		t.Fatalf("over-size batch: got %v, want ErrAppendRejected", err)
-	}
 	if n := l.Size(); n != 0 {
 		t.Fatalf("refused batches committed %d entries", n)
+	}
+}
+
+// TestAppendSTHChunksOverCapBatch: the 20,000-entry batch whose single
+// body the append handler refuses 413 mirrors fully through AppendSTH,
+// which sends it as consecutive requests under the cap and returns the
+// last head. A producer mirroring a long unmirrored suffix used to be
+// refused with the not-retryable ErrAppendRejected on every run.
+func TestAppendSTHChunksOverCapBatch(t *testing.T) {
+	key := testSigner(t)
+	l, err := NewLog(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var requests, largest int
+	h := Handler(l)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == pathAppend {
+			mu.Lock()
+			requests++
+			largest = max(largest, int(r.ContentLength))
+			mu.Unlock()
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	batch := make([]Entry, 20000)
+	for i := range batch {
+		batch[i] = findingEntry(i)
+	}
+	sth, err := NewClient(srv.URL, &key.PublicKey).AppendSTH(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := l.Size(); n != uint64(len(batch)) || sth.Size != n {
+		t.Fatalf("server holds %d entries, returned head %d, want %d", n, sth.Size, len(batch))
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if requests < 2 || largest > maxAppendBody {
+		t.Fatalf("%d append requests, largest %d bytes: want several, each at most %d", requests, largest, maxAppendBody)
+	}
+	for i, want := range batch {
+		if got := l.Entries(uint64(i), 1)[0]; got.Detail != want.Detail {
+			t.Fatalf("entry %d: got %q, want %q", i, got.Detail, want.Detail)
+		}
 	}
 }

@@ -1,15 +1,14 @@
 package translog
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
+
+	"vnfguard/internal/wire"
 )
 
 // Tile-based proof serving (the CT "static log" design): the tree's
@@ -79,45 +78,40 @@ var tileMagic = [8]byte{'V', 'N', 'F', 'G', 'T', 'I', 'L', '1'}
 // which is what content-addressing and the immutable cache headers
 // depend on (pinned by FuzzTileDeterminism).
 func encodeTile(t *Tile) []byte {
-	buf := make([]byte, 0, len(tileMagic)+20+len(t.Hashes)*len(Hash{})+4)
-	buf = append(buf, tileMagic[:]...)
-	var u64 [8]byte
-	binary.BigEndian.PutUint64(u64[:], t.Level)
-	buf = append(buf, u64[:]...)
-	binary.BigEndian.PutUint64(u64[:], t.Index)
-	buf = append(buf, u64[:]...)
-	var u32 [4]byte
-	binary.BigEndian.PutUint32(u32[:], uint32(len(t.Hashes)))
-	buf = append(buf, u32[:]...)
+	buf := append(make([]byte, 0, len(tileMagic)+20+len(t.Hashes)*len(Hash{})+4), tileMagic[:]...)
+	buf = wire.AppendU64(wire.AppendU64(buf, t.Level), t.Index)
+	buf = wire.AppendU32(buf, uint32(len(t.Hashes)))
 	for _, h := range t.Hashes {
 		buf = append(buf, h[:]...)
 	}
-	binary.BigEndian.PutUint32(u32[:], crc32.Checksum(buf, crcTable))
-	return append(buf, u32[:]...)
+	return sealEnvelope(buf)
 }
+
+// ErrMalformedTile is wrapped by every decodeTile refusal: bad framing,
+// a checksum mismatch or a width that disagrees with the payload. A
+// tile is only believed through the proofs it assembles into, so this
+// is transport damage, never evidence against the log.
+var ErrMalformedTile = errors.New("translog: malformed tile")
 
 // decodeTile parses and checksum-verifies one encoded tile.
 func decodeTile(data []byte) (*Tile, error) {
-	if len(data) < len(tileMagic)+24 || !bytes.Equal(data[:len(tileMagic)], tileMagic[:]) {
-		return nil, fmt.Errorf("translog: tile malformed")
+	body, err := openEnvelope(data, tileMagic)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrMalformedTile, err)
 	}
-	body, crcBytes := data[:len(data)-4], data[len(data)-4:]
-	if crc32.Checksum(body, crcTable) != binary.BigEndian.Uint32(crcBytes) {
-		return nil, fmt.Errorf("translog: tile checksum mismatch")
+	r := wire.NewReader(body)
+	t := &Tile{Level: r.U64(), Index: r.U64()}
+	width := r.U32()
+	hashes := r.Fixed(uint64(width) * uint64(len(Hash{})))
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("%w: width %d disagrees with its payload: %w", ErrMalformedTile, width, err)
 	}
-	rest := body[len(tileMagic):]
-	t := &Tile{
-		Level: binary.BigEndian.Uint64(rest[:8]),
-		Index: binary.BigEndian.Uint64(rest[8:16]),
-	}
-	width := binary.BigEndian.Uint32(rest[16:20])
-	rest = rest[20:]
-	if width == 0 || width > TileWidth || uint64(len(rest)) != uint64(width)*uint64(len(Hash{})) {
-		return nil, fmt.Errorf("translog: tile width %d disagrees with its payload", width)
+	if width == 0 || width > TileWidth {
+		return nil, fmt.Errorf("%w: width %d", ErrMalformedTile, width)
 	}
 	t.Hashes = make([]Hash, width)
 	for i := range t.Hashes {
-		copy(t.Hashes[i][:], rest[i*len(Hash{}):])
+		copy(t.Hashes[i][:], hashes[i*len(Hash{}):])
 	}
 	return t, nil
 }

@@ -12,6 +12,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"vnfguard/internal/wire"
 )
 
 // TestTileMath pins the coordinate arithmetic the whole tile scheme
@@ -80,6 +82,62 @@ func TestTileEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if _, err := decodeTile(nil); err == nil {
 		t.Fatal("nil input accepted")
+	}
+}
+
+// TestTileRefusalsNamed: every way decodeTile refuses — framing,
+// checksum, width — wraps ErrMalformedTile, and Client.Tile keeps the
+// sentinel visible for a corrupt reply.
+func TestTileRefusalsNamed(t *testing.T) {
+	tile := &Tile{Level: 0, Index: 1, Hashes: []Hash{LeafHash([]byte("a")), LeafHash([]byte("b"))}}
+	enc := encodeTile(tile)
+	// reframe re-seals a body after magic with a valid checksum, so the
+	// refusal must come from the fields inside it.
+	reframe := func(level, index uint64, width uint32, hashes int) []byte {
+		buf := wire.AppendU64(wire.AppendU64(append([]byte(nil), tileMagic[:]...), level), index)
+		buf = wire.AppendU32(buf, width)
+		return sealEnvelope(append(buf, make([]byte, hashes*len(Hash{}))...))
+	}
+	flipped := append([]byte(nil), enc...)
+	flipped[20] ^= 1
+	for name, data := range map[string][]byte{
+		"empty":             nil,
+		"wrong magic":       append([]byte("VNFGXXXX"), enc[8:]...),
+		"checksum mismatch": flipped,
+		"cut":               enc[:len(enc)-1],
+		"width zero":        reframe(0, 1, 0, 0),
+		"width over tile":   reframe(0, 1, TileWidth+1, TileWidth+1),
+		"width past data":   reframe(0, 1, 3, 2),
+		"width short of it": reframe(0, 1, 1, 2),
+		"huge width":        reframe(0, 1, 0xFFFFFFFF, 1),
+	} {
+		if _, err := decodeTile(data); !errors.Is(err, ErrMalformedTile) {
+			t.Errorf("%s: got %v, want ErrMalformedTile", name, err)
+		}
+	}
+
+	key := testSigner(t)
+	l, err := NewLog(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.AppendBatch(mixedEntries(TileWidth)); err != nil {
+		t.Fatal(err)
+	}
+	h := Handler(l)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		body := rec.Body.Bytes()
+		if len(body) > 0 {
+			body[len(body)/2] ^= 1
+		}
+		w.WriteHeader(rec.Code)
+		w.Write(body)
+	}))
+	defer srv.Close()
+	if _, err := NewClient(srv.URL, &key.PublicKey).Tile(0, 0, TileWidth); !errors.Is(err, ErrMalformedTile) {
+		t.Fatalf("corrupt tile reply: got %v, want ErrMalformedTile", err)
 	}
 }
 
