@@ -98,6 +98,72 @@ func TestCodecSealOpenRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSendRecvRoundTrip runs one provisioning exchange as the protocol
+// does: the initiator sends a record and the responder answers on the
+// same codec pair.
+func TestSendRecvRoundTrip(t *testing.T) {
+	vm, enclave := newCodecPair(t)
+	req, err := vm.Seal(TypeProvision, []byte("credential blob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	typ, payload, err := enclave.Open(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if typ != TypeProvision || string(payload) != "credential blob" {
+		t.Fatalf("request: got type=%d payload=%q", typ, payload)
+	}
+	resp, err := enclave.Seal(TypeAck, []byte("provisioned"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	typ, payload, err = vm.Open(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if typ != TypeAck || string(payload) != "provisioned" {
+		t.Fatalf("response: got type=%d payload=%q", typ, payload)
+	}
+}
+
+// TestOversizeRejected checks a refused Seal spends no sequence number:
+// the next record still opens at the peer.
+func TestOversizeRejected(t *testing.T) {
+	a, b := newCodecPair(t)
+	if _, err := a.Seal(TypeProvision, make([]byte, MaxRecordSize+1)); !errors.Is(err, ErrRecordTooLarge) {
+		t.Fatalf("got %v, want ErrRecordTooLarge", err)
+	}
+	frame, err := a.Seal(TypeProvision, []byte("after"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, got, err := b.Open(frame); err != nil || string(got) != "after" {
+		t.Fatalf("record after refused seal: %q, %v", got, err)
+	}
+}
+
+// TestTamperedRecordFailsAuth flips one bit in each byte of the sealed
+// body in turn: every altered frame fails with ErrAuth, and none of them
+// advances the receive sequence.
+func TestTamperedRecordFailsAuth(t *testing.T) {
+	a, b := newCodecPair(t)
+	frame, err := a.Seal(TypeProvision, []byte("sensitive"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 5; i < len(frame); i++ {
+		bad := append([]byte(nil), frame...)
+		bad[i] ^= 0x80
+		if _, _, err := b.Open(bad); !errors.Is(err, ErrAuth) {
+			t.Fatalf("byte %d flipped: got %v, want ErrAuth", i, err)
+		}
+	}
+	if _, got, err := b.Open(frame); err != nil || string(got) != "sensitive" {
+		t.Fatalf("intact frame after tampering: %q, %v", got, err)
+	}
+}
+
 func TestCodecOversizeRejected(t *testing.T) {
 	a, _ := newCodecPair(t)
 	if _, err := a.Seal(TypeProvision, make([]byte, MaxRecordSize+1)); !errors.Is(err, ErrRecordTooLarge) {
