@@ -8,7 +8,9 @@ import (
 
 // atomicwrite enforces the crash-safe write discipline every durable
 // file in this project must follow: tmp + write + fsync + rename +
-// parent-dir sync (store.go's atomicWriteFile is the canonical shape).
+// parent-dir sync, implemented once by statedir.ReplaceFile, which
+// every replaced file (statedir entries, store heads, checkpoints,
+// archives, tiles, the sealed blob, the platform NV file) goes through.
 // PR 7 fixed recovery trims that skipped the fsync half of this
 // discipline — a crash after recovery could resurrect a torn tail the
 // open had already repaired — and statedir.Dir.Write shipped for six
@@ -16,9 +18,11 @@ import (
 //
 //  1. Raw persistence calls (os.WriteFile, os.Create, os.OpenFile with
 //     O_CREATE, (*os.File).Write) outside the approved write helpers are
-//     flagged: new durable files must go through atomicWriteFile,
-//     statedir.Dir.Write, or the segment/archive writers, not hand-roll
-//     the sequence.
+//     flagged: new durable files must go through statedir.ReplaceFile or
+//     the WAL segment writers, not hand-roll the sequence. A helper is
+//     approved by package path and name together, so a function that
+//     merely shares an approved helper's name elsewhere is still
+//     checked.
 //  2. Every os.Rename — approved helpers included — must be preceded in
 //     the same function by an fsync of the renamed file and followed by
 //     a parent-directory sync, or the rename itself is not durable.
@@ -27,17 +31,14 @@ import (
 // trust-bearing files.
 
 // approvedWriters are the functions allowed to touch the raw write
-// primitives: the atomic-replace helpers themselves plus the WAL
-// segment and archive writers, which follow the discipline at a larger
-// granularity (segments are fsynced per batch, archives are written via
-// atomicWriteFile).
+// primitives, keyed "<package path>.<function or method name>": the one
+// atomic-replace helper plus the WAL segment writers, which follow the
+// discipline at a larger granularity (segments are fsynced per batch).
 var approvedWriters = map[string]bool{
-	"atomicWriteFile": true, // store.go: the canonical tmp+fsync+rename+dir-sync helper
-	"Write":           true, // statedir.Dir.Write: the statedir atomic-replace helper
-	"persistLocked":   true, // sgx nvStore: the platform-NV image writer
-	"write":           true, // stream.write: the WAL segment batch writer
-	"rotate":          true, // stream.rotate: opens fresh WAL segments
-	"applyTrims":      true, // recovery's deferred truncate+fsync pass
+	"vnfguard/internal/statedir.ReplaceFile": true, // the one tmp+fsync+rename+dir-sync helper
+	"vnfguard/internal/translog.write":       true, // stream.write: the WAL segment batch writer
+	"vnfguard/internal/translog.rotate":      true, // stream.rotate: opens fresh WAL segments
+	"vnfguard/internal/translog.applyTrims":  true, // recovery's deferred truncate+fsync pass
 }
 
 // AtomicWrite is the durability-discipline analyzer.
@@ -108,10 +109,10 @@ func checkWriteDiscipline(p *Pass, fd *ast.FuncDecl) {
 		return true
 	})
 
-	if !approvedWriters[fd.Name.Name] {
+	if !approvedWriters[p.PkgPath+"."+fd.Name.Name] {
 		for i, call := range sites.raw {
 			p.Reportf(call.Pos(),
-				"raw %s outside the approved write helpers (atomicWriteFile, statedir.Dir.Write, segment/archive writers); persisted files must use the tmp+fsync+rename+dir-sync discipline",
+				"raw %s outside the approved write helpers (statedir.ReplaceFile, WAL segment writers); persisted files must use the tmp+fsync+rename+dir-sync discipline",
 				sites.rawWhat[i])
 		}
 	}

@@ -7,8 +7,9 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
+
+	"vnfguard/internal/statedir"
 )
 
 // Monotonic counters: the simulated equivalent of the SGX Platform
@@ -82,8 +83,8 @@ func openNV(path string) (*nvStore, error) {
 	return nv, nil
 }
 
-// persistLocked atomically and durably rewrites the NV file (tmp +
-// fsync + rename + dir sync): hardware counters do not regress on
+// persistLocked atomically and durably rewrites the NV file
+// (statedir.ReplaceFile with sync): hardware counters do not regress on
 // power failure, so neither may their file stand-in. Callers hold
 // nv.mu (or have exclusive access during construction).
 func (nv *nvStore) persistLocked() error {
@@ -91,38 +92,10 @@ func (nv *nvStore) persistLocked() error {
 		return nil
 	}
 	data, err := json.Marshal(nvImage{Seed: nv.seed, Counters: nv.counters})
+	if err == nil {
+		err = statedir.ReplaceFile(nv.path, data, true)
+	}
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrCounterStore, err)
-	}
-	tmp := nv.path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o600)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrCounterStore, err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("%w: %v", ErrCounterStore, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("%w: %v", ErrCounterStore, err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("%w: %v", ErrCounterStore, err)
-	}
-	if err := os.Rename(tmp, nv.path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("%w: %v", ErrCounterStore, err)
-	}
-	d, err := os.Open(filepath.Dir(nv.path))
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrCounterStore, err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
 		return fmt.Errorf("%w: %v", ErrCounterStore, err)
 	}
 	return nil

@@ -32,43 +32,50 @@ func Open(path string) (*Dir, error) {
 // Path returns the absolute location of a named entry.
 func (d *Dir) Path(name string) string { return filepath.Join(d.path, name) }
 
-// Write atomically writes an entry: readers see either the old contents
-// or the new, never a partial file, and a failed replacement leaves no
-// stray temp file behind. The temp file is fsynced before the rename and
-// the directory after it, so the replacement survives a crash — entries
-// hold key material and trust-anchor heads, where a lost-after-rename
-// file reads as a rollback.
+// Write atomically and durably replaces an entry (ReplaceFile with
+// sync): entries hold key material and trust-anchor heads, where a
+// lost-after-rename file reads as a rollback.
 func (d *Dir) Write(name string, data []byte) error {
-	tmp := d.Path(name + ".tmp")
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o600)
-	if err != nil {
-		return fmt.Errorf("statedir: writing %s: %w", name, err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("statedir: writing %s: %w", name, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("statedir: syncing %s: %w", name, err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("statedir: closing %s: %w", name, err)
-	}
-	if err := os.Rename(tmp, d.Path(name)); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("statedir: replacing %s: %w", name, err)
-	}
-	return d.syncDir()
+	return ReplaceFile(d.Path(name), data, true)
 }
 
-// syncDir flushes the directory so a just-renamed entry's name survives
-// a crash.
-func (d *Dir) syncDir() error {
-	dir, err := os.Open(d.path)
+// ReplaceFile atomically replaces the file at path with data: readers
+// see either the old contents or the new, never a partial file, and a
+// failed replacement leaves no stray temp file behind. With sync the
+// temp file is fsynced before the rename and the parent directory after
+// it, so the replacement survives a crash; without it the same
+// create-write-rename runs with no fsync, for files whose loss costs
+// only a recomputation and for stores run without durability. It is the
+// project's one tmp+fsync+rename+dir-sync writer.
+func ReplaceFile(path string, data []byte, sync bool) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o600)
+	if err != nil {
+		return fmt.Errorf("statedir: replacing %s: %w", filepath.Base(path), err)
+	}
+	if _, err = f.Write(data); err == nil && sync {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("statedir: replacing %s: %w", filepath.Base(path), err)
+	}
+	if sync {
+		return SyncDir(filepath.Dir(path))
+	}
+	return nil
+}
+
+// SyncDir fsyncs a directory, so the creations and renames within it
+// survive a crash.
+func SyncDir(path string) error {
+	dir, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("statedir: syncing dir: %w", err)
 	}

@@ -3,16 +3,28 @@
 // A durable log's recovery can replay and checksum its WAL, but "is
 // this the *newest* committed state?" can only be answered by a memory
 // the attacker could not rewrite alongside the statedir. Each such
-// memory is a TrustAnchor: the store's own persisted signed tree head
-// (catches rewinds that disagree with it), a witness's persisted head
-// (catches consistent rewinds of segments + head together, as long as
-// the witness state survives), and an enclave-sealed monotonic head
-// (sealed.go — catches even a total-amnesia rewind where the disk and
-// every witness lost state together, because the counter lives in
-// platform hardware). OpenDurableLog runs every configured anchor at
-// recovery and notifies every anchor of each committed head, so future
-// anchors (TPM NV, remote notary) slot in without another recovery
-// rewrite.
+// memory is a TrustAnchor. Four ship:
+//
+//   - the store's own signed tree head, sth.json (catches rewinds that
+//     disagree with it);
+//   - a witness's persisted head (WitnessAnchor: catches consistent
+//     rewinds of segments + head together, as long as the witness state
+//     survives);
+//   - the quorum artifact, a head plus witness co-signatures
+//     (QuorumWitnessAnchor);
+//   - an enclave-sealed monotonic head (sealed.go — catches even a
+//     total-amnesia rewind where the disk and every witness lost state
+//     together, because the counter lives in platform hardware).
+//
+// The store's head and a witness's head are one type, WitnessAnchor: a
+// signed-head file with one reader (readHeadFile, shared with the
+// quorum artifact) and one writer (statedir.ReplaceFile, the project's
+// one atomic-replace helper). Every anchor compares the recovered state
+// against what it remembers through one check (RecoveredState.check),
+// keeping its own sentinels. OpenDurableLog runs every configured anchor
+// at recovery and notifies every anchor of each committed head, so
+// future anchors (TPM NV, remote notary) slot in without another
+// recovery rewrite.
 package translog
 
 import (
@@ -21,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 
 	"vnfguard/internal/statedir"
@@ -46,6 +59,33 @@ type RecoveredState struct {
 // entries (n ≤ Size).
 func (s *RecoveredState) RootAt(n uint64) (Hash, error) { return s.rootAt(n) }
 
+// check is every anchor's one comparison: the state must cover at least
+// the remembered size, and its recomputed root at that size must be the
+// remembered root. Entries beyond the head (persisted but not yet headed
+// when the process died) are legitimate. what names the remembered head
+// in the refusal; rollback and tampered are the anchor's sentinels for
+// the two ways to fail.
+//
+// Threat-model boundary: the beyond-head tail is authenticated only by
+// its CRC framing, so an attacker with statedir write access could
+// append well-formed records there and have recovery re-sign them. That
+// attacker already holds the statedir's CA key in the multi-process
+// deployment, so no local check can beat them; catching it needs a root
+// of trust off this disk — the witness and sealed-counter anchors.
+func (s *RecoveredState) check(size uint64, root Hash, what string, rollback, tampered error) error {
+	if s.Size < size {
+		return fmt.Errorf("%w: %d durable entries but the %s covers %d", rollback, s.Size, what, size)
+	}
+	got, err := s.RootAt(size)
+	if err != nil {
+		return err
+	}
+	if got != root {
+		return fmt.Errorf("%w: recomputed root at size %d does not match the %s", tampered, size, what)
+	}
+	return nil
+}
+
 // TrustAnchor is one independently rooted memory of the log's newest
 // committed head. Implementations must refuse (CheckRecovery error) any
 // recovered state older than — or contradicting — what they remember,
@@ -66,119 +106,61 @@ type TrustAnchor interface {
 	CommitHead(sth SignedTreeHead) error
 }
 
-// ---- plain statedir STH anchor --------------------------------------------
-
-// sthAnchor is the baseline anchor every durable store runs: the latest
-// signed tree head, atomically persisted as sth.json in the store
-// directory. It catches crashes, torn writes and any rewind that
-// disagrees with the persisted head — but not a consistent rewind of
-// segments and head together, which is what the witness and sealed
-// anchors exist for.
-type sthAnchor struct {
-	dir    string
-	pub    *ecdsa.PublicKey
-	noSync bool
-
-	mu   sync.Mutex
-	sth  SignedTreeHead
-	have bool
-}
-
-// newSTHAnchor returns the plain persisted-head anchor for a store
-// directory, verifying heads against the log public key.
-func newSTHAnchor(dir string, pub *ecdsa.PublicKey) *sthAnchor {
-	return &sthAnchor{dir: dir, pub: pub}
-}
-
-// Name implements TrustAnchor.
-func (a *sthAnchor) Name() string { return "statedir-sth" }
-
-// CheckRecovery verifies the persisted head's signature and that the
-// recovered state covers (and hashes to) exactly what it signed.
-func (a *sthAnchor) CheckRecovery(state *RecoveredState) error {
-	sth, have, err := loadSTH(a.dir)
+// readHeadFile decodes the JSON head remembered at path into v; ok=false
+// when none was ever written. It is the one reader of every remembered
+// head file — signed heads and co-signed artifacts alike — so the same
+// bad file is refused the same way whoever reads it.
+func readHeadFile(path, what string, v any) (bool, error) {
+	data, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return false, nil
+	}
 	if err != nil {
-		return err
+		return false, fmt.Errorf("translog: reading the %s: %w", what, err)
 	}
-	if !have {
-		if state.Segments > 0 {
-			// Segment files can only exist after the genesis head was
-			// persisted, so a missing head alongside them is deletion,
-			// not a fresh directory — even when every record in them
-			// was torn away.
-			return fmt.Errorf("%w: %d segment file(s) but no persisted tree head", ErrStateTampered, state.Segments)
-		}
-		return nil
+	if err := json.Unmarshal(data, v); err != nil {
+		return false, fmt.Errorf("%w: the %s is undecodable: %v", ErrStateCorrupt, what, err)
 	}
-	if err := sth.Verify(a.pub); err != nil {
-		return fmt.Errorf("%w: persisted tree head signature invalid", ErrStateTampered)
-	}
-	if state.Size < sth.Size {
-		return fmt.Errorf("%w: %d durable entries but signed tree head covers %d",
-			ErrStateRollback, state.Size, sth.Size)
-	}
-	// Entries beyond the head (persisted but not yet headed when the
-	// process died) are legitimate, but the covered prefix must hash to
-	// exactly what was signed.
-	//
-	// Threat-model boundary: the beyond-head tail is authenticated only
-	// by its CRC framing, so an attacker with statedir write access
-	// could append well-formed records there and have recovery re-sign
-	// them. That attacker already holds the statedir's CA key in the
-	// multi-process deployment, so no local check can beat them;
-	// catching it needs a root of trust off this disk — the witness and
-	// sealed-counter anchors.
-	root, err := state.RootAt(sth.Size)
-	if err != nil {
-		return err
-	}
-	if root != sth.RootHash {
-		return fmt.Errorf("%w: recomputed root at size %d does not match persisted tree head",
-			ErrStateTampered, sth.Size)
-	}
-	a.mu.Lock()
-	a.sth, a.have = sth, true
-	a.mu.Unlock()
-	return nil
+	return true, nil
 }
 
-// CommitHead atomically replaces the persisted head file.
-func (a *sthAnchor) CommitHead(sth SignedTreeHead) error {
-	if err := persistSTHFile(a.dir, sth, a.noSync); err != nil {
-		return err
-	}
-	a.mu.Lock()
-	a.sth, a.have = sth, true
-	a.mu.Unlock()
-	return nil
-}
+// ---- signed-head file anchor ----------------------------------------------
 
-// Persisted returns the head loaded by CheckRecovery (or recorded by
-// the latest CommitHead) and whether one exists — the store's
-// resumption point.
-func (a *sthAnchor) Persisted() (SignedTreeHead, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.sth, a.have
-}
-
-// ---- witness-head anchor --------------------------------------------------
-
-// WitnessAnchor anchors the log on a witness's persisted last-accepted
-// head — the same statedir entry a gossiping witness
-// (OpenWitnessState) keeps, so co-locating the log with one witness's
-// state costs nothing extra. Because the witness statedir is separate
-// from the log statedir, a consistent rewind of the log's segments and
-// sth.json together is still caught here — unless the witness state was
-// rewound too, which is the sealed anchor's job.
+// WitnessAnchor anchors the log on one remembered signed tree head: a
+// JSON file replaced atomically on every commit and never moved
+// backwards. Two kinds run on it.
+//
+// The store's own instance (sth.json in the store directory) is the
+// baseline every durable store runs. It catches crashes, torn writes and
+// any rewind that disagrees with the persisted head — but not a
+// consistent rewind of segments and head together. It honours
+// StoreConfig.NoSync, and segment files with no head beside them are
+// tampering, not a fresh directory.
+//
+// A witness's instance (NewWitnessAnchor) keeps the head in the
+// witness's own statedir — the same entry a gossiping witness
+// (OpenWitnessState) restores and saves, so co-locating the log with one
+// witness's state costs nothing extra. Because that statedir is separate
+// from the log's, a consistent rewind of the log's segments and sth.json
+// together is still caught here — unless the witness state was rewound
+// too, which is the sealed anchor's job.
 type WitnessAnchor struct {
-	dir   *statedir.Dir
-	entry string
-	pub   *ecdsa.PublicKey
+	path string
+	pub  *ecdsa.PublicKey
+	// store marks the store's own sth.json; noSync (store only) skips
+	// the fsyncs of its replacement.
+	store  bool
+	noSync bool
 
 	mu   sync.Mutex
 	last SignedTreeHead
 	seen bool
+}
+
+// newSTHAnchor returns the store's own head anchor for a store
+// directory, verifying heads against the log public key.
+func newSTHAnchor(dir string, pub *ecdsa.PublicKey) *WitnessAnchor {
+	return &WitnessAnchor{path: filepath.Join(dir, sthFileName), pub: pub, store: true}
 }
 
 // NewWitnessAnchor returns an anchor persisting heads under witness
@@ -186,41 +168,62 @@ type WitnessAnchor struct {
 // opened later with the same dir and name (OpenWitnessState) restores
 // exactly the head this anchor recorded.
 func NewWitnessAnchor(dir *statedir.Dir, name string, pub *ecdsa.PublicKey) *WitnessAnchor {
-	return &WitnessAnchor{dir: dir, entry: witnessHeadFile(name), pub: pub}
+	return &WitnessAnchor{path: dir.Path(witnessHeadFile(name)), pub: pub}
 }
 
 // Name implements TrustAnchor.
-func (a *WitnessAnchor) Name() string { return "witness-head" }
+func (a *WitnessAnchor) Name() string {
+	if a.store {
+		return "statedir-sth"
+	}
+	return "witness-head"
+}
 
-// CheckRecovery verifies the recovered state against the persisted
-// witness head: the state must cover at least the remembered size and
-// hash to the remembered root at that size.
-func (a *WitnessAnchor) CheckRecovery(state *RecoveredState) error {
-	data, err := a.dir.Read(a.entry)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil // first run: nothing remembered yet
+// what names the remembered head in errors.
+func (a *WitnessAnchor) what() string {
+	if a.store {
+		return "persisted tree head"
 	}
-	if err != nil {
-		return fmt.Errorf("translog: reading witness anchor head: %w", err)
-	}
+	return "witness head"
+}
+
+// read decodes the head file without checking its signature; ok=false
+// when none was ever written.
+func (a *WitnessAnchor) read() (SignedTreeHead, bool, error) {
 	var sth SignedTreeHead
-	if err := json.Unmarshal(data, &sth); err != nil {
-		return fmt.Errorf("%w: witness anchor head undecodable: %v", ErrStateCorrupt, err)
+	ok, err := readHeadFile(a.path, a.what(), &sth)
+	return sth, ok, err
+}
+
+// load reads the head file and checks its signature: a head the log key
+// did not sign is tampering, never trusted history.
+func (a *WitnessAnchor) load() (SignedTreeHead, bool, error) {
+	sth, ok, err := a.read()
+	if err == nil && ok && sth.Verify(a.pub) != nil {
+		return SignedTreeHead{}, false, fmt.Errorf("%w: the %s signature is invalid", ErrStateTampered, a.what())
 	}
-	if err := sth.Verify(a.pub); err != nil {
-		return fmt.Errorf("%w: witness anchor head signature invalid", ErrStateTampered)
-	}
-	if state.Size < sth.Size {
-		return fmt.Errorf("%w: %d durable entries but witness anchor remembers a signed head covering %d",
-			ErrStateRollback, state.Size, sth.Size)
-	}
-	root, err := state.RootAt(sth.Size)
+	return sth, ok, err
+}
+
+// CheckRecovery verifies the remembered head's signature and that the
+// recovered state covers (and hashes to) exactly what it signed.
+func (a *WitnessAnchor) CheckRecovery(state *RecoveredState) error {
+	sth, ok, err := a.load()
 	if err != nil {
 		return err
 	}
-	if root != sth.RootHash {
-		return fmt.Errorf("%w: recomputed root at size %d does not match witness anchor head",
-			ErrStateTampered, sth.Size)
+	if !ok {
+		if a.store && state.Segments > 0 {
+			// Segment files can only exist after the genesis head was
+			// persisted, so a missing head alongside them is deletion,
+			// not a fresh directory — even when every record in them
+			// was torn away.
+			return fmt.Errorf("%w: %d segment file(s) but no persisted tree head", ErrStateTampered, state.Segments)
+		}
+		return nil // first run: nothing remembered yet
+	}
+	if err := state.check(sth.Size, sth.RootHash, a.what(), ErrStateRollback, ErrStateTampered); err != nil {
+		return err
 	}
 	a.mu.Lock()
 	a.last, a.seen = sth, true
@@ -228,25 +231,33 @@ func (a *WitnessAnchor) CheckRecovery(state *RecoveredState) error {
 	return nil
 }
 
-// CommitHead persists the newly committed head, never moving backwards.
+// CommitHead replaces the head file with sth, never moving backwards.
+// The lock is held across the write, so two racing commits land in size
+// order.
 func (a *WitnessAnchor) CommitHead(sth SignedTreeHead) error {
 	a.mu.Lock()
+	defer a.mu.Unlock()
 	if a.seen && sth.Size < a.last.Size {
-		a.mu.Unlock()
 		return nil
 	}
-	a.mu.Unlock()
 	data, err := json.Marshal(sth)
 	if err != nil {
+		return fmt.Errorf("translog: encoding tree head: %w", err)
+	}
+	if err := statedir.ReplaceFile(a.path, data, !a.noSync); err != nil {
 		return err
 	}
-	if err := a.dir.Write(a.entry, data); err != nil {
-		return err
-	}
-	a.mu.Lock()
 	a.last, a.seen = sth, true
-	a.mu.Unlock()
 	return nil
+}
+
+// remembered returns the head loaded by CheckRecovery (or recorded by
+// the latest CommitHead) and whether one exists — the store's
+// resumption point.
+func (a *WitnessAnchor) remembered() (SignedTreeHead, bool) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.last, a.seen
 }
 
 // ---- quorum witness anchor ------------------------------------------------
@@ -264,8 +275,7 @@ func witnessCosignedFile(name string) string { return "witness-" + name + "-cosi
 // behind is convicting evidence against the whole store, not one
 // witness's word.
 type QuorumWitnessAnchor struct {
-	dir    *statedir.Dir
-	entry  string
+	path   string
 	pub    *ecdsa.PublicKey
 	roster *WitnessRoster
 
@@ -278,7 +288,7 @@ type QuorumWitnessAnchor struct {
 // under witness name in dir, verified against the log public key and the
 // pinned witness roster.
 func NewQuorumWitnessAnchor(dir *statedir.Dir, name string, pub *ecdsa.PublicKey, roster *WitnessRoster) *QuorumWitnessAnchor {
-	return &QuorumWitnessAnchor{dir: dir, entry: witnessCosignedFile(name), pub: pub, roster: roster}
+	return &QuorumWitnessAnchor{path: dir.Path(witnessCosignedFile(name)), pub: pub, roster: roster}
 }
 
 // Name implements TrustAnchor.
@@ -292,19 +302,13 @@ func (a *QuorumWitnessAnchor) Name() string { return "quorum-witness" }
 // remembered size, and the covered prefix must hash to the remembered
 // root.
 func (a *QuorumWitnessAnchor) CheckRecovery(state *RecoveredState) error {
-	data, err := a.dir.Read(a.entry)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil // first run: nothing remembered yet
-	}
-	if err != nil {
-		return fmt.Errorf("translog: reading quorum anchor head: %w", err)
-	}
 	var ch CosignedHead
-	if err := json.Unmarshal(data, &ch); err != nil {
-		return fmt.Errorf("%w: quorum anchor head undecodable: %v", ErrStateCorrupt, err)
+	ok, err := readHeadFile(a.path, "quorum anchor head", &ch)
+	if err != nil || !ok {
+		return err
 	}
 	if err := ch.STH.Verify(a.pub); err != nil {
-		return fmt.Errorf("%w: quorum anchor head signature invalid", ErrStateTampered)
+		return fmt.Errorf("%w: the quorum anchor head signature is invalid", ErrStateTampered)
 	}
 	for _, ws := range ch.Signatures {
 		pub, ok := a.roster.Key(ws.Witness)
@@ -315,17 +319,8 @@ func (a *QuorumWitnessAnchor) CheckRecovery(state *RecoveredState) error {
 			return fmt.Errorf("%w: quorum anchor co-signature by %q invalid", ErrStateTampered, ws.Witness)
 		}
 	}
-	if state.Size < ch.STH.Size {
-		return fmt.Errorf("%w: %d durable entries but quorum anchor remembers a signed head covering %d",
-			ErrStateRollback, state.Size, ch.STH.Size)
-	}
-	root, err := state.RootAt(ch.STH.Size)
-	if err != nil {
+	if err := state.check(ch.STH.Size, ch.STH.RootHash, "quorum anchor head", ErrStateRollback, ErrStateTampered); err != nil {
 		return err
-	}
-	if root != ch.STH.RootHash {
-		return fmt.Errorf("%w: recomputed root at size %d does not match quorum anchor head",
-			ErrStateTampered, ch.STH.Size)
 	}
 	a.mu.Lock()
 	a.last, a.seen = ch, true
@@ -355,40 +350,33 @@ func (a *QuorumWitnessAnchor) Accept(ch *CosignedHead) error {
 
 // record is the shared never-backwards persist path. At equal size it
 // keeps whichever entry carries more co-signatures and convicts on
-// diverging roots.
+// diverging roots. The lock is held across the write: released between
+// the check and the write, an Accept of an older head could land its
+// file after a racing CommitHead of a newer one and move the pin back.
 func (a *QuorumWitnessAnchor) record(ch CosignedHead) error {
 	a.mu.Lock()
-	if a.seen {
-		if ch.STH.Size < a.last.STH.Size {
-			a.mu.Unlock()
+	defer a.mu.Unlock()
+	if a.seen && ch.STH.Size <= a.last.STH.Size {
+		switch {
+		case ch.STH.Size < a.last.STH.Size:
+			return nil
+		case ch.STH.RootHash != a.last.STH.RootHash:
+			return &ConflictError{
+				Kind: ErrSplitView, Have: a.last.STH, Got: ch.STH,
+				Detail: "quorum anchor holds a different root at this size",
+			}
+		case len(ch.Signatures) <= len(a.last.Signatures):
 			return nil
 		}
-		if ch.STH.Size == a.last.STH.Size {
-			if ch.STH.RootHash != a.last.STH.RootHash {
-				have := a.last.STH
-				a.mu.Unlock()
-				return &ConflictError{
-					Kind: ErrSplitView, Have: have, Got: ch.STH,
-					Detail: "quorum anchor holds a different root at this size",
-				}
-			}
-			if len(ch.Signatures) <= len(a.last.Signatures) {
-				a.mu.Unlock()
-				return nil
-			}
-		}
 	}
-	a.mu.Unlock()
 	data, err := json.Marshal(ch)
 	if err != nil {
 		return err
 	}
-	if err := a.dir.Write(a.entry, data); err != nil {
+	if err := statedir.ReplaceFile(a.path, data, true); err != nil {
 		return err
 	}
-	a.mu.Lock()
 	a.last, a.seen = ch, true
-	a.mu.Unlock()
 	return nil
 }
 

@@ -14,6 +14,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"vnfguard/internal/statedir"
 	"vnfguard/internal/wire"
 )
 
@@ -193,18 +194,19 @@ func writeCheckpointFile(dir string, ck *checkpoint, signer crypto.Signer, noSyn
 	buf = wire.AppendBytes32(buf, hdr)
 	buf = wire.AppendBytes32(buf, sig)
 	buf = sealEnvelope(wire.AppendBytes32(buf, snap))
-	if err := atomicWriteFile(filepath.Join(dir, checkpointFileName), buf, !noSync); err != nil {
+	if err := statedir.ReplaceFile(filepath.Join(dir, checkpointFileName), buf, !noSync); err != nil {
 		return 0, err
 	}
 	return len(buf), nil
 }
 
 // loadCheckpoint reads and verifies the store's checkpoint, nil when
-// none exists. pub is the log public key. The persisted tree head is
-// consulted for the rollback tripwire: a checkpoint claiming a size the
-// persisted head does not reach means the statedir was rewound around a
-// newer checkpoint.
-func loadCheckpoint(dir string, pub *ecdsa.PublicKey) (*checkpoint, error) {
+// none exists. head is the store's own head anchor: its key verifies the
+// checkpoint, and its persisted head is consulted for the rollback
+// tripwire — a checkpoint claiming a size the persisted head does not
+// reach means the statedir was rewound around a newer checkpoint.
+func loadCheckpoint(dir string, head *WitnessAnchor) (*checkpoint, error) {
+	pub := head.pub
 	data, err := os.ReadFile(filepath.Join(dir, checkpointFileName))
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil
@@ -258,7 +260,7 @@ func loadCheckpoint(dir string, pub *ecdsa.PublicKey) (*checkpoint, error) {
 	// was durably persisted, so a persisted head older than the
 	// checkpoint (or no head at all) means the statedir around the
 	// checkpoint was rewound.
-	sth, have, err := loadSTH(dir)
+	sth, have, err := head.read()
 	if err != nil {
 		return nil, err
 	}

@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 
+	"vnfguard/internal/statedir"
 	"vnfguard/internal/wire"
 )
 
@@ -234,7 +235,7 @@ func (s *Store) compact(c uint64) error {
 		}
 		first := watermark + uint64(lo)
 		buf := encodeArchive(first, run[lo:hi])
-		if err := atomicWriteFile(filepath.Join(s.dir, archiveName(first, hi-lo)), buf, !s.cfg.NoSync); err != nil {
+		if err := statedir.ReplaceFile(filepath.Join(s.dir, archiveName(first, hi-lo)), buf, !s.cfg.NoSync); err != nil {
 			return err
 		}
 		lo = hi
@@ -251,7 +252,7 @@ func (s *Store) compact(c uint64) error {
 		}
 	}
 	if removed && !s.cfg.NoSync {
-		if err := syncDir(s.dir); err != nil {
+		if err := statedir.SyncDir(s.dir); err != nil {
 			return err
 		}
 	}

@@ -11,7 +11,6 @@ package translog
 
 import (
 	"crypto/ecdsa"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -31,36 +30,22 @@ func witnessHeadFile(name string) string { return "witness-" + name + "-head.jso
 func witnessCursorFile(name string) string { return "witness-" + name + "-shards.json" }
 
 // OpenWitnessState returns a witness whose last-accepted head is durably
-// persisted in dir (statedir.Dir.Write is atomic, so readers never see a
-// torn head). A previously persisted head is restored — signature-checked
-// — so a witness restart resumes from remembered history instead of
+// persisted in dir through the same signed-head file a WitnessAnchor
+// keeps (replaced atomically, so readers never see a torn head). A
+// previously persisted head is restored — signature-checked — so a
+// witness restart resumes from remembered history instead of
 // re-anchoring at whatever the log serves next, which is exactly the
-// amnesia a local rollback attack needs.
+// amnesia a local rollback attack needs. An undecodable head file is
+// ErrStateCorrupt, a head the log key did not sign ErrStateTampered.
 func OpenWitnessState(dir *statedir.Dir, name string, pub *ecdsa.PublicKey) (*Witness, error) {
+	head := NewWitnessAnchor(dir, name, pub)
+	sth, ok, err := head.load()
+	if err != nil {
+		return nil, err
+	}
 	w := NewWitness(pub)
-	entry := witnessHeadFile(name)
-	data, err := dir.Read(entry)
-	switch {
-	case err == nil:
-		var sth SignedTreeHead
-		if err := json.Unmarshal(data, &sth); err != nil {
-			return nil, fmt.Errorf("translog: persisted witness head undecodable: %w", err)
-		}
-		if err := w.Restore(sth); err != nil {
-			return nil, fmt.Errorf("translog: persisted witness head: %w", err)
-		}
-	case errors.Is(err, os.ErrNotExist):
-		// First run: nothing to restore.
-	default:
-		return nil, fmt.Errorf("translog: reading persisted witness head: %w", err)
-	}
-	w.save = func(sth SignedTreeHead) error {
-		data, err := json.Marshal(sth)
-		if err != nil {
-			return err
-		}
-		return dir.Write(entry, data)
-	}
+	w.last, w.seen = sth, ok
+	w.save = head.CommitHead
 	return w, nil
 }
 

@@ -338,8 +338,8 @@ func TestWitnessStatePersistsAcrossRestart(t *testing.T) {
 	if err := dir.Write(witnessHeadFile("w0"), []byte(`{"size":99,"root_hash":"AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA=","timestamp":1,"signature":"AA=="}`)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenWitnessState(dir, "w0", &key.PublicKey); err == nil {
-		t.Fatal("tampered persisted head restored")
+	if _, err := OpenWitnessState(dir, "w0", &key.PublicKey); !errors.Is(err, ErrStateTampered) {
+		t.Fatalf("tampered persisted head: got %v, want ErrStateTampered", err)
 	}
 }
 

@@ -12,12 +12,14 @@ import (
 	"path/filepath"
 	"slices"
 	"time"
+
+	"vnfguard/internal/statedir"
 )
 
 // Recovery: opening a durable log replays every segment, truncates a torn
 // tail record, rebuilds the Merkle tree and serial index, and then hands
 // the recovered state to the trust-anchor chain (anchor.go) for
-// verification. The built-in sthAnchor checks the recomputed root
+// verification. The store's own head (sth.json) checks the recomputed root
 // against the durably persisted signed tree head — the local anchor of
 // the same guarantee the witness provides remotely — and any configured
 // extra anchors (witness head, enclave-sealed counter) check their own
@@ -161,14 +163,14 @@ func applyTrims(dir string, trims []trimOp, noSync bool) error {
 		}
 	}
 	if len(trims) > 0 && !noSync {
-		return syncDir(dir)
+		return statedir.SyncDir(dir)
 	}
 	return nil
 }
 
 // recoverDir replays the store directory and verifies it against the
-// trust-anchor chain (the built-in sthAnchor first, then any extras).
-func recoverDir(dir string, cfg StoreConfig, sthAnchor *sthAnchor, extra []TrustAnchor) (*recovered, error) {
+// trust-anchor chain anchors, whose first link is head, the store's own.
+func recoverDir(dir string, cfg StoreConfig, head *WitnessAnchor, anchors []TrustAnchor) (*recovered, error) {
 	recoverStart := time.Now()
 	if cfg.Shards > maxShardSlots {
 		//lint:allow errtaxonomy config validation rejecting the open request, not a classification of on-disk state
@@ -188,7 +190,7 @@ func recoverDir(dir string, cfg StoreConfig, sthAnchor *sthAnchor, extra []Trust
 	// already classified every way the file can lie (ErrStateCorrupt /
 	// ErrStateTampered / ErrStateRollback) — a bad checkpoint refuses
 	// the open, it is never silently ignored.
-	ckpt, err := loadCheckpoint(dir, sthAnchor.pub)
+	ckpt, err := loadCheckpoint(dir, head)
 	if err != nil {
 		return nil, err
 	}
@@ -242,10 +244,7 @@ func recoverDir(dir string, cfg StoreConfig, sthAnchor *sthAnchor, extra []Trust
 		return h, err
 	}
 	state := &RecoveredState{Size: size, Segments: segments, rootAt: rootAt}
-	if err := sthAnchor.CheckRecovery(state); err != nil {
-		return nil, err
-	}
-	for _, a := range extra {
+	for _, a := range anchors {
 		if err := a.CheckRecovery(state); err != nil {
 			return nil, err
 		}
@@ -260,7 +259,7 @@ func recoverDir(dir string, cfg StoreConfig, sthAnchor *sthAnchor, extra []Trust
 			return nil, err
 		}
 	}
-	sth, have := sthAnchor.Persisted()
+	sth, have := head.remembered()
 	rec.sth = sth
 	rec.sthStale = !have || size != sth.Size
 	mRecoverEntries.Add(uint64(len(rec.payloads)))
@@ -583,14 +582,14 @@ func OpenDurableLog(signer crypto.Signer, dir string, cfg StoreConfig) (*Log, er
 			}
 		}
 	}
-	sthAnchor := newSTHAnchor(dir, pub)
-	sthAnchor.noSync = cfg.NoSync
-	rec, err := recoverDir(dir, cfg, sthAnchor, cfg.Anchors)
+	head := newSTHAnchor(dir, pub)
+	head.noSync = cfg.NoSync
+	anchors := append([]TrustAnchor{head}, cfg.Anchors...)
+	rec, err := recoverDir(dir, cfg, head, anchors)
 	if err != nil {
 		closeAnchors()
 		return nil, err
 	}
-	anchors := append([]TrustAnchor{sthAnchor}, cfg.Anchors...)
 	store, err := openStoreDir(dir, cfg, anchors, rec)
 	if err != nil {
 		closeAnchors()

@@ -277,17 +277,8 @@ func (a *SealedHeadAnchor) CheckRecovery(state *RecoveredState) error {
 		}
 		return nil // genuinely fresh: no blob, no counter
 	}
-	if state.Size < rep.TreeSize {
-		return fmt.Errorf("%w: %d durable entries but the sealed head pins a committed size of %d",
-			ErrSealedRollback, state.Size, rep.TreeSize)
-	}
-	root, err := state.RootAt(rep.TreeSize)
-	if err != nil {
+	if err := state.check(rep.TreeSize, rep.RootHash, "sealed head", ErrSealedRollback, ErrSealedRollback); err != nil {
 		return err
-	}
-	if root != rep.RootHash {
-		return fmt.Errorf("%w: recomputed root at size %d does not match the sealed head",
-			ErrSealedRollback, rep.TreeSize)
 	}
 	if rep.NeedsHeal {
 		// Crash window: the blob was persisted but its increment was
@@ -341,7 +332,7 @@ func (a *SealedHeadAnchor) CommitHead(sth SignedTreeHead) error {
 // honest crash look like a rollback (stale blob behind an advanced
 // counter) — the one verdict this anchor must never fake.
 func (a *SealedHeadAnchor) writeBlob(blob []byte) error {
-	return atomicWriteFile(a.path, blob, true)
+	return statedir.ReplaceFile(a.path, blob, true)
 }
 
 // OpenSealedPlatform is the deployment bootstrap both binaries share

@@ -1,7 +1,6 @@
 package translog
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -14,6 +13,7 @@ import (
 	"time"
 
 	"vnfguard/internal/obs"
+	"vnfguard/internal/statedir"
 )
 
 // Durable-state errors. Recovery distinguishes the three ways a statedir
@@ -82,7 +82,7 @@ func loadShardCount(dir string) (int, bool, error) {
 
 // saveShardCount pins the stream count at store creation.
 func saveShardCount(dir string, n int, noSync bool) error {
-	return atomicWriteFile(filepath.Join(dir, shardsFileName), []byte(strconv.Itoa(n)), !noSync)
+	return statedir.ReplaceFile(filepath.Join(dir, shardsFileName), []byte(strconv.Itoa(n)), !noSync)
 }
 
 // StoreConfig tunes the durable store.
@@ -130,7 +130,7 @@ type StoreConfig struct {
 type Store struct { //lint:allow unusedexport the documented storage layer beneath Log; exported seam for store-level tests and benchmarks
 	dir string
 	cfg StoreConfig
-	// anchors is the full trust-anchor chain, the built-in sthAnchor
+	// anchors is the full trust-anchor chain, the store's own head
 	// first: every committed head flows through each of them.
 	anchors []TrustAnchor
 	// anchorHist are the chain's pre-resolved per-anchor commit-latency
@@ -180,7 +180,7 @@ func (st *stream) name(first uint64) string { return shardSegmentName(st.shard, 
 
 // openStoreDir creates the store directory and returns a Store resuming
 // the verified recovered state rec. anchors is the trust-anchor chain
-// (built-in sthAnchor first).
+// (the store's own head first).
 func openStoreDir(dir string, cfg StoreConfig, anchors []TrustAnchor, rec *recovered) (*Store, error) {
 	if cfg.SegmentMaxBytes <= 0 {
 		cfg.SegmentMaxBytes = defaultSegmentMaxBytes
@@ -424,78 +424,13 @@ func (st *stream) rotate(s *Store, first uint64) error {
 	}
 	st.active, st.activeSize = f, 0
 	if !s.cfg.NoSync {
-		if err := syncDir(s.dir); err != nil {
+		if err := statedir.SyncDir(s.dir); err != nil {
 			f.Close()
 			st.active = nil
 			return err
 		}
 	}
 	return nil
-}
-
-// persistSTHFile atomically replaces the durable tree head. It is the
-// sthAnchor's persistence primitive.
-func persistSTHFile(dir string, sth SignedTreeHead, noSync bool) error {
-	data, err := json.Marshal(sth)
-	if err != nil {
-		return fmt.Errorf("translog: encoding tree head: %w", err)
-	}
-	return atomicWriteFile(filepath.Join(dir, sthFileName), data, !noSync)
-}
-
-// atomicWriteFile replaces path with data using the crash-safe write
-// discipline shared by every durable file in a store (tmp + write +
-// fsync + rename + dir sync, statedir.Dir.Write plus durability):
-// readers see either the old contents or the new, a crash never
-// surfaces a partial file, and with sync the replacement itself is
-// durable before the call returns.
-func atomicWriteFile(path string, data []byte, sync bool) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o600)
-	if err != nil {
-		return fmt.Errorf("translog: writing %s: %w", filepath.Base(path), err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("translog: writing %s: %w", filepath.Base(path), err)
-	}
-	if sync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return fmt.Errorf("translog: fsync %s: %w", filepath.Base(path), err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("translog: closing %s: %w", filepath.Base(path), err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("translog: replacing %s: %w", filepath.Base(path), err)
-	}
-	if sync {
-		return syncDir(filepath.Dir(path))
-	}
-	return nil
-}
-
-// loadSTH reads the persisted tree head; ok=false when none exists yet
-// (a store that has never been opened).
-func loadSTH(dir string) (SignedTreeHead, bool, error) {
-	data, err := os.ReadFile(filepath.Join(dir, sthFileName))
-	if errors.Is(err, os.ErrNotExist) {
-		return SignedTreeHead{}, false, nil
-	}
-	if err != nil {
-		return SignedTreeHead{}, false, fmt.Errorf("translog: reading tree head: %w", err)
-	}
-	var sth SignedTreeHead
-	if err := json.Unmarshal(data, &sth); err != nil {
-		return SignedTreeHead{}, false, fmt.Errorf("%w: tree head undecodable: %v", ErrStateCorrupt, err)
-	}
-	return sth, true, nil
 }
 
 // Size returns the durably persisted entry count.
@@ -545,18 +480,4 @@ func (s *Store) Close() error {
 		}
 	}
 	return err
-}
-
-// syncDir fsyncs a directory so renames and file creations within it are
-// durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("translog: opening store dir: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("translog: fsync store dir: %w", err)
-	}
-	return nil
 }

@@ -732,7 +732,7 @@ func TestLegacySingleStreamRefused(t *testing.T) {
 			}
 		}
 		if withHead {
-			if err := persistSTHFile(dir, ref.STH(), true); err != nil {
+			if err := newSTHAnchor(dir, &key.PublicKey).CommitHead(ref.STH()); err != nil {
 				t.Fatal(err)
 			}
 		}

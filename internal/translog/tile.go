@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 
+	"vnfguard/internal/statedir"
 	"vnfguard/internal/wire"
 )
 
@@ -172,7 +173,7 @@ func (s *Store) writeTile(t *Tile) error {
 		return fmt.Errorf("translog: creating tiles dir: %w", err)
 	}
 	//lint:allow atomicwrite rebuildable cache: rename atomicity wanted, fsync durability not
-	return atomicWriteFile(filepath.Join(dir, tileFileName(t.Level, t.Index)), encodeTile(t), false)
+	return statedir.ReplaceFile(filepath.Join(dir, tileFileName(t.Level, t.Index)), encodeTile(t), false)
 }
 
 // loadTileMark reads the published watermark (0 when none).
@@ -196,7 +197,7 @@ func (s *Store) storeTileMark(n uint64) {
 		return
 	}
 	//lint:allow atomicwrite rebuildable cache watermark: rename atomicity wanted, fsync durability not
-	_ = atomicWriteFile(filepath.Join(dir, tileMarkFileName), []byte(strconv.FormatUint(n, 10)), false)
+	_ = statedir.ReplaceFile(filepath.Join(dir, tileMarkFileName), []byte(strconv.FormatUint(n, 10)), false)
 }
 
 // Tile returns the tile at (level, index), carrying exactly width node

@@ -392,11 +392,12 @@ func (w *Witness) snapshotCursorsLocked() ([]byte, error) {
 
 // restoreCursors seeds the audit cursors from persisted state. Each
 // cursor's head is signature-checked — a tampered cursor file must not
-// plant false audit history — and a cursor never moves backwards.
+// plant false audit history (ErrStateTampered) — and a cursor never
+// moves backwards. An undecodable file is ErrStateCorrupt.
 func (w *Witness) restoreCursors(data []byte) error {
 	var in map[string]*shardCursor
 	if err := json.Unmarshal(data, &in); err != nil {
-		return fmt.Errorf("translog: persisted shard cursors undecodable: %w", err)
+		return fmt.Errorf("%w: persisted shard cursors undecodable: %v", ErrStateCorrupt, err)
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -406,11 +407,11 @@ func (w *Witness) restoreCursors(data []byte) error {
 	for key, cur := range in {
 		s, err := strconv.Atoi(key)
 		if err != nil || cur == nil {
-			return fmt.Errorf("translog: persisted shard cursors undecodable: bad shard key %q", key)
+			return fmt.Errorf("%w: persisted shard cursors undecodable: bad shard key %q", ErrStateCorrupt, key)
 		}
 		if cur.Count > 0 {
 			if err := cur.Head.Verify(w.pub); err != nil {
-				return fmt.Errorf("translog: persisted cursor for shard %d: %w", s, err)
+				return fmt.Errorf("%w: persisted cursor for shard %d: %v", ErrStateTampered, s, err)
 			}
 		}
 		if have := w.cursors[s]; have == nil || cur.Count > have.Count {
