@@ -5,10 +5,12 @@ import (
 	"net/netip"
 	"strings"
 	"testing"
+	"time"
 
 	"vnfguard/internal/controller"
 	"vnfguard/internal/enclaveapp"
 	"vnfguard/internal/netsim"
+	"vnfguard/internal/obs"
 	"vnfguard/internal/verifier"
 	"vnfguard/internal/vnf"
 )
@@ -29,6 +31,39 @@ func newTrustedDeployment(t *testing.T, opts Options) *Deployment {
 		t.Fatal(err)
 	}
 	return d
+}
+
+// TestWorkflowStepTelemetry: one onboarding observes each of the
+// Manager's verifier_step_seconds series exactly once, and the step
+// times RunWorkflow reports are those series' Sum() deltas.
+func TestWorkflowStepTelemetry(t *testing.T) {
+	d := newTrustedDeployment(t, Options{Mode: controller.ModeTrustedHTTPS, Trust: controller.TrustCA})
+	steps := map[int]*obs.Histogram{
+		1: verifier.StepHostEvidence,
+		2: verifier.StepHostAppraisal,
+		3: verifier.StepVNFRA,
+		5: verifier.StepProvision,
+	}
+	counts, sums := map[int]uint64{}, map[int]time.Duration{}
+	for n, h := range steps {
+		counts[n], sums[n] = h.Count(), h.Sum()
+	}
+	res, err := d.RunWorkflow(0, []vnf.VNF{StandardFirewall("fw-1")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range res.Steps {
+		h, ok := steps[s.Number]
+		if !ok {
+			continue
+		}
+		if got := h.Count() - counts[s.Number]; got != 1 {
+			t.Errorf("step %d observed %d times, want 1", s.Number, got)
+		}
+		if delta := h.Sum() - sums[s.Number]; s.Duration != delta || delta <= 0 {
+			t.Errorf("step %d reported %v, series moved by %v", s.Number, s.Duration, delta)
+		}
+	}
 }
 
 func TestWorkflowEndToEndTrustedHTTPS(t *testing.T) {

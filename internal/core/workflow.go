@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"net/netip"
 	"strings"
-	"sync"
 	"time"
 
+	"vnfguard/internal/verifier"
 	"vnfguard/internal/vnf"
 )
 
@@ -74,15 +74,10 @@ func (d *Deployment) RunWorkflow(hostIdx int, vnfs []vnf.VNF) (*WorkflowResult, 
 	res := &WorkflowResult{}
 	start := time.Now()
 
-	// Capture per-phase timings from the manager.
-	var mu sync.Mutex
-	phases := map[string]time.Duration{}
-	d.VM.SetTracer(func(phase string, dur time.Duration) {
-		mu.Lock()
-		phases[phase] += dur
-		mu.Unlock()
-	})
-	defer d.VM.SetTracer(nil)
+	// Steps 1–5 are timed by the Manager's step histograms: each step's
+	// duration is its series' Sum() delta around the calls below.
+	evidence, appraisal := verifier.StepHostEvidence.Sum(), verifier.StepHostAppraisal.Sum()
+	ra, prov := verifier.StepVNFRA.Sum(), verifier.StepProvision.Sum()
 
 	// Steps 1–2: host attestation and appraisal.
 	app, err := d.VM.AttestHost(hostName)
@@ -93,9 +88,9 @@ func (d *Deployment) RunWorkflow(hostIdx int, vnfs []vnf.VNF) (*WorkflowResult, 
 		return nil, fmt.Errorf("core: host %s not trusted: %v", hostName, app.Findings)
 	}
 	res.Steps = append(res.Steps,
-		Step{1, "remote attestation of container host", phases["host-evidence"],
+		Step{1, "remote attestation of container host", verifier.StepHostEvidence.Sum() - evidence,
 			fmt.Sprintf("IML entries: %d", app.IMLEntries)},
-		Step{2, "IAS verification and IML appraisal", phases["host-appraisal"],
+		Step{2, "IAS verification and IML appraisal", verifier.StepHostAppraisal.Sum() - appraisal,
 			fmt.Sprintf("quote status: %s, TPM: %v", app.QuoteStatus, app.TPMVerified)},
 	)
 
@@ -106,15 +101,12 @@ func (d *Deployment) RunWorkflow(hostIdx int, vnfs []vnf.VNF) (*WorkflowResult, 
 		}
 		res.Enrolled = append(res.Enrolled, v.Name())
 	}
-	mu.Lock()
-	raDur, provDur := phases["vnf-attestation"], phases["provisioning"]
-	mu.Unlock()
 	res.Steps = append(res.Steps,
-		Step{3, "remote attestation of VNF enclaves", raDur,
+		Step{3, "remote attestation of VNF enclaves", verifier.StepVNFRA.Sum() - ra,
 			fmt.Sprintf("%d enclave(s), RA key exchange", len(vnfs))},
 		Step{4, "IAS verification of enclave quotes", 0,
 			"included in step 3 (quote validated within the exchange)"},
-		Step{5, "credential generation and provisioning", provDur,
+		Step{5, "credential generation and provisioning", verifier.StepProvision.Sum() - prov,
 			fmt.Sprintf("mode: %s", provisionModeName(d))},
 	)
 

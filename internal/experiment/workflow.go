@@ -449,15 +449,15 @@ func e6(env *Env) (*Plan, error) {
 			if err := d.LearnGolden(); err != nil {
 				return nil, err
 			}
-			d.VM.SetTracer(func(phase string, dur time.Duration) {
-				switch phase {
-				case "host-evidence":
-					h[0].Observe(dur)
-				case "host-appraisal":
-					h[1].Observe(dur)
+			return each(func(int) error {
+				evidence, appraisal := verifier.StepHostEvidence.Sum(), verifier.StepHostAppraisal.Sum()
+				if err := attestHost(d); err != nil {
+					return err
 				}
-			})
-			return each(func(int) error { return attestHost(d) }), nil
+				h[0].Observe(verifier.StepHostEvidence.Sum() - evidence)
+				h[1].Observe(verifier.StepHostAppraisal.Sum() - appraisal)
+				return nil
+			}), nil
 		}})
 	}
 	return &Plan{Cases: cases, Table: func(runs int, r Results) (*metrics.Table, error) {

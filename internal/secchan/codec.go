@@ -116,7 +116,10 @@ func (c *RecordCodec) Seal(msgType uint8, payload []byte) ([]byte, error) {
 
 // Open authenticates and decrypts a complete frame: u32 ciphertext
 // length ‖ type ‖ ciphertext. A frame whose framing does not check out
-// is refused like one that fails authentication.
+// is refused like one that fails authentication. Reading the receive
+// sequence, authenticating under it and advancing it are one step under
+// c.mu, so concurrent Opens of one frame accept it once; a refused
+// frame never advances the sequence.
 func (c *RecordCodec) Open(frame []byte) (msgType uint8, payload []byte, err error) {
 	r := wire.NewReader(frame)
 	length := r.U32()
@@ -126,15 +129,11 @@ func (c *RecordCodec) Open(frame []byte) (msgType uint8, payload []byte, err err
 		return 0, nil, fmt.Errorf("%w: %w", ErrAuth, err)
 	}
 	c.mu.Lock()
-	seq := c.recvSeq
-	c.mu.Unlock()
-	n := nonce(c.role.peer(), seq)
-	payload, err = c.aead.Open(nil, n, ct, []byte{msgType})
+	defer c.mu.Unlock()
+	payload, err = c.aead.Open(nil, nonce(c.role.peer(), c.recvSeq), ct, []byte{msgType})
 	if err != nil {
 		return 0, nil, ErrAuth
 	}
-	c.mu.Lock()
 	c.recvSeq++
-	c.mu.Unlock()
 	return msgType, payload, nil
 }

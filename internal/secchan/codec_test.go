@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -305,5 +307,45 @@ func TestCodecSequenceBinding(t *testing.T) {
 	}
 	if _, _, err := b.Open(f2); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCodecOpenConcurrentReplay hands one sealed frame to several
+// concurrent Opens, round after round — what an untrusted host can do to
+// a credential enclave that runs ECalls in parallel. Each round the frame
+// must be accepted exactly once, and the sender's next frame must open.
+func TestCodecOpenConcurrentReplay(t *testing.T) {
+	const openers = 4
+	for round := 0; round < 2000; round++ {
+		a, b := newCodecPair(t)
+		frame, err := a.Seal(TypeRevoke, []byte("revoke fw-1"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		var accepted atomic.Int32
+		start := make(chan struct{})
+		for i := 0; i < openers; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if _, _, err := b.Open(frame); err == nil {
+					accepted.Add(1)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if n := accepted.Load(); n != 1 {
+			t.Fatalf("round %d: one frame accepted %d times", round, n)
+		}
+		next, err := a.Seal(TypeProvision, []byte("next"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := b.Open(next); err != nil {
+			t.Fatalf("round %d: next frame after the race: %v", round, err)
+		}
 	}
 }

@@ -47,12 +47,16 @@ func (d *Dir) Write(name string, data []byte) error {
 // create-write-rename runs with no fsync, for files whose loss costs
 // only a recomputation and for stores run without durability. It is the
 // project's one tmp+fsync+rename+dir-sync writer.
+//
+// Each call stages its bytes in a temp file of its own (<name>.tmp-*,
+// mode 0600), so two writers of one file never rename or truncate each
+// other's staging: the file ends up holding one writer's whole bytes.
 func ReplaceFile(path string, data []byte, sync bool) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o600)
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return fmt.Errorf("statedir: replacing %s: %w", filepath.Base(path), err)
 	}
+	tmp := f.Name()
 	if _, err = f.Write(data); err == nil && sync {
 		err = f.Sync()
 	}

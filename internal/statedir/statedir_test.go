@@ -1,8 +1,10 @@
 package statedir
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 )
@@ -155,8 +157,8 @@ func TestWellKnownEntryNames(t *testing.T) {
 
 // TestWriteFailureLeavesNoTempFile forces the rename step to fail (the
 // target is an existing directory) and checks the temp file is cleaned
-// up: the WAL shares this directory, so stray .tmp litter must never
-// accumulate across failed writes.
+// up: the WAL shares this directory, so stray staging files (any
+// taken.tmp* sibling) must never accumulate across failed writes.
 func TestWriteFailureLeavesNoTempFile(t *testing.T) {
 	d, err := Open(t.TempDir())
 	if err != nil {
@@ -168,7 +170,57 @@ func TestWriteFailureLeavesNoTempFile(t *testing.T) {
 	if err := d.Write("taken", []byte("clobber")); err == nil {
 		t.Fatal("Write over a directory succeeded")
 	}
-	if _, err := os.Stat(d.Path("taken.tmp")); !os.IsNotExist(err) {
-		t.Fatalf("temp file left behind after failed Write: %v", err)
+	assertNoTempFiles(t, d, "taken")
+}
+
+// assertNoTempFiles fails the test if any staging file of name
+// (name.tmp, name.tmp-*) is left in d.
+func assertNoTempFiles(t *testing.T, d *Dir, name string) {
+	t.Helper()
+	stray, err := filepath.Glob(d.Path(name + ".tmp*"))
+	if err != nil {
+		t.Fatal(err)
 	}
+	if len(stray) != 0 {
+		t.Fatalf("temp files left behind: %v", stray)
+	}
+}
+
+// TestReplaceFileConcurrentWriters races two writers of one file round
+// after round. Every replacement must succeed and leave the file holding
+// one writer's whole bytes — never a failed rename of a temp file the
+// other writer already moved, never the two writers' bytes mixed — and
+// no staging file may be left over.
+func TestReplaceFileConcurrentWriters(t *testing.T) {
+	d, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := d.Path("head.json")
+	payloads := [2][]byte{bytes.Repeat([]byte("a"), 64<<10), bytes.Repeat([]byte("b"), 32<<10)}
+	for round := 0; round < 200; round++ {
+		var wg sync.WaitGroup
+		errs := make([]error, len(payloads))
+		for i := range payloads {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[i] = ReplaceFile(path, payloads[i], false)
+			}()
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("round %d writer %d: %v", round, i, err)
+			}
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, payloads[0]) && !bytes.Equal(got, payloads[1]) {
+			t.Fatalf("round %d: file holds %d bytes that are neither writer's", round, len(got))
+		}
+	}
+	assertNoTempFiles(t, d, "head.json")
 }

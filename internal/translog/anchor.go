@@ -348,24 +348,24 @@ func (a *QuorumWitnessAnchor) Accept(ch *CosignedHead) error {
 	return a.record(*ch)
 }
 
-// record is the shared never-backwards persist path. At equal size it
-// keeps whichever entry carries more co-signatures and convicts on
-// diverging roots. The lock is held across the write: released between
+// record is the shared never-backwards persist path. Older artifacts are
+// ignored; anything else is judged against the remembered head by the
+// head rule (checkPrefix), which without a prover convicts only diverging
+// roots at equal size. At equal size the entry carrying more
+// co-signatures is kept. The lock is held across the write: released between
 // the check and the write, an Accept of an older head could land its
 // file after a racing CommitHead of a newer one and move the pin back.
 func (a *QuorumWitnessAnchor) record(ch CosignedHead) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.seen && ch.STH.Size <= a.last.STH.Size {
-		switch {
-		case ch.STH.Size < a.last.STH.Size:
+	if a.seen {
+		if ch.STH.Size < a.last.STH.Size {
 			return nil
-		case ch.STH.RootHash != a.last.STH.RootHash:
-			return &ConflictError{
-				Kind: ErrSplitView, Have: a.last.STH, Got: ch.STH,
-				Detail: "quorum anchor holds a different root at this size",
-			}
-		case len(ch.Signatures) <= len(a.last.Signatures):
+		}
+		if err := checkPrefix(a.last.STH, ch.STH, nil); err != nil {
+			return err
+		}
+		if ch.STH.Size == a.last.STH.Size && len(ch.Signatures) <= len(a.last.Signatures) {
 			return nil
 		}
 	}

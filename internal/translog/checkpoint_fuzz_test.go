@@ -78,11 +78,15 @@ func FuzzCheckpointedRecovery(f *testing.F) {
 		switch mode {
 		case 1:
 			// Crash mid-rename: stray temp files from the atomic write
-			// discipline must be inert.
+			// discipline — the fixed name older builds staged in and
+			// statedir.ReplaceFile's per-write name — must be inert.
 			for _, name := range []string{
 				checkpointFileName + ".tmp",
 				archiveName(0, 1) + ".tmp",
 				sthFileName + ".tmp",
+				checkpointFileName + ".tmp-1234567",
+				archiveName(0, 1) + ".tmp-89",
+				sthFileName + ".tmp-4242",
 			} {
 				if err := os.WriteFile(filepath.Join(dir, name), []byte("torn"), 0o600); err != nil {
 					t.Fatal(err)

@@ -432,11 +432,12 @@ func (c *CosignCollector) Submit(sth SignedTreeHead, ws WitnessSignature) (int, 
 		c.equiv = append(c.equiv, ee)
 		return len(c.sigs[sth.Size]), ee
 	}
-	if have, ok := c.heads[sth.Size]; ok && have.RootHash != sth.RootHash {
-		// The *log* signed two heads at one size: a split view, caught
+	if have, ok := c.heads[sth.Size]; ok {
+		// The *log* signing two heads at one size is a split view, caught
 		// here for free because the collector sees every cosigned head.
-		return 0, &ConflictError{Kind: ErrSplitView, Have: have, Got: sth,
-			Detail: fmt.Sprintf("co-signing revealed two signed heads at size %d with different roots", sth.Size)}
+		if err := checkPrefix(have, sth, nil); err != nil {
+			return 0, err
+		}
 	}
 	if prev, ok := c.sigs[sth.Size][ws.Witness]; ok && prev.RootHash == ws.RootHash {
 		return len(c.sigs[sth.Size]), fmt.Errorf("%w: %q already co-signed size %d", ErrDuplicateWitness, ws.Witness, sth.Size)
@@ -549,25 +550,10 @@ func NewQuorumCredentialChecker(pub *ecdsa.PublicKey, roster *WitnessRoster, sou
 		if err := ch.Verify(pub, roster); err != nil {
 			return err
 		}
-		switch {
-		case pb.STH.Size == ch.STH.Size:
-			if pb.STH.RootHash != ch.STH.RootHash {
-				return &ConflictError{Kind: ErrSplitView, Have: ch.STH, Got: pb.STH,
-					Detail: fmt.Sprintf("credential proof head and quorum co-signed head disagree at size %d", pb.STH.Size)}
-			}
-		case pb.STH.Size < ch.STH.Size:
-			proof, err := proofs.ConsistencyProof(pb.STH.Size, ch.STH.Size)
-			if err != nil {
-				return fmt.Errorf("translog: proving credential head into co-signed head: %w", err)
-			}
-			if err := VerifyConsistency(pb.STH.Size, ch.STH.Size, pb.STH.RootHash, ch.STH.RootHash, proof); err != nil {
-				return &ConflictError{Kind: ErrSplitView, Have: ch.STH, Got: pb.STH,
-					Detail: fmt.Sprintf("credential proof head at size %d is not a prefix of the quorum co-signed head at size %d", pb.STH.Size, ch.STH.Size)}
-			}
-		default:
+		if pb.STH.Size > ch.STH.Size {
 			return fmt.Errorf("%w: credential proof head at size %d is beyond the newest co-signed head at size %d",
 				ErrQuorumNotReached, pb.STH.Size, ch.STH.Size)
 		}
-		return nil
+		return checkPrefix(ch.STH, pb.STH, proofs.ConsistencyProof)
 	}
 }

@@ -54,7 +54,7 @@ func TestClientTimeoutAgainstHangingServer(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("client hung %v despite 150ms timeout", elapsed)
 	}
-	if _, _, err := c.GossipHead(); err == nil {
+	if err := c.get(pathGossip, new(wireGossip)); err == nil {
 		t.Fatal("gossip against a hanging server returned")
 	}
 	if _, _, err := c.ExchangeGossip("w", SignedTreeHead{}, false); err == nil {
@@ -350,6 +350,9 @@ func TestWitnessRejectsTimestampRegression(t *testing.T) {
 		t.Fatal(err)
 	}
 	cur, _ := w.Last()
+	logSrv := httptest.NewServer(Handler(l))
+	defer logSrv.Close()
+	merge := gossipTo(t, w, logSrv.URL)
 
 	resign := func(ts int64) SignedTreeHead {
 		t.Helper()
@@ -372,11 +375,11 @@ func TestWitnessRejectsTimestampRegression(t *testing.T) {
 	if got, _ := w.Last(); got.Timestamp != cur.Timestamp {
 		t.Fatalf("Advance moved Last() back in time: %d → %d", cur.Timestamp, got.Timestamp)
 	}
-	if err := w.Merge(older, fetch); err != nil {
+	if err := merge(older); err != nil {
 		t.Fatalf("stale peer head treated as an attack: %v", err)
 	}
 	if got, _ := w.Last(); got.Timestamp != cur.Timestamp {
-		t.Fatalf("Merge moved Last() back in time: %d → %d", cur.Timestamp, got.Timestamp)
+		t.Fatalf("gossip merge moved Last() back in time: %d → %d", cur.Timestamp, got.Timestamp)
 	}
 
 	// Newer timestamp at the same size/root: freshness advances.

@@ -234,22 +234,11 @@ func (g *GossipPool) fetchConsistency(first, second uint64) ([]Hash, error) {
 	return g.tiles.ConsistencyProof(first, second)
 }
 
-// ReceiveHead folds in a head observed from a peer (the server side of
-// POST /translog/v1/gossip) and returns this witness's current view. A
-// peer head newer than what the watched log currently serves is the
-// gossip protocol's sharpest verdict: the log signed that head for the
-// peer, so serving less now is a rollback — evidence is the peer's head
-// against the served one.
-func (g *GossipPool) ReceiveHead(peer SignedTreeHead) (SignedTreeHead, bool, error) {
-	err := g.mergeHead(peer)
-	last, seen := g.w.Last()
-	return last, seen, err
-}
-
-// receiveView is ReceiveHead plus the partitioned-audit extras: the
-// peer's shard marks are judged against our own chains (only where our
-// assignment overlaps and depths match — a peer ignorant of a shard is
-// never evidence) and our marks travel back in the response.
+// receiveView is the server side of POST /translog/v1/gossip: it folds
+// in the peer's head (mergeHead) and, in partitioned mode, judges the
+// peer's shard marks against our own chains (only where our assignment
+// overlaps and depths match — a peer ignorant of a shard is never
+// evidence), then returns our view, marks included.
 func (g *GossipPool) receiveView(in wireGossip) (wireGossip, error) {
 	var errs []error
 	if in.Seen {
@@ -278,7 +267,11 @@ func (g *GossipPool) localView() wireGossip {
 
 // mergeHead is the shared merge path for heads learned from peers. The
 // signature is verified exactly once here, at the trust boundary; the
-// witness merge below runs on the pre-verified head.
+// witness merge below runs on the pre-verified head. A peer head newer
+// than what the watched log currently serves is the gossip protocol's
+// sharpest verdict: the log signed that head for the peer, so serving
+// less now is a rollback — evidence is the peer's head against the
+// served one.
 func (g *GossipPool) mergeHead(peer SignedTreeHead) error {
 	if err := peer.Verify(g.w.pub); err != nil {
 		return err
@@ -288,11 +281,10 @@ func (g *GossipPool) mergeHead(peer SignedTreeHead) error {
 		// give, compare the peer head with what the log serves right now:
 		// served < peer-remembered is a rollback conviction on its own.
 		if served, err := g.log.STH(); err == nil && served.Size < peer.Size {
-			return g.latch(&ConflictError{Kind: ErrRollback, Have: peer, Got: served,
-				Detail: fmt.Sprintf("log serves %d entries but a peer holds its signed head covering %d", served.Size, peer.Size)})
+			return g.latch(rollback(peer, served))
 		}
 	}
-	return g.latch(g.w.mergeVerified(peer, g.fetchConsistency))
+	return g.latch(g.w.accept(peer, g.fetchConsistency, false))
 }
 
 // corroboratePeerConviction handles a conviction a peer reported (an HTTP

@@ -31,6 +31,21 @@ func testPool(t *testing.T, name string, pub *ecdsa.PublicKey, logURL string) (*
 	return p, srv.URL
 }
 
+// gossipTo serves w's side of head gossip (a pool watching the log at
+// logURL) and returns a function that offers it one peer head over
+// POST /translog/v1/gossip — the path a remembered head takes into a
+// witness.
+func gossipTo(t *testing.T, w *Witness, logURL string) func(SignedTreeHead) error {
+	t.Helper()
+	srv := httptest.NewServer(GossipHandler(NewGossipPool("receiver", w, NewClient(logURL, w.pub))))
+	t.Cleanup(srv.Close)
+	peer := NewClient(srv.URL, w.pub)
+	return func(head SignedTreeHead) error {
+		_, err := peer.exchangeView(wireGossip{Name: "peer", Seen: true, Head: head})
+		return err
+	}
+}
+
 // TestGossipConvergence: N witnesses, only some of which saw the log
 // grow, converge on the newest head through gossip exchanges alone.
 func TestGossipConvergence(t *testing.T) {
@@ -175,7 +190,7 @@ func TestGossipCatchesConsistentRollback(t *testing.T) {
 	defer logSrv.Close()
 
 	// Zero peers, no memory: the rollback is undetectable.
-	amnesiac := NewGossipPool("amnesiac", NewWitness(&key.PublicKey), NewClient(logSrv.URL, &key.PublicKey))
+	amnesiac, amnesiacURL := testPool(t, "amnesiac", &key.PublicKey, logSrv.URL)
 	if err := amnesiac.Exchange(); err != nil {
 		t.Fatalf("amnesiac witness with zero peers must not detect the rollback (it can't): %v", err)
 	}
@@ -183,9 +198,17 @@ func TestGossipCatchesConsistentRollback(t *testing.T) {
 		t.Fatalf("amnesiac witness convicted without evidence: %v", amnesiac.Conflict())
 	}
 
-	// A peer that witnessed the grown head convicts via direct poll.
-	remember := NewWitness(&key.PublicKey)
-	if err := remember.Restore(grown); err != nil {
+	// A peer that witnessed the grown head — and persisted it across its
+	// own restart — convicts via direct poll.
+	peerDir, err := statedir.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := NewWitnessAnchor(peerDir, "remember", &key.PublicKey).CommitHead(grown); err != nil {
+		t.Fatal(err)
+	}
+	remember, err := OpenWitnessState(peerDir, "remember", &key.PublicKey)
+	if err != nil {
 		t.Fatal(err)
 	}
 	pollErr := remember.Advance(rolled.STH(), func(a, b uint64) ([]Hash, error) {
@@ -204,7 +227,7 @@ func TestGossipCatchesConsistentRollback(t *testing.T) {
 
 	// And the amnesiac witness convicts the moment a peer gossips the
 	// remembered head to it: served(5) < peer-remembered(8).
-	_, _, err = amnesiac.ReceiveHead(grown)
+	_, err = NewClient(amnesiacURL, &key.PublicKey).exchangeView(wireGossip{Name: "remember", Seen: true, Head: grown})
 	if !errors.Is(err, ErrRollback) {
 		t.Fatalf("gossiped head did not convict the rolled-back log: %v", err)
 	}
@@ -530,6 +553,9 @@ func TestWitnessMergeLaggingPeer(t *testing.T) {
 	}
 	fetch := func(a, b uint64) ([]Hash, error) { return l.ConsistencyProof(a, b) }
 	w := NewWitness(&key.PublicKey)
+	logSrv := httptest.NewServer(Handler(l))
+	defer logSrv.Close()
+	merge := gossipTo(t, w, logSrv.URL)
 	if _, err := l.Append(testEntry(0)); err != nil {
 		t.Fatal(err)
 	}
@@ -542,7 +568,7 @@ func TestWitnessMergeLaggingPeer(t *testing.T) {
 	if err := w.Advance(l.STH(), fetch); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Merge(old, fetch); err != nil {
+	if err := merge(old); err != nil {
 		t.Fatalf("lagging consistent peer head convicted: %v", err)
 	}
 	if last, _ := w.Last(); last.Size != 5 {
@@ -557,7 +583,7 @@ func TestWitnessMergeLaggingPeer(t *testing.T) {
 	if _, err := forked.Append(testEntry(42)); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Merge(forked.STH(), fetch); !errors.Is(err, ErrSplitView) {
+	if err := merge(forked.STH()); !errors.Is(err, ErrSplitView) {
 		t.Fatalf("forked lagging head accepted: %v", err)
 	}
 }

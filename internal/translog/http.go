@@ -970,18 +970,3 @@ func (c *Client) Cosigned() (*CosignedHead, error) {
 		return nil, fmt.Errorf("translog client: cosigned: status %d: %s", status, strings.TrimSpace(string(data)))
 	}
 }
-
-// GossipHead fetches a peer witness's last-accepted head without offering
-// ours.
-func (c *Client) GossipHead() (SignedTreeHead, bool, error) {
-	var out wireGossip
-	if err := c.get(pathGossip, &out); err != nil {
-		return SignedTreeHead{}, false, err
-	}
-	if out.Seen && c.pub != nil {
-		if err := out.Head.Verify(c.pub); err != nil {
-			return SignedTreeHead{}, false, err
-		}
-	}
-	return out.Head, out.Seen, nil
-}

@@ -62,7 +62,7 @@ func TestClientResponseTooLarge(t *testing.T) {
 		{"STH", maxReplyBytes, func() error { _, err := pc.STH(); return err }},
 		{"Entries", maxReplyBytes, func() error { _, err := pc.Entries(0, 1); return err }},
 		{"ShardStream", maxReplyBytes, func() error { _, _, err := pc.ShardStream(0, 0, 1); return err }},
-		{"GossipHead", maxReplyBytes, func() error { _, _, err := pc.GossipHead(); return err }},
+		{"gossip GET", maxReplyBytes, func() error { return pc.get(pathGossip, new(wireGossip)) }},
 		{"lookup", maxReplyBytes, func() error { _, err := pc.lookupBundle("1"); return err }},
 		{"Tile", maxTileReplyBytes, func() error { _, err := pc.Tile(0, 0, TileWidth); return err }},
 		{"AppendSTH", maxPostReplyBytes, func() error { _, err := pc.AppendSTH([]Entry{testEntry(0)}); return err }},

@@ -215,10 +215,10 @@ type Log struct {
 	// tileMark is the committed size the tile publisher has covered
 	// (mirrored in the statedir tiles/published file). It only grows.
 	tileMark atomic.Uint64
-	// tileMu serialises every write to the statedir tile cache: the
-	// publisher, background or explicit, holds it for a whole run, and
-	// tile serving writes a missed tile through only when it is free.
-	// Writers of one file share its fixed temp name.
+	// tileMu serialises every write to the statedir tile cache: publisher
+	// runs, background or explicit, take turns holding it for a whole
+	// run, so the published watermark never moves back, and tile serving
+	// writes a missed tile through only when it is free.
 	tileMu sync.Mutex
 	// tileBusy/tileWG coordinate the background tile publisher exactly
 	// as ckptBusy/ckptWG do the checkpoint writer.

@@ -303,7 +303,9 @@ func TestMergeEqualHeadTiebreakKeepsAuditState(t *testing.T) {
 	w := auditedWitness(t, l, &key.PublicKey, 4, []int{0, 1})
 	head, _ := w.Last()
 	marksBefore := w.shardMarks()
-	fetch := func(a, b uint64) ([]Hash, error) { return l.ConsistencyProof(a, b) }
+	logSrv := httptest.NewServer(Handler(l))
+	defer logSrv.Close()
+	merge := gossipTo(t, w, logSrv.URL)
 
 	resign := func(ts int64) SignedTreeHead {
 		t.Helper()
@@ -318,7 +320,7 @@ func TestMergeEqualHeadTiebreakKeepsAuditState(t *testing.T) {
 	}
 
 	// Stale re-serving: benign, not adopted, no conviction.
-	if err := w.Merge(resign(head.Timestamp-60_000), fetch); err != nil {
+	if err := merge(resign(head.Timestamp - 60_000)); err != nil {
 		t.Fatalf("stale equal head treated as an attack: %v", err)
 	}
 	if got, _ := w.Last(); got.Timestamp != head.Timestamp {
@@ -327,7 +329,7 @@ func TestMergeEqualHeadTiebreakKeepsAuditState(t *testing.T) {
 	// Fresher signature over the identical tree: adopted — and the audit
 	// chains survive untouched, because nothing about history changed.
 	newer := resign(head.Timestamp + 60_000)
-	if err := w.Merge(newer, fetch); err != nil {
+	if err := merge(newer); err != nil {
 		t.Fatalf("fresh equal head refused: %v", err)
 	}
 	if got, _ := w.Last(); got.Timestamp != newer.Timestamp {

@@ -94,6 +94,51 @@ func (e *ConflictError) SelfCertifying(pub *ecdsa.PublicKey) bool {
 		e.Verify(pub) == nil
 }
 
+// checkPrefix is the one rule every party applies to two log-signed
+// heads: the smaller must be a prefix of the larger, which at equal size
+// means the same root. A consistency proof is fetched through prove only
+// when the sizes differ and the smaller tree is not empty; with prove
+// nil, only equal sizes are judged. A failed check is an ErrSplitView
+// *ConflictError over have (the head held) and got (the head observed).
+// A failed fetch comes back as a plain error: the caller is degraded,
+// the log is not convicted. Callers apply their own policy for an order
+// they refuse outright (a served rollback, a credential head beyond the
+// quorum) before calling.
+func checkPrefix(have, got SignedTreeHead, prove func(first, second uint64) ([]Hash, error)) error {
+	small, large := have, got
+	if got.Size < have.Size {
+		small, large = got, have
+	}
+	var proof []Hash
+	if small.Size != large.Size {
+		if prove == nil {
+			return nil
+		}
+		if small.Size > 0 {
+			var err error
+			if proof, err = prove(small.Size, large.Size); err != nil {
+				return fmt.Errorf("translog: fetching consistency proof: %w", err)
+			}
+		}
+	}
+	if VerifyConsistency(small.Size, large.Size, small.RootHash, large.RootHash, proof) == nil {
+		return nil
+	}
+	detail := fmt.Sprintf("head at size %d is not a prefix of head at size %d", small.Size, large.Size)
+	if small.Size == large.Size {
+		detail = fmt.Sprintf("two signed heads at size %d with different roots", small.Size)
+	}
+	return &ConflictError{Kind: ErrSplitView, Have: have, Got: got, Detail: detail}
+}
+
+// rollback is the conviction of a log serving got after it signed the
+// larger have — the verdict callers reach before checkPrefix when the
+// smaller head is the one being served now.
+func rollback(have, got SignedTreeHead) error {
+	return &ConflictError{Kind: ErrRollback, Have: have, Got: got,
+		Detail: fmt.Sprintf("log serves %d entries after signing a head covering %d", got.Size, have.Size)}
+}
+
 // Witness is the monitor-side state of the gossip protocol: it remembers
 // the last verified tree head and refuses to advance to any head that is
 // not a signature-valid, consistency-proven extension of it. All methods
@@ -150,24 +195,6 @@ func (w *Witness) Last() (SignedTreeHead, bool) {
 	return w.last, w.seen
 }
 
-// Restore seeds the witness from a previously accepted head (its own
-// persisted state). The signature is still checked — a tampered state
-// file must not become trusted history — but no consistency proof is
-// demanded: the head was already proven when it was first accepted.
-func (w *Witness) Restore(sth SignedTreeHead) error {
-	if err := sth.Verify(w.pub); err != nil {
-		return err
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.seen && sth.Size < w.last.Size {
-		// Never let a restore move the witness backwards.
-		return nil
-	}
-	w.last, w.seen = sth, true
-	return nil
-}
-
 // adoptLocked replaces the accepted head and persists it. Callers hold
 // w.mu.
 func (w *Witness) adoptLocked(sth SignedTreeHead) error {
@@ -184,23 +211,6 @@ func (w *Witness) adoptLocked(sth SignedTreeHead) error {
 	return nil
 }
 
-// proveExtension fetches (outside any lock) and verifies the consistency
-// proof that prev extends to next.
-func proveExtension(prev, next SignedTreeHead, fetch func(first, second uint64) ([]Hash, error)) error {
-	var proof []Hash
-	if prev.Size > 0 {
-		var err error
-		proof, err = fetch(prev.Size, next.Size)
-		if err != nil {
-			return fmt.Errorf("translog: fetching consistency proof: %w", err)
-		}
-	}
-	if err := VerifyConsistency(prev.Size, next.Size, prev.RootHash, next.RootHash, proof); err != nil {
-		return ErrProofInvalid
-	}
-	return nil
-}
-
 // Advance validates a head served by the log under watch. fetchConsistency
 // is called (only when needed, and never under the witness lock) to obtain
 // the proof linking the previous head to the new one — typically a
@@ -212,113 +222,47 @@ func (w *Witness) Advance(sth SignedTreeHead, fetchConsistency func(first, secon
 	if err := sth.Verify(w.pub); err != nil {
 		return err
 	}
-	for {
-		w.mu.Lock()
-		if !w.seen {
-			defer w.mu.Unlock()
-			return w.adoptLocked(sth)
-		}
-		prev := w.last
-		switch {
-		case sth.Size < prev.Size:
-			w.mu.Unlock()
-			return &ConflictError{Kind: ErrRollback, Have: prev, Got: sth,
-				Detail: fmt.Sprintf("served head regressed from %d to %d entries", prev.Size, sth.Size)}
-		case sth.Size == prev.Size:
-			defer w.mu.Unlock()
-			if sth.RootHash != prev.RootHash {
-				return &ConflictError{Kind: ErrSplitView, Have: prev, Got: sth,
-					Detail: fmt.Sprintf("two signed heads at size %d with different roots", sth.Size)}
-			}
-			// Same size, same root: keep whichever head is newest.
-			// Adopting a regressed timestamp would silently move Last()
-			// backwards in time, aging the freshness signal the witness
-			// reports.
-			if sth.Timestamp <= prev.Timestamp {
-				return nil
-			}
-			return w.adoptLocked(sth)
-		}
-		// Extension: prove it without holding the lock, then re-check the
-		// state did not move while the proof was in flight.
-		w.mu.Unlock()
-		switch err := proveExtension(prev, sth, fetchConsistency); {
-		case errors.Is(err, ErrProofInvalid):
-			return &ConflictError{Kind: ErrSplitView, Have: prev, Got: sth,
-				Detail: fmt.Sprintf("head at size %d is not an extension of size %d", sth.Size, prev.Size)}
-		case err != nil:
-			return err
-		}
-		w.mu.Lock()
-		moved := w.last.Size != prev.Size || w.last.RootHash != prev.RootHash
-		if !moved {
-			defer w.mu.Unlock()
-			return w.adoptLocked(sth)
-		}
-		w.mu.Unlock()
-		// Someone else adopted a different head meanwhile: re-evaluate
-		// sth against the new state from scratch.
-	}
+	return w.accept(sth, fetchConsistency, true)
 }
 
-// Merge folds in a head remembered by a gossip peer. Unlike Advance, a
-// smaller head is not a rollback verdict — a lagging peer legitimately
-// remembers old history — but it must still be consistency-provable into
-// ours, and an equal-size head must share our root: two signed heads that
-// cannot be reconciled are a split view whoever holds them. A larger
-// consistent head is adopted, so gossip spreads the newest view through
-// the witness set. fetchConsistency asks the log under watch for proofs.
-func (w *Witness) Merge(sth SignedTreeHead, fetchConsistency func(first, second uint64) ([]Hash, error)) error {
-	if err := sth.Verify(w.pub); err != nil {
-		return err
+// accept is the one path a signature-checked head takes into the
+// witness, whether the log under watch served it (Advance) or a gossip
+// peer remembers it (GossipPool.mergeHead). The two differ in one
+// policy: a served head smaller than ours is a rollback, convicted
+// without asking the rolled-back log for a proof it cannot give, while a
+// lagging peer legitimately remembers old history and passes once it is
+// proven a prefix of ours. Every other verdict is checkPrefix's. The
+// proof is fetched without holding w.mu, so a stalled log cannot wedge
+// the gossip endpoints; a head is adopted only if the held one did not
+// move meanwhile, and judged again against the new one if it did.
+func (w *Witness) accept(sth SignedTreeHead, prove func(first, second uint64) ([]Hash, error), served bool) error {
+	if prove == nil {
+		// Without a prover checkPrefix judges equal sizes only, and a
+		// witness must never adopt a head it did not prove.
+		prove = func(uint64, uint64) ([]Hash, error) {
+			return nil, errors.New("translog: witness has no consistency prover")
+		}
 	}
-	return w.mergeVerified(sth, fetchConsistency)
-}
-
-// mergeVerified is Merge for a head whose signature the caller already
-// checked (GossipPool verifies once at its trust boundary).
-func (w *Witness) mergeVerified(sth SignedTreeHead, fetchConsistency func(first, second uint64) ([]Hash, error)) error {
 	for {
 		w.mu.Lock()
-		if !w.seen {
-			defer w.mu.Unlock()
-			return w.adoptLocked(sth)
-		}
-		prev := w.last
-		if sth.Size == prev.Size {
-			defer w.mu.Unlock()
-			if sth.RootHash != prev.RootHash {
-				return &ConflictError{Kind: ErrSplitView, Have: prev, Got: sth,
-					Detail: fmt.Sprintf("peer holds a different root at size %d", sth.Size)}
-			}
-			if sth.Timestamp <= prev.Timestamp {
-				return nil
-			}
-			return w.adoptLocked(sth)
-		}
+		prev, seen := w.last, w.seen
 		w.mu.Unlock()
-
-		if sth.Size < prev.Size {
-			// The peer lags; prove its old head is a prefix of ours. No
-			// adoption happens, so a concurrent state change is harmless.
-			switch err := proveExtension(sth, prev, fetchConsistency); {
-			case errors.Is(err, ErrProofInvalid):
-				return &ConflictError{Kind: ErrSplitView, Have: prev, Got: sth,
-					Detail: fmt.Sprintf("peer head at size %d is not a prefix of size %d", sth.Size, prev.Size)}
-			default:
+		if seen {
+			if served && sth.Size < prev.Size {
+				return rollback(prev, sth)
+			}
+			if err := checkPrefix(prev, sth, prove); err != nil {
 				return err
 			}
-		}
-		switch err := proveExtension(prev, sth, fetchConsistency); {
-		case errors.Is(err, ErrProofInvalid):
-			return &ConflictError{Kind: ErrSplitView, Have: prev, Got: sth,
-				Detail: fmt.Sprintf("peer head at size %d is not an extension of size %d", sth.Size, prev.Size)}
-		case err != nil:
-			return err
+			// A lagging peer head adds nothing, and an equal head is kept
+			// only if it is newer: adopting a regressed timestamp would
+			// age the freshness signal Last() reports.
+			if sth.Size < prev.Size || sth.Size == prev.Size && sth.Timestamp <= prev.Timestamp {
+				return nil
+			}
 		}
 		w.mu.Lock()
-		moved := w.last.Size != prev.Size || w.last.RootHash != prev.RootHash
-		if !moved {
+		if w.seen == seen && w.last.Size == prev.Size && w.last.RootHash == prev.RootHash && w.last.Timestamp == prev.Timestamp {
 			defer w.mu.Unlock()
 			return w.adoptLocked(sth)
 		}

@@ -44,10 +44,10 @@ func (m *Manager) AttestHost(name string) (*HostAppraisal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("verifier: host attestation request: %w", err)
 	}
-	m.trace("host-evidence", evStart)
+	StepHostEvidence.Observe(time.Since(evStart))
 	appStart := time.Now()
 	app := m.appraiseHostEvidence(rec, nonce, ev)
-	m.trace("host-appraisal", appStart)
+	StepHostAppraisal.Observe(time.Since(appStart))
 	m.auditAppraisal(app)
 
 	m.mu.Lock()

@@ -66,7 +66,7 @@ func (m *Manager) EnrollVNF(hostName, vnf string) (*Enrollment, error) {
 		return nil, chErr
 	}
 	m.auditVNFAttestation(vnf, hostName, ch.Quote().Body.MRENCLAVE, nil)
-	m.trace("vnf-attestation", raStart)
+	StepVNFRA.Observe(time.Since(raStart))
 
 	// Step 5: generate credentials and provision over the channel.
 	provStart := time.Now()
@@ -93,7 +93,7 @@ func (m *Manager) EnrollVNF(hostName, vnf string) (*Enrollment, error) {
 	}
 	enr.Cert = cert
 	enr.Serial = cert.SerialNumber.String()
-	m.trace("provisioning", provStart)
+	StepProvision.Observe(time.Since(provStart))
 
 	// Commit the issuance to the transparency log before releasing the
 	// credential: a controller in trusted mode will demand the inclusion

@@ -182,8 +182,6 @@ type Manager struct {
 	tlogAppender *translog.ShardedAppender
 	tlogShards   int
 
-	tracer func(phase string, d time.Duration)
-
 	mu          sync.Mutex
 	expectAtt   map[sgx.Measurement]bool
 	expectCred  map[sgx.Measurement]bool
@@ -281,19 +279,6 @@ func New(cfg Config) (*Manager, error) {
 		enrollments:  make(map[string]*Enrollment),
 		nonces:       make(map[string]bool),
 	}, nil
-}
-
-// SetTracer installs a phase-timing callback used by the experiment
-// harness to attribute latency to the workflow steps of Figure 1. Phases:
-// "host-evidence" (step 1), "host-appraisal" (step 2), "vnf-attestation"
-// (steps 3–4), "provisioning" (step 5).
-func (m *Manager) SetTracer(t func(phase string, d time.Duration)) { m.tracer = t }
-
-// trace reports one phase duration when a tracer is installed.
-func (m *Manager) trace(phase string, start time.Time) {
-	if m.tracer != nil {
-		m.tracer(phase, time.Since(start))
-	}
 }
 
 // PublicKey returns the VM's long-term public key (baked into credential

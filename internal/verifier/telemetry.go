@@ -21,6 +21,22 @@ var (
 	mVerdictRevoke  = obs.Default().Counter("verifier_verdicts_total", verdictHelp, "outcome", "revoke")
 )
 
+// Step telemetry: the Manager observes each workflow step of Figure 1
+// it runs into one verifier_step_seconds series. A caller timing its own
+// run (core.RunWorkflow, experiment E6) reads a step's time as the Sum()
+// delta of the series around its call.
+var (
+	stepHelp = "Verification Manager workflow step latency (Figure 1), labelled by step."
+	// StepHostEvidence times step 1: collecting a host's attestation evidence.
+	StepHostEvidence = obs.Default().Histogram("verifier_step_seconds", stepHelp, "step", "host_evidence")
+	// StepHostAppraisal times step 2: verifying the host quote and appraising its IML.
+	StepHostAppraisal = obs.Default().Histogram("verifier_step_seconds", stepHelp, "step", "host_appraisal")
+	// StepVNFRA times steps 3–4: remote attestation of one VNF enclave.
+	StepVNFRA = obs.Default().Histogram("verifier_step_seconds", stepHelp, "step", "vnf_ra")
+	// StepProvision times step 5: generating and provisioning one VNF's credentials.
+	StepProvision = obs.Default().Histogram("verifier_step_seconds", stepHelp, "step", "provision")
+)
+
 // countVerdict bumps the outcome counter for one audit entry.
 func countVerdict(t translog.EntryType) {
 	switch t {
