@@ -89,7 +89,10 @@ func (s *RecoveredState) check(size uint64, root Hash, what string, rollback, ta
 // TrustAnchor is one independently rooted memory of the log's newest
 // committed head. Implementations must refuse (CheckRecovery error) any
 // recovered state older than — or contradicting — what they remember,
-// and must remember every head the store commits. CommitHead is called
+// and must remember every head the store commits. CommitHead of a head
+// the anchor already remembers may write nothing: OpenDurableLog
+// re-commits the recovered head through the whole chain, so a lagging
+// anchor catches up and a current one costs nothing. CommitHead is called
 // under the store's commit lock, after the batch's records are durable,
 // in the order anchors were configured; an error latches the store
 // failed, so a head no anchor recorded is never acknowledged.
@@ -232,12 +235,12 @@ func (a *WitnessAnchor) CheckRecovery(state *RecoveredState) error {
 }
 
 // CommitHead replaces the head file with sth, never moving backwards.
-// The lock is held across the write, so two racing commits land in size
-// order.
+// The head it already remembers is not written again. The lock is held
+// across the write, so two racing commits land in size order.
 func (a *WitnessAnchor) CommitHead(sth SignedTreeHead) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.seen && sth.Size < a.last.Size {
+	if a.seen && (sth.Size < a.last.Size || sth.equal(a.last)) {
 		return nil
 	}
 	data, err := json.Marshal(sth)

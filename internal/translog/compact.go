@@ -25,14 +25,21 @@ import (
 // single entry and verifies the rebuilt prefix against the checkpoint
 // root, so an archive is trusted exactly as far as a WAL segment was.
 //
+// No segment straddles a checkpoint: Log.Checkpoint rolls every stream
+// to a fresh segment as it snapshots the per-stream record counts, and
+// an open leaves a tail holding checkpointed records closed. So the
+// segments that start below their stream's count at the newest
+// checkpoint hold only cold records, are never open for append, and
+// are the only segments compaction and hydration read; the segment a
+// roll closed is archived by that same checkpoint's compaction. A
+// straddling tail a store laid out before the roll carries is closed at
+// open and archived whole by the next checkpoint.
+//
 // Crash safety is rename discipline: each archive is written
 // tmp + fsync + rename + dir-sync before any WAL segment is unlinked,
 // so every crash window leaves either both representations (harmless
 // overlap — cold reads prefer archives and skip the duplicate WAL
-// records) or the archive alone, never neither. A stream's newest
-// segment is never archived, even when fully cold: the store holds it
-// open for append, and unlinking an open append tail would divorce the
-// durable file from the live one.
+// records) or the archive alone, never neither.
 
 const (
 	archiveSuffix = ".arc"
@@ -138,17 +145,16 @@ func readArchive(dir string, first uint64, count int) ([][]byte, error) {
 	return payloads, nil
 }
 
-// coldWALRecords scans the store's WAL segments for records with global
-// index in [lo, hi) and returns the entry encodings of the contiguous run
-// of them from lo, in index order — sub-slices of the segment buffers,
-// which the caller copies into an archive or the entry arena. Segments
-// every record of which falls below hi are reported in removable
-// (candidates for deletion once their records are archived), keyed by
-// path with their max index; each stream's newest segment is never
-// reported when tailSafe is set (the store may hold it open for append).
-// A torn record only ends its segment here: the live tail may be
-// mid-append.
-func coldWALRecords(dir string, lo, hi uint64, tailSafe bool) (run [][]byte, removable map[string]uint64, err error) {
+// coldWALRecords scans the store's cold WAL segments — per stream, those
+// starting below counts, its record count at the newest checkpoint — for
+// records with global index in [lo, hi) and returns the entry encodings
+// of the contiguous run of them from lo, in index order — sub-slices of
+// the segment buffers, which the caller copies into an archive or the
+// entry arena. Segments every record of which falls below hi are
+// reported in removable (candidates for deletion once their records are
+// archived), keyed by path with their max index. No segment read is
+// open for append, so a torn record is damage like any other.
+func coldWALRecords(dir string, lo, hi uint64, counts []uint64) (run [][]byte, removable map[string]uint64, err error) {
 	shardFirsts, err := listStreams(dir)
 	if err != nil {
 		return nil, nil, err
@@ -156,14 +162,18 @@ func coldWALRecords(dir string, lo, hi uint64, tailSafe bool) (run [][]byte, rem
 	var streams []walStream
 	var streamFirsts [][]uint64
 	for _, shard := range slices.Sorted(maps.Keys(shardFirsts)) {
+		if shard >= len(counts) {
+			break
+		}
+		cold, _ := slices.BinarySearch(shardFirsts[shard], counts[shard])
 		streams = append(streams, walStream{shard: shard})
-		streamFirsts = append(streamFirsts, shardFirsts[shard])
+		streamFirsts = append(streamFirsts, shardFirsts[shard][:cold])
 	}
 	removable = map[string]uint64{}
 	n := 0
 	for s := range streams {
 		st := &streams[s]
-		for i, first := range streamFirsts[s] {
+		for _, first := range streamFirsts[s] {
 			path := filepath.Join(dir, shardSegmentName(st.shard, first))
 			top, all, some := uint64(0), true, false
 			err := st.read(path, first, func(_ int, index uint64) error {
@@ -174,10 +184,13 @@ func coldWALRecords(dir string, lo, hi uint64, tailSafe bool) (run [][]byte, rem
 				}
 				return nil
 			})
-			if err != nil && !errors.Is(err, errTornTail) {
+			if errors.Is(err, errTornTail) {
+				return nil, nil, fmt.Errorf("%w: cold segment %s ends mid-record", ErrStateCorrupt, filepath.Base(path))
+			}
+			if err != nil {
 				return nil, nil, err
 			}
-			if all && some && !(tailSafe && i == len(streamFirsts[s])-1) {
+			if all && some {
 				removable[path] = top
 			}
 		}
@@ -194,18 +207,20 @@ func coldWALRecords(dir string, lo, hi uint64, tailSafe bool) (run [][]byte, rem
 	return m.payloads[:m.run()], removable, nil
 }
 
-// compact archives every WAL segment that sits entirely below the
-// checkpoint boundary c and deletes it, leaving straddling segments
-// (and each stream's open tail) in place. Safe to run concurrently with
-// appends — it only reads and removes segments below c, which the
-// append path never touches — and serialised against cold reads by
-// compactMu. A run that finds nothing cold is a no-op.
-func (s *Store) compact(c uint64) error {
+// compact archives every cold WAL segment of the newest checkpoint and
+// deletes it, leaving in place only a straddling segment a store laid
+// out before the roll may carry. Safe to run concurrently with appends —
+// it only reads and removes segments that start below the checkpoint's
+// per-stream counts, which the append path never touches — and
+// serialised against cold reads by compactMu. A run that finds nothing
+// cold is a no-op.
+func (s *Store) compact() error {
+	s.compactMu.Lock()
+	defer s.compactMu.Unlock()
+	c := s.lastCkpt.Load()
 	if c == 0 {
 		return nil
 	}
-	s.compactMu.Lock()
-	defer s.compactMu.Unlock()
 	arcFirsts, arcCounts, err := listArchives(s.dir)
 	if err != nil {
 		return err
@@ -218,10 +233,9 @@ func (s *Store) compact(c uint64) error {
 		}
 		watermark += uint64(arcCounts[i])
 	}
-	// Archive the contiguous run from the watermark. A gap (a cold
-	// record still locked inside a straddling or tail segment) stops
-	// the run; everything past it stays in the WAL until a later pass.
-	run, removable, err := coldWALRecords(s.dir, watermark, c, true)
+	// Archive the contiguous run from the watermark. A gap stops the
+	// run; everything past it stays in the WAL until a later pass.
+	run, removable, err := coldWALRecords(s.dir, watermark, c, s.coldCounts)
 	if err != nil {
 		return err
 	}
@@ -292,7 +306,7 @@ func (s *Store) loadCold(c uint64) ([][]byte, []Hash, error) {
 			ErrStateCorrupt, len(payloads), c)
 	}
 	if uint64(len(payloads)) < c {
-		run, _, err := coldWALRecords(s.dir, uint64(len(payloads)), c, true)
+		run, _, err := coldWALRecords(s.dir, uint64(len(payloads)), c, s.coldCounts)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -1,6 +1,7 @@
 package translog
 
 import (
+	"bytes"
 	"crypto"
 	"crypto/ecdsa"
 	"crypto/rand"
@@ -146,6 +147,13 @@ func (sth SignedTreeHead) signingDigest() [sha256.Size]byte {
 	binary.BigEndian.PutUint64(u64[:], uint64(sth.Timestamp))
 	buf = append(buf, u64[:]...)
 	return sha256.Sum256(buf)
+}
+
+// equal reports whether two heads are the same signed statement: size,
+// root, timestamp and signature.
+func (sth SignedTreeHead) equal(o SignedTreeHead) bool {
+	return sth.Size == o.Size && sth.RootHash == o.RootHash && sth.Timestamp == o.Timestamp &&
+		bytes.Equal(sth.Signature, o.Signature)
 }
 
 // Verify checks the tree-head signature against the log's public key.
@@ -376,14 +384,17 @@ func (l *Log) checkpointAndCompact() {
 	if err := l.Checkpoint(); err != nil {
 		return
 	}
-	_ = l.store.compact(l.store.lastCkpt.Load())
+	_ = l.store.compact()
 }
 
 // Checkpoint synchronously writes a durable checkpoint covering the
 // current committed head and compacts the cold prefix it summarizes
-// into archive files. The automatic path (StoreConfig.CheckpointEvery)
-// runs this in the background after commits; the method is exposed for
-// operator tooling and deterministic tests.
+// into archive files. It first rolls every stream to a fresh segment,
+// so the segments the checkpoint covers hold no record past it and are
+// archived whole by this same compaction. The automatic path
+// (StoreConfig.CheckpointEvery) runs this in the background after
+// commits; the method is exposed for operator tooling and deterministic
+// tests.
 func (l *Log) Checkpoint() error {
 	if l.store == nil {
 		return fmt.Errorf("translog: checkpointing an in-memory log")
@@ -393,6 +404,10 @@ func (l *Log) Checkpoint() error {
 	l.mu.RLock()
 	sth := l.sth
 	size := l.entries.count()
+	if size == 0 || size == l.store.lastCkpt.Load() {
+		l.mu.RUnlock()
+		return nil // nothing new to summarize
+	}
 	blocks, err := l.tree.blocks(size)
 	if err != nil {
 		l.mu.RUnlock()
@@ -406,10 +421,13 @@ func (l *Log) Checkpoint() error {
 	for k := range l.revoked {
 		revoked[k] = true
 	}
-	streamCounts := l.store.streamCounts()
+	streamCounts, retired := l.store.rollStreams()
 	l.mu.RUnlock()
-	if size == 0 || size == l.store.lastCkpt.Load() {
-		return nil // nothing new to summarize
+	for _, f := range retired {
+		err = errors.Join(err, f.Close())
+	}
+	if err != nil {
+		return fmt.Errorf("translog: closing rolled segment: %w", err)
 	}
 	ck := &checkpoint{size: size, sth: sth, blocks: blocks,
 		streamCounts: streamCounts, issuance: issuance, revoked: revoked}
@@ -417,10 +435,10 @@ func (l *Log) Checkpoint() error {
 	if err != nil {
 		return err
 	}
-	l.store.lastCkpt.Store(size)
+	l.store.markCheckpoint(size, streamCounts)
 	mCkptBytes.Set(int64(n))
 	mCkptLast.Mark()
-	return l.store.compact(size)
+	return l.store.compact()
 }
 
 // hydrate loads the compacted cold prefix back into memory: the

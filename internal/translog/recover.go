@@ -30,8 +30,15 @@ import (
 // The store replays as one segment stream per host slot, whose records
 // carry their global index. Each stream gets the same refusals — torn
 // tails may only be at a stream's own end, interior damage is
-// corruption — and every record is checksummed, cold ones below a
-// checkpoint included. The scan is zero-copy: payloads are
+// corruption — and every record of every segment on disk is
+// checksummed, cold ones below a checkpoint included. No segment
+// straddles a checkpoint (compact.go), so once a checkpoint's
+// compaction has archived the segments below it, the segments left
+// hold only the suffix: the replay reads no cold byte, and skips none
+// of a segment it reads. A tail holding checkpointed records — left by
+// an interrupted compaction or by a store laid out before the roll — is
+// replayed, then left closed: appends resume in a fresh segment. The
+// scan is zero-copy: payloads are
 // sub-slices of the segment buffers until the Log's entry arena copies
 // the suffix in. The streams are then merged by placement rather than
 // sorted: the scan counts the n records at or past the checkpoint, and
@@ -373,6 +380,7 @@ func replay(dir string, firsts [][]uint64, ckpt *checkpoint) (*recovered, []trim
 		segments += len(firsts[s])
 		suffix, err := st.scan(dir, firsts[s], base, &trims)
 		n += suffix
+		mRecoverWALBytes.Add(uint64(st.bytes))
 		if err != nil {
 			scanErr, streams = err, streams[:s+1]
 			break
@@ -613,7 +621,6 @@ func OpenDurableLog(signer crypto.Signer, dir string, cfg StoreConfig) (*Log, er
 		l.frozenRoot = rec.ckpt.sth.RootHash
 		l.entries.base = base
 		l.issuance, l.revoked = rec.ckpt.issuance, rec.ckpt.revoked
-		store.lastCkpt.Store(base)
 	}
 	// The arena copies the replayed canonical bytes — the same bytes the
 	// recovery pass hashed into the rebuilt tree — out of the segment
@@ -646,7 +653,8 @@ func OpenDurableLog(signer crypto.Signer, dir string, cfg StoreConfig) (*Log, er
 	// a later anchor (witness head, sealed counter) one batch behind
 	// sth.json, and a lagging sealed pin is a rollback window — a
 	// snapshot of the lagging state would pass every anchor. After any
-	// successful open, every anchor pins exactly the recovered head.
+	// successful open, every anchor pins exactly the recovered head; an
+	// anchor that already holds it writes nothing.
 	if err := store.commitHead(sth); err != nil {
 		store.Close()
 		return nil, err
@@ -672,7 +680,7 @@ func OpenDurableLog(signer crypto.Signer, dir string, cfg StoreConfig) (*Log, er
 			go func() {
 				defer l.ckptWG.Done()
 				defer l.ckptBusy.Store(false)
-				_ = l.store.compact(l.store.lastCkpt.Load())
+				_ = l.store.compact()
 			}()
 		}
 	}

@@ -182,6 +182,12 @@ type SealedHeadAnchor struct {
 	path    string
 	aad     []byte
 	counter string
+	// pinSize and pinRoot are the head the blob on disk pins with the
+	// counter in step, once CheckRecovery or a CommitHead has established
+	// it; havePin reports whether there is one.
+	pinSize uint64
+	pinRoot Hash
+	havePin bool
 }
 
 // NewSealedHeadAnchor launches the anchor enclave on platform p (signed
@@ -254,6 +260,7 @@ func (a *SealedHeadAnchor) Close() error {
 func (a *SealedHeadAnchor) CheckRecovery(state *RecoveredState) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	a.havePin = false
 	blob, err := os.ReadFile(a.path)
 	if errors.Is(err, os.ErrNotExist) {
 		blob = nil
@@ -291,15 +298,22 @@ func (a *SealedHeadAnchor) CheckRecovery(state *RecoveredState) error {
 			return fmt.Errorf("translog: healing sealed-head counter: %w", err)
 		}
 	}
+	a.pinSize, a.pinRoot, a.havePin = rep.TreeSize, rep.RootHash, true
 	return nil
 }
 
 // CommitHead seals the new head under counter+1, atomically replaces
 // the blob file, then advances the counter (see the commit protocol in
-// the package comment above).
+// the package comment above). A head of the size and root the blob
+// already pins is not sealed again: the counter is not bumped, which
+// spares two ECalls and a counter the hardware limits.
 func (a *SealedHeadAnchor) CommitHead(sth SignedTreeHead) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	if a.havePin && sth.Size == a.pinSize && sth.RootHash == a.pinRoot {
+		return nil
+	}
+	a.havePin = false
 	sealStart := time.Now()
 	raw, err := a.enclave.ECall(ecallSealedCommit, mustJSON(sealedCommitArgs{
 		Counter: a.counter, TreeSize: sth.Size, RootHash: sth.RootHash, AAD: a.aad,
@@ -322,6 +336,7 @@ func (a *SealedHeadAnchor) CommitHead(sth SignedTreeHead) error {
 		return fmt.Errorf("translog: advancing sealed-head counter: %w", err)
 	}
 	mSealedBump.Observe(time.Since(bumpStart))
+	a.pinSize, a.pinRoot, a.havePin = sth.Size, sth.RootHash, true
 	return nil
 }
 

@@ -208,6 +208,8 @@ type walStream struct {
 	segs  []walSeg
 	// count is the stream ordinal just past the last record read.
 	count uint64
+	// bytes is the size of the segment files read.
+	bytes int
 	// from is where each starts walking; the zero value is the first
 	// record read. Recovery moves it past the records below the
 	// checkpoint once their checksums are verified.
@@ -237,6 +239,7 @@ func (st *walStream) read(path string, first uint64, fn func(off int, index uint
 		return fmt.Errorf("translog: reading segment %s: %w", filepath.Base(path), err)
 	}
 	st.count = first
+	st.bytes += len(data)
 	off := 0
 	clean, err := scanSegment(data, func(payload []byte) error {
 		index, _, err := splitIndexedRecord(payload)

@@ -145,6 +145,12 @@ type Store struct { //lint:allow unusedexport the documented storage layer benea
 	// compactMu serialises compaction runs against cold-prefix reads,
 	// so hydration never races a segment unlink.
 	compactMu sync.Mutex
+	// coldCounts is each stream's record count at the newest checkpoint.
+	// No segment straddles a checkpoint, so a segment starting below its
+	// stream's count holds only checkpointed records: those are the
+	// segments compaction and hydration read. Set with lastCkpt under
+	// compactMu.
+	coldCounts []uint64
 
 	mu sync.Mutex
 	// streams are the append tails, one per host slot, fixed at open.
@@ -161,8 +167,9 @@ type Store struct { //lint:allow unusedexport the documented storage layer benea
 // stream is one host slot's append tail.
 type stream struct {
 	shard int
-	// active is the open tail segment (nil until the first append or
-	// when the last recovery ended exactly on a rotation boundary).
+	// active is the open tail segment: nil until the first append, after
+	// a checkpoint rolled the stream, or when the tail on disk holds
+	// checkpointed records.
 	active     *os.File
 	activeSize int64
 	// count is the number of records durably framed in this stream — the
@@ -189,9 +196,15 @@ func openStoreDir(dir string, cfg StoreConfig, anchors []TrustAnchor, rec *recov
 	for _, a := range anchors {
 		s.anchorHist = append(s.anchorHist, anchorHistogram(a.Name()))
 	}
+	if rec.ckpt != nil {
+		s.markCheckpoint(rec.ckpt.size, rec.ckpt.streamCounts)
+	}
 	for i, tail := range rec.tails {
 		st := &stream{shard: i, count: tail.count}
-		if tail.hasTail {
+		// A tail holding checkpointed records stays closed: the next
+		// append opens a fresh segment at the stream's count, and the
+		// closed tail is archived by the next checkpoint's compaction.
+		if tail.hasTail && (rec.ckpt == nil || tail.tailFirst >= s.coldCounts[i]) {
 			path := filepath.Join(dir, st.name(tail.tailFirst))
 			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o600)
 			if err != nil {
@@ -225,17 +238,34 @@ func (s *Store) checkpointDue(size uint64) bool {
 	return s.cfg.CheckpointEvery > 0 && size >= s.lastCkpt.Load()+s.cfg.CheckpointEvery
 }
 
-// streamCounts snapshots each stream's durable record count. Callers
-// hold the log lock, so no commit is in flight and the counts
-// correspond exactly to the committed tree.
-func (s *Store) streamCounts() []uint64 {
+// rollStreams snapshots each stream's durable record count and retires
+// every active segment holding records, so the next append to a stream
+// opens a segment that starts at the snapshot: no segment straddles the
+// checkpoint the counts are written into. Callers hold the log lock, so
+// no commit is in flight and the counts correspond exactly to the
+// committed tree; they close the retired files once they release it.
+func (s *Store) rollStreams() (counts []uint64, retired []*os.File) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	counts := make([]uint64, len(s.streams))
+	counts = make([]uint64, len(s.streams))
 	for i, st := range s.streams {
 		counts[i] = st.count
+		if st.active != nil && st.activeSize > 0 {
+			retired = append(retired, st.active)
+			st.active = nil
+			mWALRolls.Inc()
+		}
 	}
-	return counts
+	return counts, retired
+}
+
+// markCheckpoint records the newest durable checkpoint: its size and its
+// per-stream record counts.
+func (s *Store) markCheckpoint(size uint64, counts []uint64) {
+	s.compactMu.Lock()
+	defer s.compactMu.Unlock()
+	s.lastCkpt.Store(size)
+	s.coldCounts = counts
 }
 
 // appendBatch durably frames the batch payloads — payloads[i] is the

@@ -69,6 +69,8 @@ var (
 		"When the last successful store recovery finished.")
 	mRecoverSuffixEntries = obsReg.Counter("translog_recovery_suffix_entries_total",
 		"Entries replayed past the checkpoint during a checkpointed recovery (the suffix length).")
+	mRecoverWALBytes = obsReg.Counter("translog_recovery_wal_bytes_total",
+		"Bytes of WAL segment files read by recovery replay.")
 
 	// Checkpoints and compaction.
 	mCkptLast = obsReg.Stamp("translog_checkpoint_last_unix_seconds",
