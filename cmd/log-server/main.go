@@ -59,7 +59,7 @@ func main() {
 	peers := flag.String("peers", "", "comma-separated peer witness gossip URLs (monitor mode; default: discover via state dir)")
 	seal := flag.Bool("seal", false, "anchor the served log's tree head in an enclave-sealed monotonic counter (serve mode)")
 	shards := flag.Int("shards", 0, "per-host WAL shard count for the served log (serve mode; >1 splits the WAL into per-host segment streams; 0 or 1 keeps one stream; fixed at store creation)")
-	checkpointEvery := flag.Uint64("checkpoint-every", 0, "write an anchor-verified recovery checkpoint (and compact cold WAL segments into archives) every N committed entries (serve mode; 0 disables)")
+	checkpointEvery := flag.Uint64("checkpoint-every", 0, "write an anchor-verified recovery checkpoint every N committed entries, so a restart replays only the WAL past it (serve mode; 0 disables)")
 	quorum := flag.Int("quorum", 0, "per-shard witness quorum Q (serve mode; >0 partitions the witness audit plane and serves quorum co-signed heads; requires -witnesses)")
 	witnessShards := flag.Int("witness-shards", 0, "audit-plane shard stream count (serve mode; 0 takes the store shard count, 1 for a one-stream store; must match the store shard count when the store has more than one stream)")
 	witnessNames := flag.String("witnesses", "", "comma-separated witness names forming the co-signing roster (serve mode with -quorum; startup waits for each to publish its key)")

@@ -51,7 +51,7 @@ func main() {
 	requireTPM := flag.Bool("require-tpm", false, "appraisal policy demands TPM-rooted IML")
 	subKey := flag.String("subscription-key", "vnfguard-subscription", "IAS API key")
 	sealLog := flag.Bool("seal-log", false, "anchor the durable log's tree head in an enclave-sealed monotonic counter")
-	logCheckpointEvery := flag.Uint64("log-checkpoint-every", 0, "write an anchor-verified recovery checkpoint (and compact cold WAL segments into archives) every N committed log entries (0 disables)")
+	logCheckpointEvery := flag.Uint64("log-checkpoint-every", 0, "write an anchor-verified recovery checkpoint every N committed log entries, so a restart replays only the WAL past it (0 disables)")
 	logShards := flag.Int("log-shards", 0, "per-host WAL shard count for the durable log (>1 gives each enrolled host its own segment stream and sequencer buffer; 0 or 1 keeps one stream). Verdicts batch through the merging sequencer either way")
 	nvFile := flag.String("sgx-nv", "sgx-nv-vm.json", "platform NV file for -seal-log (models fuses+flash; keep it OUTSIDE the state dir)")
 	wait := flag.Duration("wait", 30*time.Second, "how long to wait for shared material")

@@ -19,7 +19,7 @@ import (
 //     sentinel with == or != breaks as soon as any layer wraps the
 //     error (which the open paths all do, via %w) — errors.Is is the
 //     only taxonomy-safe comparison.
-//  2. In the open-path files (recover.go, checkpoint.go, compact.go):
+//  2. In the open-path files (recover.go, checkpoint.go):
 //     an error constructed with fmt.Errorf but no %w verb, or with
 //     errors.New outside the package-level sentinel declarations,
 //     escapes the taxonomy entirely — recovery failures must wrap a
@@ -30,7 +30,6 @@ import (
 var taxonomyFiles = map[string]bool{
 	"recover.go":    true,
 	"checkpoint.go": true,
-	"compact.go":    true,
 }
 
 // ErrTaxonomy is the error-taxonomy analyzer.

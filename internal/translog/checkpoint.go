@@ -11,8 +11,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"vnfguard/internal/statedir"
 	"vnfguard/internal/wire"
@@ -141,7 +143,7 @@ func parseSnapshot(snap []byte) (map[string]uint64, map[string]bool, error) {
 	return issuance, revoked, nil
 }
 
-// Checkpoints, archives and tiles share one envelope: an 8-byte magic,
+// Checkpoints and tiles share one envelope: an 8-byte magic,
 // the body, and a big-endian CRC-32C over magic and body.
 var (
 	errEnvelopeMagic = errors.New("translog: short file or wrong magic")
@@ -275,4 +277,84 @@ func loadCheckpoint(dir string, head *WitnessAnchor) (*checkpoint, error) {
 		size: hdr.Size, sth: hdr.STH, blocks: hdr.Blocks,
 		streamCounts: hdr.StreamCounts, issuance: issuance, revoked: revoked,
 	}, nil
+}
+
+// Cold reads. The entries a checkpoint summarizes stay in the WAL
+// segments that framed them: Log.Checkpoint rolls every stream as it
+// snapshots the per-stream record counts, so no segment straddles a
+// checkpoint, and the segments starting below their stream's count hold
+// only checkpointed records, are closed for append and are never
+// rewritten. Recovery skips them; hydration (Log.hydrate) reads them
+// back here and checks the rebuilt prefix against the checkpoint root,
+// so a cold segment is trusted exactly as far as a replayed one.
+
+// coldWALRecords reads the store's cold WAL segments — per stream, those
+// starting below counts, its record count at a checkpoint covering at
+// least c entries — and returns the entry encodings of the contiguous
+// run of entries from index 0 below c, in index order: sub-slices of
+// the segment buffers, which the entry arena copies. No segment read is
+// open for append, so a torn record is damage like any other.
+func coldWALRecords(dir string, c uint64, counts []uint64) ([][]byte, error) {
+	shardFirsts, err := listStreams(dir)
+	if err != nil {
+		return nil, err
+	}
+	var streams []walStream
+	n := 0
+	for _, shard := range slices.Sorted(maps.Keys(shardFirsts)) {
+		if shard >= len(counts) {
+			break
+		}
+		st := walStream{shard: shard}
+		for _, first := range shardFirsts[shard] {
+			if first >= counts[shard] {
+				break
+			}
+			path := filepath.Join(dir, shardSegmentName(shard, first))
+			err := st.read(path, first, func(index uint64) error {
+				if index < c {
+					n++
+				}
+				return nil
+			})
+			if errors.Is(err, errTornTail) {
+				return nil, fmt.Errorf("%w: cold segment %s ends mid-record", ErrStateCorrupt, filepath.Base(path))
+			}
+			if err != nil {
+				return nil, err
+			}
+		}
+		streams = append(streams, st)
+	}
+	m := newMerge(0, n)
+	for s := range streams {
+		_ = streams[s].each(func(_, _ int, index uint64, entry []byte) error {
+			if index < c {
+				m.place(index, entry, streams[s].shard)
+			}
+			return nil
+		})
+	}
+	return m.payloads[:m.run()], nil
+}
+
+// loadCold reads the canonical encodings of the c entries below the
+// checkpoint boundary c from the cold WAL segments and returns them with
+// their leaf hashes. The hashes are recomputed here — a segment's CRCs
+// detect damage, but binding payloads to the checkpointed root is the
+// caller's verification, exactly as WAL replay binds records to the
+// persisted head.
+func (s *Store) loadCold(c uint64) ([][]byte, []Hash, error) {
+	s.coldMu.Lock()
+	counts := s.coldCounts
+	s.coldMu.Unlock()
+	payloads, err := coldWALRecords(s.dir, c, counts)
+	if err != nil {
+		return nil, nil, err
+	}
+	if uint64(len(payloads)) != c {
+		return nil, nil, fmt.Errorf("%w: only %d of %d cold entries present in the WAL segments",
+			ErrStateCorrupt, len(payloads), c)
+	}
+	return payloads, leafHashes(payloads), nil
 }

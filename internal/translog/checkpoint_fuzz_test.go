@@ -82,10 +82,10 @@ func FuzzCheckpointedRecovery(f *testing.F) {
 			// statedir.ReplaceFile's per-write name — must be inert.
 			for _, name := range []string{
 				checkpointFileName + ".tmp",
-				archiveName(0, 1) + ".tmp",
+				"arc-00000000000000000000-0000000001.arc.tmp",
 				sthFileName + ".tmp",
 				checkpointFileName + ".tmp-1234567",
-				archiveName(0, 1) + ".tmp-89",
+				"arc-00000000000000000000-0000000001.arc.tmp-89",
 				sthFileName + ".tmp-4242",
 			} {
 				if err := os.WriteFile(filepath.Join(dir, name), []byte("torn"), 0o600); err != nil {
@@ -152,7 +152,7 @@ func FuzzCheckpointedRecovery(f *testing.F) {
 		if gotRoot != refRoot {
 			t.Fatal("suffix-replay root differs from full-replay root")
 		}
-		// Cold reads hydrate from archives and match the originals.
+		// Cold reads hydrate from the cold segments and match the originals.
 		if got := re.Entries(0, re.Size()); !reflect.DeepEqual(got, entries) {
 			t.Fatal("hydrated entry sequence diverged from the originals")
 		}

@@ -33,17 +33,17 @@ func issuedSerial(t *testing.T, entries []Entry) string {
 	return ""
 }
 
-// checkpointedConfig keeps segments small (many cold files to compact)
-// and skips fsyncs for test speed.
+// checkpointedConfig keeps segments small (many cold segments) and
+// skips fsyncs for test speed.
 func checkpointedConfig(shards int) StoreConfig {
 	return StoreConfig{SegmentMaxBytes: 2048, NoSync: true, Shards: shards}
 }
 
 // TestCheckpointedRoundTrip covers the tentpole end to end for both
-// layouts: a log checkpointed (and compacted) mid-life reopens from the
-// suffix replay with bit-for-bit the same root, head and entry sequence
-// a full replay produced, cold reads hydrate from the archives, and the
-// log keeps appending and checkpointing across generations.
+// layouts: a log checkpointed mid-life reopens from the suffix replay
+// with bit-for-bit the same root, head and entry sequence a full replay
+// produced, cold reads hydrate from the cold segments, and the log keeps
+// appending and checkpointing across generations.
 func TestCheckpointedRoundTrip(t *testing.T) {
 	for _, shards := range []int{0, 3} {
 		name := "single"
@@ -184,11 +184,11 @@ func TestCheckpointedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCheckpointCompactsColdSegments pins the compaction half: after a
-// checkpoint, fully cold WAL segments are replaced by archive files
-// (tail segments excepted), the checkpoint/compaction telemetry moves,
-// and hydration still reproduces every entry from the archives.
-func TestCheckpointCompactsColdSegments(t *testing.T) {
+// TestCheckpointKeepsColdSegments: a checkpoint leaves the WAL segments
+// it covers where they are — each keeps its inode and size, and no
+// archive appears — the checkpoint telemetry moves, and hydration
+// reproduces every entry from those segments.
+func TestCheckpointKeepsColdSegments(t *testing.T) {
 	key := testSigner(t)
 	dir := t.TempDir()
 	entries := mixedEntries(1000)
@@ -199,21 +199,39 @@ func TestCheckpointCompactsColdSegments(t *testing.T) {
 	}
 	appendAll(t, l, entries)
 
-	segsBefore := countFiles(t, dir, ".wal")
-	runsBefore := mCompactRuns.Value()
+	segments := func() map[string]os.FileInfo {
+		des, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]os.FileInfo{}
+		for _, de := range des {
+			if strings.HasSuffix(de.Name(), ".wal") {
+				info, err := de.Info()
+				if err != nil {
+					t.Fatal(err)
+				}
+				out[de.Name()] = info
+			}
+		}
+		return out
+	}
+	before := segments()
 	if err := l.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	segsAfter := countFiles(t, dir, ".wal")
-	arcs := countFiles(t, dir, archiveSuffix)
-	if arcs == 0 {
-		t.Fatal("checkpoint compacted nothing into archives")
+	after := segments()
+	for name, info := range before {
+		got, ok := after[name]
+		if !ok || !os.SameFile(info, got) || got.Size() != info.Size() {
+			t.Fatalf("checkpoint replaced or removed segment %s", name)
+		}
 	}
-	if segsAfter >= segsBefore {
-		t.Fatalf("cold segments not removed: %d before, %d after", segsBefore, segsAfter)
+	if cold := segmentsBelow(t, dir, checkpointCounts(t, l)); len(cold) != len(before) {
+		t.Fatalf("checkpoint covers %d segments, want all %d written before it", len(cold), len(before))
 	}
-	if mCompactRuns.Value() == runsBefore {
-		t.Fatal("compaction run not counted")
+	if n := countFiles(t, dir, ".arc"); n != 0 {
+		t.Fatalf("checkpoint wrote %d archive files", n)
 	}
 	if mCkptBytes.Value() <= 0 {
 		t.Fatal("checkpoint size gauge not set")
@@ -404,15 +422,24 @@ func TestCheckpointRefusals(t *testing.T) {
 
 	t.Run("rolled-back-checkpoint", func(t *testing.T) {
 		key, dir, cfg, _, oldCkpt := buildCheckpointedStore(t)
-		// Swap in the older checkpoint after compaction (run for the
-		// newer one) removed cold WAL segments the old checkpoint still
-		// needs: the oldest surviving segment starts past it.
+		// Delete the segments the newer checkpoint covers, which the old
+		// checkpoint still needs, then swap the old checkpoint in: the
+		// oldest surviving segment starts past it.
+		newer, err := loadCheckpoint(dir, newSTHAnchor(dir, &key.PublicKey))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range segmentsBelow(t, dir, newer.streamCounts) {
+			if err := os.Remove(filepath.Join(dir, name)); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if err := os.WriteFile(filepath.Join(dir, checkpointFileName), oldCkpt, 0o600); err != nil {
 			t.Fatal(err)
 		}
-		_, err := OpenDurableLog(key, dir, cfg)
+		_, err = OpenDurableLog(key, dir, cfg)
 		if !errors.Is(err, ErrStateRollback) {
-			t.Fatalf("rolled-back checkpoint past compacted history: got %v, want ErrStateRollback", err)
+			t.Fatalf("rolled-back checkpoint past deleted history: got %v, want ErrStateRollback", err)
 		}
 	})
 }

@@ -54,7 +54,8 @@ type entryArena struct {
 	// base is the global index of the first resident entry: a
 	// checkpointed open adopts only the WAL suffix, and indices below
 	// base stay cold until a read forces hydration (Log.hydrate), which
-	// splices the archived prefix back in and zeroes base.
+	// splices the prefix read from the cold WAL segments back in and
+	// zeroes base.
 	base uint64
 	data []byte
 	offs []uint64
@@ -201,7 +202,7 @@ type Log struct {
 	shardIdx     [][]uint64
 
 	// frozenRoot is the checkpoint's root over the cold prefix — what a
-	// lazy hydration of the archived entries must reproduce
+	// lazy hydration of the cold segments must reproduce
 	// (ErrStateTampered otherwise). Only meaningful while entries.base
 	// is non-zero.
 	frozenRoot Hash
@@ -361,7 +362,7 @@ func (l *Log) appendPrepared(batch []Entry, payloads [][]byte, hashes []Hash, tr
 	// commit path; at most one in flight.
 	if l.store != nil && l.store.checkpointDue(size) && l.ckptBusy.CompareAndSwap(false, true) {
 		l.ckptWG.Add(1)
-		go l.checkpointAndCompact()
+		go l.checkpointBG()
 	}
 	// Tile publication trigger, same off-commit-path shape: once a
 	// commit completes a fresh full tile, persist it so tile serving is
@@ -373,25 +374,21 @@ func (l *Log) appendPrepared(batch []Entry, payloads [][]byte, hashes []Hash, tr
 	return first, nil
 }
 
-// checkpointAndCompact is the background checkpoint writer spawned
-// after a commit crosses the configured interval: persist a checkpoint
-// for the committed head, then fold the now-summarized cold prefix
-// into archive files. Best-effort by design — on any error the WAL
-// remains authoritative and the next interval retries.
-func (l *Log) checkpointAndCompact() {
+// checkpointBG is the background checkpoint writer spawned after a
+// commit crosses the configured interval. Best-effort by design — on
+// any error the WAL remains authoritative and the next interval
+// retries.
+func (l *Log) checkpointBG() {
 	defer l.ckptWG.Done()
 	defer l.ckptBusy.Store(false)
-	if err := l.Checkpoint(); err != nil {
-		return
-	}
-	_ = l.store.compact()
+	_ = l.Checkpoint()
 }
 
 // Checkpoint synchronously writes a durable checkpoint covering the
-// current committed head and compacts the cold prefix it summarizes
-// into archive files. It first rolls every stream to a fresh segment,
-// so the segments the checkpoint covers hold no record past it and are
-// archived whole by this same compaction. The automatic path
+// current committed head. It first rolls every stream to a fresh
+// segment, so the segments the checkpoint covers hold no record past
+// it: they stay on disk untouched as the cold store, which a reopen
+// skips and hydration reads. The automatic path
 // (StoreConfig.CheckpointEvery) runs this in the background after
 // commits; the method is exposed for operator tooling and deterministic
 // tests.
@@ -438,15 +435,14 @@ func (l *Log) Checkpoint() error {
 	l.store.markCheckpoint(size, streamCounts)
 	mCkptBytes.Set(int64(n))
 	mCkptLast.Mark()
-	return l.store.compact()
+	return nil
 }
 
-// hydrate loads the compacted cold prefix back into memory: the
-// archives (plus any cold records still in WAL segments) are read, the
-// prefix tree is rebuilt and must reproduce the checkpoint root the
-// anchors verified at open, and the tree and entry arena are spliced
-// back to full residency. Single-flighted; concurrent cold readers
-// block on hydrateMu and find the work already done.
+// hydrate loads the cold prefix back into memory: the cold WAL
+// segments are read, the prefix tree is rebuilt and must reproduce the
+// checkpoint root the anchors verified at open, and the tree and entry
+// arena are spliced back to full residency. Single-flighted; concurrent
+// cold readers block on hydrateMu and find the work already done.
 func (l *Log) hydrate() error {
 	l.hydrateMu.Lock()
 	defer l.hydrateMu.Unlock()
@@ -623,8 +619,8 @@ func (l *Log) Entries(start, count uint64) []Entry {
 // and guards its own node levels, and every node below a committed size
 // is immutable once written — so proof reads over published heads no
 // longer contend with the sequencer's write lock, which a committing
-// batch holds across its WAL fsync. A proof touching hashes that were
-// compacted below the checkpoint triggers hydration and retries.
+// batch holds across its WAL fsync. A proof touching hashes below the
+// checkpoint of a suffix-only open triggers hydration and retries.
 func (l *Log) InclusionProof(index, size uint64) ([]Hash, error) {
 	var proof []Hash
 	err := l.withHydration(func() error {

@@ -12,8 +12,8 @@ import (
 
 // TestMergeEdgeCases builds on-disk sharded stores whose streams
 // interleave badly and pins what opening each one does: the refusal
-// sentinel (or the recovered size), and every WAL segment and archive
-// left behind with its size, so the trims recovery plans are pinned
+// sentinel (or the recovered size), and every WAL segment left behind
+// with its size, so the trims recovery plans are pinned
 // byte for byte.
 func TestMergeEdgeCases(t *testing.T) {
 	hostA, hostB := hostForShard(t, 2, 0), hostForShard(t, 2, 1)
@@ -50,10 +50,9 @@ func TestMergeEdgeCases(t *testing.T) {
 		}
 		return cfg
 	}
-	// compacted checkpoints 40 alternating entries, compacts them, and
-	// commits 10 more on hostA only: stream 1 holds nothing past the
-	// checkpoint.
-	compacted := func(t *testing.T, dir string, key *ecdsa.PrivateKey) StoreConfig {
+	// checkpointed checkpoints 40 alternating entries and commits 10
+	// more on hostA only: stream 1 holds nothing past the checkpoint.
+	checkpointed := func(t *testing.T, dir string, key *ecdsa.PrivateKey) StoreConfig {
 		cfg := StoreConfig{Shards: 2, NoSync: true, SegmentMaxBytes: 256}
 		l, err := OpenDurableLog(key, dir, cfg)
 		if err != nil {
@@ -73,12 +72,26 @@ func TestMergeEdgeCases(t *testing.T) {
 	// 10 and trims every record past it off both streams.
 	refused := map[string]int64{"seg-h0000-00000000000000000000.wal": 336, "seg-h0001-00000000000000000000.wal": 336}
 	cut := map[string]int64{"seg-h0000-00000000000000000000.wal": 336, "seg-h0001-00000000000000000000.wal": 280}
-	// The checkpoint rolls both streams, so its compaction archives every
-	// segment it covers: stream 1 is left with no segment at all.
+	// The checkpoint rolls both streams and leaves every segment it
+	// covers on disk: stream 1 has no segment past its count. With its
+	// segments deleted, only stream 0's remain.
 	emptied := map[string]int64{
-		"arc-00000000000000000000-0000000040.arc": 1784,
-		"seg-h0000-00000000000000000020.wal":      280,
-		"seg-h0000-00000000000000000025.wal":      280,
+		"seg-h0000-00000000000000000000.wal": 280,
+		"seg-h0000-00000000000000000005.wal": 280,
+		"seg-h0000-00000000000000000010.wal": 280,
+		"seg-h0000-00000000000000000015.wal": 280,
+		"seg-h0000-00000000000000000020.wal": 280,
+		"seg-h0000-00000000000000000025.wal": 280,
+		"seg-h0001-00000000000000000000.wal": 280,
+		"seg-h0001-00000000000000000005.wal": 280,
+		"seg-h0001-00000000000000000010.wal": 280,
+		"seg-h0001-00000000000000000015.wal": 280,
+	}
+	stream0 := map[string]int64{}
+	for name, size := range emptied {
+		if strings.HasPrefix(name, "seg-h0000-") {
+			stream0[name] = size
+		}
 	}
 	cases := []struct {
 		name  string
@@ -119,9 +132,9 @@ func TestMergeEdgeCases(t *testing.T) {
 			raw(t, dir, 1, 1<<40)
 			return cfg
 		}, nil, 11, cut},
-		{"stream compaction emptied", compacted, nil, 50, emptied},
+		{"stream compaction emptied", checkpointed, nil, 50, emptied},
 		{"stream compaction emptied, tail segment gone", func(t *testing.T, dir string, key *ecdsa.PrivateKey) StoreConfig {
-			cfg := compacted(t, dir, key)
+			cfg := checkpointed(t, dir, key)
 			shardFirsts, err := listStreams(dir)
 			if err != nil {
 				t.Fatal(err)
@@ -132,7 +145,7 @@ func TestMergeEdgeCases(t *testing.T) {
 				}
 			}
 			return cfg
-		}, nil, 50, emptied},
+		}, nil, 50, stream0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -157,7 +170,7 @@ func TestMergeEdgeCases(t *testing.T) {
 	}
 }
 
-// walFiles maps each WAL segment and archive in dir to its size.
+// walFiles maps each WAL segment in dir to its size.
 func walFiles(t *testing.T, dir string) map[string]int64 {
 	t.Helper()
 	des, err := os.ReadDir(dir)
@@ -166,7 +179,7 @@ func walFiles(t *testing.T, dir string) map[string]int64 {
 	}
 	out := map[string]int64{}
 	for _, de := range des {
-		if name := de.Name(); strings.HasPrefix(name, segmentPrefix) || strings.HasPrefix(name, archivePrefix) {
+		if name := de.Name(); strings.HasPrefix(name, segmentPrefix) {
 			info, err := de.Info()
 			if err != nil {
 				t.Fatal(err)

@@ -72,7 +72,7 @@ func largestPowerOfTwoBelow(n uint64) uint64 {
 
 // errColdRange reports a tree lookup that reached below the checkpoint
 // boundary of a suffix-only tree: the nodes are not resident (they live
-// in the checkpoint's frozen blocks and the cold archives). Callers at
+// in the checkpoint's frozen blocks and the cold WAL segments). Callers at
 // the Log layer hydrate the cold prefix and retry.
 var errColdRange = errors.New("translog: range below the checkpoint is not resident")
 

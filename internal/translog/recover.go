@@ -30,19 +30,16 @@ import (
 // The store replays as one segment stream per host slot, whose records
 // carry their global index. Each stream gets the same refusals — torn
 // tails may only be at a stream's own end, interior damage is
-// corruption — and every record of every segment on disk is
-// checksummed, cold ones below a checkpoint included. No segment
-// straddles a checkpoint (compact.go), so once a checkpoint's
-// compaction has archived the segments below it, the segments left
-// hold only the suffix: the replay reads no cold byte, and skips none
-// of a segment it reads. A tail holding checkpointed records — left by
-// an interrupted compaction or by a store laid out before the roll — is
-// replayed, then left closed: appends resume in a fresh segment. The
-// scan is zero-copy: payloads are
-// sub-slices of the segment buffers until the Log's entry arena copies
-// the suffix in. The streams are then merged by placement rather than
-// sorted: the scan counts the n records at or past the checkpoint, and
-// each lands in the slot its global index names, so the merge is O(n).
+// corruption — and every record of every segment read is checksummed.
+// No segment straddles a checkpoint (checkpoint.go), so the segments
+// starting below a stream's checkpointed count hold only cold records:
+// the replay skips them unread, and every record it does read sits at
+// or past the checkpoint (one below it is corruption). The scan is
+// zero-copy: payloads are sub-slices of the segment buffers until the
+// Log's entry arena copies the suffix in. The streams are then merged
+// by placement rather than sorted: the scan counts the n records at or
+// past the checkpoint, and each lands in the slot its global index
+// names, so the merge is O(n).
 // A record at or past checkpoint+n cannot be part of the contiguous
 // prefix and goes to a small overflow set that only duplicate detection
 // reads; a global index seen twice is corruption. With several streams
@@ -61,9 +58,7 @@ import (
 // leaves anything more behind — its slot, type and serial, which the
 // serial index replays in global order. No record is decoded into an
 // Entry, and the tree is built from the hash array by the same bulk
-// append every commit uses. The second pass starts at each stream's
-// first record past the checkpoint, which the scan noted: cold records
-// are checksummed once and never walked again.
+// append every commit uses.
 
 // recovered is the verified disk state handed from recovery to the Log.
 type recovered struct {
@@ -219,14 +214,23 @@ func recoverDir(dir string, cfg StoreConfig, head *WitnessAnchor, anchors []Trus
 			ErrStateCorrupt, len(ckpt.streamCounts), shards)
 	}
 	streamFirsts := make([][]uint64, shards)
+	segments := 0
 	for shard, fs := range shardFirsts {
 		if shard >= shards {
 			return nil, fmt.Errorf("%w: segment stream %d in a store with %d shard slots",
 				ErrStateCorrupt, shard, shards)
 		}
+		segments += len(fs)
+		if ckpt != nil {
+			// The segments starting below the stream's checkpointed count
+			// are its cold store, summarized by the checkpoint: the replay
+			// reads none of them.
+			k, _ := slices.BinarySearch(fs, ckpt.streamCounts[shard])
+			fs = fs[k:]
+		}
 		streamFirsts[shard] = fs
 	}
-	rec, trims, segments, err := replay(dir, streamFirsts, ckpt)
+	rec, trims, err := replay(dir, streamFirsts, ckpt)
 	if err != nil {
 		return nil, err
 	}
@@ -345,21 +349,18 @@ func (m *merge) run() int {
 	return n
 }
 
-// replay reads every segment stream of the store — firsts[s] for host
-// slot s — and merges the records at or past the checkpoint into
-// global order. With a checkpoint, records below it are checked but not
-// decoded (the frozen subtree roots summarize them), and compaction may
-// already have removed a stream's oldest segments, so a stream may
-// resume — or be entirely empty — past ordinal zero, though never past
-// its checkpointed record count.
+// replay reads the segment streams of the store — firsts[s] for host
+// slot s — and merges their records into global order. With a
+// checkpoint, firsts holds only the segments starting at or past each
+// stream's checkpointed count (the frozen subtree roots summarize the
+// rest), so a stream resumes at that count, or is empty.
 //
 // The replay runs in three passes. The first reads and checksums every
-// segment and applies the per-stream refusals; it counts the suffix
-// records. The second validates each suffix record in place, files it
-// in its global slot and hashes its leaf there. The third, only when
-// the merge left records beyond the contiguous prefix, plans the trims
-// that cut them.
-func replay(dir string, firsts [][]uint64, ckpt *checkpoint) (*recovered, []trimOp, int, error) {
+// segment and applies the per-stream refusals; it counts the records.
+// The second validates each record in place, files it in its global
+// slot and hashes its leaf there. The third, only when the merge left
+// records beyond the contiguous prefix, plans the trims that cut them.
+func replay(dir string, firsts [][]uint64, ckpt *checkpoint) (*recovered, []trimOp, error) {
 	base := uint64(0)
 	cold := make([]uint64, len(firsts)) // per-stream records below the checkpoint
 	if ckpt != nil {
@@ -368,7 +369,7 @@ func replay(dir string, firsts [][]uint64, ckpt *checkpoint) (*recovered, []trim
 	}
 	streams := make([]walStream, len(firsts))
 	var trims []trimOp
-	segments, n := 0, 0
+	n := 0
 	// A refusal in the first pass is held back until the streams read
 	// before it are decoded: a one-pass replay met an undecodable entry of
 	// an earlier stream first, and the refusal must not change with the
@@ -377,7 +378,6 @@ func replay(dir string, firsts [][]uint64, ckpt *checkpoint) (*recovered, []trim
 	for s := range streams {
 		st := &streams[s]
 		st.shard, st.count = s, cold[s]
-		segments += len(firsts[s])
 		suffix, err := st.scan(dir, firsts[s], base, &trims)
 		n += suffix
 		mRecoverWALBytes.Add(uint64(st.bytes))
@@ -393,9 +393,6 @@ func replay(dir string, firsts [][]uint64, ckpt *checkpoint) (*recovered, []trim
 	d := sha256.New()
 	for s := range streams {
 		err := streams[s].each(func(_, _ int, index uint64, entry []byte) error {
-			if index < base {
-				return nil
-			}
 			f, err := parseEntry(entry)
 			if err != nil {
 				return fmt.Errorf("%w: entry %d undecodable: %v", ErrStateCorrupt, index, err)
@@ -411,14 +408,14 @@ func replay(dir string, firsts [][]uint64, ckpt *checkpoint) (*recovered, []trim
 			return nil
 		})
 		if err != nil {
-			return nil, nil, 0, err
+			return nil, nil, err
 		}
 	}
 	if scanErr != nil {
-		return nil, nil, 0, scanErr
+		return nil, nil, scanErr
 	}
 	if m.hasDup {
-		return nil, nil, 0, fmt.Errorf("%w: global index %d appears twice (again in stream %d)",
+		return nil, nil, fmt.Errorf("%w: global index %d appears twice (again in stream %d)",
 			ErrStateCorrupt, m.dup, m.again)
 	}
 	// Keep the longest contiguous prefix from the checkpoint. Records past
@@ -449,17 +446,17 @@ func replay(dir string, firsts [][]uint64, ckpt *checkpoint) (*recovered, []trim
 		}
 		rec.tails[s] = tail
 	}
-	return rec, trims, segments, nil
+	return rec, trims, nil
 }
 
 // scan is replay's first pass over one stream, whose count holds its
 // checkpointed (cold) record count: it checks each segment's place in the
 // stream before reading it, checksums every record, refuses a torn record
 // anywhere but at the stream's end (and plans the cut of one there), and
-// requires global indices to increase along the stream. It returns how
-// many of the stream's records sit at or past base, the checkpoint size —
-// zero exactly when there is no checkpoint, as a checkpoint never covers
-// an empty log.
+// requires global indices to increase along the stream from base, the
+// checkpoint size — zero exactly when there is no checkpoint, as a
+// checkpoint never covers an empty log. It returns how many records it
+// read.
 func (st *walStream) scan(dir string, firsts []uint64, base uint64, trims *[]trimOp) (n int, err error) {
 	cold := st.count
 	prev, seen := uint64(0), false
@@ -469,10 +466,11 @@ func (st *walStream) scan(dir string, firsts []uint64, base uint64, trims *[]tri
 		case i == 0 && base == 0 && first != 0:
 			return n, fmt.Errorf("%w: segment %s starts at stream ordinal %d, want 0", ErrStateCorrupt, name, first)
 		case i == 0 && first > cold:
-			// Compaction only removes segments below a checkpoint that was
-			// newer than them, so a stream that resumes past its checkpointed
-			// count means checkpoint.bin was swapped for an older one after
-			// the cold segments it summarized were removed.
+			// Every checkpoint rolled the stream, so a segment starts at
+			// each checkpointed count. A stream that resumes past its count
+			// has lost the records between — checkpoint.bin swapped for an
+			// older one after the segments the newer one covered were
+			// removed.
 			return n, fmt.Errorf("%w: checkpoint covers %d records of the stream but its oldest segment %s starts at %d",
 				ErrStateRollback, cold, name, first)
 		case i > 0 && first != st.count:
@@ -480,21 +478,17 @@ func (st *walStream) scan(dir string, firsts []uint64, base uint64, trims *[]tri
 				ErrStateCorrupt, name, first, st.count)
 		}
 		path := filepath.Join(dir, name)
-		err := st.read(path, first, func(off int, index uint64) error {
+		err := st.read(path, first, func(index uint64) error {
 			if seen && index <= prev {
 				return fmt.Errorf("%w: stream %d global index %d not increasing (previous %d)",
 					ErrStateCorrupt, st.shard, index, prev)
 			}
-			prev, seen = index, true
-			if index >= base {
-				if n == 0 {
-					// Indices increase along the stream, so every record
-					// from here on is at or past the checkpoint: the later
-					// passes start here instead of re-walking cold records.
-					st.from = walPos{seg: len(st.segs), off: off}
-				}
-				n++
+			if index < base {
+				return fmt.Errorf("%w: stream %d record past its checkpointed count has global index %d, below the checkpoint at %d",
+					ErrStateCorrupt, st.shard, index, base)
 			}
+			prev, seen = index, true
+			n++
 			return nil
 		})
 		switch {
@@ -508,9 +502,6 @@ func (st *walStream) scan(dir string, firsts []uint64, base uint64, trims *[]tri
 		default:
 			return n, err
 		}
-	}
-	if n == 0 {
-		st.from = walPos{seg: len(st.segs)}
 	}
 	return n, nil
 }
@@ -615,7 +606,7 @@ func OpenDurableLog(signer crypto.Signer, dir string, cfg StoreConfig) (*Log, er
 		// The cold prefix stays on disk: the serial indexes are the
 		// checkpoint's (signature-covered) snapshot maps, adopted as
 		// decoded, the arena starts at the checkpoint base, and frozenRoot
-		// pins what a later hydration of the archived entries must
+		// pins what a later hydration of the cold segments must
 		// reproduce.
 		base = rec.ckpt.size
 		l.frozenRoot = rec.ckpt.sth.RootHash
@@ -670,19 +661,6 @@ func OpenDurableLog(signer crypto.Signer, dir string, cfg StoreConfig) (*Log, er
 	if l.tilesDue(size) && l.tileBusy.CompareAndSwap(false, true) {
 		l.tileWG.Add(1)
 		go l.publishTilesBG()
-	}
-	if rec.ckpt != nil && cfg.CheckpointEvery > 0 {
-		// Finish whatever compaction a crash interrupted: records the
-		// checkpoint already summarizes may still sit in cold WAL
-		// segments. Off the open path; Close waits it out.
-		if l.ckptBusy.CompareAndSwap(false, true) {
-			l.ckptWG.Add(1)
-			go func() {
-				defer l.ckptWG.Done()
-				defer l.ckptBusy.Store(false)
-				_ = l.store.compact()
-			}()
-		}
 	}
 	return l, nil
 }

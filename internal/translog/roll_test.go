@@ -33,8 +33,8 @@ func segmentsBelow(t *testing.T, dir string, counts []uint64) []string {
 // checkpointCounts reads the per-stream counts of the store's checkpoint.
 func checkpointCounts(t *testing.T, l *Log) []uint64 {
 	t.Helper()
-	l.store.compactMu.Lock()
-	defer l.store.compactMu.Unlock()
+	l.store.coldMu.Lock()
+	defer l.store.coldMu.Unlock()
 	return l.store.coldCounts
 }
 
@@ -52,8 +52,9 @@ func requireEntries(t *testing.T, l *Log, entries []Entry) {
 
 // TestReopenReadsOnlySuffix: after a checkpoint and one suffix batch, a
 // reopen reads the bytes of the suffix records and nothing else — the
-// checkpoint rolled every stream, so its compaction archived every
-// segment holding a checkpointed record, stream tails included.
+// checkpoint rolled every stream, so every segment holding a
+// checkpointed record starts below its stream's count and is skipped,
+// though it stays on disk.
 func TestReopenReadsOnlySuffix(t *testing.T) {
 	key := testSigner(t)
 	dir := t.TempDir()
@@ -67,8 +68,8 @@ func TestReopenReadsOnlySuffix(t *testing.T) {
 	if err := l.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if cold := segmentsBelow(t, dir, checkpointCounts(t, l)); len(cold) > 0 {
-		t.Fatalf("checkpoint left cold segments %v", cold)
+	if cold := segmentsBelow(t, dir, checkpointCounts(t, l)); len(cold) == 0 {
+		t.Fatal("checkpoint left no cold segment on disk")
 	}
 	if _, err := l.AppendBatch(entries[300:]); err != nil {
 		t.Fatal(err)
@@ -96,7 +97,7 @@ func TestReopenReadsOnlySuffix(t *testing.T) {
 // TestRollWithoutCheckpointRecovers: a crash between the roll and the
 // write of checkpoint.bin leaves rolled segments and no new checkpoint.
 // The store still recovers every entry, with or without an older
-// checkpoint, and the next checkpoint archives everything it covers.
+// checkpoint, and keeps doing so across the next checkpoint.
 func TestRollWithoutCheckpointRecovers(t *testing.T) {
 	for _, older := range []bool{false, true} {
 		name := "no-checkpoint"
@@ -142,9 +143,6 @@ func TestRollWithoutCheckpointRecovers(t *testing.T) {
 			if err := re.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
-			if cold := segmentsBelow(t, dir, checkpointCounts(t, re)); len(cold) > 0 {
-				t.Fatalf("checkpoint left cold segments %v", cold)
-			}
 			if err := re.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -158,96 +156,170 @@ func TestRollWithoutCheckpointRecovers(t *testing.T) {
 	}
 }
 
-// parentCheckpoint writes a checkpoint for the committed head without
-// rolling the streams, the way stores were checkpointed before the roll,
-// commits more on top — into the active tail, across the checkpoint —
-// and compacts below the checkpoint.
-func parentCheckpoint(t *testing.T, l *Log, more []Entry) {
-	t.Helper()
-	l.mu.RLock()
-	size := l.entries.count()
-	blocks, err := l.tree.blocks(size)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck := &checkpoint{size: size, sth: l.sth, blocks: blocks,
-		issuance: map[string]uint64{}, revoked: map[string]bool{}}
-	for k, v := range l.issuance {
-		ck.issuance[k] = v
-	}
-	for k := range l.revoked {
-		ck.revoked[k] = true
-	}
-	l.store.mu.Lock()
-	for _, st := range l.store.streams {
-		ck.streamCounts = append(ck.streamCounts, st.count)
-	}
-	l.store.mu.Unlock()
-	l.mu.RUnlock()
-	if _, err := writeCheckpointFile(l.store.dir, ck, l.signer, true); err != nil {
-		t.Fatal(err)
-	}
-	appendAll(t, l, more)
-	l.store.markCheckpoint(size, ck.streamCounts)
-	if err := l.store.compact(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestStraddlingTailArchived: a store whose tail segment straddles its
-// checkpoint, as stores were laid out before the roll, opens with every
-// entry, appends into a fresh segment instead of the straddling tail,
-// and is fully archived by its next checkpoint.
-func TestStraddlingTailArchived(t *testing.T) {
+// TestArchiveStoreRefused: a store holding an archive of the retired
+// cold-archive layout is refused with ErrLegacyLayout, and the refused
+// open changes no file — not even the torn stream tail a lenient open
+// would trim. The residue of an interrupted archive write alone is not
+// an archive, and the store opens.
+func TestArchiveStoreRefused(t *testing.T) {
 	key := testSigner(t)
 	dir := t.TempDir()
-	cfg := StoreConfig{NoSync: true, SegmentMaxBytes: 4096}
-	entries := mixedEntries(300)
+	cfg := StoreConfig{Shards: 2, NoSync: true, SegmentMaxBytes: 1024}
+	entries := mixedEntries(60)
 	l, err := OpenDurableLog(key, dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	appendAll(t, l, entries[:100])
-	parentCheckpoint(t, l, entries[100:110])
+	appendAll(t, l, entries[:40])
+	if err := l.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, l, entries[40:])
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	counts := checkpointCounts(t, l)
-	straddling := segmentsBelow(t, dir, counts)
-	if len(straddling) != 1 {
-		t.Fatalf("built store has segments %v below the checkpoint, want one straddling tail", straddling)
+	appendToStreamTail(t, dir, 0, []byte{0x00, 0x00, 0x00, 0x7F, 0xAA})
+	residue := filepath.Join(dir, "arc-00000000000000000000-0000000040.arc.tmp-89")
+	if err := os.WriteFile(residue, []byte("torn"), 0o600); err != nil {
+		t.Fatal(err)
 	}
-	tail := filepath.Join(dir, straddling[0])
-	info, err := os.Stat(tail)
+	archive := filepath.Join(dir, "arc-00000000000000000000-0000000040.arc")
+	if err := os.WriteFile(archive, []byte("VNFGARC1"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	before := snapshotDir(t, dir)
+	if _, err := OpenDurableLog(key, dir, cfg); !errors.Is(err, ErrLegacyLayout) {
+		t.Fatalf("store with an archive: got %v, want ErrLegacyLayout", err)
+	}
+	if after := snapshotDir(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatal("refused open changed the store")
+	}
+
+	if err := os.Remove(archive); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenDurableLog(key, dir, cfg)
+	if err != nil {
+		t.Fatalf("store with archive residue only: %v", err)
+	}
+	defer re.Close()
+	requireEntries(t, re, entries)
+}
+
+// TestOlderCheckpointReopens: an older checkpoint.bin swapped in over a
+// complete WAL reopens to the same head, entries and serial index — a
+// stale summary only lengthens the replay.
+func TestOlderCheckpointReopens(t *testing.T) {
+	key := testSigner(t)
+	dir := t.TempDir()
+	cfg := StoreConfig{Shards: 3, NoSync: true, SegmentMaxBytes: 2048}
+	entries := hostEntries(600, 5)
+	l, err := OpenDurableLog(key, dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	appendAll(t, l, entries[:200])
+	if err := l.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	older, err := os.ReadFile(filepath.Join(dir, checkpointFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, l, entries[200:500])
+	if err := l.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, l, entries[500:])
+	head := l.STH()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, checkpointFileName), older, 0o600); err != nil {
+		t.Fatal(err)
+	}
 
+	ref, err := NewLog(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, ref, entries)
+	suffixBefore := mRecoverSuffixEntries.Value()
 	re, err := OpenDurableLog(key, dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireEntries(t, re, entries[:110])
-	if _, err := re.AppendBatch(entries[110:120]); err != nil {
-		t.Fatal(err)
+	defer re.Close()
+	if got := mRecoverSuffixEntries.Value() - suffixBefore; got != 400 {
+		t.Fatalf("replayed %d entries past the older checkpoint, want 400", got)
 	}
-	after, err := os.Stat(tail)
+	if got := re.STH(); !got.equal(head) {
+		t.Fatalf("reopened head at size %d, want the head at %d", got.Size, head.Size)
+	}
+	re.mu.RLock()
+	issuance, revoked := re.issuance, re.revoked
+	re.mu.RUnlock()
+	if !reflect.DeepEqual(issuance, ref.issuance) || !reflect.DeepEqual(revoked, ref.revoked) {
+		t.Fatal("serial index differs from a full replay's")
+	}
+	requireEntries(t, re, entries)
+}
+
+// TestIdleStreamReadsNothing: a stream that got no append since the
+// checkpoint contributes no byte to the reopen, and its next append
+// opens a fresh segment at the stream's checkpointed count.
+func TestIdleStreamReadsNothing(t *testing.T) {
+	key := testSigner(t)
+	dir := t.TempDir()
+	cfg := StoreConfig{Shards: 2, NoSync: true, SegmentMaxBytes: 512}
+	hostA, hostB := hostForShard(t, 2, 0), hostForShard(t, 2, 1)
+	var entries []Entry
+	for i := 0; i < 51; i++ {
+		host := hostA
+		if i < 40 && i%2 == 1 || i == 50 {
+			host = hostB
+		}
+		entries = append(entries, Entry{Type: EntryAttestOK, Timestamp: int64(1700000000000 + i), Actor: "fw", Host: host, Detail: "OK"})
+	}
+	l, err := OpenDurableLog(key, dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after.Size() != info.Size() {
-		t.Fatalf("append grew the straddling tail from %d to %d bytes", info.Size(), after.Size())
-	}
-	fresh := filepath.Join(dir, shardSegmentName(0, 110))
-	if _, err := os.Stat(fresh); err != nil {
-		t.Fatalf("append did not open a fresh segment at the stream count: %v", err)
-	}
-	appendAll(t, re, entries[120:])
-	if err := re.Checkpoint(); err != nil {
+	appendAll(t, l, entries[:40])
+	if err := l.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if cold := segmentsBelow(t, dir, checkpointCounts(t, re)); len(cold) > 0 {
-		t.Fatalf("checkpoint left cold segments %v", cold)
+	appendAll(t, l, entries[40:50])
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for _, e := range entries[40:50] {
+		want += recordHeaderLen + shardIndexLen + len(e.Marshal())
+	}
+
+	before := mRecoverWALBytes.Value()
+	re, err := OpenDurableLog(key, dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := mRecoverWALBytes.Value() - before; got != uint64(want) {
+		t.Fatalf("reopen read %d WAL bytes, want stream 0's suffix of %d", got, want)
+	}
+	idle := checkpointCounts(t, re)[1]
+	cold := snapshotDir(t, dir)
+	appendAll(t, re, entries[50:])
+	fresh, err := os.ReadFile(filepath.Join(dir, shardSegmentName(1, idle)))
+	if err != nil {
+		t.Fatalf("append to the idle stream opened no segment at its count %d: %v", idle, err)
+	}
+	if len(fresh) != recordHeaderLen+shardIndexLen+len(entries[50].Marshal()) {
+		t.Fatalf("fresh segment holds %d bytes, want the one record", len(fresh))
+	}
+	for _, name := range segmentsBelow(t, dir, checkpointCounts(t, re)) {
+		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, cold[name]) {
+			t.Fatalf("cold segment %s changed after the append", name)
+		}
 	}
 	if err := re.Close(); err != nil {
 		t.Fatal(err)

@@ -33,7 +33,10 @@ import (
 //
 // The retired single-stream layout (seg-<first>.wal, records without the
 // index prefix, no shard-count pin, checkpoints without per-stream
-// counts) is refused at open with ErrLegacyLayout.
+// counts) is refused at open with ErrLegacyLayout, and so is a store
+// holding an archive of the retired cold-archive layout
+// (arc-<first>-<count>.arc): its compaction unlinked WAL segments this
+// layout reads the cold prefix from.
 
 const (
 	segmentSuffix = ".wal"
@@ -79,6 +82,18 @@ func isLegacySegmentName(name string) bool {
 	return ok && ok2 && len(digits) == 20 && err == nil
 }
 
+// isArchiveName reports an archive of the retired cold-archive layout:
+// arc-<20-digit first index>-<10-digit count>.arc. The residue of an
+// interrupted archive write (.arc.tmp…) is not one.
+func isArchiveName(name string) bool {
+	body, ok := strings.CutPrefix(name, "arc-")
+	body, ok2 := strings.CutSuffix(body, ".arc")
+	first, count, ok3 := strings.Cut(body, "-")
+	_, err := strconv.ParseUint(first, 10, 64)
+	_, err2 := strconv.ParseUint(count, 10, 64)
+	return ok && ok2 && ok3 && len(first) == 20 && len(count) == 10 && err == nil && err2 == nil
+}
+
 // shardSegmentPrefix marks a per-host segment stream; the 4-digit shard
 // slot keeps lexical order = (shard, ordinal) order.
 const shardSegmentPrefix = segmentPrefix + "h"
@@ -120,7 +135,8 @@ func parseShardSegmentName(name string) (shard int, first uint64, ok bool) {
 
 // listStreams scans dir once and returns, per shard slot, the sorted
 // stream-local firsts of that slot's segments. A segment of the retired
-// single-stream layout fails the listing with ErrLegacyLayout.
+// single-stream layout or an archive of the retired cold-archive layout
+// fails the listing with ErrLegacyLayout.
 func listStreams(dir string) (map[int][]uint64, error) {
 	names, err := os.ReadDir(dir)
 	if err != nil {
@@ -128,7 +144,7 @@ func listStreams(dir string) (map[int][]uint64, error) {
 	}
 	shardFirsts := make(map[int][]uint64)
 	for _, de := range names {
-		if isLegacySegmentName(de.Name()) {
+		if isLegacySegmentName(de.Name()) || isArchiveName(de.Name()) {
 			return nil, fmt.Errorf("%w: %s", ErrLegacyLayout, de.Name())
 		}
 		if shard, first, ok := parseShardSegmentName(de.Name()); ok {
@@ -202,7 +218,7 @@ func scanSegment(data []byte, fn func(payload []byte) error) (clean int, err err
 }
 
 // walStream is one host slot's segment stream read back from disk, the
-// way recovery and compaction both see it.
+// way recovery and hydration both see it.
 type walStream struct {
 	shard int
 	segs  []walSeg
@@ -210,16 +226,6 @@ type walStream struct {
 	count uint64
 	// bytes is the size of the segment files read.
 	bytes int
-	// from is where each starts walking; the zero value is the first
-	// record read. Recovery moves it past the records below the
-	// checkpoint once their checksums are verified.
-	from walPos
-}
-
-// walPos locates a record in a walStream: its segment and its byte
-// offset in that segment.
-type walPos struct {
-	seg, off int
 }
 
 // walSeg is one segment of a walStream.
@@ -230,41 +236,33 @@ type walSeg struct {
 }
 
 // read loads and scans the stream's next segment, whose first record is
-// stream ordinal first, calling fn with the byte offset and global index
-// of each record. The segment joins st.segs with its intact records even
+// stream ordinal first, calling fn with the global index of each record. The segment joins st.segs with its intact records even
 // when the scan stops at a torn tail (the error is then errTornTail).
-func (st *walStream) read(path string, first uint64, fn func(off int, index uint64) error) error {
+func (st *walStream) read(path string, first uint64, fn func(index uint64) error) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("translog: reading segment %s: %w", filepath.Base(path), err)
 	}
 	st.count = first
 	st.bytes += len(data)
-	off := 0
 	clean, err := scanSegment(data, func(payload []byte) error {
 		index, _, err := splitIndexedRecord(payload)
 		if err != nil {
 			return err
 		}
-		at := off
-		off += recordHeaderLen + len(payload)
 		st.count++
-		return fn(at, index)
+		return fn(index)
 	})
 	st.segs = append(st.segs, walSeg{path: path, first: first, data: data[:clean]})
 	return err
 }
 
-// each walks the records read so far from st.from on, oldest first,
-// handing fn each record's segment position, byte offset, global index
-// and entry encoding. It re-reads no file and re-checks no checksum.
+// each walks the records read so far, oldest first, handing fn each
+// record's segment position, byte offset, global index and entry
+// encoding. It re-reads no file and re-checks no checksum.
 func (st *walStream) each(fn func(seg, off int, index uint64, entry []byte) error) error {
-	for i := st.from.seg; i < len(st.segs); i++ {
-		sg := st.segs[i]
+	for i, sg := range st.segs {
 		off := 0
-		if i == st.from.seg {
-			off = st.from.off
-		}
 		for off < len(sg.data) {
 			end := off + recordHeaderLen + int(binary.BigEndian.Uint32(sg.data[off:off+4]))
 			index, entry, err := splitIndexedRecord(sg.data[off+recordHeaderLen : end : end])

@@ -33,10 +33,11 @@ var (
 	// root contradicts the persisted signed tree head — history was
 	// rewritten in place.
 	ErrStateTampered = errors.New("translog: on-disk log state tampered") //lint:allow unusedexport README-documented recovery taxonomy; reaches callers wrapped in open errors
-	// ErrLegacyLayout reports a store written in the retired single-stream
-	// WAL layout. The open refuses it before any file in it is trimmed,
-	// re-signed or pinned.
-	ErrLegacyLayout = errors.New("translog: store uses the retired single-stream WAL layout") //lint:allow unusedexport README-documented open refusal; reaches callers wrapped in open errors
+	// ErrLegacyLayout reports a store written in a retired layout: the
+	// single-stream WAL, or cold archives in place of cold WAL segments.
+	// The open refuses it before any file in it is trimmed, re-signed or
+	// pinned.
+	ErrLegacyLayout = errors.New("translog: store uses a retired on-disk layout") //lint:allow unusedexport README-documented open refusal; reaches callers wrapped in open errors
 )
 
 // Append-path errors the HTTP layer maps to status codes, so a producer
@@ -112,12 +113,11 @@ type StoreConfig struct {
 	// CheckpointEvery, when > 0, persists an anchor-verified checkpoint
 	// (frozen subtree roots + serial-index snapshot, signed by the log
 	// key) every time the log grows that many entries past the previous
-	// checkpoint, and compacts the WAL segments the checkpoint froze
-	// into read-optimised archive files. Recovery then replays only the
-	// WAL suffix past the checkpoint instead of the whole log — the
+	// checkpoint. The WAL segments the checkpoint covers stay on disk as
+	// the cold store; recovery skips them and replays only the WAL
+	// suffix past the checkpoint instead of the whole log — the
 	// flat-restart property a long-lived production log needs. 0
-	// disables checkpointing (every open replays from index zero,
-	// exactly as before).
+	// disables checkpointing (every open replays from index zero).
 	CheckpointEvery uint64
 }
 
@@ -142,14 +142,12 @@ type Store struct { //lint:allow unusedexport the documented storage layer benea
 	// (0 when none): the log's checkpoint trigger compares it against
 	// the committed size.
 	lastCkpt atomic.Uint64
-	// compactMu serialises compaction runs against cold-prefix reads,
-	// so hydration never races a segment unlink.
-	compactMu sync.Mutex
-	// coldCounts is each stream's record count at the newest checkpoint.
-	// No segment straddles a checkpoint, so a segment starting below its
-	// stream's count holds only checkpointed records: those are the
-	// segments compaction and hydration read. Set with lastCkpt under
-	// compactMu.
+	// coldMu guards coldCounts, each stream's record count at the newest
+	// checkpoint. No segment straddles a checkpoint, so a segment
+	// starting below its stream's count holds only checkpointed records:
+	// those are the segments recovery skips and hydration reads. Set with
+	// lastCkpt.
+	coldMu     sync.Mutex
 	coldCounts []uint64
 
 	mu sync.Mutex
@@ -168,8 +166,8 @@ type Store struct { //lint:allow unusedexport the documented storage layer benea
 type stream struct {
 	shard int
 	// active is the open tail segment: nil until the first append, after
-	// a checkpoint rolled the stream, or when the tail on disk holds
-	// checkpointed records.
+	// a checkpoint rolled the stream, or when no segment of the stream
+	// starts at or past its checkpointed count.
 	active     *os.File
 	activeSize int64
 	// count is the number of records durably framed in this stream — the
@@ -201,10 +199,7 @@ func openStoreDir(dir string, cfg StoreConfig, anchors []TrustAnchor, rec *recov
 	}
 	for i, tail := range rec.tails {
 		st := &stream{shard: i, count: tail.count}
-		// A tail holding checkpointed records stays closed: the next
-		// append opens a fresh segment at the stream's count, and the
-		// closed tail is archived by the next checkpoint's compaction.
-		if tail.hasTail && (rec.ckpt == nil || tail.tailFirst >= s.coldCounts[i]) {
+		if tail.hasTail {
 			path := filepath.Join(dir, st.name(tail.tailFirst))
 			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o600)
 			if err != nil {
@@ -262,8 +257,8 @@ func (s *Store) rollStreams() (counts []uint64, retired []*os.File) {
 // markCheckpoint records the newest durable checkpoint: its size and its
 // per-stream record counts.
 func (s *Store) markCheckpoint(size uint64, counts []uint64) {
-	s.compactMu.Lock()
-	defer s.compactMu.Unlock()
+	s.coldMu.Lock()
+	defer s.coldMu.Unlock()
 	s.lastCkpt.Store(size)
 	s.coldCounts = counts
 }

@@ -72,13 +72,11 @@ var (
 	mRecoverWALBytes = obsReg.Counter("translog_recovery_wal_bytes_total",
 		"Bytes of WAL segment files read by recovery replay.")
 
-	// Checkpoints and compaction.
+	// Checkpoints.
 	mCkptLast = obsReg.Stamp("translog_checkpoint_last_unix_seconds",
 		"When the last durable checkpoint was written.")
 	mCkptBytes = obsReg.Gauge("translog_checkpoint_bytes",
 		"Size of the newest durable checkpoint file.")
-	mCompactRuns = obsReg.Counter("translog_compaction_runs_total",
-		"Cold-segment compaction runs that archived at least one record.")
 
 	// Tile read path.
 	mTileCacheHits = obsReg.Counter("translog_tile_cache_hits_total",

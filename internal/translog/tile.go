@@ -39,7 +39,7 @@ import (
 // served tile is only believed through the proofs it assembles into,
 // verified against a signed head), so they are written without fsync
 // and a damaged file is simply rebuilt from the tree or the hydrated
-// .arc archives.
+// cold WAL segments.
 
 const (
 	// TileHeight is the number of tree levels one tile level spans.
@@ -130,7 +130,7 @@ func fullTileCount(n, level uint64) uint64 {
 }
 
 // Statedir tile cache. Tile files live under <dir>/tiles/ next to the
-// WAL segments and archives; the published watermark (the committed
+// WAL segments; the published watermark (the committed
 // size the publisher has covered) rides in its own small file so a
 // reopened log resumes publishing where it stopped instead of
 // re-statting thousands of tiles.
@@ -164,7 +164,7 @@ func (s *Store) readTile(level, index uint64) (*Tile, bool) {
 }
 
 // writeTile persists one full tile. No fsync: the tiles are a cache
-// rebuilt from the tree (or the hydrated archives) on demand, so
+// rebuilt from the tree (or the hydrated cold segments) on demand, so
 // durability buys nothing here and the publisher stays cheap; the
 // atomic rename still guarantees readers never see a torn file.
 func (s *Store) writeTile(t *Tile) error {
@@ -207,8 +207,8 @@ func (s *Store) storeTileMark(n uint64) {
 // cannot contend with a commit holding that lock across its WAL fsync.
 // A miss (or any partial-tile request) extracts the hashes from the
 // tree under the tree's own read lock — still zero hashing, every
-// interior level is resident — hydrating the cold prefix from the .arc
-// archives when the range sits below a checkpoint, and writes full
+// interior level is resident — hydrating the cold prefix from the cold
+// WAL segments when the range sits below a checkpoint, and writes full
 // tiles back through to the cache. Requests past the committed head
 // return ErrTileRange.
 func (l *Log) Tile(level, index uint64, width int) (*Tile, error) {

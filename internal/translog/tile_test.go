@@ -267,9 +267,9 @@ func TestTileAssemblerMatchesDirectProofs(t *testing.T) {
 }
 
 // TestColdRangeTileServing is the exhaustive cold-range matrix: a
-// checkpointed-then-compacted log reopens with its prefix frozen out of
-// memory, and every tile — wholly below the frozen boundary (hydrated
-// from the .arc archives), straddling it, and on the live edge — must
+// checkpointed log reopens with its prefix frozen out of memory, and
+// every tile — wholly below the frozen boundary (hydrated from the cold
+// WAL segments), straddling it, and on the live edge — must
 // serve bytes identical to an always-resident reference log, and the
 // proofs assembled from those tiles must verify against the signed head.
 func TestColdRangeTileServing(t *testing.T) {

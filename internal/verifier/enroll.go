@@ -37,35 +37,10 @@ func (m *Manager) EnrollVNF(hostName, vnf string) (*Enrollment, error) {
 
 	// Steps 3–4: remote attestation of the credential enclave.
 	raStart := time.Now()
-	m1, err := rec.conn.VNFRAMsg1(vnf)
-	if err != nil {
-		return nil, fmt.Errorf("verifier: RA msg1: %w", err)
-	}
-	sigRL, err := m.iasC.SigRL(m1.GID)
-	if err != nil {
-		return nil, fmt.Errorf("verifier: fetching SigRL: %w", err)
-	}
-	ch := ra.NewChallenger(m.spid, m.key, sgx.QuoteLinkable)
-	m2, err := ch.ProcessMsg1(m1, sigRL)
+	ch, err := m.attestEnclave(rec, hostName, vnf)
 	if err != nil {
 		return nil, err
 	}
-	m3, err := rec.conn.VNFRAMsg2(vnf, m2)
-	if err != nil {
-		return nil, fmt.Errorf("verifier: RA msg2/3: %w", err)
-	}
-	m4, chErr := ch.ProcessMsg3(m3, m.credentialEvidenceCheck)
-	if m4 != nil {
-		// Deliver the verdict to the enclave regardless of outcome.
-		if err := rec.conn.VNFRAMsg4(vnf, m4); err != nil && chErr == nil {
-			return nil, fmt.Errorf("verifier: RA msg4: %w", err)
-		}
-	}
-	if chErr != nil {
-		m.auditVNFAttestation(vnf, hostName, sgx.Measurement{}, chErr)
-		return nil, chErr
-	}
-	m.auditVNFAttestation(vnf, hostName, ch.Quote().Body.MRENCLAVE, nil)
 	StepVNFRA.Observe(time.Since(raStart))
 
 	// Step 5: generate credentials and provision over the channel.
@@ -117,6 +92,44 @@ func (m *Manager) EnrollVNF(hostName, vnf string) (*Enrollment, error) {
 	m.enrollments[vnf] = enr
 	m.mu.Unlock()
 	return enr, nil
+}
+
+// attestEnclave runs steps 3–4 for vnf's credential enclave on the
+// host: the msg1→SigRL→msg2/3→msg4 exchange, with IAS validation of the
+// quote. The enclave is sent msg4 whatever the verdict, and the verdict
+// is audited. A trusted exchange returns its challenger, which holds the
+// verified quote and the session key.
+func (m *Manager) attestEnclave(rec *hostRecord, hostName, vnf string) (*ra.Challenger, error) {
+	m1, err := rec.conn.VNFRAMsg1(vnf)
+	if err != nil {
+		return nil, fmt.Errorf("verifier: RA msg1: %w", err)
+	}
+	sigRL, err := m.iasC.SigRL(m1.GID)
+	if err != nil {
+		return nil, fmt.Errorf("verifier: fetching SigRL: %w", err)
+	}
+	ch := ra.NewChallenger(m.spid, m.key, sgx.QuoteLinkable)
+	m2, err := ch.ProcessMsg1(m1, sigRL)
+	if err != nil {
+		return nil, err
+	}
+	m3, err := rec.conn.VNFRAMsg2(vnf, m2)
+	if err != nil {
+		return nil, fmt.Errorf("verifier: RA msg2/3: %w", err)
+	}
+	m4, chErr := ch.ProcessMsg3(m3, m.credentialEvidenceCheck)
+	if m4 != nil {
+		// Deliver the verdict to the enclave regardless of outcome.
+		if err := rec.conn.VNFRAMsg4(vnf, m4); err != nil && chErr == nil {
+			return nil, fmt.Errorf("verifier: RA msg4: %w", err)
+		}
+	}
+	if chErr != nil {
+		m.auditVNFAttestation(vnf, hostName, sgx.Measurement{}, chErr)
+		return nil, chErr
+	}
+	m.auditVNFAttestation(vnf, hostName, ch.Quote().Body.MRENCLAVE, nil)
+	return ch, nil
 }
 
 // credentialEvidenceCheck validates a credential-enclave quote via IAS and
@@ -279,33 +292,9 @@ func (m *Manager) AttestVNF(hostName, vnf string) (*sgx.Quote, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownHost, hostName)
 	}
-	m1, err := rec.conn.VNFRAMsg1(vnf)
-	if err != nil {
-		return nil, fmt.Errorf("verifier: RA msg1: %w", err)
-	}
-	sigRL, err := m.iasC.SigRL(m1.GID)
-	if err != nil {
-		return nil, fmt.Errorf("verifier: fetching SigRL: %w", err)
-	}
-	ch := ra.NewChallenger(m.spid, m.key, sgx.QuoteLinkable)
-	m2, err := ch.ProcessMsg1(m1, sigRL)
+	ch, err := m.attestEnclave(rec, hostName, vnf)
 	if err != nil {
 		return nil, err
 	}
-	m3, err := rec.conn.VNFRAMsg2(vnf, m2)
-	if err != nil {
-		return nil, fmt.Errorf("verifier: RA msg2/3: %w", err)
-	}
-	m4, chErr := ch.ProcessMsg3(m3, m.credentialEvidenceCheck)
-	if m4 != nil {
-		if err := rec.conn.VNFRAMsg4(vnf, m4); err != nil && chErr == nil {
-			return nil, fmt.Errorf("verifier: RA msg4: %w", err)
-		}
-	}
-	if chErr != nil {
-		m.auditVNFAttestation(vnf, hostName, sgx.Measurement{}, chErr)
-		return nil, chErr
-	}
-	m.auditVNFAttestation(vnf, hostName, ch.Quote().Body.MRENCLAVE, nil)
 	return ch.Quote(), nil
 }
