@@ -343,7 +343,9 @@ func runWorkflow(dir *statedir.Dir, hostList, enrollList string, learn, requireT
 			log.Printf("log server at %s unreachable (%v) — not mirroring this run", logURL, err)
 		} else if from := sth.Size; from > l.Size() {
 			log.Printf("log server at %s holds %d entries, VM only %d — not mirroring", logURL, from, l.Size())
-		} else if entries := l.Entries(from, l.Size()-from); len(entries) > 0 {
+		} else if entries, err := l.Entries(from, l.Size()-from); err != nil {
+			log.Printf("reading audit entries from index %d to mirror: %v — not mirroring this run", from, err)
+		} else if len(entries) > 0 {
 			newSTH, err := client.AppendSTH(entries)
 			switch {
 			case errors.Is(err, translog.ErrAppendRejected):

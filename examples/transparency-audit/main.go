@@ -115,7 +115,9 @@ func main() {
 	sth := tlog.STH()
 	check(witness.Advance(sth, fetch))
 	fmt.Printf("workflow logged: tree grew %d → %d entries, consistency proven\n", genesis.Size, sth.Size)
-	for i, e := range tlog.Entries(0, tlog.Size()) {
+	logged, err := tlog.Entries(0, tlog.Size())
+	check(err)
+	for i, e := range logged {
 		fmt.Printf("  [%d] %-12s actor=%-8s serial=%-4s %s\n", i, e.Type, e.Actor, e.Serial, e.Detail)
 	}
 
@@ -636,7 +638,8 @@ func runShardedAct(signer crypto.Signer, logKey *ecdsa.PublicKey) {
 	grown := l.STH()
 	root, err := l.RootAt(l.Size())
 	check(err)
-	entries := l.Entries(0, l.Size())
+	entries, err := l.Entries(0, l.Size())
+	check(err)
 	check(l.Close())
 	streams, err := filepath.Glob(filepath.Join(dir, "seg-h*.wal"))
 	check(err)

@@ -1,7 +1,6 @@
 package controller
 
 import (
-	"crypto/x509"
 	"errors"
 	"fmt"
 	"io"
@@ -123,27 +122,4 @@ func readRequest(w http.ResponseWriter, r *http.Request, limit int64) (body []by
 
 func (c *Controller) handleFlowList(w http.ResponseWriter, r *http.Request) {
 	writeReply(w, c.flowListReply(r.PathValue("dpid")))
-}
-
-// VerifyClientChain builds the trusted-HTTPS VerifyPeerCertificate hook:
-// chain validation against the trusted CA pool plus optional per-leaf
-// checks — revocation (CRL distributed by the Verification Manager) and
-// transparency-log inclusion (the leaf must carry provable issuance
-// evidence in the VM's audit log). Nil checks are skipped.
-func VerifyClientChain(roots *x509.CertPool, checks ...func(*x509.Certificate) error) func(rawCerts [][]byte, verifiedChains [][]*x509.Certificate) error {
-	return func(rawCerts [][]byte, verifiedChains [][]*x509.Certificate) error {
-		if len(verifiedChains) == 0 || len(verifiedChains[0]) == 0 {
-			return x509.CertificateInvalidError{Reason: x509.NotAuthorizedToSign}
-		}
-		leaf := verifiedChains[0][0]
-		for _, check := range checks {
-			if check == nil {
-				continue
-			}
-			if err := check(leaf); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/rand"
+	"crypto/tls"
 	"crypto/x509"
 	"encoding/json"
 	"errors"
@@ -58,6 +59,12 @@ type CredentialEnclave struct {
 	tlsMu    sync.Mutex
 	sessions map[uint32]*tlsSession
 	nextSess uint32
+	// tlsCfg is the full-session client config built from the
+	// provisioned credentials, nil when there are none. Its session
+	// cache holds this enclave's TLS 1.3 tickets and resumption secrets,
+	// so they live in enclave state beside the sessions and never cross
+	// to another VNF's enclave or outlive the credential.
+	tlsCfg *tls.Config
 }
 
 // credentialCode returns the measured code bytes: the enclave version plus
@@ -257,6 +264,7 @@ func (ce *CredentialEnclave) dispatchRecord(ctx *sgx.Context, msgType uint8, pay
 		}
 		return secchan.TypeCSR, resp, nil
 	case secchan.TypeRevoke:
+		ce.setTLSConfig(nil)
 		ctx.Delete(heapTLSKey)
 		ctx.Delete(heapCert)
 		ctx.Delete(heapCA)
@@ -267,7 +275,8 @@ func (ce *CredentialEnclave) dispatchRecord(ctx *sgx.Context, msgType uint8, pay
 	}
 }
 
-// storeCredentials validates and persists a provisioning payload.
+// storeCredentials validates and persists a provisioning payload, and
+// replaces the full-session TLS config with one built from it.
 func (ce *CredentialEnclave) storeCredentials(ctx *sgx.Context, p *ProvisionPayload) error {
 	cert, err := x509.ParseCertificate(p.CertDER)
 	if err != nil {
@@ -277,34 +286,42 @@ func (ce *CredentialEnclave) storeCredentials(ctx *sgx.Context, p *ProvisionPayl
 	if !ok {
 		return errors.New("enclaveapp: certificate key type unsupported")
 	}
+	roots := x509.NewCertPool()
+	if len(p.CADER) > 0 {
+		ca, err := x509.ParseCertificate(p.CADER)
+		if err != nil {
+			return fmt.Errorf("enclaveapp: provisioned CA certificate: %w", err)
+		}
+		roots.AddCert(ca)
+	}
+	var key *ecdsa.PrivateKey
 	switch p.Mode {
 	case ModeVMGenerated:
 		keyAny, err := x509.ParsePKCS8PrivateKey(p.KeyPKCS8)
 		if err != nil {
 			return fmt.Errorf("enclaveapp: provisioned key: %w", err)
 		}
-		key, ok := keyAny.(*ecdsa.PrivateKey)
-		if !ok {
+		if key, ok = keyAny.(*ecdsa.PrivateKey); !ok {
 			return errors.New("enclaveapp: provisioned key type unsupported")
 		}
-		if !key.PublicKey.Equal(certPub) {
-			return ErrKeyCertMismatch
-		}
-		if err := ctx.Put(heapTLSKey, p.KeyPKCS8); err != nil {
-			return err
-		}
 	case ModeCSR:
-		// The key must already exist from the CSR round; verify it
-		// matches the issued certificate.
-		key, err := ce.loadKey(ctx)
-		if err != nil {
+		// The key must already exist from the CSR round.
+		if key, err = ce.loadKey(ctx); err != nil {
 			return fmt.Errorf("enclaveapp: CSR-mode provisioning without key: %w", err)
-		}
-		if !key.PublicKey.Equal(certPub) {
-			return ErrKeyCertMismatch
 		}
 	default:
 		return fmt.Errorf("enclaveapp: unknown provisioning mode %q", p.Mode)
+	}
+	if !key.PublicKey.Equal(certPub) {
+		return ErrKeyCertMismatch
+	}
+	// Tickets from the old credential must never be offered with the
+	// new one: drop the old config before the heap changes under it.
+	ce.setTLSConfig(nil)
+	if p.Mode == ModeVMGenerated {
+		if err := ctx.Put(heapTLSKey, p.KeyPKCS8); err != nil {
+			return err
+		}
 	}
 	if err := ctx.Put(heapCert, p.CertDER); err != nil {
 		return err
@@ -317,10 +334,31 @@ func (ce *CredentialEnclave) storeCredentials(ctx *sgx.Context, p *ProvisionPayl
 			return err
 		}
 	}
+	ce.setTLSConfig(&tls.Config{
+		MinVersion:         tls.VersionTLS12,
+		RootCAs:            roots,
+		Certificates:       []tls.Certificate{{Certificate: [][]byte{p.CertDER}, PrivateKey: key}},
+		ClientSessionCache: tls.NewLRUClientSessionCache(tlsSessionCacheSize),
+	})
 	return nil
 }
 
+// tlsSessionCacheSize bounds the enclave's TLS session cache. Tickets
+// are kept per server name, and a VNF talks to one controller.
+const tlsSessionCacheSize = 4
+
+// setTLSConfig installs cfg as the full-session client config; nil drops
+// the config and every ticket its session cache holds.
+func (ce *CredentialEnclave) setTLSConfig(cfg *tls.Config) {
+	ce.tlsMu.Lock()
+	ce.tlsCfg = cfg
+	ce.tlsMu.Unlock()
+}
+
 func (ce *CredentialEnclave) generateKeyAndCSR(ctx *sgx.Context, commonName string) ([]byte, error) {
+	// The heap key is about to change: the provisioned certificate no
+	// longer matches it, so the old config goes too.
+	ce.setTLSConfig(nil)
 	key, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
 	if err != nil {
 		return nil, fmt.Errorf("enclaveapp: generating key: %w", err)
@@ -474,8 +512,12 @@ func (ce *CredentialEnclave) Identity() sgx.Identity { return ce.enclave.Identit
 // confidentiality tests.
 func (ce *CredentialEnclave) MemoryImage() map[string][]byte { return ce.enclave.MemoryImage() }
 
-// Destroy tears the enclave down, wiping key material.
-func (ce *CredentialEnclave) Destroy() { ce.enclave.Destroy() }
+// Destroy tears the enclave down, wiping key material and the TLS
+// session cache.
+func (ce *CredentialEnclave) Destroy() {
+	ce.setTLSConfig(nil)
+	ce.enclave.Destroy()
+}
 
 // ExpectedCredentialMeasurement computes the MRENCLAVE the Verification
 // Manager pins for credential enclaves trusting vmPub.

@@ -181,8 +181,10 @@ func (ce *CredentialEnclave) handshakenSession(id uint32) (*tlsSession, error) {
 	return sess, err
 }
 
-// handleTLSHandshake runs the handshake of a session DialTLS opened.
-// Arguments: u32 id ‖ u32-length-prefixed server name.
+// handleTLSHandshake runs the handshake of a session DialTLS opened, on
+// a clone of the config built at provisioning: it parses nothing, and a
+// ticket the enclave's session cache holds for the server name resumes
+// the session. Arguments: u32 id ‖ u32-length-prefixed server name.
 func (ce *CredentialEnclave) handleTLSHandshake(ctx *sgx.Context, args []byte) ([]byte, error) {
 	r := wire.NewReader(args)
 	id := r.U32()
@@ -197,29 +199,14 @@ func (ce *CredentialEnclave) handleTLSHandshake(ctx *sgx.Context, args []byte) (
 	if sess.conn != nil {
 		return nil, fmt.Errorf("%w: %d", ErrHandshaken, id)
 	}
-	key, err := ce.loadKey(ctx)
-	if err != nil {
-		return nil, err
-	}
-	certDER, ok := ctx.Get(heapCert)
-	if !ok {
+	ce.tlsMu.Lock()
+	base := ce.tlsCfg
+	ce.tlsMu.Unlock()
+	if base == nil {
 		return nil, ErrNotProvisioned
 	}
-	caDER, _ := ctx.Get(heapCA)
-	roots := x509.NewCertPool()
-	if len(caDER) > 0 {
-		ca, err := x509.ParseCertificate(caDER)
-		if err != nil {
-			return nil, err
-		}
-		roots.AddCert(ca)
-	}
-	cfg := &tls.Config{
-		MinVersion:   tls.VersionTLS12,
-		RootCAs:      roots,
-		ServerName:   serverName,
-		Certificates: []tls.Certificate{{Certificate: [][]byte{certDER}, PrivateKey: key}},
-	}
+	cfg := base.Clone()
+	cfg.ServerName = serverName
 	conn := tls.Client(&ocallConn{Conn: sess.raw, model: ce.platform.Model()}, cfg)
 	if err := conn.Handshake(); err != nil {
 		return nil, fmt.Errorf("enclaveapp: in-enclave handshake: %w", err)

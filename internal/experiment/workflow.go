@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"vnfguard/internal/controller"
@@ -305,17 +306,25 @@ func e4(env *Env) (*Plan, error) {
 	}}, nil
 }
 
-// e5 times TLS placement, the paper's deferred question: handshakes and
-// echoed transfers against a mutual-TLS server with the client key in
-// untrusted memory, the key in the enclave, or the whole session in the
-// enclave.
+// e5 times TLS placement, the paper's deferred question: full and
+// resumed handshakes and echoed transfers against a mutual-TLS server
+// with the client key in untrusted memory, the key in the enclave, or
+// the whole session in the enclave. The full-handshake row of every
+// placement dials a server that issues no session tickets; the resumed
+// row dials one that does, with the ticket each placement's own session
+// cache keeps (the credential enclave's, or one the experiment gives the
+// native and key-in-enclave configs).
 func e5(env *Env) (*Plan, error) {
 	d, _, ce, err := enrolled(env, core.Options{})
 	if err != nil {
 		return nil, err
 	}
 	ca := d.VM.CA()
-	addr, err := echoServer(env, ca)
+	fullAddr, _, err := echoServer(env, ca, false)
+	if err != nil {
+		return nil, err
+	}
+	resumeAddr, resumed, err := echoServer(env, ca, true)
 	if err != nil {
 		return nil, err
 	}
@@ -339,31 +348,63 @@ func e5(env *Env) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	dialers := []struct {
-		name, slug string
-		dial       func() (net.Conn, error)
-	}{
-		{"native (no enclave)", "native", func() (net.Conn, error) { return tls.Dial("tcp", addr, nativeCfg) }},
-		{"key-in-enclave", "key-in-enclave", func() (net.Conn, error) { return tls.Dial("tcp", addr, keyCfg) }},
-		{"full-session-in-enclave", "full-session-in-enclave", func() (net.Conn, error) {
+	tlsDial := func(addr string, cfg *tls.Config, cache bool) func() (net.Conn, error) {
+		if cache {
+			cfg = cfg.Clone()
+			cfg.ClientSessionCache = tls.NewLRUClientSessionCache(1)
+		}
+		return func() (net.Conn, error) { return tls.Dial("tcp", addr, cfg) }
+	}
+	enclaveDial := func(addr string) func() (net.Conn, error) {
+		return func() (net.Conn, error) {
 			raw, err := net.Dial("tcp", addr)
 			if err != nil {
 				return nil, err
 			}
-			return ce.DialTLS(raw, core.ServerName)
-		}},
+			conn, err := ce.DialTLS(raw, core.ServerName)
+			if err != nil {
+				raw.Close()
+				return nil, err
+			}
+			return conn, nil
+		}
+	}
+	dialers := []struct {
+		name, slug   string
+		full, resume func() (net.Conn, error)
+	}{
+		{"native (no enclave)", "native", tlsDial(fullAddr, nativeCfg, false), tlsDial(resumeAddr, nativeCfg, true)},
+		{"key-in-enclave", "key-in-enclave", tlsDial(fullAddr, keyCfg, false), tlsDial(resumeAddr, keyCfg, true)},
+		{"full-session-in-enclave", "full-session-in-enclave", enclaveDial(fullAddr), enclaveDial(resumeAddr)},
+	}
+	// Each placement's first echo stores a ticket and its second must
+	// resume from it.
+	for _, dl := range dialers {
+		for range 2 {
+			if err := echoByte(dl.resume); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if n := resumed.Load(); n != int64(len(dialers)) {
+		return nil, fmt.Errorf("E5: %d of %d placements resumed their session", n, len(dialers))
 	}
 	sizes := []int{64 << 10, 1 << 10}
 	var cases []Case
 	for _, dl := range dialers {
-		cases = append(cases, Case{Name: dl.slug + "/handshake", Body: each(func(int) error {
-			conn, err := dl.dial()
-			if err != nil {
-				return err
-			}
-			return env.untimed(conn.Close)
-		})})
-		conn, err := dl.dial()
+		for _, h := range []struct {
+			name string
+			dial func() (net.Conn, error)
+		}{{"handshake", dl.full}, {"resumed-handshake", dl.resume}} {
+			cases = append(cases, Case{Name: dl.slug + "/" + h.name, Body: each(func(int) error {
+				conn, err := h.dial()
+				if err != nil {
+					return err
+				}
+				return env.untimed(conn.Close)
+			})})
+		}
+		conn, err := dl.full()
 		if err != nil {
 			return nil, err
 		}
@@ -381,34 +422,59 @@ func e5(env *Env) (*Plan, error) {
 	}
 	return &Plan{Cases: cases, Table: func(runs int, r Results) (*metrics.Table, error) {
 		t := metrics.NewTable("E5 — TLS placement (n="+fmt.Sprint(runs)+")",
-			"placement", "handshake mean", "64KiB echo mean", "1KiB echo mean")
+			"placement", "full handshake mean", "resumed handshake mean", "64KiB echo mean", "1KiB echo mean")
 		for _, dl := range dialers {
-			t.AddRow(dl.name, ms(r.Mean(dl.slug+"/handshake")),
+			t.AddRow(dl.name, ms(r.Mean(dl.slug+"/handshake")), ms(r.Mean(dl.slug+"/resumed-handshake")),
 				ms(r.Mean(dl.slug+"/echo-64KiB")), ms(r.Mean(dl.slug+"/echo-1KiB")))
 		}
 		return t, nil
 	}}, nil
 }
 
+// echoByte opens a connection with dial, echoes one byte over it and
+// closes it. Reading the echo also takes in a session ticket the server
+// sent after the handshake.
+func echoByte(dial func() (net.Conn, error)) error {
+	conn, err := dial()
+	if err != nil {
+		return err
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte{1}); err != nil {
+		return err
+	}
+	_, err = io.ReadFull(conn, make([]byte, 1))
+	return err
+}
+
 // echoServer runs a mutual-TLS echo server trusting ca until env is
-// closed, and returns its address.
-func echoServer(env *Env, ca *pki.CA) (string, error) {
+// closed, and returns its address and a count of the handshakes that
+// resumed a session. Without tickets the server never resumes one.
+func echoServer(env *Env, ca *pki.CA, tickets bool) (string, *atomic.Int64, error) {
 	key, err := pki.GenerateKey()
 	if err != nil {
-		return "", err
+		return "", nil, err
 	}
 	cert, err := ca.IssueServerCert(core.ServerName, []string{core.ServerName}, []net.IP{net.IPv4(127, 0, 0, 1)}, &key.PublicKey, time.Hour)
 	if err != nil {
-		return "", err
+		return "", nil, err
 	}
+	resumed := new(atomic.Int64)
 	ln, err := tls.Listen("tcp", "127.0.0.1:0", &tls.Config{
-		MinVersion:   tls.VersionTLS12,
-		Certificates: []tls.Certificate{{Certificate: [][]byte{cert.Raw}, PrivateKey: key}},
-		ClientAuth:   tls.RequireAndVerifyClientCert,
-		ClientCAs:    ca.Pool(),
+		MinVersion:             tls.VersionTLS12,
+		Certificates:           []tls.Certificate{{Certificate: [][]byte{cert.Raw}, PrivateKey: key}},
+		ClientAuth:             tls.RequireAndVerifyClientCert,
+		ClientCAs:              ca.Pool(),
+		SessionTicketsDisabled: !tickets,
+		VerifyConnection: func(cs tls.ConnectionState) error {
+			if cs.DidResume {
+				resumed.Add(1)
+			}
+			return nil
+		},
 	})
 	if err != nil {
-		return "", err
+		return "", nil, err
 	}
 	env.cleanup(ln.Close)
 	go func() {
@@ -423,7 +489,7 @@ func echoServer(env *Env, ca *pki.CA) (string, error) {
 			}()
 		}
 	}()
-	return ln.Addr().String(), nil
+	return ln.Addr().String(), resumed, nil
 }
 
 // e6 times steps 1–2 as the host's IML grows, split into evidence

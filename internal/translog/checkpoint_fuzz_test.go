@@ -153,7 +153,7 @@ func FuzzCheckpointedRecovery(f *testing.F) {
 			t.Fatal("suffix-replay root differs from full-replay root")
 		}
 		// Cold reads hydrate from the cold segments and match the originals.
-		if got := re.Entries(0, re.Size()); !reflect.DeepEqual(got, entries) {
+		if got := mustEntries(t, re, 0, re.Size()); !reflect.DeepEqual(got, entries) {
 			t.Fatal("hydrated entry sequence diverged from the originals")
 		}
 		// A proof spanning the frozen prefix still verifies.

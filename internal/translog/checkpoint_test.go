@@ -6,6 +6,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -148,7 +150,7 @@ func TestCheckpointedRoundTrip(t *testing.T) {
 			if err := VerifyConsistency(700, sthAfter.Size, root700, sthAfter.RootHash, cons); err != nil {
 				t.Fatal(err)
 			}
-			if got := re.Entries(0, re.Size()); !reflect.DeepEqual(got, entries) {
+			if got := mustEntries(t, re, 0, re.Size()); !reflect.DeepEqual(got, entries) {
 				t.Fatal("entry sequence changed across checkpointed restart")
 			}
 
@@ -248,8 +250,60 @@ func TestCheckpointKeepsColdSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if got := re.Entries(0, re.Size()); !reflect.DeepEqual(got, entries) {
+	if got := mustEntries(t, re, 0, re.Size()); !reflect.DeepEqual(got, entries) {
 		t.Fatal("hydrated entries differ from the originals")
+	}
+}
+
+// TestColdEntriesMissingSegmentsRefused: a checkpointed store whose
+// cold segments are gone still opens (the suffix past the checkpoint is
+// all a reopen reads), but a read of the cold prefix is an error, never
+// an empty range — and over HTTP it is a 5xx that no cache may keep,
+// not an immutable "200 []".
+func TestColdEntriesMissingSegmentsRefused(t *testing.T) {
+	key := testSigner(t)
+	dir := t.TempDir()
+	l, err := OpenDurableLog(key, dir, checkpointedConfig(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, l, mixedEntries(300))
+	if err := l.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	cold := segmentsBelow(t, dir, checkpointCounts(t, l))
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(cold) == 0 {
+		t.Fatal("checkpoint left no cold segments")
+	}
+	for _, name := range cold {
+		if err := os.Remove(filepath.Join(dir, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	re, err := OpenDurableLog(key, dir, checkpointedConfig(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got, err := re.Entries(0, 1); err == nil {
+		t.Fatalf("cold read without its segments returned %d entries and no error", len(got))
+	}
+	srv := httptest.NewServer(Handler(re))
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + pathEntries + "?start=0&count=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode < 500 {
+		t.Fatalf("cold entries read without its segments answered %d, want a 5xx", resp.StatusCode)
+	}
+	if cc := resp.Header.Get("Cache-Control"); cc != cacheNoCache {
+		t.Fatalf("failed cold read cached as %q", cc)
 	}
 }
 

@@ -115,13 +115,21 @@ func Handler(l *Log) http.Handler {
 		// log is append-only and the head is its commitment — so the
 		// response is immutable and any front cache may keep it forever.
 		// Ranges touching the head are clamped responses that grow on the
-		// next append; those must revalidate.
+		// next append; those must revalidate. The head is read before the
+		// entries, so an immutable range is never a clamped one.
+		cache := cacheNoCache
 		if count > 0 && start+count >= start && start+count <= l.STH().Size {
-			w.Header().Set("Cache-Control", cacheImmutable)
-		} else {
-			w.Header().Set("Cache-Control", cacheNoCache)
+			cache = cacheImmutable
 		}
-		entries := l.Entries(start, count)
+		entries, err := l.Entries(start, count)
+		if err != nil {
+			// A cold range whose segments cannot be read is an outage,
+			// not an empty range: no cache may keep this answer.
+			w.Header().Set("Cache-Control", cacheNoCache)
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		w.Header().Set("Cache-Control", cache)
 		out := make([]wireEntry, len(entries))
 		for i, e := range entries {
 			out[i] = wireEntry{Canonical: e.Marshal()}

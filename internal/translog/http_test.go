@@ -186,7 +186,7 @@ func TestAppendSTHChunksOverCapBatch(t *testing.T) {
 		t.Fatalf("%d append requests, largest %d bytes: want several, each at most %d", requests, largest, maxAppendBody)
 	}
 	for i, want := range batch {
-		if got := l.Entries(uint64(i), 1)[0]; got.Detail != want.Detail {
+		if got := mustEntries(t, l, uint64(i), 1)[0]; got.Detail != want.Detail {
 			t.Fatalf("entry %d: got %q, want %q", i, got.Detail, want.Detail)
 		}
 	}

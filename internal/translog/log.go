@@ -586,10 +586,12 @@ func (l *Log) Entry(index uint64) (Entry, error) {
 }
 
 // Entries returns committed entries in [start, start+count), clamped to
-// the log size.
-func (l *Log) Entries(start, count uint64) []Entry {
+// the log size. A range reaching below the resident suffix hydrates the
+// cold prefix first; a failed hydration is returned, never read as an
+// empty range.
+func (l *Log) Entries(start, count uint64) ([]Entry, error) {
 	var out []Entry
-	_ = l.withHydration(func() error {
+	err := l.withHydration(func() error {
 		l.mu.RLock()
 		defer l.mu.RUnlock()
 		n := l.entries.count()
@@ -609,7 +611,10 @@ func (l *Log) Entries(start, count uint64) []Entry {
 		}
 		return nil
 	})
-	return out
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // InclusionProof returns the audit path for the entry at index in the

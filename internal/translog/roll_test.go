@@ -45,7 +45,7 @@ func requireEntries(t *testing.T, l *Log, entries []Entry) {
 	if l.Size() != uint64(len(entries)) {
 		t.Fatalf("recovered %d entries, want %d", l.Size(), len(entries))
 	}
-	if got := l.Entries(0, l.Size()); !reflect.DeepEqual(got, entries) {
+	if got := mustEntries(t, l, 0, l.Size()); !reflect.DeepEqual(got, entries) {
 		t.Fatal("recovered entries differ from the originals")
 	}
 }

@@ -106,7 +106,7 @@ func TestShardedRoundTrip(t *testing.T) {
 	if re.Size() != uint64(len(entries)) {
 		t.Fatalf("recovered %d entries, want %d", re.Size(), len(entries))
 	}
-	if got := re.Entries(0, re.Size()); !reflect.DeepEqual(got, entries) {
+	if got := mustEntries(t, re, 0, re.Size()); !reflect.DeepEqual(got, entries) {
 		t.Fatal("global entry order changed across sharded recovery")
 	}
 	rootAfter, err := re.RootAt(re.Size())
@@ -203,7 +203,7 @@ func TestSequencerMergesHostsIntoOneCycle(t *testing.T) {
 	// Global order interleaves the shards round-robin but stays total:
 	// indices 0..N-1 with no gaps, every entry present exactly once.
 	seen := map[string]int{}
-	for _, e := range l.Entries(0, l.Size()) {
+	for _, e := range mustEntries(t, l, 0, l.Size()) {
 		seen[e.Host]++
 	}
 	for h := 0; h < 4; h++ {

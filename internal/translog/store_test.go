@@ -113,7 +113,7 @@ func TestDurableRoundTrip(t *testing.T) {
 	if err := sthAfter.Verify(&key.PublicKey); err != nil {
 		t.Fatal(err)
 	}
-	if got := re.Entries(0, re.Size()); !reflect.DeepEqual(got, entries) {
+	if got := mustEntries(t, re, 0, re.Size()); !reflect.DeepEqual(got, entries) {
 		t.Fatal("entry sequence changed across restart")
 	}
 
@@ -156,7 +156,7 @@ func TestDurableProofSurvivesRestart(t *testing.T) {
 	}
 	appendAll(t, l, mixedEntries(300))
 	var serial string
-	for _, e := range l.Entries(0, l.Size()) {
+	for _, e := range mustEntries(t, l, 0, l.Size()) {
 		if (e.Type == EntryEnroll || e.Type == EntryProvision) && e.Serial != "" && !l.SerialRevoked(e.Serial) {
 			serial = e.Serial
 			break

@@ -542,10 +542,10 @@ func TestEntriesCountOverflow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := l.Entries(1, ^uint64(0)); len(got) != 2 {
+	if got := mustEntries(t, l, 1, ^uint64(0)); len(got) != 2 {
 		t.Fatalf("overflowing count returned %d entries", len(got))
 	}
-	if got := l.Entries(^uint64(0), 1); got != nil {
+	if got := mustEntries(t, l, ^uint64(0), 1); got != nil {
 		t.Fatalf("out-of-range start returned %d entries", len(got))
 	}
 }
@@ -639,4 +639,15 @@ func TestCredentialChecker(t *testing.T) {
 	if err := check(certWithSerial(77)); err == nil {
 		t.Fatal("revoked credential accepted")
 	}
+}
+
+// mustEntries reads l.Entries(start, count), failing the test on a read
+// error.
+func mustEntries(t testing.TB, l *Log, start, count uint64) []Entry {
+	t.Helper()
+	entries, err := l.Entries(start, count)
+	if err != nil {
+		t.Fatalf("Entries(%d, %d): %v", start, count, err)
+	}
+	return entries
 }

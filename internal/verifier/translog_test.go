@@ -48,7 +48,11 @@ func TestManagerAuditsWorkflow(t *testing.T) {
 	}
 	log := d.m.TransparencyLog()
 	var kinds []translog.EntryType
-	for _, e := range log.Entries(0, log.Size()) {
+	entries, err := log.Entries(0, log.Size())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
 		kinds = append(kinds, e.Type)
 	}
 	want := map[translog.EntryType]int{
@@ -102,7 +106,10 @@ func TestManagerAuditsFailedAppraisal(t *testing.T) {
 		t.Fatal(err)
 	}
 	log := d.m.TransparencyLog()
-	entries := log.Entries(0, log.Size())
+	entries, err := log.Entries(0, log.Size())
+	if err != nil {
+		t.Fatal(err)
+	}
 	var found bool
 	for _, e := range entries {
 		if e.Type == translog.EntryAttestFail && e.Actor == "host-a" && e.Detail != "" {
