@@ -53,6 +53,9 @@ func TestRogueCACertificateRejectedWithoutLogEntry(t *testing.T) {
 	}
 	rogueCfg := cfg.Clone()
 	rogueCfg.Certificates = []tls.Certificate{{Certificate: [][]byte{rogueCert.Raw}, PrivateKey: rogueKey}}
+	// The rogue holds none of the enrolled VNF's session tickets: a
+	// shared cache would resume the enrolled credential's session.
+	rogueCfg.ClientSessionCache = nil
 	if _, err := controller.NewClient(d.ControllerURL(), rogueCfg).Summary(); err == nil {
 		t.Fatal("unlogged CA-signed certificate accepted in trusted mode")
 	}

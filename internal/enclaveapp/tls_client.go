@@ -84,7 +84,9 @@ func (s *enclaveSigner) Sign(_ io.Reader, digest []byte, opts crypto.SignerOpts)
 
 // ClientTLSConfig builds a mutual-TLS client config in key-in-enclave
 // mode: the certificate chain is public, the private key stays behind the
-// ECALL boundary.
+// ECALL boundary. The config keeps its own session cache, so a reconnect
+// resumes without a signature ECall; the controller still re-checks
+// revocation and the credential log on a resumed handshake.
 func (ce *CredentialEnclave) ClientTLSConfig(serverName string) (*tls.Config, error) {
 	certDER, caDER, err := ce.Certificate()
 	if err != nil {
@@ -107,10 +109,11 @@ func (ce *CredentialEnclave) ClientTLSConfig(serverName string) (*tls.Config, er
 		roots.AddCert(ca)
 	}
 	return &tls.Config{
-		MinVersion:   tls.VersionTLS12,
-		RootCAs:      roots,
-		ServerName:   serverName,
-		Certificates: []tls.Certificate{{Certificate: [][]byte{certDER}, PrivateKey: signer, Leaf: leaf}},
+		MinVersion:         tls.VersionTLS12,
+		RootCAs:            roots,
+		ServerName:         serverName,
+		Certificates:       []tls.Certificate{{Certificate: [][]byte{certDER}, PrivateKey: signer, Leaf: leaf}},
+		ClientSessionCache: tls.NewLRUClientSessionCache(tlsSessionCacheSize),
 	}, nil
 }
 

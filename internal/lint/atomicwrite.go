@@ -10,7 +10,7 @@ import (
 // file in this project must follow: tmp + write + fsync + rename +
 // parent-dir sync, implemented once by statedir.ReplaceFile, which
 // every replaced file (statedir entries, store heads, checkpoints,
-// tiles, the sealed blob, the platform NV file) goes through.
+// the sealed blob, the platform NV file) goes through.
 // PR 7 fixed recovery trims that skipped the fsync half of this
 // discipline — a crash after recovery could resurrect a torn tail the
 // open had already repaired — and statedir.Dir.Write shipped for six

@@ -227,12 +227,12 @@ func Handler(l *Log) http.Handler {
 
 // serveTile answers GET /translog/v1/tile/{level}/{index} (full tiles)
 // and GET /translog/v1/tile/{level}/{index}.p/{width} (partial right-
-// edge tiles). The body is the checksummed tile framing, verbatim —
-// for a published full tile, the exact bytes of the statedir cache
-// file. Full tiles are immutable forever; partial tiles are short-
-// lived. Requests past the committed head 404 so caches never memorise
-// a right edge that does not exist yet. ({index}.p is not a valid
-// ServeMux wildcard segment, so the subtree is parsed by hand.)
+// edge tiles). The body is the checksummed tile framing of the tree's
+// nodes at those coordinates. Full tiles are immutable forever; partial
+// tiles are short-lived. Requests past the committed head 404 so caches
+// never memorise a right edge that does not exist yet. ({index}.p is
+// not a valid ServeMux wildcard segment, so the subtree is parsed by
+// hand.)
 func serveTile(l *Log, w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, pathTile)
 	parts := strings.Split(rest, "/")

@@ -221,18 +221,6 @@ type Log struct {
 	// what tile serving may expose. An atomic, not l.mu: the tile read
 	// path must never wait on a commit holding the lock across an fsync.
 	committed atomic.Uint64
-	// tileMark is the committed size the tile publisher has covered
-	// (mirrored in the statedir tiles/published file). It only grows.
-	tileMark atomic.Uint64
-	// tileMu serialises every write to the statedir tile cache: publisher
-	// runs, background or explicit, take turns holding it for a whole
-	// run, so the published watermark never moves back, and tile serving
-	// writes a missed tile through only when it is free.
-	tileMu sync.Mutex
-	// tileBusy/tileWG coordinate the background tile publisher exactly
-	// as ckptBusy/ckptWG do the checkpoint writer.
-	tileBusy atomic.Bool
-	tileWG   sync.WaitGroup
 }
 
 // NewLog creates a log whose tree heads are signed by signer (the
@@ -364,13 +352,6 @@ func (l *Log) appendPrepared(batch []Entry, payloads [][]byte, hashes []Hash, tr
 		l.ckptWG.Add(1)
 		go l.checkpointBG()
 	}
-	// Tile publication trigger, same off-commit-path shape: once a
-	// commit completes a fresh full tile, persist it so tile serving is
-	// a file read by the time caches ask.
-	if l.store != nil && l.tilesDue(size) && l.tileBusy.CompareAndSwap(false, true) {
-		l.tileWG.Add(1)
-		go l.publishTilesBG()
-	}
 	return first, nil
 }
 
@@ -454,6 +435,7 @@ func (l *Log) hydrate() error {
 	if base == 0 {
 		return nil // already resident
 	}
+	start := time.Now()
 	payloads, hashes, err := store.loadCold(base)
 	if err != nil {
 		return err
@@ -472,6 +454,8 @@ func (l *Log) hydrate() error {
 	l.tree.splice(pre.levels)
 	l.entries.splice(payloads)
 	l.mu.Unlock()
+	mColdHydrations.Inc()
+	mColdHydrationSeconds.Observe(time.Since(start))
 	return nil
 }
 
@@ -529,16 +513,15 @@ func (l *Log) StoreShards() int {
 // Close releases the durable store, fsyncing the tail segment. It is a
 // no-op for in-memory logs and is safe to call more than once.
 func (l *Log) Close() error {
-	// Wait out any in-flight background checkpoint or tile publisher
-	// before locking (the writers snapshot under the read lock / the
-	// tree's own lock). A commit racing this Close may spawn a fresh
-	// writer after the Wait, so re-check under the lock — new writers
-	// can only be spawned by commits, which hold it.
+	// Wait out any in-flight background checkpoint writer before
+	// locking (it snapshots under the read lock). A commit racing this
+	// Close may spawn a fresh writer after the Wait, so re-check under
+	// the lock — new writers can only be spawned by commits, which hold
+	// it.
 	for {
 		l.ckptWG.Wait()
-		l.tileWG.Wait()
 		l.mu.Lock()
-		if !l.ckptBusy.Load() && !l.tileBusy.Load() {
+		if !l.ckptBusy.Load() {
 			break
 		}
 		l.mu.Unlock()

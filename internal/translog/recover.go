@@ -653,14 +653,5 @@ func OpenDurableLog(signer crypto.Signer, dir string, cfg StoreConfig) (*Log, er
 	l.sth = sth
 	l.store = store
 	l.committed.Store(size)
-	// Resume tile publication where the previous incarnation stopped:
-	// the watermark keeps a reopen from re-deriving (and re-writing)
-	// thousands of byte-identical tiles, and from hydrating the cold
-	// prefix just to cover tiles that are already on disk.
-	l.tileMark.Store(store.loadTileMark())
-	if l.tilesDue(size) && l.tileBusy.CompareAndSwap(false, true) {
-		l.tileWG.Add(1)
-		go l.publishTilesBG()
-	}
 	return l, nil
 }

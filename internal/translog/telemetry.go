@@ -78,15 +78,13 @@ var (
 	mCkptBytes = obsReg.Gauge("translog_checkpoint_bytes",
 		"Size of the newest durable checkpoint file.")
 
+	// Cold prefix.
+	mColdHydrations = obsReg.Counter("translog_cold_hydrations_total",
+		"Cold-prefix hydrations: a read below a reopened checkpoint loaded the cold WAL segments back into memory.")
+	mColdHydrationSeconds = obsReg.Histogram("translog_cold_hydration_seconds",
+		"Cold-prefix hydration latency: cold segment read, prefix tree rebuild and root check.")
+
 	// Tile read path.
-	mTileCacheHits = obsReg.Counter("translog_tile_cache_hits_total",
-		"Full-tile requests served straight from the statedir tile cache (no tree access).")
-	mTileCacheMisses = obsReg.Counter("translog_tile_cache_misses_total",
-		"Full-tile requests that missed the statedir tile cache and were extracted from the tree.")
-	mTilesPublished = obsReg.Counter("translog_tile_published_total",
-		"Full tiles persisted into the statedir tile cache (background publisher plus write-through).")
-	mTileMark = obsReg.Gauge("translog_tile_published_mark",
-		"Committed size the background tile publisher has covered.")
 	mTileHTTP = obsReg.Counter("translog_tile_http_requests_total",
 		"Tile endpoint requests served (full and partial).")
 

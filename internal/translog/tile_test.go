@@ -2,13 +2,12 @@ package translog
 
 import (
 	"errors"
-	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"reflect"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -40,8 +39,8 @@ func TestTileMath(t *testing.T) {
 		if got := tileNodeCount(c.n, c.level); got != c.nodes {
 			t.Errorf("tileNodeCount(%d, %d) = %d, want %d", c.n, c.level, got, c.nodes)
 		}
-		if got := fullTileCount(c.n, c.level); got != c.full {
-			t.Errorf("fullTileCount(%d, %d) = %d, want %d", c.n, c.level, got, c.full)
+		if got := tileNodeCount(c.n, c.level+1); got != c.full {
+			t.Errorf("full tiles at (%d, %d) = %d, want %d", c.n, c.level, got, c.full)
 		}
 	}
 }
@@ -307,6 +306,7 @@ func TestColdRangeTileServing(t *testing.T) {
 
 	// Every tile at every level, cold through live: byte-identical to the
 	// reference (which also pins hydration to the checkpoint's content).
+	hydrations := mColdHydrations.Value()
 	for level := uint64(0); tileNodeCount(total, level) > 0; level++ {
 		nodes := tileNodeCount(total, level)
 		for index := uint64(0); index*TileWidth < nodes; index++ {
@@ -326,6 +326,9 @@ func TestColdRangeTileServing(t *testing.T) {
 				t.Fatalf("Tile(%d, %d, %d) bytes diverge from reference", level, index, width)
 			}
 		}
+	}
+	if got := mColdHydrations.Value() - hydrations; got != 1 {
+		t.Fatalf("serving every tile hydrated the cold prefix %d times, want exactly once", got)
 	}
 
 	// Proofs assembled from the reopened log's tiles verify against the
@@ -363,65 +366,11 @@ func TestColdRangeTileServing(t *testing.T) {
 	}
 }
 
-// TestTilePublisherBackgroundAndResume covers the off-commit-path
-// publisher: commits that complete a tile trigger it, the watermark
-// persists, a reopened log resumes instead of republishing, and the
-// published files byte-match what Tile serves.
-func TestTilePublisherBackgroundAndResume(t *testing.T) {
-	key := testSigner(t)
-	dir := t.TempDir()
-	cfg := StoreConfig{NoSync: true}
-	l, err := OpenDurableLog(key, dir, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries := mixedEntries(600)
-	appendAll(t, l, entries)
-	if err := l.Close(); err != nil { // Close drains the background publisher
-		t.Fatal(err)
-	}
-	if mark := (&Store{dir: dir}).loadTileMark(); mark != 600 {
-		t.Fatalf("published watermark %d, want 600", mark)
-	}
-	for index := uint64(0); index < 2; index++ {
-		if _, err := os.Stat((&Store{dir: dir}).tilePath(0, index)); err != nil {
-			t.Fatalf("published tile (0, %d) missing: %v", index, err)
-		}
-	}
-
-	re, err := OpenDurableLog(key, dir, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if got := re.tileMark.Load(); got != 600 {
-		t.Fatalf("reopened watermark %d, want 600", got)
-	}
-	published := mTilesPublished.Value()
-	tile, err := re.Tile(0, 0, TileWidth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mTilesPublished.Value() != published {
-		t.Fatal("cache hit still republished the tile")
-	}
-	data, err := os.ReadFile(re.store.tilePath(0, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != string(encodeTile(tile)) {
-		t.Fatal("served tile bytes differ from the published file")
-	}
-}
-
-// TestTileServingTakesNoCommitLockAndHashesNothing pins the tentpole
-// no-contention claim two ways at once: a below-watermark full tile is
-// served through the HTTP handler while the test holds the log's commit
-// lock (so any acquisition — including the hydration path's — would
-// deadlock and time the request out), and the cache file has been
-// overwritten with distinctive valid-CRC bytes beforehand, so getting
-// those bytes back verbatim proves the response came from one file read
-// — no tree access, no hashing.
+// TestTileServingTakesNoCommitLockAndHashesNothing pins the no-contention
+// claim: a full tile is served through the HTTP handler while the test
+// holds the log's commit lock (so any acquisition — including the
+// hydration path's — would deadlock and time the request out), and its
+// bytes are exactly the tree's resident nodes for those coordinates.
 func TestTileServingTakesNoCommitLockAndHashesNothing(t *testing.T) {
 	key := testSigner(t)
 	l, err := OpenDurableLog(key, t.TempDir(), StoreConfig{NoSync: true})
@@ -430,21 +379,11 @@ func TestTileServingTakesNoCommitLockAndHashesNothing(t *testing.T) {
 	}
 	defer l.Close()
 	appendAll(t, l, mixedEntries(600))
-	if err := l.PublishTiles(); err != nil {
+	nodes, err := l.tree.nodes(0, 0, TileWidth)
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Plant a marker tile: same coordinates, distinctive hashes. The
-	// framing is valid, so only the file-read path can produce it.
-	marker := &Tile{Level: 0, Index: 0, Hashes: make([]Hash, TileWidth)}
-	for i := range marker.Hashes {
-		for j := range marker.Hashes[i] {
-			marker.Hashes[i][j] = 0xA5
-		}
-	}
-	if err := os.WriteFile(l.store.tilePath(0, 0), encodeTile(marker), 0o600); err != nil {
-		t.Fatal(err)
-	}
+	want := &Tile{Level: 0, Index: 0, Hashes: nodes}
 
 	srv := httptest.NewServer(Handler(l))
 	defer srv.Close()
@@ -463,9 +402,9 @@ func TestTileServingTakesNoCommitLockAndHashesNothing(t *testing.T) {
 	}()
 	select {
 	case tile := <-got:
-		if string(encodeTile(tile)) != string(encodeTile(marker)) {
+		if string(encodeTile(tile)) != string(encodeTile(want)) {
 			l.mu.Unlock()
-			t.Fatal("tile not served verbatim from the cache file")
+			t.Fatal("served tile differs from the tree's nodes")
 		}
 	case err := <-fail:
 		l.mu.Unlock()
@@ -477,81 +416,13 @@ func TestTileServingTakesNoCommitLockAndHashesNothing(t *testing.T) {
 	l.mu.Unlock()
 }
 
-// TestPublishTilesConcurrent races explicit PublishTiles calls from
-// several goroutines against the background publisher that the appends
-// keep triggering. Every run must succeed — the runs share each tile's
-// temp file name — the watermark must never move back, and every full
-// tile must end up on disk holding the tree's hashes.
-func TestPublishTilesConcurrent(t *testing.T) {
+// TestCheckpointedReopenHydratesNothing: after commits that complete
+// tiles, a checkpoint and Close, the reopen must leave the cold prefix
+// on disk — nothing at open (tile serving included) may hydrate it.
+func TestCheckpointedReopenHydratesNothing(t *testing.T) {
 	key := testSigner(t)
-	l, err := OpenDurableLog(key, t.TempDir(), StoreConfig{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	stop := make(chan struct{})
-	errs := make(chan error, 4)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			last := uint64(0)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if err := l.PublishTiles(); err != nil {
-					errs <- err
-					return
-				}
-				if mark := l.tileMark.Load(); mark < last {
-					errs <- fmt.Errorf("watermark moved back from %d to %d", last, mark)
-					return
-				} else {
-					last = mark
-				}
-			}
-		}()
-	}
-	appendAll(t, l, mixedEntries(10*TileWidth+40))
-	close(stop)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if err := l.PublishTiles(); err != nil {
-		t.Fatal(err)
-	}
-	size := l.Size()
-	if mark := l.tileMark.Load(); mark != size || l.store.loadTileMark() != size {
-		t.Fatalf("watermark %d (file %d), want the committed size %d", mark, l.store.loadTileMark(), size)
-	}
-	for index := uint64(0); index < fullTileCount(size, 0); index++ {
-		tile, ok := l.store.readTile(0, index)
-		if !ok {
-			t.Fatalf("full tile %d missing from the cache", index)
-		}
-		want, err := l.tree.nodes(0, index*TileWidth, (index+1)*TileWidth)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(tile.Hashes, want) {
-			t.Fatalf("cached tile %d differs from the tree", index)
-		}
-	}
-}
-
-// TestCloseLeavesTileWatermarkAtHead: commits that complete tiles while
-// the background publisher is busy must still be published before Close
-// returns. A watermark left behind makes the next open publish those
-// tiles itself, hydrating the cold prefix below a checkpoint to do it.
-func TestCloseLeavesTileWatermarkAtHead(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenDurableLog(testSigner(t), dir, StoreConfig{NoSync: true})
+	l, err := OpenDurableLog(key, dir, StoreConfig{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -562,12 +433,126 @@ func TestCloseLeavesTileWatermarkAtHead(t *testing.T) {
 		}
 		entries = entries[4*TileWidth:]
 	}
-	size := l.Size()
+	if err := l.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if mark := (&Store{dir: dir}).loadTileMark(); mark != size {
-		t.Fatalf("tile watermark %d after Close, want the head %d", mark, size)
+
+	hydrations := mColdHydrations.Value()
+	re, err := OpenDurableLog(key, dir, StoreConfig{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	re.mu.RLock()
+	base := re.entries.base
+	re.mu.RUnlock()
+	if base == 0 {
+		t.Fatal("reopen hydrated the cold prefix (entries.base is 0)")
+	}
+	if got := mColdHydrations.Value() - hydrations; got != 0 {
+		t.Fatalf("reopen ran %d cold hydrations, want none", got)
+	}
+}
+
+// TestOldStatedirTileCacheIgnored: a store written by a build that kept
+// a statedir tile cache holds tiles/ and tiles/published. It must open
+// to the same head and serve tiles byte-identical to a resident
+// reference log; the directory is never read, written or refused. The
+// planted tile file carries valid framing with wrong hashes, so serving
+// it would show.
+func TestOldStatedirTileCacheIgnored(t *testing.T) {
+	key := testSigner(t)
+	dir := t.TempDir()
+	entries := mixedEntries(600)
+	l, err := OpenDurableLog(key, dir, checkpointedConfig(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, l, entries[:400])
+	if err := l.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, l, entries[400:])
+	head := l.STH()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	marker := &Tile{Level: 0, Index: 0, Hashes: make([]Hash, TileWidth)}
+	for i := range marker.Hashes {
+		for j := range marker.Hashes[i] {
+			marker.Hashes[i][j] = 0xA5
+		}
+	}
+	tilesDir := filepath.Join(dir, "tiles")
+	planted := map[string][]byte{
+		"tile-0-00000000000000000000.til": encodeTile(marker),
+		"published":                       []byte("600"),
+	}
+	if err := os.Mkdir(tilesDir, 0o700); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range planted {
+		if err := os.WriteFile(filepath.Join(tilesDir, name), data, 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ref, err := NewLog(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.AppendBatch(entries); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenDurableLog(key, dir, checkpointedConfig(0))
+	if err != nil {
+		t.Fatalf("store with an old tiles/ directory refused: %v", err)
+	}
+	defer re.Close()
+	if sth := re.STH(); sth.Size != head.Size || sth.RootHash != head.RootHash {
+		t.Fatalf("reopened head (%d, %x), want (%d, %x)", sth.Size, sth.RootHash, head.Size, head.RootHash)
+	}
+	for level := uint64(0); tileNodeCount(600, level) > 0; level++ {
+		nodes := tileNodeCount(600, level)
+		for index := uint64(0); index*TileWidth < nodes; index++ {
+			width := int(min(nodes-index*TileWidth, TileWidth))
+			got, err := re.Tile(level, index, width)
+			if err != nil {
+				t.Fatalf("Tile(%d, %d, %d): %v", level, index, width, err)
+			}
+			want, err := ref.Tile(level, index, width)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(encodeTile(got)) != string(encodeTile(want)) {
+				t.Fatalf("Tile(%d, %d, %d) bytes diverge from reference", level, index, width)
+			}
+		}
+	}
+	// Commits that complete tiles write nothing under tiles/ either.
+	if _, err := re.AppendBatch(mixedEntries(TileWidth)); err != nil {
+		t.Fatal(err)
+	}
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	names, err := os.ReadDir(tilesDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(names) != len(planted) {
+		t.Fatalf("tiles/ holds %d files after reopen, want the %d planted", len(names), len(planted))
+	}
+	for name, data := range planted {
+		got, err := os.ReadFile(filepath.Join(tilesDir, name))
+		if err != nil || string(got) != string(data) {
+			t.Fatalf("tiles/%s rewritten: %v", name, err)
+		}
 	}
 }
 
