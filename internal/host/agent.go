@@ -166,7 +166,7 @@ func writeJSON(w http.ResponseWriter, v any) {
 
 func httpError(w http.ResponseWriter, err error) {
 	status := http.StatusInternalServerError
-	if strings.Contains(err.Error(), "unknown VNF") {
+	if errors.Is(err, ErrUnknownVNF) {
 		status = http.StatusNotFound
 	}
 	http.Error(w, err.Error(), status)
@@ -274,8 +274,12 @@ func (c *Client) VNFs() ([]string, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("host client: vnfs status %d", resp.StatusCode)
 	}
+	data, err := readBody(resp)
+	if err != nil {
+		return nil, fmt.Errorf("host client: GET %s: %w", pathVNFs, err)
+	}
 	var names []string
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&names); err != nil {
+	if err := json.Unmarshal(data, &names); err != nil {
 		return nil, err
 	}
 	return names, nil

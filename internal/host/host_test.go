@@ -317,6 +317,20 @@ func TestClientResponseTooLarge(t *testing.T) {
 	}
 }
 
+// TestClientVNFsResponseTooLarge: an agent's VNF list one byte over the
+// client's limit is refused as too large, like every other agent reply.
+func TestClientVNFsResponseTooLarge(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(make([]byte, maxResponseBytes+1))
+	}))
+	defer srv.Close()
+	_, err := NewClient(srv.URL).VNFs()
+	if !errors.Is(err, ErrResponseTooLarge) {
+		t.Fatalf("vnfs with a %d-byte reply: got %v, want ErrResponseTooLarge", maxResponseBytes+1, err)
+	}
+}
+
 // TestAgentAttestAllocationsFlat: fetching evidence over HTTP costs no
 // allocation per IML entry, on the agent or the client side: the list
 // crosses the ECall and the wire as a length-prefixed copy.

@@ -40,9 +40,9 @@ import (
 )
 
 // RecoveredState is the replayed-and-verified view of a store's disk
-// state handed to each trust anchor at open: the durable entry count
-// and the recomputed Merkle roots over it. Anchors compare it against
-// whatever head they remember.
+// state handed to each trust anchor at open: the durable entry count,
+// the size its checkpoint covers, and the recomputed Merkle roots over
+// it. Anchors compare it against whatever head they remember.
 type RecoveredState struct {
 	// Size is the number of durable, decodable entries on disk.
 	Size uint64
@@ -51,16 +51,28 @@ type RecoveredState struct {
 	// the file's existence still proves a genesis head was once
 	// persisted.
 	Segments int
-	// rootAt recomputes the Merkle root over the first n entries.
+	// checkpoint is the size the store's checkpoint covers (0 without
+	// one). The replay starts there: the roots below it are not
+	// recomputed, and no honest anchor remembers a head below it, because
+	// a checkpoint is written only for a head the whole chain has
+	// acknowledged.
+	checkpoint uint64
+	// rootAt recomputes the Merkle root over the first n entries, for n
+	// at or past checkpoint.
 	rootAt func(n uint64) (Hash, error)
 }
 
 // RootAt returns the recomputed Merkle root over the first n recovered
-// entries (n ≤ Size).
+// entries, for checkpoint ≤ n ≤ Size: check refuses a remembered size
+// below the checkpoint before it asks.
 func (s *RecoveredState) RootAt(n uint64) (Hash, error) { return s.rootAt(n) }
 
-// check is every anchor's one comparison: the state must cover at least
-// the remembered size, and its recomputed root at that size must be the
+// check is every anchor's one comparison, and the one place a remembered
+// head meets the checkpoint: the remembered size must lie at or past the
+// checkpoint (a head below it — a genesis head included — predates a
+// checkpoint that could not exist without it: the state was rewound
+// around a newer checkpoint), the state must cover at least the
+// remembered size, and its recomputed root at that size must be the
 // remembered root. Entries beyond the head (persisted but not yet headed
 // when the process died) are legitimate. what names the remembered head
 // in the refusal; rollback and tampered are the anchor's sentinels for
@@ -73,6 +85,9 @@ func (s *RecoveredState) RootAt(n uint64) (Hash, error) { return s.rootAt(n) }
 // deployment, so no local check can beat them; catching it needs a root
 // of trust off this disk — the witness and sealed-counter anchors.
 func (s *RecoveredState) check(size uint64, root Hash, what string, rollback, tampered error) error {
+	if size < s.checkpoint {
+		return fmt.Errorf("%w: the %s covers %d entries, below the checkpoint at %d", rollback, what, size, s.checkpoint)
+	}
 	if s.Size < size {
 		return fmt.Errorf("%w: %d durable entries but the %s covers %d", rollback, s.Size, what, size)
 	}
@@ -89,7 +104,9 @@ func (s *RecoveredState) check(size uint64, root Hash, what string, rollback, ta
 // TrustAnchor is one independently rooted memory of the log's newest
 // committed head. Implementations must refuse (CheckRecovery error) any
 // recovered state older than — or contradicting — what they remember,
-// and must remember every head the store commits. CommitHead of a head
+// a state whose checkpoint lies past the remembered head included (the
+// package's anchors judge all three through RecoveredState.check), and
+// must remember every head the store commits. CommitHead of a head
 // the anchor already remembers may write nothing: OpenDurableLog
 // re-commits the recovered head through the whole chain, so a lagging
 // anchor catches up and a current one costs nothing. CommitHead is called
@@ -216,12 +233,13 @@ func (a *WitnessAnchor) CheckRecovery(state *RecoveredState) error {
 		return err
 	}
 	if !ok {
-		if a.store && state.Segments > 0 {
-			// Segment files can only exist after the genesis head was
-			// persisted, so a missing head alongside them is deletion,
-			// not a fresh directory — even when every record in them
-			// was torn away.
-			return fmt.Errorf("%w: %d segment file(s) but no persisted tree head", ErrStateTampered, state.Segments)
+		if a.store && (state.Segments > 0 || state.checkpoint > 0) {
+			// Segment files and checkpoints can only exist after the
+			// genesis head was persisted, so a missing head alongside
+			// them is deletion, not a fresh directory — even when every
+			// record in them was torn away.
+			return fmt.Errorf("%w: %d segment file(s) and checkpoint size %d but no persisted tree head",
+				ErrStateTampered, state.Segments, state.checkpoint)
 		}
 		return nil // first run: nothing remembered yet
 	}

@@ -41,23 +41,26 @@ func testStatedir(t *testing.T) *statedir.Dir {
 // TestAnchorConformance runs every TrustAnchor implementation through
 // the shared interface contract: a fresh anchor accepts an empty state;
 // committed heads are remembered; a state rewound behind — or
-// contradicting — the newest committed head is refused; re-checking a
-// matching state stays accepted.
+// contradicting — the newest committed head is refused; a state whose
+// checkpoint lies past the remembered head, a genesis head included, is
+// refused with the anchor's rollback sentinel; re-checking a matching
+// state stays accepted.
 func TestAnchorConformance(t *testing.T) {
 	impls := []struct {
-		name string
-		mk   func(t *testing.T, pub *ecdsa.PublicKey) TrustAnchor
+		name     string
+		mk       func(t *testing.T, pub *ecdsa.PublicKey) TrustAnchor
+		rollback error
 	}{
 		{"statedir-sth", func(t *testing.T, pub *ecdsa.PublicKey) TrustAnchor {
 			return newSTHAnchor(t.TempDir(), pub)
-		}},
+		}, ErrStateRollback},
 		{"witness-head", func(t *testing.T, pub *ecdsa.PublicKey) TrustAnchor {
 			return NewWitnessAnchor(testStatedir(t), "anchor", pub)
-		}},
+		}, ErrStateRollback},
 		{"quorum-witness", func(t *testing.T, pub *ecdsa.PublicKey) TrustAnchor {
 			_, roster := testWitnessKeys(t, 2, 1)
 			return NewQuorumWitnessAnchor(testStatedir(t), "anchor", pub, roster)
-		}},
+		}, ErrStateRollback},
 		{"sealed-counter", func(t *testing.T, pub *ecdsa.PublicKey) TrustAnchor {
 			vendor := testSigner(t)
 			a, err := NewSealedHeadAnchor(testPlatform(t), vendor,
@@ -67,7 +70,7 @@ func TestAnchorConformance(t *testing.T) {
 			}
 			t.Cleanup(func() { a.Close() })
 			return a
-		}},
+		}, ErrSealedRollback},
 	}
 	for _, impl := range impls {
 		t.Run(impl.name, func(t *testing.T) {
@@ -76,6 +79,7 @@ func TestAnchorConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			genesis := l.STH()
 			if _, err := l.AppendBatch(mixedEntries(2)); err != nil {
 				t.Fatal(err)
 			}
@@ -124,6 +128,21 @@ func TestAnchorConformance(t *testing.T) {
 			}}
 			if err := a.CheckRecovery(tampered); err == nil {
 				t.Fatal("tampered state accepted")
+			}
+			// A checkpoint past the remembered head: the state was rewound
+			// around a checkpoint no honest chain writes before its head.
+			ahead := &RecoveredState{Size: h2.Size + 1, checkpoint: h2.Size + 1, rootAt: rootAt}
+			if err := a.CheckRecovery(ahead); !errors.Is(err, impl.rollback) {
+				t.Fatalf("checkpoint past the remembered head: got %v, want %v", err, impl.rollback)
+			}
+			// The same for an anchor remembering only the genesis head,
+			// whose empty root needs no entries to recompute.
+			g := impl.mk(t, &key.PublicKey)
+			if err := g.CommitHead(genesis); err != nil {
+				t.Fatalf("CommitHead(genesis): %v", err)
+			}
+			if err := g.CheckRecovery(&RecoveredState{Size: h2.Size, checkpoint: h1.Size, rootAt: rootAt}); !errors.Is(err, impl.rollback) {
+				t.Fatalf("checkpoint past a genesis head: got %v, want %v", err, impl.rollback)
 			}
 			// And the matching state still passes afterwards: refusals
 			// must not corrupt the anchor.

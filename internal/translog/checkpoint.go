@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"maps"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"slices"
@@ -23,25 +24,29 @@ import (
 // Checkpoints: anchor-verified summaries of the cold prefix, so open
 // replays only the WAL suffix.
 //
-// A checkpoint persists, for one already-committed tree head: the
-// frozen subtree roots of the head size's binary decomposition (≤64
-// hashes, whatever the log size), the signed tree head itself, the
-// per-stream WAL record counts, and a snapshot of the
-// serial indexes (issuance map + revoked set) derived from the cold
-// entries. Recovery seeds a suffix tree from the blocks, replays only
-// records at or past the checkpoint, and hands the trust-anchor chain a
-// RootAt that covers every size ≥ the checkpoint — which is every size
-// any anchor can remember, because a checkpoint is only ever written
-// for a head the whole chain has already acknowledged.
+// A checkpoint persists, for one already-committed tree size: the
+// frozen subtree roots of the size's binary decomposition (≤64 hashes,
+// whatever the log size), the per-stream WAL record counts, and a
+// snapshot of the serial indexes (issuance map + revoked set) derived
+// from the cold entries. Recovery seeds a suffix tree from the blocks,
+// replays only records at or past the checkpoint, and hands the
+// trust-anchor chain a RecoveredState whose roots cover every size ≥ the
+// checkpoint. That is every size an honest anchor can remember, because
+// a checkpoint is only ever written for a head the whole chain has
+// already acknowledged; RecoveredState.check refuses a remembered size
+// below it as a rollback.
 //
-// Verification at load is layered so each failure keeps its meaning:
-// a CRC mismatch is ErrStateCorrupt (damage); an invalid checkpoint or
-// inner head signature, or blocks that do not fold to the signed root,
-// is ErrStateTampered (rewrite); a checkpoint claiming a size beyond
-// the persisted head is ErrStateRollback (the statedir was rewound
-// around a newer checkpoint). The serial snapshot is not covered by the
-// Merkle root — it is derived state — so the checkpoint signature
-// covers it explicitly; editing it in place is tamper, not corruption.
+// One signature, by the log key, covers the whole file, and load checks
+// nothing else: a CRC mismatch is ErrStateCorrupt (damage), an invalid
+// signature ErrStateTampered (rewrite). The blocks' root is judged where
+// every other root is — by the anchors, whose remembered heads all lie
+// at or past the checkpoint and so fold the blocks into the roots they
+// compare. The serial snapshot is not covered by the Merkle root — it
+// is derived state — so the signature covers it explicitly; editing it
+// in place is tamper, not corruption. A file written while the header
+// also carried the head it was taken at (an "sth" object) still opens:
+// the signature covers the header bytes as written, and decoding
+// ignores the field.
 
 // checkpointFileName holds the newest durable checkpoint.
 const checkpointFileName = "checkpoint.bin"
@@ -56,7 +61,6 @@ const ckptSigPrefix = "vnfguard-translog-ckpt-v1"
 // checkpoint is the decoded, verified checkpoint state.
 type checkpoint struct {
 	size   uint64
-	sth    SignedTreeHead
 	blocks []Hash
 	// streamCounts is each WAL stream's record count at the checkpoint:
 	// how many of its records are cold. A checkpoint without them was
@@ -68,10 +72,9 @@ type checkpoint struct {
 
 // ckptHeader is the JSON header inside the checkpoint file.
 type ckptHeader struct {
-	Size         uint64         `json:"size"`
-	STH          SignedTreeHead `json:"sth"`
-	Blocks       []Hash         `json:"blocks"`
-	StreamCounts []uint64       `json:"stream_counts,omitempty"`
+	Size         uint64   `json:"size"`
+	Blocks       []Hash   `json:"blocks"`
+	StreamCounts []uint64 `json:"stream_counts,omitempty"`
 }
 
 // ckptDigest is the SHA-256 the checkpoint signature covers: the domain
@@ -168,21 +171,11 @@ func openEnvelope(data []byte, magic [8]byte) ([]byte, error) {
 	return data[len(magic):end], nil
 }
 
-// foldBlocks folds decomposition roots (largest first) into MTH(D[0:n]):
-// root([0,n)) = H(B1, root(rest)).
-func foldBlocks(blocks []Hash) Hash {
-	r := blocks[len(blocks)-1]
-	for j := len(blocks) - 2; j >= 0; j-- {
-		r = nodeHash(blocks[j], r)
-	}
-	return r
-}
-
 // writeCheckpointFile signs and atomically persists a checkpoint. The
 // caller passes state captured under the log lock for an
-// already-committed head (sth.Size == size).
+// already-committed size.
 func writeCheckpointFile(dir string, ck *checkpoint, signer crypto.Signer, noSync bool) (int, error) {
-	hdr, err := json.Marshal(ckptHeader{Size: ck.size, STH: ck.sth, Blocks: ck.blocks, StreamCounts: ck.streamCounts})
+	hdr, err := json.Marshal(ckptHeader{Size: ck.size, Blocks: ck.blocks, StreamCounts: ck.streamCounts})
 	if err != nil {
 		return 0, fmt.Errorf("translog: encoding checkpoint: %w", err)
 	}
@@ -202,13 +195,9 @@ func writeCheckpointFile(dir string, ck *checkpoint, signer crypto.Signer, noSyn
 	return len(buf), nil
 }
 
-// loadCheckpoint reads and verifies the store's checkpoint, nil when
-// none exists. head is the store's own head anchor: its key verifies the
-// checkpoint, and its persisted head is consulted for the rollback
-// tripwire — a checkpoint claiming a size the persisted head does not
-// reach means the statedir was rewound around a newer checkpoint.
-func loadCheckpoint(dir string, head *WitnessAnchor) (*checkpoint, error) {
-	pub := head.pub
+// loadCheckpoint reads the store's checkpoint and verifies its signature
+// under the log key pub; nil when none exists.
+func loadCheckpoint(dir string, pub *ecdsa.PublicKey) (*checkpoint, error) {
 	data, err := os.ReadFile(filepath.Join(dir, checkpointFileName))
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil
@@ -235,46 +224,17 @@ func loadCheckpoint(dir string, head *WitnessAnchor) (*checkpoint, error) {
 	if !ecdsa.VerifyASN1(pub, digest[:], sig) {
 		return nil, fmt.Errorf("%w: checkpoint signature invalid", ErrStateTampered)
 	}
-	// The signed contents must be self-consistent: the inner head is a
-	// valid head for exactly this size, and the frozen blocks fold to
-	// its root. A mismatch under a valid signature cannot happen without
-	// the signer's cooperation, but the checks are cheap and keep a
-	// buggy writer from silently wedging recovery.
-	if err := hdr.STH.Verify(pub); err != nil {
-		return nil, fmt.Errorf("%w: checkpoint tree head signature invalid", ErrStateTampered)
-	}
-	if hdr.STH.Size != hdr.Size || hdr.Size == 0 {
-		return nil, fmt.Errorf("%w: checkpoint size %d does not match its tree head (%d)",
-			ErrStateTampered, hdr.Size, hdr.STH.Size)
-	}
-	want := 0
-	for n := hdr.Size; n > 0; n &= n - 1 {
-		want++
-	}
-	if len(hdr.Blocks) != want || foldBlocks(hdr.Blocks) != hdr.STH.RootHash {
-		return nil, fmt.Errorf("%w: checkpoint frozen blocks do not fold to the signed root", ErrStateTampered)
+	// A signed block set that does not decompose the signed size cannot
+	// seed a suffix tree; only a buggy writer produces one.
+	if hdr.Size == 0 || len(hdr.Blocks) != bits.OnesCount64(hdr.Size) {
+		return nil, fmt.Errorf("%w: checkpoint holds %d frozen blocks for size %d", ErrStateTampered, len(hdr.Blocks), hdr.Size)
 	}
 	issuance, revoked, err := parseSnapshot(snap)
 	if err != nil {
 		return nil, err
 	}
-	// Rollback tripwire: a checkpoint can only be written after its head
-	// was durably persisted, so a persisted head older than the
-	// checkpoint (or no head at all) means the statedir around the
-	// checkpoint was rewound.
-	sth, have, err := head.read()
-	if err != nil {
-		return nil, err
-	}
-	if !have {
-		return nil, fmt.Errorf("%w: checkpoint present but no persisted tree head", ErrStateTampered)
-	}
-	if sth.Size < hdr.Size {
-		return nil, fmt.Errorf("%w: checkpoint covers %d entries but persisted tree head covers %d",
-			ErrStateRollback, hdr.Size, sth.Size)
-	}
 	return &checkpoint{
-		size: hdr.Size, sth: hdr.STH, blocks: hdr.Blocks,
+		size: hdr.Size, blocks: hdr.Blocks,
 		streamCounts: hdr.StreamCounts, issuance: issuance, revoked: revoked,
 	}, nil
 }
@@ -345,10 +305,7 @@ func coldWALRecords(dir string, c uint64, counts []uint64) ([][]byte, error) {
 // caller's verification, exactly as WAL replay binds records to the
 // persisted head.
 func (s *Store) loadCold(c uint64) ([][]byte, []Hash, error) {
-	s.coldMu.Lock()
-	counts := s.coldCounts
-	s.coldMu.Unlock()
-	payloads, err := coldWALRecords(s.dir, c, counts)
+	payloads, err := coldWALRecords(s.dir, c, s.ckpt.Load().counts)
 	if err != nil {
 		return nil, nil, err
 	}

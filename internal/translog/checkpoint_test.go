@@ -2,8 +2,11 @@ package translog
 
 import (
 	"bytes"
+	"crypto"
 	"crypto/ecdsa"
+	"crypto/rand"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"hash/crc32"
 	"net/http"
@@ -14,6 +17,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"vnfguard/internal/wire"
 )
 
 // issuedSerial returns a serial that is issued (enroll/provision) and
@@ -479,7 +484,7 @@ func TestCheckpointRefusals(t *testing.T) {
 		// Delete the segments the newer checkpoint covers, which the old
 		// checkpoint still needs, then swap the old checkpoint in: the
 		// oldest surviving segment starts past it.
-		newer, err := loadCheckpoint(dir, newSTHAnchor(dir, &key.PublicKey))
+		newer, err := loadCheckpoint(dir, &key.PublicKey)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -496,6 +501,143 @@ func TestCheckpointRefusals(t *testing.T) {
 			t.Fatalf("rolled-back checkpoint past deleted history: got %v, want ErrStateRollback", err)
 		}
 	})
+
+	t.Run("checkpoint-only", func(t *testing.T) {
+		key, dir, cfg, _, _ := buildCheckpointedStore(t)
+		// Every segment and the persisted head deleted: the checkpoint
+		// alone proves a head was persisted, so this is deletion, not a
+		// fresh store.
+		des, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, de := range des {
+			if strings.HasSuffix(de.Name(), segmentSuffix) || de.Name() == sthFileName {
+				if err := os.Remove(filepath.Join(dir, de.Name())); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		before := snapshotDir(t, dir)
+		_, err = OpenDurableLog(key, dir, cfg)
+		if !errors.Is(err, ErrStateTampered) {
+			t.Fatalf("checkpoint without segments or head: got %v, want ErrStateTampered", err)
+		}
+		if after := snapshotDir(t, dir); !reflect.DeepEqual(after, before) {
+			t.Fatal("refused open changed the store")
+		}
+	})
+}
+
+// TestCheckpointWithRetiredInnerHeadReopens: a checkpoint.bin whose
+// header also carries the signed head it was taken at (an "sth" object,
+// the format before the checkpoint signature became its only one) opens
+// to the same head, entries and serial index — its signature covers the
+// header bytes as written, and decoding ignores the field. A byte
+// flipped inside that object, CRC fixed, breaks the signature.
+func TestCheckpointWithRetiredInnerHeadReopens(t *testing.T) {
+	key := testSigner(t)
+	dir := t.TempDir()
+	cfg := checkpointedConfig(2)
+	l, err := OpenDurableLog(key, dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := mixedEntries(500)
+	appendAll(t, l, all[:300])
+	innerHead := l.STH()
+	if err := l.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, l, all[300:])
+	head := l.STH()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Rewrite the checkpoint in the retired format: the same header with
+	// the head at its size, signed over those bytes.
+	path := filepath.Join(dir, checkpointFileName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := openEnvelope(data, ckptMagic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := wire.NewReader(body)
+	hdrBytes, _, snap := r.Bytes32(wire.Unbounded), r.Bytes32(wire.Unbounded), r.Bytes32(wire.Unbounded)
+	if err := r.Done(); err != nil {
+		t.Fatal(err)
+	}
+	var hdr ckptHeader
+	if err := json.Unmarshal(hdrBytes, &hdr); err != nil {
+		t.Fatal(err)
+	}
+	retired, err := json.Marshal(struct {
+		Size         uint64         `json:"size"`
+		STH          SignedTreeHead `json:"sth"`
+		Blocks       []Hash         `json:"blocks"`
+		StreamCounts []uint64       `json:"stream_counts,omitempty"`
+	}{hdr.Size, innerHead, hdr.Blocks, hdr.StreamCounts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := ckptDigest(retired, snap)
+	sig, err := key.Sign(rand.Reader, digest[:], crypto.SHA256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := wire.AppendBytes32(append([]byte(nil), ckptMagic[:]...), retired)
+	buf = wire.AppendBytes32(buf, sig)
+	old := sealEnvelope(wire.AppendBytes32(buf, snap))
+	if err := os.WriteFile(path, old, 0o600); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := OpenDurableLog(key, dir, cfg)
+	if err != nil {
+		t.Fatalf("checkpoint carrying the retired inner head refused: %v", err)
+	}
+	if got := re.STH(); !got.equal(head) {
+		t.Fatalf("reopened head %d differs from the closed head %d", got.Size, head.Size)
+	}
+	if re.entries.base != hdr.Size {
+		t.Fatalf("reopen replayed from %d, want the checkpoint at %d", re.entries.base, hdr.Size)
+	}
+	ref, err := NewLog(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.AppendBatch(all); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(re.issuance, ref.issuance) || !reflect.DeepEqual(re.revoked, ref.revoked) {
+		t.Fatal("serial index differs from a full replay's")
+	}
+	if got := mustEntries(t, re, 0, re.Size()); !reflect.DeepEqual(got, all) {
+		t.Fatal("entries differ from the originals")
+	}
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A digit of the inner head's size flipped, CRC fixed: the JSON still
+	// decodes, so only the signature can catch it.
+	tampered := bytes.Clone(old)
+	i := bytes.Index(tampered, []byte(`"sth":{"size":`))
+	if i < 0 {
+		t.Fatal("no inner head in the rewritten checkpoint")
+	}
+	tampered[i+len(`"sth":{"size":`)] ^= 0x01
+	binary.BigEndian.PutUint32(tampered[len(tampered)-4:], crc32.Checksum(tampered[:len(tampered)-4], crcTable))
+	if err := os.WriteFile(path, tampered, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenDurableLog(key, dir, cfg); !errors.Is(err, ErrStateTampered) {
+		t.Fatalf("byte flipped inside the inner head: got %v, want ErrStateTampered", err)
+	}
 }
 
 // TestTrimsAreDurable is the applyTrims bugfix regression: a torn tail

@@ -201,11 +201,6 @@ type Log struct {
 	shardStreams int
 	shardIdx     [][]uint64
 
-	// frozenRoot is the checkpoint's root over the cold prefix — what a
-	// lazy hydration of the cold segments must reproduce
-	// (ErrStateTampered otherwise). Only meaningful while entries.base
-	// is non-zero.
-	frozenRoot Hash
 	// hydrateMu single-flights cold-prefix hydration.
 	hydrateMu sync.Mutex
 	// ckptMu serialises checkpoint writes (the background writer against
@@ -380,9 +375,8 @@ func (l *Log) Checkpoint() error {
 	l.ckptMu.Lock()
 	defer l.ckptMu.Unlock()
 	l.mu.RLock()
-	sth := l.sth
 	size := l.entries.count()
-	if size == 0 || size == l.store.lastCkpt.Load() {
+	if size == 0 || size == l.store.ckpt.Load().size {
 		l.mu.RUnlock()
 		return nil // nothing new to summarize
 	}
@@ -407,13 +401,13 @@ func (l *Log) Checkpoint() error {
 	if err != nil {
 		return fmt.Errorf("translog: closing rolled segment: %w", err)
 	}
-	ck := &checkpoint{size: size, sth: sth, blocks: blocks,
+	ck := &checkpoint{size: size, blocks: blocks,
 		streamCounts: streamCounts, issuance: issuance, revoked: revoked}
 	n, err := writeCheckpointFile(l.store.dir, ck, l.signer, l.store.cfg.NoSync)
 	if err != nil {
 		return err
 	}
-	l.store.markCheckpoint(size, streamCounts)
+	l.store.ckpt.Store(&ckptMark{size: size, counts: streamCounts})
 	mCkptBytes.Set(int64(n))
 	mCkptLast.Mark()
 	return nil
@@ -421,21 +415,25 @@ func (l *Log) Checkpoint() error {
 
 // hydrate loads the cold prefix back into memory: the cold WAL
 // segments are read, the prefix tree is rebuilt and must reproduce the
-// checkpoint root the anchors verified at open, and the tree and entry
-// arena are spliced back to full residency. Single-flighted; concurrent
-// cold readers block on hydrateMu and find the work already done.
+// suffix tree's root at the checkpoint — the frozen blocks the anchors
+// verified at open — and the tree and entry arena are spliced back to
+// full residency. Single-flighted; concurrent cold readers block on
+// hydrateMu and find the work already done.
 func (l *Log) hydrate() error {
 	l.hydrateMu.Lock()
 	defer l.hydrateMu.Unlock()
 	l.mu.RLock()
 	base := l.entries.base
-	frozen := l.frozenRoot
 	store := l.store
 	l.mu.RUnlock()
 	if base == 0 {
 		return nil // already resident
 	}
 	start := time.Now()
+	frozen, err := l.tree.rootAt(base)
+	if err != nil {
+		return err
+	}
 	payloads, hashes, err := store.loadCold(base)
 	if err != nil {
 		return err

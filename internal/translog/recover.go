@@ -188,11 +188,11 @@ func recoverDir(dir string, cfg StoreConfig, head *WitnessAnchor, anchors []Trus
 	}
 	// A verified checkpoint turns the replay into a suffix replay: the
 	// cold prefix is summarized by its frozen subtree roots, and only
-	// records at or past the checkpoint are decoded. loadCheckpoint
-	// already classified every way the file can lie (ErrStateCorrupt /
-	// ErrStateTampered / ErrStateRollback) — a bad checkpoint refuses
-	// the open, it is never silently ignored.
-	ckpt, err := loadCheckpoint(dir, head)
+	// records at or past the checkpoint are decoded. A damaged or
+	// re-signed checkpoint refuses the open, it is never silently
+	// ignored; one newer than what an anchor remembers is that anchor's
+	// refusal (RecoveredState.check).
+	ckpt, err := loadCheckpoint(dir, head.pub)
 	if err != nil {
 		return nil, err
 	}
@@ -242,19 +242,10 @@ func recoverDir(dir string, cfg StoreConfig, head *WitnessAnchor, anchors []Trus
 	}
 	rec.tree.append(rec.hashes, prepareWorkers())
 	size := rec.size()
-	// Anchors only ever remember heads at or past the checkpoint — a
-	// checkpoint is written only after its head was committed through
-	// the whole chain — so rootAt below the checkpoint means the anchor's
-	// own memory predates a checkpoint that could not exist without it.
-	rootAt := func(n uint64) (Hash, error) {
-		h, err := rec.tree.rootAt(n)
-		if errors.Is(err, errColdRange) {
-			return Hash{}, fmt.Errorf("%w: anchor remembers a head at size %d, below the checkpoint at %d",
-				ErrStateTampered, n, rec.ckpt.size)
-		}
-		return h, err
+	state := &RecoveredState{Size: size, Segments: segments, rootAt: rec.tree.rootAt}
+	if rec.ckpt != nil {
+		state.checkpoint = rec.ckpt.size
 	}
-	state := &RecoveredState{Size: size, Segments: segments, rootAt: rootAt}
 	for _, a := range anchors {
 		if err := a.CheckRecovery(state); err != nil {
 			return nil, err
@@ -605,11 +596,8 @@ func OpenDurableLog(signer crypto.Signer, dir string, cfg StoreConfig) (*Log, er
 	if rec.ckpt != nil {
 		// The cold prefix stays on disk: the serial indexes are the
 		// checkpoint's (signature-covered) snapshot maps, adopted as
-		// decoded, the arena starts at the checkpoint base, and frozenRoot
-		// pins what a later hydration of the cold segments must
-		// reproduce.
+		// decoded, and the arena starts at the checkpoint base.
 		base = rec.ckpt.size
-		l.frozenRoot = rec.ckpt.sth.RootHash
 		l.entries.base = base
 		l.issuance, l.revoked = rec.ckpt.issuance, rec.ckpt.revoked
 	}

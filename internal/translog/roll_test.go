@@ -33,9 +33,7 @@ func segmentsBelow(t *testing.T, dir string, counts []uint64) []string {
 // checkpointCounts reads the per-stream counts of the store's checkpoint.
 func checkpointCounts(t *testing.T, l *Log) []uint64 {
 	t.Helper()
-	l.store.coldMu.Lock()
-	defer l.store.coldMu.Unlock()
-	return l.store.coldCounts
+	return l.store.ckpt.Load().counts
 }
 
 // requireEntries checks a reopened log holds exactly entries, cold

@@ -138,17 +138,9 @@ type Store struct { //lint:allow unusedexport the documented storage layer benea
 	// commit path never touches the telemetry registry.
 	anchorHist []*obs.Histogram
 
-	// lastCkpt is the size covered by the newest durable checkpoint
-	// (0 when none): the log's checkpoint trigger compares it against
-	// the committed size.
-	lastCkpt atomic.Uint64
-	// coldMu guards coldCounts, each stream's record count at the newest
-	// checkpoint. No segment straddles a checkpoint, so a segment
-	// starting below its stream's count holds only checkpointed records:
-	// those are the segments recovery skips and hydration reads. Set with
-	// lastCkpt.
-	coldMu     sync.Mutex
-	coldCounts []uint64
+	// ckpt is the newest durable checkpoint (a zero record when none),
+	// replaced whole when a newer one lands.
+	ckpt atomic.Pointer[ckptMark]
 
 	mu sync.Mutex
 	// streams are the append tails, one per host slot, fixed at open.
@@ -160,6 +152,17 @@ type Store struct { //lint:allow unusedexport the documented storage layer benea
 	// the in-memory log and the disk may disagree, so the store refuses
 	// further appends instead of compounding the divergence.
 	failed error
+}
+
+// ckptMark is the store's record of a durable checkpoint: the size it
+// covers, which the log's checkpoint trigger compares against the
+// committed size, and each stream's record count at it. No segment
+// straddles a checkpoint, so a segment starting below its stream's count
+// holds only checkpointed records: those are the segments recovery skips
+// and hydration reads. A record is never mutated once published.
+type ckptMark struct {
+	size   uint64
+	counts []uint64
 }
 
 // stream is one host slot's append tail.
@@ -194,9 +197,11 @@ func openStoreDir(dir string, cfg StoreConfig, anchors []TrustAnchor, rec *recov
 	for _, a := range anchors {
 		s.anchorHist = append(s.anchorHist, anchorHistogram(a.Name()))
 	}
+	mark := &ckptMark{}
 	if rec.ckpt != nil {
-		s.markCheckpoint(rec.ckpt.size, rec.ckpt.streamCounts)
+		mark = &ckptMark{size: rec.ckpt.size, counts: rec.ckpt.streamCounts}
 	}
+	s.ckpt.Store(mark)
 	for i, tail := range rec.tails {
 		st := &stream{shard: i, count: tail.count}
 		if tail.hasTail {
@@ -230,7 +235,7 @@ func (s *Store) shardCount() int { return len(s.streams) }
 // checkpointDue reports whether the committed size has outgrown the
 // newest checkpoint by the configured interval.
 func (s *Store) checkpointDue(size uint64) bool {
-	return s.cfg.CheckpointEvery > 0 && size >= s.lastCkpt.Load()+s.cfg.CheckpointEvery
+	return s.cfg.CheckpointEvery > 0 && size >= s.ckpt.Load().size+s.cfg.CheckpointEvery
 }
 
 // rollStreams snapshots each stream's durable record count and retires
@@ -252,15 +257,6 @@ func (s *Store) rollStreams() (counts []uint64, retired []*os.File) {
 		}
 	}
 	return counts, retired
-}
-
-// markCheckpoint records the newest durable checkpoint: its size and its
-// per-stream record counts.
-func (s *Store) markCheckpoint(size uint64, counts []uint64) {
-	s.coldMu.Lock()
-	defer s.coldMu.Unlock()
-	s.lastCkpt.Store(size)
-	s.coldCounts = counts
 }
 
 // appendBatch durably frames the batch payloads — payloads[i] is the
@@ -457,16 +453,6 @@ func (st *stream) rotate(s *Store, first uint64) error {
 	}
 	return nil
 }
-
-// Size returns the durably persisted entry count.
-func (s *Store) Size() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.size
-}
-
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
 
 // Close fsyncs and closes the active segment and releases any anchors
 // holding resources. A closed store latches failed, so a stray later

@@ -737,7 +737,7 @@ func TestLegacySingleStreamRefused(t *testing.T) {
 			}
 		}
 		if withCkpt {
-			ck := &checkpoint{size: size, sth: ref.STH(), blocks: blocks,
+			ck := &checkpoint{size: size, blocks: blocks,
 				issuance: ref.issuance, revoked: ref.revoked}
 			if _, err := writeCheckpointFile(dir, ck, key, true); err != nil {
 				t.Fatal(err)
