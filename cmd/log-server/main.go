@@ -211,7 +211,7 @@ func runServe(dir *statedir.Dir, addr string, seal bool, nvFile string, shards i
 	if cosigns != nil {
 		mux := http.NewServeMux()
 		ch := translog.CosignHandler(cosigns)
-		mux.Handle("/translog/v1/cosign", ch)
+		mux.Handle("/translog/v1/gossip", ch)
 		mux.Handle("/translog/v1/cosigned", ch)
 		mux.Handle("/", handler)
 		handler = mux

@@ -397,9 +397,9 @@ func runWorkflow(dir *statedir.Dir, hostList, enrollList string, learn, requireT
 // publishHeadToWitnesses pushes a fresh signed tree head to every
 // gossiping witness that published its URL into the state directory, so
 // the witness set anchors on the newest committed history immediately —
-// not at its next poll. A witness that answers with a conviction (two
-// irreconcilable signed heads) is surfaced loudly: that is the rollback
-// alarm the gossip network exists to raise.
+// not at its next poll. A witness that answers with a conviction whose
+// evidence verifies (two irreconcilable signed heads) is surfaced
+// loudly: that is the rollback alarm the gossip network exists to raise.
 func publishHeadToWitnesses(dir *statedir.Dir, pub *ecdsa.PublicKey, head translog.SignedTreeHead) {
 	entries, err := dir.Match(statedir.WitnessURLPattern)
 	if err != nil || len(entries) == 0 {
@@ -413,7 +413,7 @@ func publishHeadToWitnesses(dir *statedir.Dir, pub *ecdsa.PublicKey, head transl
 		peerHead, seen, err := translog.NewClient(url, pub).ExchangeGossip("verification-manager", head, true)
 		var ce *translog.ConflictError
 		switch {
-		case errors.As(err, &ce):
+		case errors.As(err, &ce) && ce.Verify(pub) == nil:
 			evidence, _ := json.MarshalIndent(ce, "", "  ")
 			log.Printf("AUDIT FAILURE reported by witness at %s: %v\nevidence:\n%s", url, ce, evidence)
 		case err != nil:

@@ -849,12 +849,13 @@ func runPartitionAct(signer crypto.Signer, logKey *ecdsa.PublicKey) {
 	part, err := pcfg.Partition()
 	check(err)
 
-	// Serve the log with the cosign endpoints mounted, exactly as
-	// cmd/log-server composes them.
+	// Serve the log with the collector mounted, exactly as cmd/log-server
+	// composes it: witnesses post their views, co-signatures included,
+	// to the log's gossip endpoint.
 	served := &servedLog{log: l}
 	mux := http.NewServeMux()
 	cosignH := translog.CosignHandler(col)
-	mux.Handle("/translog/v1/cosign", cosignH)
+	mux.Handle("/translog/v1/gossip", cosignH)
 	mux.Handle("/translog/v1/cosigned", cosignH)
 	mux.Handle("/", served)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -85,7 +85,7 @@ func (d *Deployment) RunWorkflow(hostIdx int, vnfs []vnf.VNF) (*WorkflowResult, 
 		return nil, fmt.Errorf("core: host attestation: %w", err)
 	}
 	if !app.Trusted {
-		return nil, fmt.Errorf("core: host %s not trusted: %v", hostName, app.Findings)
+		return nil, fmt.Errorf("core: host %s: %w: %w", hostName, verifier.ErrHostNotTrusted, app.Err())
 	}
 	res.Steps = append(res.Steps,
 		Step{1, "remote attestation of container host", verifier.StepHostEvidence.Sum() - evidence,

@@ -40,6 +40,9 @@ var (
 	ErrNotProvisioned  = errors.New("enclaveapp: no credentials provisioned")
 	ErrNoSession       = errors.New("enclaveapp: no attested session established")
 	ErrKeyCertMismatch = errors.New("enclaveapp: provisioned key does not match certificate")
+	// ErrKeyTypeUnsupported reports a provisioned certificate or key, or
+	// a stored key, that is not ECDSA: the enclave holds ECDSA keys only.
+	ErrKeyTypeUnsupported = errors.New("enclaveapp: key type unsupported")
 )
 
 // CredentialEnclave wraps the launched per-VNF credential enclave (a TEE
@@ -284,7 +287,7 @@ func (ce *CredentialEnclave) storeCredentials(ctx *sgx.Context, p *ProvisionPayl
 	}
 	certPub, ok := cert.PublicKey.(*ecdsa.PublicKey)
 	if !ok {
-		return errors.New("enclaveapp: certificate key type unsupported")
+		return fmt.Errorf("%w: certificate key %T", ErrKeyTypeUnsupported, cert.PublicKey)
 	}
 	roots := x509.NewCertPool()
 	if len(p.CADER) > 0 {
@@ -302,7 +305,7 @@ func (ce *CredentialEnclave) storeCredentials(ctx *sgx.Context, p *ProvisionPayl
 			return fmt.Errorf("enclaveapp: provisioned key: %w", err)
 		}
 		if key, ok = keyAny.(*ecdsa.PrivateKey); !ok {
-			return errors.New("enclaveapp: provisioned key type unsupported")
+			return fmt.Errorf("%w: provisioned key %T", ErrKeyTypeUnsupported, keyAny)
 		}
 	case ModeCSR:
 		// The key must already exist from the CSR round.
@@ -384,7 +387,7 @@ func (ce *CredentialEnclave) loadKey(ctx *sgx.Context) (*ecdsa.PrivateKey, error
 	}
 	key, ok := keyAny.(*ecdsa.PrivateKey)
 	if !ok {
-		return nil, errors.New("enclaveapp: stored key type unsupported")
+		return nil, fmt.Errorf("%w: stored key %T", ErrKeyTypeUnsupported, keyAny)
 	}
 	return key, nil
 }

@@ -3,6 +3,7 @@ package enclaveapp
 import (
 	"bytes"
 	"crypto/ecdsa"
+	"crypto/ed25519"
 	"crypto/elliptic"
 	"crypto/rand"
 	"crypto/sha256"
@@ -12,6 +13,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math/big"
 	"net"
 	"reflect"
 	"testing"
@@ -610,6 +612,88 @@ func TestProvisionRejectsKeyCertMismatch(t *testing.T) {
 	}
 	if typ != secchan.TypeError || !bytes.Contains(msg, []byte("does not match")) {
 		t.Fatalf("mismatched key accepted: type=%d msg=%s", typ, msg)
+	}
+}
+
+// TestProvisionRefusesUnsupportedKeyType: a non-ECDSA certificate and a
+// non-ECDSA PKCS#8 key are each refused with ErrKeyTypeUnsupported, and
+// the enclave is left unprovisioned.
+func TestProvisionRefusesUnsupportedKeyType(t *testing.T) {
+	fx := newFixture(t)
+	ce := newCredEnclave(t, fx)
+	ca, err := pki.NewCA("vm-ca", time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm := runEnrollment(t, fx, ce)
+
+	edPub, edKey, err := ed25519.GenerateKey(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmpl := &x509.Certificate{SerialNumber: big.NewInt(1), NotBefore: time.Now(), NotAfter: time.Now().Add(time.Hour)}
+	edCert, err := x509.CreateCertificate(rand.Reader, tmpl, tmpl, edPub, edKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edPKCS8, err := x509.MarshalPKCS8PrivateKey(edKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ecKey, err := pki.GenerateKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ecPKCS8, err := x509.MarshalPKCS8PrivateKey(ecKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	csr, err := pki.CreateCSR("vnf", ecKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ecCert, err := ca.SignClientCSR(csr, time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name      string
+		cert, key []byte
+	}{
+		{"ed25519 certificate", edCert, ecPKCS8},
+		{"ed25519 PKCS#8 key", ecCert.Raw, edPKCS8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			payload := ProvisionPayload{Mode: ModeVMGenerated, KeyPKCS8: tc.key, CertDER: tc.cert, CADER: ca.Certificate().Raw}
+			// The refusal comes before the enclave heap is touched, so no
+			// ECALL context is needed to see the sentinel itself.
+			if err := ce.storeCredentials(nil, &payload); !errors.Is(err, ErrKeyTypeUnsupported) {
+				t.Fatalf("storeCredentials: got %v, want ErrKeyTypeUnsupported", err)
+			}
+			body, err := payload.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			frame, err := vm.codec.Seal(secchan.TypeProvision, body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			respFrame, err := ce.HandleFrame(frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			typ, msg, err := vm.codec.Open(respFrame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if typ != secchan.TypeError || !bytes.Contains(msg, []byte(ErrKeyTypeUnsupported.Error())) {
+				t.Fatalf("provisioning answered type %d: %s", typ, msg)
+			}
+			if _, _, err := ce.Certificate(); !errors.Is(err, ErrNotProvisioned) {
+				t.Fatalf("refused credentials provisioned the enclave: %v", err)
+			}
+		})
 	}
 }
 

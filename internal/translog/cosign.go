@@ -11,7 +11,7 @@
 // witness name, so one witness's signature can never be replayed as
 // another's; the collector keeps per-size signature sets, so a witness
 // signing two different roots at one size convicts itself with
-// self-verifying EquivocationError evidence.
+// self-verifying ConflictError evidence naming it as the signer.
 package translog
 
 import (
@@ -53,9 +53,6 @@ var (
 	// ErrQuorumNotReached reports a head backed by fewer than Q distinct
 	// valid witness co-signatures.
 	ErrQuorumNotReached = errors.New("translog: witness co-signature quorum not reached")
-	// ErrWitnessEquivocation reports one witness signing two different
-	// roots at one tree size; EquivocationError carries the evidence.
-	ErrWitnessEquivocation = errors.New("translog: witness equivocation") //lint:allow unusedexport conviction contract: EquivocationError's Unwrap target, matched by auditors with errors.Is
 )
 
 // cosignDigest is the SHA-256 a witness co-signature covers: the domain
@@ -307,57 +304,6 @@ func LoadWitnessRoster(dir *statedir.Dir, quorum int) (*WitnessRoster, error) {
 	return NewWitnessRoster(quorum, keys)
 }
 
-// ---- equivocation evidence ------------------------------------------------
-
-// EquivocationError is the self-verifying evidence that one witness
-// co-signed two different roots at one tree size. Like ConflictError
-// for the log, the pair convicts by signature alone: any third party
-// holding the witness's published key re-verifies both signatures and
-// needs no trust in whoever reported it — which is what lets the
-// collector's HTTP 409 carry it across the wire without becoming a
-// fabricated-evidence kill switch.
-type EquivocationError struct {
-	// Witness is the equivocating witness's roster name.
-	Witness string
-	// A and B are the two co-signatures: same witness, same size,
-	// different roots.
-	A, B WitnessSignature
-}
-
-// Error renders the verdict.
-func (e *EquivocationError) Error() string {
-	return fmt.Sprintf("%v: witness %q signed roots %x… and %x… at size %d",
-		ErrWitnessEquivocation, e.Witness, e.A.RootHash[:4], e.B.RootHash[:4], e.A.Size)
-}
-
-// Unwrap lets errors.Is match ErrWitnessEquivocation.
-func (e *EquivocationError) Unwrap() error { return ErrWitnessEquivocation }
-
-// Verify re-checks both signatures against the witness's roster key;
-// evidence that does not verify proves nothing.
-func (e *EquivocationError) Verify(roster *WitnessRoster) error {
-	pub, ok := roster.Key(e.Witness)
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownWitness, e.Witness)
-	}
-	for _, ws := range []WitnessSignature{e.A, e.B} {
-		if ws.Witness != e.Witness {
-			return fmt.Errorf("%w: evidence signature attributed to %q", ErrCosignInvalid, ws.Witness)
-		}
-		if err := ws.Verify(pub); err != nil {
-			return fmt.Errorf("translog: equivocation evidence: %w", err)
-		}
-	}
-	return nil
-}
-
-// SelfCertifying reports whether the pair alone proves the witness
-// equivocated: two verifying signatures by one witness, one size, two
-// roots.
-func (e *EquivocationError) SelfCertifying(roster *WitnessRoster) bool {
-	return e.A.Size == e.B.Size && e.A.RootHash != e.B.RootHash && e.Verify(roster) == nil
-}
-
 // ---- collector ------------------------------------------------------------
 
 // maxCosignSizes bounds the per-size signature sets the collector keeps
@@ -380,7 +326,7 @@ type CosignCollector struct {
 	heads map[uint64]SignedTreeHead
 	sigs  map[uint64]map[string]WitnessSignature
 	best  *CosignedHead
-	equiv []*EquivocationError
+	equiv []*ConflictError
 }
 
 // NewCosignCollector builds a collector verifying heads against the log
@@ -394,16 +340,13 @@ func NewCosignCollector(logPub *ecdsa.PublicKey, roster *WitnessRoster) *CosignC
 	}
 }
 
-// Quorum returns the roster's required signature count.
-func (c *CosignCollector) Quorum() int { return c.roster.Quorum() }
-
 // Submit folds in one witness co-signature over a served head and
 // returns the distinct-signature count now standing behind that head.
 // Forged, replayed, mismatched, unknown-witness and duplicate
 // submissions are rejected with their distinct sentinels and never
 // touch collector state; a submission revealing two roots at one size
-// returns the self-verifying evidence (*ConflictError when the log
-// signed both heads, *EquivocationError when one witness signed both).
+// returns the self-verifying *ConflictError, naming the witness as its
+// signer when the witness signed both roots, the log otherwise.
 func (c *CosignCollector) Submit(sth SignedTreeHead, ws WitnessSignature) (int, error) {
 	if err := sth.Verify(c.logPub); err != nil {
 		return 0, err
@@ -422,28 +365,31 @@ func (c *CosignCollector) Submit(sth SignedTreeHead, ws WitnessSignature) (int, 
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if prev, ok := c.sigs[sth.Size][ws.Witness]; ok && prev.RootHash != ws.RootHash {
-		// This witness already co-signed a DIFFERENT root at this size.
+	// Every signature held at a size covers the head held there, so a
+	// witness's earlier signature at this size either repeats this one
+	// or convicts the witness.
+	prev, signed := c.sigs[sth.Size][ws.Witness]
+	switch {
+	case signed && prev.RootHash != ws.RootHash:
 		// The log equivocated too (both heads carry its signature), but
 		// the witness-equivocation evidence is strictly stronger — it
 		// convicts the witness alongside the log — so it wins over the
 		// generic split-view verdict below.
-		ee := &EquivocationError{Witness: ws.Witness, A: prev, B: ws}
-		c.equiv = append(c.equiv, ee)
-		return len(c.sigs[sth.Size]), ee
-	}
-	if have, ok := c.heads[sth.Size]; ok {
-		// The *log* signing two heads at one size is a split view, caught
-		// here for free because the collector sees every cosigned head.
-		if err := checkPrefix(have, sth, nil); err != nil {
-			return 0, err
-		}
-	}
-	if prev, ok := c.sigs[sth.Size][ws.Witness]; ok && prev.RootHash == ws.RootHash {
+		ce := &ConflictError{Kind: ErrWitnessEquivocation, Signer: ws.Witness,
+			Have:   SignedTreeHead{Size: prev.Size, RootHash: prev.RootHash, Signature: prev.Signature},
+			Got:    SignedTreeHead{Size: ws.Size, RootHash: ws.RootHash, Signature: ws.Signature},
+			Detail: fmt.Sprintf("witness %q co-signed two roots at size %d", ws.Witness, ws.Size)}
+		c.equiv = append(c.equiv, ce)
+		return len(c.sigs[sth.Size]), ce
+	case signed:
 		return len(c.sigs[sth.Size]), fmt.Errorf("%w: %q already co-signed size %d", ErrDuplicateWitness, ws.Witness, sth.Size)
 	}
-	if _, ok := c.heads[sth.Size]; !ok {
+	// The *log* signing two heads at one size is a split view, caught
+	// here for free because the collector sees every cosigned head.
+	if have, ok := c.heads[sth.Size]; !ok {
 		c.admitSizeLocked(sth)
+	} else if err := checkPrefix(have, sth, nil); err != nil {
+		return 0, err
 	}
 	set := c.sigs[sth.Size]
 	set[ws.Witness] = ws
@@ -453,6 +399,17 @@ func (c *CosignCollector) Submit(sth SignedTreeHead, ws WitnessSignature) (int, 
 		c.pruneBelowLocked(sth.Size)
 	}
 	return len(set), nil
+}
+
+// receiveView is the collector's side of POST /translog/v1/gossip: the
+// co-signature a witness's view carries goes through Submit. The reply
+// holds no head — the collector has none of its own to gossip.
+func (c *CosignCollector) receiveView(in wireGossip) (wireGossip, error) {
+	if in.Cosig == nil {
+		return wireGossip{}, fmt.Errorf("%w: view from %q carries no co-signature", ErrCosignInvalid, in.Name)
+	}
+	_, err := c.Submit(in.Head, *in.Cosig)
+	return wireGossip{}, err
 }
 
 // admitSizeLocked starts tracking a new size, evicting the oldest
@@ -513,10 +470,10 @@ func (c *CosignCollector) Cosigned() (*CosignedHead, error) {
 }
 
 // Equivocations returns the latched witness-equivocation evidence.
-func (c *CosignCollector) Equivocations() []*EquivocationError {
+func (c *CosignCollector) Equivocations() []*ConflictError {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]*EquivocationError(nil), c.equiv...)
+	return append([]*ConflictError(nil), c.equiv...)
 }
 
 // ---- quorum-gated credential checking -------------------------------------

@@ -214,8 +214,8 @@ func TestCosignCollectorAdversarial(t *testing.T) {
 
 // TestCosignCollectorEquivocation: one witness co-signs two different
 // roots at one size. The collector returns self-verifying evidence that
-// convicts the witness (and latches it), and a second witness walking
-// into the forked size gets the log-split ConflictError — also
+// names the witness as its signer (and latches it), and a second witness
+// walking into the forked size gets the log-split ConflictError — also
 // self-certifying, since the log signed both heads.
 func TestCosignCollectorEquivocation(t *testing.T) {
 	logKey := testSigner(t)
@@ -236,23 +236,27 @@ func TestCosignCollectorEquivocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = col.Submit(headB, wsB)
-	var ee *EquivocationError
-	if !errors.As(err, &ee) || !errors.Is(err, ErrWitnessEquivocation) {
+	var ee *ConflictError
+	if !errors.As(err, &ee) || !errors.Is(err, ErrWitnessEquivocation) || ee.Signer != "w0" {
 		t.Fatalf("equivocation not convicted: %v", err)
 	}
-	if err := ee.Verify(roster); err != nil {
+	w0, _ := roster.Key("w0")
+	if err := ee.Verify(w0); err != nil {
 		t.Fatalf("evidence does not verify: %v", err)
 	}
-	if !ee.SelfCertifying(roster) {
+	if !ee.SelfCertifying(w0) {
 		t.Fatal("two verified roots at one size must be self-certifying")
 	}
-	if got := col.Equivocations(); len(got) != 1 || got[0].Witness != "w0" {
+	if ee.Verify(&logKey.PublicKey) == nil {
+		t.Fatal("a witness's co-signatures verified under the log key")
+	}
+	if got := col.Equivocations(); len(got) != 1 || got[0].Signer != "w0" {
 		t.Fatalf("evidence not latched: %+v", got)
 	}
 	// Tampered evidence proves nothing.
 	bad := *ee
-	bad.B.RootHash = Hash{0xcc}
-	if bad.Verify(roster) == nil {
+	bad.Got.RootHash = Hash{0xcc}
+	if bad.Verify(w0) == nil {
 		t.Fatal("tampered evidence verified")
 	}
 	// An honest second witness submitting the forked head is told the
@@ -263,7 +267,7 @@ func TestCosignCollectorEquivocation(t *testing.T) {
 	}
 	_, err = col.Submit(headB, wsB1)
 	var ce *ConflictError
-	if !errors.As(err, &ce) || !errors.Is(err, ErrSplitView) {
+	if !errors.As(err, &ce) || !errors.Is(err, ErrSplitView) || ce.Signer != "" {
 		t.Fatalf("forked size not convicted as split view: %v", err)
 	}
 	if err := ce.Verify(&logKey.PublicKey); err != nil || !ce.SelfCertifying(&logKey.PublicKey) {
@@ -271,10 +275,13 @@ func TestCosignCollectorEquivocation(t *testing.T) {
 	}
 }
 
-// TestCosignHTTPRoundTrip pins the wire: every sentinel survives the
-// cosign endpoints errors.Is-intact, and conviction evidence — witness
-// equivocation and log split-view alike — crosses HTTP still verifying,
-// mirroring the gossip fabricated-evidence hardening.
+// TestCosignHTTPRoundTrip pins the one wire: a witness's view carrying
+// its co-signature goes to the log's gossip endpoint through the same
+// exchangeView peers use, every sentinel survives it errors.Is-intact,
+// and conviction evidence — witness equivocation and log split-view
+// alike — crosses HTTP as one ConflictError body, still verifying under
+// the roster or the log key, mirroring the gossip fabricated-evidence
+// hardening.
 func TestCosignHTTPRoundTrip(t *testing.T) {
 	logKey := testSigner(t)
 	l, err := NewLog(logKey)
@@ -288,25 +295,35 @@ func TestCosignHTTPRoundTrip(t *testing.T) {
 	col := NewCosignCollector(&logKey.PublicKey, roster)
 	mux := http.NewServeMux()
 	cosignH := CosignHandler(col)
-	mux.Handle("/translog/v1/cosign", cosignH)
+	mux.Handle("/translog/v1/gossip", cosignH)
 	mux.Handle("/translog/v1/cosigned", cosignH)
 	mux.Handle("/", Handler(l))
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 	client := NewClient(srv.URL, &logKey.PublicKey)
+	submit := func(sth SignedTreeHead, ws WitnessSignature) error {
+		out, err := client.exchangeView(wireGossip{Name: ws.Witness, Seen: true, Head: sth, Cosig: &ws})
+		if err == nil && out.Seen {
+			t.Fatalf("collector answered with a head: %+v", out.Head)
+		}
+		return err
+	}
 
 	head := l.STH()
 	if _, err := client.Cosigned(); !errors.Is(err, ErrQuorumNotReached) {
 		t.Fatalf("pre-quorum fetch: got %v, want ErrQuorumNotReached", err)
 	}
+	if _, err := client.exchangeView(wireGossip{Name: "w0", Seen: true, Head: head}); !errors.Is(err, ErrCosignInvalid) {
+		t.Fatalf("view without a co-signature: %v", err)
+	}
 	ws0, err := keys["w0"].Cosign(head)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, err := client.SubmitCosign(head, ws0); err != nil || n != 1 {
-		t.Fatalf("first submission: n=%d err=%v", n, err)
+	if err := submit(head, ws0); err != nil {
+		t.Fatalf("first submission: %v", err)
 	}
-	if _, err := client.SubmitCosign(head, ws0); !errors.Is(err, ErrDuplicateWitness) {
+	if err := submit(head, ws0); !errors.Is(err, ErrDuplicateWitness) {
 		t.Fatalf("duplicate over HTTP: %v", err)
 	}
 	outsider, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
@@ -317,15 +334,20 @@ func TestCosignHTTPRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.SubmitCosign(head, unknownSig); !errors.Is(err, ErrUnknownWitness) {
+	if err := submit(head, unknownSig); !errors.Is(err, ErrUnknownWitness) {
 		t.Fatalf("unknown witness over HTTP: %v", err)
 	}
 	forged, err := NewWitnessKey("w1", outsider).Cosign(head)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.SubmitCosign(head, forged); !errors.Is(err, ErrCosignInvalid) {
+	if err := submit(head, forged); !errors.Is(err, ErrCosignInvalid) {
 		t.Fatalf("forged signature over HTTP: %v", err)
+	}
+	unsigned := head
+	unsigned.Signature = []byte{1}
+	if err := submit(unsigned, ws0); !errors.Is(err, ErrBadSTH) {
+		t.Fatalf("head the log never signed over HTTP: %v", err)
 	}
 
 	// The equivocation 409: w0 co-signs a second log-signed head at the
@@ -338,12 +360,13 @@ func TestCosignHTTPRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = client.SubmitCosign(forked, wsFork)
-	var ee *EquivocationError
-	if !errors.As(err, &ee) || !errors.Is(err, ErrWitnessEquivocation) {
+	err = submit(forked, wsFork)
+	var ee *ConflictError
+	if !errors.As(err, &ee) || !errors.Is(err, ErrWitnessEquivocation) || ee.Signer != "w0" {
 		t.Fatalf("equivocation did not round-trip: %v", err)
 	}
-	if err := ee.Verify(roster); err != nil || !ee.SelfCertifying(roster) {
+	w0, _ := roster.Key("w0")
+	if err := ee.Verify(w0); err != nil || !ee.SelfCertifying(w0) {
 		t.Fatalf("round-tripped evidence does not verify: %v", err)
 	}
 	// And the log-split 409 for an honest witness on the forked head.
@@ -351,9 +374,9 @@ func TestCosignHTTPRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = client.SubmitCosign(forked, wsFork1)
+	err = submit(forked, wsFork1)
 	var ce *ConflictError
-	if !errors.As(err, &ce) || !errors.Is(err, ErrSplitView) {
+	if !errors.As(err, &ce) || !errors.Is(err, ErrSplitView) || ce.Signer != "" {
 		t.Fatalf("log split did not round-trip: %v", err)
 	}
 	if !ce.SelfCertifying(&logKey.PublicKey) {
@@ -365,7 +388,7 @@ func TestCosignHTTPRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.SubmitCosign(head, ws1); err != nil {
+	if err := submit(head, ws1); err != nil {
 		t.Fatal(err)
 	}
 	ch, err := client.Cosigned()

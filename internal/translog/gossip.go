@@ -72,12 +72,12 @@ type GossipPool struct {
 
 	// Partitioned mode (EnablePartition): the pinned assignment, this
 	// witness's co-signing key (nil: audit without co-signing), the
-	// audit batch bound per shard per round, and the largest head size
-	// already co-signed and submitted.
-	part         *WitnessPartition
-	key          *WitnessKey
-	maxAudit     uint64
-	cosignedSize uint64
+	// audit batch bound per shard per round, and the co-signature over
+	// the largest head the log's collector took (nil: none yet).
+	part     *WitnessPartition
+	key      *WitnessKey
+	maxAudit uint64
+	cosig    *WitnessSignature
 }
 
 // defaultMaxAuditPerShard bounds how many stream entries one gossip
@@ -106,8 +106,8 @@ func NewGossipPool(name string, w *Witness, logClient *Client) *GossipPool {
 // witness takes its assigned slice of the shard streams from the pinned
 // partition, audits exactly that slice entry-by-entry on every
 // exchange, gossips its audit cursors alongside its head, and — when
-// key is non-nil — co-signs every fully audited head and submits the
-// signature to the watched log's cosign collector. dir, when non-nil,
+// key is non-nil — co-signs every fully audited head and posts its view,
+// co-signature included, to the watched log's collector. dir, when non-nil,
 // persists the audit cursors under the witness's name so a restart
 // resumes its chains instead of re-anchoring them (the shard-level
 // equivalent of OpenWitnessState). The pool must be watching a log
@@ -234,34 +234,42 @@ func (g *GossipPool) fetchConsistency(first, second uint64) ([]Hash, error) {
 	return g.tiles.ConsistencyProof(first, second)
 }
 
-// receiveView is the server side of POST /translog/v1/gossip: it folds
-// in the peer's head (mergeHead) and, in partitioned mode, judges the
-// peer's shard marks against our own chains (only where our assignment
-// overlaps and depths match — a peer ignorant of a shard is never
-// evidence), then returns our view, marks included.
+// receiveView is the server side of POST /translog/v1/gossip: it merges
+// the peer's view and returns our own.
 func (g *GossipPool) receiveView(in wireGossip) (wireGossip, error) {
-	var errs []error
-	if in.Seen {
-		if err := g.mergeHead(in.Head); err != nil {
-			errs = append(errs, err)
-		}
-		if len(in.Marks) > 0 && g.Partition() != nil {
-			if err := g.latch(g.w.mergeShardMarks(in.Name, in.Head, in.Marks)); err != nil {
-				errs = append(errs, err)
-			}
-		}
+	err := g.mergeView(in)
+	return g.localView(), err
+}
+
+// mergeView folds in a peer's view, sent or answered: its head
+// (mergeHead) and, in partitioned mode, its shard marks judged against
+// our own chains (only where our assignment overlaps and depths match —
+// a peer ignorant of a shard is never evidence).
+func (g *GossipPool) mergeView(v wireGossip) error {
+	if !v.Seen {
+		return nil
 	}
-	return g.localView(), errors.Join(errs...)
+	err := g.mergeHead(v.Head)
+	if len(v.Marks) > 0 && g.Partition() != nil {
+		err = errors.Join(err, g.latch(g.w.mergeShardMarks(v.Name, v.Head, v.Marks)))
+	}
+	return err
 }
 
 // localView snapshots this witness's gossiped view: head plus, in
-// partitioned mode, its audit marks.
+// partitioned mode, its audit marks and its co-signature when that
+// covers the head.
 func (g *GossipPool) localView() wireGossip {
 	last, seen := g.w.Last()
 	out := wireGossip{Name: g.name, Seen: seen, Head: last}
 	if g.Partition() != nil {
 		out.Marks = g.w.shardMarks()
 	}
+	g.mu.Lock()
+	if c := g.cosig; seen && c != nil && c.Size == last.Size && c.RootHash == last.RootHash {
+		out.Cosig = c
+	}
+	g.mu.Unlock()
 	return out
 }
 
@@ -287,14 +295,16 @@ func (g *GossipPool) mergeHead(peer SignedTreeHead) error {
 	return g.latch(g.w.accept(peer, g.fetchConsistency, false))
 }
 
-// corroboratePeerConviction handles a conviction a peer reported (an HTTP
-// 409 evidence bundle). Peer claims are not taken on faith — a malicious
-// peer must not be able to kill honest witnesses with fabricated or
-// replayed evidence. Equal-size/different-root pairs are self-certifying
-// and latch directly; anything else is treated as a hint: the evidence
-// heads are run through our own first-hand merge, so the conviction only
-// latches if the log really is misbehaving from where we stand.
-func (g *GossipPool) corroboratePeerConviction(ce *ConflictError) error {
+// corroborate makes the one check of a conviction a peer or the log's
+// collector reported (an HTTP 409 evidence bundle): a malicious peer
+// must not kill honest witnesses with fabricated or replayed evidence.
+// Evidence the log key does not verify is dropped, a witness's
+// conviction included: that is judged against a roster the pool does
+// not hold. Equal-size/different-root pairs are self-certifying and
+// latch directly; anything else is a hint: the evidence heads go
+// through our own first-hand merge, so the conviction only latches if
+// the log really is misbehaving from where we stand.
+func (g *GossipPool) corroborate(ce *ConflictError) error {
 	if err := ce.Verify(g.w.pub); err != nil {
 		return fmt.Errorf("translog: peer conviction with unverifiable evidence dropped: %w", err)
 	}
@@ -339,30 +349,8 @@ func (g *GossipPool) Exchange() error {
 	peers := g.Peers()
 	mGossipPeers.Set(int64(len(peers)))
 	for _, p := range peers {
-		peerView, err := p.exchangeView(g.localView())
-		if err != nil {
-			// A 409 from the peer is a conviction claim, which must be
-			// corroborated before it can latch; transport errors are just
-			// degradation.
-			var ce *ConflictError
-			if errors.As(err, &ce) {
-				err = g.corroboratePeerConviction(ce)
-			}
-			if err != nil {
-				errs = append(errs, err)
-			}
-			continue
-		}
-		if !peerView.Seen {
-			continue
-		}
-		if err := g.mergeHead(peerView.Head); err != nil {
+		if err := g.exchange(p, g.localView()); err != nil {
 			errs = append(errs, err)
-		}
-		if len(peerView.Marks) > 0 && g.Partition() != nil {
-			if err := g.latch(g.w.mergeShardMarks(peerView.Name, peerView.Head, peerView.Marks)); err != nil {
-				errs = append(errs, err)
-			}
 		}
 	}
 	err := errors.Join(errs...)
@@ -375,29 +363,39 @@ func (g *GossipPool) Exchange() error {
 	return err
 }
 
+// exchange posts a view to a peer or to the log's collector and folds
+// in the reply: a view is merged, and a 409 is a conviction claim that
+// must be corroborated before it can latch. Transport errors are just
+// degradation.
+func (g *GossipPool) exchange(c *Client, v wireGossip) error {
+	out, err := c.exchangeView(v)
+	var ce *ConflictError
+	switch {
+	case errors.As(err, &ce):
+		return g.corroborate(ce)
+	case err != nil:
+		return err
+	}
+	return g.mergeView(out)
+}
+
 // auditAndCosign runs the partitioned half of an exchange: verify the
 // assigned shard streams against the adopted head, and — when the
 // streams are fully audited up to it and a co-signing key is held —
-// submit this witness's co-signature to the watched log's collector.
+// co-sign it once and post the view carrying the co-signature to the
+// watched log's collector.
 func (g *GossipPool) auditAndCosign() error {
 	last, seen := g.w.Last()
 	if !seen {
 		return nil
 	}
 	g.mu.Lock()
-	maxAudit := g.maxAudit
-	key := g.key
+	maxAudit, key, done := g.maxAudit, g.key, g.cosig
 	g.mu.Unlock()
 	if err := g.latch(g.w.AuditShards(last, g.auditSource(), maxAudit)); err != nil {
 		return err
 	}
-	if key == nil {
-		return nil
-	}
-	g.mu.Lock()
-	already := last.Size <= g.cosignedSize && g.cosignedSize != 0
-	g.mu.Unlock()
-	if already || !g.auditCaughtUp(last) {
+	if key == nil || done != nil && last.Size <= done.Size || !g.auditCaughtUp(last) {
 		return nil
 	}
 	ws, err := key.Cosign(last)
@@ -405,16 +403,15 @@ func (g *GossipPool) auditAndCosign() error {
 		return err
 	}
 	cosignStart := time.Now()
-	_, err = g.log.SubmitCosign(last, ws)
+	err = g.exchange(g.log, wireGossip{Name: g.name, Seen: true, Head: last, Cosig: &ws})
 	mCosignSeconds.Observe(time.Since(cosignStart))
 	if err != nil && !errors.Is(err, ErrDuplicateWitness) {
-		// An equivocation or split-view verdict in the reply is latched
-		// like any conviction; duplicates just mean a retried round.
-		return g.latch(err)
+		// Duplicates just mean a retried round.
+		return err
 	}
 	g.mu.Lock()
-	if last.Size > g.cosignedSize || g.cosignedSize == 0 {
-		g.cosignedSize = last.Size
+	if g.cosig == nil || last.Size > g.cosig.Size {
+		g.cosig = &ws
 	}
 	g.mu.Unlock()
 	return nil

@@ -448,6 +448,48 @@ func TestGossipRejectsJunkHeads(t *testing.T) {
 	}
 }
 
+// TestGossipRefusalNamed: a witness refusing a view answers with the
+// one 400 refusal body, and the client surfaces the sentinel behind it
+// — a badly signed head is ErrBadSTH at the sender, not a status
+// string. A malformed view is refused with no sentinel, and neither
+// moves the witness.
+func TestGossipRefusalNamed(t *testing.T) {
+	key := testSigner(t)
+	l, err := NewLog(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.AppendBatch(mixedEntries(4)); err != nil {
+		t.Fatal(err)
+	}
+	logSrv := httptest.NewServer(Handler(l))
+	defer logSrv.Close()
+	p, gossipURL := testPool(t, "target", &key.PublicKey, logSrv.URL)
+	if err := p.Exchange(); err != nil {
+		t.Fatal(err)
+	}
+	peer := NewClient(gossipURL, &key.PublicKey)
+	forged := l.STH()
+	forged.Signature = append([]byte(nil), forged.Signature...)
+	forged.Signature[len(forged.Signature)/2] ^= 0xff
+	if _, _, err := peer.ExchangeGossip("evil", forged, true); !errors.Is(err, ErrBadSTH) {
+		t.Fatalf("badly signed head: got %v, want ErrBadSTH", err)
+	}
+	resp, err := http.Post(gossipURL+pathGossip, "application/json", bytes.NewReader([]byte("{not json")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rej wireRefusal
+	err = json.NewDecoder(resp.Body).Decode(&rej)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusBadRequest || rej.Code != "" {
+		t.Fatalf("malformed view: status %d, body %+v (%v)", resp.StatusCode, rej, err)
+	}
+	if last, _ := p.Witness().Last(); last.Size != 4 || p.Conflict() != nil {
+		t.Fatalf("refused views moved the witness: size %d, conflict %v", last.Size, p.Conflict())
+	}
+}
+
 func marshalWireGossip(t *testing.T, name string, head SignedTreeHead, seen bool) ([]byte, error) {
 	t.Helper()
 	return json.Marshal(wireGossip{Name: name, Seen: seen, Head: head})
@@ -517,6 +559,31 @@ func TestGossipResistsFabricatedConvictions(t *testing.T) {
 	}
 	if pool.Conflict() != nil {
 		t.Fatalf("uncorroborated replay latched a conviction: %v", pool.Conflict())
+	}
+
+	// A witness's conviction — genuine, but signed by a witness key, not
+	// the log's — convicts no log: the pool drops it unlatched.
+	keys, _ := testWitnessKeys(t, 1, 1)
+	equiv := &ConflictError{Kind: ErrWitnessEquivocation, Signer: "w0", Detail: "witness conviction"}
+	for i, st := range []*SignedTreeHead{&equiv.Have, &equiv.Got} {
+		*st = SignedTreeHead{Size: 6, RootHash: Hash{byte(i + 1)}}
+		ws, err := keys["w0"].Cosign(*st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Signature = ws.Signature
+	}
+	if !equiv.SelfCertifying(keys["w0"].Public()) {
+		t.Fatal("the witness conviction is not genuine")
+	}
+	if conflictBody, err = json.Marshal(equiv); err != nil {
+		t.Fatal(err)
+	}
+	if err := pool.Exchange(); err == nil || errors.Is(err, ErrWitnessEquivocation) {
+		t.Fatalf("witness conviction not dropped: %v", err)
+	}
+	if pool.Conflict() != nil {
+		t.Fatalf("witness conviction latched: %v", pool.Conflict())
 	}
 
 	// Self-certifying evidence: two signed heads at one size with

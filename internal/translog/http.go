@@ -26,11 +26,10 @@ const (
 	// GET {level}/{index}.p/{width} for a partial right-edge tile.
 	pathTile = "/translog/v1/tile/"
 	// pathShard serves per-shard stream slices for the partitioned
-	// witness audit; pathCosign/pathCosigned are the co-signing
-	// protocol: witnesses POST signatures, relying parties GET the
-	// newest quorum artifact.
+	// witness audit; relying parties GET the newest quorum artifact from
+	// pathCosigned. Witnesses deliver their co-signatures in their views
+	// on pathGossip.
 	pathShard    = "/translog/v1/shard"
-	pathCosign   = "/translog/v1/cosign"
 	pathCosigned = "/translog/v1/cosigned"
 )
 
@@ -281,15 +280,18 @@ func serveTile(l *Log, w http.ResponseWriter, r *http.Request) {
 }
 
 // wireGossip carries one witness's view on the gossip wire: its name (for
-// evidence attribution in logs), last-accepted head and — in partitioned
-// mode — the audit marks over its assigned shard streams. A witness
-// carrying no mark for a shard is making no claim about it; absence is
-// ignorance, never testimony (see Witness.mergeShardMarks).
+// evidence attribution in logs), last-accepted head, in partitioned mode
+// the audit marks over its assigned shard streams, and — once it holds a
+// co-signing key and has audited its slice up to the head — its
+// co-signature over that head. A witness carrying no mark for a shard is
+// making no claim about it; absence is ignorance, never testimony (see
+// Witness.mergeShardMarks).
 type wireGossip struct {
-	Name  string          `json:"name,omitempty"`
-	Seen  bool            `json:"seen"`
-	Head  SignedTreeHead  `json:"head"`
-	Marks []wireShardMark `json:"marks,omitempty"`
+	Name  string            `json:"name,omitempty"`
+	Seen  bool              `json:"seen"`
+	Head  SignedTreeHead    `json:"head"`
+	Marks []wireShardMark   `json:"marks,omitempty"`
+	Cosig *WitnessSignature `json:"cosig,omitempty"`
 }
 
 // wireShardMark is one audited shard cursor on the gossip wire.
@@ -306,204 +308,49 @@ type wireShardStream struct {
 	Entries []IndexedEntry `json:"entries"`
 }
 
-// wireConflict decodes the HTTP 409 body: a serialised ConflictError
-// (ConflictError.MarshalJSON produces the matching encoding). Kind
-// travels as a label so the evidence survives the round-trip as the same
-// errors.Is-able verdict.
-type wireConflict struct {
-	Kind   string         `json:"kind"` // "rollback" | "split-view"
-	Detail string         `json:"detail"`
-	Have   SignedTreeHead `json:"have"`
-	Got    SignedTreeHead `json:"got"`
-}
-
-func (wc wireConflict) toError() *ConflictError {
-	kind := error(ErrSplitView)
-	if wc.Kind == "rollback" {
-		kind = ErrRollback
-	}
-	return &ConflictError{Kind: kind, Detail: wc.Detail, Have: wc.Have, Got: wc.Got}
-}
-
-// wireCosign is the cosign endpoint's request: the served head plus one
-// witness co-signature over it.
-type wireCosign struct {
-	STH SignedTreeHead   `json:"sth"`
-	Sig WitnessSignature `json:"sig"`
-}
-
-// wireCosignAck acknowledges an accepted co-signature: how many distinct
-// witnesses have signed at that size, against the quorum required.
-type wireCosignAck struct {
-	Count  int `json:"count"`
-	Quorum int `json:"quorum"`
-}
-
-// wireCosignReject is the 400 body for a co-signature the collector
-// refused. Code travels so the client surfaces the same errors.Is-able
-// verdict the collector raised instead of a flattened status string.
-type wireCosignReject struct {
-	Code  string `json:"code"` // "bad-sth" | "cosign-invalid" | "unknown-witness" | "duplicate-witness"
+// wireRefusal is the 400 body of a view receiver. Code names the
+// sentinel behind the refusal, so the sender's errors.Is sees the
+// receiver's verdict instead of a flattened status string.
+type wireRefusal struct {
+	Code  string `json:"code,omitempty"`
 	Error string `json:"error"`
 }
 
-func (rej wireCosignReject) toError() error {
-	var sentinel error
-	switch rej.Code {
-	case "bad-sth":
-		sentinel = ErrBadSTH
-	case "unknown-witness":
-		sentinel = ErrUnknownWitness
-	case "duplicate-witness":
-		sentinel = ErrDuplicateWitness
-	default:
-		sentinel = ErrCosignInvalid
-	}
-	return fmt.Errorf("%w: %s", sentinel, rej.Error)
-}
+// refusals maps each refusal code to its sentinel; an error wraps at
+// most one of them.
+var refusals = map[string]error{"bad-sth": ErrBadSTH, "unknown-witness": ErrUnknownWitness,
+	"duplicate-witness": ErrDuplicateWitness, "cosign-invalid": ErrCosignInvalid}
 
-// cosignRejectCode labels a collector rejection for the wire;
-// ok reports whether the error is a 400-class rejection at all.
-func cosignRejectCode(err error) (string, bool) {
-	switch {
-	case errors.Is(err, ErrBadSTH):
-		return "bad-sth", true
-	case errors.Is(err, ErrUnknownWitness):
-		return "unknown-witness", true
-	case errors.Is(err, ErrDuplicateWitness):
-		return "duplicate-witness", true
-	case errors.Is(err, ErrCosignInvalid):
-		return "cosign-invalid", true
+func (rej wireRefusal) toError() error {
+	if sentinel, ok := refusals[rej.Code]; ok {
+		return fmt.Errorf("%w: %s", sentinel, rej.Error)
 	}
-	return "", false
-}
-
-// equivocationKind discriminates an EquivocationError 409 body from a
-// ConflictError one; both carry a "kind" field, the conflict kinds being
-// "rollback" and "split-view".
-const equivocationKind = "witness-equivocation"
-
-// wireEquivocation is the 409 body for witness equivocation: the two
-// co-signatures that convict by signature alone.
-type wireEquivocation struct {
-	Kind    string           `json:"kind"` // equivocationKind
-	Witness string           `json:"witness"`
-	A       WitnessSignature `json:"a"`
-	B       WitnessSignature `json:"b"`
-}
-
-// decodeCosignConflict maps a cosign 409 body to the evidence error it
-// carries: an *EquivocationError (the caller verifies it against its
-// pinned roster — the reporting server is not trusted) or a
-// *ConflictError.
-func decodeCosignConflict(data []byte) error {
-	var probe struct {
-		Kind string `json:"kind"`
-	}
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return fmt.Errorf("translog client: cosign conflict undecodable: %w", err)
-	}
-	if probe.Kind == equivocationKind {
-		var we wireEquivocation
-		if err := json.Unmarshal(data, &we); err != nil {
-			return fmt.Errorf("translog client: cosign conflict undecodable: %w", err)
-		}
-		return &EquivocationError{Witness: we.Witness, A: we.A, B: we.B}
-	}
-	var wc wireConflict
-	if err := json.Unmarshal(data, &wc); err != nil {
-		return fmt.Errorf("translog client: cosign conflict undecodable: %w", err)
-	}
-	return wc.toError()
+	return fmt.Errorf("translog client: gossip refused: %s", rej.Error)
 }
 
 // GossipHandler serves a witness's side of head gossip. GET returns the
-// witness's last-accepted head; POST receives a peer's head, merges it,
-// and answers with our own — or with 409 plus the two-signed-head
-// evidence when the merge convicts the log. Junk input (malformed JSON,
-// heads with invalid signatures) is rejected with 400 and never touches
-// witness state.
+// witness's view; POST receives a peer's view, merges it, and answers
+// with our own (see serveView).
 func GossipHandler(p *GossipPool) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET "+pathGossip, func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, p.localView())
 	})
 	mux.HandleFunc("POST "+pathGossip, func(w http.ResponseWriter, r *http.Request) {
-		body, ok := readRequest(w, r, 1<<20)
-		if !ok {
-			return
-		}
-		var in wireGossip
-		if err := json.Unmarshal(body, &in); err != nil {
-			http.Error(w, "malformed gossip", http.StatusBadRequest)
-			return
-		}
-		if !in.Seen {
-			// The peer has nothing to offer; just answer with our view.
-			writeJSON(w, p.localView())
-			return
-		}
-		out, err := p.receiveView(in)
-		var ce *ConflictError
-		switch {
-		case err == nil:
-			writeJSON(w, out)
-		case errors.As(err, &ce):
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusConflict)
-			json.NewEncoder(w).Encode(ce)
-		case errors.Is(err, ErrBadSTH):
-			http.Error(w, err.Error(), http.StatusBadRequest)
-		default:
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
+		serveView(w, r, p.receiveView)
 	})
 	return mux
 }
 
-// CosignHandler serves the co-signing side of the quorum protocol.
-// POST /translog/v1/cosign receives one witness co-signature; forged,
-// replayed, duplicate or out-of-roster signatures are refused with 400
-// and a machine-readable code, while evidence-grade failures — the
-// collector observing two signed heads at one size, or the submitting
-// witness equivocating — come back as 409 with the self-verifying
-// evidence attached. GET /translog/v1/cosigned serves the newest quorum
-// co-signed head, or 404 while quorum is outstanding.
+// CosignHandler serves the log server's side of the quorum protocol.
+// POST /translog/v1/gossip receives a witness's view carrying its
+// co-signature (see serveView) and answers with a view that holds no
+// head. GET /translog/v1/cosigned serves the newest quorum co-signed
+// head, or 404 while quorum is outstanding.
 func CosignHandler(col *CosignCollector) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST "+pathCosign, func(w http.ResponseWriter, r *http.Request) {
-		body, ok := readRequest(w, r, 1<<20)
-		if !ok {
-			return
-		}
-		var in wireCosign
-		if err := json.Unmarshal(body, &in); err != nil {
-			http.Error(w, "malformed cosign", http.StatusBadRequest)
-			return
-		}
-		count, err := col.Submit(in.STH, in.Sig)
-		var ee *EquivocationError
-		var ce *ConflictError
-		switch {
-		case err == nil:
-			writeJSON(w, wireCosignAck{Count: count, Quorum: col.Quorum()})
-		case errors.As(err, &ee):
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusConflict)
-			json.NewEncoder(w).Encode(wireEquivocation{Kind: equivocationKind, Witness: ee.Witness, A: ee.A, B: ee.B})
-		case errors.As(err, &ce):
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusConflict)
-			json.NewEncoder(w).Encode(ce)
-		default:
-			if code, ok := cosignRejectCode(err); ok {
-				w.Header().Set("Content-Type", "application/json")
-				w.WriteHeader(http.StatusBadRequest)
-				json.NewEncoder(w).Encode(wireCosignReject{Code: code, Error: err.Error()})
-				return
-			}
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
+	mux.HandleFunc("POST "+pathGossip, func(w http.ResponseWriter, r *http.Request) {
+		serveView(w, r, col.receiveView)
 	})
 	mux.HandleFunc("GET "+pathCosigned, func(w http.ResponseWriter, r *http.Request) {
 		ch, err := col.Cosigned()
@@ -518,6 +365,47 @@ func CosignHandler(col *CosignCollector) http.Handler {
 		}
 	})
 	return mux
+}
+
+// serveView answers one POSTed view for its receiver: a witness's pool
+// or the log server's collector. A body over 1 MiB is 413. Otherwise
+// the receiver's verdict picks the reply: its own view (200), the
+// self-verifying evidence of a conviction (409), or a refusal naming the
+// sentinel behind it (400) — junk, a badly signed head or a bad
+// co-signature never touches receiver state. Anything else is 500.
+func serveView(w http.ResponseWriter, r *http.Request, receive func(wireGossip) (wireGossip, error)) {
+	body, ok := readRequest(w, r, 1<<20)
+	if !ok {
+		return
+	}
+	reply := func(status int, v any) {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(status)
+		json.NewEncoder(w).Encode(v)
+	}
+	var in wireGossip
+	if err := json.Unmarshal(body, &in); err != nil {
+		reply(http.StatusBadRequest, wireRefusal{Error: "malformed view"})
+		return
+	}
+	out, err := receive(in)
+	code := ""
+	for c, sentinel := range refusals {
+		if errors.Is(err, sentinel) {
+			code = c
+		}
+	}
+	var ce *ConflictError
+	switch {
+	case err == nil:
+		reply(http.StatusOK, out)
+	case errors.As(err, &ce):
+		reply(http.StatusConflict, ce)
+	case code != "":
+		reply(http.StatusBadRequest, wireRefusal{Code: code, Error: err.Error()})
+	default:
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	}
 }
 
 // readRequest reads a request body of at most limit bytes. A longer
@@ -619,7 +507,7 @@ func (c *Client) BaseURL() string { return c.base }
 const (
 	maxReplyBytes     = 4 << 20  // head, entries, shard slices, lookup
 	maxTileReplyBytes = 64 << 10 // one framed tile
-	maxPostReplyBytes = 1 << 20  // append, gossip and cosign replies, cosigned head
+	maxPostReplyBytes = 1 << 20  // append and gossip replies, cosigned head
 )
 
 // ErrResponseTooLarge reports a log-server or witness reply body over
@@ -846,7 +734,8 @@ func (c *Client) appendBody(body []byte) (SignedTreeHead, error) {
 // none) to a peer witness's gossip endpoint and returns the peer's view.
 // A 409 response is the peer convicting the log on our evidence (or its
 // own): it comes back as the *ConflictError it is, both signed heads
-// attached.
+// attached and not yet verified — the reporting peer is not trusted, so
+// the caller checks it with ConflictError.Verify.
 func (c *Client) ExchangeGossip(name string, head SignedTreeHead, seen bool) (SignedTreeHead, bool, error) {
 	out, err := c.exchangeView(wireGossip{Name: name, Seen: seen, Head: head})
 	if err != nil {
@@ -855,9 +744,12 @@ func (c *Client) ExchangeGossip(name string, head SignedTreeHead, seen bool) (Si
 	return out.Head, out.Seen, nil
 }
 
-// exchangeView is the full gossip exchange: the head plus, between
-// partitioned witnesses, the shard audit marks. ExchangeGossip is the
-// head-only wrapper kept for unpartitioned pools.
+// exchangeView is the one view exchange: with a peer witness (head and,
+// between partitioned witnesses, shard audit marks) and with the log
+// server's collector (head and co-signature). ExchangeGossip is the
+// head-only wrapper kept for unpartitioned pools. A 409 is returned as
+// the unverified *ConflictError it carries; a 400 as the sentinel its
+// refusal code names.
 func (c *Client) exchangeView(v wireGossip) (wireGossip, error) {
 	body, err := json.Marshal(v)
 	if err != nil {
@@ -880,21 +772,17 @@ func (c *Client) exchangeView(v wireGossip) (wireGossip, error) {
 		}
 		return out, nil
 	case http.StatusConflict:
-		var wc wireConflict
-		if err := json.Unmarshal(data, &wc); err != nil {
+		ce := new(ConflictError)
+		if err := json.Unmarshal(data, ce); err != nil {
 			return wireGossip{}, fmt.Errorf("translog client: gossip conflict undecodable: %w", err)
 		}
-		ce := wc.toError()
-		if c.pub != nil {
-			// A conviction is only as good as its evidence: both heads
-			// must carry valid log signatures, or a malicious peer could
-			// fabricate 409s and turn the alarm channel into a kill
-			// switch for honest witnesses.
-			if err := ce.Verify(c.pub); err != nil {
-				return wireGossip{}, fmt.Errorf("translog client: peer sent conviction with unverifiable evidence: %w", err)
-			}
-		}
 		return wireGossip{}, ce
+	case http.StatusBadRequest:
+		var rej wireRefusal
+		if err := json.Unmarshal(data, &rej); err != nil {
+			rej = wireRefusal{Error: strings.TrimSpace(string(data))}
+		}
+		return wireGossip{}, rej.toError()
 	default:
 		return wireGossip{}, fmt.Errorf("translog client: gossip: status %d: %s",
 			status, strings.TrimSpace(string(data)))
@@ -911,42 +799,6 @@ func (c *Client) ShardStream(shard int, start, count uint64) (uint64, []IndexedE
 		return 0, nil, err
 	}
 	return out.Total, out.Entries, nil
-}
-
-// SubmitCosign posts one witness co-signature over a served head to the
-// log server's collector and returns the number of distinct signatures
-// the collector now holds at that size. Rejections come back as the
-// errors.Is-able verdicts the collector raised: ErrCosignInvalid,
-// ErrUnknownWitness, ErrDuplicateWitness, a *ConflictError (the server
-// observed two signed heads at one size), or a self-verifying
-// *EquivocationError naming this witness.
-func (c *Client) SubmitCosign(sth SignedTreeHead, ws WitnessSignature) (int, error) {
-	body, err := json.Marshal(wireCosign{STH: sth, Sig: ws})
-	if err != nil {
-		return 0, err
-	}
-	status, data, err := c.do("cosign", pathCosign, body, maxPostReplyBytes)
-	if err != nil {
-		return 0, err
-	}
-	switch status {
-	case http.StatusOK:
-		var ack wireCosignAck
-		if err := json.Unmarshal(data, &ack); err != nil {
-			return 0, fmt.Errorf("translog client: cosign ack: %w", err)
-		}
-		return ack.Count, nil
-	case http.StatusConflict:
-		return 0, decodeCosignConflict(data)
-	case http.StatusBadRequest:
-		var rej wireCosignReject
-		if err := json.Unmarshal(data, &rej); err != nil {
-			return 0, fmt.Errorf("translog client: cosign rejected: %s", strings.TrimSpace(string(data)))
-		}
-		return 0, rej.toError()
-	default:
-		return 0, fmt.Errorf("translog client: cosign: status %d: %s", status, strings.TrimSpace(string(data)))
-	}
 }
 
 // Cosigned fetches the newest quorum co-signed head (a CosignSource). A

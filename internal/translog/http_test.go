@@ -67,7 +67,10 @@ func TestClientResponseTooLarge(t *testing.T) {
 		{"Tile", maxTileReplyBytes, func() error { _, err := pc.Tile(0, 0, TileWidth); return err }},
 		{"AppendSTH", maxPostReplyBytes, func() error { _, err := pc.AppendSTH([]Entry{testEntry(0)}); return err }},
 		{"ExchangeGossip", maxPostReplyBytes, func() error { _, _, err := pc.ExchangeGossip("w", SignedTreeHead{}, false); return err }},
-		{"SubmitCosign", maxPostReplyBytes, func() error { _, err := pc.SubmitCosign(SignedTreeHead{}, WitnessSignature{}); return err }},
+		{"co-signed view", maxPostReplyBytes, func() error {
+			_, err := pc.exchangeView(wireGossip{Seen: true, Cosig: &WitnessSignature{}})
+			return err
+		}},
 		{"Cosigned", maxPostReplyBytes, func() error { _, err := pc.Cosigned(); return err }},
 	} {
 		size = tc.limit + 1
@@ -95,9 +98,10 @@ func TestRequestBodyTooLarge(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.Handle("/translog/v1/", Handler(l))
 	mux.Handle(pathGossip, GossipHandler(NewGossipPool("w0", NewWitness(&key.PublicKey), nil)))
-	mux.Handle(pathCosign, CosignHandler(NewCosignCollector(&key.PublicKey, roster)))
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
+	collector := httptest.NewServer(CosignHandler(NewCosignCollector(&key.PublicKey, roster)))
+	defer collector.Close()
 
 	batch := make([]Entry, 20000)
 	for i := range batch {
@@ -118,25 +122,25 @@ func TestRequestBodyTooLarge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cosignBody, err := json.Marshal(wireCosign{Sig: WitnessSignature{Witness: strings.Repeat("w", 1<<20)}})
+	cosignBody, err := json.Marshal(wireGossip{Seen: true, Cosig: &WitnessSignature{Witness: strings.Repeat("w", 1<<20)}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		path string
+		url  string
 		body []byte
 	}{
-		{pathAppend, appendBody},
-		{pathGossip, gossipBody},
-		{pathCosign, cosignBody},
+		{srv.URL + pathAppend, appendBody},
+		{srv.URL + pathGossip, gossipBody},
+		{collector.URL + pathGossip, cosignBody},
 	} {
-		resp, err := http.Post(srv.URL+tc.path, "application/json", strings.NewReader(string(tc.body)))
+		resp, err := http.Post(tc.url, "application/json", strings.NewReader(string(tc.body)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusRequestEntityTooLarge {
-			t.Errorf("POST %s with a %d-byte body: status %d, want 413", tc.path, len(tc.body), resp.StatusCode)
+			t.Errorf("POST %s with a %d-byte body: status %d, want 413", tc.url, len(tc.body), resp.StatusCode)
 		}
 	}
 	if n := l.Size(); n != 0 {

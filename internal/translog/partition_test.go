@@ -1,8 +1,10 @@
 package translog
 
 import (
+	"bytes"
 	"crypto/ecdsa"
 	"crypto/rand"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -446,7 +448,7 @@ func TestCosignAggregationNeverBlocksSequencerCommit(t *testing.T) {
 	col := NewCosignCollector(&key.PublicKey, roster)
 	mux := http.NewServeMux()
 	cosignH := CosignHandler(col)
-	mux.Handle("/translog/v1/cosign", cosignH)
+	mux.Handle("/translog/v1/gossip", cosignH)
 	mux.Handle("/translog/v1/cosigned", cosignH)
 	mux.Handle("/", Handler(l))
 	srv := httptest.NewServer(mux)
@@ -564,5 +566,99 @@ func TestCosignAggregationNeverBlocksSequencerCommit(t *testing.T) {
 	}
 	if ch.STH.Size != final.Size {
 		t.Fatalf("quorum artifact at size %d, want final size %d", ch.STH.Size, final.Size)
+	}
+}
+
+// TestWitnessPostsOncePerHead: a partitioned witness speaks to the log
+// on the one view wire. Over rounds in which the log grows, it posts one
+// view to the log per new head and signs each head once: the
+// co-signature it posts is the one every later view to its peers
+// carries, and a round with no new head posts nothing and signs
+// nothing. ECDSA signing is randomised, so a second Cosign call over a
+// head would show as a second signature.
+func TestWitnessPostsOncePerHead(t *testing.T) {
+	l, key := shardedTestLog(t, 4, 4, 5)
+	keys, roster := testWitnessKeys(t, 1, 1)
+	col := NewCosignCollector(&key.PublicKey, roster)
+	var mu sync.Mutex
+	var posts int
+	var posted, told []WitnessSignature // co-signatures in views to the log, and to the peer
+	record := func(into *[]WitnessSignature, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		var v wireGossip
+		if json.Unmarshal(body, &v) == nil && v.Cosig != nil {
+			*into = append(*into, *v.Cosig)
+		}
+	}
+	mux := http.NewServeMux()
+	mux.Handle(pathGossip, CosignHandler(col))
+	mux.Handle("/", Handler(l))
+	logSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet {
+			mu.Lock()
+			posts++
+			record(&posted, r)
+			mu.Unlock()
+		}
+		mux.ServeHTTP(w, r)
+	}))
+	defer logSrv.Close()
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		record(&told, r)
+		mu.Unlock()
+		writeJSON(w, wireGossip{})
+	}))
+	defer peer.Close()
+
+	part, err := NewWitnessPartition(4, []string{"w0"}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := NewGossipPool("w0", NewWitness(&key.PublicKey), NewClient(logSrv.URL, &key.PublicKey))
+	if err := pool.EnablePartition(part, keys["w0"], nil); err != nil {
+		t.Fatal(err)
+	}
+	pool.AddPeer(NewClient(peer.URL, &key.PublicKey))
+
+	const rounds = 4
+	for i := 0; i < rounds; i++ {
+		if i > 0 {
+			e := Entry{Type: EntryAttestOK, Timestamp: int64(i), Actor: fmt.Sprintf("fw-%d", i), Host: fmt.Sprintf("host-%d", i), Detail: "OK"}
+			if _, err := l.Append(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The second exchange sees no new head.
+		for j := 0; j < 2; j++ {
+			if err := pool.Exchange(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mu.Lock()
+		if posts != i+1 || len(posted) != i+1 {
+			t.Fatalf("round %d: %d posts to the log carrying %d co-signatures, want %d", i, posts, len(posted), i+1)
+		}
+		sig := posted[i]
+		if sig.Size != l.STH().Size || sig.RootHash != l.STH().RootHash {
+			t.Fatalf("round %d: co-signed size %d, want the new head at %d", i, sig.Size, l.STH().Size)
+		}
+		if len(told) != 2*(i+1) {
+			t.Fatalf("round %d: %d views to the peer carried a co-signature, want %d", i, len(told), 2*(i+1))
+		}
+		for _, ws := range told[2*i:] {
+			if !bytes.Equal(ws.Signature, sig.Signature) {
+				t.Fatalf("round %d: the peer was told a second signature over size %d", i, ws.Size)
+			}
+		}
+		mu.Unlock()
+	}
+	ch, err := col.Cosigned()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ch.STH.Size != l.STH().Size || !bytes.Equal(ch.Signatures[0].Signature, posted[rounds-1].Signature) {
+		t.Fatalf("quorum artifact at size %d does not carry the posted co-signature", ch.STH.Size)
 	}
 }

@@ -117,7 +117,7 @@ var (
 	mWitnessAssignedShards = obsReg.Gauge("translog_witness_assigned_shards",
 		"Shard streams this witness is assigned to audit (0: unpartitioned, auditing nothing shard-wise).")
 	mCosignSeconds = obsReg.Histogram("translog_cosign_seconds",
-		"Latency of one witness co-sign round: shard audit through signature submission.")
+		"Latency of one witness's view exchange with the log's collector, co-signature included.")
 	mCosignSignatures = obsReg.Counter("translog_cosign_signatures_total",
 		"Witness co-signatures the collector accepted.")
 	mCosignQuorumFailures = obsReg.Counter("translog_cosign_quorum_failures_total",

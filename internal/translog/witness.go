@@ -20,45 +20,79 @@ var (
 	// ErrSplitView reports two irreconcilable tree heads — the log showed
 	// different histories to different parties (or rewrote its own).
 	ErrSplitView = errors.New("translog: split view detected") //lint:allow unusedexport README-documented gossip outcome; reaches callers wrapped in ConflictError evidence
+	// ErrWitnessEquivocation reports one witness co-signing two different
+	// roots at one tree size.
+	ErrWitnessEquivocation = errors.New("translog: witness equivocation") //lint:allow unusedexport conviction contract: reaches callers wrapped in ConflictError evidence, matched by auditors with errors.Is
 )
 
-// ConflictError is the evidence form of ErrRollback/ErrSplitView: the two
-// signed tree heads that cannot both describe one append-only log. Both
-// heads carry valid log signatures, so the pair is self-certifying — any
-// third party holding the CA certificate can re-verify the conviction
-// without trusting the witness that raised it. (For a rollback the pair
-// proves the log signed both heads; the claim that the smaller one was
-// served *after* the larger is the observing witness's testimony, which
-// is why peers corroborate received convictions against their own view
-// before adopting them — see GossipPool.)
+// ConflictError is the evidence form of ErrRollback, ErrSplitView and
+// ErrWitnessEquivocation: two statements by one signer that no honest
+// signer makes. Both carry the signer's valid signature, so the pair is
+// self-certifying — any third party holding the signer's key re-verifies
+// the conviction without trusting whoever raised it. (For a rollback
+// the pair proves the log signed both heads; the claim that the smaller
+// one was served *after* the larger is the observing witness's
+// testimony, which is why peers corroborate received convictions
+// against their own view before adopting them — see GossipPool.)
 type ConflictError struct {
-	// Kind is ErrRollback or ErrSplitView (errors.Is sees through it).
+	// Kind is ErrRollback, ErrSplitView or ErrWitnessEquivocation
+	// (errors.Is sees through it).
 	Kind error
-	// Have is the head the witness holds as verified history.
+	// Signer names the key behind both statements: empty for the log
+	// key, a roster witness name for a witness.
+	Signer string
+	// Have is the statement held as verified history; Got is the
+	// irreconcilable one observed. The log's statements are its signed
+	// heads. A witness's are the heads it co-signed: size, root and its
+	// co-signature, with no timestamp (a co-signature covers none).
 	Have SignedTreeHead
-	// Got is the irreconcilable head that was observed.
-	Got SignedTreeHead
-	// Detail says how the two heads conflict.
+	Got  SignedTreeHead
+	// Detail says how the two statements conflict.
 	Detail string
 }
 
+// conflictKinds labels each verdict kind on the wire and in logs.
+var conflictKinds = map[string]error{"rollback": ErrRollback, "split-view": ErrSplitView, "witness-equivocation": ErrWitnessEquivocation}
+
 // KindLabel names the verdict for wire and log serialisation.
 func (e *ConflictError) KindLabel() string {
-	if errors.Is(e.Kind, ErrRollback) {
-		return "rollback"
+	for label, kind := range conflictKinds {
+		if errors.Is(e.Kind, kind) {
+			return label
+		}
 	}
 	return "split-view"
+}
+
+// conflictJSON is the 409 body and the archived form of a conviction:
+// the verdict travels as its label so it decodes as the same
+// errors.Is-able kind.
+type conflictJSON struct {
+	Kind   string         `json:"kind"`
+	Signer string         `json:"signer,omitempty"`
+	Detail string         `json:"detail"`
+	Have   SignedTreeHead `json:"have"`
+	Got    SignedTreeHead `json:"got"`
 }
 
 // MarshalJSON serialises the evidence with the verdict kind included, so
 // archived convictions stay machine-readable.
 func (e *ConflictError) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		Kind   string         `json:"kind"`
-		Detail string         `json:"detail"`
-		Have   SignedTreeHead `json:"have"`
-		Got    SignedTreeHead `json:"got"`
-	}{e.KindLabel(), e.Detail, e.Have, e.Got})
+	return json.Marshal(conflictJSON{e.KindLabel(), e.Signer, e.Detail, e.Have, e.Got})
+}
+
+// UnmarshalJSON decodes the MarshalJSON form; an unknown label decodes
+// as a split view.
+func (e *ConflictError) UnmarshalJSON(data []byte) error {
+	var wc conflictJSON
+	if err := json.Unmarshal(data, &wc); err != nil {
+		return err
+	}
+	*e = ConflictError{Kind: conflictKinds[wc.Kind], Signer: wc.Signer, Have: wc.Have, Got: wc.Got, Detail: wc.Detail}
+	if e.Kind == nil {
+		e.Kind = ErrSplitView
+	}
+	return nil
 }
 
 // Error renders the verdict with both heads summarised.
@@ -72,22 +106,28 @@ func (e *ConflictError) Error() string {
 // Unwrap lets errors.Is match the underlying verdict kind.
 func (e *ConflictError) Unwrap() error { return e.Kind }
 
-// Verify re-checks the evidence: both heads must carry valid log
-// signatures, otherwise the "conviction" proves nothing.
+// Verify re-checks the evidence under the signer's key — the log key,
+// or the named witness's roster key: both statements must carry its
+// valid signature, otherwise the "conviction" proves nothing.
 func (e *ConflictError) Verify(pub *ecdsa.PublicKey) error {
-	if err := e.Have.Verify(pub); err != nil {
-		return fmt.Errorf("translog: evidence 'have' head: %w", err)
-	}
-	if err := e.Got.Verify(pub); err != nil {
-		return fmt.Errorf("translog: evidence 'got' head: %w", err)
+	for i, s := range []SignedTreeHead{e.Have, e.Got} {
+		var err error
+		if e.Signer == "" {
+			err = s.Verify(pub)
+		} else {
+			err = WitnessSignature{Witness: e.Signer, Size: s.Size, RootHash: s.RootHash, Signature: s.Signature}.Verify(pub)
+		}
+		if err != nil {
+			return fmt.Errorf("translog: evidence '%s' statement: %w", [2]string{"have", "got"}[i], err)
+		}
 	}
 	return nil
 }
 
-// SelfCertifying reports whether the evidence pair alone proves log
-// misbehaviour to any third party: two signature-valid heads of equal
-// size with different roots can never both belong to one append-only
-// log, no matter who presents them or when.
+// SelfCertifying reports whether the evidence pair alone proves its
+// signer misbehaved to any third party: two signature-valid statements
+// of equal size with different roots can never both describe one
+// append-only log, no matter who presents them or when.
 func (e *ConflictError) SelfCertifying(pub *ecdsa.PublicKey) bool {
 	return e.Have.Size == e.Got.Size &&
 		e.Have.RootHash != e.Got.RootHash &&

@@ -2,6 +2,7 @@ package verifier
 
 import (
 	"encoding/base64"
+	"errors"
 	"fmt"
 	"time"
 
@@ -23,7 +24,15 @@ type HostAppraisal struct {
 	// IMLEntries counts appraised measurements.
 	IMLEntries int
 	At         time.Time
+	// errs holds the error behind each finding.
+	errs []error
 }
+
+// Err joins the errors behind the findings, nil for a trusted host. Each
+// is errors.Is-able as its sentinel: ErrNonceMismatch, ErrQuoteStatus,
+// ErrEvidenceBinding, ErrUnexpectedMR, ErrDebugEnclave, ErrSVNTooLow,
+// ErrTPMRequired or ErrTPMMismatch.
+func (a *HostAppraisal) Err() error { return errors.Join(a.errs...) }
 
 // AttestHost runs the remote attestation of a container host (steps 1–2 of
 // Figure 1): challenge the integrity attestation enclave, validate the
@@ -63,69 +72,70 @@ func (m *Manager) AttestHost(name string) (*HostAppraisal, error) {
 // causes faster with the complete picture).
 func (m *Manager) appraiseHostEvidence(rec *hostRecord, nonce []byte, ev *enclaveapp.HostEvidence) *HostAppraisal {
 	app := &HostAppraisal{Host: rec.name, Trusted: true, At: time.Now()}
-	fail := func(format string, args ...any) {
+	fail := func(err error) {
 		app.Trusted = false
-		app.Findings = append(app.Findings, fmt.Sprintf(format, args...))
+		app.Findings = append(app.Findings, err.Error())
+		app.errs = append(app.errs, err)
 	}
 
 	// Freshness: the evidence must carry the nonce we issued.
 	if string(ev.Nonce) != string(nonce) || !m.consumeNonce(ev.Nonce) {
-		fail("nonce mismatch or replay")
+		fail(fmt.Errorf("%w or replay", ErrNonceMismatch))
 	}
 
 	// Step 2: IAS validates the quote and revocation state.
 	avr, err := m.iasC.VerifyQuote(ev.Quote, base64.StdEncoding.EncodeToString(nonce)[:24])
 	if err != nil {
-		fail("IAS verification: %v", err)
+		fail(fmt.Errorf("IAS verification: %w", err))
 		return app
 	}
 	app.QuoteStatus = avr.Status()
 	if !avr.Status().Trusted() {
-		fail("%v: %s", ErrQuoteStatus, avr.Status())
+		fail(fmt.Errorf("%w: %s", ErrQuoteStatus, avr.Status()))
 	}
 
 	quote, err := sgx.DecodeQuote(ev.Quote)
 	if err != nil {
-		fail("quote decode: %v", err)
+		fail(fmt.Errorf("quote decode: %w", err))
 		return app
 	}
 	// Channel binding: report data must commit to IML, nonce and TPM
 	// quote.
 	if quote.Body.ReportData != sgx.ReportDataFromHash(ev.BindingDigest()) {
-		fail("%v", ErrEvidenceBinding)
+		fail(ErrEvidenceBinding)
 	}
 	// Enclave identity.
 	m.mu.Lock()
 	okMR := m.expectAtt[quote.Body.MRENCLAVE]
 	m.mu.Unlock()
 	if !okMR {
-		fail("%v: attestation enclave %s", ErrUnexpectedMR, quote.Body.MRENCLAVE)
+		fail(fmt.Errorf("%w: attestation enclave %s", ErrUnexpectedMR, quote.Body.MRENCLAVE))
 	}
 	if quote.Body.Attributes.Debug && !m.policy.AllowDebug {
-		fail("%v", ErrDebugEnclave)
+		fail(ErrDebugEnclave)
 	}
 	if quote.Body.ISVSVN < m.policy.MinISVSVN {
-		fail("%v: %d < %d", ErrSVNTooLow, quote.Body.ISVSVN, m.policy.MinISVSVN)
+		fail(fmt.Errorf("%w: %d < %d", ErrSVNTooLow, quote.Body.ISVSVN, m.policy.MinISVSVN))
 	}
 
 	// Appraise the integrity measurement list.
 	list, err := ima.ParseList(ev.IML)
 	if err != nil {
-		fail("IML parse: %v", err)
+		fail(fmt.Errorf("IML parse: %w", err))
 		return app
 	}
 	app.IMLEntries = list.Len()
 	app.IMAResult = m.goldenIMA.Appraise(list)
 	if !app.IMAResult.Trusted {
 		for _, f := range app.IMAResult.Findings {
-			fail("IMA: %s", f)
+			fail(fmt.Errorf("IMA: %s", f))
 		}
 	}
 
 	// Hardware root of trust (§4 extension).
 	if m.policy.RequireTPM || ev.TPMQuote != nil {
 		if err := verifyTPMEvidence(rec.aik, ev, list); err != nil {
-			fail("%v", err)
+			fail(err)
 		} else {
 			app.TPMVerified = true
 		}
