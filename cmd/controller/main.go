@@ -25,6 +25,10 @@ import (
 	"vnfguard/internal/translog"
 )
 
+// pinName is the witness name the controller's quorum-head pin persists
+// under in the statedir (witness-controller-head.json).
+const pinName = "controller"
+
 func main() {
 	addr := flag.String("addr", "127.0.0.1:0", "listen address")
 	stateDir := flag.String("state-dir", "./state", "shared state directory")
@@ -129,7 +133,19 @@ func main() {
 					if rerr != nil {
 						log.Fatalf("pinned witness partition but no roster keys: %v", rerr)
 					}
-					cfg.CredentialLog = translog.NewQuorumCredentialChecker(caPub, roster, source, source, client.Cosigned)
+					// The newest co-signed head this controller accepted is
+					// pinned in its statedir, so a restart resumes from it and
+					// a log server serving an older or forked co-signed head
+					// is convicted. The pin's head file must not be a roster
+					// witness's.
+					if _, taken := roster.Key(pinName); taken {
+						log.Fatalf("witness roster names %q, the controller's quorum-head pin", pinName)
+					}
+					pin, err := translog.OpenWitnessState(dir, pinName, caPub)
+					if err != nil {
+						log.Fatalf("opening the quorum-head pin: %v", err)
+					}
+					cfg.CredentialLog = translog.NewQuorumCredentialChecker(pin, roster, source, source, client.Cosigned)
 					log.Printf("credential log check active: tile-assembled proofs from %s, quorum %d-of-%d co-signed heads required",
 						url, pcfg.Quorum, len(pcfg.Witnesses))
 				} else if !errors.Is(perr, os.ErrNotExist) {

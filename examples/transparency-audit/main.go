@@ -906,11 +906,15 @@ func runPartitionAct(signer crypto.Signer, logKey *ecdsa.PublicKey) {
 	fmt.Printf("  per-witness economy: %s vouched for the full head after verifying %d of %d entries — its slice, not the fleet ✓\n",
 		names[0], audited, total)
 
-	// A relying party pins the artifact like any trust anchor: accepted
-	// quorum heads can only move forward, and an equal-size different
-	// root is split-view evidence.
-	anchor := translog.NewQuorumWitnessAnchor(shared, "relying-party", logKey, roster)
-	check(anchor.Accept(cosigned))
+	// A relying party pins the verified artifact's head on a witness of
+	// its own, persisted in its statedir — the pin a quorum controller
+	// keeps: accepted heads only move forward, an older co-signed head
+	// served later is a rollback, and an equal-size different root is
+	// split-view evidence.
+	relying, err := translog.OpenWitnessState(shared, "relying-party", logKey)
+	check(err)
+	tiles := translog.NewTileAssembler(client, 0)
+	check(relying.Advance(cosigned.STH, tiles.ConsistencyProof))
 
 	// The attacker's snapshot, then one host keeps working: 10 more
 	// verdicts for host-3 land in exactly one shard stream.
@@ -924,9 +928,14 @@ func runPartitionAct(signer crypto.Signer, logKey *ecdsa.PublicKey) {
 	}
 	grown, err := client.Cosigned()
 	check(err)
-	check(anchor.Accept(grown))
-	fmt.Printf("%s appended 10 more verdicts (shard %d): quorum co-signed head advanced to size %d, anchor moved forward ✓\n",
+	check(grown.Verify(logKey, roster))
+	check(relying.Advance(grown.STH, tiles.ConsistencyProof))
+	fmt.Printf("%s appended 10 more verdicts (shard %d): quorum co-signed head advanced to size %d, relying party's pin moved forward ✓\n",
 		victim, victimShard, grown.STH.Size)
+	if err := relying.Advance(cosigned.STH, tiles.ConsistencyProof); !errors.Is(err, translog.ErrRollback) {
+		log.Fatalf("older co-signed head served after the pinned one: got %v, want ErrRollback", err)
+	}
+	fmt.Printf("older co-signed head (size %d) served after it: ROLLBACK convicted by the pin ✓\n", cosigned.STH.Size)
 
 	// The rewind: restore the snapshot — WAL streams and signed head
 	// together, a consistent state that reopens cleanly — erasing only

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"crypto/sha256"
 	"errors"
+	"strings"
 	"testing"
 
 	"vnfguard/internal/enclaveapp"
+	"vnfguard/internal/ima"
 	"vnfguard/internal/sgx"
 	"vnfguard/internal/verifier"
 	"vnfguard/internal/vnf"
@@ -26,9 +29,9 @@ func (h tamperedHost) Attest(nonce []byte, useTPM bool) (*enclaveapp.HostEvidenc
 // requoted launches a stand-in attestation enclave on host 0's platform
 // — with the code, security version and debug attribute given, its
 // measurement pinned at the VM when pin is set — and returns evidence
-// that binds the host's genuine IML and nonce under that enclave's
-// quote.
-func requoted(t *testing.T, d *Deployment, code string, svn uint16, debug, pin bool) evidenceFunc {
+// that binds the host's genuine IML, edited by iml when it is set, and
+// nonce under that enclave's quote.
+func requoted(t *testing.T, d *Deployment, code string, svn uint16, debug, pin bool, iml func(*ima.List)) evidenceFunc {
 	t.Helper()
 	p := d.Hosts[0].Platform()
 	spec := sgx.EnclaveSpec{
@@ -56,6 +59,14 @@ func requoted(t *testing.T, d *Deployment, code string, svn uint16, debug, pin b
 		ev, err := d.Hosts[0].Attest(nonce, useTPM)
 		if err != nil {
 			return nil, err
+		}
+		if iml != nil {
+			list, err := ima.ParseList(ev.IML)
+			if err != nil {
+				return nil, err
+			}
+			iml(list)
+			ev.IML = list.Serialize()
 		}
 		digest := ev.BindingDigest()
 		raw, err := e.ECall("report", digest[:])
@@ -109,9 +120,21 @@ func TestAppraisalRefusalsNamed(t *testing.T) {
 			}
 			return ev, err
 		}, false, verifier.ErrEvidenceBinding},
-		{"unexpected MRENCLAVE", requoted(t, d, "rogue attestation build", 1, false, false), false, verifier.ErrUnexpectedMR},
-		{"debug enclave", requoted(t, d, "debug attestation build", 1, true, true), false, verifier.ErrDebugEnclave},
-		{"low SVN", requoted(t, d, "outdated attestation build", 0, false, true), false, verifier.ErrSVNTooLow},
+		{"unexpected MRENCLAVE", requoted(t, d, "rogue attestation build", 1, false, false, nil), false, verifier.ErrUnexpectedMR},
+		{"debug enclave", requoted(t, d, "debug attestation build", 1, true, true, nil), false, verifier.ErrDebugEnclave},
+		{"low SVN", requoted(t, d, "outdated attestation build", 0, false, true, nil), false, verifier.ErrSVNTooLow},
+		{"unlisted binary in the IML", requoted(t, d, "attestation build", 1, false, true, func(l *ima.List) {
+			l.Append(sha256.Sum256([]byte("rootkit")), "/usr/bin/rootkit")
+		}), false, verifier.ErrIMAViolation},
+		{"modified file in the IML", requoted(t, d, "attestation build", 1, false, true, func(l *ima.List) {
+			for _, e := range l.Entries() {
+				if e.Path != ima.BootAggregatePath {
+					l.Append(sha256.Sum256([]byte("backdoored")), e.Path)
+					return
+				}
+			}
+			t.Error("host IML measures no file to modify")
+		}), false, verifier.ErrIMAViolation},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -127,6 +150,9 @@ func TestAppraisalRefusalsNamed(t *testing.T) {
 			}
 			if app.Trusted || len(app.Findings) == 0 || !errors.Is(app.Err(), tc.want) {
 				t.Fatalf("AttestHost: trusted=%v err=%v, want %v", app.Trusted, app.Err(), tc.want)
+			}
+			if errors.Is(tc.want, verifier.ErrIMAViolation) && !strings.HasPrefix(app.Findings[0], "IMA: /") {
+				t.Fatalf("IMA finding reads %q", app.Findings[0])
 			}
 			_, err = d.RunWorkflow(0, []vnf.VNF{StandardFirewall("fw-1")})
 			if !errors.Is(err, tc.want) || !errors.Is(err, verifier.ErrHostNotTrusted) {

@@ -3,28 +3,27 @@
 // A durable log's recovery can replay and checksum its WAL, but "is
 // this the *newest* committed state?" can only be answered by a memory
 // the attacker could not rewrite alongside the statedir. Each such
-// memory is a TrustAnchor. Four ship:
+// memory is a TrustAnchor. Three ship:
 //
 //   - the store's own signed tree head, sth.json (catches rewinds that
 //     disagree with it);
 //   - a witness's persisted head (WitnessAnchor: catches consistent
 //     rewinds of segments + head together, as long as the witness state
 //     survives);
-//   - the quorum artifact, a head plus witness co-signatures
-//     (QuorumWitnessAnchor);
 //   - an enclave-sealed monotonic head (sealed.go — catches even a
 //     total-amnesia rewind where the disk and every witness lost state
 //     together, because the counter lives in platform hardware).
 //
 // The store's head and a witness's head are one type, WitnessAnchor: a
-// signed-head file with one reader (readHeadFile, shared with the
-// quorum artifact) and one writer (statedir.ReplaceFile, the project's
-// one atomic-replace helper). Every anchor compares the recovered state
-// against what it remembers through one check (RecoveredState.check),
-// keeping its own sentinels. OpenDurableLog runs every configured anchor
-// at recovery and notifies every anchor of each committed head, so
-// future anchors (TPM NV, remote notary) slot in without another
-// recovery rewrite.
+// signed-head file with one reader (WitnessAnchor.read) and one writer
+// (statedir.ReplaceFile, the project's one atomic-replace helper). A
+// relying party's pin of quorum co-signed heads is a witness too
+// (NewQuorumCredentialChecker), so it persists through the same file.
+// Every anchor compares the recovered state against what it remembers
+// through one check (RecoveredState.check), keeping its own sentinels.
+// OpenDurableLog runs every configured anchor at recovery and notifies
+// every anchor of each committed head, so future anchors (TPM NV, remote
+// notary) slot in without another recovery rewrite.
 package translog
 
 import (
@@ -126,24 +125,6 @@ type TrustAnchor interface {
 	CommitHead(sth SignedTreeHead) error
 }
 
-// readHeadFile decodes the JSON head remembered at path into v; ok=false
-// when none was ever written. It is the one reader of every remembered
-// head file — signed heads and co-signed artifacts alike — so the same
-// bad file is refused the same way whoever reads it.
-func readHeadFile(path, what string, v any) (bool, error) {
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return false, nil
-	}
-	if err != nil {
-		return false, fmt.Errorf("translog: reading the %s: %w", what, err)
-	}
-	if err := json.Unmarshal(data, v); err != nil {
-		return false, fmt.Errorf("%w: the %s is undecodable: %v", ErrStateCorrupt, what, err)
-	}
-	return true, nil
-}
-
 // ---- signed-head file anchor ----------------------------------------------
 
 // WitnessAnchor anchors the log on one remembered signed tree head: a
@@ -208,11 +189,22 @@ func (a *WitnessAnchor) what() string {
 }
 
 // read decodes the head file without checking its signature; ok=false
-// when none was ever written.
+// when none was ever written. It is the one reader of every remembered
+// head file, so the same bad file is refused the same way whoever reads
+// it.
 func (a *WitnessAnchor) read() (SignedTreeHead, bool, error) {
 	var sth SignedTreeHead
-	ok, err := readHeadFile(a.path, a.what(), &sth)
-	return sth, ok, err
+	data, err := os.ReadFile(a.path)
+	if errors.Is(err, os.ErrNotExist) {
+		return sth, false, nil
+	}
+	if err != nil {
+		return sth, false, fmt.Errorf("translog: reading the %s: %w", a.what(), err)
+	}
+	if err := json.Unmarshal(data, &sth); err != nil {
+		return sth, false, fmt.Errorf("%w: the %s is undecodable: %v", ErrStateCorrupt, a.what(), err)
+	}
+	return sth, true, nil
 }
 
 // load reads the head file and checks its signature: a head the log key
@@ -276,133 +268,6 @@ func (a *WitnessAnchor) CommitHead(sth SignedTreeHead) error {
 // the latest CommitHead) and whether one exists — the store's
 // resumption point.
 func (a *WitnessAnchor) remembered() (SignedTreeHead, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.last, a.seen
-}
-
-// ---- quorum witness anchor ------------------------------------------------
-
-// witnessCosignedFile is the statedir entry a QuorumWitnessAnchor (and
-// any party pinning quorum artifacts) persists CosignedHeads under.
-func witnessCosignedFile(name string) string { return "witness-" + name + "-cosigned.json" }
-
-// QuorumWitnessAnchor anchors the log on the persisted quorum artifact:
-// the newest CosignedHead — head plus ≥Q witness co-signatures verified
-// against the pinned roster — this deployment accepted. It subsumes the
-// single-witness anchor's rollback protection (every committed head is
-// persisted, co-signed or not) and adds the partitioned trust model: a
-// recovery contradicting a head Q distinct partial auditors stood
-// behind is convicting evidence against the whole store, not one
-// witness's word.
-type QuorumWitnessAnchor struct {
-	path   string
-	pub    *ecdsa.PublicKey
-	roster *WitnessRoster
-
-	mu   sync.Mutex
-	last CosignedHead
-	seen bool
-}
-
-// NewQuorumWitnessAnchor returns an anchor persisting quorum artifacts
-// under witness name in dir, verified against the log public key and the
-// pinned witness roster.
-func NewQuorumWitnessAnchor(dir *statedir.Dir, name string, pub *ecdsa.PublicKey, roster *WitnessRoster) *QuorumWitnessAnchor {
-	return &QuorumWitnessAnchor{path: dir.Path(witnessCosignedFile(name)), pub: pub, roster: roster}
-}
-
-// Name implements TrustAnchor.
-func (a *QuorumWitnessAnchor) Name() string { return "quorum-witness" }
-
-// CheckRecovery verifies the recovered state against the persisted
-// artifact: the head signature must verify, every witness co-signature
-// present must verify against the roster (a crash between commit and
-// quorum legitimately leaves zero — quorum is not re-required here, but
-// forged signatures are tampering), the state must cover at least the
-// remembered size, and the covered prefix must hash to the remembered
-// root.
-func (a *QuorumWitnessAnchor) CheckRecovery(state *RecoveredState) error {
-	var ch CosignedHead
-	ok, err := readHeadFile(a.path, "quorum anchor head", &ch)
-	if err != nil || !ok {
-		return err
-	}
-	if err := ch.STH.Verify(a.pub); err != nil {
-		return fmt.Errorf("%w: the quorum anchor head signature is invalid", ErrStateTampered)
-	}
-	for _, ws := range ch.Signatures {
-		pub, ok := a.roster.Key(ws.Witness)
-		if !ok {
-			return fmt.Errorf("%w: quorum anchor carries a co-signature by %q outside the roster", ErrStateTampered, ws.Witness)
-		}
-		if ws.Size != ch.STH.Size || ws.RootHash != ch.STH.RootHash || ws.Verify(pub) != nil {
-			return fmt.Errorf("%w: quorum anchor co-signature by %q invalid", ErrStateTampered, ws.Witness)
-		}
-	}
-	if err := state.check(ch.STH.Size, ch.STH.RootHash, "quorum anchor head", ErrStateRollback, ErrStateTampered); err != nil {
-		return err
-	}
-	a.mu.Lock()
-	a.last, a.seen = ch, true
-	a.mu.Unlock()
-	return nil
-}
-
-// CommitHead persists the newly committed head with an empty signature
-// set, never moving backwards and never discarding co-signatures already
-// recorded for the same head. The co-signatures arrive asynchronously
-// through Accept — rollback protection must not wait for them.
-func (a *QuorumWitnessAnchor) CommitHead(sth SignedTreeHead) error {
-	return a.record(CosignedHead{STH: sth})
-}
-
-// Accept records a verified quorum artifact. A head older than the
-// remembered one is ignored; a *different root at the remembered size*
-// is split-view evidence — the log showed the quorum one tree and this
-// deployment another — and comes back as the self-certifying
-// *ConflictError it is.
-func (a *QuorumWitnessAnchor) Accept(ch *CosignedHead) error {
-	if err := ch.Verify(a.pub, a.roster); err != nil {
-		return err
-	}
-	return a.record(*ch)
-}
-
-// record is the shared never-backwards persist path. Older artifacts are
-// ignored; anything else is judged against the remembered head by the
-// head rule (checkPrefix), which without a prover convicts only diverging
-// roots at equal size. At equal size the entry carrying more
-// co-signatures is kept. The lock is held across the write: released between
-// the check and the write, an Accept of an older head could land its
-// file after a racing CommitHead of a newer one and move the pin back.
-func (a *QuorumWitnessAnchor) record(ch CosignedHead) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.seen {
-		if ch.STH.Size < a.last.STH.Size {
-			return nil
-		}
-		if err := checkPrefix(a.last.STH, ch.STH, nil); err != nil {
-			return err
-		}
-		if ch.STH.Size == a.last.STH.Size && len(ch.Signatures) <= len(a.last.Signatures) {
-			return nil
-		}
-	}
-	data, err := json.Marshal(ch)
-	if err != nil {
-		return err
-	}
-	if err := statedir.ReplaceFile(a.path, data, true); err != nil {
-		return err
-	}
-	a.last, a.seen = ch, true
-	return nil
-}
-
-// Last returns the remembered artifact and whether one exists.
-func (a *QuorumWitnessAnchor) Last() (CosignedHead, bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.last, a.seen

@@ -57,10 +57,6 @@ func TestAnchorConformance(t *testing.T) {
 		{"witness-head", func(t *testing.T, pub *ecdsa.PublicKey) TrustAnchor {
 			return NewWitnessAnchor(testStatedir(t), "anchor", pub)
 		}, ErrStateRollback},
-		{"quorum-witness", func(t *testing.T, pub *ecdsa.PublicKey) TrustAnchor {
-			_, roster := testWitnessKeys(t, 2, 1)
-			return NewQuorumWitnessAnchor(testStatedir(t), "anchor", pub, roster)
-		}, ErrStateRollback},
 		{"sealed-counter", func(t *testing.T, pub *ecdsa.PublicKey) TrustAnchor {
 			vendor := testSigner(t)
 			a, err := NewSealedHeadAnchor(testPlatform(t), vendor,
@@ -174,13 +170,6 @@ func TestAnchorConformanceShardedStore(t *testing.T) {
 			wd := testStatedir(t)
 			return func() []TrustAnchor {
 				return []TrustAnchor{NewWitnessAnchor(wd, "anchor", pub)}
-			}
-		}, ErrStateRollback},
-		{"quorum-witness", func(t *testing.T, dir string, pub *ecdsa.PublicKey) func() []TrustAnchor {
-			wd := testStatedir(t)
-			_, roster := testWitnessKeys(t, 2, 1)
-			return func() []TrustAnchor {
-				return []TrustAnchor{NewQuorumWitnessAnchor(wd, "anchor", pub, roster)}
 			}
 		}, ErrStateRollback},
 		{"sealed-counter", func(t *testing.T, dir string, pub *ecdsa.PublicKey) func() []TrustAnchor {

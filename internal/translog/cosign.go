@@ -313,7 +313,8 @@ const maxCosignSizes = 16
 
 // CosignCollector is the log-server side of the protocol: it
 // accumulates witness co-signatures per head, assembles a CosignedHead
-// the moment a size reaches quorum, and latches equivocation evidence.
+// the moment a size reaches quorum, and counts every witness it catches
+// equivocating (translog_cosign_equivocations_total).
 // It is deliberately independent of the Log and its commit lock —
 // submissions verify signatures and touch only the collector's own
 // mutex, so cosign aggregation can never block a sequencer commit
@@ -326,7 +327,6 @@ type CosignCollector struct {
 	heads map[uint64]SignedTreeHead
 	sigs  map[uint64]map[string]WitnessSignature
 	best  *CosignedHead
-	equiv []*ConflictError
 }
 
 // NewCosignCollector builds a collector verifying heads against the log
@@ -379,7 +379,7 @@ func (c *CosignCollector) Submit(sth SignedTreeHead, ws WitnessSignature) (int, 
 			Have:   SignedTreeHead{Size: prev.Size, RootHash: prev.RootHash, Signature: prev.Signature},
 			Got:    SignedTreeHead{Size: ws.Size, RootHash: ws.RootHash, Signature: ws.Signature},
 			Detail: fmt.Sprintf("witness %q co-signed two roots at size %d", ws.Witness, ws.Size)}
-		c.equiv = append(c.equiv, ce)
+		mCosignEquivocations.Inc()
 		return len(c.sigs[sth.Size]), ce
 	case signed:
 		return len(c.sigs[sth.Size]), fmt.Errorf("%w: %q already co-signed size %d", ErrDuplicateWitness, ws.Witness, sth.Size)
@@ -469,13 +469,6 @@ func (c *CosignCollector) Cosigned() (*CosignedHead, error) {
 	return &ch, nil
 }
 
-// Equivocations returns the latched witness-equivocation evidence.
-func (c *CosignCollector) Equivocations() []*ConflictError {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]*ConflictError(nil), c.equiv...)
-}
-
 // ---- quorum-gated credential checking -------------------------------------
 
 // ConsistencyProver produces RFC 6962 consistency proofs between two
@@ -487,30 +480,61 @@ type ConsistencyProver interface {
 
 // NewQuorumCredentialChecker is NewCredentialChecker with the quorum
 // trust model: a credential's proof bundle is accepted only when its
-// head is covered by the newest quorum co-signed head — byte-equal to
-// it, or consistency-proven into it. A bundle whose head is newer than
-// anything Q witnesses have co-signed is refused (ErrQuorumNotReached):
+// head is covered by a quorum co-signed head — byte-equal to it, or
+// consistency-proven into it. pin is the relying party's memory of the
+// newest co-signed head it accepted (OpenWitnessState persists it across
+// restarts), and its log key verifies every head.
+//
+// A proof head at or below the pin is judged against the pin alone: no
+// fetch and no co-signature check. Only a proof head past the pin
+// fetches the newest co-signed head, verifies it against the roster and
+// advances the pin with it, so a log server that later serves an older
+// co-signed head is convicted (ErrRollback), and one that serves a
+// different root at the pinned size too (ErrSplitView), each as the
+// *ConflictError over the pinned and the served head. A proof head
+// beyond even the fresh co-signed head is refused (ErrQuorumNotReached):
 // the log's own signature stopped being sufficient the moment the
 // deployment pinned a roster. Its first half is NewCredentialChecker's,
 // head memo included.
-func NewQuorumCredentialChecker(pub *ecdsa.PublicKey, roster *WitnessRoster, source ProofSource, proofs ConsistencyProver, cosigned CosignSource) func(*x509.Certificate) error {
+func NewQuorumCredentialChecker(pin *Witness, roster *WitnessRoster, source ProofSource, proofs ConsistencyProver, cosigned CosignSource) func(*x509.Certificate) error {
 	heads := sigmemo.New()
-	return func(cert *x509.Certificate) error {
-		pb, err := proveCredential(pub, source, heads, cert)
-		if err != nil {
-			return err
+	// mu makes fetch, verify and advance one step: two handshakes racing
+	// past the pin would otherwise advance it out of order, and the older
+	// co-signed head would read as a rollback.
+	var mu sync.Mutex
+	advance := func(size uint64) (SignedTreeHead, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if have, ok := pin.Last(); ok && size <= have.Size {
+			return have, nil
 		}
 		ch, err := cosigned()
 		if err != nil {
+			return SignedTreeHead{}, err
+		}
+		if err := ch.Verify(pin.pub, roster); err != nil {
+			return SignedTreeHead{}, err
+		}
+		if err := pin.Advance(ch.STH, proofs.ConsistencyProof); err != nil {
+			return SignedTreeHead{}, err
+		}
+		if size > ch.STH.Size {
+			return SignedTreeHead{}, fmt.Errorf("%w: credential proof head at size %d is beyond the newest co-signed head at size %d",
+				ErrQuorumNotReached, size, ch.STH.Size)
+		}
+		return ch.STH, nil
+	}
+	return func(cert *x509.Certificate) error {
+		pb, err := proveCredential(pin.pub, source, heads, cert)
+		if err != nil {
 			return err
 		}
-		if err := ch.Verify(pub, roster); err != nil {
-			return err
+		have, ok := pin.Last()
+		if !ok || pb.STH.Size > have.Size {
+			if have, err = advance(pb.STH.Size); err != nil {
+				return err
+			}
 		}
-		if pb.STH.Size > ch.STH.Size {
-			return fmt.Errorf("%w: credential proof head at size %d is beyond the newest co-signed head at size %d",
-				ErrQuorumNotReached, pb.STH.Size, ch.STH.Size)
-		}
-		return checkPrefix(ch.STH, pb.STH, proofs.ConsistencyProof)
+		return checkPrefix(have, pb.STH, proofs.ConsistencyProof)
 	}
 }

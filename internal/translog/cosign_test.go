@@ -4,16 +4,19 @@ import (
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/rand"
+	"crypto/x509"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
+	"time"
 )
 
 // testWitnessKeys generates n named co-signing identities and the
 // roster requiring quorum of them.
-func testWitnessKeys(t *testing.T, n, quorum int) (map[string]*WitnessKey, *WitnessRoster) {
+func testWitnessKeys(t testing.TB, n, quorum int) (map[string]*WitnessKey, *WitnessRoster) {
 	t.Helper()
 	keys := make(map[string]*WitnessKey, n)
 	pubs := make(map[string]*ecdsa.PublicKey, n)
@@ -48,7 +51,7 @@ func signHead(t *testing.T, key *ecdsa.PrivateKey, size uint64, root Hash, ts in
 }
 
 // cosignAll collects one co-signature from each named witness over sth.
-func cosignAll(t *testing.T, keys map[string]*WitnessKey, names []string, sth SignedTreeHead) []WitnessSignature {
+func cosignAll(t testing.TB, keys map[string]*WitnessKey, names []string, sth SignedTreeHead) []WitnessSignature {
 	t.Helper()
 	sigs := make([]WitnessSignature, 0, len(names))
 	for _, name := range names {
@@ -214,7 +217,7 @@ func TestCosignCollectorAdversarial(t *testing.T) {
 
 // TestCosignCollectorEquivocation: one witness co-signs two different
 // roots at one size. The collector returns self-verifying evidence that
-// names the witness as its signer (and latches it), and a second witness
+// names the witness as its signer (and counts it), and a second witness
 // walking into the forked size gets the log-split ConflictError — also
 // self-certifying, since the log signed both heads.
 func TestCosignCollectorEquivocation(t *testing.T) {
@@ -235,6 +238,7 @@ func TestCosignCollectorEquivocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	counted := mCosignEquivocations.Value()
 	_, err = col.Submit(headB, wsB)
 	var ee *ConflictError
 	if !errors.As(err, &ee) || !errors.Is(err, ErrWitnessEquivocation) || ee.Signer != "w0" {
@@ -250,8 +254,8 @@ func TestCosignCollectorEquivocation(t *testing.T) {
 	if ee.Verify(&logKey.PublicKey) == nil {
 		t.Fatal("a witness's co-signatures verified under the log key")
 	}
-	if got := col.Equivocations(); len(got) != 1 || got[0].Signer != "w0" {
-		t.Fatalf("evidence not latched: %+v", got)
+	if got := mCosignEquivocations.Value() - counted; got != 1 {
+		t.Fatalf("translog_cosign_equivocations_total moved by %d, want 1", got)
 	}
 	// Tampered evidence proves nothing.
 	bad := *ee
@@ -425,7 +429,7 @@ func TestQuorumCredentialChecker(t *testing.T) {
 	}
 	keys, roster := testWitnessKeys(t, 3, 2)
 	col := NewCosignCollector(&logKey.PublicKey, roster)
-	check := NewQuorumCredentialChecker(&logKey.PublicKey, roster, l, l, col.Cosigned)
+	check := NewQuorumCredentialChecker(NewWitness(&logKey.PublicKey), roster, l, l, col.Cosigned)
 
 	// Logged, proven — but nobody co-signed yet: refused.
 	if err := check(certWithSerial(77)); !errors.Is(err, ErrQuorumNotReached) {
@@ -482,7 +486,7 @@ func TestQuorumCredentialChecker(t *testing.T) {
 	if err := check(certWithSerial(88)); err != nil {
 		t.Fatalf("credential under the fresh quorum refused: %v", err)
 	}
-	staleCheck := NewQuorumCredentialChecker(&logKey.PublicKey, roster, stale, l, col.Cosigned)
+	staleCheck := NewQuorumCredentialChecker(NewWitness(&logKey.PublicKey), roster, stale, l, col.Cosigned)
 	if err := staleCheck(certWithSerial(77)); err != nil {
 		t.Fatalf("stale proof head not bridged into the co-signed head: %v", err)
 	}
@@ -520,81 +524,276 @@ func TestOpenWitnessKeyPersistence(t *testing.T) {
 	}
 }
 
-// TestQuorumWitnessAnchor: the relying-party anchor over quorum
-// artifacts — forward-only acceptance, split-view refusal, and the
-// recovery checks that refuse a rolled-back or contradicting store.
-func TestQuorumWitnessAnchor(t *testing.T) {
+// quorumFixture is a log of three credentials whose heads a Q-of-3
+// roster co-signs on demand, and a CosignSource that serves whichever
+// co-signed head the test chooses and counts every call.
+type quorumFixture struct {
+	key    *ecdsa.PrivateKey
+	log    *Log
+	roster *WitnessRoster
+	keys   map[string]*WitnessKey
+
+	mu      sync.Mutex
+	serving *CosignedHead
+	fetches int
+}
+
+func newQuorumFixture(t *testing.T) *quorumFixture {
+	t.Helper()
+	fx := &quorumFixture{key: testSigner(t)}
+	var err error
+	if fx.log, err = NewLog(fx.key); err != nil {
+		t.Fatal(err)
+	}
+	fx.keys, fx.roster = testWitnessKeys(t, 3, 2)
+	for i, serial := range []string{"77", "78", "79"} {
+		if _, err := fx.log.AppendBatch(append(mixedEntries(2), Entry{Type: EntryEnroll, Timestamp: int64(i), Actor: "fw", Serial: serial})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return fx
+}
+
+// serve makes sth, co-signed by w0 and w1, the head the source answers.
+func (fx *quorumFixture) serve(t *testing.T, sth SignedTreeHead) {
+	ch := &CosignedHead{STH: sth, Signatures: cosignAll(t, fx.keys, []string{"w0", "w1"}, sth)}
+	fx.mu.Lock()
+	fx.serving = ch
+	fx.mu.Unlock()
+}
+
+func (fx *quorumFixture) cosigned() (*CosignedHead, error) {
+	fx.mu.Lock()
+	defer fx.mu.Unlock()
+	fx.fetches++
+	if fx.serving == nil {
+		return nil, ErrQuorumNotReached
+	}
+	return fx.serving, nil
+}
+
+func (fx *quorumFixture) fetched() int {
+	fx.mu.Lock()
+	defer fx.mu.Unlock()
+	return fx.fetches
+}
+
+// headProofs serves every credential's proof against one fixed head of
+// the log: the head a log server hands a handshake.
+type headProofs struct {
+	log  *Log
+	head SignedTreeHead
+}
+
+func (p headProofs) ProveSerial(serial string) (*ProofBundle, error) {
+	pb, err := p.log.ProveSerial(serial)
+	if err != nil {
+		return nil, err
+	}
+	if pb.Proof, err = p.log.InclusionProof(pb.Index, p.head.Size); err != nil {
+		return nil, err
+	}
+	pb.STH = p.head
+	return pb, nil
+}
+
+// TestQuorumPinConvictsServedHeads: once the checker's pin holds a
+// co-signed head, a log server that answers the next fetch with an older
+// co-signed head is convicted of a rollback, and one that answers with a
+// different root at the pinned size of a split view — each a
+// ConflictError over the pinned and the served head, with the pin
+// unmoved.
+func TestQuorumPinConvictsServedHeads(t *testing.T) {
+	fx := newQuorumFixture(t)
+	older, err := fx.log.RootAt(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := signHead(t, fx.key, 6, mustRoot(t, fx.log, 6), 2)
+	forkRoot := pinned.RootHash
+	forkRoot[0] ^= 0xff
+	for _, tc := range []struct {
+		name   string
+		served SignedTreeHead
+		kind   error
+	}{
+		{"older co-signed head", signHead(t, fx.key, 5, older, 3), ErrRollback},
+		{"different root at the pinned size", signHead(t, fx.key, 6, forkRoot, 3), ErrSplitView},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pin := NewWitness(&fx.key.PublicKey)
+			check := NewQuorumCredentialChecker(pin, fx.roster, headProofs{fx.log, pinned}, fx.log, fx.cosigned)
+			fx.serve(t, pinned)
+			if err := check(certWithSerial(78)); err != nil {
+				t.Fatalf("credential under the co-signed head refused: %v", err)
+			}
+			// The log grows; a proof past the pin makes the checker fetch,
+			// and the hostile server answers with tc.served.
+			fx.serve(t, tc.served)
+			err := NewQuorumCredentialChecker(pin, fx.roster, fx.log, fx.log, fx.cosigned)(certWithSerial(79))
+			var ce *ConflictError
+			if !errors.As(err, &ce) || !errors.Is(err, tc.kind) {
+				t.Fatalf("got %v, want a ConflictError of %v", err, tc.kind)
+			}
+			if !ce.Have.equal(pinned) || !ce.Got.equal(tc.served) {
+				t.Fatalf("evidence pairs %d/%d, want the pinned head and the served one", ce.Have.Size, ce.Got.Size)
+			}
+			if last, _ := pin.Last(); !last.equal(pinned) {
+				t.Fatalf("pin moved to size %d", last.Size)
+			}
+		})
+	}
+}
+
+func mustRoot(t *testing.T, l *Log, n uint64) Hash {
+	t.Helper()
+	root, err := l.RootAt(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return root
+}
+
+// TestQuorumPinSkipsFetchOnUnmovedLog: against an unmoved log only the
+// first check fetches a co-signed head; every later one is judged against
+// the pin. A checker rebuilt over the same statedir restores the pin and
+// passes proofs at and below it with no fetch at all.
+func TestQuorumPinSkipsFetchOnUnmovedLog(t *testing.T) {
+	fx := newQuorumFixture(t)
+	head := fx.log.STH()
+	fx.serve(t, head)
+	dir := testStatedir(t)
+	pin, err := OpenWitnessState(dir, "controller", &fx.key.PublicKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := NewQuorumCredentialChecker(pin, fx.roster, fx.log, fx.log, fx.cosigned)
+	const n = 50
+	for i := 0; i < n; i++ {
+		if err := check(certWithSerial(int64(77 + i%3))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := fx.fetched(); got != 1 {
+		t.Fatalf("%d checks on an unmoved log made %d co-signed fetches, want 1", n, got)
+	}
+
+	restored, err := OpenWitnessState(dir, "controller", &fx.key.PublicKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last, ok := restored.Last(); !ok || !last.equal(head) {
+		t.Fatalf("restored pin %+v (ok=%v), want the co-signed head at size %d", last, ok, head.Size)
+	}
+	below := headProofs{fx.log, signHead(t, fx.key, 6, mustRoot(t, fx.log, 6), 1)}
+	for _, source := range []ProofSource{fx.log, below} {
+		if err := NewQuorumCredentialChecker(restored, fx.roster, source, fx.log, fx.cosigned)(certWithSerial(78)); err != nil {
+			t.Fatalf("proof against the restored pin refused: %v", err)
+		}
+	}
+	if got := fx.fetched(); got != 1 {
+		t.Fatalf("rebuilt checker fetched %d co-signed heads, want 0", got-1)
+	}
+}
+
+// TestQuorumPinConcurrentChecks: handshakes racing past the pin while
+// the collector moves through several quorum heads never advance it out
+// of order — no check reads the newer pin's predecessor as a rollback.
+func TestQuorumPinConcurrentChecks(t *testing.T) {
 	logKey := testSigner(t)
 	l, err := NewLog(logKey)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.AppendBatch(mixedEntries(3)); err != nil {
+	if _, err := l.Append(Entry{Type: EntryEnroll, Timestamp: 1, Actor: "fw-0", Serial: "77"}); err != nil {
 		t.Fatal(err)
 	}
 	keys, roster := testWitnessKeys(t, 3, 2)
-	head := l.STH()
-	artifact := func(sth SignedTreeHead, names ...string) *CosignedHead {
-		return &CosignedHead{STH: sth, Signatures: cosignAll(t, keys, names, sth)}
+	col := NewCosignCollector(&logKey.PublicKey, roster)
+	cosign := func() {
+		head := l.STH()
+		for _, ws := range cosignAll(t, keys, []string{"w0", "w1"}, head) {
+			if _, err := col.Submit(head, ws); err != nil {
+				t.Error(err)
+			}
+		}
 	}
-	dir := testStatedir(t)
-	a := NewQuorumWitnessAnchor(dir, "anchor", &logKey.PublicKey, roster)
+	cosign()
+	check := NewQuorumCredentialChecker(NewWitness(&logKey.PublicKey), roster, l, l, col.Cosigned)
 
-	// Below quorum the artifact is refused before it can be pinned.
-	if err := a.Accept(artifact(head, "w0")); !errors.Is(err, ErrQuorumNotReached) {
-		t.Fatalf("sub-quorum artifact accepted: %v", err)
+	const checkers, heads = 16, 24
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make(chan error, checkers)
+	for i := 0; i < checkers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := check(certWithSerial(77)); err != nil && !errors.Is(err, ErrQuorumNotReached) {
+					errs <- err
+					return
+				}
+			}
+		}()
 	}
-	if err := a.Accept(artifact(head, "w0", "w1")); err != nil {
-		t.Fatal(err)
+	for i := 0; i < heads; i++ {
+		if _, err := l.AppendBatch(mixedEntries(1 + i)); err != nil {
+			t.Fatal(err)
+		}
+		cosign()
+		time.Sleep(2 * time.Millisecond)
 	}
-	last, ok := a.Last()
-	if !ok || last.STH.Size != head.Size {
-		t.Fatalf("accepted artifact not pinned: %+v ok=%v", last, ok)
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Errorf("racing check: %v", err)
 	}
-	// Equal size, different root: split-view evidence, not adoption.
-	forkRoot := head.RootHash
-	forkRoot[0] ^= 0xff
-	forked := signHead(t, logKey, head.Size, forkRoot, head.Timestamp+1)
-	err = a.Accept(artifact(forked, "w1", "w2"))
-	var ce *ConflictError
-	if !errors.As(err, &ce) || !errors.Is(err, ErrSplitView) {
-		t.Fatalf("forked quorum head accepted: %v", err)
-	}
-	// Growth moves the pin forward; an older quorum head is a no-op.
-	if _, err := l.AppendBatch(mixedEntries(2)); err != nil {
-		t.Fatal(err)
-	}
-	grown := l.STH()
-	if err := a.Accept(artifact(grown, "w0", "w2")); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Accept(artifact(head, "w0", "w1")); err != nil {
-		t.Fatalf("stale quorum head should be ignored, not refused: %v", err)
-	}
-	if last, _ := a.Last(); last.STH.Size != grown.Size {
-		t.Fatalf("pin moved backwards to %d", last.STH.Size)
-	}
+}
 
-	// Recovery: a fresh anchor over the same statedir refuses a store
-	// behind — or contradicting — the pinned quorum head.
-	rootAt := func(n uint64) (Hash, error) { return l.RootAt(n) }
-	re := NewQuorumWitnessAnchor(dir, "anchor", &logKey.PublicKey, roster)
-	if err := re.CheckRecovery(&RecoveredState{Size: grown.Size, rootAt: rootAt}); err != nil {
-		t.Fatalf("matching state refused: %v", err)
+// BenchmarkQuorumCredentialCheck times one credential check on an
+// unmoved 100k-entry log: the plain checker, and the quorum checker with
+// its pin at the co-signed head for Q = 2, 3 and 5.
+func BenchmarkQuorumCredentialCheck(b *testing.B) {
+	key, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
+	if err != nil {
+		b.Fatal(err)
 	}
-	if err := re.CheckRecovery(&RecoveredState{Size: head.Size, rootAt: rootAt}); !errors.Is(err, ErrStateRollback) {
-		t.Fatalf("rolled-back state: got %v, want ErrStateRollback", err)
+	l, err := NewLog(key)
+	if err != nil {
+		b.Fatal(err)
 	}
-	tampered := &RecoveredState{Size: grown.Size, rootAt: func(n uint64) (Hash, error) { return Hash{0xde, 0xad}, nil }}
-	if err := re.CheckRecovery(tampered); !errors.Is(err, ErrStateTampered) {
-		t.Fatalf("contradicting state: got %v, want ErrStateTampered", err)
+	entries := mixedEntries(100_000)
+	entries[len(entries)/2] = Entry{Type: EntryEnroll, Timestamp: 1, Actor: "fw-0", Serial: "77"}
+	if _, err := l.AppendBatch(entries); err != nil {
+		b.Fatal(err)
 	}
-	// A corrupted pin file is corrupt state, not silent acceptance.
-	if err := dir.Write("witness-anchor-cosigned.json", []byte("junk")); err != nil {
-		t.Fatal(err)
+	cert := certWithSerial(77)
+	run := func(name string, check func(*x509.Certificate) error) {
+		b.Run(name, func(b *testing.B) {
+			if err := check(cert); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for range b.N {
+				if err := check(cert); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
-	corrupt := NewQuorumWitnessAnchor(dir, "anchor", &logKey.PublicKey, roster)
-	if err := corrupt.CheckRecovery(&RecoveredState{Size: grown.Size, rootAt: rootAt}); !errors.Is(err, ErrStateCorrupt) {
-		t.Fatalf("corrupt pin: got %v, want ErrStateCorrupt", err)
+	run("plain", NewCredentialChecker(&key.PublicKey, l))
+	for _, q := range []int{2, 3, 5} {
+		keys, roster := testWitnessKeys(b, q, q)
+		names := roster.Names()
+		ch := &CosignedHead{STH: l.STH(), Signatures: cosignAll(b, keys, names, l.STH())}
+		run(fmt.Sprintf("quorum-Q%d", q), NewQuorumCredentialChecker(NewWitness(&key.PublicKey), roster, l, l,
+			func() (*CosignedHead, error) { return ch, nil }))
 	}
 }

@@ -17,7 +17,7 @@ import (
 )
 
 // TestAnchorPinRaceNeverRewinds races a commit of an older head against
-// a commit of a newer one on the anchors that persist a head file. Each
+// a commit of a newer one on the anchor that persists a head file. It
 // must hold its lock across the write, or the older head's file can land
 // last and a reopened anchor accepts a rewind to it.
 func TestAnchorPinRaceNeverRewinds(t *testing.T) {
@@ -34,8 +34,6 @@ func TestAnchorPinRaceNeverRewinds(t *testing.T) {
 		t.Fatal(err)
 	}
 	h2 := l.STH()
-	keys, roster := testWitnessKeys(t, 3, 2)
-	cosigned := &CosignedHead{STH: h1, Signatures: cosignAll(t, keys, []string{"w0", "w1"}, h1)}
 	rewound := &RecoveredState{Size: h1.Size, rootAt: func(n uint64) (Hash, error) { return l.RootAt(n) }}
 
 	// older commits h1, newer commits h2, reopen returns a fresh anchor
@@ -48,14 +46,6 @@ func TestAnchorPinRaceNeverRewinds(t *testing.T) {
 		name string
 		mk   func(dir *statedir.Dir) racer
 	}{
-		{"quorum-witness", func(dir *statedir.Dir) racer {
-			a := NewQuorumWitnessAnchor(dir, "anchor", &key.PublicKey, roster)
-			return racer{
-				older:  func() error { return a.Accept(cosigned) },
-				newer:  func() error { return a.CommitHead(h2) },
-				reopen: func() TrustAnchor { return NewQuorumWitnessAnchor(dir, "anchor", &key.PublicKey, roster) },
-			}
-		}},
 		{"witness-head", func(dir *statedir.Dir) racer {
 			a := NewWitnessAnchor(dir, "anchor", &key.PublicKey)
 			return racer{
@@ -93,8 +83,8 @@ func TestAnchorPinRaceNeverRewinds(t *testing.T) {
 }
 
 // fixedKey derives a P-256 key from a repeated seed byte, so the
-// checked-in FuzzHeadFile corpus can carry heads and co-signatures that
-// verify on every run.
+// checked-in FuzzHeadFile corpus can carry heads that verify on every
+// run.
 func fixedKey(t testing.TB, seed byte) *ecdsa.PrivateKey {
 	t.Helper()
 	k, err := ecdh.P256().NewPrivateKey(bytes.Repeat([]byte{seed}, 32))
@@ -113,14 +103,12 @@ func fixedKey(t testing.TB, seed byte) *ecdsa.PrivateKey {
 }
 
 // headFileFixture is what FuzzHeadFile feeds each input against: the
-// fixed log key, a witness roster (w0, w1; quorum 2), the reference log
-// of headFileEntries entries, and a durable store holding the same
-// entries, minus its sth.json.
+// fixed log key, the reference log of headFileEntries entries, and a
+// durable store holding the same entries, minus its sth.json.
 type headFileFixture struct {
-	key    *ecdsa.PrivateKey
-	roster *WitnessRoster
-	ref    *Log
-	store  map[string][]byte
+	key   *ecdsa.PrivateKey
+	ref   *Log
+	store map[string][]byte
 }
 
 const headFileEntries = 3
@@ -128,14 +116,7 @@ const headFileEntries = 3
 func newHeadFileFixture(t testing.TB) *headFileFixture {
 	t.Helper()
 	fx := &headFileFixture{key: fixedKey(t, 1)}
-	pubs := map[string]*ecdsa.PublicKey{
-		"w0": &fixedKey(t, 2).PublicKey,
-		"w1": &fixedKey(t, 3).PublicKey,
-	}
 	var err error
-	if fx.roster, err = NewWitnessRoster(2, pubs); err != nil {
-		t.Fatal(err)
-	}
 	if fx.ref, err = NewLog(fx.key); err != nil {
 		t.Fatal(err)
 	}
@@ -182,13 +163,12 @@ func (fx *headFileFixture) consistent(sth SignedTreeHead) bool {
 }
 
 // FuzzHeadFile feeds arbitrary bytes in as every remembered head file:
-// the store's sth.json, a witness's head (read by both a WitnessAnchor
-// and OpenWitnessState) and a quorum anchor's co-signed artifact. No
+// the store's sth.json and a witness's head (read by both a WitnessAnchor
+// and OpenWitnessState — a relying party's quorum-head pin included). No
 // input may panic; every refusal must be one of the named state
 // sentinels; and a file is accepted only when its head verifies under
-// the log key — for the artifact, only when every co-signature verifies
-// under the roster too. The store and both witness readers must give
-// the same bad file the same sentinel.
+// the log key. The store and both witness readers must give the same bad
+// file the same sentinel.
 func FuzzHeadFile(f *testing.F) {
 	fx := newHeadFileFixture(f)
 	pub := &fx.key.PublicKey
@@ -256,28 +236,6 @@ func FuzzHeadFile(f *testing.F) {
 			t.Fatalf("store refusal not named: %v", serr)
 		}
 		sameRefusal("store", serr)
-
-		// As the quorum anchor's co-signed artifact.
-		if err := dir.Write(witnessCosignedFile("w"), data); err != nil {
-			t.Fatal(err)
-		}
-		qerr := NewQuorumWitnessAnchor(dir, "w", pub, fx.roster).CheckRecovery(state)
-		if qerr != nil {
-			if !named(qerr) {
-				t.Fatalf("quorum anchor refusal not named: %v", qerr)
-			}
-			return
-		}
-		var ch CosignedHead
-		if err := json.Unmarshal(data, &ch); err != nil || !fx.consistent(ch.STH) {
-			t.Fatalf("quorum anchor accepted %q", data)
-		}
-		for _, ws := range ch.Signatures {
-			key, ok := fx.roster.Key(ws.Witness)
-			if !ok || ws.Size != ch.STH.Size || ws.RootHash != ch.STH.RootHash || ws.Verify(key) != nil {
-				t.Fatalf("quorum anchor accepted a co-signature outside the roster: %q", data)
-			}
-		}
 	})
 }
 

@@ -3,8 +3,6 @@ package translog
 import (
 	"errors"
 	"testing"
-
-	"vnfguard/internal/statedir"
 )
 
 // proverFunc adapts a proof function to ConsistencyProver.
@@ -37,11 +35,10 @@ func verdictClass(err error) string {
 //   - served advance: a served head smaller than the held one is a
 //     rollback, convicted without a proof;
 //   - peer merge: none — a lagging peer head passes once proven a prefix;
-//   - quorum credential checker (have = the co-signed head, got = the
-//     credential's proof head): a head beyond the co-signed one is
-//     ErrQuorumNotReached;
-//   - quorum anchor: older artifacts are ignored; it holds no prover, so
-//     only equal sizes are judged;
+//   - quorum credential checker (have = the co-signed head its pin
+//     advances to, got = the credential's proof head): a head beyond the
+//     co-signed one is ErrQuorumNotReached; the pin itself advances as a
+//     served advance does;
 //   - cosign collector: no prover, so only equal sizes are judged.
 //
 // A proof fetch that fails degrades the site; it never convicts.
@@ -82,17 +79,17 @@ func TestHeadRuleConformance(t *testing.T) {
 		got       *Log
 		failFetch bool
 		// The rule's verdict, then each site's: served advance, peer
-		// merge, credential checker, quorum anchor, cosign collector.
-		rule, advance, merge, checker, anchor, collector string
+		// merge, credential checker, cosign collector.
+		rule, advance, merge, checker, collector string
 	}{
-		{"same head", l6, false, "ok", "ok", "ok", "ok", "ok", "ok"},
-		{"forked root at the same size", f6, false, "split-view", "split-view", "split-view", "split-view", "split-view", "split-view"},
-		{"proven extension", l8, false, "ok", "ok", "ok", "quorum", "ok", "ok"},
-		{"forked extension", f8, false, "split-view", "split-view", "split-view", "quorum", "ok", "ok"},
-		{"proven prefix", l4, false, "ok", "rollback", "ok", "ok", "ok", "ok"},
-		{"forked prefix", f4, false, "split-view", "rollback", "split-view", "split-view", "ok", "ok"},
-		{"failed fetch for an extension", l8, true, "degraded", "degraded", "degraded", "quorum", "ok", "ok"},
-		{"failed fetch for a prefix", l4, true, "degraded", "rollback", "degraded", "degraded", "ok", "ok"},
+		{"same head", l6, false, "ok", "ok", "ok", "ok", "ok"},
+		{"forked root at the same size", f6, false, "split-view", "split-view", "split-view", "split-view", "split-view"},
+		{"proven extension", l8, false, "ok", "ok", "ok", "quorum", "ok"},
+		{"forked extension", f8, false, "split-view", "split-view", "split-view", "quorum", "ok"},
+		{"proven prefix", l4, false, "ok", "rollback", "ok", "ok", "ok"},
+		{"forked prefix", f4, false, "split-view", "rollback", "split-view", "split-view", "ok"},
+		{"failed fetch for an extension", l8, true, "degraded", "degraded", "degraded", "quorum", "ok"},
+		{"failed fetch for a prefix", l4, true, "degraded", "rollback", "degraded", "degraded", "ok"},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -107,14 +104,6 @@ func TestHeadRuleConformance(t *testing.T) {
 					t.Fatal(err)
 				}
 				return w
-			}
-			dir, err := statedir.Open(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			anchor := NewQuorumWitnessAnchor(dir, "q", pub, roster)
-			if err := anchor.CommitHead(have); err != nil {
-				t.Fatal(err)
 			}
 			col := NewCosignCollector(pub, roster)
 			ws, err := keys["w0"].Cosign(have)
@@ -133,9 +122,8 @@ func TestHeadRuleConformance(t *testing.T) {
 				{"rule", row.rule, checkPrefix(have, got, prove)},
 				{"served advance", row.advance, held().Advance(got, prove)},
 				{"peer merge", row.merge, held().accept(got, prove, false)},
-				{"quorum credential checker", row.checker, NewQuorumCredentialChecker(pub, roster, row.got, proverFunc(prove),
+				{"quorum credential checker", row.checker, NewQuorumCredentialChecker(NewWitness(pub), roster, row.got, proverFunc(prove),
 					func() (*CosignedHead, error) { return cosigned(have), nil })(certWithSerial(77))},
-				{"quorum anchor", row.anchor, anchor.Accept(cosigned(got))},
 				{"cosign collector", row.collector, func() error {
 					ws, err := keys["w1"].Cosign(got)
 					if err != nil {

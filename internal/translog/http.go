@@ -498,9 +498,6 @@ func newClientWithConfig(baseURL string, pub *ecdsa.PublicKey, cfg clientConfig)
 	}
 }
 
-// BaseURL returns the server URL the client talks to.
-func (c *Client) BaseURL() string { return c.base }
-
 // Reply caps: the most bytes a Client reads of one reply body. A reply
 // past its cap is refused whole with ErrResponseTooLarge; the client
 // refuses it rather than pages it.

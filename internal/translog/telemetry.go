@@ -122,6 +122,8 @@ var (
 		"Witness co-signatures the collector accepted.")
 	mCosignQuorumFailures = obsReg.Counter("translog_cosign_quorum_failures_total",
 		"Tree sizes abandoned without reaching the co-signature quorum (evicted or superseded).")
+	mCosignEquivocations = obsReg.Counter("translog_cosign_equivocations_total",
+		"Witnesses the collector caught co-signing two roots at one tree size.")
 )
 
 // convictionCounter picks the series for a conflict verdict.

@@ -31,7 +31,7 @@ type HostAppraisal struct {
 // Err joins the errors behind the findings, nil for a trusted host. Each
 // is errors.Is-able as its sentinel: ErrNonceMismatch, ErrQuoteStatus,
 // ErrEvidenceBinding, ErrUnexpectedMR, ErrDebugEnclave, ErrSVNTooLow,
-// ErrTPMRequired or ErrTPMMismatch.
+// ErrIMAViolation, ErrTPMRequired or ErrTPMMismatch.
 func (a *HostAppraisal) Err() error { return errors.Join(a.errs...) }
 
 // AttestHost runs the remote attestation of a container host (steps 1–2 of
@@ -128,7 +128,7 @@ func (m *Manager) appraiseHostEvidence(rec *hostRecord, nonce []byte, ev *enclav
 	app.IMAResult = m.goldenIMA.Appraise(list)
 	if !app.IMAResult.Trusted {
 		for _, f := range app.IMAResult.Findings {
-			fail(fmt.Errorf("IMA: %s", f))
+			fail(fmt.Errorf("%w: %s", ErrIMAViolation, f))
 		}
 	}
 

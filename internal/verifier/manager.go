@@ -58,6 +58,11 @@ var (
 	ErrTPMRequired      = errors.New("verifier: policy requires TPM-rooted measurements")
 	ErrTPMMismatch      = errors.New("verifier: IML does not match TPM PCR")
 	ErrProvisionTimeout = errors.New("verifier: provisioning failed")
+
+	// ErrIMAViolation wraps each IMA appraisal finding: a measured file
+	// outside the golden database, a modified one, or a required one
+	// missing. Its text is the "IMA" prefix operators read in Findings.
+	ErrIMAViolation = errors.New("IMA")
 )
 
 // Policy is the appraisal policy applied to quotes and hosts.
