@@ -93,9 +93,7 @@ func main() {
 	// An auditor starts witnessing before anything happens: the genesis
 	// tree head commits to the empty log.
 	witness := translog.NewWitness(logKey)
-	fetch := func(first, second uint64) ([]translog.Hash, error) {
-		return tlog.ConsistencyProof(first, second)
-	}
+	fetch := translog.NewLogTileProofSource(tlog, 0).ConsistencyProof
 	genesis := tlog.STH()
 	check(witness.Advance(genesis, fetch))
 	fmt.Printf("witness anchored at genesis head (size %d)\n", genesis.Size)
@@ -190,10 +188,7 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	forkedFetch := func(first, second uint64) ([]translog.Hash, error) {
-		return forked.ConsistencyProof(first, second)
-	}
-	if err := witness.Advance(forked.STH(), forkedFetch); err != nil {
+	if err := witness.Advance(forked.STH(), translog.NewLogTileProofSource(forked, 0).ConsistencyProof); err != nil {
 		fmt.Printf("forked log presented: witness rejected it ✓ (%v)\n", err)
 	} else {
 		log.Fatal("witness accepted a forked history")
@@ -216,7 +211,8 @@ func main() {
 	// The proof issued before the restart verifies untouched, and the
 	// recovered log re-proves the same credential at the same index.
 	check(pb.Verify(logKey))
-	pb2, err := reopened.ProveSerial(enr.Serial)
+	reopenedProofs := translog.NewLogTileProofSource(reopened, 0)
+	pb2, err := reopenedProofs.ProveSerial(enr.Serial)
 	check(err)
 	check(pb2.Verify(logKey))
 	fmt.Printf("credential %s: pre-restart proof still verifies; re-proven at index %d post-restart ✓\n",
@@ -224,9 +220,7 @@ func main() {
 
 	// The witness that watched the pre-crash log accepts the recovered
 	// head and every head after it: the restart is consistency-proven.
-	reopenedFetch := func(first, second uint64) ([]translog.Hash, error) {
-		return reopened.ConsistencyProof(first, second)
-	}
+	reopenedFetch := reopenedProofs.ConsistencyProof
 	check(witness.Advance(reopened.STH(), reopenedFetch))
 	if _, err := reopened.Append(translog.Entry{
 		Type: translog.EntryAttestOK, Timestamp: time.Now().UnixMilli(), Actor: "host-0", Detail: "post-restart appraisal",
@@ -636,8 +630,6 @@ func runShardedAct(signer crypto.Signer, logKey *ecdsa.PublicKey) {
 	wg.Wait()
 	check(sa.Close())
 	grown := l.STH()
-	root, err := l.RootAt(l.Size())
-	check(err)
 	entries, err := l.Entries(0, l.Size())
 	check(err)
 	check(l.Close())
@@ -647,18 +639,15 @@ func runShardedAct(signer crypto.Signer, logKey *ecdsa.PublicKey) {
 		hosts, perHost, len(entries), len(streams), grown.Size)
 
 	// Restart: the interleaved replay reproduces the exact global
-	// history — same root a plain log computes over the same sequence.
+	// history — the signed root equals the one a plain log commits over
+	// the same sequence.
 	re, err := translog.OpenDurableLog(signer, dir, cfg)
-	check(err)
-	reRoot, err := re.RootAt(re.Size())
 	check(err)
 	ref, err := translog.NewLog(signer)
 	check(err)
 	_, err = ref.AppendBatch(entries)
 	check(err)
-	refRoot, err := ref.RootAt(uint64(len(entries)))
-	check(err)
-	if reRoot != root || reRoot != refRoot {
+	if reRoot := re.STH().RootHash; reRoot != grown.RootHash || reRoot != ref.STH().RootHash {
 		log.Fatal("interleaved recovery diverged from the in-memory history")
 	}
 	check(re.Close())

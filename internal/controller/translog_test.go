@@ -50,7 +50,7 @@ func startLoggedServer(t *testing.T) (*Server, *pki.CA, *translog.Log) {
 			}
 			return nil
 		},
-		CredentialLog: translog.NewCredentialChecker(caPub, log),
+		CredentialLog: translog.NewCredentialChecker(caPub, translog.NewLogTileProofSource(log, 0)),
 	}
 	srv, err := Serve(New("ctrl", testNet(t)), cfg, "127.0.0.1:0")
 	if err != nil {

@@ -122,9 +122,7 @@ func TestDeploymentLogAuditTrail(t *testing.T) {
 	log := d.VM.TransparencyLog()
 	pub := d.VM.CA().Certificate().PublicKey.(*ecdsa.PublicKey)
 	w := translog.NewWitness(pub)
-	fetch := func(first, second uint64) ([]translog.Hash, error) {
-		return log.ConsistencyProof(first, second)
-	}
+	fetch := translog.NewLogTileProofSource(log, 0).ConsistencyProof
 	if err := w.Advance(log.STH(), fetch); err != nil {
 		t.Fatal(err)
 	}

@@ -327,8 +327,9 @@ func e12(env *Env) (*Plan, error) {
 		if err != nil {
 			return nil, err
 		}
+		src := translog.NewLogTileProofSource(l, 0)
 		cases = append(cases, Case{Name: fmt.Sprintf("log-%d", population), Reps: 64, Body: each(func(i int) error {
-			pb, err := l.ProveSerial(fmt.Sprint(i % population))
+			pb, err := src.ProveSerial(fmt.Sprint(i % population))
 			if err != nil {
 				return err
 			}
@@ -656,7 +657,8 @@ func e18(env *Env) (*Plan, error) {
 // 10^6-entry log served over HTTP, and an auditor that needs inclusion
 // proofs for a recurring working set of credentials. The baseline asks
 // a per-request proof endpoint (proofEndpoint: one round trip and one
-// JSON decode per proof, the server walks its tree each time). The tile
+// JSON decode per proof, folded on the server by a tile assembler over
+// the log, warmed over the working set). The tile
 // modes assemble the same proofs client-side from content-addressed
 // tiles: cold thrashes a tiny LRU (every proof re-fetches its tiles),
 // warm holds the working set's tiles pre-expanded, so a proof costs a
@@ -680,17 +682,9 @@ func e19(env *Env) (*Plan, error) {
 	for i := range leaves {
 		leaves[i] = translog.LeafHash(entry(i).Marshal())
 	}
-	url, err := serve(env, translog.Handler(l))
-	if err != nil {
-		return nil, err
-	}
-	endpoint, err := serve(env, proofEndpoint(l))
-	if err != nil {
-		return nil, err
-	}
 	sth := l.STH()
 	// The working set is a fixed cycle of indices spread across the
-	// whole tree, so the warm mode can cover it up front.
+	// whole tree, so a warm cache can cover it up front.
 	prove := func(i int, proofs func(index, size uint64) ([]translog.Hash, error)) error {
 		idx := uint64((i%workingSet)*7919) % population
 		proof, err := proofs(idx, population)
@@ -699,10 +693,31 @@ func e19(env *Env) (*Plan, error) {
 		}
 		return translog.VerifyInclusion(leaves[idx], idx, population, proof, sth.RootHash)
 	}
+	const warmTiles = 16384
+	warm := func(proofs func(index, size uint64) ([]translog.Hash, error)) error {
+		for i := 0; i < workingSet; i++ { // pull the whole working set in
+			if err := prove(i, proofs); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	url, err := serve(env, translog.Handler(l))
+	if err != nil {
+		return nil, err
+	}
+	server := translog.NewTileAssembler(l, warmTiles)
+	if err := warm(server.InclusionProof); err != nil {
+		return nil, err
+	}
+	endpoint, err := serve(env, proofEndpoint(server))
+	if err != nil {
+		return nil, err
+	}
 	modes := []struct {
 		name  string
 		tiles int // tile-cache capacity; 0 asks the endpoint
-	}{{"endpoint", 0}, {"tile-cold", 4}, {"tile-warm", 16384}}
+	}{{"endpoint", 0}, {"tile-cold", 4}, {"tile-warm", warmTiles}}
 	assemblers := map[string]*translog.TileAssembler{}
 	var cases []Case
 	for _, m := range modes {
@@ -713,10 +728,8 @@ func e19(env *Env) (*Plan, error) {
 				assemblers[m.name], proofs = asm, asm.InclusionProof
 			}
 			if m.name == "tile-warm" {
-				for i := 0; i < workingSet; i++ { // pull the whole working set in
-					if err := prove(i, proofs); err != nil {
-						return nil, err
-					}
+				if err := warm(proofs); err != nil {
+					return nil, err
 				}
 			}
 			return each(func(i int) error { return prove(i, proofs) }), nil
@@ -747,8 +760,8 @@ func e19(env *Env) (*Plan, error) {
 }
 
 // proofEndpoint is E19's baseline server: GET ?index=&size= answers
-// {"proof": [...]}, the audit path l computes for that request.
-func proofEndpoint(l *translog.Log) http.Handler {
+// {"proof": [...]}, the audit path asm folds for that request.
+func proofEndpoint(asm *translog.TileAssembler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		index, err1 := strconv.ParseUint(r.URL.Query().Get("index"), 10, 64)
 		size, err2 := strconv.ParseUint(r.URL.Query().Get("size"), 10, 64)
@@ -756,7 +769,7 @@ func proofEndpoint(l *translog.Log) http.Handler {
 			http.Error(w, "bad index/size", http.StatusBadRequest)
 			return
 		}
-		proof, err := l.InclusionProof(index, size)
+		proof, err := asm.InclusionProof(index, size)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -835,14 +848,15 @@ func e20(env *Env) (*Plan, error) {
 			return nil, err
 		}
 		sth := l.STH()
+		src := translog.NewLogTileProofSource(l, 0)
 		audit := func(slice []int) Body {
 			return each(func(int) error {
 				w := translog.NewWitness(pub)
 				w.SetAssignedShards(shards, slice)
-				if err := w.Advance(sth, l.ConsistencyProof); err != nil {
+				if err := w.Advance(sth, src.ConsistencyProof); err != nil {
 					return err
 				}
-				return w.AuditShards(sth, l, 0)
+				return w.AuditShards(sth, src, 0)
 			})
 		}
 		slice := part.AssignedShards(witnesses[0])

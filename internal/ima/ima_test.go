@@ -162,7 +162,7 @@ func TestParseListRejectsTamper(t *testing.T) {
 // TestParseListLineCap pins ParseList's line limit while the scanner
 // buffer grows on demand: a 100 KiB line parses, so does the longest line
 // that fits the 1 MiB cap with its newline, and one byte more is refused
-// as too long.
+// as too long — a malformed list, like every other parse refusal.
 func TestParseListLineCap(t *testing.T) {
 	short := NewList(nil).Append(sha256.Sum256(nil), "/").String()
 	// list holds one measurement whose serialized line is n bytes long.
@@ -183,9 +183,11 @@ func TestParseListLineCap(t *testing.T) {
 		}
 	}
 	text, _ := list(1 << 20)
-	_, err := ParseList(text)
-	if !errors.Is(err, bufio.ErrTooLong) || err.Error() != "ima: reading list: bufio.Scanner: token too long" {
-		t.Fatalf("over-cap line: got %v, want the scanner's too-long error", err)
+	for _, over := range []string{text, strings.Repeat("a", 2<<20)} {
+		_, err := ParseList(over)
+		if !errors.Is(err, ErrMalformedList) || !errors.Is(err, bufio.ErrTooLong) {
+			t.Fatalf("over-cap line: got %v, want ErrMalformedList wrapping the scanner's too-long error", err)
+		}
 	}
 }
 
@@ -253,7 +255,7 @@ func parseListReference(text string) (*List, error) {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("ima: reading list: %w", err)
+		return nil, fmt.Errorf("%w: reading list: %w", ErrMalformedList, err)
 	}
 	return l, nil
 }

@@ -234,7 +234,9 @@ func ParseList(text string) (*List, error) {
 		l.add(e)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("ima: reading list: %w", err)
+		// The only scanner error over an in-memory list is a line past
+		// the cap: malformed, like every other refusal here.
+		return nil, fmt.Errorf("%w: reading list: %w", ErrMalformedList, err)
 	}
 	return l, nil
 }

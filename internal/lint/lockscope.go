@@ -17,11 +17,12 @@ import (
 //     extends the window in which the committing writer — and every
 //     other reader — is stuck behind it.
 //  2. Proof paths never take the commit lock: methods serving proofs
-//     (InclusionProof, ConsistencyProof, RootAt, ProveSerial) must not
+//     (InclusionProof, ConsistencyProof, RootAt, ProveSerial — on
+//     TileAssembler and TileProofSource — and the Log's Tile) must not
 //     acquire their receiver's write lock, or every proof request
-//     contends with a commit holding that lock across an fsync. PR 7
-//     fixed exactly this and pinned it with
-//     TestProofsDoNotBlockOnCommitLock; this check pins it statically.
+//     contends with a commit holding that lock across an fsync.
+//     TestProofsDoNotBlockOnCommitLock pins it at run time; this check
+//     pins it statically.
 //
 // The region tracking is lexical (source order within one function),
 // which matches how every lock region in this codebase is written.

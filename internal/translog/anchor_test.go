@@ -84,9 +84,9 @@ func TestAnchorConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 			h2 := l.STH()
-			rootAt := func(n uint64) (Hash, error) { return l.RootAt(n) }
+			treeRoot := func(n uint64) (Hash, error) { return rootAt(l, n) }
 			stateAt := func(size uint64) *RecoveredState {
-				return &RecoveredState{Size: size, rootAt: rootAt}
+				return &RecoveredState{Size: size, rootAt: treeRoot}
 			}
 
 			a := impl.mk(t, &key.PublicKey)
@@ -127,7 +127,7 @@ func TestAnchorConformance(t *testing.T) {
 			}
 			// A checkpoint past the remembered head: the state was rewound
 			// around a checkpoint no honest chain writes before its head.
-			ahead := &RecoveredState{Size: h2.Size + 1, checkpoint: h2.Size + 1, rootAt: rootAt}
+			ahead := &RecoveredState{Size: h2.Size + 1, checkpoint: h2.Size + 1, rootAt: treeRoot}
 			if err := a.CheckRecovery(ahead); !errors.Is(err, impl.rollback) {
 				t.Fatalf("checkpoint past the remembered head: got %v, want %v", err, impl.rollback)
 			}
@@ -137,7 +137,7 @@ func TestAnchorConformance(t *testing.T) {
 			if err := g.CommitHead(genesis); err != nil {
 				t.Fatalf("CommitHead(genesis): %v", err)
 			}
-			if err := g.CheckRecovery(&RecoveredState{Size: h2.Size, checkpoint: h1.Size, rootAt: rootAt}); !errors.Is(err, impl.rollback) {
+			if err := g.CheckRecovery(&RecoveredState{Size: h2.Size, checkpoint: h1.Size, rootAt: treeRoot}); !errors.Is(err, impl.rollback) {
 				t.Fatalf("checkpoint past a genesis head: got %v, want %v", err, impl.rollback)
 			}
 			// And the matching state still passes afterwards: refusals
@@ -513,7 +513,7 @@ func TestSealedAnchorCrashHeal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	state := &RecoveredState{Size: h2.Size, rootAt: func(n uint64) (Hash, error) { return l.RootAt(n) }}
+	state := &RecoveredState{Size: h2.Size, rootAt: func(n uint64) (Hash, error) { return rootAt(l, n) }}
 	if err := a.CheckRecovery(state); err != nil {
 		t.Fatalf("crash window raised a false verdict: %v", err)
 	}
@@ -530,7 +530,7 @@ func TestSealedAnchorCrashHeal(t *testing.T) {
 	}
 	// But a rewind behind the healed head is still refused.
 	if err := a.CheckRecovery(&RecoveredState{Size: h1.Size,
-		rootAt: func(n uint64) (Hash, error) { return l.RootAt(n) }}); !errors.Is(err, ErrSealedRollback) {
+		rootAt: func(n uint64) (Hash, error) { return rootAt(l, n) }}); !errors.Is(err, ErrSealedRollback) {
 		t.Fatalf("rewind after heal: got %v, want ErrSealedRollback", err)
 	}
 }
@@ -578,7 +578,7 @@ func TestSealedAnchorErrorMapping(t *testing.T) {
 		}
 		defer a.Close()
 		return a.CheckRecovery(&RecoveredState{Size: l.Size(),
-			rootAt: func(n uint64) (Hash, error) { return l.RootAt(n) }})
+			rootAt: func(n uint64) (Hash, error) { return rootAt(l, n) }})
 	}
 
 	for _, tc := range []struct {

@@ -9,8 +9,9 @@ import (
 // Client-side proof assembly: instead of asking the server to compute
 // every audit path, an auditor fetches immutable tiles — each cacheable
 // forever, by any HTTP front end and by the assembler's own LRU — and
-// folds proofs locally with the same RFC 6962 recursions the server
-// uses (merkle.go, parameterized over a nodeFunc). Tiles carry no
+// folds proofs locally with the RFC 6962 recursions (merkle.go,
+// parameterized over a nodeFunc). The in-process log proves through the
+// same assembler, over tiles cut from its resident tree. Tiles carry no
 // authority: an assembled proof is only believed once it verifies
 // against a signed tree head, so a cache, a CDN or a hostile mirror can
 // serve tiles without joining the trust base — at worst a bad tile
@@ -180,9 +181,8 @@ func (a *TileAssembler) InclusionProof(index, size uint64) ([]Hash, error) {
 	return merklePath(index, 0, size, a.node(size))
 }
 
-// ConsistencyProof assembles PROOF(first, D[second]) from tiles,
-// mirroring Log.ConsistencyProof's contract (first == 0 needs no
-// proof).
+// ConsistencyProof assembles PROOF(first, D[second]) from tiles
+// (first == 0 needs no proof).
 func (a *TileAssembler) ConsistencyProof(first, second uint64) ([]Hash, error) {
 	if first > second {
 		return nil, fmt.Errorf("%w: consistency %d → %d", ErrTileRange, first, second)
@@ -202,55 +202,58 @@ func (a *TileAssembler) RootAt(size uint64) (Hash, error) {
 	return merkleSubtree(0, size, a.node(size))
 }
 
-// TileProofSource is a ProofSource that assembles inclusion proofs from
-// tiles instead of asking the server to compute them: the lookup
-// endpoint resolves serial → (index, entry, head), and the audit path
-// folds locally from the LRU — giving the controller a
-// local proof cache keyed by tile, with zero proof computation on the
-// sequencer's side.
-type TileProofSource struct {
-	lookup func(serial string) (*ProofBundle, error)
-	asm    *TileAssembler
+// logReader is what a TileProofSource reads from a log: serial
+// lookups, shard-stream slices and tiles. The in-process *Log and the
+// HTTP *Client both qualify.
+type logReader interface {
+	TileSource
+	lookupBundle(serial string) (*ProofBundle, error)
+	ShardStream(shard int, start, count uint64) (uint64, []IndexedEntry, error)
 }
 
-// NewTileProofSource builds a tile-assembling ProofSource over a remote
+// TileProofSource is the one read view of a log: every audit path it
+// returns — credential bundles, inclusion and consistency proofs — folds
+// from tiles through its assembler, whether the log is in-process or
+// remote. The log itself computes no proofs: the lookup resolves serial →
+// (index, entry, head), and the path folds from the LRU, so the proof
+// code a relying party runs is the only proof code there is. Shard-stream
+// reads pass through to the log, so it satisfies ProofSource,
+// ConsistencyProver and ShardAuditSource.
+type TileProofSource struct {
+	logReader
+	*TileAssembler
+}
+
+// NewTileProofSource builds a tile-assembling read view over a remote
 // log server. cacheTiles bounds the assembler LRU (≤ 0: default).
 func NewTileProofSource(c *Client, cacheTiles int) *TileProofSource {
-	return &TileProofSource{lookup: c.lookupBundle, asm: NewTileAssembler(c, cacheTiles)}
+	return &TileProofSource{c, NewTileAssembler(c, cacheTiles)}
 }
 
-// NewLogTileProofSource builds a tile-assembling ProofSource over an
-// in-process log — the Verification Manager's own controller hook goes
-// through the same assembler as a remote auditor, so its proof reads
-// ride the tile cache instead of per-request audit-path computation.
+// NewLogTileProofSource builds a tile-assembling read view over an
+// in-process log — the Verification Manager proves through the same
+// assembler as a remote auditor. Tiles come from the resident tree under
+// its own read lock, so proofs never take the log's commit lock.
 func NewLogTileProofSource(l *Log, cacheTiles int) *TileProofSource {
-	return &TileProofSource{lookup: l.lookupBundle, asm: NewTileAssembler(l, cacheTiles)}
+	return &TileProofSource{l, NewTileAssembler(l, cacheTiles)}
 }
 
-// ProveSerial implements ProofSource: resolve the serial, then assemble
-// the audit path from tiles. The caller (NewCredentialChecker) verifies
-// the finished bundle against the log key, so a stale or hostile tile
-// source can only cause a verification failure, never a false pass.
+// ProveSerial implements ProofSource: a bundle for the latest issuance
+// entry (enroll or provision) carrying serial, against the current tree
+// head, with the audit path assembled from tiles. ErrNotLogged when the
+// serial never appears; ErrLogRevoked when the log records its
+// revocation. The caller (NewCredentialChecker) verifies the finished
+// bundle against the log key, so a stale or hostile tile source can only
+// cause a verification failure, never a false pass.
 func (ts *TileProofSource) ProveSerial(serial string) (*ProofBundle, error) {
-	pb, err := ts.lookup(serial)
+	pb, err := ts.lookupBundle(serial)
 	if err != nil {
 		return nil, err
 	}
-	proof, err := ts.asm.InclusionProof(pb.Index, pb.STH.Size)
+	proof, err := ts.InclusionProof(pb.Index, pb.STH.Size)
 	if err != nil {
 		return nil, err
 	}
 	pb.Proof = proof
 	return pb, nil
 }
-
-// ConsistencyProof assembles the proof that size first is a prefix of
-// size second from tiles (a ConsistencyProver) — what the quorum
-// credential checker uses to bridge a proof bundle's head to the quorum
-// co-signed head without another server-computed proof.
-func (ts *TileProofSource) ConsistencyProof(first, second uint64) ([]Hash, error) {
-	return ts.asm.ConsistencyProof(first, second)
-}
-
-// Stats reports the underlying assembler's tile-cache hits and misses.
-func (ts *TileProofSource) Stats() (hits, misses uint64) { return ts.asm.Stats() }

@@ -8,10 +8,9 @@ import (
 	"vnfguard/internal/sigmemo"
 )
 
-// ProofSource supplies credential proof bundles: the in-process *Log, or
-// a TileProofSource over the in-process log or a remote log server, so
-// the controller can sit next to the VM or audit a remote log with the
-// same hook.
+// ProofSource supplies credential proof bundles: a TileProofSource over
+// the in-process log or a remote log server, so the controller can sit
+// next to the VM or audit a remote log with the same hook.
 type ProofSource interface {
 	ProveSerial(serial string) (*ProofBundle, error)
 }

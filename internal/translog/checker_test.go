@@ -14,7 +14,7 @@ type editedSource struct {
 }
 
 func (s editedSource) ProveSerial(serial string) (*ProofBundle, error) {
-	pb, err := s.log.ProveSerial(serial)
+	pb, err := logProofs(s.log).ProveSerial(serial)
 	if err != nil {
 		return nil, err
 	}

@@ -71,10 +71,7 @@ func TestCheckpointedRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			appendAll(t, l, entries[800:])
-			rootBefore, err := l.RootAt(l.Size())
-			if err != nil {
-				t.Fatal(err)
-			}
+			rootBefore := l.STH().RootHash
 			sthBefore := l.STH()
 			if err := l.Close(); err != nil {
 				t.Fatal(err)
@@ -88,7 +85,7 @@ func TestCheckpointedRoundTrip(t *testing.T) {
 			if _, err := ref.AppendBatch(entries); err != nil {
 				t.Fatal(err)
 			}
-			refRoot, err := ref.RootAt(uint64(len(entries)))
+			refRoot, err := rootAt(ref, uint64(len(entries)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,10 +109,7 @@ func TestCheckpointedRoundTrip(t *testing.T) {
 			if got := mRecoverEntries.Value() - replayedBefore; got != 400 {
 				t.Fatalf("checkpointed open replayed %d entries, want only the 400-entry suffix", got)
 			}
-			rootAfter, err := re.RootAt(re.Size())
-			if err != nil {
-				t.Fatal(err)
-			}
+			rootAfter := re.STH().RootHash
 			if rootAfter != refRoot {
 				t.Fatal("checkpointed open root differs from full-replay root")
 			}
@@ -126,14 +120,14 @@ func TestCheckpointedRoundTrip(t *testing.T) {
 
 			// Proofs against the cold range hydrate and verify.
 			serial := issuedSerial(t, entries)
-			pb, err := re.ProveSerial(serial)
+			pb, err := logProofs(re).ProveSerial(serial)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := pb.Verify(&key.PublicKey); err != nil {
 				t.Fatal(err)
 			}
-			proof, err := re.InclusionProof(0, sthAfter.Size)
+			proof, err := logProofs(re).InclusionProof(0, sthAfter.Size)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -144,11 +138,11 @@ func TestCheckpointedRoundTrip(t *testing.T) {
 			if err := VerifyInclusion(LeafHash(e0.Marshal()), 0, sthAfter.Size, proof, sthAfter.RootHash); err != nil {
 				t.Fatal(err)
 			}
-			cons, err := re.ConsistencyProof(700, sthAfter.Size)
+			cons, err := logProofs(re).ConsistencyProof(700, sthAfter.Size)
 			if err != nil {
 				t.Fatal(err)
 			}
-			root700, err := re.RootAt(700)
+			root700, err := rootAt(re, 700)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -176,14 +170,11 @@ func TestCheckpointedRoundTrip(t *testing.T) {
 			if _, err := ref.AppendBatch(more); err != nil {
 				t.Fatal(err)
 			}
-			wantRoot, err := ref.RootAt(uint64(1500))
+			wantRoot, err := rootAt(ref, uint64(1500))
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotRoot, err := re2.RootAt(re2.Size())
-			if err != nil {
-				t.Fatal(err)
-			}
+			gotRoot := re2.STH().RootHash
 			if gotRoot != wantRoot {
 				t.Fatal("second-generation checkpointed root differs from reference")
 			}
@@ -263,8 +254,9 @@ func TestCheckpointKeepsColdSegments(t *testing.T) {
 // TestColdEntriesMissingSegmentsRefused: a checkpointed store whose
 // cold segments are gone still opens (the suffix past the checkpoint is
 // all a reopen reads), but a read of the cold prefix is an error, never
-// an empty range — and over HTTP it is a 5xx that no cache may keep,
-// not an immutable "200 []".
+// an empty range — and over HTTP every endpoint that reads it (entries,
+// tiles, serial lookup) answers a 5xx that no cache may keep, not an
+// immutable "200 []", a "no such tile" or a "never logged" verdict.
 func TestColdEntriesMissingSegmentsRefused(t *testing.T) {
 	key := testSigner(t)
 	dir := t.TempDir()
@@ -272,7 +264,8 @@ func TestColdEntriesMissingSegmentsRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	appendAll(t, l, mixedEntries(300))
+	entries := mixedEntries(300)
+	appendAll(t, l, entries)
 	if err := l.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -299,16 +292,29 @@ func TestColdEntriesMissingSegmentsRefused(t *testing.T) {
 	}
 	srv := httptest.NewServer(Handler(re))
 	defer srv.Close()
-	resp, err := http.Get(srv.URL + pathEntries + "?start=0&count=1")
-	if err != nil {
-		t.Fatal(err)
+	serial := issuedSerial(t, entries)
+	for _, path := range []string{
+		pathEntries + "?start=0&count=1",
+		pathTile + "0/0",
+		pathLookup + "?serial=" + serial,
+	} {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode < 500 {
+			t.Fatalf("GET %s without its cold segments answered %d, want a 5xx", path, resp.StatusCode)
+		}
+		if cc := resp.Header.Get("Cache-Control"); cc != cacheNoCache {
+			t.Fatalf("GET %s: failed cold read cached as %q", path, cc)
+		}
 	}
-	resp.Body.Close()
-	if resp.StatusCode < 500 {
-		t.Fatalf("cold entries read without its segments answered %d, want a 5xx", resp.StatusCode)
-	}
-	if cc := resp.Header.Get("Cache-Control"); cc != cacheNoCache {
-		t.Fatalf("failed cold read cached as %q", cc)
+	// A storage outage is no verdict: the remote proof read fails, but
+	// never as "not logged".
+	_, err = NewTileProofSource(NewClient(srv.URL, &key.PublicKey), 0).ProveSerial(serial)
+	if err == nil || errors.Is(err, ErrNotLogged) {
+		t.Fatalf("remote proof of logged serial %s during the outage: got %v, want a plain error", serial, err)
 	}
 }
 
@@ -351,10 +357,7 @@ func TestCheckpointEveryBackground(t *testing.T) {
 	if got := mRecoverEntries.Value() - replayedBefore; got >= uint64(len(entries)) {
 		t.Fatalf("open replayed all %d entries despite a background checkpoint", got)
 	}
-	root, err := re.RootAt(re.Size())
-	if err != nil {
-		t.Fatal(err)
-	}
+	root := re.STH().RootHash
 	ref, err := NewLog(key)
 	if err != nil {
 		t.Fatal(err)
@@ -362,7 +365,7 @@ func TestCheckpointEveryBackground(t *testing.T) {
 	if _, err := ref.AppendBatch(entries); err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.RootAt(uint64(len(entries)))
+	want, err := rootAt(ref, uint64(len(entries)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -731,39 +734,47 @@ func newestSegment(t *testing.T, dir string) string {
 }
 
 // TestProofsDoNotBlockOnCommitLock pins the read-path fix: proof
-// computation must not take the log's commit lock — the sequencer holds
-// it across a WAL fsync, and proof endpoints stalling behind disk
-// latency was the bug. The tree's own read lock is enough: nodes below
-// a committed size are immutable.
+// assembly must not take the log's commit lock — the sequencer holds it
+// across a WAL fsync, and proof endpoints stalling behind disk latency
+// was the bug. The log's tile source reads tiles under the tree's own
+// read lock, which is enough: nodes below a committed size are
+// immutable. The proofs verify against the signed heads the commits
+// recorded.
 func TestProofsDoNotBlockOnCommitLock(t *testing.T) {
 	key := testSigner(t)
 	l, err := NewLog(key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.AppendBatch(mixedEntries(128)); err != nil {
+	if _, err := l.AppendBatch(mixedEntries(64)); err != nil {
+		t.Fatal(err)
+	}
+	sth64 := l.STH()
+	if _, err := l.AppendBatch(mixedEntries(64)); err != nil {
 		t.Fatal(err)
 	}
 	sth := l.STH()
+	proofs := logProofs(l)
 
 	// Simulate a commit mid-fsync: the write lock held for the duration.
 	l.mu.Lock()
 	done := make(chan error, 1)
 	go func() {
-		proof, err := l.InclusionProof(3, sth.Size)
+		proof, err := proofs.InclusionProof(3, sth.Size)
 		if err != nil {
 			done <- err
 			return
 		}
-		if _, err := l.ConsistencyProof(64, sth.Size); err != nil {
+		if err := VerifyInclusion(l.tree.levels[0][3], 3, sth.Size, proof, sth.RootHash); err != nil {
 			done <- err
 			return
 		}
-		if _, err := l.RootAt(100); err != nil {
+		cons, err := proofs.ConsistencyProof(sth64.Size, sth.Size)
+		if err != nil {
 			done <- err
 			return
 		}
-		done <- VerifyInclusion(l.tree.levels[0][3], 3, sth.Size, proof, sth.RootHash)
+		done <- VerifyConsistency(sth64.Size, sth.Size, sth64.RootHash, sth.RootHash, cons)
 	}()
 	select {
 	case err := <-done:

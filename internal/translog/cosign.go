@@ -472,8 +472,7 @@ func (c *CosignCollector) Cosigned() (*CosignedHead, error) {
 // ---- quorum-gated credential checking -------------------------------------
 
 // ConsistencyProver produces RFC 6962 consistency proofs between two
-// tree sizes — the in-process *Log, a TileAssembler and a
-// TileProofSource all qualify.
+// tree sizes — a TileAssembler and a TileProofSource qualify.
 type ConsistencyProver interface {
 	ConsistencyProof(first, second uint64) ([]Hash, error)
 }

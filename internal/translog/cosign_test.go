@@ -429,7 +429,8 @@ func TestQuorumCredentialChecker(t *testing.T) {
 	}
 	keys, roster := testWitnessKeys(t, 3, 2)
 	col := NewCosignCollector(&logKey.PublicKey, roster)
-	check := NewQuorumCredentialChecker(NewWitness(&logKey.PublicKey), roster, l, l, col.Cosigned)
+	proofs := logProofs(l)
+	check := NewQuorumCredentialChecker(NewWitness(&logKey.PublicKey), roster, proofs, proofs, col.Cosigned)
 
 	// Logged, proven — but nobody co-signed yet: refused.
 	if err := check(certWithSerial(77)); !errors.Is(err, ErrQuorumNotReached) {
@@ -463,12 +464,12 @@ func TestQuorumCredentialChecker(t *testing.T) {
 	}
 	// Capture the now-stale bundle for 77, then co-sign the grown head:
 	// the stale bundle must bridge by consistency proof.
-	stale.pb, err = l.ProveSerial("77")
+	stale.pb, err = proofs.ProveSerial("77")
 	if err != nil {
 		t.Fatal(err)
 	}
 	stale.pb.STH = head // the bundle as an auditor cached it before growth
-	if proof, err := l.InclusionProof(stale.pb.Index, head.Size); err != nil {
+	if proof, err := proofs.InclusionProof(stale.pb.Index, head.Size); err != nil {
 		t.Fatal(err)
 	} else {
 		stale.pb.Proof = proof
@@ -486,7 +487,7 @@ func TestQuorumCredentialChecker(t *testing.T) {
 	if err := check(certWithSerial(88)); err != nil {
 		t.Fatalf("credential under the fresh quorum refused: %v", err)
 	}
-	staleCheck := NewQuorumCredentialChecker(NewWitness(&logKey.PublicKey), roster, stale, l, col.Cosigned)
+	staleCheck := NewQuorumCredentialChecker(NewWitness(&logKey.PublicKey), roster, stale, proofs, col.Cosigned)
 	if err := staleCheck(certWithSerial(77)); err != nil {
 		t.Fatalf("stale proof head not bridged into the co-signed head: %v", err)
 	}
@@ -530,6 +531,7 @@ func TestOpenWitnessKeyPersistence(t *testing.T) {
 type quorumFixture struct {
 	key    *ecdsa.PrivateKey
 	log    *Log
+	proofs *TileProofSource
 	roster *WitnessRoster
 	keys   map[string]*WitnessKey
 
@@ -545,6 +547,7 @@ func newQuorumFixture(t *testing.T) *quorumFixture {
 	if fx.log, err = NewLog(fx.key); err != nil {
 		t.Fatal(err)
 	}
+	fx.proofs = logProofs(fx.log)
 	fx.keys, fx.roster = testWitnessKeys(t, 3, 2)
 	for i, serial := range []string{"77", "78", "79"} {
 		if _, err := fx.log.AppendBatch(append(mixedEntries(2), Entry{Type: EntryEnroll, Timestamp: int64(i), Actor: "fw", Serial: serial})); err != nil {
@@ -586,11 +589,12 @@ type headProofs struct {
 }
 
 func (p headProofs) ProveSerial(serial string) (*ProofBundle, error) {
-	pb, err := p.log.ProveSerial(serial)
+	src := logProofs(p.log)
+	pb, err := src.ProveSerial(serial)
 	if err != nil {
 		return nil, err
 	}
-	if pb.Proof, err = p.log.InclusionProof(pb.Index, p.head.Size); err != nil {
+	if pb.Proof, err = src.InclusionProof(pb.Index, p.head.Size); err != nil {
 		return nil, err
 	}
 	pb.STH = p.head
@@ -605,7 +609,7 @@ func (p headProofs) ProveSerial(serial string) (*ProofBundle, error) {
 // unmoved.
 func TestQuorumPinConvictsServedHeads(t *testing.T) {
 	fx := newQuorumFixture(t)
-	older, err := fx.log.RootAt(5)
+	older, err := rootAt(fx.log, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -622,7 +626,7 @@ func TestQuorumPinConvictsServedHeads(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			pin := NewWitness(&fx.key.PublicKey)
-			check := NewQuorumCredentialChecker(pin, fx.roster, headProofs{fx.log, pinned}, fx.log, fx.cosigned)
+			check := NewQuorumCredentialChecker(pin, fx.roster, headProofs{fx.log, pinned}, fx.proofs, fx.cosigned)
 			fx.serve(t, pinned)
 			if err := check(certWithSerial(78)); err != nil {
 				t.Fatalf("credential under the co-signed head refused: %v", err)
@@ -630,7 +634,7 @@ func TestQuorumPinConvictsServedHeads(t *testing.T) {
 			// The log grows; a proof past the pin makes the checker fetch,
 			// and the hostile server answers with tc.served.
 			fx.serve(t, tc.served)
-			err := NewQuorumCredentialChecker(pin, fx.roster, fx.log, fx.log, fx.cosigned)(certWithSerial(79))
+			err := NewQuorumCredentialChecker(pin, fx.roster, fx.proofs, fx.proofs, fx.cosigned)(certWithSerial(79))
 			var ce *ConflictError
 			if !errors.As(err, &ce) || !errors.Is(err, tc.kind) {
 				t.Fatalf("got %v, want a ConflictError of %v", err, tc.kind)
@@ -647,7 +651,7 @@ func TestQuorumPinConvictsServedHeads(t *testing.T) {
 
 func mustRoot(t *testing.T, l *Log, n uint64) Hash {
 	t.Helper()
-	root, err := l.RootAt(n)
+	root, err := rootAt(l, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -667,7 +671,7 @@ func TestQuorumPinSkipsFetchOnUnmovedLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check := NewQuorumCredentialChecker(pin, fx.roster, fx.log, fx.log, fx.cosigned)
+	check := NewQuorumCredentialChecker(pin, fx.roster, fx.proofs, fx.proofs, fx.cosigned)
 	const n = 50
 	for i := 0; i < n; i++ {
 		if err := check(certWithSerial(int64(77 + i%3))); err != nil {
@@ -686,8 +690,8 @@ func TestQuorumPinSkipsFetchOnUnmovedLog(t *testing.T) {
 		t.Fatalf("restored pin %+v (ok=%v), want the co-signed head at size %d", last, ok, head.Size)
 	}
 	below := headProofs{fx.log, signHead(t, fx.key, 6, mustRoot(t, fx.log, 6), 1)}
-	for _, source := range []ProofSource{fx.log, below} {
-		if err := NewQuorumCredentialChecker(restored, fx.roster, source, fx.log, fx.cosigned)(certWithSerial(78)); err != nil {
+	for _, source := range []ProofSource{fx.proofs, below} {
+		if err := NewQuorumCredentialChecker(restored, fx.roster, source, fx.proofs, fx.cosigned)(certWithSerial(78)); err != nil {
 			t.Fatalf("proof against the restored pin refused: %v", err)
 		}
 	}
@@ -719,7 +723,8 @@ func TestQuorumPinConcurrentChecks(t *testing.T) {
 		}
 	}
 	cosign()
-	check := NewQuorumCredentialChecker(NewWitness(&logKey.PublicKey), roster, l, l, col.Cosigned)
+	proofs := logProofs(l)
+	check := NewQuorumCredentialChecker(NewWitness(&logKey.PublicKey), roster, proofs, proofs, col.Cosigned)
 
 	const checkers, heads = 16, 24
 	stop := make(chan struct{})
@@ -775,6 +780,7 @@ func BenchmarkQuorumCredentialCheck(b *testing.B) {
 		b.Fatal(err)
 	}
 	cert := certWithSerial(77)
+	proofs := logProofs(l)
 	run := func(name string, check func(*x509.Certificate) error) {
 		b.Run(name, func(b *testing.B) {
 			if err := check(cert); err != nil {
@@ -788,12 +794,12 @@ func BenchmarkQuorumCredentialCheck(b *testing.B) {
 			}
 		})
 	}
-	run("plain", NewCredentialChecker(&key.PublicKey, l))
+	run("plain", NewCredentialChecker(&key.PublicKey, proofs))
 	for _, q := range []int{2, 3, 5} {
 		keys, roster := testWitnessKeys(b, q, q)
 		names := roster.Names()
 		ch := &CosignedHead{STH: l.STH(), Signatures: cosignAll(b, keys, names, l.STH())}
-		run(fmt.Sprintf("quorum-Q%d", q), NewQuorumCredentialChecker(NewWitness(&key.PublicKey), roster, l, l,
+		run(fmt.Sprintf("quorum-Q%d", q), NewQuorumCredentialChecker(NewWitness(&key.PublicKey), roster, proofs, proofs,
 			func() (*CosignedHead, error) { return ch, nil }))
 	}
 }

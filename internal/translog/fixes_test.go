@@ -344,7 +344,7 @@ func TestWitnessRejectsTimestampRegression(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fetch := func(a, b uint64) ([]Hash, error) { return l.ConsistencyProof(a, b) }
+	fetch := logProofs(l).ConsistencyProof
 	w := NewWitness(&key.PublicKey)
 	if err := w.Advance(l.STH(), fetch); err != nil {
 		t.Fatal(err)

@@ -56,14 +56,15 @@ func OpenWitnessState(dir *statedir.Dir, name string, pub *ecdsa.PublicKey) (*Wi
 type GossipPool struct {
 	name string
 	w    *Witness
-	// log audits the server under watch: served heads, shard streams
-	// and the tiles every proof is assembled from. May be nil for a pure
-	// relay witness (gossip only).
+	// log is the server under watch: served heads and the collector a
+	// co-signing view is posted to. May be nil for a pure relay witness
+	// (gossip only).
 	log *Client
 
-	// tiles assembles consistency and audit inclusion proofs from the
-	// watched log's tiles; nil exactly when log is.
-	tiles *TileAssembler
+	// proofs reads the watched log: shard streams, and consistency and
+	// audit inclusion proofs assembled from its tiles; nil exactly when
+	// log is.
+	proofs *TileProofSource
 
 	mu       sync.Mutex
 	peers    []*Client
@@ -97,7 +98,7 @@ const defaultMaxAuditPerShard = 4096
 func NewGossipPool(name string, w *Witness, logClient *Client) *GossipPool {
 	g := &GossipPool{name: name, w: w, log: logClient}
 	if logClient != nil {
-		g.tiles = NewTileAssembler(logClient, 0)
+		g.proofs = NewTileProofSource(logClient, 0)
 	}
 	return g
 }
@@ -158,21 +159,6 @@ func (g *GossipPool) Partition() *WitnessPartition {
 	return g.part
 }
 
-// auditSource composes the shard-audit read path: stream slices come
-// from the watched log's shard endpoint, inclusion proofs from the tile
-// assembler, so the per-entry audit fan-out hits the cacheable tile
-// path.
-func (g *GossipPool) auditSource() ShardAuditSource {
-	return tileShardSource{g.log, g.tiles}
-}
-
-// tileShardSource is the remote ShardAuditSource: ShardStream from the
-// shard endpoint, InclusionProof from tiles.
-type tileShardSource struct {
-	*Client
-	*TileAssembler
-}
-
 // Name returns the pool's witness name.
 func (g *GossipPool) Name() string { return g.name }
 
@@ -228,10 +214,10 @@ func (g *GossipPool) latch(err error) error {
 // server cannot serve (missing, corrupt framing) is an error — the
 // witness is degraded — never a conviction.
 func (g *GossipPool) fetchConsistency(first, second uint64) ([]Hash, error) {
-	if g.tiles == nil {
+	if g.proofs == nil {
 		return nil, errors.New("translog: gossip pool has no log to fetch consistency proofs from")
 	}
-	return g.tiles.ConsistencyProof(first, second)
+	return g.proofs.ConsistencyProof(first, second)
 }
 
 // receiveView is the server side of POST /translog/v1/gossip: it merges
@@ -392,7 +378,7 @@ func (g *GossipPool) auditAndCosign() error {
 	g.mu.Lock()
 	maxAudit, key, done := g.maxAudit, g.key, g.cosig
 	g.mu.Unlock()
-	if err := g.latch(g.w.AuditShards(last, g.auditSource(), maxAudit)); err != nil {
+	if err := g.latch(g.w.AuditShards(last, g.proofs, maxAudit)); err != nil {
 		return err
 	}
 	if key == nil || done != nil && last.Size <= done.Size || !g.auditCaughtUp(last) {
@@ -422,7 +408,6 @@ func (g *GossipPool) auditAndCosign() error {
 // co-signing it: a witness must never vouch for entries it has not
 // verified.
 func (g *GossipPool) auditCaughtUp(head SignedTreeHead) bool {
-	src := g.auditSource()
 	for _, s := range g.w.AssignedShards() {
 		g.w.mu.Lock()
 		cur := g.w.cursors[s]
@@ -431,7 +416,7 @@ func (g *GossipPool) auditCaughtUp(head SignedTreeHead) bool {
 			count = cur.Count
 		}
 		g.w.mu.Unlock()
-		total, ents, err := src.ShardStream(s, count, 1)
+		total, ents, err := g.proofs.ShardStream(s, count, 1)
 		if err != nil {
 			return false
 		}

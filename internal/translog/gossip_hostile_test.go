@@ -145,7 +145,7 @@ func TestGossipPartitionedAuditFromTiles(t *testing.T) {
 	if !pool.auditCaughtUp(head) {
 		t.Fatal("assigned shard streams not fully audited after one exchange")
 	}
-	if _, misses := pool.tiles.Stats(); misses == 0 {
+	if _, misses := pool.proofs.Stats(); misses == 0 {
 		t.Fatal("shard audit never fetched a tile")
 	}
 	if pool.Conflict() != nil {

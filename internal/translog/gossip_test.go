@@ -211,9 +211,7 @@ func TestGossipCatchesConsistentRollback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pollErr := remember.Advance(rolled.STH(), func(a, b uint64) ([]Hash, error) {
-		return rolled.ConsistencyProof(a, b)
-	})
+	pollErr := remember.Advance(rolled.STH(), logProofs(rolled).ConsistencyProof)
 	var ce *ConflictError
 	if !errors.As(pollErr, &ce) || !errors.Is(pollErr, ErrRollback) {
 		t.Fatalf("remembering witness did not convict: %v", pollErr)
@@ -309,7 +307,7 @@ func TestWitnessStatePersistsAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fetch := func(a, b uint64) ([]Hash, error) { return l.ConsistencyProof(a, b) }
+	fetch := logProofs(l).ConsistencyProof
 	if err := w.Advance(l.STH(), fetch); err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +350,7 @@ func TestWitnessStatePersistsAcrossRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	err = re.Advance(shrunk.STH(), func(a, b uint64) ([]Hash, error) { return shrunk.ConsistencyProof(a, b) })
+	err = re.Advance(shrunk.STH(), logProofs(shrunk).ConsistencyProof)
 	if !errors.Is(err, ErrRollback) {
 		t.Fatalf("restarted witness accepted a rollback: %v", err)
 	}
@@ -618,7 +616,7 @@ func TestWitnessMergeLaggingPeer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fetch := func(a, b uint64) ([]Hash, error) { return l.ConsistencyProof(a, b) }
+	fetch := logProofs(l).ConsistencyProof
 	w := NewWitness(&key.PublicKey)
 	logSrv := httptest.NewServer(Handler(l))
 	defer logSrv.Close()

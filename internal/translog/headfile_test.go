@@ -34,7 +34,7 @@ func TestAnchorPinRaceNeverRewinds(t *testing.T) {
 		t.Fatal(err)
 	}
 	h2 := l.STH()
-	rewound := &RecoveredState{Size: h1.Size, rootAt: func(n uint64) (Hash, error) { return l.RootAt(n) }}
+	rewound := &RecoveredState{Size: h1.Size, rootAt: func(n uint64) (Hash, error) { return rootAt(l, n) }}
 
 	// older commits h1, newer commits h2, reopen returns a fresh anchor
 	// over the same statedir.
@@ -158,7 +158,7 @@ func (fx *headFileFixture) consistent(sth SignedTreeHead) bool {
 	if sth.Verify(&fx.key.PublicKey) != nil || sth.Size > headFileEntries {
 		return false
 	}
-	root, err := fx.ref.RootAt(sth.Size)
+	root, err := rootAt(fx.ref, sth.Size)
 	return err == nil && root == sth.RootHash
 }
 
@@ -172,7 +172,7 @@ func (fx *headFileFixture) consistent(sth SignedTreeHead) bool {
 func FuzzHeadFile(f *testing.F) {
 	fx := newHeadFileFixture(f)
 	pub := &fx.key.PublicKey
-	state := &RecoveredState{Size: headFileEntries, rootAt: func(n uint64) (Hash, error) { return fx.ref.RootAt(n) }}
+	state := &RecoveredState{Size: headFileEntries, rootAt: func(n uint64) (Hash, error) { return rootAt(fx.ref, n) }}
 	named := func(err error) bool {
 		return errors.Is(err, ErrStateCorrupt) || errors.Is(err, ErrStateTampered) || errors.Is(err, ErrStateRollback)
 	}

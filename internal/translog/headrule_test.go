@@ -94,7 +94,7 @@ func TestHeadRuleConformance(t *testing.T) {
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			got := row.got.STH()
-			prove := l8.ConsistencyProof
+			prove := logProofs(l8).ConsistencyProof
 			if row.failFetch {
 				prove = failing
 			}
@@ -122,7 +122,7 @@ func TestHeadRuleConformance(t *testing.T) {
 				{"rule", row.rule, checkPrefix(have, got, prove)},
 				{"served advance", row.advance, held().Advance(got, prove)},
 				{"peer merge", row.merge, held().accept(got, prove, false)},
-				{"quorum credential checker", row.checker, NewQuorumCredentialChecker(NewWitness(pub), roster, row.got, proverFunc(prove),
+				{"quorum credential checker", row.checker, NewQuorumCredentialChecker(NewWitness(pub), roster, logProofs(row.got), proverFunc(prove),
 					func() (*CosignedHead, error) { return cosigned(have), nil })(certWithSerial(77))},
 				{"cosign collector", row.collector, func() error {
 					ws, err := keys["w1"].Cosign(got)

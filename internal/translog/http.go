@@ -174,10 +174,17 @@ func Handler(l *Log) http.Handler {
 		if err != nil {
 			// Revoked and never-logged are distinct verdicts for a
 			// relying party; encode the difference in the status code so
-			// clients never have to parse prose.
-			status := http.StatusNotFound
-			if errors.Is(err, ErrLogRevoked) {
+			// clients never have to parse prose. Anything else (a cold
+			// entry whose segments cannot be read) is an outage, not a
+			// verdict, and no cache may keep it.
+			status := http.StatusInternalServerError
+			switch {
+			case errors.Is(err, ErrNotLogged):
+				status = http.StatusNotFound
+			case errors.Is(err, ErrLogRevoked):
 				status = http.StatusGone
+			default:
+				w.Header().Set("Cache-Control", cacheNoCache)
 			}
 			http.Error(w, err.Error(), status)
 			return
@@ -229,7 +236,8 @@ func Handler(l *Log) http.Handler {
 // edge tiles). The body is the checksummed tile framing of the tree's
 // nodes at those coordinates. Full tiles are immutable forever; partial
 // tiles are short-lived. Requests past the committed head 404 so caches
-// never memorise a right edge that does not exist yet. ({index}.p is
+// never memorise a right edge that does not exist yet; a tile the store
+// cannot read is a 500 marked no-cache. ({index}.p is
 // not a valid ServeMux wildcard segment, so the subtree is parsed by
 // hand.)
 func serveTile(l *Log, w http.ResponseWriter, r *http.Request) {
@@ -266,7 +274,14 @@ func serveTile(l *Log, w http.ResponseWriter, r *http.Request) {
 	}
 	t, err := l.Tile(level, index, width)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
+		// Only a tile past the committed head is "no such tile"; a tile
+		// the store cannot read is an outage no cache may keep.
+		status := http.StatusNotFound
+		if !errors.Is(err, ErrTileRange) {
+			status = http.StatusInternalServerError
+			w.Header().Set("Cache-Control", cacheNoCache)
+		}
+		http.Error(w, err.Error(), status)
 		return
 	}
 	mTileHTTP.Inc()
@@ -623,7 +638,9 @@ func (c *Client) Tile(level, index uint64, width int) (*Tile, error) {
 // lookupBundle resolves a serial to its proof bundle minus the audit
 // path: the tile assembler folds the path locally. Only the head
 // signature can be checked here — inclusion is exactly what the
-// assembled proof will establish.
+// assembled proof will establish. 404 and 410 are the log's verdicts
+// (ErrNotLogged, ErrLogRevoked); any other status, a 5xx outage
+// included, is a plain error and never a verdict.
 func (c *Client) lookupBundle(serial string) (*ProofBundle, error) {
 	status, data, err := c.do("lookup", pathLookup+"?serial="+url.QueryEscape(serial), nil, maxReplyBytes)
 	if err != nil {

@@ -20,10 +20,10 @@ import (
 
 // Errors.
 var (
-	ErrNotLogged  = errors.New("translog: no log entry for credential") //lint:allow unusedexport lookup error contract of exported Log methods; errors.Is target
+	ErrNotLogged  = errors.New("translog: no log entry for credential") //lint:allow unusedexport lookup error contract of exported TileProofSource.ProveSerial; errors.Is target
 	ErrBadSTH     = errors.New("translog: tree head signature invalid") //lint:allow unusedexport verification error contract of exported Log/Client methods; errors.Is target
 	ErrLogRevoked = errors.New("translog: credential revoked in log")
-	ErrIndexRange = errors.New("translog: entry index out of range") //lint:allow unusedexport proof-request error contract of exported Log methods; errors.Is target
+	ErrIndexRange = errors.New("translog: entry index out of range") //lint:allow unusedexport read error contract of exported Log.Entry; errors.Is target
 	ErrClosedLog  = errors.New("translog: appender closed")          //lint:allow unusedexport append error contract of exported ShardedAppender methods; errors.Is target
 )
 
@@ -598,58 +598,6 @@ func (l *Log) Entries(start, count uint64) ([]Entry, error) {
 	return out, nil
 }
 
-// InclusionProof returns the audit path for the entry at index in the
-// tree of the given size.
-//
-// Proofs deliberately do not take the log lock: the tree is append-only
-// and guards its own node levels, and every node below a committed size
-// is immutable once written — so proof reads over published heads no
-// longer contend with the sequencer's write lock, which a committing
-// batch holds across its WAL fsync. A proof touching hashes below the
-// checkpoint of a suffix-only open triggers hydration and retries.
-func (l *Log) InclusionProof(index, size uint64) ([]Hash, error) {
-	var proof []Hash
-	err := l.withHydration(func() error {
-		var ferr error
-		proof, ferr = l.tree.inclusionProof(index, size)
-		return ferr
-	})
-	if err != nil {
-		return nil, err
-	}
-	return proof, nil
-}
-
-// ConsistencyProof proves the tree at size first is a prefix of the tree
-// at size second. Lock-free against the log lock like InclusionProof.
-func (l *Log) ConsistencyProof(first, second uint64) ([]Hash, error) {
-	if first == 0 {
-		return nil, nil
-	}
-	var proof []Hash
-	err := l.withHydration(func() error {
-		var ferr error
-		proof, ferr = l.tree.consistencyProof(first, second)
-		return ferr
-	})
-	if err != nil {
-		return nil, err
-	}
-	return proof, nil
-}
-
-// RootAt recomputes the root at a historical size (used by tests and the
-// example walkthrough; auditors use signed tree heads instead).
-func (l *Log) RootAt(size uint64) (Hash, error) {
-	var root Hash
-	err := l.withHydration(func() error {
-		var ferr error
-		root, ferr = l.tree.rootAt(size)
-		return ferr
-	})
-	return root, err
-}
-
 // ProofBundle packages everything a relying party needs to check that one
 // entry is committed in the log: the entry, its index, the audit path and
 // the signed tree head the path leads to.
@@ -675,38 +623,13 @@ func (pb *ProofBundle) verify(pub *ecdsa.PublicKey, sigs *sigmemo.Memo) error {
 	return VerifyInclusion(LeafHash(pb.Entry.Marshal()), pb.Index, pb.STH.Size, pb.Proof, pb.STH.RootHash)
 }
 
-// ProveSerial returns a proof bundle for the latest issuance entry
-// (enroll or provision) carrying the given credential serial, against the
-// current tree head. ErrNotLogged when the serial never appears;
-// ErrLogRevoked when the log records its revocation. The lookup is one
-// map read — the issuance index is maintained on commit (and rebuilt on
-// recovery) rather than found by scanning entries, so the controller's
-// per-handshake cost does not grow with the log.
-func (l *Log) ProveSerial(serial string) (*ProofBundle, error) {
-	pb, err := l.lookupBundle(serial)
-	if err != nil {
-		return nil, err
-	}
-	// The audit path is computed against the snapshotted head without
-	// re-taking the log lock (see InclusionProof).
-	err = l.withHydration(func() error {
-		proof, perr := l.tree.inclusionProof(pb.Index, pb.STH.Size)
-		if perr != nil {
-			return perr
-		}
-		pb.Proof = proof
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return pb, nil
-}
-
 // lookupBundle resolves a serial to its proof bundle minus the audit
-// path — what a tile-assembling client needs: it computes the proof
-// itself from cached tiles, so making the server hash one out would
-// defeat the point of the tile read path.
+// path, against the current head: ErrNotLogged when the serial never
+// appears, ErrLogRevoked when the log records its revocation. The lookup
+// is one map read — the issuance index is maintained on commit (and
+// rebuilt on recovery) rather than found by scanning entries, so a
+// controller's per-handshake cost does not grow with the log. The audit
+// path folds from tiles (TileProofSource), in-process and remote alike.
 func (l *Log) lookupBundle(serial string) (*ProofBundle, error) {
 	l.mu.RLock()
 	if l.revoked[serial] {

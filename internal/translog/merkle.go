@@ -90,11 +90,15 @@ var errColdRange = errors.New("translog: range below the checkpoint is not resid
 // sit at exactly those boundary positions, so the per-level arrays stay
 // contiguous and append pairs new nodes with frozen block roots with
 // no special cases beyond the off(k) index shift.
-// Every root, proof and consistency computation for ranges at or above
-// frozen resolves exactly as in a full tree (the RFC recursions only
-// visit the decomposition positions, which are resident); a lookup that
-// needs interior cold nodes returns errColdRange, and splice() grafts a
+// Every root and checkpoint block set at or above frozen resolves
+// exactly as in a full tree (the recursion only visits the
+// decomposition positions, which are resident); a lookup that needs
+// interior cold nodes returns errColdRange, and splice() grafts a
 // rebuilt cold prefix back in to lift the boundary.
+//
+// The tree computes no proofs. It appends, truncates, folds the commit
+// root and checkpoint blocks, and serves tile rows (nodes); every audit
+// path folds from those tiles through a TileAssembler.
 type tree struct {
 	mu     sync.RWMutex
 	levels [][]Hash
@@ -274,7 +278,7 @@ func (t *tree) blocks(n uint64) ([]Hash, error) {
 // splice grafts a rebuilt cold prefix into a suffix tree: prefix is the
 // per-level node array of a full tree over exactly frozen leaves (the
 // caller has verified its root against the checkpoint). After splice
-// the tree is a full tree — every historical root and proof resolves.
+// the tree is a full tree — every historical root and tile resolves.
 func (t *tree) splice(prefix [][]Hash) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -303,10 +307,9 @@ func (t *tree) splice(prefix [][]Hash) {
 
 // nodeFunc resolves the root hash of the complete subtree at tree level
 // k whose global node index is idx (covering leaves [idx·2^k,
-// (idx+1)·2^k)). The RFC 6962 recursions below are parameterized over it
-// so the same code serves two node stores: the tree's resident level
-// arrays (server side) and the client-side tile assembler, which
-// reconstructs nodes from fetched tiles.
+// (idx+1)·2^k)). The RFC 6962 recursions below are parameterized over it:
+// the tree's resident level arrays resolve its own roots and checkpoint
+// blocks, and the tile assembler resolves every audit path from tiles.
 type nodeFunc func(k int, idx uint64) (Hash, error)
 
 // nodeLocked resolves a node from the resident level arrays. Callers
@@ -372,19 +375,6 @@ func (t *tree) subtree(lo, hi uint64) (Hash, error) {
 	return merkleSubtree(lo, hi, t.nodeLocked)
 }
 
-// inclusionProof returns the RFC 6962 audit path PATH(index, D[size]).
-func (t *tree) inclusionProof(index, size uint64) ([]Hash, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if size > t.sizeLocked() {
-		return nil, errors.New("translog: tree size out of range")
-	}
-	if index >= size {
-		return nil, errors.New("translog: leaf index out of range")
-	}
-	return merklePath(index, 0, size, t.nodeLocked)
-}
-
 // merklePath implements PATH(m, D[lo:hi]) with m relative to lo.
 func merklePath(m, lo, hi uint64, node nodeFunc) ([]Hash, error) {
 	n := hi - lo
@@ -412,23 +402,6 @@ func merklePath(m, lo, hi uint64, node nodeFunc) ([]Hash, error) {
 		return nil, err
 	}
 	return append(p, s), nil
-}
-
-// consistencyProof returns PROOF(first, D[second]) showing D[0:first] is a
-// prefix of D[0:second].
-func (t *tree) consistencyProof(first, second uint64) ([]Hash, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if second > t.sizeLocked() {
-		return nil, errors.New("translog: tree size out of range")
-	}
-	if first == 0 || first > second {
-		return nil, errors.New("translog: invalid consistency range")
-	}
-	if first == second {
-		return nil, nil
-	}
-	return merkleSubproof(first, 0, second, true, t.nodeLocked)
 }
 
 // merkleSubproof implements SUBPROOF(m, D[lo:hi], b) with m relative to

@@ -95,7 +95,7 @@ func FuzzWitnessPartition(f *testing.F) {
 		if _, err := l.AppendBatch([]Entry{mk(victim), mk(victim)}); err != nil {
 			t.Fatal(err)
 		}
-		fetch := func(a, b uint64) ([]Hash, error) { return l.ConsistencyProof(a, b) }
+		fetch := logProofs(l).ConsistencyProof
 		grown := l.STH()
 		cursors := make(map[string][]byte, len(names))
 		for _, name := range names {
@@ -104,7 +104,7 @@ func FuzzWitnessPartition(f *testing.F) {
 			if err := w.Advance(grown, fetch); err != nil {
 				t.Fatal(err)
 			}
-			if err := w.AuditShards(grown, l, 0); err != nil {
+			if err := w.AuditShards(grown, logProofs(l), 0); err != nil {
 				t.Fatalf("honest audit convicted: %v", err)
 			}
 			w.mu.Lock()
@@ -139,10 +139,10 @@ func FuzzWitnessPartition(f *testing.F) {
 			if err := w.restoreCursors(cursors[name]); err != nil {
 				t.Fatal(err)
 			}
-			if err := w.Advance(rolledHead, func(a, b uint64) ([]Hash, error) { return rolled.ConsistencyProof(a, b) }); err != nil {
+			if err := w.Advance(rolledHead, logProofs(rolled).ConsistencyProof); err != nil {
 				t.Fatalf("amnesiac head adoption failed: %v", err)
 			}
-			err := w.AuditShards(rolledHead, rolled, 0)
+			err := w.AuditShards(rolledHead, logProofs(rolled), 0)
 			if part.Covers(name, victimShard) {
 				if !errors.Is(err, ErrRollback) {
 					t.Fatalf("witness %s assigned shard %d did not convict the rewind: %v", name, victimShard, err)

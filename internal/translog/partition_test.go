@@ -200,11 +200,11 @@ func auditedWitness(t *testing.T, l *Log, pub *ecdsa.PublicKey, total int, assig
 	t.Helper()
 	w := NewWitness(pub)
 	w.SetAssignedShards(total, assigned)
-	fetch := func(a, b uint64) ([]Hash, error) { return l.ConsistencyProof(a, b) }
+	fetch := logProofs(l).ConsistencyProof
 	if err := w.Advance(l.STH(), fetch); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AuditShards(l.STH(), l, 0); err != nil {
+	if err := w.AuditShards(l.STH(), logProofs(l), 0); err != nil {
 		t.Fatal(err)
 	}
 	return w
@@ -341,7 +341,7 @@ func TestMergeEqualHeadTiebreakKeepsAuditState(t *testing.T) {
 		t.Fatal("equal-head adoption disturbed the shard audit cursors")
 	}
 	// And auditing against the re-signed head finds nothing new to do.
-	if err := w.AuditShards(newer, l, 0); err != nil {
+	if err := w.AuditShards(newer, logProofs(l), 0); err != nil {
 		t.Fatalf("audit against re-signed head: %v", err)
 	}
 	if !reflect.DeepEqual(w.shardMarks(), marksBefore) {

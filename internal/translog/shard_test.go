@@ -80,10 +80,7 @@ func TestShardedRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendAll(t, l, entries)
-	rootBefore, err := l.RootAt(l.Size())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rootBefore := l.STH().RootHash
 	sthBefore := l.STH()
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -109,10 +106,7 @@ func TestShardedRoundTrip(t *testing.T) {
 	if got := mustEntries(t, re, 0, re.Size()); !reflect.DeepEqual(got, entries) {
 		t.Fatal("global entry order changed across sharded recovery")
 	}
-	rootAfter, err := re.RootAt(re.Size())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rootAfter := re.STH().RootHash
 	if rootAfter != rootBefore {
 		t.Fatal("root hash changed across sharded recovery")
 	}
@@ -129,10 +123,7 @@ func TestShardedRoundTrip(t *testing.T) {
 	if _, err := ref.AppendBatch(entries); err != nil {
 		t.Fatal(err)
 	}
-	refRoot, err := ref.RootAt(ref.Size())
-	if err != nil {
-		t.Fatal(err)
-	}
+	refRoot := ref.STH().RootHash
 	if refRoot != rootAfter {
 		t.Fatal("sharded root differs from the in-memory root over the same entries")
 	}
@@ -142,8 +133,8 @@ func TestShardedRoundTrip(t *testing.T) {
 		if e.Serial == "" {
 			continue
 		}
-		pbWant, errWant := ref.ProveSerial(e.Serial)
-		pbGot, errGot := re.ProveSerial(e.Serial)
+		pbWant, errWant := logProofs(ref).ProveSerial(e.Serial)
+		pbGot, errGot := logProofs(re).ProveSerial(e.Serial)
 		if (errWant == nil) != (errGot == nil) {
 			t.Fatalf("serial %s: sharded err %v, reference err %v", e.Serial, errGot, errWant)
 		}
@@ -263,10 +254,7 @@ func TestShardedTornTailPerStream(t *testing.T) {
 	}
 	entries := hostEntries(120, 5)
 	appendAll(t, l, entries)
-	root, err := l.RootAt(l.Size())
-	if err != nil {
-		t.Fatal(err)
-	}
+	root := l.STH().RootHash
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +285,7 @@ func TestShardedTornTailPerStream(t *testing.T) {
 	if re.Size() != uint64(len(entries)) {
 		t.Fatalf("recovered %d entries, want %d", re.Size(), len(entries))
 	}
-	if got, _ := re.RootAt(re.Size()); got != root {
+	if got := re.STH().RootHash; got != root {
 		t.Fatal("root changed after per-stream torn-tail recovery")
 	}
 	if _, err := re.Append(Entry{Type: EntryAttestOK, Actor: "fw-post", Host: "host-1", Detail: "OK"}); err != nil {
@@ -729,7 +717,7 @@ func TestProveSerialIssuanceIndexAcrossRecovery(t *testing.T) {
 			}
 			check := func(t *testing.T, log *Log) {
 				t.Helper()
-				pb, err := log.ProveSerial("7001")
+				pb, err := logProofs(log).ProveSerial("7001")
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -740,10 +728,10 @@ func TestProveSerialIssuanceIndexAcrossRecovery(t *testing.T) {
 				if err := pb.Verify(&key.PublicKey); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := log.ProveSerial("7002"); !errors.Is(err, ErrLogRevoked) {
+				if _, err := logProofs(log).ProveSerial("7002"); !errors.Is(err, ErrLogRevoked) {
 					t.Fatalf("revoked serial: got %v, want ErrLogRevoked", err)
 				}
-				if _, err := log.ProveSerial("nope"); !errors.Is(err, ErrNotLogged) {
+				if _, err := logProofs(log).ProveSerial("nope"); !errors.Is(err, ErrNotLogged) {
 					t.Fatalf("unknown serial: got %v, want ErrNotLogged", err)
 				}
 			}
@@ -922,7 +910,7 @@ func TestSerialIndexGlobalOrderAcrossStreams(t *testing.T) {
 			// at 3; 8002's latest issuance is its provision at 6.
 			check := func(t *testing.T, log *Log) {
 				t.Helper()
-				pb, err := log.ProveSerial("8001")
+				pb, err := logProofs(log).ProveSerial("8001")
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -932,7 +920,7 @@ func TestSerialIndexGlobalOrderAcrossStreams(t *testing.T) {
 				if err := pb.Verify(&key.PublicKey); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := log.ProveSerial("8002"); !errors.Is(err, ErrLogRevoked) {
+				if _, err := logProofs(log).ProveSerial("8002"); !errors.Is(err, ErrLogRevoked) {
 					t.Fatalf("revoked serial 8002: got %v, want ErrLogRevoked", err)
 				}
 				log.mu.RLock()

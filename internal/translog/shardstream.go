@@ -18,9 +18,9 @@ type IndexedEntry struct {
 }
 
 // ShardAuditSource serves the partitioned witness audit: shard-stream
-// slices plus the inclusion proofs pinning them to a head. The
-// in-process *Log qualifies; over HTTP the gossip pool composes one from
-// the shard endpoint and tile-assembled proofs.
+// slices plus the inclusion proofs pinning them to a head. A
+// TileProofSource — over the in-process *Log or the HTTP *Client —
+// qualifies: streams pass through, proofs fold from tiles.
 type ShardAuditSource interface {
 	ShardStream(shard int, start, count uint64) (total uint64, entries []IndexedEntry, err error)
 	InclusionProof(index, size uint64) ([]Hash, error)

@@ -82,10 +82,7 @@ func TestDurableRoundTrip(t *testing.T) {
 	}
 	appendAll(t, l, entries)
 	sthBefore := l.STH()
-	rootBefore, err := l.RootAt(l.Size())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rootBefore := l.STH().RootHash
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -98,10 +95,7 @@ func TestDurableRoundTrip(t *testing.T) {
 	if got := re.Size(); got != uint64(len(entries)) {
 		t.Fatalf("reopened size %d, want %d", got, len(entries))
 	}
-	rootAfter, err := re.RootAt(re.Size())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rootAfter := re.STH().RootHash
 	if rootAfter != rootBefore {
 		t.Fatal("root hash changed across restart")
 	}
@@ -123,8 +117,8 @@ func TestDurableRoundTrip(t *testing.T) {
 		if e.Serial == "" {
 			continue
 		}
-		pbWant, errWant := l.ProveSerial(e.Serial)
-		pbGot, errGot := re.ProveSerial(e.Serial)
+		pbWant, errWant := logProofs(l).ProveSerial(e.Serial)
+		pbGot, errGot := logProofs(re).ProveSerial(e.Serial)
 		if !errors.Is(errGot, errWant) && (errWant == nil) != (errGot == nil) {
 			t.Fatalf("serial %s: reopened err %v, want %v", e.Serial, errGot, errWant)
 		}
@@ -165,7 +159,7 @@ func TestDurableProofSurvivesRestart(t *testing.T) {
 	if serial == "" {
 		t.Fatal("no provable serial in fixture")
 	}
-	pb, err := l.ProveSerial(serial)
+	pb, err := logProofs(l).ProveSerial(serial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +180,7 @@ func TestDurableProofSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	postSTH := re.STH()
-	proof, err := re.ConsistencyProof(preSTH.Size, postSTH.Size)
+	proof, err := logProofs(re).ConsistencyProof(preSTH.Size, postSTH.Size)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,10 +204,7 @@ func TestTornTailTruncated(t *testing.T) {
 		}
 		entries := mixedEntries(40)
 		appendAll(t, l, entries)
-		root, err := l.RootAt(l.Size())
-		if err != nil {
-			t.Fatal(err)
-		}
+		root := l.STH().RootHash
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -239,7 +230,7 @@ func TestTornTailTruncated(t *testing.T) {
 		if re.Size() != uint64(len(entries)) {
 			t.Fatalf("size %d after torn-tail recovery, want %d", re.Size(), len(entries))
 		}
-		if got, _ := re.RootAt(re.Size()); got != root {
+		if got := re.STH().RootHash; got != root {
 			t.Fatal("root changed after torn-tail recovery")
 		}
 		// The truncation is physical: appends resume on a clean boundary
@@ -479,14 +470,14 @@ func TestDurableAppenderConcurrent(t *testing.T) {
 		}(p)
 	}
 	done := make(chan struct{})
-	go func() { // concurrent head reader
+	proofs := logProofs(l)
+	go func() { // concurrent head and proof reader
 		for {
 			select {
 			case <-done:
 				return
 			default:
-				_ = l.STH()
-				_, _ = l.RootAt(l.Size())
+				_, _ = proofs.ConsistencyProof(1, l.STH().Size)
 			}
 		}
 	}()

@@ -85,22 +85,43 @@ func TestEntryUnmarshalRejectsMalformed(t *testing.T) {
 	}
 }
 
+// logProofs is the read view a test proves a log through: the same
+// tile-assembling TileProofSource every relying party uses.
+func logProofs(l *Log) *TileProofSource { return NewLogTileProofSource(l, 0) }
+
+// grownLog commits n test entries one at a time and returns the log,
+// the entries' leaves and the signed root recorded at every size
+// (roots[0] is the empty tree's) — the oracle proofs are checked
+// against, computed at commit by the tree, independently of the
+// assembler.
+func grownLog(t *testing.T, n int) (*Log, []Hash, []Hash) {
+	t.Helper()
+	l, err := NewLog(testSigner(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaves := make([]Hash, 0, n)
+	roots := []Hash{l.STH().RootHash}
+	for i := 0; i < n; i++ {
+		if _, err := l.Append(testEntry(i)); err != nil {
+			t.Fatal(err)
+		}
+		leaves = append(leaves, LeafHash(testEntry(i).Marshal()))
+		roots = append(roots, l.STH().RootHash)
+	}
+	return l, leaves, roots
+}
+
 // TestInclusionProofsExhaustive checks every leaf at every historical tree
 // size up to 65 entries — covering perfect, one-past-perfect and ragged
 // tree shapes.
 func TestInclusionProofsExhaustive(t *testing.T) {
-	tr := newTree()
-	var leaves []Hash
-	for i := 0; i < 65; i++ {
-		leaves = append(leaves, LeafHash(testEntry(i).Marshal()))
-		tr.append(leaves[i:i+1], 1)
-		n := uint64(i + 1)
-		root, err := tr.rootAt(n)
-		if err != nil {
-			t.Fatal(err)
-		}
+	l, leaves, roots := grownLog(t, 65)
+	proofs := logProofs(l)
+	for n := uint64(1); n <= 65; n++ {
+		root := roots[n]
 		for m := uint64(0); m < n; m++ {
-			proof, err := tr.inclusionProof(m, n)
+			proof, err := proofs.InclusionProof(m, n)
 			if err != nil {
 				t.Fatalf("proof(%d,%d): %v", m, n, err)
 			}
@@ -123,20 +144,11 @@ func TestInclusionProofsExhaustive(t *testing.T) {
 // TestConsistencyProofsExhaustive checks every (first, second) size pair
 // up to 65 entries.
 func TestConsistencyProofsExhaustive(t *testing.T) {
-	tr := newTree()
-	var roots []Hash
-	roots = append(roots, emptyRoot())
-	for i := 0; i < 65; i++ {
-		tr.append([]Hash{LeafHash(testEntry(i).Marshal())}, 1)
-		root, err := tr.rootAt(uint64(i + 1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		roots = append(roots, root)
-	}
+	l, _, roots := grownLog(t, 65)
+	proofs := logProofs(l)
 	for first := uint64(1); first <= 65; first++ {
 		for second := first; second <= 65; second++ {
-			proof, err := tr.consistencyProof(first, second)
+			proof, err := proofs.ConsistencyProof(first, second)
 			if err != nil {
 				t.Fatalf("proof(%d,%d): %v", first, second, err)
 			}
@@ -320,7 +332,7 @@ func TestLogProveSerial(t *testing.T) {
 	if _, err := l.Append(enroll); err != nil {
 		t.Fatal(err)
 	}
-	pb, err := l.ProveSerial("4242")
+	pb, err := logProofs(l).ProveSerial("4242")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +342,7 @@ func TestLogProveSerial(t *testing.T) {
 	if pb.Entry.Actor != "fw-x" {
 		t.Fatalf("wrong entry: %+v", pb.Entry)
 	}
-	if _, err := l.ProveSerial("no-such"); err == nil {
+	if _, err := logProofs(l).ProveSerial("no-such"); err == nil {
 		t.Fatal("unknown serial proved")
 	}
 	// Revocation flips the lookup to ErrLogRevoked.
@@ -340,7 +352,7 @@ func TestLogProveSerial(t *testing.T) {
 	if !l.SerialRevoked("4242") {
 		t.Fatal("revocation not recorded")
 	}
-	if _, err := l.ProveSerial("4242"); !errors.Is(err, ErrLogRevoked) {
+	if _, err := logProofs(l).ProveSerial("4242"); !errors.Is(err, ErrLogRevoked) {
 		t.Fatalf("want ErrLogRevoked, got %v", err)
 	}
 }
@@ -453,7 +465,7 @@ func TestHTTPServerAndClient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r4, _ := l.RootAt(4)
+	r4, _ := rootAt(l, 4)
 	if err := VerifyConsistency(4, 10, r4, sth.RootHash, cons); err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +478,7 @@ func TestWitnessDetectsSplitViewAndRollback(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := NewWitness(&key.PublicKey)
-	fetch := func(first, second uint64) ([]Hash, error) { return honest.ConsistencyProof(first, second) }
+	fetch := logProofs(honest).ConsistencyProof
 
 	if err := w.Advance(honest.STH(), fetch); err != nil {
 		t.Fatal(err)
@@ -490,7 +502,7 @@ func TestWitnessDetectsSplitViewAndRollback(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	evilFetch := func(first, second uint64) ([]Hash, error) { return evil.ConsistencyProof(first, second) }
+	evilFetch := logProofs(evil).ConsistencyProof
 	if err := w.Advance(evil.STH(), evilFetch); err == nil {
 		t.Fatal("split view at equal size accepted")
 	}
@@ -596,14 +608,14 @@ func TestAppendBatchRollsBackOnSignFailure(t *testing.T) {
 	if sth.Size != 3 {
 		t.Fatalf("size %d after recovery", sth.Size)
 	}
-	proof, err := l.ConsistencyProof(2, 3)
+	proof, err := logProofs(l).ConsistencyProof(2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := VerifyConsistency(2, 3, sthBefore.RootHash, sth.RootHash, proof); err != nil {
 		t.Fatalf("post-rollback history inconsistent: %v", err)
 	}
-	pb, err := l.ProveSerial("777")
+	pb, err := logProofs(l).ProveSerial("777")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -626,7 +638,7 @@ func TestCredentialChecker(t *testing.T) {
 	if _, err := l.Append(Entry{Type: EntryEnroll, Timestamp: 1, Actor: "fw-0", Serial: "77"}); err != nil {
 		t.Fatal(err)
 	}
-	check := NewCredentialChecker(&key.PublicKey, l)
+	check := NewCredentialChecker(&key.PublicKey, logProofs(l))
 	if err := check(certWithSerial(77)); err != nil {
 		t.Fatalf("logged credential rejected: %v", err)
 	}
@@ -650,4 +662,16 @@ func mustEntries(t testing.TB, l *Log, start, count uint64) []Entry {
 		t.Fatalf("Entries(%d, %d): %v", start, count, err)
 	}
 	return entries
+}
+
+// rootAt is MTH(D[0:n]) as the log's tree computes it at commit — the
+// oracle an assembled proof is checked against, independent of the tile
+// assembler. A size below a reopened checkpoint hydrates first.
+func rootAt(l *Log, n uint64) (Hash, error) {
+	var root Hash
+	err := l.withHydration(func() (err error) {
+		root, err = l.tree.rootAt(n)
+		return err
+	})
+	return root, err
 }

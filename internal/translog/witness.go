@@ -254,7 +254,7 @@ func (w *Witness) adoptLocked(sth SignedTreeHead) error {
 // Advance validates a head served by the log under watch. fetchConsistency
 // is called (only when needed, and never under the witness lock) to obtain
 // the proof linking the previous head to the new one — typically a
-// TileAssembler's ConsistencyProof. On success the witness adopts the new head; on
+// TileProofSource's ConsistencyProof. On success the witness adopts the new head; on
 // failure its state is unchanged and the error says what the log did
 // wrong: a *ConflictError carrying both signed heads for
 // ErrRollback/ErrSplitView verdicts.

@@ -118,7 +118,7 @@ func TestRestartDurableLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	postSTH := log2.STH()
-	proof, err := log2.ConsistencyProof(preSTH.Size, postSTH.Size)
+	proof, err := translog.NewLogTileProofSource(log2, 0).ConsistencyProof(preSTH.Size, postSTH.Size)
 	if err != nil {
 		t.Fatal(err)
 	}

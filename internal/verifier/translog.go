@@ -26,9 +26,11 @@ func (m *Manager) TransparencyLog() *translog.Log { return m.tlog }
 // CredentialProof returns the verifiable issuance proof for a credential
 // serial: the log entry, its audit path and the signed tree head. This is
 // what a VNF (or its host) hands to relying parties that demand logged
-// evidence.
+// evidence. The path folds from the log's tiles, as a relying party's
+// own would; the assembler lives for this one call, so the Manager keeps
+// no tile cache beside the controller's.
 func (m *Manager) CredentialProof(serial string) (*translog.ProofBundle, error) {
-	return m.tlog.ProveSerial(serial)
+	return translog.NewLogTileProofSource(m.tlog, 0).ProveSerial(serial)
 }
 
 // CredentialChecker returns the controller-side hook that rejects any
