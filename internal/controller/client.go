@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"context"
 	"crypto/tls"
-	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"strings"
 
+	"vnfguard/internal/httpbody"
 	"vnfguard/internal/netsim"
 )
 
@@ -58,7 +58,7 @@ const maxReplyBytes = 1 << 20
 
 // ErrResponseTooLarge reports a controller reply body over 1 MiB; the
 // client refuses it whole rather than decode a truncated document.
-var ErrResponseTooLarge = errors.New("controller client: response body exceeds 1 MiB")
+var ErrResponseTooLarge = httpbody.ErrResponseTooLarge
 
 // do sends one request with an already encoded body and returns the body
 // of a 200 reply.
@@ -79,7 +79,7 @@ func (c *Client) do(method, path string, body []byte) ([]byte, error) {
 		return nil, fmt.Errorf("controller client: %s %s: %w", method, path, err)
 	}
 	defer resp.Body.Close()
-	data, err := readBody(resp)
+	data, err := httpbody.ReadReply(resp, maxReplyBytes)
 	if err != nil {
 		return nil, fmt.Errorf("controller client: %s %s: %w", method, path, err)
 	}
@@ -87,24 +87,6 @@ func (c *Client) do(method, path string, body []byte) ([]byte, error) {
 		return nil, fmt.Errorf("controller client: %s %s: status %d: %s", method, path, resp.StatusCode, strings.TrimSpace(string(data)))
 	}
 	return data, nil
-}
-
-// readBody reads a reply body of at most maxReplyBytes, sized up front
-// from Content-Length when the server sent one.
-func readBody(resp *http.Response) ([]byte, error) {
-	var buf bytes.Buffer
-	if n := resp.ContentLength; n > 0 && n <= maxReplyBytes {
-		// MinRead spare bytes let the final read see EOF without
-		// growing the buffer.
-		buf.Grow(int(n) + bytes.MinRead)
-	}
-	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, maxReplyBytes+1)); err != nil {
-		return nil, err
-	}
-	if buf.Len() > maxReplyBytes {
-		return nil, ErrResponseTooLarge
-	}
-	return buf.Bytes(), nil
 }
 
 // get fetches path and decodes its reply with strict, falling back to

@@ -1,10 +1,9 @@
 package controller
 
 import (
-	"errors"
-	"fmt"
-	"io"
 	"net/http"
+
+	"vnfguard/internal/httpbody"
 )
 
 // Floodlight-style REST paths.
@@ -68,7 +67,7 @@ func (c *Controller) handleDevices(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Controller) handlePushFlow(w http.ResponseWriter, r *http.Request) {
-	body, ok := readRequest(w, r, 1<<20)
+	body, ok := httpbody.ReadRequest(w, r, 1<<20)
 	if !ok {
 		return
 	}
@@ -86,7 +85,7 @@ func (c *Controller) handlePushFlow(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Controller) handleDeleteFlow(w http.ResponseWriter, r *http.Request) {
-	body, ok := readRequest(w, r, 1<<16)
+	body, ok := httpbody.ReadRequest(w, r, 1<<16)
 	if !ok {
 		return
 	}
@@ -100,24 +99,6 @@ func (c *Controller) handleDeleteFlow(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeReply(w, appendNamed(make([]byte, 0, 32+len(req.Name)), "status", "Entry "+req.Name+" deleted"))
-}
-
-// readRequest reads a request body of at most limit bytes. A longer
-// body is refused whole with 413 — never decoded truncated and called
-// malformed — and a failed read with 400; either way ok is false and
-// the reply is written.
-func readRequest(w http.ResponseWriter, r *http.Request, limit int64) (body []byte, ok bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
-	var tooLarge *http.MaxBytesError
-	switch {
-	case errors.As(err, &tooLarge):
-		http.Error(w, fmt.Sprintf("request body exceeds %d bytes", limit), http.StatusRequestEntityTooLarge)
-		return nil, false
-	case err != nil:
-		http.Error(w, "read error", http.StatusBadRequest)
-		return nil, false
-	}
-	return body, true
 }
 
 func (c *Controller) handleFlowList(w http.ResponseWriter, r *http.Request) {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/ecdsa"
 	"crypto/sha256"
-	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -69,9 +68,10 @@ func (ev *HostEvidence) BindingDigest() [32]byte {
 // evidenceVersion is the first byte of the binary evidence encoding.
 const evidenceVersion = 1
 
-// ErrEvidenceEncoding reports host evidence bytes that are not a valid
-// binary encoding: a wrong version byte, a truncated field, a length
-// beyond the input, trailing bytes or an undecodable TPM quote.
+// ErrEvidenceEncoding reports host evidence or evidence request bytes
+// that are not a valid binary encoding: a wrong version byte or TPM
+// flag, a truncated field, a length beyond the input, trailing bytes or
+// an undecodable TPM quote.
 var ErrEvidenceEncoding = errors.New("enclaveapp: malformed host evidence encoding")
 
 // MarshalBinary encodes the evidence as a version byte followed by four
@@ -128,6 +128,44 @@ func (ev *HostEvidence) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
+// EvidenceRequest is the Verification Manager's attestation challenge:
+// its freshness nonce and whether the evidence must carry a TPM quote.
+// The host agent's attest request body and the host_evidence ECall's
+// arguments are both its binary encoding.
+type EvidenceRequest struct {
+	Nonce  []byte
+	UseTPM bool
+}
+
+// MarshalBinary encodes the request as one flag byte (1 asks for a TPM
+// quote, 0 does not) followed by the uvarint-length-prefixed nonce.
+func (req *EvidenceRequest) MarshalBinary() ([]byte, error) {
+	var flag byte
+	if req.UseTPM {
+		flag = 1
+	}
+	b := append(make([]byte, 0, 1+binary.MaxVarintLen64+len(req.Nonce)), flag)
+	b = binary.AppendUvarint(b, uint64(len(req.Nonce)))
+	return append(b, req.Nonce...), nil
+}
+
+// UnmarshalBinary decodes MarshalBinary output, copying the nonce.
+// Every refusal — a flag other than 0 or 1, a truncated nonce or
+// trailing bytes — wraps ErrEvidenceEncoding.
+func (req *EvidenceRequest) UnmarshalBinary(data []byte) error {
+	r := wire.NewReader(data)
+	flag := r.U8()
+	nonce := r.Fixed(r.Uvarint())
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("%w: request: %w", ErrEvidenceEncoding, err)
+	}
+	if flag > 1 {
+		return fmt.Errorf("%w: request TPM flag %d", ErrEvidenceEncoding, flag)
+	}
+	*req = EvidenceRequest{Nonce: cloneOrNil(nonce), UseTPM: flag == 1}
+	return nil
+}
+
 // cloneOrNil copies b, mapping an empty field to nil.
 func cloneOrNil(b []byte) []byte {
 	if len(b) == 0 {
@@ -154,12 +192,6 @@ type attestationConfig struct {
 // and the compromised-host example to model a tampered enclave build.
 func WithAttestationCode(version string) AttestationEnclaveOption {
 	return func(c *attestationConfig) { c.codeVersion = version }
-}
-
-// evidenceRequest is the ECALL argument.
-type evidenceRequest struct {
-	NonceB64 string `json:"nonce"`
-	UseTPM   bool   `json:"use_tpm"`
 }
 
 // NewAttestationEnclave launches the attestation enclave on a platform.
@@ -224,21 +256,17 @@ func NewAttestationEnclave(p *sgx.Platform, signer *ecdsa.PrivateKey, host HostS
 // binary encoding, with the encoded report in the quote slot.
 func handleHostEvidence(p *sgx.Platform) sgx.ECallHandler {
 	return func(ctx *sgx.Context, args []byte) ([]byte, error) {
-		var req evidenceRequest
-		if err := json.Unmarshal(args, &req); err != nil {
-			return nil, fmt.Errorf("enclaveapp: evidence request: %w", err)
-		}
-		nonce, err := base64.StdEncoding.DecodeString(req.NonceB64)
-		if err != nil {
-			return nil, fmt.Errorf("enclaveapp: evidence nonce: %w", err)
+		var req EvidenceRequest
+		if err := req.UnmarshalBinary(args); err != nil {
+			return nil, err
 		}
 		imlBytes, err := ctx.OCall(OCallReadIML, nil)
 		if err != nil {
 			return nil, fmt.Errorf("enclaveapp: reading IML: %w", err)
 		}
-		ev := HostEvidence{IML: string(imlBytes), Nonce: nonce}
+		ev := HostEvidence{IML: string(imlBytes), Nonce: req.Nonce}
 		if req.UseTPM {
-			raw, err := ctx.OCall(OCallTPMQuote, nonce)
+			raw, err := ctx.OCall(OCallTPMQuote, req.Nonce)
 			if err != nil {
 				return nil, fmt.Errorf("enclaveapp: TPM quote: %w", err)
 			}
@@ -257,10 +285,7 @@ func handleHostEvidence(p *sgx.Platform) sgx.ECallHandler {
 // CollectEvidence runs the full evidence flow: ECALL into the enclave,
 // then quote the resulting report at the platform QE.
 func (a *AttestationEnclave) CollectEvidence(nonce []byte, useTPM bool) (*HostEvidence, error) {
-	args, err := json.Marshal(evidenceRequest{
-		NonceB64: base64.StdEncoding.EncodeToString(nonce),
-		UseTPM:   useTPM,
-	})
+	args, err := (&EvidenceRequest{Nonce: nonce, UseTPM: useTPM}).MarshalBinary()
 	if err != nil {
 		return nil, err
 	}

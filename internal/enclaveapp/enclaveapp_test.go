@@ -323,6 +323,70 @@ func FuzzHostEvidenceBinary(f *testing.F) {
 	})
 }
 
+func mustMarshalRequest(t *testing.T, req *EvidenceRequest) []byte {
+	t.Helper()
+	b, err := req.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestEvidenceRequestBinary: an attestation challenge round-trips
+// through its encoding, and every damaged form — the old JSON body
+// among them — is refused with ErrEvidenceEncoding.
+func TestEvidenceRequestBinary(t *testing.T) {
+	for _, req := range []EvidenceRequest{
+		{Nonce: []byte("vm-nonce")},
+		{Nonce: []byte("vm-nonce"), UseTPM: true},
+		{UseTPM: true},
+	} {
+		var got EvidenceRequest
+		if err := got.UnmarshalBinary(mustMarshalRequest(t, &req)); err != nil || !reflect.DeepEqual(got, req) {
+			t.Fatalf("round trip of %+v: got %+v, %v", req, got, err)
+		}
+	}
+	enc := mustMarshalRequest(t, &EvidenceRequest{Nonce: []byte("vm-nonce"), UseTPM: true})
+	for name, data := range map[string][]byte{
+		"empty":         nil,
+		"flag only":     enc[:1],
+		"flag over 1":   append([]byte{2}, enc[1:]...),
+		"truncated":     enc[:len(enc)-1],
+		"trailing byte": append(bytes.Clone(enc), 0),
+		"old JSON body": []byte(`{"nonce":"dm0tbm9uY2U=","use_tpm":true}`),
+	} {
+		var got EvidenceRequest
+		if err := got.UnmarshalBinary(data); !errors.Is(err, ErrEvidenceEncoding) {
+			t.Errorf("%s: got %v, want ErrEvidenceEncoding", name, err)
+		}
+	}
+}
+
+// FuzzEvidenceRequest feeds the attestation challenge decoder what a
+// host agent's or the attestation enclave's caller could send:
+// arbitrary bytes either decode to a request whose encoding decodes
+// back to it or are refused with ErrEvidenceEncoding.
+func FuzzEvidenceRequest(f *testing.F) {
+	f.Add([]byte{0, 0})
+	f.Add([]byte{1, 5, 'n', 'o', 'n', 'c', 'e'})
+	f.Add([]byte{2, 0})
+	f.Add([]byte{1, 6, 'n'})
+	f.Add([]byte(`{"nonce":"bm9uY2U=","use_tpm":false}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var req EvidenceRequest
+		if err := req.UnmarshalBinary(data); err != nil {
+			if !errors.Is(err, ErrEvidenceEncoding) {
+				t.Fatalf("decode refused without the sentinel: %v", err)
+			}
+			return
+		}
+		var again EvidenceRequest
+		if err := again.UnmarshalBinary(mustMarshalRequest(t, &req)); err != nil || !reflect.DeepEqual(again, req) {
+			t.Fatalf("re-encoded request %+v decodes to %+v, %v", req, again, err)
+		}
+	})
+}
+
 func TestTamperedAttestationEnclaveMeasuresDifferently(t *testing.T) {
 	fx := newFixture(t)
 	ae, err := NewAttestationEnclave(fx.plat, fx.vendor, fx.hostSvc, sgx.SPID{1},

@@ -2,17 +2,16 @@ package host
 
 import (
 	"bytes"
-	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
 	"time"
 
 	"vnfguard/internal/enclaveapp"
+	"vnfguard/internal/httpbody"
 	"vnfguard/internal/ra"
 )
 
@@ -26,150 +25,99 @@ const (
 	pathFrame  = "/agent/v1/vnf/{name}/frame"
 )
 
-type attestRequest struct {
-	NonceB64 string `json:"nonce"`
-	UseTPM   bool   `json:"use_tpm"`
-}
+// octets is the content type of every agent body but the VNF list's.
+const octets = "application/octet-stream"
 
-type bytesMsg struct {
-	DataB64 string `json:"data"`
-}
-
-func encodeBytes(b []byte) bytesMsg {
-	return bytesMsg{DataB64: base64.StdEncoding.EncodeToString(b)}
-}
-
-func (m bytesMsg) decode() ([]byte, error) {
-	return base64.StdEncoding.DecodeString(m.DataB64)
-}
+// maxBodyBytes caps every agent request the handler reads and every
+// agent reply the client reads. An over-cap body is refused whole (413
+// at the agent, ErrResponseTooLarge at the client), never decoded
+// truncated.
+const maxBodyBytes = 4 << 20
 
 // Handler exposes the host over HTTP for a remote Verification Manager.
 // In deployments this endpoint runs under mutual TLS on the management
 // network; transport protection is the operator's choice and orthogonal to
 // the credential workflow being reproduced.
+//
+// Every request and reply body is the binary encoding of the message it
+// carries: an enclaveapp.EvidenceRequest and the HostEvidence it
+// returns, RA msg1–msg4 in their ra encodings, and secure-channel frames
+// as they are. msg4's reply is empty; only the VNF list is JSON.
 func (h *Host) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST "+pathAttest, func(w http.ResponseWriter, r *http.Request) {
-		var req attestRequest
-		if err := readJSON(r, &req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
+	serve := func(pattern, contentType string, fn func(vnf string, body []byte) ([]byte, error)) {
+		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+			body, ok := httpbody.ReadRequest(w, r, maxBodyBytes)
+			if !ok {
+				return
+			}
+			reply, err := fn(r.PathValue("name"), body)
+			if err != nil {
+				http.Error(w, err.Error(), errorStatus(err))
+				return
+			}
+			w.Header().Set("Content-Type", contentType)
+			w.Header().Set("Content-Length", strconv.Itoa(len(reply)))
+			w.Write(reply)
+		})
+	}
+	serve("POST "+pathAttest, octets, func(_ string, body []byte) ([]byte, error) {
+		var req enclaveapp.EvidenceRequest
+		if err := req.UnmarshalBinary(body); err != nil {
+			return nil, err
 		}
-		nonce, err := base64.StdEncoding.DecodeString(req.NonceB64)
+		ev, err := h.Attest(req.Nonce, req.UseTPM)
 		if err != nil {
-			http.Error(w, "nonce not base64", http.StatusBadRequest)
-			return
+			return nil, err
 		}
-		ev, err := h.Attest(nonce, req.UseTPM)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		body, err := ev.MarshalBinary()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		// Binary, not JSON: the IML is the bulk of the reply, and the
-		// codec carries it as a length-prefixed copy.
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-		w.Write(body)
+		return ev.MarshalBinary()
 	})
-	mux.HandleFunc("GET "+pathVNFs, func(w http.ResponseWriter, r *http.Request) {
+	serve("GET "+pathVNFs, "application/json", func(string, []byte) ([]byte, error) {
 		names, err := h.VNFs()
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
+			return nil, err
 		}
-		writeJSON(w, names)
+		return json.Marshal(names)
 	})
-	mux.HandleFunc("POST "+pathRAMsg1, func(w http.ResponseWriter, r *http.Request) {
-		m1, err := h.VNFRAMsg1(r.PathValue("name"))
+	serve("POST "+pathRAMsg1, octets, func(vnf string, _ []byte) ([]byte, error) {
+		m1, err := h.VNFRAMsg1(vnf)
 		if err != nil {
-			httpError(w, err)
-			return
+			return nil, err
 		}
-		writeJSON(w, encodeBytes(m1.Encode()))
+		return m1.Encode(), nil
 	})
-	mux.HandleFunc("POST "+pathRAMsg2, func(w http.ResponseWriter, r *http.Request) {
-		raw, err := readBytesMsg(r)
+	serve("POST "+pathRAMsg2, octets, func(vnf string, body []byte) ([]byte, error) {
+		m2, err := ra.DecodeMsg2(body)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
+			return nil, err
 		}
-		m2, err := ra.DecodeMsg2(raw)
+		m3, err := h.VNFRAMsg2(vnf, m2)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
+			return nil, err
 		}
-		m3, err := h.VNFRAMsg2(r.PathValue("name"), m2)
-		if err != nil {
-			httpError(w, err)
-			return
-		}
-		writeJSON(w, encodeBytes(m3.Encode()))
+		return m3.Encode(), nil
 	})
-	mux.HandleFunc("POST "+pathRAMsg4, func(w http.ResponseWriter, r *http.Request) {
-		raw, err := readBytesMsg(r)
+	serve("POST "+pathRAMsg4, octets, func(vnf string, body []byte) ([]byte, error) {
+		m4, err := ra.DecodeMsg4(body)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
+			return nil, err
 		}
-		m4, err := ra.DecodeMsg4(raw)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if err := h.VNFRAMsg4(r.PathValue("name"), m4); err != nil {
-			httpError(w, err)
-			return
-		}
-		writeJSON(w, map[string]string{"status": "ok"})
+		return nil, h.VNFRAMsg4(vnf, m4)
 	})
-	mux.HandleFunc("POST "+pathFrame, func(w http.ResponseWriter, r *http.Request) {
-		raw, err := readBytesMsg(r)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		resp, err := h.VNFFrame(r.PathValue("name"), raw)
-		if err != nil {
-			httpError(w, err)
-			return
-		}
-		writeJSON(w, encodeBytes(resp))
-	})
+	serve("POST "+pathFrame, octets, h.VNFFrame)
 	return mux
 }
 
-func readJSON(r *http.Request, v any) error {
-	data, err := io.ReadAll(io.LimitReader(r.Body, 4<<20))
-	if err != nil {
-		return err
+// errorStatus maps a refusal to its HTTP status: 400 for a body that is
+// not its message's encoding, 404 for an unknown VNF, 500 otherwise.
+func errorStatus(err error) int {
+	switch {
+	case errors.Is(err, enclaveapp.ErrEvidenceEncoding), errors.Is(err, ra.ErrMalformed):
+		return http.StatusBadRequest
+	case errors.Is(err, ErrUnknownVNF):
+		return http.StatusNotFound
 	}
-	return json.Unmarshal(data, v)
-}
-
-func readBytesMsg(r *http.Request) ([]byte, error) {
-	var m bytesMsg
-	if err := readJSON(r, &m); err != nil {
-		return nil, err
-	}
-	return m.decode()
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
-}
-
-func httpError(w http.ResponseWriter, err error) {
-	status := http.StatusInternalServerError
-	if errors.Is(err, ErrUnknownVNF) {
-		status = http.StatusNotFound
-	}
-	http.Error(w, err.Error(), status)
+	return http.StatusInternalServerError
 }
 
 // Client talks to a remote host agent; it satisfies the same interface the
@@ -188,72 +136,42 @@ func NewClient(baseURL string) *Client {
 	return &Client{base: strings.TrimRight(baseURL, "/"), http: &http.Client{Timeout: clientTimeout}}
 }
 
-// maxResponseBytes bounds the body of every agent response the client
-// reads.
-const maxResponseBytes = 4 << 20
-
-// ErrResponseTooLarge reports an agent response body over the client's
+// ErrResponseTooLarge reports an agent reply body over the client's
 // 4 MiB limit. The client refuses such a reply whole rather than decode
 // a truncated one.
-var ErrResponseTooLarge = errors.New("host client: response body exceeds 4 MiB")
+var ErrResponseTooLarge = httpbody.ErrResponseTooLarge
 
-// postRaw posts body as JSON and returns the body of a 200 reply.
-func (c *Client) postRaw(path string, body any) ([]byte, error) {
-	var reader io.Reader
-	if body != nil {
-		buf, err := json.Marshal(body)
-		if err != nil {
-			return nil, err
-		}
-		reader = bytes.NewReader(buf)
-	}
-	resp, err := c.http.Post(c.base+path, "application/json", reader)
+// call makes one agent request with body and returns the body of a 200
+// reply, read under the client's cap. Every Client method goes through
+// it.
+func (c *Client) call(method, path string, body []byte) ([]byte, error) {
+	req, err := http.NewRequest(method, c.base+path, bytes.NewReader(body))
 	if err != nil {
-		return nil, fmt.Errorf("host client: POST %s: %w", path, err)
+		return nil, err
+	}
+	req.Header.Set("Content-Type", octets)
+	resp, err := c.http.Do(req)
+	if err != nil {
+		return nil, fmt.Errorf("host client: %s %s: %w", method, path, err)
 	}
 	defer resp.Body.Close()
-	data, err := readBody(resp)
+	data, err := httpbody.ReadReply(resp, maxBodyBytes)
 	if err != nil {
-		return nil, fmt.Errorf("host client: POST %s: %w", path, err)
+		return nil, fmt.Errorf("host client: %s %s: %w", method, path, err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("host client: POST %s: status %d: %s", path, resp.StatusCode, strings.TrimSpace(string(data)))
+		return nil, fmt.Errorf("host client: %s %s: status %d: %s", method, path, resp.StatusCode, strings.TrimSpace(string(data)))
 	}
 	return data, nil
 }
 
-// readBody reads a response body of at most maxResponseBytes, sized up
-// front from its Content-Length when the agent sent one.
-func readBody(resp *http.Response) ([]byte, error) {
-	var buf bytes.Buffer
-	if n := resp.ContentLength; n > 0 && n <= maxResponseBytes {
-		// MinRead spare bytes let the final read see EOF without
-		// growing the buffer.
-		buf.Grow(int(n) + bytes.MinRead)
-	}
-	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, maxResponseBytes+1)); err != nil {
+// Attest requests host evidence.
+func (c *Client) Attest(nonce []byte, useTPM bool) (*enclaveapp.HostEvidence, error) {
+	req, err := (&enclaveapp.EvidenceRequest{Nonce: nonce, UseTPM: useTPM}).MarshalBinary()
+	if err != nil {
 		return nil, err
 	}
-	if buf.Len() > maxResponseBytes {
-		return nil, ErrResponseTooLarge
-	}
-	return buf.Bytes(), nil
-}
-
-func (c *Client) post(path string, body, out any) error {
-	data, err := c.postRaw(path, body)
-	if err != nil || out == nil {
-		return err
-	}
-	return json.Unmarshal(data, out)
-}
-
-// Attest requests host evidence. The agent replies in the evidence's
-// binary encoding.
-func (c *Client) Attest(nonce []byte, useTPM bool) (*enclaveapp.HostEvidence, error) {
-	data, err := c.postRaw(pathAttest, attestRequest{
-		NonceB64: base64.StdEncoding.EncodeToString(nonce), UseTPM: useTPM,
-	})
+	data, err := c.call(http.MethodPost, pathAttest, req)
 	if err != nil {
 		return nil, err
 	}
@@ -266,21 +184,13 @@ func (c *Client) Attest(nonce []byte, useTPM bool) (*enclaveapp.HostEvidence, er
 
 // VNFs lists the host's VNFs.
 func (c *Client) VNFs() ([]string, error) {
-	resp, err := c.http.Get(c.base + pathVNFs)
+	data, err := c.call(http.MethodGet, pathVNFs, nil)
 	if err != nil {
 		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("host client: vnfs status %d", resp.StatusCode)
-	}
-	data, err := readBody(resp)
-	if err != nil {
-		return nil, fmt.Errorf("host client: GET %s: %w", pathVNFs, err)
 	}
 	var names []string
 	if err := json.Unmarshal(data, &names); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("host client: GET %s: %w", pathVNFs, err)
 	}
 	return names, nil
 }
@@ -291,40 +201,29 @@ func vnfPath(template, name string) string {
 
 // VNFRAMsg1 starts the RA exchange remotely.
 func (c *Client) VNFRAMsg1(vnf string) (*ra.Msg1, error) {
-	var out bytesMsg
-	if err := c.post(vnfPath(pathRAMsg1, vnf), nil, &out); err != nil {
-		return nil, err
-	}
-	raw, err := out.decode()
+	data, err := c.call(http.MethodPost, vnfPath(pathRAMsg1, vnf), nil)
 	if err != nil {
 		return nil, err
 	}
-	return ra.DecodeMsg1(raw)
+	return ra.DecodeMsg1(data)
 }
 
 // VNFRAMsg2 relays msg2, returning msg3.
 func (c *Client) VNFRAMsg2(vnf string, m2 *ra.Msg2) (*ra.Msg3, error) {
-	var out bytesMsg
-	if err := c.post(vnfPath(pathRAMsg2, vnf), encodeBytes(m2.Encode()), &out); err != nil {
-		return nil, err
-	}
-	raw, err := out.decode()
+	data, err := c.call(http.MethodPost, vnfPath(pathRAMsg2, vnf), m2.Encode())
 	if err != nil {
 		return nil, err
 	}
-	return ra.DecodeMsg3(raw)
+	return ra.DecodeMsg3(data)
 }
 
 // VNFRAMsg4 relays msg4.
 func (c *Client) VNFRAMsg4(vnf string, m4 *ra.Msg4) error {
-	return c.post(vnfPath(pathRAMsg4, vnf), encodeBytes(m4.Encode()), nil)
+	_, err := c.call(http.MethodPost, vnfPath(pathRAMsg4, vnf), m4.Encode())
+	return err
 }
 
 // VNFFrame relays a secure-channel frame.
 func (c *Client) VNFFrame(vnf string, frame []byte) ([]byte, error) {
-	var out bytesMsg
-	if err := c.post(vnfPath(pathFrame, vnf), encodeBytes(frame), &out); err != nil {
-		return nil, err
-	}
-	return out.decode()
+	return c.call(http.MethodPost, vnfPath(pathFrame, vnf), frame)
 }

@@ -1,6 +1,7 @@
 package host
 
 import (
+	"bytes"
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/rand"
@@ -271,6 +272,42 @@ func TestAgentHTTPRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAgentRequestRefusals: the agent answers a body over its cap with
+// 413 — refused whole, never decoded truncated — a body that is not its
+// message's encoding with 400, and a request for an unknown VNF with
+// 404.
+func TestAgentRequestRefusals(t *testing.T) {
+	h := newHost(t, false)
+	h.RunContainer(testImage(), "fw-1")
+	srv := httptest.NewServer(h.Handler())
+	defer srv.Close()
+	oldAttest := `{"nonce":"bm9uY2U=","use_tpm":false}`
+	cases := []struct {
+		name, path string
+		body       []byte
+		want       int
+	}{
+		{"frame over the cap", vnfPath(pathFrame, "fw-1"), make([]byte, maxBodyBytes+1), http.StatusRequestEntityTooLarge},
+		{"attest over the cap", pathAttest, make([]byte, maxBodyBytes+1), http.StatusRequestEntityTooLarge},
+		{"attest old JSON body", pathAttest, []byte(oldAttest), http.StatusBadRequest},
+		{"attest TPM flag 2", pathAttest, []byte{2, 0}, http.StatusBadRequest},
+		{"msg2 junk", vnfPath(pathRAMsg2, "fw-1"), []byte("junk"), http.StatusBadRequest},
+		{"msg4 old JSON body", vnfPath(pathRAMsg4, "fw-1"), []byte(`{"data":"AA=="}`), http.StatusBadRequest},
+		{"msg1 unknown VNF", vnfPath(pathRAMsg1, "ghost"), nil, http.StatusNotFound},
+		{"frame unknown VNF", vnfPath(pathFrame, "ghost"), []byte("frame"), http.StatusNotFound},
+	}
+	for _, tc := range cases {
+		resp, err := http.Post(srv.URL+tc.path, "application/octet-stream", bytes.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
+	}
+}
+
 // TestAgentClientTimesOutOnHungAgent: a host agent that accepts the
 // connection but never answers must fail the request with a timeout
 // error, not stall the Verification Manager's attestation of it.
@@ -308,12 +345,12 @@ func TestAgentClientTimesOutOnHungAgent(t *testing.T) {
 func TestClientResponseTooLarge(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Write(make([]byte, maxResponseBytes+1))
+		w.Write(make([]byte, maxBodyBytes+1))
 	}))
 	defer srv.Close()
 	_, err := NewClient(srv.URL).Attest([]byte("nonce"), false)
 	if !errors.Is(err, ErrResponseTooLarge) {
-		t.Fatalf("attest with a %d-byte reply: got %v, want ErrResponseTooLarge", maxResponseBytes+1, err)
+		t.Fatalf("attest with a %d-byte reply: got %v, want ErrResponseTooLarge", maxBodyBytes+1, err)
 	}
 }
 
@@ -322,12 +359,12 @@ func TestClientResponseTooLarge(t *testing.T) {
 func TestClientVNFsResponseTooLarge(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		w.Write(make([]byte, maxResponseBytes+1))
+		w.Write(make([]byte, maxBodyBytes+1))
 	}))
 	defer srv.Close()
 	_, err := NewClient(srv.URL).VNFs()
 	if !errors.Is(err, ErrResponseTooLarge) {
-		t.Fatalf("vnfs with a %d-byte reply: got %v, want ErrResponseTooLarge", maxResponseBytes+1, err)
+		t.Fatalf("vnfs with a %d-byte reply: got %v, want ErrResponseTooLarge", maxBodyBytes+1, err)
 	}
 }
 

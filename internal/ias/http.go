@@ -9,13 +9,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strings"
 	"time"
 
 	"vnfguard/internal/epid"
+	"vnfguard/internal/httpbody"
 	"vnfguard/internal/simtime"
 )
 
@@ -36,6 +36,12 @@ const (
 	headerReportCert      = "X-IASReport-Signing-Certificate"
 )
 
+// maxBodyBytes caps every report request the service reads and every
+// report or SigRL reply the client reads. An over-cap body is refused
+// whole (413 at the service, httpbody.ErrResponseTooLarge at the
+// client), never decoded truncated.
+const maxBodyBytes = 1 << 20
+
 // reportRequest is the POST body of the report API.
 type reportRequest struct {
 	ISVEnclaveQuote string `json:"isvEnclaveQuote"`
@@ -55,12 +61,11 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "invalid subscription key", http.StatusUnauthorized)
 		return
 	}
-	var req reportRequest
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		http.Error(w, "read error", http.StatusBadRequest)
+	body, ok := httpbody.ReadRequest(w, r, maxBodyBytes)
+	if !ok {
 		return
 	}
+	var req reportRequest
 	if err := json.Unmarshal(body, &req); err != nil {
 		http.Error(w, "malformed request", http.StatusBadRequest)
 		return
@@ -197,7 +202,7 @@ func (c *Client) VerifyQuote(quote []byte, nonce string) (*AVR, error) {
 		return nil, fmt.Errorf("ias: report request: %w", err)
 	}
 	defer resp.Body.Close()
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	respBody, err := httpbody.ReadReply(resp, maxBodyBytes)
 	if err != nil {
 		return nil, fmt.Errorf("ias: reading report response: %w", err)
 	}
@@ -240,8 +245,12 @@ func (c *Client) SigRL(gid epid.GroupID) ([][32]byte, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("ias: sigrl API status %d", resp.StatusCode)
 	}
+	body, err := httpbody.ReadReply(resp, maxBodyBytes)
+	if err != nil {
+		return nil, fmt.Errorf("ias: reading sigrl response: %w", err)
+	}
 	var entries []string
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&entries); err != nil {
+	if err := json.Unmarshal(body, &entries); err != nil {
 		return nil, fmt.Errorf("ias: decoding sigrl: %w", err)
 	}
 	out := make([][32]byte, 0, len(entries))

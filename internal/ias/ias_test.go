@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"vnfguard/internal/epid"
+	"vnfguard/internal/httpbody"
 	"vnfguard/internal/sgx"
 	"vnfguard/internal/simtime"
 )
@@ -392,6 +393,46 @@ func TestHandlerRejectsMalformedRequests(t *testing.T) {
 	longNonce := strings.Repeat("x", 40)
 	if code := post(`{"isvEnclaveQuote":"AAAA","nonce":"` + longNonce + `"}`); code != http.StatusBadRequest {
 		t.Fatalf("long nonce: %d", code)
+	}
+	// One byte over the cap is refused whole, not decoded truncated.
+	over := `{"isvEnclaveQuote":"` + strings.Repeat("A", maxBodyBytes) + `"}`
+	if code := post(over); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%d-byte request: %d", len(over), code)
+	}
+}
+
+// TestClientReplyTooLarge: a report or SigRL reply over the client's
+// cap is refused as too large. A correctly signed AVR past the cap is
+// never read truncated and then called forged.
+func TestClientReplyTooLarge(t *testing.T) {
+	fx := newQuoteFixture(t)
+	svc, err := NewService(fx.issuer.GroupPublicKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	signed, err := svc.Sign(&AVR{ID: strings.Repeat("9", 2<<20), ISVEnclaveQuoteStatus: string(StatusOK), Nonce: "n"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST "+reportPath, func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set(headerReportSignature, base64.StdEncoding.EncodeToString(signed.Signature))
+		w.Write(signed.Body)
+	})
+	mux.HandleFunc("GET "+sigrlPath+"{gid}", func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(`["` + strings.Repeat("A", maxBodyBytes) + `"]`))
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	client, err := NewClient(srv.URL, "k", svc.SigningCertPEM(), simtime.ZeroCosts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.VerifyQuote(fx.quote, "n"); !errors.Is(err, httpbody.ErrResponseTooLarge) || errors.Is(err, ErrAVRSignature) {
+		t.Fatalf("%d-byte signed AVR: got %v, want ErrResponseTooLarge", len(signed.Body), err)
+	}
+	if _, err := client.SigRL(fx.issuer.GroupID()); !errors.Is(err, httpbody.ErrResponseTooLarge) {
+		t.Fatalf("over-cap SigRL: got %v, want ErrResponseTooLarge", err)
 	}
 }
 

@@ -126,7 +126,7 @@ func (c *Challenger) ProcessMsg3(m3 *Msg3, check EvidenceCheck) (*Msg4, error) {
 	m4.MAC = mac(c.keys.mk, m4.macInput())
 	if err != nil {
 		c.quote = nil
-		return m4, fmt.Errorf("%w: %v", ErrEvidenceRejected, err)
+		return m4, fmt.Errorf("%w: %w", ErrEvidenceRejected, err)
 	}
 	c.quote = quote
 	return m4, nil

@@ -247,12 +247,15 @@ func TestChallengerRejectsUnboundQuote(t *testing.T) {
 
 func TestEvidenceRejectionFlowsToBothSides(t *testing.T) {
 	fx := newRAFixture(t)
+	revoked := errors.New("platform revoked")
 	reject := func(quote []byte) (string, error) {
-		return "GROUP_REVOKED", errors.New("platform revoked")
+		return "GROUP_REVOKED", revoked
 	}
 	att, ch, err := runExchange(t, fx, reject)
-	if !errors.Is(err, ErrEvidenceRejected) && !errors.Is(err, ErrNotTrusted) {
-		t.Fatalf("exchange error = %v", err)
+	// The challenger's error names the RA verdict and keeps the check's
+	// own refusal, so a caller can tell why the evidence was rejected.
+	if !errors.Is(err, ErrEvidenceRejected) || !errors.Is(err, revoked) {
+		t.Fatalf("exchange error = %v, want ErrEvidenceRejected wrapping the check's error", err)
 	}
 	if ch.Quote() != nil {
 		t.Fatal("challenger kept evidence for rejected platform")

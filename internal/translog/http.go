@@ -7,12 +7,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strconv"
 	"strings"
 	"time"
+
+	"vnfguard/internal/httpbody"
 )
 
 // Log-server REST paths (CT-inspired, JSON bodies).
@@ -192,7 +193,7 @@ func Handler(l *Log) http.Handler {
 		writeJSON(w, wireBundle{Index: pb.Index, Entry: pb.Entry.Marshal(), STH: pb.STH})
 	})
 	mux.HandleFunc("POST "+pathAppend, func(w http.ResponseWriter, r *http.Request) {
-		body, ok := readRequest(w, r, maxAppendBody)
+		body, ok := httpbody.ReadRequest(w, r, maxAppendBody)
 		if !ok {
 			return
 		}
@@ -389,7 +390,7 @@ func CosignHandler(col *CosignCollector) http.Handler {
 // sentinel behind it (400) — junk, a badly signed head or a bad
 // co-signature never touches receiver state. Anything else is 500.
 func serveView(w http.ResponseWriter, r *http.Request, receive func(wireGossip) (wireGossip, error)) {
-	body, ok := readRequest(w, r, 1<<20)
+	body, ok := httpbody.ReadRequest(w, r, 1<<20)
 	if !ok {
 		return
 	}
@@ -421,24 +422,6 @@ func serveView(w http.ResponseWriter, r *http.Request, receive func(wireGossip) 
 	default:
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
-}
-
-// readRequest reads a request body of at most limit bytes. A longer
-// body is refused whole with 413 — never decoded truncated and called
-// malformed — and a failed read with 400; either way ok is false and
-// the reply is written.
-func readRequest(w http.ResponseWriter, r *http.Request, limit int64) (body []byte, ok bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
-	var tooLarge *http.MaxBytesError
-	switch {
-	case errors.As(err, &tooLarge):
-		http.Error(w, fmt.Sprintf("request body exceeds %d bytes", limit), http.StatusRequestEntityTooLarge)
-		return nil, false
-	case err != nil:
-		http.Error(w, "read error", http.StatusBadRequest)
-		return nil, false
-	}
-	return body, true
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
@@ -525,10 +508,10 @@ const (
 // ErrResponseTooLarge reports a log-server or witness reply body over
 // the cap of the Client method that read it; the client refuses it whole
 // rather than decode a truncated document.
-var ErrResponseTooLarge = errors.New("translog client: response body exceeds its size cap")
+var ErrResponseTooLarge = httpbody.ErrResponseTooLarge
 
 // do sends one request — a GET when body is nil, else a JSON POST — and
-// returns the reply's status and body, read through readReply. what
+// returns the reply's status and body, read through httpbody.ReadReply. what
 // names the call in errors.
 func (c *Client) do(what, path string, body []byte, limit int64) (int, []byte, error) {
 	var resp *http.Response
@@ -542,27 +525,13 @@ func (c *Client) do(what, path string, body []byte, limit int64) (int, []byte, e
 		return 0, nil, fmt.Errorf("translog client: %s: %w", what, err)
 	}
 	defer resp.Body.Close()
-	data, err := readReply(resp, limit)
+	data, err := httpbody.ReadReply(resp, limit)
 	if err != nil {
 		// A peer that dies mid-body must surface as the transport error
 		// it is, not as a truncated (or empty) server message.
 		return 0, nil, fmt.Errorf("translog client: %s: reading response (status %d): %w", what, resp.StatusCode, err)
 	}
 	return resp.StatusCode, data, nil
-}
-
-// readReply reads a reply body of at most limit bytes. It reads one
-// byte past the cap, so a longer body is refused with
-// ErrResponseTooLarge.
-func readReply(resp *http.Response, limit int64) ([]byte, error) {
-	data, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(data)) > limit {
-		return nil, ErrResponseTooLarge
-	}
-	return data, nil
 }
 
 // get fetches path and decodes its 200 reply into out.

@@ -29,9 +29,9 @@ type HostAppraisal struct {
 }
 
 // Err joins the errors behind the findings, nil for a trusted host. Each
-// is errors.Is-able as its sentinel: ErrNonceMismatch, ErrQuoteStatus,
-// ErrEvidenceBinding, ErrUnexpectedMR, ErrDebugEnclave, ErrSVNTooLow,
-// ErrIMAViolation, ErrTPMRequired or ErrTPMMismatch.
+// is errors.Is-able as its sentinel: ErrNonceMismatch, ErrIASReport,
+// ErrQuoteStatus, ErrEvidenceBinding, ErrUnexpectedMR, ErrDebugEnclave,
+// ErrSVNTooLow, ErrIMAViolation, ErrTPMRequired or ErrTPMMismatch.
 func (a *HostAppraisal) Err() error { return errors.Join(a.errs...) }
 
 // AttestHost runs the remote attestation of a container host (steps 1–2 of
@@ -86,7 +86,7 @@ func (m *Manager) appraiseHostEvidence(rec *hostRecord, nonce []byte, ev *enclav
 	// Step 2: IAS validates the quote and revocation state.
 	avr, err := m.iasC.VerifyQuote(ev.Quote, base64.StdEncoding.EncodeToString(nonce)[:24])
 	if err != nil {
-		fail(fmt.Errorf("IAS verification: %w", err))
+		fail(fmt.Errorf("%w: %w", ErrIASReport, err))
 		return app
 	}
 	app.QuoteStatus = avr.Status()

@@ -106,7 +106,7 @@ func (m *Manager) attestEnclave(rec *hostRecord, hostName, vnf string) (*ra.Chal
 	}
 	sigRL, err := m.iasC.SigRL(m1.GID)
 	if err != nil {
-		return nil, fmt.Errorf("verifier: fetching SigRL: %w", err)
+		return nil, fmt.Errorf("%w: fetching SigRL: %w", ErrIASReport, err)
 	}
 	ch := ra.NewChallenger(m.spid, m.key, sgx.QuoteLinkable)
 	m2, err := ch.ProcessMsg1(m1, sigRL)
@@ -137,7 +137,7 @@ func (m *Manager) attestEnclave(rec *hostRecord, hostName, vnf string) (*ra.Chal
 func (m *Manager) credentialEvidenceCheck(quoteBytes []byte) (string, error) {
 	avr, err := m.iasC.VerifyQuote(quoteBytes, "")
 	if err != nil {
-		return "IAS_ERROR", err
+		return "IAS_ERROR", fmt.Errorf("%w: %w", ErrIASReport, err)
 	}
 	if !avr.Status().Trusted() {
 		return string(avr.Status()), fmt.Errorf("%w: %s", ErrQuoteStatus, avr.Status())

@@ -63,6 +63,12 @@ var (
 	// outside the golden database, a modified one, or a required one
 	// missing. Its text is the "IMA" prefix operators read in Findings.
 	ErrIMAViolation = errors.New("IMA")
+
+	// ErrIASReport wraps every IAS client failure behind a host or
+	// credential-enclave appraisal: no verifiable attestation report or
+	// SigRL came back (transport, status, AVR signature, AVR nonce or
+	// an over-cap reply).
+	ErrIASReport = errors.New("verifier: no verifiable attestation report")
 )
 
 // Policy is the appraisal policy applied to quotes and hosts.

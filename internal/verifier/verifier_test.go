@@ -5,6 +5,7 @@ import (
 	"crypto/elliptic"
 	"crypto/rand"
 	"errors"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"vnfguard/internal/ias"
 	"vnfguard/internal/ima"
 	"vnfguard/internal/pki"
+	"vnfguard/internal/ra"
 	"vnfguard/internal/sgx"
 	"vnfguard/internal/simtime"
 	"vnfguard/internal/translog"
@@ -238,6 +240,53 @@ func TestHostAttestationDetectsRevokedPlatform(t *testing.T) {
 	}
 	if app.QuoteStatus != ias.StatusKeyRevoked {
 		t.Fatalf("quote status = %s", app.QuoteStatus)
+	}
+}
+
+// TestIASRefusalsNamed: when IAS yields no verifiable report — here an
+// AVR signed by a key other than the pinned one, or no answer at all —
+// both the host appraisal and the credential enclave's attestation are
+// refused with ErrIASReport, and the IAS client's own error stays
+// matchable.
+func TestIASRefusalsNamed(t *testing.T) {
+	d := newDeployment(t, deployOpts{})
+	d.deployAndLearn(t, "fw-1")
+	srv := httptest.NewServer(d.iasSvc.Handler())
+	defer srv.Close()
+	d.iasSvc.AddSubscriptionKey("k")
+	other, err := ias.NewService(d.issuer.GroupPublicKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrongPin, err := ias.NewClient(srv.URL, "k", other.SigningCertPEM(), d.model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	genuine := d.m.iasC
+
+	d.m.iasC = wrongPin
+	app, err := d.m.AttestHost("host-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if app.Trusted || !errors.Is(app.Err(), ErrIASReport) || !errors.Is(app.Err(), ias.ErrAVRSignature) {
+		t.Fatalf("host appraisal: trusted=%v err=%v, want ErrIASReport and ias.ErrAVRSignature", app.Trusted, app.Err())
+	}
+
+	d.m.iasC = genuine
+	if app, err := d.m.AttestHost("host-a"); err != nil || !app.Trusted {
+		t.Fatalf("genuine appraisal: %v %v", err, app.Findings)
+	}
+	d.m.iasC = wrongPin
+	_, err = d.m.EnrollVNF("host-a", "fw-1")
+	if !errors.Is(err, ErrIASReport) || !errors.Is(err, ias.ErrAVRSignature) || !errors.Is(err, ra.ErrEvidenceRejected) {
+		t.Fatalf("enrollment: got %v, want ErrIASReport, ias.ErrAVRSignature and ra.ErrEvidenceRejected", err)
+	}
+	// An unreachable IAS fails the SigRL fetch, the first IAS call of
+	// an enrollment.
+	srv.Close()
+	if _, err := d.m.EnrollVNF("host-a", "fw-1"); !errors.Is(err, ErrIASReport) {
+		t.Fatalf("enrollment with IAS down: got %v, want ErrIASReport", err)
 	}
 }
 
