@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"crypto/x509"
 	"errors"
 	"fmt"
 	"net/http"
@@ -13,8 +14,10 @@ import (
 
 	"vnfguard/internal/enclaveapp"
 	"vnfguard/internal/host"
+	"vnfguard/internal/pki"
 	"vnfguard/internal/ra"
 	"vnfguard/internal/secchan"
+	"vnfguard/internal/translog"
 )
 
 // hostileAgent fronts a genuine host agent. It records the body of every
@@ -153,6 +156,50 @@ func TestHostileAgentRefusalsNamed(t *testing.T) {
 			if tc.vnf != "" {
 				assertNotIssued(t, d, tc.vnf)
 			}
+			if tc.suffix == "/frame" {
+				assertEnclaveCertRevoked(t, d, tc.vnf)
+			}
 		})
+	}
+}
+
+// TestUnloggedEnrollmentRevoked: when the enrollment's log commit fails
+// after the enclave accepted its credential, EnrollVNF returns the log's
+// error and the VM revokes the certificate the enclave holds.
+func TestUnloggedEnrollmentRevoked(t *testing.T) {
+	d := newTrustedDeployment(t, Options{LogDir: t.TempDir()})
+	if app, err := d.VM.AttestHost(d.HostName(0)); err != nil || !app.Trusted {
+		t.Fatalf("host appraisal: %v", err)
+	}
+	// A closed durable log refuses every commit with ErrStoreFailed.
+	if err := d.VM.TransparencyLog().Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.VM.EnrollVNF(d.HostName(0), "fw-1"); !errors.Is(err, translog.ErrStoreFailed) {
+		t.Fatalf("got %v, want translog.ErrStoreFailed", err)
+	}
+	assertEnclaveCertRevoked(t, d, "fw-1")
+}
+
+// assertEnclaveCertRevoked fails t unless vnf's enclave holds a
+// provisioned certificate that the VM's revocation checker refuses: a
+// provisioning frame the enclave accepted, under a reply the VM refused,
+// leaves a credential the VM must revoke since it never records it.
+func assertEnclaveCertRevoked(t *testing.T, d *Deployment, vnf string) {
+	t.Helper()
+	ce, err := d.Hosts[0].CredentialEnclave(vnf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	der, _, err := ce.Certificate()
+	if err != nil || len(der) == 0 {
+		t.Fatalf("%s: enclave holds no provisioned certificate (%v)", vnf, err)
+	}
+	cert, err := x509.ParseCertificate(der)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.VM.RevocationChecker()(cert); !errors.Is(err, pki.ErrRevoked) {
+		t.Fatalf("%s: enclave certificate serial %s passes the revocation checker (%v)", vnf, cert.SerialNumber, err)
 	}
 }

@@ -765,7 +765,12 @@ func TestProofsDoNotBlockOnCommitLock(t *testing.T) {
 			done <- err
 			return
 		}
-		if err := VerifyInclusion(l.tree.levels[0][3], 3, sth.Size, proof, sth.RootHash); err != nil {
+		leaf, err := l.tree.nodes(0, 3, 4)
+		if err != nil {
+			done <- err
+			return
+		}
+		if err := VerifyInclusion(leaf[0], 3, sth.Size, proof, sth.RootHash); err != nil {
 			done <- err
 			return
 		}

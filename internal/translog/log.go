@@ -9,7 +9,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,13 +42,15 @@ type SignedTreeHead struct {
 const sthSigPrefix = "vnfguard-translog-sth-v1"
 
 // entryArena is the Log's committed-entry storage: the canonical
-// encodings concatenated in one byte arena plus a start-offset index.
-// Entries decode on read. Compared to a []Entry, the arena is
-// pointer-free — a multi-million-entry log no longer hands the garbage
-// collector millions of string headers to scan on every cycle, which
-// directly feeds the append throughput the sharded sequencer is built
-// for — and it holds the exact bytes the tree hashed, so a decode can
-// never disagree with the leaf.
+// encodings in fixed chunks of TileWidth entries, each chunk one
+// pointer-free byte slice holding its entries' end offsets and then
+// their bytes. Entries decode on read. Compared to a []Entry, the arena
+// hands the garbage collector no string headers to scan — a
+// multi-million-entry log costs a GC cycle a few thousand chunk
+// pointers — and it holds the exact bytes the tree hashed, so a decode
+// can never disagree with the leaf. Only the last chunk grows, so growth
+// copies at most one chunk's bytes; sized from the chunk before it, a
+// chunk keeps little slack (0.08% over 2^20 audit-log-shaped entries).
 type entryArena struct {
 	// base is the global index of the first resident entry: a
 	// checkpointed open adopts only the WAL suffix, and indices below
@@ -57,40 +58,58 @@ type entryArena struct {
 	// splices the prefix read from the cold WAL segments back in and
 	// zeroes base.
 	base uint64
-	data []byte
-	offs []uint64
+	n    uint64 // entries stored, cold prefix included
+	// chunks[c] holds entries [c·TileWidth, (c+1)·TileWidth): a table
+	// of TileWidth little-endian uint32 end offsets into the bytes that
+	// follow it (appendPrepared caps an entry at maxEntryBytes, so a
+	// chunk stays under 256 MiB). Chunks wholly below base are nil, and
+	// the table slots of cold entries in the chunk holding base are zero.
+	chunks [][]byte
 }
 
+// arenaTable is the size of a chunk's end-offset table.
+const arenaTable = 4 * TileWidth
+
 // count returns the number of stored entries (cold prefix included).
-func (a *entryArena) count() uint64 { return a.base + uint64(len(a.offs)) }
+func (a *entryArena) count() uint64 { return a.n }
 
 // add appends one canonical encoding (copying it out of the caller's
 // buffer).
 func (a *entryArena) add(payload []byte) {
-	a.offs = append(a.offs, uint64(len(a.data)))
-	a.data = append(a.data, payload...)
-}
-
-// reserve sizes the arena for appending payloads in one allocation
-// each for the bytes and the offsets.
-func (a *entryArena) reserve(payloads [][]byte) {
-	sz := 0
-	for _, p := range payloads {
-		sz += len(p)
+	c, slot := a.n/TileWidth, int(a.n%TileWidth)
+	if have := uint64(len(a.chunks)); c >= have {
+		// A new chunk, sized like the full chunk before it: entries
+		// of one log run to similar sizes.
+		hint := len(payload)
+		if c > 0 && c == have && len(a.chunks[c-1]) > arenaTable {
+			hint = len(a.chunks[c-1]) - arenaTable
+		}
+		a.chunks = append(a.chunks, make([][]byte, c+1-have)...)
+		a.chunks[c] = make([]byte, arenaTable, arenaTable+hint)
 	}
-	a.data = slices.Grow(a.data, sz)
-	a.offs = slices.Grow(a.offs, len(payloads))
+	ch := a.chunks[c]
+	if need := len(ch) + len(payload); need > cap(ch) {
+		// Grow to the chunk's size projected from its entries so far,
+		// at most doubling: a small log's first chunk grows as append
+		// would, a large log's chunk about once.
+		projected := arenaTable + (need-arenaTable)*TileWidth/(slot+1)
+		ch = append(make([]byte, 0, max(need, min(projected, 2*cap(ch)))), ch...)
+	}
+	ch = append(ch, payload...)
+	binary.LittleEndian.PutUint32(ch[4*slot:], uint32(len(ch)-arenaTable))
+	a.chunks[c] = ch
+	a.n++
 }
 
 // payload returns the stored canonical encoding of entry i (callers
 // have checked base ≤ i < count).
 func (a *entryArena) payload(i uint64) []byte {
-	i -= a.base
-	end := uint64(len(a.data))
-	if i+1 < uint64(len(a.offs)) {
-		end = a.offs[i+1]
+	ch, slot := a.chunks[i/TileWidth], int(i%TileWidth)
+	start := uint32(0)
+	if slot > 0 {
+		start = binary.LittleEndian.Uint32(ch[4*slot-4:])
 	}
-	return a.data[a.offs[i]:end]
+	return ch[arenaTable+start : arenaTable+binary.LittleEndian.Uint32(ch[4*slot:])]
 }
 
 // at decodes entry i. The arena only ever holds encodings produced by
@@ -108,32 +127,36 @@ func (a *entryArena) at(i uint64) Entry {
 // failed commit (always within the resident suffix: commits only ever
 // grow past base).
 func (a *entryArena) truncate(n uint64) {
-	if n >= a.count() {
+	if n >= a.n {
 		return
 	}
-	n -= a.base
-	a.data = a.data[:a.offs[n]]
-	a.offs = a.offs[:n]
+	keep := n / TileWidth
+	if slot := n % TileWidth; slot > 0 {
+		ch := a.chunks[keep]
+		a.chunks[keep] = ch[:arenaTable+binary.LittleEndian.Uint32(ch[4*slot-4:])]
+		keep++
+	}
+	clear(a.chunks[keep:])
+	a.chunks = a.chunks[:keep]
+	a.n = n
 }
 
-// splice prepends the hydrated cold payloads (global indices
-// [0, base)) and makes the arena fully resident.
+// splice adds the hydrated cold payloads (global indices [0, base))
+// and makes the arena fully resident. The chunks below base are built
+// fresh; only the chunk holding base is rebuilt, with its resident
+// entries copied after its cold ones.
 func (a *entryArena) splice(cold [][]byte) {
-	sz := uint64(0)
+	var full entryArena
 	for _, p := range cold {
-		sz += uint64(len(p))
+		full.add(p)
 	}
-	data := make([]byte, 0, sz+uint64(len(a.data)))
-	offs := make([]uint64, 0, len(cold)+len(a.offs))
-	for _, p := range cold {
-		offs = append(offs, uint64(len(data)))
-		data = append(data, p...)
+	for i := a.base; i < a.n && i%TileWidth != 0; i++ {
+		full.add(a.payload(i))
 	}
-	for _, off := range a.offs {
-		offs = append(offs, off+sz)
+	if have := len(a.chunks); have < len(full.chunks) {
+		a.chunks = append(a.chunks, make([][]byte, len(full.chunks)-have)...)
 	}
-	a.data = append(data, a.data...)
-	a.offs = offs
+	copy(a.chunks, full.chunks)
 	a.base = 0
 }
 
@@ -284,6 +307,16 @@ func (l *Log) AppendBatch(batch []Entry) ([]uint64, error) {
 // Returns the first committed index; the batch occupies
 // [first, first+len(batch)).
 func (l *Log) appendPrepared(batch []Entry, payloads [][]byte, hashes []Hash, tr *obs.CycleTrace) (uint64, error) {
+	// Enforce the recovery-side frame bound before anything changes: an
+	// oversized record would commit durably but then fail every future
+	// open with ErrStateCorrupt — a log that bricks itself. An in-memory
+	// log holds to the same bound, which also keeps an arena chunk's
+	// offsets within uint32.
+	for _, p := range payloads {
+		if len(p) > maxEntryBytes {
+			return 0, fmt.Errorf("%w: encoding is %d bytes, record limit %d", ErrEntryTooLarge, len(p), maxEntryBytes)
+		}
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	first := l.entries.count()
@@ -449,7 +482,7 @@ func (l *Log) hydrate() error {
 			ErrStateTampered)
 	}
 	l.mu.Lock()
-	l.tree.splice(pre.levels)
+	l.tree.splice(pre)
 	l.entries.splice(payloads)
 	l.mu.Unlock()
 	mColdHydrations.Inc()

@@ -598,13 +598,12 @@ func OpenDurableLog(signer crypto.Signer, dir string, cfg StoreConfig) (*Log, er
 		// checkpoint's (signature-covered) snapshot maps, adopted as
 		// decoded, and the arena starts at the checkpoint base.
 		base = rec.ckpt.size
-		l.entries.base = base
+		l.entries.base, l.entries.n = base, base
 		l.issuance, l.revoked = rec.ckpt.issuance, rec.ckpt.revoked
 	}
 	// The arena copies the replayed canonical bytes — the same bytes the
 	// recovery pass hashed into the rebuilt tree — out of the segment
 	// buffers, which the open then drops.
-	l.entries.reserve(rec.payloads)
 	for _, p := range rec.payloads {
 		l.entries.add(p)
 	}

@@ -276,16 +276,6 @@ func (s *Store) appendBatch(batch []Entry, payloads [][]byte, sth SignedTreeHead
 	if s.failed != nil {
 		return s.failed
 	}
-	// Enforce the recovery-side frame bound before anything is written:
-	// an oversized record would commit durably but then fail every future
-	// open with ErrStateCorrupt — a log that bricks itself. Refusing here
-	// keeps the in-memory and on-disk state consistent (the caller rolls
-	// the batch back) without latching the store failed.
-	for _, p := range payloads {
-		if len(p) > maxEntryBytes {
-			return fmt.Errorf("%w: encoding is %d bytes, record limit %d", ErrEntryTooLarge, len(p), maxEntryBytes)
-		}
-	}
 	phase := time.Now()
 	if err := s.writeRecords(batch, payloads); err != nil {
 		s.failed = fmt.Errorf("%w: %w", ErrStoreFailed, err)

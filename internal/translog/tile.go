@@ -116,7 +116,7 @@ func tileNodeCount(n, level uint64) uint64 {
 
 // Tile returns the tile at (level, index), carrying exactly width node
 // hashes, extracted from the tree under the tree's own read lock: zero
-// hashing, because every interior level of a live log is resident, and
+// hashing, because the tree stores exactly the tile rows, and
 // never the log's commit lock, so tile traffic cannot contend with a
 // commit holding that lock across its WAL fsync. A range below a
 // reopened checkpoint hydrates the cold prefix once, as Entries and

@@ -1,0 +1,315 @@
+package translog
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math/bits"
+	mrand "math/rand"
+	"slices"
+	"testing"
+)
+
+// refTree is the conformance reference: a tree that keeps every level.
+// ref[k][i] roots leaves [i·2^k, (i+1)·2^k).
+type refTree [][]Hash
+
+func newRefTree(leaves []Hash) refTree {
+	ref := refTree{leaves}
+	for below := leaves; len(below) > 1; below = ref[len(ref)-1] {
+		up := make([]Hash, len(below)/2)
+		for j := range up {
+			up[j] = nodeHash(below[2*j], below[2*j+1])
+		}
+		ref = append(ref, up)
+	}
+	return ref
+}
+
+func (ref refTree) root(n uint64) Hash {
+	if n == 0 {
+		return emptyRoot()
+	}
+	h, _ := merkleSubtree(0, n, func(k int, idx uint64) (Hash, error) { return ref[k][idx], nil })
+	return h
+}
+
+// blocks returns the roots of n's binary decomposition, largest first.
+func (ref refTree) blocks(n uint64) []Hash {
+	var out []Hash
+	for k := bits.Len64(n) - 1; k >= 0; k-- {
+		if n>>k&1 == 1 {
+			out = append(out, ref[k][n>>k-1])
+		}
+	}
+	return out
+}
+
+// refLeaves returns n distinct leaf hashes and the reference over them.
+func refLeaves(n int) ([]Hash, refTree) {
+	payloads := make([][]byte, n)
+	for i := range payloads {
+		payloads[i] = []byte(fmt.Sprint("leaf-", i))
+	}
+	leaves := leafHashes(payloads)
+	return leaves, newRefTree(leaves)
+}
+
+// checkTree compares tr at size n with the reference: the size, the
+// root and checkpoint block set at n and at sampled historical sizes
+// at or above the frozen boundary, and every tile row. Below the
+// boundary of a suffix tree, rows must report errColdRange.
+func checkTree(t *testing.T, tr *tree, ref refTree, n uint64, rng *mrand.Rand) {
+	t.Helper()
+	if got := tr.size(); got != n {
+		t.Fatalf("size %d, want %d", got, n)
+	}
+	frozen := tr.frozen
+	sizes := []uint64{n, frozen, min(frozen+1, n), n - min(n, 1), n &^ (TileWidth - 1), n &^ (1<<16 - 1)}
+	for range 6 {
+		sizes = append(sizes, frozen+uint64(rng.Int63n(int64(n-frozen)+1)))
+	}
+	for _, m := range sizes {
+		if m < frozen {
+			continue
+		}
+		root, err := tr.rootAt(m)
+		if err != nil {
+			t.Fatalf("size %d frozen %d: rootAt(%d): %v", n, frozen, m, err)
+		}
+		if root != ref.root(m) {
+			t.Fatalf("size %d frozen %d: rootAt(%d) differs from the reference", n, frozen, m)
+		}
+		blocks, err := tr.blocks(m)
+		if err != nil {
+			t.Fatalf("size %d frozen %d: blocks(%d): %v", n, frozen, m, err)
+		}
+		if !slices.Equal(blocks, ref.blocks(m)) {
+			t.Fatalf("size %d frozen %d: blocks(%d) differ from the reference", n, frozen, m)
+		}
+	}
+	if frozen > 1 {
+		// Below the boundary a root resolves only from frozen blocks.
+		if root, err := tr.rootAt(frozen - 1); !errors.Is(err, errColdRange) && (err != nil || root != ref.root(frozen-1)) {
+			t.Fatalf("rootAt below the frozen boundary: %v, want errColdRange or the reference root", err)
+		}
+	}
+	for k := 0; n>>k > 0; k += TileHeight {
+		lo, hi := tr.off(k), n>>k
+		got, err := tr.nodes(k, lo, hi)
+		if err != nil {
+			t.Fatalf("size %d frozen %d: row %d [%d, %d): %v", n, frozen, k, lo, hi, err)
+		}
+		if !slices.Equal(got, ref[k][lo:hi]) {
+			t.Fatalf("size %d frozen %d: row %d [%d, %d) differs from the reference", n, frozen, k, lo, hi)
+		}
+		if lo > 0 {
+			if _, err := tr.nodes(k, lo-1, hi); !errors.Is(err, errColdRange) {
+				t.Fatalf("row %d below the frozen boundary: %v, want errColdRange", k, err)
+			}
+		}
+	}
+}
+
+// growTree appends leaves [from, to) in random batches, checking the
+// tree after each. workers alternates between inline and fanned folds.
+func growTree(t *testing.T, tr *tree, leaves []Hash, ref refTree, from, to uint64, rng *mrand.Rand) {
+	t.Helper()
+	for n := from; n < to; {
+		batch := uint64(1 + rng.Intn(300))
+		if rng.Intn(4) == 0 {
+			batch = uint64(1 + rng.Intn(20*TileWidth))
+		}
+		batch = min(batch, to-n)
+		if got := tr.append(leaves[n:n+batch], 1+rng.Intn(4)); got != n+batch {
+			t.Fatalf("append returned size %d, want %d", got, n+batch)
+		}
+		n += batch
+		checkTree(t, tr, ref, n, rng)
+	}
+}
+
+// TestTreeRowsConformance checks the rows-only tree against a reference
+// that keeps every level: full trees through the tile and tile-of-tile
+// boundaries and at random sizes, suffix trees over unaligned frozen
+// boundaries before and after splice, and rollbacks that reopen a
+// completed tile at rows 0 and 8 — on a suffix tree, the tile holding
+// the frozen boundary.
+func TestTreeRowsConformance(t *testing.T) {
+	rng := mrand.New(mrand.NewSource(35))
+	leaves, ref := refLeaves(4*65536 + 2000)
+
+	t.Run("boundary sizes", func(t *testing.T) {
+		tr := newTree()
+		n := uint64(0)
+		for _, size := range []uint64{1, 255, 256, 257, 65535, 65536, 65537} {
+			tr.append(leaves[n:size], 2)
+			n = size
+			checkTree(t, tr, ref, n, rng)
+		}
+	})
+	t.Run("random sizes", func(t *testing.T) {
+		for range 4 {
+			size := uint64(1 + rng.Intn(70000))
+			growTree(t, newTree(), leaves, ref, 0, size, rng)
+		}
+	})
+	t.Run("suffix trees then splice", func(t *testing.T) {
+		for _, tc := range []struct{ frozen, end uint64 }{
+			{1, 2}, {3, 200}, {255, 700}, {257, 300}, {300, 1000}, {511, 513},
+			{65537, 2*65536 + 600}, // completes the row-8 tile holding the boundary
+			{65536 + 3*256 + 77, 65536 + 3*256 + 100},
+			{2*65536 - 1, 2*65536 + 600},
+		} {
+			frozen := tc.frozen
+			tr := newTreeFromFrozen(frozen, ref.blocks(frozen))
+			checkTree(t, tr, ref, frozen, rng)
+			growTree(t, tr, leaves, ref, frozen, tc.end, rng)
+			pre := newTree()
+			pre.append(leaves[:frozen], 1)
+			tr.splice(pre)
+			checkTree(t, tr, ref, tc.end, rng)
+			// The right-edge tiles that held the boundary resolve their
+			// once-cold nodes.
+			var below []uint64
+			for m := frozen &^ (TileWidth - 1); m < frozen; m++ {
+				below = append(below, m)
+			}
+			for m := frozen &^ (1<<16 - 1); m < frozen; m += TileWidth - 1 {
+				below = append(below, m)
+			}
+			for _, m := range below {
+				if root, err := tr.rootAt(m); err != nil || root != ref.root(m) {
+					t.Fatalf("frozen %d: rootAt(%d) after splice: %v", frozen, m, err)
+				}
+			}
+			growTree(t, tr, leaves, ref, tc.end, tc.end+uint64(rng.Intn(2*TileWidth)), rng)
+		}
+	})
+	t.Run("rollbacks reopen completed tiles", func(t *testing.T) {
+		cases := []struct {
+			name             string
+			frozen, top, cut uint64
+		}{
+			{"row 0", 0, 600, 200},
+			{"row 0 back to a tile edge", 0, 600, 256},
+			{"row 8", 0, 65536 + 300, 60000},
+			{"row 0, frozen tile", 300, 600, 400},
+			{"row 8, frozen tile", 3*65536 + 5*256 + 7, 4*65536 + 300, 3*65536 + 40000},
+		}
+		for _, tc := range cases {
+			t.Run(tc.name, func(t *testing.T) {
+				tr := newTree()
+				if tc.frozen > 0 {
+					tr = newTreeFromFrozen(tc.frozen, ref.blocks(tc.frozen))
+				}
+				tr.append(leaves[tc.frozen:tc.top], 2)
+				checkTree(t, tr, ref, tc.top, rng)
+				tr.truncate(tc.cut)
+				checkTree(t, tr, ref, tc.cut, rng)
+				growTree(t, tr, leaves, ref, tc.cut, tc.top, rng)
+			})
+		}
+	})
+}
+
+// residentBytes counts the hash bytes the tree holds in its chunks and
+// right-edge interiors.
+func (t *tree) residentBytes() int {
+	total := 0
+	for _, rw := range t.rows {
+		for _, ch := range rw.chunks {
+			if ch != nil {
+				total += len(ch) * len(Hash{})
+			}
+		}
+		if rw.edge != nil {
+			total += len(rw.edge) * len(Hash{})
+		}
+	}
+	return total
+}
+
+// TestTreeResidentBytesBound pins the rows-only storage: after 2^20
+// appends the tree holds at most 32.5 bytes of hashes per leaf (row 0
+// alone is 32), and appending a leaf into an open chunk allocates
+// nothing.
+func TestTreeResidentBytesBound(t *testing.T) {
+	const n = 1 << 20
+	leaves := make([]Hash, n)
+	for i := range leaves {
+		leaves[i][0], leaves[i][1], leaves[i][2] = byte(i), byte(i>>8), byte(i>>16)
+	}
+	tr := newTree()
+	for i := 0; i < n; i += 4096 {
+		tr.append(leaves[i:i+4096], 1)
+	}
+	if perLeaf := float64(tr.residentBytes()) / n; perLeaf > 32.5 {
+		t.Fatalf("tree holds %.3f bytes of hashes per leaf, want ≤ 32.5", perLeaf)
+	}
+
+	small := newTree()
+	small.append(leaves[:4*TileWidth+1], 1) // opens row 0's fifth chunk
+	leaf := leaves[n-1:]
+	if allocs := testing.AllocsPerRun(100, func() { small.append(leaf, 1) }); allocs != 0 {
+		t.Fatalf("appending a leaf into an open chunk: %v allocations", allocs)
+	}
+}
+
+// TestEntryArenaChunks checks the chunked arena against the payloads it
+// was given: through chunk boundaries, rollbacks into a full chunk, and
+// a splice of a cold prefix that ends inside a chunk. An in-memory log
+// refuses an entry past the WAL record bound as a durable one does, so a
+// chunk's uint32 offsets cannot overflow.
+func TestEntryArenaChunks(t *testing.T) {
+	rng := mrand.New(mrand.NewSource(256))
+	payloads := make([][]byte, 5*TileWidth+17)
+	for i := range payloads {
+		payloads[i] = bytes.Repeat([]byte{byte(i)}, 1+rng.Intn(200))
+	}
+	check := func(t *testing.T, a *entryArena, n uint64) {
+		t.Helper()
+		if a.count() != n {
+			t.Fatalf("count %d, want %d", a.count(), n)
+		}
+		for i := a.base; i < n; i++ {
+			if !bytes.Equal(a.payload(i), payloads[i]) {
+				t.Fatalf("entry %d differs", i)
+			}
+		}
+	}
+	for _, base := range []uint64{0, 1, TileWidth, TileWidth + 100, 3*TileWidth - 1} {
+		t.Run(fmt.Sprint("base=", base), func(t *testing.T) {
+			a := &entryArena{base: base, n: base}
+			top := uint64(len(payloads))
+			for i := base; i < top; i++ {
+				a.add(payloads[i])
+			}
+			check(t, a, top)
+			for _, cut := range []uint64{top - 1, 4 * TileWidth, 3*TileWidth + 1} {
+				cut = max(cut, base)
+				a.truncate(cut)
+				check(t, a, cut)
+				for i := cut; i < top; i++ {
+					a.add(payloads[i])
+				}
+				check(t, a, top)
+			}
+			if base > 0 {
+				a.splice(payloads[:base])
+				if a.base != 0 {
+					t.Fatalf("base %d after splice", a.base)
+				}
+				check(t, a, top)
+			}
+		})
+	}
+	l, err := NewLog(testSigner(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge := Entry{Type: EntryAttestFail, Actor: "fw-big", Host: "host-0", Detail: string(make([]byte, maxEntryBytes+1))}
+	if _, err := l.Append(huge); !errors.Is(err, ErrEntryTooLarge) || l.Size() != 0 {
+		t.Fatalf("oversize entry on an in-memory log: %v, size %d", err, l.Size())
+	}
+}

@@ -85,6 +85,9 @@ func (m *Manager) EnrollVNF(hostName, vnf string) (*Enrollment, error) {
 			Serial: enr.Serial, Detail: string(m.provMode),
 		},
 	); err != nil {
+		// The enclave holds the credential already, yet no controller
+		// could find it in the log: revoke it rather than drop it.
+		m.ca.Revoke(cert.SerialNumber)
 		return nil, fmt.Errorf("verifier: logging enrollment: %w", err)
 	}
 
@@ -213,6 +216,10 @@ func (m *Manager) provision(rec *hostRecord, enr *Enrollment) (cert *x509.Certif
 		return nil, err
 	}
 	if _, err := m.channelRound(rec, enr, secchan.TypeProvision, body, secchan.TypeAck); err != nil {
+		// The frame may have reached the enclave before the reply was
+		// refused, so the CA-signed credential could be installed there:
+		// revoke what the VM will neither record nor log.
+		m.ca.Revoke(cert.SerialNumber)
 		return nil, err
 	}
 	return cert, nil
