@@ -2,10 +2,12 @@ package experiment
 
 import (
 	"crypto/ecdsa"
+	"crypto/x509"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math/big"
 	"net"
 	"net/http"
 	"path/filepath"
@@ -304,15 +306,20 @@ func e11(env *Env) (*Plan, error) {
 // e12 times the relying party's read path: serial lookup, inclusion
 // proof and full verification (head signature and audit path) per
 // credential check — the controller's per-handshake cost in log-gated
-// trusted mode — as the log grows.
+// trusted mode — as the log grows. The remote case is a -log-url
+// controller's check: the credential checker over a log server on
+// loopback, lookup and tiles over HTTP, the head verified through the
+// checker's memo against a log that does not move.
 func e12(env *Env) (*Plan, error) {
 	ca, pub, err := newCA()
 	if err != nil {
 		return nil, err
 	}
 	populations := []int{256, 4096, 65536}
+	const remotePopulation = 4096
 	proofLen := map[int]int{}
 	var cases []Case
+	var remote Case
 	for _, population := range populations {
 		l, err := translog.NewLog(ca.Signer())
 		if err != nil {
@@ -336,13 +343,26 @@ func e12(env *Env) (*Plan, error) {
 			proofLen[population] = len(pb.Proof)
 			return pb.Verify(pub)
 		})})
+		if population == remotePopulation {
+			url, err := serve(env, translog.Handler(l))
+			if err != nil {
+				return nil, err
+			}
+			check := translog.NewCredentialChecker(pub, translog.NewTileProofSource(translog.NewClient(url, pub), 0))
+			remote = Case{Name: fmt.Sprintf("remote-%d", population), Reps: 64, Body: each(func(i int) error {
+				return check(&x509.Certificate{SerialNumber: big.NewInt(int64(i % population))})
+			})}
+		}
 	}
+	cases = append(cases, remote)
 	return &Plan{Cases: cases, Table: func(runs int, r Results) (*metrics.Table, error) {
 		t := metrics.NewTable("E12 — inclusion proof verify (n="+fmt.Sprint(runs)+")",
 			"log size", "lookup+prove+verify", "proof length")
 		for i, population := range populations {
 			t.AddRow(fmt.Sprint(population), us(r.Mean(cases[i].Name), 1), fmt.Sprintf("%d hashes", proofLen[population]))
 		}
+		t.AddRow(fmt.Sprintf("%d, remote (HTTP tiles, head memo)", remotePopulation), us(r.Mean(remote.Name), 1),
+			fmt.Sprintf("%d hashes", proofLen[remotePopulation]))
 		return t, nil
 	}}, nil
 }

@@ -242,9 +242,11 @@ func NewLogTileProofSource(l *Log, cacheTiles int) *TileProofSource {
 // entry (enroll or provision) carrying serial, against the current tree
 // head, with the audit path assembled from tiles. ErrNotLogged when the
 // serial never appears; ErrLogRevoked when the log records its
-// revocation. The caller (NewCredentialChecker) verifies the finished
-// bundle against the log key, so a stale or hostile tile source can only
-// cause a verification failure, never a false pass.
+// revocation. The bundle is unauthenticated, head signature included,
+// whether the log is in-process or remote: the caller (NewCredentialChecker,
+// or ProofBundle.Verify) verifies the finished bundle against the log key,
+// so a stale or hostile log server or tile source can only cause a
+// verification failure, never a false pass.
 func (ts *TileProofSource) ProveSerial(serial string) (*ProofBundle, error) {
 	pb, err := ts.lookupBundle(serial)
 	if err != nil {

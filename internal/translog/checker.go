@@ -10,7 +10,10 @@ import (
 
 // ProofSource supplies credential proof bundles: a TileProofSource over
 // the in-process log or a remote log server, so the controller can sit
-// next to the VM or audit a remote log with the same hook.
+// next to the VM or audit a remote log with the same hook. A source
+// authenticates nothing: a bundle, its head's signature included, is
+// unauthenticated until the relying party verifies it (ProofBundle.Verify,
+// or the credential checkers below).
 type ProofSource interface {
 	ProveSerial(serial string) (*ProofBundle, error)
 }
@@ -24,9 +27,11 @@ type ProofSource interface {
 // cannot use them against the controller without committing evidence to
 // the append-only log.
 //
-// The checker remembers tree heads whose signature it has verified, so a
-// client reconnecting while the log has not moved costs one inclusion
-// proof, not another ECDSA verification.
+// The checker is the one place a bundle's head signature is verified,
+// and it remembers the heads whose signature it has verified, so a client
+// reconnecting while the log has not moved costs one inclusion proof, not
+// another ECDSA verification — over an in-process log and a remote log
+// server (NewTileProofSource) alike.
 func NewCredentialChecker(pub *ecdsa.PublicKey, source ProofSource) func(*x509.Certificate) error {
 	return newCredentialChecker(pub, source, sigmemo.New())
 }

@@ -1,6 +1,7 @@
 package translog
 
 import (
+	"crypto/ecdsa"
 	"errors"
 	"os"
 	"path/filepath"
@@ -18,10 +19,10 @@ import (
 // The input script: byte 0 picks the entry count (20..275), byte 1 the
 // stream count (0 — one stream — or 2..4), byte 2 where in the
 // sequence the checkpoint lands, byte 3 the post-close scenario —
-// nothing, stray rename-discipline temp files, a torn frame on a stream
-// tail, a second checkpoint generation, a rolled-back head (must refuse
-// ErrStateRollback) or a flipped checkpoint byte (must refuse
-// ErrStateCorrupt).
+// nothing, stray rename-discipline temp files, a torn frame on stream
+// 0's post-checkpoint segment, a second checkpoint generation, a
+// rolled-back head (must refuse ErrStateRollback) or a flipped
+// checkpoint byte (must refuse ErrStateCorrupt).
 func FuzzCheckpointedRecovery(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
@@ -93,9 +94,10 @@ func FuzzCheckpointedRecovery(f *testing.F) {
 				}
 			}
 		case 2:
-			// Crash mid-append: a torn frame on a stream tail past the
-			// committed head must be trimmed, not refused.
-			appendToStreamTail(t, dir, 0, []byte{0x00, 0x00, 0x00, 0x7F, 0xAA})
+			// Crash mid-append: a torn frame past the committed head, on
+			// the segment the stream writes after the checkpoint, must
+			// be trimmed, not refused.
+			tearPostCheckpoint(t, dir, &key.PublicKey, 0, []byte{0x00, 0x00, 0x00, 0x7F, 0xAA})
 		case 4:
 			if err := os.WriteFile(filepath.Join(dir, sthFileName), oldSTH, 0o600); err != nil {
 				t.Fatal(err)
@@ -179,4 +181,30 @@ func FuzzCheckpointedRecovery(f *testing.F) {
 		}
 		again.Close()
 	})
+}
+
+// tearPostCheckpoint appends raw to the stream's segment past the
+// checkpoint, creating that segment when the stream has written nothing
+// since the checkpoint rolled it — a crash during the stream's first
+// write after the checkpoint. A crash cannot tear a cold segment: the
+// checkpoint retired it whole.
+func tearPostCheckpoint(t *testing.T, dir string, pub *ecdsa.PublicKey, shard int, raw []byte) {
+	t.Helper()
+	ck, err := loadCheckpoint(dir, pub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck != nil {
+		streams, err := listStreams(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs, count := streams[shard], ck.streamCounts[shard]
+		if len(fs) == 0 || fs[len(fs)-1] < count {
+			if err := os.WriteFile(filepath.Join(dir, shardSegmentName(shard, count)), nil, 0o600); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	appendToStreamTail(t, dir, shard, raw)
 }

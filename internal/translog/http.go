@@ -433,8 +433,11 @@ func queryUint(r *http.Request, key string) (uint64, error) {
 	return strconv.ParseUint(r.URL.Query().Get(key), 10, 64)
 }
 
-// Client audits a remote log server. When a public key is supplied, every
-// fetched tree head is signature-checked before use.
+// Client reads and writes a remote log server. With a public key it
+// checks the heads it hands out as the log's word (STH, AppendSTH,
+// ExchangeGossip). The heads it only carries to a party that verifies
+// them — a lookup's proof bundle, the co-signed head, a GossipPool's
+// views — it leaves to that party, so each is checked once.
 type Client struct {
 	base string
 	pub  *ecdsa.PublicKey
@@ -456,7 +459,7 @@ type clientConfig struct {
 }
 
 // NewClient builds a log client with the default request timeout; pub may
-// be nil to skip STH verification (trusted-channel setups).
+// be nil to skip the client's own head checks (trusted-channel setups).
 func NewClient(baseURL string, pub *ecdsa.PublicKey) *Client {
 	return newClientWithConfig(baseURL, pub, clientConfig{})
 }
@@ -605,9 +608,9 @@ func (c *Client) Tile(level, index uint64, width int) (*Tile, error) {
 }
 
 // lookupBundle resolves a serial to its proof bundle minus the audit
-// path: the tile assembler folds the path locally. Only the head
-// signature can be checked here — inclusion is exactly what the
-// assembled proof will establish. 404 and 410 are the log's verdicts
+// path: the tile assembler folds the path locally. Like Log.lookupBundle
+// it checks nothing: the relying party verifies head and path together,
+// the head through its memo. 404 and 410 are the log's verdicts
 // (ErrNotLogged, ErrLogRevoked); any other status, a 5xx outage
 // included, is a plain error and never a verdict.
 func (c *Client) lookupBundle(serial string) (*ProofBundle, error) {
@@ -631,11 +634,6 @@ func (c *Client) lookupBundle(serial string) (*ProofBundle, error) {
 	entry, err := unmarshalEntry(wire.Entry)
 	if err != nil {
 		return nil, err
-	}
-	if c.pub != nil {
-		if err := wire.STH.Verify(c.pub); err != nil {
-			return nil, err
-		}
 	}
 	return &ProofBundle{Index: wire.Index, Entry: entry, STH: wire.STH}, nil
 }
@@ -715,14 +713,21 @@ func (c *Client) appendBody(body []byte) (SignedTreeHead, error) {
 
 // ExchangeGossip posts our last-accepted head (seen=false when we hold
 // none) to a peer witness's gossip endpoint and returns the peer's view.
-// A 409 response is the peer convicting the log on our evidence (or its
-// own): it comes back as the *ConflictError it is, both signed heads
-// attached and not yet verified — the reporting peer is not trusted, so
-// the caller checks it with ConflictError.Verify.
+// The peer's head is signature-checked when a key is held: the caller
+// takes it at face value, unlike a GossipPool, which merges views through
+// its own check. A 409 response is the peer convicting the log on our
+// evidence (or its own): it comes back as the *ConflictError it is, both
+// signed heads attached and not yet verified — the reporting peer is not
+// trusted, so the caller checks it with ConflictError.Verify.
 func (c *Client) ExchangeGossip(name string, head SignedTreeHead, seen bool) (SignedTreeHead, bool, error) {
 	out, err := c.exchangeView(wireGossip{Name: name, Seen: seen, Head: head})
 	if err != nil {
 		return SignedTreeHead{}, false, err
+	}
+	if out.Seen && c.pub != nil {
+		if err := out.Head.Verify(c.pub); err != nil {
+			return SignedTreeHead{}, false, err
+		}
 	}
 	return out.Head, out.Seen, nil
 }
@@ -730,9 +735,10 @@ func (c *Client) ExchangeGossip(name string, head SignedTreeHead, seen bool) (Si
 // exchangeView is the one view exchange: with a peer witness (head and,
 // between partitioned witnesses, shard audit marks) and with the log
 // server's collector (head and co-signature). ExchangeGossip is the
-// head-only wrapper kept for unpartitioned pools. A 409 is returned as
-// the unverified *ConflictError it carries; a 400 as the sentinel its
-// refusal code names.
+// head-only wrapper kept for unpartitioned pools. The reply's head is
+// not checked here: GossipPool.mergeHead verifies every peer head once.
+// A 409 is returned as the unverified *ConflictError it carries; a 400
+// as the sentinel its refusal code names.
 func (c *Client) exchangeView(v wireGossip) (wireGossip, error) {
 	body, err := json.Marshal(v)
 	if err != nil {
@@ -747,11 +753,6 @@ func (c *Client) exchangeView(v wireGossip) (wireGossip, error) {
 		var out wireGossip
 		if err := json.Unmarshal(data, &out); err != nil {
 			return wireGossip{}, fmt.Errorf("translog client: gossip: %w", err)
-		}
-		if out.Seen && c.pub != nil {
-			if err := out.Head.Verify(c.pub); err != nil {
-				return wireGossip{}, err
-			}
 		}
 		return out, nil
 	case http.StatusConflict:
@@ -786,10 +787,10 @@ func (c *Client) ShardStream(shard int, start, count uint64) (uint64, []IndexedE
 
 // Cosigned fetches the newest quorum co-signed head (a CosignSource). A
 // collector that has not yet reached quorum answers 404, surfaced as the
-// ErrQuorumNotReached it is. The head's log signature is checked when a
-// key is held; the witness signature set is the caller's to verify
-// against its pinned roster — the server is exactly the party a quorum
-// artifact must not be taken on faith from.
+// ErrQuorumNotReached it is. Nothing is checked here: the caller
+// verifies the artifact, log signature and witness set, with
+// CosignedHead.Verify against its pinned roster — the server is exactly
+// the party a quorum artifact must not be taken on faith from.
 func (c *Client) Cosigned() (*CosignedHead, error) {
 	status, data, err := c.do("cosigned", pathCosigned, nil, maxPostReplyBytes)
 	if err != nil {
@@ -800,11 +801,6 @@ func (c *Client) Cosigned() (*CosignedHead, error) {
 		var ch CosignedHead
 		if err := json.Unmarshal(data, &ch); err != nil {
 			return nil, fmt.Errorf("translog client: cosigned: %w", err)
-		}
-		if c.pub != nil {
-			if err := ch.STH.Verify(c.pub); err != nil {
-				return nil, err
-			}
 		}
 		return &ch, nil
 	case http.StatusNotFound:
