@@ -11,6 +11,7 @@ import (
 	"net"
 	"net/http"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -154,43 +155,61 @@ func recovery(ca *pki.CA, st store, population, checkpointAt int) func(*Env) (Bo
 		if err != nil {
 			return nil, err
 		}
-		cfg, err := st(dir)
-		if err != nil {
+		if err := writeStore(ca, st, dir, population, checkpointAt, entry); err != nil {
 			return nil, err
 		}
-		l, err := translog.OpenDurableLog(ca.Signer(), dir, cfg)
-		if err != nil {
-			return nil, err
-		}
-		err = fill(l, 0, checkpointAt, entry)
-		if err == nil && checkpointAt > 0 {
-			err = l.Checkpoint()
-		}
-		if err == nil {
-			err = fill(l, checkpointAt, population, entry)
-		}
-		if err := errors.Join(err, l.Close()); err != nil {
-			return nil, err
-		}
-		return each(func(int) error {
-			cfg, err := st(dir)
-			if err != nil {
-				return err
-			}
-			re, err := translog.OpenDurableLog(ca.Signer(), dir, cfg)
-			if err != nil {
-				return err
-			}
-			got := re.Size()
-			if err := re.Close(); err != nil {
-				return err
-			}
-			if got != uint64(population) {
-				return fmt.Errorf("recovered %d of %d entries", got, population)
-			}
-			return nil
-		}), nil
+		return reopens(ca, st, dir, population), nil
 	}
+}
+
+// writeStore writes population entries made by mk to a durable log in
+// dir — checkpointed after the first checkpointAt of them, when that is
+// not 0 — and closes it.
+func writeStore(ca *pki.CA, st store, dir string, population, checkpointAt int, mk func(int) translog.Entry) error {
+	cfg, err := st(dir)
+	if err != nil {
+		return err
+	}
+	l, err := translog.OpenDurableLog(ca.Signer(), dir, cfg)
+	if err != nil {
+		return err
+	}
+	err = fill(l, 0, checkpointAt, mk)
+	if err == nil && checkpointAt > 0 {
+		err = l.Checkpoint()
+	}
+	if err == nil {
+		err = fill(l, checkpointAt, population, mk)
+	}
+	return errors.Join(err, l.Close())
+}
+
+// reopens returns a body that reopens the durable log in dir once per
+// operation and refuses any size but population.
+func reopens(ca *pki.CA, st store, dir string, population int) Body {
+	return each(func(int) error {
+		re, err := openStore(ca, st, dir)
+		if err != nil {
+			return err
+		}
+		got := re.Size()
+		if err := re.Close(); err != nil {
+			return err
+		}
+		if got != uint64(population) {
+			return fmt.Errorf("recovered %d of %d entries", got, population)
+		}
+		return nil
+	})
+}
+
+// openStore opens the durable log in dir.
+func openStore(ca *pki.CA, st store, dir string) (*translog.Log, error) {
+	cfg, err := st(dir)
+	if err != nil {
+		return nil, err
+	}
+	return translog.OpenDurableLog(ca.Signer(), dir, cfg)
 }
 
 // produce has hosts concurrent producers append n entries between them,
@@ -636,11 +655,22 @@ func e17(env *Env) (*Plan, error) {
 // e18 times what the anchor-verified checkpoint buys the restart path
 // across three orders of magnitude of log population: a full replay
 // reopens every record ever written (linear in history), while a
-// checkpointed reopen seeds the tree from the frozen subtree hashes and
+// checkpointed reopen starts the tree from the checkpoint's rows and
 // replays only the short WAL suffix past the checkpoint, so it must
 // stay flat — within 2x of the smallest population — as the log grows.
+// A fourth population, 2^20 entries from eight hosts over four streams
+// with every fourth an enrollment carrying a serial, checkpointed 100
+// entries below its head, also times the proofs a reopened log serves:
+// the first proof of the newest entry, which reads nothing below the
+// checkpoint, and a proof of a cold entry, which reads its one tile back
+// from the WAL segments (and, the log being just reopened, reads each
+// segment it touches once to index it). Each runs on a log just
+// reopened. The heap the checkpointed open leaves live is its last
+// column. Its checkpointed open loads the checkpoint's snapshot of
+// 262,144 serials into the serial maps, so it is linear in the serial
+// count and takes no flat verdict.
 func e18(env *Env) (*Plan, error) {
-	ca, _, err := newCA()
+	ca, pub, err := newCA()
 	if err != nil {
 		return nil, err
 	}
@@ -660,17 +690,107 @@ func e18(env *Env) (*Plan, error) {
 			cases = append(cases, Case{Name: name(size, ckpt), Open: recovery(ca, noSync, size, at)})
 		}
 	}
+
+	// The serial population's checkpointed store is shared by the cases
+	// that reopen it; its full-replay twin is built by its own case.
+	const population, serialSuffix = 1 << 20, 100
+	streams := func(string) (translog.StoreConfig, error) {
+		return translog.StoreConfig{Shards: 4, NoSync: true}, nil
+	}
+	dir, err := env.tempDir()
+	if err != nil {
+		return nil, err
+	}
+	if err := writeStore(ca, streams, dir, population, population-serialSuffix, serialEntry); err != nil {
+		return nil, err
+	}
+	var heapOpen uint64
+	// prove reopens the store, untimed, and times one verified proof of
+	// the serial serialOf picks for operation i.
+	prove := func(serialOf func(i int) string) func(*Env) (Body, error) {
+		return func(env *Env) (Body, error) {
+			return each(func(i int) error {
+				var l *translog.Log
+				if err := env.untimed(func() (err error) { l, err = openStore(ca, streams, dir); return err }); err != nil {
+					return err
+				}
+				pb, err := translog.NewLogTileProofSource(l, 0).ProveSerial(serialOf(i))
+				if err == nil {
+					err = env.untimed(func() error { return pb.Verify(pub) })
+				}
+				return errors.Join(err, l.Close())
+			}), nil
+		}
+	}
+	cases = append(cases,
+		Case{Name: "full-replay-serials", Open: func(env *Env) (Body, error) {
+			dir, err := env.tempDir()
+			if err != nil {
+				return nil, err
+			}
+			if err := writeStore(ca, streams, dir, population, 0, serialEntry); err != nil {
+				return nil, err
+			}
+			return reopens(ca, streams, dir, population), nil
+		}},
+		Case{Name: "checkpointed-serials", Open: func(*Env) (Body, error) {
+			before := liveHeap()
+			l, err := openStore(ca, streams, dir)
+			if err != nil {
+				return nil, err
+			}
+			heapOpen = liveHeap() - before
+			if err := l.Close(); err != nil {
+				return nil, err
+			}
+			return reopens(ca, streams, dir, population), nil
+		}},
+		// The newest enrollment lies in the suffix past the checkpoint.
+		Case{Name: "newest-proof-serials", Open: prove(func(int) string { return serialOf(population - 1) })},
+		// Each operation proves an enrollment of a different cold tile.
+		Case{Name: "cold-proof-serials", Open: prove(func(i int) string {
+			return serialOf((i*7919 + 13) % (population - serialSuffix - translog.TileWidth))
+		})},
+	)
 	return &Plan{Cases: cases, Table: func(runs int, r Results) (*metrics.Table, error) {
 		smallest := r.Mean(name(sizes[0], true))
-		t := metrics.NewTable(fmt.Sprintf("E18 — checkpointed recovery vs full replay (n=%d, %d-entry suffix)", runs, suffix),
-			"population", "full replay", "checkpointed open", "speedup", "verdict")
+		t := metrics.NewTable(fmt.Sprintf("E18 — checkpointed recovery vs full replay (n=%d, %d-entry suffix; serials: %d-entry suffix, 4 streams)", runs, suffix, serialSuffix),
+			"population", "full replay", "checkpointed open", "speedup", "verdict",
+			"newest-entry proof after reopen", "cold-entry proof after reopen", "live heap after open")
 		for _, size := range sizes {
 			full, ckpt := r.Mean(name(size, false)), r.Mean(name(size, true))
 			t.AddRow(fmt.Sprint(size), ms(full), ms(ckpt), fmt.Sprintf("%.1f×", ratio(full, ckpt)),
-				verdict(ckpt <= 2*smallest, "flat (≤2x smallest)", "NOT FLAT (>2x smallest)"))
+				verdict(ckpt <= 2*smallest, "flat (≤2x smallest)", "NOT FLAT (>2x smallest)"), "-", "-", "-")
 		}
+		full, ckpt := r.Mean("full-replay-serials"), r.Mean("checkpointed-serials")
+		t.AddRow(fmt.Sprintf("%d with serials", population), ms(full), ms(ckpt), fmt.Sprintf("%.1f×", ratio(full, ckpt)),
+			"n/a: loads the serial snapshot",
+			ms(r.Mean("newest-proof-serials")), ms(r.Mean("cold-proof-serials")),
+			fmt.Sprintf("%.1f MiB", float64(heapOpen)/(1<<20)))
 		return t, nil
 	}}, nil
+}
+
+// serialEntry is entry i of E18's serial population: eight hosts, every
+// fourth entry an enrollment carrying serialOf(i).
+func serialEntry(i int) translog.Entry {
+	host := hostLabels[i%8]
+	if i%4 == 3 {
+		return translog.Entry{Type: translog.EntryEnroll, Timestamp: int64(i), Actor: fmt.Sprintf("fw-%d", i), Host: host, Serial: serialOf(i)}
+	}
+	return translog.Entry{Type: translog.EntryAttestOK, Timestamp: int64(i), Actor: host, Host: host, Detail: "OK"}
+}
+
+// serialOf is the serial of the enrollment at or just past index i of
+// E18's serial population.
+func serialOf(i int) string { return strconv.Itoa(10_000_000 + (i | 3)) }
+
+// liveHeap returns the heap in use after a collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
 }
 
 // e19 times tile-based proof serving at the scale the design is for: a

@@ -22,46 +22,60 @@ import (
 )
 
 // Checkpoints: anchor-verified summaries of the cold prefix, so open
-// replays only the WAL suffix.
+// replays only the WAL suffix and the entries below it stay on disk.
 //
-// A checkpoint persists, for one already-committed tree size: the
-// frozen subtree roots of the size's binary decomposition (≤64 hashes,
-// whatever the log size), the per-stream WAL record counts, and a
-// snapshot of the serial indexes (issuance map + revoked set) derived
-// from the cold entries. Recovery seeds a suffix tree from the blocks,
-// replays only records at or past the checkpoint, and hands the
-// trust-anchor chain a RecoveredState whose roots cover every size ≥ the
-// checkpoint. That is every size an honest anchor can remember, because
-// a checkpoint is only ever written for a head the whole chain has
-// already acknowledged; RecoveredState.check refuses a remembered size
-// below it as a rollback.
+// A checkpoint persists, for one already-committed tree size n: the
+// subtree roots of n's binary decomposition (≤64 hashes, whatever the
+// log size), the tree's rows above row 0 below n (n/256 + n/65536 + …
+// hashes: 128 KiB at 2^20) and the row-0 hashes of the tile holding n
+// (at most 255), the per-stream WAL record counts, and a snapshot of the
+// serial indexes (issuance map + revoked set, sorted by serial, so one
+// log state always writes the same bytes). Recovery reopens the tree
+// from the rows and blocks, replays only records at or past the
+// checkpoint, and hands the trust-anchor chain a RecoveredState whose
+// roots cover every size ≥ the checkpoint. That is every size an honest
+// anchor can remember, because a checkpoint is only ever written for a
+// head the whole chain has already acknowledged; RecoveredState.check
+// refuses a remembered size below it as a rollback.
 //
-// One signature, by the log key, covers the whole file, and load checks
-// nothing else: a CRC mismatch is ErrStateCorrupt (damage), an invalid
-// signature ErrStateTampered (rewrite). The blocks' root is judged where
-// every other root is — by the anchors, whose remembered heads all lie
-// at or past the checkpoint and so fold the blocks into the roots they
-// compare. The serial snapshot is not covered by the Merkle root — it
-// is derived state — so the signature covers it explicitly; editing it
-// in place is tamper, not corruption. A file written while the header
-// also carried the head it was taken at (an "sth" object) still opens:
-// the signature covers the header bytes as written, and decoding
-// ignores the field.
+// One signature, by the log key, covers the header and the serial
+// snapshot; the header carries the SHA-256 of the rows section, so the
+// signature binds the rows without the open hashing them: the reopened
+// tree compares them with that digest before anything serves or signs
+// them (tree.checkRows). A CRC mismatch anywhere in the file is
+// ErrStateCorrupt (damage), an invalid signature or rows that differ
+// from the signed digest ErrStateTampered (rewrite). The blocks' root is
+// judged where every other root is — by the anchors, whose remembered
+// heads all lie at or past the checkpoint and so fold the blocks into
+// the roots they compare. The serial snapshot is not covered by the
+// Merkle root — it is derived state — so the signature covers it
+// explicitly; editing it in place is tamper, not corruption. A
+// checkpoint of the format before the rows (magic VNFGCKP1) is refused
+// with ErrLegacyLayout: it cannot reopen a tree whose cold rows are not
+// in memory.
 
 // checkpointFileName holds the newest durable checkpoint.
 const checkpointFileName = "checkpoint.bin"
 
-// ckptMagic identifies a checkpoint file (and its format version).
-var ckptMagic = [8]byte{'V', 'N', 'F', 'G', 'C', 'K', 'P', '1'}
+// ckptMagic identifies a checkpoint file (and its format version);
+// ckptMagicV1 is the retired format without rows.
+var (
+	ckptMagic   = [8]byte{'V', 'N', 'F', 'G', 'C', 'K', 'P', '2'}
+	ckptMagicV1 = [8]byte{'V', 'N', 'F', 'G', 'C', 'K', 'P', '1'}
+)
 
 // ckptSigPrefix domain-separates checkpoint signatures from tree-head
 // signatures under the same log key.
-const ckptSigPrefix = "vnfguard-translog-ckpt-v1"
+const ckptSigPrefix = "vnfguard-translog-ckpt-v2"
 
 // checkpoint is the decoded, verified checkpoint state.
 type checkpoint struct {
 	size   uint64
 	blocks []Hash
+	// rows is the tree's rows section (tree.appendRows at size), and
+	// rowsDigest the signed digest of it a loaded checkpoint claims.
+	rows       []byte
+	rowsDigest Hash
 	// streamCounts is each WAL stream's record count at the checkpoint:
 	// how many of its records are cold. A checkpoint without them was
 	// written by the retired single-stream layout (ErrLegacyLayout).
@@ -75,6 +89,7 @@ type ckptHeader struct {
 	Size         uint64   `json:"size"`
 	Blocks       []Hash   `json:"blocks"`
 	StreamCounts []uint64 `json:"stream_counts,omitempty"`
+	RowsDigest   Hash     `json:"rows_digest"`
 }
 
 // ckptDigest is the SHA-256 the checkpoint signature covers: the domain
@@ -89,17 +104,17 @@ func ckptDigest(hdr, snap []byte) [sha256.Size]byte {
 	return d
 }
 
-// appendSnapshot encodes the serial indexes: both maps sorted by
-// nothing in particular (order does not matter — the signature covers
-// whatever order was written, and loads rebuild the maps).
+// appendSnapshot encodes the serial indexes, each sorted by serial, so
+// a log state encodes to one byte string whatever order its maps
+// iterate in.
 func appendSnapshot(dst []byte, issuance map[string]uint64, revoked map[string]bool) []byte {
 	dst = wire.AppendU32(dst, uint32(len(issuance)))
-	for serial, idx := range issuance {
+	for _, serial := range slices.Sorted(maps.Keys(issuance)) {
 		dst = append(wire.AppendU16(dst, uint16(len(serial))), serial...)
-		dst = wire.AppendU64(dst, idx)
+		dst = wire.AppendU64(dst, issuance[serial])
 	}
 	dst = wire.AppendU32(dst, uint32(len(revoked)))
-	for serial := range revoked {
+	for _, serial := range slices.Sorted(maps.Keys(revoked)) {
 		dst = append(wire.AppendU16(dst, uint16(len(serial))), serial...)
 	}
 	return dst
@@ -175,7 +190,8 @@ func openEnvelope(data []byte, magic [8]byte) ([]byte, error) {
 // caller passes state captured under the log lock for an
 // already-committed size.
 func writeCheckpointFile(dir string, ck *checkpoint, signer crypto.Signer, noSync bool) (int, error) {
-	hdr, err := json.Marshal(ckptHeader{Size: ck.size, Blocks: ck.blocks, StreamCounts: ck.streamCounts})
+	hdr, err := json.Marshal(ckptHeader{Size: ck.size, Blocks: ck.blocks, StreamCounts: ck.streamCounts,
+		RowsDigest: sha256.Sum256(ck.rows)})
 	if err != nil {
 		return 0, fmt.Errorf("translog: encoding checkpoint: %w", err)
 	}
@@ -185,10 +201,11 @@ func writeCheckpointFile(dir string, ck *checkpoint, signer crypto.Signer, noSyn
 	if err != nil {
 		return 0, fmt.Errorf("translog: signing checkpoint: %w", err)
 	}
-	buf := append(make([]byte, 0, len(ckptMagic)+12+len(hdr)+len(sig)+len(snap)+4), ckptMagic[:]...)
+	buf := append(make([]byte, 0, len(ckptMagic)+16+len(hdr)+len(sig)+len(snap)+len(ck.rows)+4), ckptMagic[:]...)
 	buf = wire.AppendBytes32(buf, hdr)
 	buf = wire.AppendBytes32(buf, sig)
-	buf = sealEnvelope(wire.AppendBytes32(buf, snap))
+	buf = wire.AppendBytes32(buf, snap)
+	buf = sealEnvelope(wire.AppendBytes32(buf, ck.rows))
 	if err := statedir.ReplaceFile(filepath.Join(dir, checkpointFileName), buf, !noSync); err != nil {
 		return 0, err
 	}
@@ -205,6 +222,9 @@ func loadCheckpoint(dir string, pub *ecdsa.PublicKey) (*checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("translog: reading checkpoint: %w", err)
 	}
+	if len(data) >= len(ckptMagicV1) && bytes.Equal(data[:len(ckptMagicV1)], ckptMagicV1[:]) {
+		return nil, fmt.Errorf("%w: checkpoint of the format without tree rows", ErrLegacyLayout)
+	}
 	body, err := openEnvelope(data, ckptMagic)
 	if err != nil {
 		return nil, fmt.Errorf("%w: checkpoint: %w", ErrStateCorrupt, err)
@@ -213,6 +233,7 @@ func loadCheckpoint(dir string, pub *ecdsa.PublicKey) (*checkpoint, error) {
 	hdrBytes := r.Bytes32(wire.Unbounded)
 	sig := r.Bytes32(wire.Unbounded)
 	snap := r.Bytes32(wire.Unbounded)
+	rows := r.Bytes32(wire.Unbounded)
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("%w: checkpoint file malformed: %w", ErrStateCorrupt, err)
 	}
@@ -224,94 +245,28 @@ func loadCheckpoint(dir string, pub *ecdsa.PublicKey) (*checkpoint, error) {
 	if !ecdsa.VerifyASN1(pub, digest[:], sig) {
 		return nil, fmt.Errorf("%w: checkpoint signature invalid", ErrStateTampered)
 	}
+	// A checkpoint without per-stream counts was written for the
+	// retired single-stream layout.
+	if len(hdr.StreamCounts) == 0 {
+		return nil, fmt.Errorf("%w: checkpoint without per-stream record counts", ErrLegacyLayout)
+	}
 	// A signed block set that does not decompose the signed size cannot
-	// seed a suffix tree; only a buggy writer produces one.
+	// reopen a tree; only a buggy writer produces one. The rows section
+	// is not signed itself, only its digest, which the tree checks
+	// before first use; its length follows from the signed size.
 	if hdr.Size == 0 || len(hdr.Blocks) != bits.OnesCount64(hdr.Size) {
-		return nil, fmt.Errorf("%w: checkpoint holds %d frozen blocks for size %d", ErrStateTampered, len(hdr.Blocks), hdr.Size)
+		return nil, fmt.Errorf("%w: checkpoint holds %d blocks for size %d", ErrStateTampered, len(hdr.Blocks), hdr.Size)
+	}
+	if want := checkpointRowHashes(hdr.Size) * uint64(len(Hash{})); uint64(len(rows)) != want {
+		return nil, fmt.Errorf("%w: checkpoint rows section holds %d bytes, size %d needs %d",
+			ErrStateTampered, len(rows), hdr.Size, want)
 	}
 	issuance, revoked, err := parseSnapshot(snap)
 	if err != nil {
 		return nil, err
 	}
 	return &checkpoint{
-		size: hdr.Size, blocks: hdr.Blocks,
+		size: hdr.Size, blocks: hdr.Blocks, rows: rows, rowsDigest: hdr.RowsDigest,
 		streamCounts: hdr.StreamCounts, issuance: issuance, revoked: revoked,
 	}, nil
-}
-
-// Cold reads. The entries a checkpoint summarizes stay in the WAL
-// segments that framed them: Log.Checkpoint rolls every stream as it
-// snapshots the per-stream record counts, so no segment straddles a
-// checkpoint, and the segments starting below their stream's count hold
-// only checkpointed records, are closed for append and are never
-// rewritten. Recovery skips them; hydration (Log.hydrate) reads them
-// back here and checks the rebuilt prefix against the checkpoint root,
-// so a cold segment is trusted exactly as far as a replayed one.
-
-// coldWALRecords reads the store's cold WAL segments — per stream, those
-// starting below counts, its record count at a checkpoint covering at
-// least c entries — and returns the entry encodings of the contiguous
-// run of entries from index 0 below c, in index order: sub-slices of
-// the segment buffers, which the entry arena copies. No segment read is
-// open for append, so a torn record is damage like any other.
-func coldWALRecords(dir string, c uint64, counts []uint64) ([][]byte, error) {
-	shardFirsts, err := listStreams(dir)
-	if err != nil {
-		return nil, err
-	}
-	var streams []walStream
-	n := 0
-	for _, shard := range slices.Sorted(maps.Keys(shardFirsts)) {
-		if shard >= len(counts) {
-			break
-		}
-		st := walStream{shard: shard}
-		for _, first := range shardFirsts[shard] {
-			if first >= counts[shard] {
-				break
-			}
-			path := filepath.Join(dir, shardSegmentName(shard, first))
-			err := st.read(path, first, func(index uint64) error {
-				if index < c {
-					n++
-				}
-				return nil
-			})
-			if errors.Is(err, errTornTail) {
-				return nil, fmt.Errorf("%w: cold segment %s ends mid-record", ErrStateCorrupt, filepath.Base(path))
-			}
-			if err != nil {
-				return nil, err
-			}
-		}
-		streams = append(streams, st)
-	}
-	m := newMerge(0, n)
-	for s := range streams {
-		_ = streams[s].each(func(_, _ int, index uint64, entry []byte) error {
-			if index < c {
-				m.place(index, entry, streams[s].shard)
-			}
-			return nil
-		})
-	}
-	return m.payloads[:m.run()], nil
-}
-
-// loadCold reads the canonical encodings of the c entries below the
-// checkpoint boundary c from the cold WAL segments and returns them with
-// their leaf hashes. The hashes are recomputed here — a segment's CRCs
-// detect damage, but binding payloads to the checkpointed root is the
-// caller's verification, exactly as WAL replay binds records to the
-// persisted head.
-func (s *Store) loadCold(c uint64) ([][]byte, []Hash, error) {
-	payloads, err := coldWALRecords(s.dir, c, s.ckpt.Load().counts)
-	if err != nil {
-		return nil, nil, err
-	}
-	if uint64(len(payloads)) != c {
-		return nil, nil, fmt.Errorf("%w: only %d of %d cold entries present in the WAL segments",
-			ErrStateCorrupt, len(payloads), c)
-	}
-	return payloads, leafHashes(payloads), nil
 }

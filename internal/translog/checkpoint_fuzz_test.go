@@ -151,11 +151,12 @@ func FuzzCheckpointedRecovery(f *testing.F) {
 		if gotRoot != refRoot {
 			t.Fatal("suffix-replay root differs from full-replay root")
 		}
-		// Cold reads hydrate from the cold segments and match the originals.
+		// Cold reads fetch tiles from the cold segments and match the
+		// originals.
 		if got := mustEntries(t, re, 0, re.Size()); !reflect.DeepEqual(got, entries) {
-			t.Fatal("hydrated entry sequence diverged from the originals")
+			t.Fatal("cold entry sequence diverged from the originals")
 		}
-		// A proof spanning the frozen prefix still verifies.
+		// A proof spanning the cold prefix still verifies.
 		pb, err := logProofs(re).ProveSerial(issuedSerial(t, entries))
 		if err != nil {
 			t.Fatal(err)

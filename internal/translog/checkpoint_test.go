@@ -5,9 +5,11 @@ import (
 	"crypto"
 	"crypto/ecdsa"
 	"crypto/rand"
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
@@ -49,7 +51,7 @@ func checkpointedConfig(shards int) StoreConfig {
 // TestCheckpointedRoundTrip covers the tentpole end to end for both
 // layouts: a log checkpointed mid-life reopens from the suffix replay
 // with bit-for-bit the same root, head and entry sequence a full replay
-// produced, cold reads hydrate from the cold segments, and the log keeps
+// produced, cold reads fetch tiles from the cold segments, and the log keeps
 // appending and checkpointing across generations.
 func TestCheckpointedRoundTrip(t *testing.T) {
 	for _, shards := range []int{0, 3} {
@@ -118,7 +120,7 @@ func TestCheckpointedRoundTrip(t *testing.T) {
 				t.Fatal("tree head changed across checkpointed restart")
 			}
 
-			// Proofs against the cold range hydrate and verify.
+			// Proofs against the cold range read cold tiles and verify.
 			serial := issuedSerial(t, entries)
 			pb, err := logProofs(re).ProveSerial(serial)
 			if err != nil {
@@ -184,8 +186,8 @@ func TestCheckpointedRoundTrip(t *testing.T) {
 
 // TestCheckpointKeepsColdSegments: a checkpoint leaves the WAL segments
 // it covers where they are — each keeps its inode and size, and no
-// archive appears — the checkpoint telemetry moves, and hydration
-// reproduces every entry from those segments.
+// archive appears — the checkpoint telemetry moves, and cold reads
+// reproduce every entry from those segments.
 func TestCheckpointKeepsColdSegments(t *testing.T) {
 	key := testSigner(t)
 	dir := t.TempDir()
@@ -247,7 +249,7 @@ func TestCheckpointKeepsColdSegments(t *testing.T) {
 	}
 	defer re.Close()
 	if got := mustEntries(t, re, 0, re.Size()); !reflect.DeepEqual(got, entries) {
-		t.Fatal("hydrated entries differ from the originals")
+		t.Fatal("cold entries differ from the originals")
 	}
 }
 
@@ -532,114 +534,89 @@ func TestCheckpointRefusals(t *testing.T) {
 	})
 }
 
-// TestCheckpointWithRetiredInnerHeadReopens: a checkpoint.bin whose
-// header also carries the signed head it was taken at (an "sth" object,
-// the format before the checkpoint signature became its only one) opens
-// to the same head, entries and serial index — its signature covers the
-// header bytes as written, and decoding ignores the field. A byte
-// flipped inside that object, CRC fixed, breaks the signature.
-func TestCheckpointWithRetiredInnerHeadReopens(t *testing.T) {
-	key := testSigner(t)
-	dir := t.TempDir()
-	cfg := checkpointedConfig(2)
-	l, err := OpenDurableLog(key, dir, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := mixedEntries(500)
-	appendAll(t, l, all[:300])
-	innerHead := l.STH()
-	if err := l.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	appendAll(t, l, all[300:])
-	head := l.STH()
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
+// TestLegacyCheckpointRefused: a checkpoint.bin of the format before
+// the tree rows (magic VNFGCKP1: header, signature and serial snapshot,
+// its header with or without the signed head it was taken at) cannot
+// reopen a tree whose cold rows are not in memory. The open refuses it
+// with ErrLegacyLayout, however well it is signed, and changes no file.
+func TestLegacyCheckpointRefused(t *testing.T) {
+	for _, innerHead := range []bool{false, true} {
+		t.Run(fmt.Sprint("inner-head=", innerHead), func(t *testing.T) {
+			key := testSigner(t)
+			dir := t.TempDir()
+			cfg := checkpointedConfig(2)
+			l, err := OpenDurableLog(key, dir, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all := mixedEntries(500)
+			appendAll(t, l, all[:300])
+			head := l.STH()
+			if err := l.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			appendAll(t, l, all[300:])
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	// Rewrite the checkpoint in the retired format: the same header with
-	// the head at its size, signed over those bytes.
-	path := filepath.Join(dir, checkpointFileName)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := openEnvelope(data, ckptMagic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := wire.NewReader(body)
-	hdrBytes, _, snap := r.Bytes32(wire.Unbounded), r.Bytes32(wire.Unbounded), r.Bytes32(wire.Unbounded)
-	if err := r.Done(); err != nil {
-		t.Fatal(err)
-	}
-	var hdr ckptHeader
-	if err := json.Unmarshal(hdrBytes, &hdr); err != nil {
-		t.Fatal(err)
-	}
-	retired, err := json.Marshal(struct {
-		Size         uint64         `json:"size"`
-		STH          SignedTreeHead `json:"sth"`
-		Blocks       []Hash         `json:"blocks"`
-		StreamCounts []uint64       `json:"stream_counts,omitempty"`
-	}{hdr.Size, innerHead, hdr.Blocks, hdr.StreamCounts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	digest := ckptDigest(retired, snap)
-	sig, err := key.Sign(rand.Reader, digest[:], crypto.SHA256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := wire.AppendBytes32(append([]byte(nil), ckptMagic[:]...), retired)
-	buf = wire.AppendBytes32(buf, sig)
-	old := sealEnvelope(wire.AppendBytes32(buf, snap))
-	if err := os.WriteFile(path, old, 0o600); err != nil {
-		t.Fatal(err)
-	}
+			// Rewrite the checkpoint in the retired format, signed over
+			// its own header and snapshot.
+			path := filepath.Join(dir, checkpointFileName)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := openEnvelope(data, ckptMagic)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := wire.NewReader(body)
+			hdrBytes, _, snap := r.Bytes32(wire.Unbounded), r.Bytes32(wire.Unbounded), r.Bytes32(wire.Unbounded)
+			r.Bytes32(wire.Unbounded)
+			if err := r.Done(); err != nil {
+				t.Fatal(err)
+			}
+			var hdr ckptHeader
+			if err := json.Unmarshal(hdrBytes, &hdr); err != nil {
+				t.Fatal(err)
+			}
+			type v1Header struct {
+				Size         uint64          `json:"size"`
+				STH          *SignedTreeHead `json:"sth,omitempty"`
+				Blocks       []Hash          `json:"blocks"`
+				StreamCounts []uint64        `json:"stream_counts,omitempty"`
+			}
+			v1 := v1Header{Size: hdr.Size, Blocks: hdr.Blocks, StreamCounts: hdr.StreamCounts}
+			if innerHead {
+				v1.STH = &head
+			}
+			retired, err := json.Marshal(v1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			h.Write([]byte("vnfguard-translog-ckpt-v1"))
+			h.Write(retired)
+			h.Write(snap)
+			sig, err := key.Sign(rand.Reader, h.Sum(nil), crypto.SHA256)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf := wire.AppendBytes32(append([]byte(nil), ckptMagicV1[:]...), retired)
+			buf = wire.AppendBytes32(buf, sig)
+			if err := os.WriteFile(path, sealEnvelope(wire.AppendBytes32(buf, snap)), 0o600); err != nil {
+				t.Fatal(err)
+			}
 
-	re, err := OpenDurableLog(key, dir, cfg)
-	if err != nil {
-		t.Fatalf("checkpoint carrying the retired inner head refused: %v", err)
-	}
-	if got := re.STH(); !got.equal(head) {
-		t.Fatalf("reopened head %d differs from the closed head %d", got.Size, head.Size)
-	}
-	if re.entries.base != hdr.Size {
-		t.Fatalf("reopen replayed from %d, want the checkpoint at %d", re.entries.base, hdr.Size)
-	}
-	ref, err := NewLog(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ref.AppendBatch(all); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(re.issuance, ref.issuance) || !reflect.DeepEqual(re.revoked, ref.revoked) {
-		t.Fatal("serial index differs from a full replay's")
-	}
-	if got := mustEntries(t, re, 0, re.Size()); !reflect.DeepEqual(got, all) {
-		t.Fatal("entries differ from the originals")
-	}
-	if err := re.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// A digit of the inner head's size flipped, CRC fixed: the JSON still
-	// decodes, so only the signature can catch it.
-	tampered := bytes.Clone(old)
-	i := bytes.Index(tampered, []byte(`"sth":{"size":`))
-	if i < 0 {
-		t.Fatal("no inner head in the rewritten checkpoint")
-	}
-	tampered[i+len(`"sth":{"size":`)] ^= 0x01
-	binary.BigEndian.PutUint32(tampered[len(tampered)-4:], crc32.Checksum(tampered[:len(tampered)-4], crcTable))
-	if err := os.WriteFile(path, tampered, 0o600); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenDurableLog(key, dir, cfg); !errors.Is(err, ErrStateTampered) {
-		t.Fatalf("byte flipped inside the inner head: got %v, want ErrStateTampered", err)
+			before := snapshotDir(t, dir)
+			if _, err := OpenDurableLog(key, dir, cfg); !errors.Is(err, ErrLegacyLayout) {
+				t.Fatalf("retired checkpoint format: got %v, want ErrLegacyLayout", err)
+			}
+			if after := snapshotDir(t, dir); !reflect.DeepEqual(after, before) {
+				t.Fatal("refused open changed the store")
+			}
+		})
 	}
 }
 

@@ -149,7 +149,15 @@ func Handler(l *Log) http.Handler {
 		}
 		total, entries, err := l.ShardStream(int(shard), start, count)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+			// A shard the log does not stream is the caller's error; a
+			// cold range the store cannot read is an outage, and no cache
+			// may keep it.
+			status := http.StatusBadRequest
+			if errors.Is(err, ErrStateCorrupt) || errors.Is(err, ErrStateTampered) {
+				status = http.StatusInternalServerError
+				w.Header().Set("Cache-Control", cacheNoCache)
+			}
+			http.Error(w, err.Error(), status)
 			return
 		}
 		// A fully satisfied slice is named by content — the shard stream

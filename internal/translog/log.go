@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,11 +53,11 @@ const sthSigPrefix = "vnfguard-translog-sth-v1"
 // copies at most one chunk's bytes; sized from the chunk before it, a
 // chunk keeps little slack (0.08% over 2^20 audit-log-shaped entries).
 type entryArena struct {
-	// base is the global index of the first resident entry: a
-	// checkpointed open adopts only the WAL suffix, and indices below
-	// base stay cold until a read forces hydration (Log.hydrate), which
-	// splices the prefix read from the cold WAL segments back in and
-	// zeroes base.
+	// base is the global index of the first resident entry. A
+	// checkpoint evicts the chunks wholly below it (evict), and a
+	// checkpointed open adopts only the WAL suffix; entries below base
+	// are read back a tile at a time from the cold WAL segments
+	// (coldReader).
 	base uint64
 	n    uint64 // entries stored, cold prefix included
 	// chunks[c] holds entries [c·TileWidth, (c+1)·TileWidth): a table
@@ -65,7 +66,15 @@ type entryArena struct {
 	// chunk stays under 256 MiB). Chunks wholly below base are nil, and
 	// the table slots of cold entries in the chunk holding base are zero.
 	chunks [][]byte
+	// spare holds chunks a checkpoint evicted, for add to reuse.
+	spare [][]byte
 }
+
+// maxSpareChunks bounds the evicted chunks the arena and the tree each
+// keep for reuse: one checkpoint interval of 16 Ki entries. Reused, they
+// spare the collector a durable log's whole history passing through
+// the heap once.
+const maxSpareChunks = 64
 
 // arenaTable is the size of a chunk's end-offset table.
 const arenaTable = 4 * TileWidth
@@ -85,7 +94,12 @@ func (a *entryArena) add(payload []byte) {
 			hint = len(a.chunks[c-1]) - arenaTable
 		}
 		a.chunks = append(a.chunks, make([][]byte, c+1-have)...)
-		a.chunks[c] = make([]byte, arenaTable, arenaTable+hint)
+		if k := len(a.spare); k > 0 {
+			// A spare's stale offsets are overwritten before they are read.
+			a.chunks[c], a.spare = a.spare[k-1][:arenaTable], a.spare[:k-1]
+		} else {
+			a.chunks[c] = make([]byte, arenaTable, arenaTable+hint)
+		}
 	}
 	ch := a.chunks[c]
 	if need := len(ch) + len(payload); need > cap(ch) {
@@ -95,16 +109,19 @@ func (a *entryArena) add(payload []byte) {
 		projected := arenaTable + (need-arenaTable)*TileWidth/(slot+1)
 		ch = append(make([]byte, 0, max(need, min(projected, 2*cap(ch)))), ch...)
 	}
-	ch = append(ch, payload...)
-	binary.LittleEndian.PutUint32(ch[4*slot:], uint32(len(ch)-arenaTable))
-	a.chunks[c] = ch
+	a.chunks[c] = chunkAppend(ch, slot, payload)
 	a.n++
 }
 
-// payload returns the stored canonical encoding of entry i (callers
-// have checked base ≤ i < count).
-func (a *entryArena) payload(i uint64) []byte {
-	ch, slot := a.chunks[i/TileWidth], int(i%TileWidth)
+// chunkAppend appends payload to an arena chunk as the entry in slot.
+func chunkAppend(ch []byte, slot int, payload []byte) []byte {
+	ch = append(ch, payload...)
+	binary.LittleEndian.PutUint32(ch[4*slot:], uint32(len(ch)-arenaTable))
+	return ch
+}
+
+// chunkPayload returns the entry in slot of an arena chunk.
+func chunkPayload(ch []byte, slot int) []byte {
 	start := uint32(0)
 	if slot > 0 {
 		start = binary.LittleEndian.Uint32(ch[4*slot-4:])
@@ -112,11 +129,18 @@ func (a *entryArena) payload(i uint64) []byte {
 	return ch[arenaTable+start : arenaTable+binary.LittleEndian.Uint32(ch[4*slot:])]
 }
 
-// at decodes entry i. The arena only ever holds encodings produced by
-// Entry.Marshal or validated by recovery, so a decode failure is a
-// programming error, not a runtime condition.
-func (a *entryArena) at(i uint64) Entry {
-	e, err := unmarshalEntry(a.payload(i))
+// payload returns the stored canonical encoding of entry i (callers
+// have checked base ≤ i < count).
+func (a *entryArena) payload(i uint64) []byte {
+	return chunkPayload(a.chunks[i/TileWidth], int(i%TileWidth))
+}
+
+// decodeStored decodes a canonical encoding the log stored: one
+// produced by Entry.Marshal, validated by recovery or checked against
+// the tree by a cold tile read. A decode failure is a programming
+// error, not a runtime condition.
+func decodeStored(p []byte) Entry {
+	e, err := unmarshalEntry(p)
 	if err != nil {
 		panic("translog: stored entry undecodable: " + err.Error())
 	}
@@ -141,23 +165,18 @@ func (a *entryArena) truncate(n uint64) {
 	a.n = n
 }
 
-// splice adds the hydrated cold payloads (global indices [0, base))
-// and makes the arena fully resident. The chunks below base are built
-// fresh; only the chunk holding base is rebuilt, with its resident
-// entries copied after its cold ones.
-func (a *entryArena) splice(cold [][]byte) {
-	var full entryArena
-	for _, p := range cold {
-		full.add(p)
+// evict drops the chunks wholly below n, a size a durable checkpoint
+// covers, and raises base past them. It keeps the ones below reuse, a
+// chunk index, as spares: nothing else holds them.
+func (a *entryArena) evict(n, reuse uint64) {
+	c := min(n/TileWidth, uint64(len(a.chunks)))
+	for _, ch := range a.chunks[:min(c, reuse)] {
+		if ch != nil && len(a.spare) < maxSpareChunks {
+			a.spare = append(a.spare, ch)
+		}
 	}
-	for i := a.base; i < a.n && i%TileWidth != 0; i++ {
-		full.add(a.payload(i))
-	}
-	if have := len(a.chunks); have < len(full.chunks) {
-		a.chunks = append(a.chunks, make([][]byte, len(full.chunks)-have)...)
-	}
-	copy(a.chunks, full.chunks)
-	a.base = 0
+	clear(a.chunks[:c])
+	a.base = max(a.base, c*TileWidth)
 }
 
 // signingDigest is the SHA-256 the STH signature covers.
@@ -224,16 +243,22 @@ type Log struct {
 	shardStreams int
 	shardIdx     [][]uint64
 
-	// hydrateMu single-flights cold-prefix hydration.
-	hydrateMu sync.Mutex
-	// ckptMu serialises checkpoint writes (the background writer against
-	// explicit Checkpoint calls).
+	// cold reads the tiles of entries below the newest checkpoint back
+	// from the cold WAL segments (nil for an in-memory log, which never
+	// checkpoints and so never evicts).
+	cold *coldReader
+	// ckptMu serialises checkpoint writes and the evictions that follow
+	// them (the background writer against explicit Checkpoint calls, and
+	// against EnableShardStreams while it indexes the cold prefix).
 	ckptMu sync.Mutex
 	// ckptBusy/ckptWG coordinate the background checkpoint goroutine:
 	// at most one in flight, and Close waits it out before tearing the
 	// store down.
 	ckptBusy atomic.Bool
 	ckptWG   sync.WaitGroup
+	// evictTo is the newest checkpoint's size: evict drops what lies
+	// below it, under the log lock.
+	evictTo atomic.Uint64
 
 	// committed is the size covered by the latest acknowledged commit —
 	// what tile serving may expose. An atomic, not l.mu: the tile read
@@ -317,8 +342,17 @@ func (l *Log) appendPrepared(batch []Entry, payloads [][]byte, hashes []Hash, tr
 			return 0, fmt.Errorf("%w: encoding is %d bytes, record limit %d", ErrEntryTooLarge, len(p), maxEntryBytes)
 		}
 	}
+	// A rollback that reopens the tile holding a reopened checkpoint
+	// refolds it from rows the checkpoint persisted, so they are checked
+	// before the first commit signs anything.
+	if err := l.tree.checkRows(); err != nil {
+		return 0, err
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.cold != nil {
+		l.evict()
+	}
 	first := l.entries.count()
 	for _, p := range payloads {
 		l.entries.add(p)
@@ -394,10 +428,12 @@ func (l *Log) checkpointBG() {
 }
 
 // Checkpoint synchronously writes a durable checkpoint covering the
-// current committed head. It first rolls every stream to a fresh
+// current committed head, then evicts the entry-arena and row-0 tree
+// chunks wholly below it (or, while a commit holds the log lock, leaves
+// that to the next commit). It first rolls every stream to a fresh
 // segment, so the segments the checkpoint covers hold no record past
 // it: they stay on disk untouched as the cold store, which a reopen
-// skips and hydration reads. The automatic path
+// skips and a cold tile read fetches from. The automatic path
 // (StoreConfig.CheckpointEvery) runs this in the background after
 // commits; the method is exposed for operator tooling and deterministic
 // tests.
@@ -407,6 +443,11 @@ func (l *Log) Checkpoint() error {
 	}
 	l.ckptMu.Lock()
 	defer l.ckptMu.Unlock()
+	// The rows a reopened tree took from the previous checkpoint go
+	// into this one: they are checked before they are signed again.
+	if err := l.tree.checkRows(); err != nil {
+		return err
+	}
 	l.mu.RLock()
 	size := l.entries.count()
 	if size == 0 || size == l.store.ckpt.Load().size {
@@ -418,14 +459,9 @@ func (l *Log) Checkpoint() error {
 		l.mu.RUnlock()
 		return err
 	}
-	issuance := make(map[string]uint64, len(l.issuance))
-	for k, v := range l.issuance {
-		issuance[k] = v
-	}
-	revoked := make(map[string]bool, len(l.revoked))
-	for k := range l.revoked {
-		revoked[k] = true
-	}
+	rows := l.tree.appendRows(nil, size)
+	issuance := maps.Clone(l.issuance)
+	revoked := maps.Clone(l.revoked)
 	streamCounts, retired := l.store.rollStreams()
 	l.mu.RUnlock()
 	for _, f := range retired {
@@ -434,75 +470,61 @@ func (l *Log) Checkpoint() error {
 	if err != nil {
 		return fmt.Errorf("translog: closing rolled segment: %w", err)
 	}
-	ck := &checkpoint{size: size, blocks: blocks,
-		streamCounts: streamCounts, issuance: issuance, revoked: revoked}
+	ck := &checkpoint{size: size, blocks: blocks, rows: rows, streamCounts: streamCounts,
+		issuance: issuance, revoked: revoked}
 	n, err := writeCheckpointFile(l.store.dir, ck, l.signer, l.store.cfg.NoSync)
 	if err != nil {
 		return err
 	}
+	// The mark goes first: a cold read finds the evicted entries through
+	// it, so it must cover them before they leave memory. Waiting here
+	// for the log lock would stall every reader queued behind a commit,
+	// so a busy lock leaves the eviction to the next commit, which holds
+	// the lock anyway.
 	l.store.ckpt.Store(&ckptMark{size: size, counts: streamCounts})
+	l.evictTo.Store(size)
+	if l.mu.TryLock() {
+		l.evict()
+		l.mu.Unlock()
+	}
 	mCkptBytes.Set(int64(n))
 	mCkptLast.Mark()
 	return nil
 }
 
-// hydrate loads the cold prefix back into memory: the cold WAL
-// segments are read, the prefix tree is rebuilt and must reproduce the
-// suffix tree's root at the checkpoint — the frozen blocks the anchors
-// verified at open — and the tree and entry arena are spliced back to
-// full residency. Single-flighted; concurrent cold readers block on
-// hydrateMu and find the work already done.
-func (l *Log) hydrate() error {
-	l.hydrateMu.Lock()
-	defer l.hydrateMu.Unlock()
-	l.mu.RLock()
-	base := l.entries.base
-	store := l.store
-	l.mu.RUnlock()
-	if base == 0 {
-		return nil // already resident
-	}
-	start := time.Now()
-	frozen, err := l.tree.rootAt(base)
-	if err != nil {
-		return err
-	}
-	payloads, hashes, err := store.loadCold(base)
-	if err != nil {
-		return err
-	}
-	pre := newTree()
-	pre.append(hashes, prepareWorkers())
-	root, err := pre.rootAt(base)
-	if err != nil {
-		return err
-	}
-	if root != frozen {
-		return fmt.Errorf("%w: hydrated cold prefix hashes to a different root than the checkpoint covers",
-			ErrStateTampered)
-	}
-	l.mu.Lock()
-	l.tree.splice(pre)
-	l.entries.splice(payloads)
-	l.mu.Unlock()
-	mColdHydrations.Inc()
-	mColdHydrationSeconds.Observe(time.Since(start))
-	return nil
-}
+// coldSeedTiles is how many of the newest tiles a checkpoint evicts go
+// straight into the cold-tile LRU: reads of the entries committed just
+// before a checkpoint, as hot proofs make, then find them there rather
+// than on disk.
+const coldSeedTiles = 4
 
-// withHydration runs fn, hydrating the cold prefix and retrying once
-// when it reports a cold range. After a successful hydration the tree
-// and arena are fully resident, so the retry cannot see errColdRange
-// again.
-func (l *Log) withHydration(fn func() error) error {
-	err := fn()
-	if !errors.Is(err, errColdRange) {
-		return err
+// evict drops the entry-arena and row-0 chunks wholly below evictTo,
+// the newest checkpoint's size, when it has not yet. The newest complete
+// tiles among them, coldSeedTiles at most, go to the cold-tile LRU
+// first: the arena holds the bytes the tree hashed, so they need no
+// check, and a complete tile's chunk never changes again. Callers hold
+// l.mu for writing.
+func (l *Log) evict() {
+	size := l.evictTo.Load()
+	if size&^(TileWidth-1) <= l.entries.base {
+		return
 	}
-	if herr := l.hydrate(); herr != nil {
-		return herr
+	seeded := max(size/TileWidth, coldSeedTiles) - coldSeedTiles
+	var recent []*coldTile
+	for c := seeded; c < size/TileWidth; c++ {
+		if c*TileWidth < l.entries.base {
+			continue // evicted before, or missing its cold entries
+		}
+		hashes, err := l.tree.nodes(0, c*TileWidth, (c+1)*TileWidth)
+		if err == nil {
+			recent = append(recent, &coldTile{index: c, end: (c + 1) * TileWidth, chunk: l.entries.chunks[c], hashes: hashes})
+		}
 	}
-	return fn()
+	// seed takes the cold reader's lock, so it also waits out any cold
+	// read that loaded the previous checkpoint's mark (coldReader.tile).
+	l.cold.seed(recent)
+	l.entries.evict(size, seeded) // the seeded chunks live on in the LRU
+	l.tree.evict(size)
 }
 
 // indexEntry maintains the serial-keyed lookup maps for one committed
@@ -580,55 +602,66 @@ func (l *Log) Size() uint64 {
 
 // Entry returns the committed entry at index.
 func (l *Log) Entry(index uint64) (Entry, error) {
-	var e Entry
-	err := l.withHydration(func() error {
-		l.mu.RLock()
-		defer l.mu.RUnlock()
-		if index >= l.entries.count() {
-			return ErrIndexRange
-		}
-		if index < l.entries.base {
-			return errColdRange
-		}
-		e = l.entries.at(index)
-		return nil
-	})
-	if err != nil {
-		return Entry{}, err
+	if index >= l.Size() {
+		return Entry{}, ErrIndexRange
 	}
-	return e, nil
+	var e Entry
+	err := l.eachPayload(1, func(int) uint64 { return index }, func(_ uint64, p []byte) {
+		e = decodeStored(p)
+	})
+	return e, err
 }
 
 // Entries returns committed entries in [start, start+count), clamped to
-// the log size. A range reaching below the resident suffix hydrates the
-// cold prefix first; a failed hydration is returned, never read as an
-// empty range.
+// the log size. A range reaching below the resident suffix reads its
+// cold tiles; a failed cold read is returned, never read as an empty
+// range.
 func (l *Log) Entries(start, count uint64) ([]Entry, error) {
-	var out []Entry
-	err := l.withHydration(func() error {
-		l.mu.RLock()
-		defer l.mu.RUnlock()
-		n := l.entries.count()
-		if start >= n || count == 0 {
-			return nil
-		}
-		if start < l.entries.base {
-			return errColdRange
-		}
-		end := n
-		if count < n-start {
-			end = start + count
-		}
-		out = make([]Entry, 0, end-start)
-		for i := start; i < end; i++ {
-			out = append(out, l.entries.at(i))
-		}
-		return nil
+	n := l.Size()
+	if start >= n || count == 0 {
+		return nil, nil
+	}
+	end := n
+	if count < n-start {
+		end = start + count
+	}
+	out := make([]Entry, 0, end-start)
+	err := l.eachPayload(int(end-start), func(k int) uint64 { return start + uint64(k) }, func(_ uint64, p []byte) {
+		out = append(out, decodeStored(p))
 	})
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// eachPayload hands fn the stored canonical encoding of the committed
+// entries at(0), at(1), …, at(count-1), global indices in increasing
+// order: a resident entry under the read lock, an entry below the arena
+// base from its cold tile, read with the lock released. fn must copy
+// what it keeps.
+func (l *Log) eachPayload(count int, at func(k int) uint64, fn func(index uint64, p []byte)) error {
+	for k := 0; k < count; {
+		l.mu.RLock()
+		for base := l.entries.base; k < count && at(k) >= base; k++ {
+			fn(at(k), l.entries.payload(at(k)))
+		}
+		l.mu.RUnlock()
+		if k == count {
+			break
+		}
+		// Everything below base lies below the newest checkpoint, whose
+		// mark a cold read sees, so the tile covers at(k) at least.
+		tile := at(k) / TileWidth
+		ct, err := l.cold.tile(tile)
+		if err != nil {
+			return err
+		}
+		for ; k < count && at(k)/TileWidth == tile && at(k) < ct.end; k++ {
+			fn(at(k), ct.payload(at(k)))
+		}
+	}
+	return nil
 }
 
 // ProofBundle packages everything a relying party needs to check that one
@@ -676,14 +709,8 @@ func (l *Log) lookupBundle(serial string) (*ProofBundle, error) {
 		return nil, fmt.Errorf("%w: serial %s", ErrNotLogged, serial)
 	}
 	var e Entry
-	err := l.withHydration(func() error {
-		l.mu.RLock()
-		defer l.mu.RUnlock()
-		if idx < l.entries.base {
-			return errColdRange
-		}
-		e = l.entries.at(idx)
-		return nil
+	err := l.eachPayload(1, func(int) uint64 { return idx }, func(_ uint64, p []byte) {
+		e = decodeStored(p)
 	})
 	if err != nil {
 		return nil, err

@@ -3,9 +3,12 @@ package translog
 import (
 	"crypto/sha256"
 	"errors"
+	"fmt"
 	"hash"
 	"math/bits"
+	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // Hash is a Merkle tree node hash.
@@ -69,11 +72,11 @@ func largestPowerOfTwoBelow(n uint64) uint64 {
 	return 1 << (bits.Len64(n-1) - 1)
 }
 
-// errColdRange reports a tree lookup that reached below the checkpoint
-// boundary of a suffix-only tree: the nodes are not resident (they live
-// in the checkpoint's frozen blocks and the cold WAL segments). Callers at
-// the Log layer hydrate the cold prefix and retry.
-var errColdRange = errors.New("translog: range below the checkpoint is not resident")
+// errColdRange reports a tree lookup that reached a row-0 chunk a
+// checkpoint evicted: its leaf hashes live only in the cold WAL
+// segments. Callers at the Log layer read the tile back from there
+// (coldReader) and check it against the resident row above.
+var errColdRange = errors.New("translog: row-0 range below the checkpoint is not resident")
 
 // tree is an append-only Merkle tree over leaf hashes that stores only
 // its tile rows: tree levels 0, TileHeight, 2·TileHeight, …, the bottom
@@ -91,15 +94,13 @@ var errColdRange = errors.New("translog: range below the checkpoint is not resid
 // folds from its row chunk through expandTile, the tile assembler's
 // function.
 //
-// A tree opened from a checkpoint is a suffix tree: leaves below frozen
-// are not resident, and level k holds only the nodes with global index
-// ≥ off(k). The frozen blocks, the roots of frozen's binary
-// decomposition, sit at exactly those boundary positions, in the same
-// row and right-edge slots as any node, so append pairs new nodes with
-// them with no special case. Every root and checkpoint block set at or
-// above frozen resolves exactly as in a full tree; a lookup that needs
-// interior cold nodes returns errColdRange, and splice() fills the cold
-// chunks in to lift the boundary.
+// A durable log's checkpoint evicts the row-0 chunks wholly below it
+// (evict): their leaves are in the cold WAL segments, and every row
+// above stays resident, so a cold tile read checks its 256 leaves
+// against the row-1 node they fold to. A tree reopened from a
+// checkpoint (newTreeFromCheckpoint) starts in the same shape: the
+// checkpoint's rows above row 0 and the row-0 hashes of the tile
+// holding its size, with every row-0 chunk below that tile evicted.
 //
 // The tree computes no proofs. It appends, truncates, folds the commit
 // root and checkpoint blocks, and serves tile rows (nodes); every audit
@@ -108,17 +109,23 @@ type tree struct {
 	mu   sync.RWMutex
 	n    uint64 // leaves
 	rows []tileRow
-	// frozen is the checkpoint boundary (0 for a full tree) and
-	// frozenBlocks the roots of its binary decomposition, largest
-	// subtree first: a block stays resolvable after the tile holding it
-	// completes and drops its interior.
-	frozen       uint64
-	frozenBlocks []Hash
+	// floor is the checkpoint size a reopened tree started from (0 for
+	// a tree grown from its first leaf). Its right-edge interiors were
+	// seeded with the checkpoint's blocks, not folded, so they hold
+	// just the nodes that sizes at or past floor need: no root below
+	// floor resolves.
+	floor uint64
+	// unchecked is the digest a reopened tree's checkpoint signed over
+	// its rows below floor, until checkRows has compared them (nil once
+	// it has, and for a tree grown from its first leaf).
+	unchecked atomic.Pointer[Hash]
+	// spare holds row-0 chunks evict dropped, for chunk to reuse.
+	spare []*[TileWidth]Hash
 }
 
 // tileRow is one stored row of the tree.
 type tileRow struct {
-	chunks []*[TileWidth]Hash // nil below a suffix tree's frozen boundary
+	chunks []*[TileWidth]Hash // nil for a row-0 chunk a checkpoint evicted
 	// edge holds the interior levels of the row's open right-edge tile
 	// (see edgeLevel), for the nodes its width covers.
 	edge *[edgeSize]Hash
@@ -138,8 +145,8 @@ func edgeLevel(e *[edgeSize]Hash, r int) []Hash {
 // foldTile grows a tile's interior in edge from width a to width b of
 // its row hashes, hashing the level-r nodes [a>>r, b>>r) for r = 1, 2,
 // …. Each pair it reads is complete: row hashes below b, interior nodes
-// folded before, or frozen blocks seeded there. When b is TileWidth it
-// returns the tile's top node, the next row's node.
+// folded before, or checkpoint blocks seeded there. When b is TileWidth
+// it returns the tile's top node, the next row's node.
 func foldTile(row *[TileWidth]Hash, edge *[edgeSize]Hash, a, b int) Hash {
 	below := row[:]
 	for r := 1; a>>r < b>>r; r++ {
@@ -173,34 +180,97 @@ func newTree() *tree {
 	return &tree{}
 }
 
-// newTreeFromFrozen builds a suffix tree over a checkpoint at size
-// frozen: blocks are the roots of frozen's binary decomposition,
-// largest subtree first. The caller has verified they fold to the
-// checkpointed root.
-func newTreeFromFrozen(frozen uint64, blocks []Hash) *tree {
-	t := &tree{n: frozen, frozen: frozen, frozenBlocks: blocks, rows: make([]tileRow, rowCount(frozen))}
-	for L := range t.rows {
-		if k := TileHeight * L; frozen>>k&1 == 1 {
-			idx := frozen>>k - 1
-			t.chunk(L, idx/TileWidth)[idx%TileWidth] = t.frozenBlock(k)
-		}
-		t.resetEdge(L)
+// checkpointRowHashes returns how many hashes a checkpoint at size n
+// persists (appendRows): every node of the rows above row 0, and the
+// row-0 hashes of the tile holding n.
+func checkpointRowHashes(n uint64) uint64 {
+	total := n % TileWidth
+	for k := TileHeight; n>>k > 0; k += TileHeight {
+		total += n >> k
 	}
+	return total
+}
+
+// newTreeFromCheckpoint reopens a tree at a checkpoint of size n from
+// the rows it persisted (appendRows's layout, len(rows) is
+// checkpointRowHashes(n) hashes) and blocks, the roots of n's binary
+// decomposition, largest first. Nothing is hashed: each row's
+// right-edge interior is seeded with the blocks that sit in it, which
+// are all the nodes an append past n pairs with, and the rows stay
+// unchecked against digest, the checkpoint's signed claim, until
+// checkRows. The caller has checked the length.
+func newTreeFromCheckpoint(n uint64, blocks []Hash, rows []byte, digest Hash) *tree {
+	t := &tree{n: n, floor: n, rows: make([]tileRow, rowCount(n))}
+	take := func(dst []Hash) {
+		for i := range dst {
+			dst[i] = Hash(rows[i*len(Hash{}):])
+		}
+		rows = rows[len(dst)*len(Hash{}):]
+	}
+	for L := 1; L < len(t.rows); L++ {
+		count := n >> uint(TileHeight*L)
+		chunks := (count + TileWidth - 1) / TileWidth
+		slab := make([]Hash, chunks*TileWidth)
+		take(slab[:count])
+		rw := &t.rows[L]
+		rw.chunks = make([]*[TileWidth]Hash, chunks)
+		for c := range rw.chunks {
+			rw.chunks[c] = (*[TileWidth]Hash)(slab[c*TileWidth:])
+		}
+	}
+	t.rows[0].chunks = make([]*[TileWidth]Hash, n/TileWidth)
+	if w := n % TileWidth; w > 0 {
+		take(t.chunk(0, n/TileWidth)[:w])
+	}
+	for L := range t.rows {
+		w := int(n >> uint(TileHeight*L) % TileWidth)
+		for r := 1; r < TileHeight; r++ {
+			if k := TileHeight*L + r; n>>uint(k)&1 == 1 {
+				edgeLevel(t.edge(L), r)[w>>r-1] = blocks[bits.OnesCount64(n>>uint(k+1))]
+			}
+		}
+	}
+	t.unchecked.Store(&digest)
 	return t
 }
 
-// off returns the global node index where level k's resident nodes
-// begin: everything below it is interior to the frozen prefix. The
-// frozen block at level k (when bit k of frozen is set) sits at exactly
-// this index.
-func (t *tree) off(k int) uint64 {
-	return 2 * (t.frozen >> uint(k+1))
+// appendRows appends what a checkpoint at size n persists of the tree:
+// each row above row 0 from the bottom up, nodes [0, n>>(TileHeight·L)),
+// then row 0's hashes [n &^ (TileWidth-1), n). Every chunk it reads is
+// resident: only row-0 chunks wholly below a checkpoint ≤ n are
+// evicted.
+func (t *tree) appendRows(dst []byte, n uint64) []byte {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	dst = slices.Grow(dst, int(checkpointRowHashes(n))*len(Hash{}))
+	put := func(L int, lo, hi uint64) {
+		for i := lo; i < hi; i++ {
+			h := &t.rows[L].chunks[i/TileWidth][i%TileWidth]
+			dst = append(dst, h[:]...)
+		}
+	}
+	for L := 1; L < rowCount(n); L++ {
+		put(L, 0, n>>uint(TileHeight*L))
+	}
+	put(0, n&^(TileWidth-1), n)
+	return dst
 }
 
-// frozenBlock returns the frozen block at level k (bit k of frozen is
-// set).
-func (t *tree) frozenBlock(k int) Hash {
-	return t.frozenBlocks[bits.OnesCount64(t.frozen>>uint(k+1))]
+// checkRows compares a reopened tree's rows below its checkpoint with
+// the digest the checkpoint signed, once: ErrStateTampered when they
+// differ, and on every later call too. Every path that serves those
+// rows, or folds them into something it signs, checks first; the open
+// does not, so a reopen hashes none of them.
+func (t *tree) checkRows() error {
+	want := t.unchecked.Load()
+	if want == nil {
+		return nil
+	}
+	if sha256.Sum256(t.appendRows(nil, t.floor)) != *want {
+		return fmt.Errorf("%w: checkpoint rows differ from the digest it signed", ErrStateTampered)
+	}
+	t.unchecked.CompareAndSwap(want, nil)
+	return nil
 }
 
 // chunk returns chunk c of row L, allocating the row and the chunk as
@@ -214,7 +284,12 @@ func (t *tree) chunk(L int, c uint64) *[TileWidth]Hash {
 		rw.chunks = append(rw.chunks, make([]*[TileWidth]Hash, c+1-have)...)
 	}
 	if rw.chunks[c] == nil {
-		rw.chunks[c] = new([TileWidth]Hash)
+		if k := len(t.spare); k > 0 && L == 0 {
+			// A spare's stale hashes are overwritten before they are read.
+			rw.chunks[c], t.spare = t.spare[k-1], t.spare[:k-1]
+		} else {
+			rw.chunks[c] = new([TileWidth]Hash)
+		}
 	}
 	return rw.chunks[c]
 }
@@ -303,39 +378,17 @@ func (t *tree) foldRow(L int, lo, hi uint64, workers int) {
 	}
 }
 
-// resetEdge rebuilds row L's right-edge interior from the row, for a
-// tile whose interior was dropped or never folded: a rollback reopened
-// it, splice filled its cold part in, or a suffix tree opens in it.
-func (t *tree) resetEdge(L int) {
-	rn := t.n >> uint(TileHeight*L)
-	tile, w := rn/TileWidth, int(rn%TileWidth)
-	a := 0
-	if t.frozen>>uint(TileHeight*L+TileHeight) == tile {
-		// The tile holds the frozen boundary: its nodes below the
-		// boundary are cold but for the frozen blocks, which it seeds
-		// for the fold to pair with the resident nodes.
-		a = int(t.frozen >> uint(TileHeight*L) % TileWidth)
-		for r := 1; r < TileHeight; r++ {
-			if k := TileHeight*L + r; t.frozen>>uint(k)&1 == 1 {
-				edgeLevel(t.edge(L), r)[a>>r-1] = t.frozenBlock(k)
-			}
-		}
-	}
-	if a < w {
-		foldTile(t.rows[L].chunks[tile], t.edge(L), a, w)
-	}
-}
-
 // truncate discards leaves beyond size n — the rollback of a failed
 // commit. Each row drops the chunks past its new end, and a row whose
-// rollback reopens a completed tile rebuilds that tile's interior.
-// Callers never truncate below the frozen boundary: commits only ever
-// roll back to a size the committed tree already reached, which is ≥
-// frozen by construction.
+// rollback reopens a completed tile refolds that tile's interior from
+// its row. Callers never truncate below the floor or below a
+// checkpoint: commits only ever roll back to a size the committed tree
+// already reached, and a reopened tree's rows below its floor are
+// checked (checkRows) before the first commit.
 func (t *tree) truncate(n uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n = max(n, t.frozen) // defensive: never drop frozen blocks
+	n = max(n, t.floor) // defensive: the seeded interiors cover no size below it
 	if n >= t.n {
 		return
 	}
@@ -350,20 +403,36 @@ func (t *tree) truncate(n uint64) {
 		keep := min(uint64(len(rw.chunks)), (rn+TileWidth-1)/TileWidth)
 		clear(rw.chunks[keep:])
 		rw.chunks = rw.chunks[:keep]
-		if rn/TileWidth < on/TileWidth {
-			t.resetEdge(L)
+		if w := int(rn % TileWidth); rn/TileWidth < on/TileWidth && w > 0 {
+			foldTile(rw.chunks[rn/TileWidth], t.edge(L), 0, w)
 		}
 	}
 }
 
-// rootAt computes MTH(D[0:n]) for any historical size n ≤ size. For a
-// suffix tree, the decomposition nodes of any n ≥ frozen resolve; a
-// smaller n returns errColdRange unless its nodes are frozen blocks.
+// evict drops the row-0 chunks wholly below n, a size a durable
+// checkpoint covers, keeping some as spares: every read copies out of a
+// chunk under the tree's lock, so nothing else holds them.
+func (t *tree) evict(n uint64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if len(t.rows) > 0 {
+		chunks := t.rows[0].chunks[:min(n/TileWidth, uint64(len(t.rows[0].chunks)))]
+		for _, ch := range chunks {
+			if ch != nil && len(t.spare) < maxSpareChunks {
+				t.spare = append(t.spare, ch)
+			}
+		}
+		clear(chunks)
+	}
+}
+
+// rootAt computes MTH(D[0:n]) for any historical size n in [floor,
+// size].
 func (t *tree) rootAt(n uint64) (Hash, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if n > t.n {
-		return Hash{}, errors.New("translog: tree size out of range")
+	if n > t.n || n < t.floor {
+		return Hash{}, fmt.Errorf("translog: tree size %d out of range [%d, %d]", n, t.floor, t.n)
 	}
 	if n == 0 {
 		return emptyRoot(), nil
@@ -372,13 +441,13 @@ func (t *tree) rootAt(n uint64) (Hash, error) {
 }
 
 // blocks returns the roots of n's binary decomposition, largest subtree
-// first — the frozen block set a checkpoint at size n persists. n must
-// be in [frozen, size].
+// first — the block set a checkpoint at size n persists. n must be in
+// [floor, size].
 func (t *tree) blocks(n uint64) ([]Hash, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if n > t.n {
-		return nil, errors.New("translog: tree size out of range")
+	if n > t.n || n < t.floor {
+		return nil, fmt.Errorf("translog: tree size %d out of range [%d, %d]", n, t.floor, t.n)
 	}
 	out := make([]Hash, 0, bits.OnesCount64(n))
 	lo := uint64(0)
@@ -395,40 +464,6 @@ func (t *tree) blocks(n uint64) ([]Hash, error) {
 	return out, nil
 }
 
-// splice fills a suffix tree's cold chunks in from pre, a full tree
-// over exactly frozen leaves (the caller has verified its root against
-// the checkpoint): each row adopts pre's chunks wholly below the
-// boundary and copies the cold part of the chunk holding it. After
-// splice the tree is a full tree — every historical root and tile
-// resolves.
-func (t *tree) splice(pre *tree) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.frozen == 0 {
-		return
-	}
-	for L := range t.rows {
-		off := t.off(TileHeight * L)
-		if off == 0 {
-			continue
-		}
-		cold := pre.rows[L].chunks
-		full := off / TileWidth
-		rw := &t.rows[L]
-		if have := uint64(len(rw.chunks)); have < full {
-			rw.chunks = append(rw.chunks, make([]*[TileWidth]Hash, full-have)...)
-		}
-		copy(rw.chunks, cold[:full])
-		if rem := off % TileWidth; rem > 0 {
-			copy(t.chunk(L, full)[:rem], cold[full][:rem])
-		}
-	}
-	t.frozen, t.frozenBlocks = 0, nil
-	for L := range t.rows {
-		t.resetEdge(L)
-	}
-}
-
 // nodeFunc resolves the root hash of the complete subtree at tree level
 // k whose global node index is idx (covering leaves [idx·2^k,
 // (idx+1)·2^k)). The RFC 6962 recursions below are parameterized over it:
@@ -438,42 +473,27 @@ type nodeFunc func(k int, idx uint64) (Hash, error)
 
 // node is the tree's nodeFunc; callers hold t.mu. A row node is a
 // chunk read and a node of a right-edge tile an interior read; any
-// other node folds from its row chunk. A lookup interior to the frozen
-// prefix returns errColdRange.
+// other node folds from its row chunk. A node over an evicted row-0
+// chunk returns errColdRange.
 func (t *tree) node(k int, idx uint64) (Hash, error) {
 	if idx >= t.n>>uint(k) {
 		return Hash{}, errors.New("translog: tree node out of range")
 	}
-	if idx < t.off(k) {
-		return Hash{}, errColdRange
-	}
 	L, r := k/TileHeight, k%TileHeight
 	rw := &t.rows[L]
-	switch {
-	case r == 0:
-		return rw.chunks[idx/TileWidth][idx%TileWidth], nil
-	case idx>>uint(TileHeight-r) == (t.n>>uint(TileHeight*L))/TileWidth:
+	if r > 0 && idx>>uint(TileHeight-r) == (t.n>>uint(TileHeight*L))/TileWidth {
 		return edgeLevel(rw.edge, r)[idx%(TileWidth>>r)], nil
-	case t.frozen>>uint(k)&1 == 1 && idx == t.off(k):
-		return t.frozenBlock(k), nil
 	}
 	lo := idx << uint(r) // the node's first row-L hash
-	if lo < t.off(TileHeight*L) {
-		// The node straddles its row's frozen boundary: it folded from
-		// frozen blocks and resident nodes, which its children still
-		// resolve to.
-		left, err := t.node(k-1, 2*idx)
-		if err != nil {
-			return Hash{}, err
-		}
-		right, err := t.node(k-1, 2*idx+1)
-		if err != nil {
-			return Hash{}, err
-		}
-		return nodeHash(left, right), nil
+	ch := rw.chunks[lo/TileWidth]
+	switch {
+	case ch == nil:
+		return Hash{}, errColdRange
+	case r == 0:
+		return ch[lo%TileWidth], nil
 	}
 	at := lo % TileWidth
-	return expandTile(&Tile{Hashes: rw.chunks[lo/TileWidth][at : at+1<<uint(r)]}).lvl[r][0], nil
+	return expandTile(&Tile{Hashes: ch[at : at+1<<uint(r)]}).lvl[r][0], nil
 }
 
 // nodes copies the row hashes at tree level k, a multiple of
@@ -481,20 +501,20 @@ func (t *tree) node(k int, idx uint64) (Hash, error) {
 // primitive. The copy happens under the tree's own read lock (never the
 // log's commit lock) and performs zero hashing: every tile row is
 // resident, so a tile is a pure copy of hashes the commits already
-// computed. Indices below the frozen boundary report errColdRange for
-// the caller to hydrate.
+// computed. A range over an evicted row-0 chunk reports errColdRange.
 func (t *tree) nodes(k int, lo, hi uint64) ([]Hash, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if k%TileHeight != 0 || lo > hi || hi > t.n>>uint(k) {
 		return nil, errors.New("translog: tree node out of range")
 	}
-	if lo < t.off(k) {
-		return nil, errColdRange
-	}
 	out := make([]Hash, hi-lo)
 	for i := lo; i < hi; {
-		i += uint64(copy(out[i-lo:], t.rows[k/TileHeight].chunks[i/TileWidth][i%TileWidth:]))
+		ch := t.rows[k/TileHeight].chunks[i/TileWidth]
+		if ch == nil {
+			return nil, errColdRange
+		}
+		i += uint64(copy(out[i-lo:], ch[i%TileWidth:]))
 	}
 	return out, nil
 }

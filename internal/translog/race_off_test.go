@@ -1,0 +1,7 @@
+//go:build !race
+
+package translog
+
+// raceEnabled scales the heaviest tests down under the race detector,
+// which slows them tenfold.
+const raceEnabled = false

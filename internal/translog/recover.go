@@ -88,8 +88,8 @@ type recovered struct {
 	tails []streamTail
 	// ckpt is the verified checkpoint the replay was based from (nil for
 	// a full replay). With a checkpoint, payloads/hashes hold only the
-	// suffix — global ordinals [ckpt.size, size) — and tree is seeded
-	// from the checkpoint's frozen subtree roots.
+	// suffix — global ordinals [ckpt.size, size) — and tree is reopened
+	// from the checkpoint's rows and blocks.
 	ckpt *checkpoint
 }
 
@@ -120,6 +120,9 @@ type streamTail struct {
 	tailFirst uint64
 	tailClean int64
 	hasTail   bool
+	// segments are the firsts of every segment of the stream the open
+	// keeps, oldest first: the cold ones, then the replayed ones.
+	segments []uint64
 }
 
 // trimOp is a deferred physical mutation of the store: recovery must not
@@ -187,7 +190,7 @@ func recoverDir(dir string, cfg StoreConfig, head *WitnessAnchor, anchors []Trus
 		return nil, err
 	}
 	// A verified checkpoint turns the replay into a suffix replay: the
-	// cold prefix is summarized by its frozen subtree roots, and only
+	// cold prefix is summarized by the checkpoint's tree rows, and only
 	// records at or past the checkpoint are decoded. A damaged or
 	// re-signed checkpoint refuses the open, it is never silently
 	// ignored; one newer than what an anchor remembers is that anchor's
@@ -195,9 +198,6 @@ func recoverDir(dir string, cfg StoreConfig, head *WitnessAnchor, anchors []Trus
 	ckpt, err := loadCheckpoint(dir, head.pub)
 	if err != nil {
 		return nil, err
-	}
-	if ckpt != nil && len(ckpt.streamCounts) == 0 {
-		return nil, fmt.Errorf("%w: checkpoint without per-stream record counts", ErrLegacyLayout)
 	}
 	// The pinned count from store creation wins over whatever cfg.Shards
 	// says today: the host→stream routing is fixed for the store's
@@ -214,6 +214,7 @@ func recoverDir(dir string, cfg StoreConfig, head *WitnessAnchor, anchors []Trus
 			ErrStateCorrupt, len(ckpt.streamCounts), shards)
 	}
 	streamFirsts := make([][]uint64, shards)
+	coldFirsts := make([][]uint64, shards)
 	segments := 0
 	for shard, fs := range shardFirsts {
 		if shard >= shards {
@@ -226,7 +227,7 @@ func recoverDir(dir string, cfg StoreConfig, head *WitnessAnchor, anchors []Trus
 			// are its cold store, summarized by the checkpoint: the replay
 			// reads none of them.
 			k, _ := slices.BinarySearch(fs, ckpt.streamCounts[shard])
-			fs = fs[k:]
+			coldFirsts[shard], fs = fs[:k], fs[k:]
 		}
 		streamFirsts[shard] = fs
 	}
@@ -234,9 +235,13 @@ func recoverDir(dir string, cfg StoreConfig, head *WitnessAnchor, anchors []Trus
 	if err != nil {
 		return nil, err
 	}
+	for s := range rec.tails {
+		rec.tails[s].segments = append(coldFirsts[s], rec.tails[s].segments...)
+	}
 
 	if rec.ckpt != nil {
-		rec.tree = newTreeFromFrozen(rec.ckpt.size, rec.ckpt.blocks)
+		rec.tree = newTreeFromCheckpoint(rec.ckpt.size, rec.ckpt.blocks, rec.ckpt.rows, rec.ckpt.rowsDigest)
+		rec.ckpt.rows = nil // the tree holds them now
 	} else {
 		rec.tree = newTree()
 	}
@@ -343,7 +348,7 @@ func (m *merge) run() int {
 // replay reads the segment streams of the store — firsts[s] for host
 // slot s — and merges their records into global order. With a
 // checkpoint, firsts holds only the segments starting at or past each
-// stream's checkpointed count (the frozen subtree roots summarize the
+// stream's checkpointed count (the checkpoint's tree rows summarize the
 // rest), so a stream resumes at that count, or is empty.
 //
 // The replay runs in three passes. The first reads and checksums every
@@ -430,6 +435,9 @@ func replay(dir string, firsts [][]uint64, ckpt *checkpoint) (*recovered, []trim
 	for s := range streams {
 		st := &streams[s]
 		tail := streamTail{count: st.count}
+		for _, sg := range st.segs {
+			tail.segments = append(tail.segments, sg.first)
+		}
 		if k := len(st.segs); k > 0 {
 			tail.hasTail = true
 			tail.tailFirst = st.segs[k-1].first
@@ -594,9 +602,10 @@ func OpenDurableLog(signer crypto.Signer, dir string, cfg StoreConfig) (*Log, er
 	}
 	base := uint64(0)
 	if rec.ckpt != nil {
-		// The cold prefix stays on disk: the serial indexes are the
-		// checkpoint's (signature-covered) snapshot maps, adopted as
-		// decoded, and the arena starts at the checkpoint base.
+		// The cold prefix stays on disk, read back a tile at a time: the
+		// serial indexes are the checkpoint's (signature-covered)
+		// snapshot maps, adopted as decoded, and the arena starts at the
+		// checkpoint base.
 		base = rec.ckpt.size
 		l.entries.base, l.entries.n = base, base
 		l.issuance, l.revoked = rec.ckpt.issuance, rec.ckpt.revoked
@@ -639,6 +648,7 @@ func OpenDurableLog(signer crypto.Signer, dir string, cfg StoreConfig) (*Log, er
 	}
 	l.sth = sth
 	l.store = store
+	l.cold = newColdReader(store, l.tree)
 	l.committed.Store(size)
 	return l, nil
 }

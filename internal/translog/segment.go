@@ -138,17 +138,23 @@ func parseShardSegmentName(name string) (shard int, first uint64, ok bool) {
 // single-stream layout or an archive of the retired cold-archive layout
 // fails the listing with ErrLegacyLayout.
 func listStreams(dir string) (map[int][]uint64, error) {
-	names, err := os.ReadDir(dir)
+	// Bare names, unsorted: every open lists the store, and sorting
+	// what it then sorts per stream anyway is wasted.
+	d, err := os.Open(dir)
+	if err != nil {
+		return nil, fmt.Errorf("translog: reading store dir: %w", err)
+	}
+	names, err := d.Readdirnames(-1)
+	d.Close()
 	if err != nil {
 		return nil, fmt.Errorf("translog: reading store dir: %w", err)
 	}
 	shardFirsts := make(map[int][]uint64)
-	for _, de := range names {
-		if isLegacySegmentName(de.Name()) || isArchiveName(de.Name()) {
-			return nil, fmt.Errorf("%w: %s", ErrLegacyLayout, de.Name())
-		}
-		if shard, first, ok := parseShardSegmentName(de.Name()); ok {
+	for _, name := range names {
+		if shard, first, ok := parseShardSegmentName(name); ok {
 			shardFirsts[shard] = append(shardFirsts[shard], first)
+		} else if isLegacySegmentName(name) || isArchiveName(name) {
+			return nil, fmt.Errorf("%w: %s", ErrLegacyLayout, name)
 		}
 	}
 	for _, fs := range shardFirsts {
@@ -218,7 +224,7 @@ func scanSegment(data []byte, fn func(payload []byte) error) (clean int, err err
 }
 
 // walStream is one host slot's segment stream read back from disk, the
-// way recovery and hydration both see it.
+// way recovery sees it.
 type walStream struct {
 	shard int
 	segs  []walSeg

@@ -7,6 +7,7 @@ package translog
 
 import (
 	"fmt"
+	"slices"
 )
 
 // IndexedEntry pairs one committed entry's canonical bytes with its
@@ -31,7 +32,10 @@ type ShardAuditSource interface {
 // durable store n must equal the pinned store shard count, so the
 // audit-plane partition and the write-plane shards describe the same
 // streams; in-memory logs (tests, benches) pick n freely. Call once
-// after open, before serving shard streams.
+// after open, before serving shard streams. The index covers the whole
+// committed sequence: entries below the arena base are indexed from one
+// pass over the cold WAL segments, which keeps their global indices and
+// none of their bytes.
 func (l *Log) EnableShardStreams(n int) error {
 	if n < 1 {
 		return fmt.Errorf("translog: shard stream count %d", n)
@@ -39,23 +43,44 @@ func (l *Log) EnableShardStreams(n int) error {
 	if sn := l.StoreShards(); sn > 1 && sn != n {
 		return fmt.Errorf("translog: shard stream count %d does not match the pinned store shard count %d", n, sn)
 	}
-	// The index covers the whole committed sequence, so a checkpointed
-	// open hydrates its cold prefix once here instead of on the first
-	// cold audit read.
-	return l.withHydration(func() error {
-		l.mu.Lock()
-		defer l.mu.Unlock()
-		if l.entries.base > 0 {
-			return errColdRange
+	// Only a checkpoint moves evictTo, and ckptMu holds one off. The
+	// eviction a checkpoint left to the next commit is done here, so no
+	// commit moves the base past where the cold pass below finds it
+	// before the resident pass takes over from it.
+	l.ckptMu.Lock()
+	defer l.ckptMu.Unlock()
+	l.mu.Lock()
+	if l.cold != nil {
+		l.evict()
+	}
+	base := l.entries.base
+	l.mu.Unlock()
+	idx := make([][]uint64, n)
+	if base > 0 {
+		err := l.cold.scan(base, func(index uint64, entry []byte) error {
+			f, err := parseEntry(entry)
+			if err != nil {
+				return fmt.Errorf("%w: cold entry %d undecodable: %v", ErrStateCorrupt, index, err)
+			}
+			s := ShardOf(string(f.host), n)
+			idx[s] = append(idx[s], index)
+			return nil
+		})
+		if err != nil {
+			return err
 		}
-		idx := make([][]uint64, n)
-		for i := uint64(0); i < l.entries.count(); i++ {
-			s := ShardOf(l.entries.at(i).Host, n)
-			idx[s] = append(idx[s], i)
+		for _, s := range idx {
+			slices.Sort(s)
 		}
-		l.shardStreams, l.shardIdx = n, idx
-		return nil
-	})
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for i := base; i < l.entries.count(); i++ {
+		s := ShardOf(decodeStored(l.entries.payload(i)).Host, n)
+		idx[s] = append(idx[s], i)
+	}
+	l.shardStreams, l.shardIdx = n, idx
+	return nil
 }
 
 // ShardStreams reports the enabled shard-stream count (0: disabled).
@@ -71,35 +96,32 @@ func (l *Log) ShardStreams() int {
 // returns only the total, which is how a witness discovers a shard
 // stream regressed.
 func (l *Log) ShardStream(shard int, start, count uint64) (uint64, []IndexedEntry, error) {
-	var total uint64
-	var out []IndexedEntry
-	err := l.withHydration(func() error {
-		l.mu.RLock()
-		defer l.mu.RUnlock()
-		if l.shardStreams == 0 {
-			return fmt.Errorf("translog: shard streams not enabled")
-		}
-		if shard < 0 || shard >= l.shardStreams {
-			return fmt.Errorf("translog: shard %d out of range [0, %d)", shard, l.shardStreams)
-		}
-		idx := l.shardIdx[shard]
-		total = uint64(len(idx))
-		out = nil
-		if start >= total || count == 0 {
-			return nil
-		}
-		end := start + count
-		if end > total || end < start {
-			end = total
-		}
-		if idx[start] < l.entries.base {
-			return errColdRange
-		}
-		out = make([]IndexedEntry, 0, end-start)
-		for _, gi := range idx[start:end] {
-			out = append(out, IndexedEntry{Index: gi, Canonical: append([]byte(nil), l.entries.payload(gi)...)})
-		}
-		return nil
+	l.mu.RLock()
+	if l.shardStreams == 0 {
+		l.mu.RUnlock()
+		return 0, nil, fmt.Errorf("translog: shard streams not enabled")
+	}
+	if shard < 0 || shard >= l.shardStreams {
+		n := l.shardStreams
+		l.mu.RUnlock()
+		return 0, nil, fmt.Errorf("translog: shard %d out of range [0, %d)", shard, n)
+	}
+	// The slice header is taken under the lock: commits only append past
+	// its length, so the indices it covers never change.
+	idx := l.shardIdx[shard]
+	l.mu.RUnlock()
+	total := uint64(len(idx))
+	if start >= total || count == 0 {
+		return total, nil, nil
+	}
+	end := start + count
+	if end > total || end < start {
+		end = total
+	}
+	idx = idx[start:end]
+	out := make([]IndexedEntry, 0, len(idx))
+	err := l.eachPayload(len(idx), func(k int) uint64 { return idx[k] }, func(gi uint64, p []byte) {
+		out = append(out, IndexedEntry{Index: gi, Canonical: append([]byte(nil), p...)})
 	})
 	if err != nil {
 		return 0, nil, err

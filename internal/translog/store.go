@@ -1,11 +1,14 @@
 package translog
 
 import (
+	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -111,13 +114,14 @@ type StoreConfig struct {
 	// existing store keeps whichever count is on disk.
 	Shards int
 	// CheckpointEvery, when > 0, persists an anchor-verified checkpoint
-	// (frozen subtree roots + serial-index snapshot, signed by the log
-	// key) every time the log grows that many entries past the previous
-	// checkpoint. The WAL segments the checkpoint covers stay on disk as
-	// the cold store; recovery skips them and replays only the WAL
-	// suffix past the checkpoint instead of the whole log — the
-	// flat-restart property a long-lived production log needs. 0
-	// disables checkpointing (every open replays from index zero).
+	// (tree rows + serial-index snapshot, signed by the log key) every
+	// time the log grows that many entries past the previous checkpoint.
+	// The WAL segments the checkpoint covers stay on disk as the cold
+	// store, and the log drops their entries from memory; recovery skips
+	// them and replays only the WAL suffix past the checkpoint instead
+	// of the whole log — the flat-restart property a long-lived
+	// production log needs. 0 disables checkpointing (every open replays
+	// from index zero, and the log keeps every entry in memory).
 	CheckpointEvery uint64
 }
 
@@ -142,6 +146,14 @@ type Store struct { //lint:allow unusedexport the documented storage layer benea
 	// replaced whole when a newer one lands.
 	ckpt atomic.Pointer[ckptMark]
 
+	// segMu guards segs: every segment of each stream, oldest first,
+	// as the log's cold reader finds the cold ones. A segment this store
+	// creates is indexed as its records are framed, so the cold reader
+	// never reads it whole to find a tile in it; one found at open is
+	// indexed on its first cold read.
+	segMu sync.Mutex
+	segs  [][]*coldSeg
+
 	mu sync.Mutex
 	// streams are the append tails, one per host slot, fixed at open.
 	// Streams rotate their segment files independently.
@@ -159,7 +171,8 @@ type Store struct { //lint:allow unusedexport the documented storage layer benea
 // committed size, and each stream's record count at it. No segment
 // straddles a checkpoint, so a segment starting below its stream's count
 // holds only checkpointed records: those are the segments recovery skips
-// and hydration reads. A record is never mutated once published.
+// and cold tile reads fetch from. A record is never mutated once
+// published.
 type ckptMark struct {
 	size   uint64
 	counts []uint64
@@ -173,6 +186,10 @@ type stream struct {
 	// starts at or past its checkpointed count.
 	active     *os.File
 	activeSize int64
+	// idx indexes the active segment's tiles as its records are
+	// framed; nil for a tail segment reopened with records this process
+	// did not frame.
+	idx *coldSeg
 	// count is the number of records durably framed in this stream — the
 	// next segment's first ordinal.
 	count uint64
@@ -193,7 +210,7 @@ func openStoreDir(dir string, cfg StoreConfig, anchors []TrustAnchor, rec *recov
 	if cfg.SegmentMaxBytes <= 0 {
 		cfg.SegmentMaxBytes = defaultSegmentMaxBytes
 	}
-	s := &Store{dir: dir, cfg: cfg, anchors: anchors, size: rec.size()}
+	s := &Store{dir: dir, cfg: cfg, anchors: anchors, size: rec.size(), segs: make([][]*coldSeg, len(rec.tails))}
 	for _, a := range anchors {
 		s.anchorHist = append(s.anchorHist, anchorHistogram(a.Name()))
 	}
@@ -204,6 +221,12 @@ func openStoreDir(dir string, cfg StoreConfig, anchors []TrustAnchor, rec *recov
 	s.ckpt.Store(mark)
 	for i, tail := range rec.tails {
 		st := &stream{shard: i, count: tail.count}
+		found := make([]coldSeg, len(tail.segments))
+		s.segs[i] = make([]*coldSeg, len(found))
+		for k, first := range tail.segments {
+			found[k] = coldSeg{shard: i, ord: first}
+			s.segs[i][k] = &found[k]
+		}
 		if tail.hasTail {
 			path := filepath.Join(dir, st.name(tail.tailFirst))
 			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o600)
@@ -252,6 +275,7 @@ func (s *Store) rollStreams() (counts []uint64, retired []*os.File) {
 		counts[i] = st.count
 		if st.active != nil && st.activeSize > 0 {
 			retired = append(retired, st.active)
+			st.retireIndex()
 			st.active = nil
 			mWALRolls.Inc()
 		}
@@ -396,7 +420,11 @@ func (st *stream) write(s *Store, n, sizeHint int, frame func(i int, dst []byte)
 				return err
 			}
 		}
+		off := len(pending)
 		pending = frame(i, pending)
+		if st.idx != nil {
+			st.idx.note(binary.BigEndian.Uint64(pending[off+recordHeaderLen:]), st.activeSize+int64(off))
+		}
 		next++
 	}
 	if err := flush(); err != nil {
@@ -425,6 +453,7 @@ func (st *stream) rotate(s *Store, first uint64) error {
 		if err := st.active.Close(); err != nil {
 			return fmt.Errorf("translog: closing segment: %w", err)
 		}
+		st.retireIndex()
 		st.active = nil
 		mWALRolls.Inc()
 	}
@@ -433,7 +462,10 @@ func (st *stream) rotate(s *Store, first uint64) error {
 	if err != nil {
 		return fmt.Errorf("translog: creating segment: %w", err)
 	}
-	st.active, st.activeSize = f, 0
+	st.active, st.activeSize, st.idx = f, 0, &coldSeg{shard: st.shard, ord: first}
+	s.segMu.Lock()
+	s.segs[st.shard] = append(s.segs[st.shard], st.idx)
+	s.segMu.Unlock()
 	if !s.cfg.NoSync {
 		if err := statedir.SyncDir(s.dir); err != nil {
 			f.Close()
@@ -442,6 +474,30 @@ func (st *stream) rotate(s *Store, first uint64) error {
 		}
 	}
 	return nil
+}
+
+// retireIndex completes the tile index of the stream's active
+// segment, which is being retired: no record joins it after this. The
+// index is read only once the segment is cold, after a checkpoint that
+// retired it.
+func (st *stream) retireIndex() {
+	if st.idx != nil && len(st.idx.offs) > 0 {
+		st.idx.offs = append(st.idx.offs, st.activeSize)
+	}
+	st.idx = nil
+}
+
+// coldSegments returns each stream's cold segments under the checkpoint
+// counts, oldest first.
+func (s *Store) coldSegments(counts []uint64) [][]*coldSeg {
+	s.segMu.Lock()
+	defer s.segMu.Unlock()
+	out := make([][]*coldSeg, len(counts))
+	for i, count := range counts {
+		k, _ := slices.BinarySearchFunc(s.segs[i], count, func(sg *coldSeg, c uint64) int { return cmp.Compare(sg.ord, c) })
+		out[i] = s.segs[i][:k]
+	}
+	return out
 }
 
 // Close fsyncs and closes the active segment and releases any anchors

@@ -78,11 +78,13 @@ var (
 	mCkptBytes = obsReg.Gauge("translog_checkpoint_bytes",
 		"Size of the newest durable checkpoint file.")
 
-	// Cold prefix.
-	mColdHydrations = obsReg.Counter("translog_cold_hydrations_total",
-		"Cold-prefix hydrations: a read below a reopened checkpoint loaded the cold WAL segments back into memory.")
-	mColdHydrationSeconds = obsReg.Histogram("translog_cold_hydration_seconds",
-		"Cold-prefix hydration latency: cold segment read, prefix tree rebuild and root check.")
+	// Cold tile reads.
+	mColdTileReads = obsReg.Counter("translog_cold_tile_reads_total",
+		"Cold tile reads: a read below the newest checkpoint fetched one tile of entries from the cold WAL segments.")
+	mColdTileReadSeconds = obsReg.Histogram("translog_cold_tile_read_seconds",
+		"Cold tile read latency: segment reads, leaf hashing and the check against the resident tree.")
+	mColdTileHits = obsReg.Counter("translog_cold_tile_cache_hits_total",
+		"Reads below the newest checkpoint served from the cold-tile LRU without touching disk.")
 
 	// Tile read path.
 	mTileHTTP = obsReg.Counter("translog_tile_http_requests_total",

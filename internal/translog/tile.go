@@ -3,6 +3,7 @@ package translog
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"vnfguard/internal/wire"
 )
@@ -28,7 +29,9 @@ import (
 // Every tile is served from the resident tree under the tree's own
 // read lock: no hashing and no log lock — pinned by
 // TestTileServingTakesNoCommitLockAndHashesNothing and the lockscope
-// lint rule. Caching full tiles is left to HTTP caches (immutable
+// lint rule. The one exception is a row-0 tile a checkpoint evicted: it
+// is read back from the cold WAL segments and hashed to check it, still
+// without the log lock. Caching full tiles is left to HTTP caches (immutable
 // headers) and each client's TileAssembler LRU, as in C2SP tlog-tiles;
 // the server keeps no copy on disk.
 
@@ -118,9 +121,12 @@ func tileNodeCount(n, level uint64) uint64 {
 // hashes, extracted from the tree under the tree's own read lock: zero
 // hashing, because the tree stores exactly the tile rows, and
 // never the log's commit lock, so tile traffic cannot contend with a
-// commit holding that lock across its WAL fsync. A range below a
-// reopened checkpoint hydrates the cold prefix once, as Entries and
-// ShardStream do. Requests past the committed head return ErrTileRange.
+// commit holding that lock across its WAL fsync. A row-0 tile a
+// checkpoint evicted is read back from the cold WAL segments and
+// checked against the resident row above (coldReader), as Entries and
+// ShardStream read cold entries; the rows a reopened checkpoint
+// persisted are checked once, before the first tile is served.
+// Requests past the committed head return ErrTileRange.
 func (l *Log) Tile(level, index uint64, width int) (*Tile, error) {
 	if level > maxTileLevel || width <= 0 || width > TileWidth {
 		return nil, fmt.Errorf("%w: level %d width %d", ErrTileRange, level, width)
@@ -134,12 +140,16 @@ func (l *Log) Tile(level, index uint64, width int) (*Tile, error) {
 	if hi > tileNodeCount(l.committed.Load(), level) {
 		return nil, fmt.Errorf("%w: tile (%d, %d) width %d", ErrTileRange, level, index, width)
 	}
-	var hashes []Hash
-	err := l.withHydration(func() error {
-		var terr error
-		hashes, terr = l.tree.nodes(int(level)*TileHeight, lo, hi)
-		return terr
-	})
+	if err := l.tree.checkRows(); err != nil {
+		return nil, err
+	}
+	hashes, err := l.tree.nodes(int(level)*TileHeight, lo, hi)
+	if errors.Is(err, errColdRange) && l.cold != nil {
+		var ct *coldTile
+		if ct, err = l.cold.tile(index); err == nil {
+			hashes = slices.Clone(ct.hashes[:width])
+		}
+	}
 	if err != nil {
 		return nil, err
 	}

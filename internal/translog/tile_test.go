@@ -249,11 +249,13 @@ func TestTileAssemblerMatchesSignedRoots(t *testing.T) {
 }
 
 // TestColdRangeTileServing is the exhaustive cold-range matrix: a
-// checkpointed log reopens with its prefix frozen out of memory, and
-// every tile — wholly below the frozen boundary (hydrated from the cold
-// WAL segments), straddling it, and on the live edge — must
-// serve bytes identical to an always-resident reference log, and the
-// proofs assembled from those tiles must verify against the signed head.
+// checkpointed log reopens with its prefix out of memory, and every
+// tile — wholly below the checkpoint (read back from the cold WAL
+// segments), straddling it, and on the live edge — must serve bytes
+// identical to an always-resident reference log, each cold row-0 tile
+// read from disk at most once (the cold-tile LRU serves it after), and
+// the proofs assembled from those tiles must verify against the signed
+// head.
 func TestColdRangeTileServing(t *testing.T) {
 	key := testSigner(t)
 	dir := t.TempDir()
@@ -287,35 +289,38 @@ func TestColdRangeTileServing(t *testing.T) {
 	}
 	defer re.Close()
 
-	// Every tile at every level, cold through live: byte-identical to the
-	// reference (which also pins hydration to the checkpoint's content).
-	hydrations := mColdHydrations.Value()
-	for level := uint64(0); tileNodeCount(total, level) > 0; level++ {
-		nodes := tileNodeCount(total, level)
-		for index := uint64(0); index*TileWidth < nodes; index++ {
-			width := TileWidth
-			if rem := nodes - index*TileWidth; rem < TileWidth {
-				width = int(rem)
-			}
-			got, err := re.Tile(level, index, width)
-			if err != nil {
-				t.Fatalf("cold Tile(%d, %d, %d): %v", level, index, width, err)
-			}
-			want, err := ref.Tile(level, index, width)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(encodeTile(got)) != string(encodeTile(want)) {
-				t.Fatalf("Tile(%d, %d, %d) bytes diverge from reference", level, index, width)
+	// Every tile at every level, cold through live, twice: byte-identical
+	// to the reference (which also pins the cold reads to the
+	// checkpoint's content).
+	reads := mColdTileReads.Value()
+	for range 2 {
+		for level := uint64(0); tileNodeCount(total, level) > 0; level++ {
+			nodes := tileNodeCount(total, level)
+			for index := uint64(0); index*TileWidth < nodes; index++ {
+				width := TileWidth
+				if rem := nodes - index*TileWidth; rem < TileWidth {
+					width = int(rem)
+				}
+				got, err := re.Tile(level, index, width)
+				if err != nil {
+					t.Fatalf("cold Tile(%d, %d, %d): %v", level, index, width, err)
+				}
+				want, err := ref.Tile(level, index, width)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(encodeTile(got)) != string(encodeTile(want)) {
+					t.Fatalf("Tile(%d, %d, %d) bytes diverge from reference", level, index, width)
+				}
 			}
 		}
 	}
-	if got := mColdHydrations.Value() - hydrations; got != 1 {
-		t.Fatalf("serving every tile hydrated the cold prefix %d times, want exactly once", got)
+	if got, cold := mColdTileReads.Value()-reads, uint64(ckptAt/TileWidth); got == 0 || got > cold {
+		t.Fatalf("serving every tile twice read %d cold tiles, want each of the %d cold row-0 tiles at most once", got, cold)
 	}
 
 	// Proofs assembled from the reopened log's tiles verify against the
-	// signed head, across the frozen boundary in both directions.
+	// signed head, across the checkpoint in both directions.
 	asm := NewTileAssembler(re, 0)
 	sth := re.STH()
 	root, err := asm.RootAt(sth.Size)
@@ -352,7 +357,7 @@ func TestColdRangeTileServing(t *testing.T) {
 // TestTileServingTakesNoCommitLockAndHashesNothing pins the no-contention
 // claim: a full tile is served through the HTTP handler while the test
 // holds the log's commit lock (so any acquisition — including the
-// hydration path's — would deadlock and time the request out), and its
+// cold read path's — would deadlock and time the request out), and its
 // bytes are exactly the tree's resident nodes for those coordinates.
 func TestTileServingTakesNoCommitLockAndHashesNothing(t *testing.T) {
 	key := testSigner(t)
@@ -401,7 +406,7 @@ func TestTileServingTakesNoCommitLockAndHashesNothing(t *testing.T) {
 
 // TestCheckpointedReopenHydratesNothing: after commits that complete
 // tiles, a checkpoint and Close, the reopen must leave the cold prefix
-// on disk — nothing at open (tile serving included) may hydrate it.
+// on disk — nothing at open may read a cold tile back.
 func TestCheckpointedReopenHydratesNothing(t *testing.T) {
 	key := testSigner(t)
 	dir := t.TempDir()
@@ -423,7 +428,7 @@ func TestCheckpointedReopenHydratesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	hydrations := mColdHydrations.Value()
+	reads := mColdTileReads.Value()
 	re, err := OpenDurableLog(key, dir, StoreConfig{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
@@ -433,10 +438,10 @@ func TestCheckpointedReopenHydratesNothing(t *testing.T) {
 	base := re.entries.base
 	re.mu.RUnlock()
 	if base == 0 {
-		t.Fatal("reopen hydrated the cold prefix (entries.base is 0)")
+		t.Fatal("reopen loaded the cold prefix (entries.base is 0)")
 	}
-	if got := mColdHydrations.Value() - hydrations; got != 0 {
-		t.Fatalf("reopen ran %d cold hydrations, want none", got)
+	if got := mColdTileReads.Value() - reads; got != 0 {
+		t.Fatalf("reopen read %d cold tiles, want none", got)
 	}
 }
 

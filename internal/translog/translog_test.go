@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"math/big"
-	"math/bits"
 	mrand "math/rand"
 	"net/http/httptest"
 	"testing"
@@ -198,8 +197,8 @@ func rfc6962Root(leaves []Hash, lo int, memo map[[2]int]Hash) Hash {
 
 // TestTreeAppendMatchesRFC6962 drives the tree's one append over random
 // batch splits — single leaves through batches big enough to fan a
-// level across workers — on full trees and on suffix trees opened over
-// a frozen checkpoint prefix, comparing the root at every size with the
+// level across workers — on full trees and on trees reopened from a
+// checkpoint's rows, comparing the root at every size with the
 // reference hash. After each bulk append it truncates back and checks
 // the earlier roots are restored exactly, then re-appends.
 func TestTreeAppendMatchesRFC6962(t *testing.T) {
@@ -233,13 +232,7 @@ func TestTreeAppendMatchesRFC6962(t *testing.T) {
 			t.Run(fmt.Sprintf("frozen=%d/workers=%d", frozen, workers), func(t *testing.T) {
 				tr := newTree()
 				if frozen > 0 {
-					var blocks []Hash
-					for lo, rem := uint64(0), frozen; rem > 0; {
-						b := uint64(1) << (bits.Len64(rem) - 1)
-						blocks = append(blocks, rfc6962Root(leaves[lo:lo+b], int(lo), memo))
-						lo, rem = lo+b, rem-b
-					}
-					tr = newTreeFromFrozen(frozen, blocks)
+					tr = treeAtCheckpoint(leaves, frozen)
 				}
 				checkRoots(t, tr, frozen, frozen)
 				size := frozen
@@ -664,14 +657,20 @@ func mustEntries(t testing.TB, l *Log, start, count uint64) []Entry {
 	return entries
 }
 
-// rootAt is MTH(D[0:n]) as the log's tree computes it at commit — the
-// oracle an assembled proof is checked against, independent of the tile
-// assembler. A size below a reopened checkpoint hydrates first.
+// rootAt is MTH(D[0:n]) over the log's committed entries, recomputed
+// from their bytes by a fresh tree — the oracle an assembled proof is
+// checked against, independent of the tile assembler. Entries below a
+// checkpoint come back through cold tile reads.
 func rootAt(l *Log, n uint64) (Hash, error) {
-	var root Hash
-	err := l.withHydration(func() (err error) {
-		root, err = l.tree.rootAt(n)
-		return err
-	})
-	return root, err
+	entries, err := l.Entries(0, n)
+	if err != nil {
+		return Hash{}, err
+	}
+	payloads := make([][]byte, len(entries))
+	for i, e := range entries {
+		payloads[i] = e.Marshal()
+	}
+	tr := newTree()
+	tr.append(leafHashes(payloads), 1)
+	return tr.rootAt(n)
 }

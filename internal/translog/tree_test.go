@@ -2,6 +2,7 @@ package translog
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -55,25 +56,55 @@ func refLeaves(n int) ([]Hash, refTree) {
 	return leaves, newRefTree(leaves)
 }
 
+// treeAtCheckpoint reopens a tree over leaves[:n] the way recovery
+// does: from the rows and blocks a checkpoint at n persists, taken from
+// a tree grown over the same leaves.
+func treeAtCheckpoint(leaves []Hash, n uint64) *tree {
+	full := newTree()
+	full.append(leaves[:n], 1)
+	blocks, err := full.blocks(n)
+	if err != nil {
+		panic(err)
+	}
+	rows := full.appendRows(nil, n)
+	return newTreeFromCheckpoint(n, blocks, rows, sha256.Sum256(rows))
+}
+
+// residentFrom returns the first leaf of the tree's first resident
+// row-0 chunk.
+func (t *tree) residentFrom() uint64 {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	c := 0
+	for len(t.rows) > 0 && c < len(t.rows[0].chunks) && t.rows[0].chunks[c] == nil {
+		c++
+	}
+	return uint64(c) * TileWidth
+}
+
 // checkTree compares tr at size n with the reference: the size, the
 // root and checkpoint block set at n and at sampled historical sizes
-// at or above the frozen boundary, and every tile row. Below the
-// boundary of a suffix tree, rows must report errColdRange.
+// at or above the floor a reopened tree starts from, and every tile
+// row. Row-0 hashes below the resident chunks must report errColdRange.
 func checkTree(t *testing.T, tr *tree, ref refTree, n uint64, rng *mrand.Rand) {
 	t.Helper()
 	if got := tr.size(); got != n {
 		t.Fatalf("size %d, want %d", got, n)
 	}
-	frozen := tr.frozen
+	frozen := tr.floor
 	sizes := []uint64{n, frozen, min(frozen+1, n), n - min(n, 1), n &^ (TileWidth - 1), n &^ (1<<16 - 1)}
 	for range 6 {
 		sizes = append(sizes, frozen+uint64(rng.Int63n(int64(n-frozen)+1)))
 	}
+	cold := tr.residentFrom()
 	for _, m := range sizes {
 		if m < frozen {
 			continue
 		}
 		root, err := tr.rootAt(m)
+		if errors.Is(err, errColdRange) && m < cold {
+			continue // its decomposition reaches an evicted chunk
+		}
 		if err != nil {
 			t.Fatalf("size %d frozen %d: rootAt(%d): %v", n, frozen, m, err)
 		}
@@ -89,13 +120,16 @@ func checkTree(t *testing.T, tr *tree, ref refTree, n uint64, rng *mrand.Rand) {
 		}
 	}
 	if frozen > 1 {
-		// Below the boundary a root resolves only from frozen blocks.
-		if root, err := tr.rootAt(frozen - 1); !errors.Is(err, errColdRange) && (err != nil || root != ref.root(frozen-1)) {
-			t.Fatalf("rootAt below the frozen boundary: %v, want errColdRange or the reference root", err)
+		// Below the floor a root is refused or right.
+		if root, err := tr.rootAt(frozen - 1); err == nil && root != ref.root(frozen-1) {
+			t.Fatalf("rootAt below the floor %d answered a wrong root", frozen)
 		}
 	}
 	for k := 0; n>>k > 0; k += TileHeight {
-		lo, hi := tr.off(k), n>>k
+		lo, hi := uint64(0), n>>k
+		if k == 0 {
+			lo = min(cold, hi)
+		}
 		got, err := tr.nodes(k, lo, hi)
 		if err != nil {
 			t.Fatalf("size %d frozen %d: row %d [%d, %d): %v", n, frozen, k, lo, hi, err)
@@ -105,7 +139,7 @@ func checkTree(t *testing.T, tr *tree, ref refTree, n uint64, rng *mrand.Rand) {
 		}
 		if lo > 0 {
 			if _, err := tr.nodes(k, lo-1, hi); !errors.Is(err, errColdRange) {
-				t.Fatalf("row %d below the frozen boundary: %v, want errColdRange", k, err)
+				t.Fatalf("row %d below its resident chunks: %v, want errColdRange", k, err)
 			}
 		}
 	}
@@ -131,10 +165,10 @@ func growTree(t *testing.T, tr *tree, leaves []Hash, ref refTree, from, to uint6
 
 // TestTreeRowsConformance checks the rows-only tree against a reference
 // that keeps every level: full trees through the tile and tile-of-tile
-// boundaries and at random sizes, suffix trees over unaligned frozen
-// boundaries before and after splice, and rollbacks that reopen a
-// completed tile at rows 0 and 8 — on a suffix tree, the tile holding
-// the frozen boundary.
+// boundaries and at random sizes, trees reopened from the rows of
+// checkpoints at unaligned sizes, trees whose row-0 chunks a checkpoint
+// evicted, and rollbacks that reopen a completed tile at rows 0 and 8 —
+// on a reopened tree, the tile holding its checkpoint.
 func TestTreeRowsConformance(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(35))
 	leaves, ref := refLeaves(4*65536 + 2000)
@@ -154,36 +188,34 @@ func TestTreeRowsConformance(t *testing.T) {
 			growTree(t, newTree(), leaves, ref, 0, size, rng)
 		}
 	})
-	t.Run("suffix trees then splice", func(t *testing.T) {
+	t.Run("trees reopened from checkpoint rows", func(t *testing.T) {
 		for _, tc := range []struct{ frozen, end uint64 }{
 			{1, 2}, {3, 200}, {255, 700}, {257, 300}, {300, 1000}, {511, 513},
-			{65537, 2*65536 + 600}, // completes the row-8 tile holding the boundary
+			{65537, 2*65536 + 600}, // completes the row-8 tile holding the checkpoint
 			{65536 + 3*256 + 77, 65536 + 3*256 + 100},
 			{2*65536 - 1, 2*65536 + 600},
 		} {
 			frozen := tc.frozen
-			tr := newTreeFromFrozen(frozen, ref.blocks(frozen))
+			tr := treeAtCheckpoint(leaves, frozen)
+			if got, want := tr.residentFrom(), frozen&^(TileWidth-1); got != want {
+				t.Fatalf("frozen %d: row 0 resident from %d, want the tile holding the checkpoint at %d", frozen, got, want)
+			}
 			checkTree(t, tr, ref, frozen, rng)
 			growTree(t, tr, leaves, ref, frozen, tc.end, rng)
-			pre := newTree()
-			pre.append(leaves[:frozen], 1)
-			tr.splice(pre)
-			checkTree(t, tr, ref, tc.end, rng)
-			// The right-edge tiles that held the boundary resolve their
-			// once-cold nodes.
-			var below []uint64
-			for m := frozen &^ (TileWidth - 1); m < frozen; m++ {
-				below = append(below, m)
+		}
+	})
+	t.Run("evicted row-0 chunks", func(t *testing.T) {
+		for _, tc := range []struct{ top, ckpt uint64 }{
+			{300, 256}, {1000, 700}, {65536 + 300, 65536}, {3 * 65536, 2*65536 + 77},
+		} {
+			tr := newTree()
+			tr.append(leaves[:tc.top], 2)
+			tr.evict(tc.ckpt)
+			if got, want := tr.residentFrom(), tc.ckpt&^(TileWidth-1); got != want {
+				t.Fatalf("checkpoint %d: row 0 resident from %d, want %d", tc.ckpt, got, want)
 			}
-			for m := frozen &^ (1<<16 - 1); m < frozen; m += TileWidth - 1 {
-				below = append(below, m)
-			}
-			for _, m := range below {
-				if root, err := tr.rootAt(m); err != nil || root != ref.root(m) {
-					t.Fatalf("frozen %d: rootAt(%d) after splice: %v", frozen, m, err)
-				}
-			}
-			growTree(t, tr, leaves, ref, tc.end, tc.end+uint64(rng.Intn(2*TileWidth)), rng)
+			checkTree(t, tr, ref, tc.top, rng)
+			growTree(t, tr, leaves, ref, tc.top, tc.top+uint64(rng.Intn(4*TileWidth)), rng)
 		}
 	})
 	t.Run("rollbacks reopen completed tiles", func(t *testing.T) {
@@ -201,7 +233,7 @@ func TestTreeRowsConformance(t *testing.T) {
 			t.Run(tc.name, func(t *testing.T) {
 				tr := newTree()
 				if tc.frozen > 0 {
-					tr = newTreeFromFrozen(tc.frozen, ref.blocks(tc.frozen))
+					tr = treeAtCheckpoint(leaves, tc.frozen)
 				}
 				tr.append(leaves[tc.frozen:tc.top], 2)
 				checkTree(t, tr, ref, tc.top, rng)
@@ -258,7 +290,7 @@ func TestTreeResidentBytesBound(t *testing.T) {
 
 // TestEntryArenaChunks checks the chunked arena against the payloads it
 // was given: through chunk boundaries, rollbacks into a full chunk, and
-// a splice of a cold prefix that ends inside a chunk. An in-memory log
+// a checkpoint's eviction of the chunks below it. An in-memory log
 // refuses an entry past the WAL record bound as a durable one does, so a
 // chunk's uint32 offsets cannot overflow.
 func TestEntryArenaChunks(t *testing.T) {
@@ -295,13 +327,17 @@ func TestEntryArenaChunks(t *testing.T) {
 				}
 				check(t, a, top)
 			}
-			if base > 0 {
-				a.splice(payloads[:base])
-				if a.base != 0 {
-					t.Fatalf("base %d after splice", a.base)
-				}
-				check(t, a, top)
+			ckpt := uint64(3*TileWidth + 5)
+			a.evict(ckpt, ckpt/TileWidth)
+			if want := max(base, ckpt&^(TileWidth-1)); a.base != want {
+				t.Fatalf("base %d after evicting below %d, want %d", a.base, ckpt, want)
 			}
+			for c, ch := range a.chunks {
+				if (ch == nil) != (uint64(c) < ckpt/TileWidth || uint64(c+1)*TileWidth <= base) {
+					t.Fatalf("chunk %d resident=%v after evicting below %d", c, ch != nil, ckpt)
+				}
+			}
+			check(t, a, top)
 		})
 	}
 	l, err := NewLog(testSigner(t))
