@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"maps"
-	"math/bits"
 	"os"
 	"path/filepath"
 	"slices"
@@ -25,34 +24,35 @@ import (
 // replays only the WAL suffix and the entries below it stay on disk.
 //
 // A checkpoint persists, for one already-committed tree size n: the
-// subtree roots of n's binary decomposition (≤64 hashes, whatever the
-// log size), the tree's rows above row 0 below n (n/256 + n/65536 + …
-// hashes: 128 KiB at 2^20) and the row-0 hashes of the tile holding n
-// (at most 255), the per-stream WAL record counts, and a snapshot of the
-// serial indexes (issuance map + revoked set, sorted by serial, so one
-// log state always writes the same bytes). Recovery reopens the tree
-// from the rows and blocks, replays only records at or past the
-// checkpoint, and hands the trust-anchor chain a RecoveredState whose
-// roots cover every size ≥ the checkpoint. That is every size an honest
-// anchor can remember, because a checkpoint is only ever written for a
-// head the whole chain has already acknowledged; RecoveredState.check
-// refuses a remembered size below it as a rollback.
+// tree's rows above row 0 below n (n/256 + n/65536 + … hashes: 128 KiB
+// at 2^20) and the row-0 hashes of the tile holding n (at most 255), the
+// per-stream WAL record counts, and a snapshot of the serial indexes
+// (issuance map + revoked set, sorted by serial, so one log state always
+// writes the same bytes). The rows are the whole state of the tree at
+// n, as in a tiled log: recovery reopens the tree from them in the shape
+// a running tree has after a checkpoint evicted its prefix, replays only
+// records at or past the checkpoint, and hands the trust-anchor chain a
+// RecoveredState whose roots cover every size ≥ the checkpoint. That is
+// every size an honest anchor can remember, because a checkpoint is only
+// ever written for a head the whole chain has already acknowledged;
+// RecoveredState.check refuses a remembered size below it as a rollback.
 //
 // One signature, by the log key, covers the header and the serial
-// snapshot; the header carries the SHA-256 of the rows section, so the
-// signature binds the rows without the open hashing them: the reopened
-// tree compares them with that digest before anything serves or signs
-// them (tree.checkRows). A CRC mismatch anywhere in the file is
-// ErrStateCorrupt (damage), an invalid signature or rows that differ
-// from the signed digest ErrStateTampered (rewrite). The blocks' root is
-// judged where every other root is — by the anchors, whose remembered
-// heads all lie at or past the checkpoint and so fold the blocks into
-// the roots they compare. The serial snapshot is not covered by the
-// Merkle root — it is derived state — so the signature covers it
-// explicitly; editing it in place is tamper, not corruption. A
-// checkpoint of the format before the rows (magic VNFGCKP1) is refused
-// with ErrLegacyLayout: it cannot reopen a tree whose cold rows are not
-// in memory.
+// snapshot; the header carries the SHA-256 of the rows section, which
+// the open compares before it builds the tree. A CRC mismatch anywhere
+// in the file is ErrStateCorrupt (damage), an invalid signature or rows
+// that differ from the signed digest ErrStateTampered (rewrite). The
+// rows' root is judged where every other root is — by the anchors,
+// whose remembered heads all lie at or past the checkpoint and so fold
+// the rows into the roots they compare. The serial snapshot is not
+// covered by the Merkle root — it is derived state — so the signature
+// covers it explicitly; editing it in place is tamper, not corruption.
+// A header written with the block set older builds kept beside the rows
+// (a "blocks" key) opens the same: the decoder ignores the key, and the
+// signature covers the header's bytes as written. A checkpoint of the
+// format before the rows (magic VNFGCKP1) is refused with
+// ErrLegacyLayout: it cannot reopen a tree whose cold rows are not in
+// memory.
 
 // checkpointFileName holds the newest durable checkpoint.
 const checkpointFileName = "checkpoint.bin"
@@ -70,12 +70,9 @@ const ckptSigPrefix = "vnfguard-translog-ckpt-v2"
 
 // checkpoint is the decoded, verified checkpoint state.
 type checkpoint struct {
-	size   uint64
-	blocks []Hash
-	// rows is the tree's rows section (tree.appendRows at size), and
-	// rowsDigest the signed digest of it a loaded checkpoint claims.
-	rows       []byte
-	rowsDigest Hash
+	size uint64
+	// rows is the tree's rows section (tree.appendRows at size).
+	rows []byte
 	// streamCounts is each WAL stream's record count at the checkpoint:
 	// how many of its records are cold. A checkpoint without them was
 	// written by the retired single-stream layout (ErrLegacyLayout).
@@ -87,7 +84,6 @@ type checkpoint struct {
 // ckptHeader is the JSON header inside the checkpoint file.
 type ckptHeader struct {
 	Size         uint64   `json:"size"`
-	Blocks       []Hash   `json:"blocks"`
 	StreamCounts []uint64 `json:"stream_counts,omitempty"`
 	RowsDigest   Hash     `json:"rows_digest"`
 }
@@ -190,8 +186,7 @@ func openEnvelope(data []byte, magic [8]byte) ([]byte, error) {
 // caller passes state captured under the log lock for an
 // already-committed size.
 func writeCheckpointFile(dir string, ck *checkpoint, signer crypto.Signer, noSync bool) (int, error) {
-	hdr, err := json.Marshal(ckptHeader{Size: ck.size, Blocks: ck.blocks, StreamCounts: ck.streamCounts,
-		RowsDigest: sha256.Sum256(ck.rows)})
+	hdr, err := json.Marshal(ckptHeader{Size: ck.size, StreamCounts: ck.streamCounts, RowsDigest: sha256.Sum256(ck.rows)})
 	if err != nil {
 		return 0, fmt.Errorf("translog: encoding checkpoint: %w", err)
 	}
@@ -250,23 +245,22 @@ func loadCheckpoint(dir string, pub *ecdsa.PublicKey) (*checkpoint, error) {
 	if len(hdr.StreamCounts) == 0 {
 		return nil, fmt.Errorf("%w: checkpoint without per-stream record counts", ErrLegacyLayout)
 	}
-	// A signed block set that does not decompose the signed size cannot
-	// reopen a tree; only a buggy writer produces one. The rows section
-	// is not signed itself, only its digest, which the tree checks
-	// before first use; its length follows from the signed size.
-	if hdr.Size == 0 || len(hdr.Blocks) != bits.OnesCount64(hdr.Size) {
-		return nil, fmt.Errorf("%w: checkpoint holds %d blocks for size %d", ErrStateTampered, len(hdr.Blocks), hdr.Size)
+	// A signed empty checkpoint is never written; only a buggy writer
+	// produces one. The rows section is not signed itself, only its
+	// digest; its length follows from the signed size.
+	if hdr.Size == 0 {
+		return nil, fmt.Errorf("%w: checkpoint of an empty tree", ErrStateTampered)
 	}
 	if want := checkpointRowHashes(hdr.Size) * uint64(len(Hash{})); uint64(len(rows)) != want {
 		return nil, fmt.Errorf("%w: checkpoint rows section holds %d bytes, size %d needs %d",
 			ErrStateTampered, len(rows), hdr.Size, want)
 	}
+	if sha256.Sum256(rows) != hdr.RowsDigest {
+		return nil, fmt.Errorf("%w: checkpoint rows differ from the digest it signed", ErrStateTampered)
+	}
 	issuance, revoked, err := parseSnapshot(snap)
 	if err != nil {
 		return nil, err
 	}
-	return &checkpoint{
-		size: hdr.Size, blocks: hdr.Blocks, rows: rows, rowsDigest: hdr.RowsDigest,
-		streamCounts: hdr.StreamCounts, issuance: issuance, revoked: revoked,
-	}, nil
+	return &checkpoint{size: hdr.Size, rows: rows, streamCounts: hdr.StreamCounts, issuance: issuance, revoked: revoked}, nil
 }

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -552,6 +553,7 @@ func TestLegacyCheckpointRefused(t *testing.T) {
 			all := mixedEntries(500)
 			appendAll(t, l, all[:300])
 			head := l.STH()
+			blocks := blockSet(t, l.tree, head.Size)
 			if err := l.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
@@ -562,21 +564,7 @@ func TestLegacyCheckpointRefused(t *testing.T) {
 
 			// Rewrite the checkpoint in the retired format, signed over
 			// its own header and snapshot.
-			path := filepath.Join(dir, checkpointFileName)
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			body, err := openEnvelope(data, ckptMagic)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r := wire.NewReader(body)
-			hdrBytes, _, snap := r.Bytes32(wire.Unbounded), r.Bytes32(wire.Unbounded), r.Bytes32(wire.Unbounded)
-			r.Bytes32(wire.Unbounded)
-			if err := r.Done(); err != nil {
-				t.Fatal(err)
-			}
+			hdrBytes, snap, _ := checkpointSections(t, dir)
 			var hdr ckptHeader
 			if err := json.Unmarshal(hdrBytes, &hdr); err != nil {
 				t.Fatal(err)
@@ -587,7 +575,7 @@ func TestLegacyCheckpointRefused(t *testing.T) {
 				Blocks       []Hash          `json:"blocks"`
 				StreamCounts []uint64        `json:"stream_counts,omitempty"`
 			}
-			v1 := v1Header{Size: hdr.Size, Blocks: hdr.Blocks, StreamCounts: hdr.StreamCounts}
+			v1 := v1Header{Size: hdr.Size, Blocks: blocks, StreamCounts: hdr.StreamCounts}
 			if innerHead {
 				v1.STH = &head
 			}
@@ -605,7 +593,7 @@ func TestLegacyCheckpointRefused(t *testing.T) {
 			}
 			buf := wire.AppendBytes32(append([]byte(nil), ckptMagicV1[:]...), retired)
 			buf = wire.AppendBytes32(buf, sig)
-			if err := os.WriteFile(path, sealEnvelope(wire.AppendBytes32(buf, snap)), 0o600); err != nil {
+			if err := os.WriteFile(filepath.Join(dir, checkpointFileName), sealEnvelope(wire.AppendBytes32(buf, snap)), 0o600); err != nil {
 				t.Fatal(err)
 			}
 
@@ -618,6 +606,162 @@ func TestLegacyCheckpointRefused(t *testing.T) {
 			}
 		})
 	}
+}
+
+// blockSet returns the roots of n's binary decomposition over tr,
+// largest first: the block set older checkpoint headers carried beside
+// (VNFGCKP2) or instead of (VNFGCKP1) the tree rows.
+func blockSet(t *testing.T, tr *tree, n uint64) []Hash {
+	t.Helper()
+	tr.mu.RLock()
+	defer tr.mu.RUnlock()
+	var out []Hash
+	for lo := uint64(0); lo < n; {
+		b := uint64(1) << (bits.Len64(n-lo) - 1)
+		h, err := merkleSubtree(lo, lo+b, tr.node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, h)
+		lo += b
+	}
+	return out
+}
+
+// serialVerdicts returns what l answers for each serial entries name:
+// the index a lookup finds it at, or that it is revoked.
+func serialVerdicts(t *testing.T, l *Log, entries []Entry) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	for _, e := range entries {
+		if e.Serial == "" {
+			continue
+		}
+		pb, err := l.lookupBundle(e.Serial)
+		switch {
+		case errors.Is(err, ErrLogRevoked) && l.SerialRevoked(e.Serial):
+			out[e.Serial] = "revoked"
+		case err != nil:
+			t.Fatalf("serial %s: %v", e.Serial, err)
+		default:
+			out[e.Serial] = fmt.Sprint("issued at ", pb.Index)
+		}
+	}
+	return out
+}
+
+// TestCheckpointWithBlockSetReopens: a checkpoint whose header carries
+// the block set older builds wrote beside the rows (a "blocks" key,
+// magic VNFGCKP2 as now) reopens to the same head, entries and serial
+// verdicts — the decoder ignores the key, and the signature covers the
+// header's bytes as written — and the next checkpoint's header carries
+// no block set.
+func TestCheckpointWithBlockSetReopens(t *testing.T) {
+	key := testSigner(t)
+	dir := t.TempDir()
+	cfg := checkpointedConfig(4)
+	entries := mixedEntries(1500)
+	l, err := OpenDurableLog(key, dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, l, entries[:1100])
+	blocks := blockSet(t, l.tree, 1100)
+	if err := l.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, l, entries[1100:1300])
+	head := l.STH()
+	verdicts := serialVerdicts(t, l, entries[:1300])
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Re-sign the checkpoint with the block set added to its header.
+	hdrBytes, snap, rows := checkpointSections(t, dir)
+	if _, ok := headerFields(t, hdrBytes)["blocks"]; ok {
+		t.Fatal("a new checkpoint's header carries a block set")
+	}
+	var hdr ckptHeader
+	if err := json.Unmarshal(hdrBytes, &hdr); err != nil {
+		t.Fatal(err)
+	}
+	type blocksHeader struct { // the header as older builds wrote it
+		Size         uint64   `json:"size"`
+		Blocks       []Hash   `json:"blocks"`
+		StreamCounts []uint64 `json:"stream_counts,omitempty"`
+		RowsDigest   Hash     `json:"rows_digest"`
+	}
+	withBlocks, err := json.Marshal(blocksHeader{Size: hdr.Size, Blocks: blocks, StreamCounts: hdr.StreamCounts, RowsDigest: hdr.RowsDigest})
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := ckptDigest(withBlocks, snap)
+	sig, err := key.Sign(rand.Reader, digest[:], crypto.SHA256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := wire.AppendBytes32(append([]byte(nil), ckptMagic[:]...), withBlocks)
+	buf = wire.AppendBytes32(buf, sig)
+	buf = wire.AppendBytes32(buf, snap)
+	if err := os.WriteFile(filepath.Join(dir, checkpointFileName), sealEnvelope(wire.AppendBytes32(buf, rows)), 0o600); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := OpenDurableLog(key, dir, cfg)
+	if err != nil {
+		t.Fatalf("checkpoint with a block set: %v", err)
+	}
+	defer re.Close()
+	if got := re.STH(); got.Size != head.Size || got.RootHash != head.RootHash {
+		t.Fatalf("reopened at size %d, want the head at %d", got.Size, head.Size)
+	}
+	if got := mustEntries(t, re, 0, re.Size()); !reflect.DeepEqual(got, entries[:1300]) {
+		t.Fatal("entry sequence changed across the reopen")
+	}
+	if got := serialVerdicts(t, re, entries[:1300]); !reflect.DeepEqual(got, verdicts) {
+		t.Fatal("serial verdicts changed across the reopen")
+	}
+
+	// The next checkpoint is written without one.
+	appendAll(t, re, entries[1300:])
+	if err := re.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	hdrBytes, _, _ = checkpointSections(t, dir)
+	if _, ok := headerFields(t, hdrBytes)["blocks"]; ok {
+		t.Fatal("the checkpoint after the reopen carries a block set")
+	}
+}
+
+// checkpointSections returns the header, serial snapshot and rows
+// sections of dir's checkpoint file.
+func checkpointSections(t *testing.T, dir string) (hdr, snap, rows []byte) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, checkpointFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := openEnvelope(data, ckptMagic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := wire.NewReader(body)
+	hdr, _, snap, rows = r.Bytes32(wire.Unbounded), r.Bytes32(wire.Unbounded), r.Bytes32(wire.Unbounded), r.Bytes32(wire.Unbounded)
+	if err := r.Done(); err != nil {
+		t.Fatal(err)
+	}
+	return hdr, snap, rows
+}
+
+// headerFields decodes a checkpoint's JSON header by key.
+func headerFields(t *testing.T, hdr []byte) map[string]json.RawMessage {
+	t.Helper()
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(hdr, &fields); err != nil {
+		t.Fatal(err)
+	}
+	return fields
 }
 
 // TestTrimsAreDurable is the applyTrims bugfix regression: a torn tail

@@ -90,9 +90,6 @@ func (c *coldReader) tile(k uint64) (*coldTile, error) {
 		mColdTileHits.Inc()
 		return el.Value.(*coldTile), nil
 	}
-	if err := c.tree.checkRows(); err != nil {
-		return nil, err
-	}
 	start := time.Now()
 	ct, err := c.read(k, end, mark)
 	if err != nil {

@@ -342,12 +342,6 @@ func (l *Log) appendPrepared(batch []Entry, payloads [][]byte, hashes []Hash, tr
 			return 0, fmt.Errorf("%w: encoding is %d bytes, record limit %d", ErrEntryTooLarge, len(p), maxEntryBytes)
 		}
 	}
-	// A rollback that reopens the tile holding a reopened checkpoint
-	// refolds it from rows the checkpoint persisted, so they are checked
-	// before the first commit signs anything.
-	if err := l.tree.checkRows(); err != nil {
-		return 0, err
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.cold != nil {
@@ -443,35 +437,25 @@ func (l *Log) Checkpoint() error {
 	}
 	l.ckptMu.Lock()
 	defer l.ckptMu.Unlock()
-	// The rows a reopened tree took from the previous checkpoint go
-	// into this one: they are checked before they are signed again.
-	if err := l.tree.checkRows(); err != nil {
-		return err
-	}
 	l.mu.RLock()
 	size := l.entries.count()
 	if size == 0 || size == l.store.ckpt.Load().size {
 		l.mu.RUnlock()
 		return nil // nothing new to summarize
 	}
-	blocks, err := l.tree.blocks(size)
-	if err != nil {
-		l.mu.RUnlock()
-		return err
-	}
 	rows := l.tree.appendRows(nil, size)
 	issuance := maps.Clone(l.issuance)
 	revoked := maps.Clone(l.revoked)
 	streamCounts, retired := l.store.rollStreams()
 	l.mu.RUnlock()
+	var err error
 	for _, f := range retired {
 		err = errors.Join(err, f.Close())
 	}
 	if err != nil {
 		return fmt.Errorf("translog: closing rolled segment: %w", err)
 	}
-	ck := &checkpoint{size: size, blocks: blocks, rows: rows, streamCounts: streamCounts,
-		issuance: issuance, revoked: revoked}
+	ck := &checkpoint{size: size, rows: rows, streamCounts: streamCounts, issuance: issuance, revoked: revoked}
 	n, err := writeCheckpointFile(l.store.dir, ck, l.signer, l.store.cfg.NoSync)
 	if err != nil {
 		return err

@@ -8,7 +8,6 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
-	"sync/atomic"
 )
 
 // Hash is a Merkle tree node hash.
@@ -90,35 +89,24 @@ var errColdRange = errors.New("translog: row-0 range below the checkpoint is not
 // hashes and an append hashes each new node once, as a tree storing
 // every level does. When a tile completes, its top node goes into the
 // next row and its interior is dropped; any other interior node — a
-// root or checkpoint block set at a historical size asks for them —
-// folds from its row chunk through expandTile, the tile assembler's
-// function.
+// root at a historical size asks for them — folds from its row chunk
+// through expandTile, the tile assembler's function.
 //
 // A durable log's checkpoint evicts the row-0 chunks wholly below it
 // (evict): their leaves are in the cold WAL segments, and every row
 // above stays resident, so a cold tile read checks its 256 leaves
 // against the row-1 node they fold to. A tree reopened from a
-// checkpoint (newTreeFromCheckpoint) starts in the same shape: the
-// checkpoint's rows above row 0 and the row-0 hashes of the tile
-// holding its size, with every row-0 chunk below that tile evicted.
+// checkpoint (newTreeFromCheckpoint) is that tree: the checkpoint's
+// rows, each right-edge interior folded from them, and every row-0
+// chunk below the tile holding its size evicted.
 //
 // The tree computes no proofs. It appends, truncates, folds the commit
-// root and checkpoint blocks, and serves tile rows (nodes); every audit
-// path folds from those tiles through a TileAssembler.
+// root and serves tile rows (nodes); every audit path folds from those
+// tiles through a TileAssembler.
 type tree struct {
 	mu   sync.RWMutex
 	n    uint64 // leaves
 	rows []tileRow
-	// floor is the checkpoint size a reopened tree started from (0 for
-	// a tree grown from its first leaf). Its right-edge interiors were
-	// seeded with the checkpoint's blocks, not folded, so they hold
-	// just the nodes that sizes at or past floor need: no root below
-	// floor resolves.
-	floor uint64
-	// unchecked is the digest a reopened tree's checkpoint signed over
-	// its rows below floor, until checkRows has compared them (nil once
-	// it has, and for a tree grown from its first leaf).
-	unchecked atomic.Pointer[Hash]
 	// spare holds row-0 chunks evict dropped, for chunk to reuse.
 	spare []*[TileWidth]Hash
 }
@@ -144,9 +132,9 @@ func edgeLevel(e *[edgeSize]Hash, r int) []Hash {
 
 // foldTile grows a tile's interior in edge from width a to width b of
 // its row hashes, hashing the level-r nodes [a>>r, b>>r) for r = 1, 2,
-// …. Each pair it reads is complete: row hashes below b, interior nodes
-// folded before, or checkpoint blocks seeded there. When b is TileWidth
-// it returns the tile's top node, the next row's node.
+// …. Each pair it reads is complete: row hashes below b or interior
+// nodes folded before. When b is TileWidth it returns the tile's top
+// node, the next row's node.
 func foldTile(row *[TileWidth]Hash, edge *[edgeSize]Hash, a, b int) Hash {
 	below := row[:]
 	for r := 1; a>>r < b>>r; r++ {
@@ -193,14 +181,12 @@ func checkpointRowHashes(n uint64) uint64 {
 
 // newTreeFromCheckpoint reopens a tree at a checkpoint of size n from
 // the rows it persisted (appendRows's layout, len(rows) is
-// checkpointRowHashes(n) hashes) and blocks, the roots of n's binary
-// decomposition, largest first. Nothing is hashed: each row's
-// right-edge interior is seeded with the blocks that sit in it, which
-// are all the nodes an append past n pairs with, and the rows stay
-// unchecked against digest, the checkpoint's signed claim, until
-// checkRows. The caller has checked the length.
-func newTreeFromCheckpoint(n uint64, blocks []Hash, rows []byte, digest Hash) *tree {
-	t := &tree{n: n, floor: n, rows: make([]tileRow, rowCount(n))}
+// checkpointRowHashes(n) hashes, checked against the checkpoint's
+// signature by the caller). The result is the tree grown to n and
+// evicted at n: each row's right-edge interior folds from the row's own
+// hashes, as append folds it.
+func newTreeFromCheckpoint(n uint64, rows []byte) *tree {
+	t := &tree{n: n, rows: make([]tileRow, rowCount(n))}
 	take := func(dst []Hash) {
 		for i := range dst {
 			dst[i] = Hash(rows[i*len(Hash{}):])
@@ -218,19 +204,15 @@ func newTreeFromCheckpoint(n uint64, blocks []Hash, rows []byte, digest Hash) *t
 			rw.chunks[c] = (*[TileWidth]Hash)(slab[c*TileWidth:])
 		}
 	}
-	t.rows[0].chunks = make([]*[TileWidth]Hash, n/TileWidth)
+	t.rows[0].chunks = make([]*[TileWidth]Hash, n/TileWidth, n/TileWidth+1)
 	if w := n % TileWidth; w > 0 {
 		take(t.chunk(0, n/TileWidth)[:w])
 	}
 	for L := range t.rows {
-		w := int(n >> uint(TileHeight*L) % TileWidth)
-		for r := 1; r < TileHeight; r++ {
-			if k := TileHeight*L + r; n>>uint(k)&1 == 1 {
-				edgeLevel(t.edge(L), r)[w>>r-1] = blocks[bits.OnesCount64(n>>uint(k+1))]
-			}
+		if rn := n >> uint(TileHeight*L); rn%TileWidth > 0 {
+			foldTile(t.rows[L].chunks[rn/TileWidth], t.edge(L), 0, int(rn%TileWidth))
 		}
 	}
-	t.unchecked.Store(&digest)
 	return t
 }
 
@@ -254,23 +236,6 @@ func (t *tree) appendRows(dst []byte, n uint64) []byte {
 	}
 	put(0, n&^(TileWidth-1), n)
 	return dst
-}
-
-// checkRows compares a reopened tree's rows below its checkpoint with
-// the digest the checkpoint signed, once: ErrStateTampered when they
-// differ, and on every later call too. Every path that serves those
-// rows, or folds them into something it signs, checks first; the open
-// does not, so a reopen hashes none of them.
-func (t *tree) checkRows() error {
-	want := t.unchecked.Load()
-	if want == nil {
-		return nil
-	}
-	if sha256.Sum256(t.appendRows(nil, t.floor)) != *want {
-		return fmt.Errorf("%w: checkpoint rows differ from the digest it signed", ErrStateTampered)
-	}
-	t.unchecked.CompareAndSwap(want, nil)
-	return nil
 }
 
 // chunk returns chunk c of row L, allocating the row and the chunk as
@@ -381,14 +346,11 @@ func (t *tree) foldRow(L int, lo, hi uint64, workers int) {
 // truncate discards leaves beyond size n — the rollback of a failed
 // commit. Each row drops the chunks past its new end, and a row whose
 // rollback reopens a completed tile refolds that tile's interior from
-// its row. Callers never truncate below the floor or below a
-// checkpoint: commits only ever roll back to a size the committed tree
-// already reached, and a reopened tree's rows below its floor are
-// checked (checkRows) before the first commit.
+// its row. Callers never truncate below a checkpoint: commits only ever
+// roll back to a size the committed tree already reached.
 func (t *tree) truncate(n uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n = max(n, t.floor) // defensive: the seeded interiors cover no size below it
 	if n >= t.n {
 		return
 	}
@@ -426,13 +388,14 @@ func (t *tree) evict(n uint64) {
 	}
 }
 
-// rootAt computes MTH(D[0:n]) for any historical size n in [floor,
-// size].
+// rootAt computes MTH(D[0:n]) for any historical size n ≤ size. A size
+// whose decomposition reaches an evicted row-0 chunk reports
+// errColdRange.
 func (t *tree) rootAt(n uint64) (Hash, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if n > t.n || n < t.floor {
-		return Hash{}, fmt.Errorf("translog: tree size %d out of range [%d, %d]", n, t.floor, t.n)
+	if n > t.n {
+		return Hash{}, fmt.Errorf("translog: tree size %d out of range [0, %d]", n, t.n)
 	}
 	if n == 0 {
 		return emptyRoot(), nil
@@ -440,35 +403,11 @@ func (t *tree) rootAt(n uint64) (Hash, error) {
 	return merkleSubtree(0, n, t.node)
 }
 
-// blocks returns the roots of n's binary decomposition, largest subtree
-// first — the block set a checkpoint at size n persists. n must be in
-// [floor, size].
-func (t *tree) blocks(n uint64) ([]Hash, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if n > t.n || n < t.floor {
-		return nil, fmt.Errorf("translog: tree size %d out of range [%d, %d]", n, t.floor, t.n)
-	}
-	out := make([]Hash, 0, bits.OnesCount64(n))
-	lo := uint64(0)
-	for rem := n; rem > 0; {
-		b := uint64(1) << uint(bits.Len64(rem)-1)
-		h, err := merkleSubtree(lo, lo+b, t.node)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, h)
-		lo += b
-		rem -= b
-	}
-	return out, nil
-}
-
 // nodeFunc resolves the root hash of the complete subtree at tree level
 // k whose global node index is idx (covering leaves [idx·2^k,
 // (idx+1)·2^k)). The RFC 6962 recursions below are parameterized over it:
-// the tree's rows resolve its own roots and checkpoint blocks, and the
-// tile assembler resolves every audit path from tiles.
+// the tree's rows resolve its own roots, and the tile assembler resolves
+// every audit path from tiles.
 type nodeFunc func(k int, idx uint64) (Hash, error)
 
 // node is the tree's nodeFunc; callers hold t.mu. A row node is a

@@ -89,7 +89,7 @@ type recovered struct {
 	// ckpt is the verified checkpoint the replay was based from (nil for
 	// a full replay). With a checkpoint, payloads/hashes hold only the
 	// suffix — global ordinals [ckpt.size, size) — and tree is reopened
-	// from the checkpoint's rows and blocks.
+	// from the checkpoint's rows.
 	ckpt *checkpoint
 }
 
@@ -240,7 +240,7 @@ func recoverDir(dir string, cfg StoreConfig, head *WitnessAnchor, anchors []Trus
 	}
 
 	if rec.ckpt != nil {
-		rec.tree = newTreeFromCheckpoint(rec.ckpt.size, rec.ckpt.blocks, rec.ckpt.rows, rec.ckpt.rowsDigest)
+		rec.tree = newTreeFromCheckpoint(rec.ckpt.size, rec.ckpt.rows)
 		rec.ckpt.rows = nil // the tree holds them now
 	} else {
 		rec.tree = newTree()

@@ -703,10 +703,6 @@ func TestLegacySingleStreamRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	size := ref.Size()
-	blocks, err := ref.tree.blocks(size)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Two single-stream segments, the second torn at its tail — a trim a
 	// lenient open would perform.
 	var segs [2][]byte
@@ -728,8 +724,7 @@ func TestLegacySingleStreamRefused(t *testing.T) {
 			}
 		}
 		if withCkpt {
-			ck := &checkpoint{size: size, blocks: blocks,
-				issuance: ref.issuance, revoked: ref.revoked}
+			ck := &checkpoint{size: size, issuance: ref.issuance, revoked: ref.revoked}
 			if _, err := writeCheckpointFile(dir, ck, key, true); err != nil {
 				t.Fatal(err)
 			}

@@ -119,14 +119,14 @@ func tileNodeCount(n, level uint64) uint64 {
 
 // Tile returns the tile at (level, index), carrying exactly width node
 // hashes, extracted from the tree under the tree's own read lock: zero
-// hashing, because the tree stores exactly the tile rows, and
-// never the log's commit lock, so tile traffic cannot contend with a
-// commit holding that lock across its WAL fsync. A row-0 tile a
-// checkpoint evicted is read back from the cold WAL segments and
-// checked against the resident row above (coldReader), as Entries and
-// ShardStream read cold entries; the rows a reopened checkpoint
-// persisted are checked once, before the first tile is served.
-// Requests past the committed head return ErrTileRange.
+// hashing, because the tree stores exactly the tile rows, and never the
+// log's commit lock, so tile traffic cannot contend with a commit
+// holding that lock across its WAL fsync. A reopened tree's rows were
+// checked against the checkpoint's signature at open, so they serve as
+// a running tree's do. A row-0 tile a checkpoint evicted is read back
+// from the cold WAL segments and checked against the resident row above
+// (coldReader), as Entries and ShardStream read cold entries. Requests
+// past the committed head return ErrTileRange.
 func (l *Log) Tile(level, index uint64, width int) (*Tile, error) {
 	if level > maxTileLevel || width <= 0 || width > TileWidth {
 		return nil, fmt.Errorf("%w: level %d width %d", ErrTileRange, level, width)
@@ -139,9 +139,6 @@ func (l *Log) Tile(level, index uint64, width int) (*Tile, error) {
 	hi := lo + uint64(width)
 	if hi > tileNodeCount(l.committed.Load(), level) {
 		return nil, fmt.Errorf("%w: tile (%d, %d) width %d", ErrTileRange, level, index, width)
-	}
-	if err := l.tree.checkRows(); err != nil {
-		return nil, err
 	}
 	hashes, err := l.tree.nodes(int(level)*TileHeight, lo, hi)
 	if errors.Is(err, errColdRange) && l.cold != nil {

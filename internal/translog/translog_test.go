@@ -232,7 +232,7 @@ func TestTreeAppendMatchesRFC6962(t *testing.T) {
 			t.Run(fmt.Sprintf("frozen=%d/workers=%d", frozen, workers), func(t *testing.T) {
 				tr := newTree()
 				if frozen > 0 {
-					tr = treeAtCheckpoint(leaves, frozen)
+					tr, _ = treeAtCheckpoint(leaves, frozen)
 				}
 				checkRoots(t, tr, frozen, frozen)
 				size := frozen

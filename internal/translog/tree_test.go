@@ -2,10 +2,8 @@ package translog
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"errors"
 	"fmt"
-	"math/bits"
 	mrand "math/rand"
 	"slices"
 	"testing"
@@ -35,17 +33,6 @@ func (ref refTree) root(n uint64) Hash {
 	return h
 }
 
-// blocks returns the roots of n's binary decomposition, largest first.
-func (ref refTree) blocks(n uint64) []Hash {
-	var out []Hash
-	for k := bits.Len64(n) - 1; k >= 0; k-- {
-		if n>>k&1 == 1 {
-			out = append(out, ref[k][n>>k-1])
-		}
-	}
-	return out
-}
-
 // refLeaves returns n distinct leaf hashes and the reference over them.
 func refLeaves(n int) ([]Hash, refTree) {
 	payloads := make([][]byte, n)
@@ -57,17 +44,48 @@ func refLeaves(n int) ([]Hash, refTree) {
 }
 
 // treeAtCheckpoint reopens a tree over leaves[:n] the way recovery
-// does: from the rows and blocks a checkpoint at n persists, taken from
-// a tree grown over the same leaves.
-func treeAtCheckpoint(leaves []Hash, n uint64) *tree {
-	full := newTree()
-	full.append(leaves[:n], 1)
-	blocks, err := full.blocks(n)
-	if err != nil {
-		panic(err)
+// does, from the rows a checkpoint at n persists, and returns it with
+// the tree it was taken from: grown over the same leaves, then evicted
+// at n.
+func treeAtCheckpoint(leaves []Hash, n uint64) (reopened, grown *tree) {
+	grown = newTree()
+	grown.append(leaves[:n], 1)
+	reopened = newTreeFromCheckpoint(n, grown.appendRows(nil, n))
+	grown.evict(n)
+	return reopened, grown
+}
+
+// sameTree fails unless a and b hold the same nodes: the size, every
+// row chunk (an evicted row-0 chunk on both sides or neither), and each
+// row's right-edge interior up to the row's width.
+func sameTree(t *testing.T, a, b *tree) {
+	t.Helper()
+	if a.n != b.n || len(a.rows) != len(b.rows) {
+		t.Fatalf("size %d with %d rows, want %d with %d", a.n, len(a.rows), b.n, len(b.rows))
 	}
-	rows := full.appendRows(nil, n)
-	return newTreeFromCheckpoint(n, blocks, rows, sha256.Sum256(rows))
+	for L := range a.rows {
+		ra, rb := &a.rows[L], &b.rows[L]
+		if len(ra.chunks) != len(rb.chunks) {
+			t.Fatalf("size %d: row %d holds %d chunks, want %d", a.n, L, len(ra.chunks), len(rb.chunks))
+		}
+		for c := range ra.chunks {
+			if (ra.chunks[c] == nil) != (rb.chunks[c] == nil) {
+				t.Fatalf("size %d: row %d chunk %d resident=%v, want %v", a.n, L, c, ra.chunks[c] != nil, rb.chunks[c] != nil)
+			}
+			if ra.chunks[c] != nil && *ra.chunks[c] != *rb.chunks[c] {
+				t.Fatalf("size %d: row %d chunk %d differs", a.n, L, c)
+			}
+		}
+		w := int(a.n >> uint(TileHeight*L) % TileWidth)
+		if w > 1 && (ra.edge == nil || rb.edge == nil) {
+			t.Fatalf("size %d: row %d of width %d has no edge interior", a.n, L, w)
+		}
+		for r := 1; w>>r > 0; r++ {
+			if !slices.Equal(edgeLevel(ra.edge, r)[:w>>r], edgeLevel(rb.edge, r)[:w>>r]) {
+				t.Fatalf("size %d: row %d edge level %d differs", a.n, L, r)
+			}
+		}
+	}
 }
 
 // residentFrom returns the first leaf of the tree's first resident
@@ -83,46 +101,30 @@ func (t *tree) residentFrom() uint64 {
 }
 
 // checkTree compares tr at size n with the reference: the size, the
-// root and checkpoint block set at n and at sampled historical sizes
-// at or above the floor a reopened tree starts from, and every tile
-// row. Row-0 hashes below the resident chunks must report errColdRange.
+// root at n and at sampled historical sizes in [0, n], and every tile
+// row. A root may report errColdRange only when its size's
+// decomposition reaches an evicted row-0 chunk; row-0 hashes below the
+// resident chunks must report it.
 func checkTree(t *testing.T, tr *tree, ref refTree, n uint64, rng *mrand.Rand) {
 	t.Helper()
 	if got := tr.size(); got != n {
 		t.Fatalf("size %d, want %d", got, n)
 	}
-	frozen := tr.floor
-	sizes := []uint64{n, frozen, min(frozen+1, n), n - min(n, 1), n &^ (TileWidth - 1), n &^ (1<<16 - 1)}
-	for range 6 {
-		sizes = append(sizes, frozen+uint64(rng.Int63n(int64(n-frozen)+1)))
-	}
 	cold := tr.residentFrom()
+	sizes := []uint64{n, 0, 1, cold, cold - min(cold, 1), n - min(n, 1), n &^ (TileWidth - 1), n &^ (1<<16 - 1)}
+	for range 6 {
+		sizes = append(sizes, uint64(rng.Int63n(int64(n)+1)))
+	}
 	for _, m := range sizes {
-		if m < frozen {
-			continue
-		}
 		root, err := tr.rootAt(m)
-		if errors.Is(err, errColdRange) && m < cold {
+		if errors.Is(err, errColdRange) && m < cold && m%TileWidth != 0 {
 			continue // its decomposition reaches an evicted chunk
 		}
 		if err != nil {
-			t.Fatalf("size %d frozen %d: rootAt(%d): %v", n, frozen, m, err)
+			t.Fatalf("size %d resident from %d: rootAt(%d): %v", n, cold, m, err)
 		}
 		if root != ref.root(m) {
-			t.Fatalf("size %d frozen %d: rootAt(%d) differs from the reference", n, frozen, m)
-		}
-		blocks, err := tr.blocks(m)
-		if err != nil {
-			t.Fatalf("size %d frozen %d: blocks(%d): %v", n, frozen, m, err)
-		}
-		if !slices.Equal(blocks, ref.blocks(m)) {
-			t.Fatalf("size %d frozen %d: blocks(%d) differ from the reference", n, frozen, m)
-		}
-	}
-	if frozen > 1 {
-		// Below the floor a root is refused or right.
-		if root, err := tr.rootAt(frozen - 1); err == nil && root != ref.root(frozen-1) {
-			t.Fatalf("rootAt below the floor %d answered a wrong root", frozen)
+			t.Fatalf("size %d resident from %d: rootAt(%d) differs from the reference", n, cold, m)
 		}
 	}
 	for k := 0; n>>k > 0; k += TileHeight {
@@ -132,10 +134,10 @@ func checkTree(t *testing.T, tr *tree, ref refTree, n uint64, rng *mrand.Rand) {
 		}
 		got, err := tr.nodes(k, lo, hi)
 		if err != nil {
-			t.Fatalf("size %d frozen %d: row %d [%d, %d): %v", n, frozen, k, lo, hi, err)
+			t.Fatalf("size %d: row %d [%d, %d): %v", n, k, lo, hi, err)
 		}
 		if !slices.Equal(got, ref[k][lo:hi]) {
-			t.Fatalf("size %d frozen %d: row %d [%d, %d) differs from the reference", n, frozen, k, lo, hi)
+			t.Fatalf("size %d: row %d [%d, %d) differs from the reference", n, k, lo, hi)
 		}
 		if lo > 0 {
 			if _, err := tr.nodes(k, lo-1, hi); !errors.Is(err, errColdRange) {
@@ -190,13 +192,16 @@ func TestTreeRowsConformance(t *testing.T) {
 	})
 	t.Run("trees reopened from checkpoint rows", func(t *testing.T) {
 		for _, tc := range []struct{ frozen, end uint64 }{
-			{1, 2}, {3, 200}, {255, 700}, {257, 300}, {300, 1000}, {511, 513},
+			{1, 2}, {3, 200}, {255, 700}, {256, 300}, {257, 300}, {300, 1000}, {511, 513},
+			{65536, 65536 + 300},   // aligned at every row: no right-edge interior to fold
 			{65537, 2*65536 + 600}, // completes the row-8 tile holding the checkpoint
 			{65536 + 3*256 + 77, 65536 + 3*256 + 100},
 			{2*65536 - 1, 2*65536 + 600},
+			{3*65536 + 255*256 + 255, 4*65536 + 10}, // every edge level full at rows 0 and 8
 		} {
 			frozen := tc.frozen
-			tr := treeAtCheckpoint(leaves, frozen)
+			tr, grown := treeAtCheckpoint(leaves, frozen)
+			sameTree(t, tr, grown)
 			if got, want := tr.residentFrom(), frozen&^(TileWidth-1); got != want {
 				t.Fatalf("frozen %d: row 0 resident from %d, want the tile holding the checkpoint at %d", frozen, got, want)
 			}
@@ -233,7 +238,7 @@ func TestTreeRowsConformance(t *testing.T) {
 			t.Run(tc.name, func(t *testing.T) {
 				tr := newTree()
 				if tc.frozen > 0 {
-					tr = treeAtCheckpoint(leaves, tc.frozen)
+					tr, _ = treeAtCheckpoint(leaves, tc.frozen)
 				}
 				tr.append(leaves[tc.frozen:tc.top], 2)
 				checkTree(t, tr, ref, tc.top, rng)
