@@ -249,9 +249,10 @@ func runMonitor(dir *statedir.Dir, url, name, gossipAddr, peersFlag string, inte
 	}
 	pub := caPublicKey(dir, wait)
 	client := translog.NewClient(url, pub)
-	// The witness's last-accepted head lives in the state directory: a
-	// restart resumes from remembered history instead of re-anchoring at
-	// whatever the log serves next — the amnesia a rollback attack needs.
+	// The witness's last-accepted head and shard-audit cursors live in
+	// the state directory: a restart resumes from remembered history
+	// instead of re-anchoring at whatever the log serves next — the
+	// amnesia a rollback attack needs.
 	witness, err := translog.OpenWitnessState(dir, name, pub)
 	if err != nil {
 		log.Fatalf("restoring witness state: %v", err)
@@ -272,7 +273,7 @@ func runMonitor(dir *statedir.Dir, url, name, gossipAddr, peersFlag string, inte
 			log.Fatal(perr)
 		}
 		if len(part.AssignedShards(name)) > 0 {
-			if perr := pool.EnablePartition(part, cosignKey, dir); perr != nil {
+			if perr := pool.EnablePartition(part, cosignKey); perr != nil {
 				log.Fatal(perr)
 			}
 			log.Printf("partitioned witness %q: auditing shards %v of %d (quorum %d of %d)",

@@ -865,7 +865,7 @@ func runPartitionAct(signer crypto.Signer, logKey *ecdsa.PublicKey) {
 		w, err := translog.OpenWitnessState(shared, name, logKey)
 		check(err)
 		p := translog.NewGossipPool(name, w, translog.NewClient(logURL, logKey))
-		check(p.EnablePartition(part, keys[name], shared))
+		check(p.EnablePartition(part, keys[name]))
 		return p
 	}
 	pools := make([]*translog.GossipPool, len(names))

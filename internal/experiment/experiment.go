@@ -126,6 +126,10 @@ type Results []metrics.Summary
 // Mean returns the mean per-operation time of the named case.
 func (r Results) Mean(name string) time.Duration { return r.Of(name).Mean }
 
+// P50 returns the median per-operation time of the named case: what a
+// verdict judges, since one slow call out of a few moves a mean.
+func (r Results) P50(name string) time.Duration { return r.Of(name).P50 }
+
 // Of returns the summary of the named case. Asking for a case the
 // experiment does not have is a bug in its table builder.
 func (r Results) Of(name string) metrics.Summary {

@@ -22,7 +22,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -110,15 +112,7 @@ func (ch *CosignedHead) Verify(logPub *ecdsa.PublicKey, roster *WitnessRoster) e
 	}
 	seen := make(map[string]bool, len(ch.Signatures))
 	for _, ws := range ch.Signatures {
-		if ws.Size != ch.STH.Size || ws.RootHash != ch.STH.RootHash {
-			return fmt.Errorf("%w: signature by %q covers a different head (size %d) than the artifact (size %d)",
-				ErrCosignInvalid, ws.Witness, ws.Size, ch.STH.Size)
-		}
-		pub, ok := roster.Key(ws.Witness)
-		if !ok {
-			return fmt.Errorf("%w: %q", ErrUnknownWitness, ws.Witness)
-		}
-		if err := ws.Verify(pub); err != nil {
+		if err := roster.check(ch.STH, ws); err != nil {
 			return err
 		}
 		if seen[ws.Witness] {
@@ -172,6 +166,21 @@ func (r *WitnessRoster) Quorum() int { return r.quorum }
 func (r *WitnessRoster) Key(name string) (*ecdsa.PublicKey, bool) {
 	pub, ok := r.keys[name]
 	return pub, ok
+}
+
+// check is the one judgement of a witness co-signature offered as
+// standing behind a head: it must cover that head's size and root, come
+// from a roster witness, and verify under that witness's key.
+func (r *WitnessRoster) check(sth SignedTreeHead, ws WitnessSignature) error {
+	if ws.Size != sth.Size || ws.RootHash != sth.RootHash {
+		return fmt.Errorf("%w: signature by %q covers size %d root %x…, the head is size %d root %x…",
+			ErrCosignInvalid, ws.Witness, ws.Size, ws.RootHash[:4], sth.Size, sth.RootHash[:4])
+	}
+	pub, ok := r.Key(ws.Witness)
+	if !ok {
+		return fmt.Errorf("%w: %q", ErrUnknownWitness, ws.Witness)
+	}
+	return ws.Verify(pub)
 }
 
 // Names returns the sorted roster names — the ring NewWitnessPartition
@@ -324,20 +333,22 @@ type CosignCollector struct {
 	roster *WitnessRoster
 
 	mu    sync.Mutex
-	heads map[uint64]SignedTreeHead
-	sigs  map[uint64]map[string]WitnessSignature
+	sizes map[uint64]*cosignSet
 	best  *CosignedHead
+}
+
+// cosignSet is the collector's record of one tree size: the log-signed
+// head first submitted there and the co-signatures standing behind it,
+// by witness.
+type cosignSet struct {
+	sth  SignedTreeHead
+	sigs map[string]WitnessSignature
 }
 
 // NewCosignCollector builds a collector verifying heads against the log
 // key and co-signatures against the pinned roster.
 func NewCosignCollector(logPub *ecdsa.PublicKey, roster *WitnessRoster) *CosignCollector {
-	return &CosignCollector{
-		logPub: logPub,
-		roster: roster,
-		heads:  make(map[uint64]SignedTreeHead),
-		sigs:   make(map[uint64]map[string]WitnessSignature),
-	}
+	return &CosignCollector{logPub: logPub, roster: roster, sizes: make(map[uint64]*cosignSet)}
 }
 
 // Submit folds in one witness co-signature over a served head and
@@ -351,15 +362,7 @@ func (c *CosignCollector) Submit(sth SignedTreeHead, ws WitnessSignature) (int, 
 	if err := sth.Verify(c.logPub); err != nil {
 		return 0, err
 	}
-	if ws.Size != sth.Size || ws.RootHash != sth.RootHash {
-		return 0, fmt.Errorf("%w: signature by %q covers size %d root %x…, submitted head is size %d root %x…",
-			ErrCosignInvalid, ws.Witness, ws.Size, ws.RootHash[:4], sth.Size, sth.RootHash[:4])
-	}
-	pub, ok := c.roster.Key(ws.Witness)
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrUnknownWitness, ws.Witness)
-	}
-	if err := ws.Verify(pub); err != nil {
+	if err := c.roster.check(sth, ws); err != nil {
 		return 0, err
 	}
 
@@ -368,7 +371,11 @@ func (c *CosignCollector) Submit(sth SignedTreeHead, ws WitnessSignature) (int, 
 	// Every signature held at a size covers the head held there, so a
 	// witness's earlier signature at this size either repeats this one
 	// or convicts the witness.
-	prev, signed := c.sigs[sth.Size][ws.Witness]
+	set := c.sizes[sth.Size]
+	if set == nil {
+		set = c.admitSizeLocked(sth)
+	}
+	prev, signed := set.sigs[ws.Witness]
 	switch {
 	case signed && prev.RootHash != ws.RootHash:
 		// The log equivocated too (both heads carry its signature), but
@@ -380,25 +387,22 @@ func (c *CosignCollector) Submit(sth SignedTreeHead, ws WitnessSignature) (int, 
 			Got:    SignedTreeHead{Size: ws.Size, RootHash: ws.RootHash, Signature: ws.Signature},
 			Detail: fmt.Sprintf("witness %q co-signed two roots at size %d", ws.Witness, ws.Size)}
 		mCosignEquivocations.Inc()
-		return len(c.sigs[sth.Size]), ce
+		return len(set.sigs), ce
 	case signed:
-		return len(c.sigs[sth.Size]), fmt.Errorf("%w: %q already co-signed size %d", ErrDuplicateWitness, ws.Witness, sth.Size)
+		return len(set.sigs), fmt.Errorf("%w: %q already co-signed size %d", ErrDuplicateWitness, ws.Witness, sth.Size)
 	}
 	// The *log* signing two heads at one size is a split view, caught
 	// here for free because the collector sees every cosigned head.
-	if have, ok := c.heads[sth.Size]; !ok {
-		c.admitSizeLocked(sth)
-	} else if err := checkPrefix(have, sth, nil); err != nil {
+	if err := checkPrefix(set.sth, sth, nil); err != nil {
 		return 0, err
 	}
-	set := c.sigs[sth.Size]
-	set[ws.Witness] = ws
+	set.sigs[ws.Witness] = ws
 	mCosignSignatures.Inc()
-	if len(set) >= c.roster.Quorum() && (c.best == nil || sth.Size > c.best.STH.Size) {
-		c.best = assembleCosigned(c.heads[sth.Size], set)
+	if len(set.sigs) >= c.roster.Quorum() && (c.best == nil || sth.Size > c.best.STH.Size) {
+		c.best = set.assemble()
 		c.pruneBelowLocked(sth.Size)
 	}
-	return len(set), nil
+	return len(set.sigs), nil
 }
 
 // receiveView is the collector's side of POST /translog/v1/gossip: the
@@ -414,45 +418,34 @@ func (c *CosignCollector) receiveView(in wireGossip) (wireGossip, error) {
 
 // admitSizeLocked starts tracking a new size, evicting the oldest
 // sub-quorum size when the in-flight bound is hit.
-func (c *CosignCollector) admitSizeLocked(sth SignedTreeHead) {
-	if len(c.heads) >= maxCosignSizes {
-		oldest := uint64(0)
-		first := true
-		for size := range c.heads {
-			if first || size < oldest {
-				oldest, first = size, false
-			}
-		}
-		delete(c.heads, oldest)
-		delete(c.sigs, oldest)
+func (c *CosignCollector) admitSizeLocked(sth SignedTreeHead) *cosignSet {
+	if len(c.sizes) >= maxCosignSizes {
+		delete(c.sizes, slices.Min(slices.Collect(maps.Keys(c.sizes))))
 		mCosignQuorumFailures.Inc()
 	}
-	c.heads[sth.Size] = sth
-	c.sigs[sth.Size] = make(map[string]WitnessSignature, c.roster.Quorum())
+	set := &cosignSet{sth: sth, sigs: make(map[string]WitnessSignature, c.roster.Quorum())}
+	c.sizes[sth.Size] = set
+	return set
 }
 
 // pruneBelowLocked drops every tracked size below the newly
 // quorum-complete one; each dropped size collected signatures but was
 // superseded before reaching quorum.
 func (c *CosignCollector) pruneBelowLocked(size uint64) {
-	for s := range c.heads {
+	for s := range c.sizes {
 		if s < size {
-			delete(c.heads, s)
-			delete(c.sigs, s)
+			delete(c.sizes, s)
 			mCosignQuorumFailures.Inc()
 		}
 	}
 }
 
-// assembleCosigned freezes a signature set into the quorum artifact,
-// signatures in deterministic (name) order.
-func assembleCosigned(sth SignedTreeHead, set map[string]WitnessSignature) *CosignedHead {
-	sigs := make([]WitnessSignature, 0, len(set))
-	for _, ws := range set {
-		sigs = append(sigs, ws)
-	}
+// assemble freezes the set into the quorum artifact, signatures in
+// deterministic (name) order.
+func (set *cosignSet) assemble() *CosignedHead {
+	sigs := slices.Collect(maps.Values(set.sigs))
 	sort.Slice(sigs, func(i, j int) bool { return sigs[i].Witness < sigs[j].Witness })
-	return &CosignedHead{STH: sth, Signatures: sigs}
+	return &CosignedHead{STH: set.sth, Signatures: sigs}
 }
 
 // Cosigned returns the newest quorum co-signed head, or an

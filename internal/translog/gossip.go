@@ -26,17 +26,19 @@ import (
 func witnessHeadFile(name string) string { return "witness-" + name + "-head.json" }
 
 // witnessCursorFile returns the statedir entry name under which witness
-// name persists its shard-audit cursors (EnablePartition).
+// name persists its shard-audit cursors.
 func witnessCursorFile(name string) string { return "witness-" + name + "-shards.json" }
 
-// OpenWitnessState returns a witness whose last-accepted head is durably
-// persisted in dir through the same signed-head file a WitnessAnchor
-// keeps (replaced atomically, so readers never see a torn head). A
-// previously persisted head is restored — signature-checked — so a
-// witness restart resumes from remembered history instead of
-// re-anchoring at whatever the log serves next, which is exactly the
-// amnesia a local rollback attack needs. An undecodable head file is
-// ErrStateCorrupt, a head the log key did not sign ErrStateTampered.
+// OpenWitnessState returns a witness whose last-accepted head and
+// shard-audit cursors are durably persisted in dir: the head through
+// the same signed-head file a WitnessAnchor keeps (replaced atomically,
+// so readers never see a torn head), the cursors in their own file.
+// Both are restored — every head in them signature-checked — so a
+// witness restart resumes from remembered history and audited chains
+// instead of re-anchoring at whatever the log serves next, which is
+// exactly the amnesia a local rollback attack needs. An undecodable
+// file is ErrStateCorrupt, a head the log key did not sign
+// ErrStateTampered.
 func OpenWitnessState(dir *statedir.Dir, name string, pub *ecdsa.PublicKey) (*Witness, error) {
 	head := NewWitnessAnchor(dir, name, pub)
 	sth, ok, err := head.load()
@@ -46,6 +48,17 @@ func OpenWitnessState(dir *statedir.Dir, name string, pub *ecdsa.PublicKey) (*Wi
 	w := NewWitness(pub)
 	w.last, w.seen = sth, ok
 	w.save = head.CommitHead
+	entry := witnessCursorFile(name)
+	data, err := dir.Read(entry)
+	switch {
+	case err == nil:
+		if err := w.restoreCursors(data); err != nil {
+			return nil, err
+		}
+	case !errors.Is(err, os.ErrNotExist):
+		return nil, fmt.Errorf("translog: reading persisted shard cursors: %w", err)
+	}
+	w.saveCursors = func(data []byte) error { return dir.Write(entry, data) }
 	return w, nil
 }
 
@@ -57,13 +70,11 @@ type GossipPool struct {
 	name string
 	w    *Witness
 	// log is the server under watch: served heads and the collector a
-	// co-signing view is posted to. May be nil for a pure relay witness
-	// (gossip only).
+	// co-signing view is posted to.
 	log *Client
 
 	// proofs reads the watched log: shard streams, and consistency and
-	// audit inclusion proofs assembled from its tiles; nil exactly when
-	// log is.
+	// audit inclusion proofs assembled from its tiles.
 	proofs *TileProofSource
 
 	mu       sync.Mutex
@@ -72,13 +83,12 @@ type GossipPool struct {
 	jitter   JitterSource
 
 	// Partitioned mode (EnablePartition): the pinned assignment, this
-	// witness's co-signing key (nil: audit without co-signing), the
-	// audit batch bound per shard per round, and the co-signature over
-	// the largest head the log's collector took (nil: none yet).
-	part     *WitnessPartition
-	key      *WitnessKey
-	maxAudit uint64
-	cosig    *WitnessSignature
+	// witness's co-signing key (nil: audit without co-signing), and the
+	// co-signature over the largest head the log's collector took (nil:
+	// none yet).
+	part  *WitnessPartition
+	key   *WitnessKey
+	cosig *WitnessSignature
 }
 
 // defaultMaxAuditPerShard bounds how many stream entries one gossip
@@ -87,20 +97,15 @@ type GossipPool struct {
 const defaultMaxAuditPerShard = 4096
 
 // NewGossipPool builds a pool for witness w (named for evidence
-// attribution) watching the log served by logClient (nil: a pure relay).
-// A watching pool assembles every proof it needs from the log's tiles
-// through a default-sized cache: a fleet of witnesses each advancing on
-// every served head is a handful of immutable, usually cached tile
-// fetches per advance, folded locally. An assembled proof convinces the
-// witness only through the same VerifyConsistency and VerifyInclusion
-// checks any proof must pass, so a bad tile fails verification and
-// never passes it.
+// attribution) watching the log served by logClient. The pool assembles
+// every proof it needs from the log's tiles through a default-sized
+// cache: a fleet of witnesses each advancing on every served head is a
+// handful of immutable, usually cached tile fetches per advance, folded
+// locally. An assembled proof convinces the witness only through the
+// same VerifyConsistency and VerifyInclusion checks any proof must
+// pass, so a bad tile fails verification and never passes it.
 func NewGossipPool(name string, w *Witness, logClient *Client) *GossipPool {
-	g := &GossipPool{name: name, w: w, log: logClient}
-	if logClient != nil {
-		g.proofs = NewTileProofSource(logClient, 0)
-	}
-	return g
+	return &GossipPool{name: name, w: w, log: logClient, proofs: NewTileProofSource(logClient, 0)}
 }
 
 // EnablePartition switches the pool into partitioned-audit mode: the
@@ -108,15 +113,11 @@ func NewGossipPool(name string, w *Witness, logClient *Client) *GossipPool {
 // partition, audits exactly that slice entry-by-entry on every
 // exchange, gossips its audit cursors alongside its head, and — when
 // key is non-nil — co-signs every fully audited head and posts its view,
-// co-signature included, to the watched log's collector. dir, when non-nil,
-// persists the audit cursors under the witness's name so a restart
-// resumes its chains instead of re-anchoring them (the shard-level
-// equivalent of OpenWitnessState). The pool must be watching a log
-// (NewGossipPool with a client); the partition must know this witness.
-func (g *GossipPool) EnablePartition(p *WitnessPartition, key *WitnessKey, dir *statedir.Dir) error {
-	if g.log == nil {
-		return errors.New("translog: partitioned audit needs a log to watch")
-	}
+// co-signature included, to the watched log's collector. A witness from
+// OpenWitnessState persists its audit cursors, so a restart resumes its
+// chains instead of re-anchoring them. The partition must know this
+// witness.
+func (g *GossipPool) EnablePartition(p *WitnessPartition, key *WitnessKey) error {
 	assigned := p.AssignedShards(g.name)
 	if len(assigned) == 0 {
 		return fmt.Errorf("%w: witness %q is not in the partition", ErrPartitionInvalid, g.name)
@@ -124,29 +125,9 @@ func (g *GossipPool) EnablePartition(p *WitnessPartition, key *WitnessKey, dir *
 	if key != nil && key.Name() != g.name {
 		return fmt.Errorf("%w: co-signing key is for %q, pool is %q", ErrPartitionInvalid, key.Name(), g.name)
 	}
-	g.w.SetAssignedShards(p.Shards(), assigned)
-	if dir != nil {
-		entry := witnessCursorFile(g.name)
-		data, err := dir.Read(entry)
-		switch {
-		case err == nil:
-			if err := g.w.restoreCursors(data); err != nil {
-				return err
-			}
-		case errors.Is(err, os.ErrNotExist):
-			// First run: nothing to restore.
-		default:
-			return fmt.Errorf("translog: reading persisted shard cursors: %w", err)
-		}
-		g.w.mu.Lock()
-		g.w.saveCursors = func(data []byte) error { return dir.Write(entry, data) }
-		g.w.mu.Unlock()
-	}
+	g.w.SetAssignedShards(assigned)
 	g.mu.Lock()
 	g.part, g.key = p, key
-	if g.maxAudit == 0 {
-		g.maxAudit = defaultMaxAuditPerShard
-	}
 	g.mu.Unlock()
 	return nil
 }
@@ -209,17 +190,6 @@ func (g *GossipPool) latch(err error) error {
 	return err
 }
 
-// fetchConsistency assembles proofs from the watched log's tiles;
-// without a log the merge can only compare equal-size heads. A tile the
-// server cannot serve (missing, corrupt framing) is an error — the
-// witness is degraded — never a conviction.
-func (g *GossipPool) fetchConsistency(first, second uint64) ([]Hash, error) {
-	if g.proofs == nil {
-		return nil, errors.New("translog: gossip pool has no log to fetch consistency proofs from")
-	}
-	return g.proofs.ConsistencyProof(first, second)
-}
-
 // receiveView is the server side of POST /translog/v1/gossip: it merges
 // the peer's view and returns our own.
 func (g *GossipPool) receiveView(in wireGossip) (wireGossip, error) {
@@ -265,12 +235,13 @@ func (g *GossipPool) localView() wireGossip {
 // than what the watched log currently serves is the gossip protocol's
 // sharpest verdict: the log signed that head for the peer, so serving
 // less now is a rollback — evidence is the peer's head against the
-// served one.
+// served one. Consistency proofs fold from the watched log's tiles; a
+// tile the server cannot serve degrades the witness, never convicts.
 func (g *GossipPool) mergeHead(peer SignedTreeHead) error {
 	if err := peer.Verify(g.w.pub); err != nil {
 		return err
 	}
-	if last, seen := g.w.Last(); seen && peer.Size > last.Size && g.log != nil {
+	if last, seen := g.w.Last(); seen && peer.Size > last.Size {
 		// Before asking for a consistency proof the log may not be able to
 		// give, compare the peer head with what the log serves right now:
 		// served < peer-remembered is a rollback conviction on its own.
@@ -278,7 +249,7 @@ func (g *GossipPool) mergeHead(peer SignedTreeHead) error {
 			return g.latch(rollback(peer, served))
 		}
 	}
-	return g.latch(g.w.accept(peer, g.fetchConsistency, false))
+	return g.latch(g.w.accept(peer, g.proofs.ConsistencyProof, false))
 }
 
 // corroborate makes the one check of a conviction a peer or the log's
@@ -314,17 +285,14 @@ func (g *GossipPool) corroborate(ce *ConflictError) error {
 func (g *GossipPool) Exchange() error {
 	start := time.Now()
 	var errs []error
-	if g.log != nil {
-		sth, err := g.log.STH()
-		if err != nil {
+	if sth, err := g.log.STH(); err != nil {
+		errs = append(errs, err)
+	} else {
+		if last, seen := g.w.Last(); seen && sth.Size >= last.Size {
+			mGossipHeadLag.Set(int64(sth.Size - last.Size))
+		}
+		if err := g.latch(g.w.Advance(sth, g.proofs.ConsistencyProof)); err != nil {
 			errs = append(errs, err)
-		} else {
-			if last, seen := g.w.Last(); seen && sth.Size >= last.Size {
-				mGossipHeadLag.Set(int64(sth.Size - last.Size))
-			}
-			if err := g.latch(g.w.Advance(sth, g.fetchConsistency)); err != nil {
-				errs = append(errs, err)
-			}
 		}
 	}
 	if g.Partition() != nil {
@@ -366,22 +334,24 @@ func (g *GossipPool) exchange(c *Client, v wireGossip) error {
 }
 
 // auditAndCosign runs the partitioned half of an exchange: verify the
-// assigned shard streams against the adopted head, and — when the
-// streams are fully audited up to it and a co-signing key is held —
-// co-sign it once and post the view carrying the co-signature to the
-// watched log's collector.
+// assigned shard streams against the adopted head, and — when this
+// audit left no stream entry under the head unverified and a co-signing
+// key is held — co-sign it once and post the view carrying the
+// co-signature to the watched log's collector. A witness never vouches
+// for entries it has not verified.
 func (g *GossipPool) auditAndCosign() error {
 	last, seen := g.w.Last()
 	if !seen {
 		return nil
 	}
 	g.mu.Lock()
-	maxAudit, key, done := g.maxAudit, g.key, g.cosig
+	key, done := g.key, g.cosig
 	g.mu.Unlock()
-	if err := g.latch(g.w.AuditShards(last, g.proofs, maxAudit)); err != nil {
-		return err
+	caughtUp, err := g.w.AuditShards(last, g.proofs, defaultMaxAuditPerShard)
+	if err != nil {
+		return g.latch(err)
 	}
-	if key == nil || done != nil && last.Size <= done.Size || !g.auditCaughtUp(last) {
+	if key == nil || done != nil && last.Size <= done.Size || !caughtUp {
 		return nil
 	}
 	ws, err := key.Cosign(last)
@@ -401,31 +371,6 @@ func (g *GossipPool) auditAndCosign() error {
 	}
 	g.mu.Unlock()
 	return nil
-}
-
-// auditCaughtUp reports whether every assigned shard's cursor has
-// audited all stream entries the head covers — the precondition for
-// co-signing it: a witness must never vouch for entries it has not
-// verified.
-func (g *GossipPool) auditCaughtUp(head SignedTreeHead) bool {
-	for _, s := range g.w.AssignedShards() {
-		g.w.mu.Lock()
-		cur := g.w.cursors[s]
-		count := uint64(0)
-		if cur != nil {
-			count = cur.Count
-		}
-		g.w.mu.Unlock()
-		total, ents, err := g.proofs.ShardStream(s, count, 1)
-		if err != nil {
-			return false
-		}
-		if count < total && len(ents) > 0 && ents[0].Index < head.Size {
-			// An unaudited stream entry below the head remains.
-			return false
-		}
-	}
-	return true
 }
 
 // JitterSource yields uniform samples in [0, 1) for exchange-loop

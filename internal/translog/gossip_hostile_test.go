@@ -125,7 +125,7 @@ func TestGossipHostileLogServers(t *testing.T) {
 // TestGossipPartitionedAuditFromTiles: a partitioned witness audits its
 // shard streams with inclusion proofs folded from the log's tiles — the
 // server computes no proof — and audits every stream entry under the
-// head.
+// head in one exchange.
 func TestGossipPartitionedAuditFromTiles(t *testing.T) {
 	l, key := shardedTestLog(t, 4, 8, 40)
 	srv := httptest.NewServer(Handler(l))
@@ -135,15 +135,20 @@ func TestGossipPartitionedAuditFromTiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := NewGossipPool("wa", NewWitness(&key.PublicKey), NewClient(srv.URL, &key.PublicKey))
-	if err := pool.EnablePartition(part, nil, nil); err != nil {
+	if err := pool.EnablePartition(part, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := pool.Exchange(); err != nil {
 		t.Fatal(err)
 	}
-	head, _ := pool.Witness().Last()
-	if !pool.auditCaughtUp(head) {
-		t.Fatal("assigned shard streams not fully audited after one exchange")
+	for _, s := range part.AssignedShards("wa") {
+		total, _, err := l.ShardStream(s, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cur := pool.Witness().cursors[s]; cur == nil || cur.Count != total {
+			t.Fatalf("shard %d stream of %d entries not fully audited after one exchange: cursor %+v", s, total, cur)
+		}
 	}
 	if _, misses := pool.proofs.Stats(); misses == 0 {
 		t.Fatal("shard audit never fetched a tile")

@@ -20,12 +20,7 @@ import (
 // the log served at logURL. Returns the pool and its own gossip URL.
 func testPool(t *testing.T, name string, pub *ecdsa.PublicKey, logURL string) (*GossipPool, string) {
 	t.Helper()
-	w := NewWitness(pub)
-	var logClient *Client
-	if logURL != "" {
-		logClient = NewClient(logURL, pub)
-	}
-	p := NewGossipPool(name, w, logClient)
+	p := NewGossipPool(name, NewWitness(pub), NewClient(logURL, pub))
 	srv := httptest.NewServer(GossipHandler(p))
 	t.Cleanup(srv.Close)
 	return p, srv.URL
@@ -80,7 +75,7 @@ func TestGossipConvergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := l.STH()
-	if err := pools[0].Witness().Advance(want, pools[0].fetchConsistency); err != nil {
+	if err := pools[0].Witness().Advance(want, pools[0].proofs.ConsistencyProof); err != nil {
 		t.Fatal(err)
 	}
 	// w0 exchanges with w1 (pushes its head), then w1 with w2.

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -239,23 +240,63 @@ func FuzzHeadFile(f *testing.F) {
 	})
 }
 
+// cursorRefusals are persisted shard-cursor files a witness refuses, each
+// with its sentinel.
+var cursorRefusals = []struct {
+	name, data string
+	want       error
+}{
+	{"truncated", `{"0":`, ErrStateCorrupt},
+	{"shard key", `{"x":{"count":0}}`, ErrStateCorrupt},
+	{"null cursor", `{"0":null}`, ErrStateCorrupt},
+	{"unsigned head", `{"0":{"count":1,"head":{"size":1,"signature":"AA=="}}}`, ErrStateTampered},
+}
+
 // TestRestoreCursorsRefusalsNamed: a witness's persisted shard cursors
 // are refused with the same sentinels as its head file — undecodable is
 // ErrStateCorrupt, a cursor head the log key did not sign is
 // ErrStateTampered.
 func TestRestoreCursorsRefusalsNamed(t *testing.T) {
 	key := testSigner(t)
-	for _, tc := range []struct {
-		name, data string
-		want       error
-	}{
-		{"truncated", `{"0":`, ErrStateCorrupt},
-		{"shard key", `{"x":{"count":0}}`, ErrStateCorrupt},
-		{"null cursor", `{"0":null}`, ErrStateCorrupt},
-		{"unsigned head", `{"0":{"count":1,"head":{"size":1,"signature":"AA=="}}}`, ErrStateTampered},
-	} {
+	for _, tc := range cursorRefusals {
 		if err := NewWitness(&key.PublicKey).restoreCursors([]byte(tc.data)); !errors.Is(err, tc.want) {
 			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestOpenWitnessStateRefusesBadCursors: the one opener of a witness's
+// state restores its shard cursors beside its head, so a corrupt or
+// tampered cursor file refuses the open with the sentinels
+// TestRestoreCursorsRefusalsNamed pins, and cursors an audit persisted
+// come back on reopen.
+func TestOpenWitnessStateRefusesBadCursors(t *testing.T) {
+	l, key := shardedTestLog(t, 2, 4, 3)
+	pub := &key.PublicKey
+	for _, tc := range cursorRefusals {
+		dir := testStatedir(t)
+		if err := dir.Write(witnessCursorFile("w0"), []byte(tc.data)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenWitnessState(dir, "w0", pub); !errors.Is(err, tc.want) {
+			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
+		}
+	}
+
+	dir := testStatedir(t)
+	w, err := OpenWitnessState(dir, "w0", pub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.SetAssignedShards([]int{0, 1})
+	if caughtUp, err := w.AuditShards(l.STH(), logProofs(l), 0); err != nil || !caughtUp {
+		t.Fatalf("audit: caught up %v, err %v", caughtUp, err)
+	}
+	re, err := OpenWitnessState(dir, "w0", pub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := re.shardMarks(), w.shardMarks(); len(want) != 2 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopened cursors %+v, want the audited %+v", got, want)
 	}
 }

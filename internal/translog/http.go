@@ -743,7 +743,8 @@ func (c *Client) ExchangeGossip(name string, head SignedTreeHead, seen bool) (Si
 // exchangeView is the one view exchange: with a peer witness (head and,
 // between partitioned witnesses, shard audit marks) and with the log
 // server's collector (head and co-signature). ExchangeGossip is the
-// head-only wrapper kept for unpartitioned pools. The reply's head is
+// head-only wrapper the Verification Manager pushes its mirrored heads
+// through (publishHeadToWitnesses). The reply's head is
 // not checked here: GossipPool.mergeHead verifies every peer head once.
 // A 409 is returned as the unverified *ConflictError it carries; a 400
 // as the sentinel its refusal code names.

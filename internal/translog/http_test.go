@@ -97,9 +97,9 @@ func TestRequestBodyTooLarge(t *testing.T) {
 	_, roster := testWitnessKeys(t, 3, 2)
 	mux := http.NewServeMux()
 	mux.Handle("/translog/v1/", Handler(l))
-	mux.Handle(pathGossip, GossipHandler(NewGossipPool("w0", NewWitness(&key.PublicKey), nil)))
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
+	mux.Handle(pathGossip, GossipHandler(NewGossipPool("w0", NewWitness(&key.PublicKey), NewClient(srv.URL, &key.PublicKey))))
 	collector := httptest.NewServer(CosignHandler(NewCosignCollector(&key.PublicKey, roster)))
 	defer collector.Close()
 

@@ -115,12 +115,6 @@ func (p *WitnessPartition) Covers(name string, shard int) bool {
 	return false
 }
 
-// CoversHost reports whether witness name audits the shard stream host
-// routes to (ShardOf under the partition's shard count).
-func (p *WitnessPartition) CoversHost(name, host string) bool {
-	return p.Covers(name, ShardOf(host, p.shards))
-}
-
 // ---- pinned deployment configuration --------------------------------------
 
 // partitionConfigFile is the statedir entry pinning a deployment's

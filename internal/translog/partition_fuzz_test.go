@@ -100,11 +100,11 @@ func FuzzWitnessPartition(f *testing.F) {
 		cursors := make(map[string][]byte, len(names))
 		for _, name := range names {
 			w := NewWitness(&key.PublicKey)
-			w.SetAssignedShards(shards, part.AssignedShards(name))
+			w.SetAssignedShards(part.AssignedShards(name))
 			if err := w.Advance(grown, fetch); err != nil {
 				t.Fatal(err)
 			}
-			if err := w.AuditShards(grown, logProofs(l), 0); err != nil {
+			if _, err := w.AuditShards(grown, logProofs(l), 0); err != nil {
 				t.Fatalf("honest audit convicted: %v", err)
 			}
 			w.mu.Lock()
@@ -135,14 +135,14 @@ func FuzzWitnessPartition(f *testing.F) {
 			// witness's only surviving memory (the hardest case — any
 			// witness with head memory convicts trivially).
 			w := NewWitness(&key.PublicKey)
-			w.SetAssignedShards(shards, part.AssignedShards(name))
+			w.SetAssignedShards(part.AssignedShards(name))
 			if err := w.restoreCursors(cursors[name]); err != nil {
 				t.Fatal(err)
 			}
 			if err := w.Advance(rolledHead, logProofs(rolled).ConsistencyProof); err != nil {
 				t.Fatalf("amnesiac head adoption failed: %v", err)
 			}
-			err := w.AuditShards(rolledHead, logProofs(rolled), 0)
+			_, err := w.AuditShards(rolledHead, logProofs(rolled), 0)
 			if part.Covers(name, victimShard) {
 				if !errors.Is(err, ErrRollback) {
 					t.Fatalf("witness %s assigned shard %d did not convict the rewind: %v", name, victimShard, err)

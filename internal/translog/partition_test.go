@@ -145,7 +145,8 @@ func TestWitnessPartitionErrors(t *testing.T) {
 }
 
 // TestWitnessPartitionCoversHost ties the audit-plane assignment to the
-// write-plane mapping: CoversHost must agree with ShardOf exactly.
+// write-plane mapping: the witnesses covering the shard a host's entries
+// route to (ShardOf) are exactly the Q that WitnessesFor names.
 func TestWitnessPartitionCoversHost(t *testing.T) {
 	names := []string{"w0", "w1", "w2", "w3"}
 	p, err := NewWitnessPartition(8, names, 2)
@@ -155,10 +156,14 @@ func TestWitnessPartitionCoversHost(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		host := fmt.Sprintf("host-%d", i)
 		shard := ShardOf(host, 8)
+		var covering []string
 		for _, name := range names {
-			if got, want := p.CoversHost(name, host), p.Covers(name, shard); got != want {
-				t.Fatalf("CoversHost(%q, %q)=%v but Covers(%q, %d)=%v", name, host, got, name, shard, want)
+			if p.Covers(name, shard) {
+				covering = append(covering, name)
 			}
+		}
+		if want := p.WitnessesFor(shard); !reflect.DeepEqual(covering, want) || len(want) != 2 {
+			t.Fatalf("host %q (shard %d): covered by %v, WitnessesFor says %v", host, shard, covering, want)
 		}
 	}
 }
@@ -196,15 +201,15 @@ func TestPartitionConfigRoundTrip(t *testing.T) {
 
 // auditedWitness builds a partitioned witness that has advanced on the
 // log's head and fully audited its assigned shards.
-func auditedWitness(t *testing.T, l *Log, pub *ecdsa.PublicKey, total int, assigned []int) *Witness {
+func auditedWitness(t *testing.T, l *Log, pub *ecdsa.PublicKey, assigned []int) *Witness {
 	t.Helper()
 	w := NewWitness(pub)
-	w.SetAssignedShards(total, assigned)
+	w.SetAssignedShards(assigned)
 	fetch := logProofs(l).ConsistencyProof
 	if err := w.Advance(l.STH(), fetch); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AuditShards(l.STH(), logProofs(l), 0); err != nil {
+	if _, err := w.AuditShards(l.STH(), logProofs(l), 0); err != nil {
 		t.Fatal(err)
 	}
 	return w
@@ -244,7 +249,7 @@ func shardedTestLog(t *testing.T, shards, hosts, perHost int) (*Log, *ecdsa.Priv
 // divergence on a shard WE audit first-hand may convict.
 func TestShardMarksIgnoranceIsNotEvidence(t *testing.T) {
 	l, key := shardedTestLog(t, 4, 8, 5)
-	w := auditedWitness(t, l, &key.PublicKey, 4, []int{0, 1})
+	w := auditedWitness(t, l, &key.PublicKey, []int{0, 1})
 	head, _ := w.Last()
 	ours := w.shardMarks()
 	if len(ours) == 0 {
@@ -302,7 +307,7 @@ func TestShardMarksIgnoranceIsNotEvidence(t *testing.T) {
 // an attack.
 func TestMergeEqualHeadTiebreakKeepsAuditState(t *testing.T) {
 	l, key := shardedTestLog(t, 4, 8, 5)
-	w := auditedWitness(t, l, &key.PublicKey, 4, []int{0, 1})
+	w := auditedWitness(t, l, &key.PublicKey, []int{0, 1})
 	head, _ := w.Last()
 	marksBefore := w.shardMarks()
 	logSrv := httptest.NewServer(Handler(l))
@@ -341,7 +346,7 @@ func TestMergeEqualHeadTiebreakKeepsAuditState(t *testing.T) {
 		t.Fatal("equal-head adoption disturbed the shard audit cursors")
 	}
 	// And auditing against the re-signed head finds nothing new to do.
-	if err := w.AuditShards(newer, logProofs(l), 0); err != nil {
+	if _, err := w.AuditShards(newer, logProofs(l), 0); err != nil {
 		t.Fatalf("audit against re-signed head: %v", err)
 	}
 	if !reflect.DeepEqual(w.shardMarks(), marksBefore) {
@@ -364,7 +369,7 @@ func TestGossipPartitionedPeersNoFalseConviction(t *testing.T) {
 	}
 	mk := func(name string) (*GossipPool, string) {
 		p, url := testPool(t, name, &key.PublicKey, logSrv.URL)
-		if err := p.EnablePartition(part, nil, nil); err != nil {
+		if err := p.EnablePartition(part, nil); err != nil {
 			t.Fatal(err)
 		}
 		return p, url
@@ -393,7 +398,7 @@ func TestGossipPartitionedPeersNoFalseConviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	pc, _ := testPool(t, "wc", &key.PublicKey, logSrv.URL)
-	if err := pc.EnablePartition(part3, nil, nil); err != nil {
+	if err := pc.EnablePartition(part3, nil); err != nil {
 		t.Fatal(err)
 	}
 	pc.AddPeer(NewClient(ua, &key.PublicKey))
@@ -458,7 +463,7 @@ func TestCosignAggregationNeverBlocksSequencerCommit(t *testing.T) {
 	for i, name := range names {
 		w := NewWitness(&key.PublicKey)
 		pools[i] = NewGossipPool(name, w, NewClient(srv.URL, &key.PublicKey))
-		if err := pools[i].EnablePartition(part, keys[name], nil); err != nil {
+		if err := pools[i].EnablePartition(part, keys[name]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -569,6 +574,81 @@ func TestCosignAggregationNeverBlocksSequencerCommit(t *testing.T) {
 	}
 }
 
+// TestPartitionedExchangeReadsEachShardOnce: one exchange of a
+// co-signing partitioned witness reads each assigned shard stream once —
+// the audit's own read, one element past its batch, tells whether the
+// shard is caught up — and co-signs the head in that same round.
+func TestPartitionedExchangeReadsEachShardOnce(t *testing.T) {
+	l, key := shardedTestLog(t, 4, 8, 5)
+	keys, roster := testWitnessKeys(t, 2, 1)
+	col := NewCosignCollector(&key.PublicKey, roster)
+	var reads atomic.Int64
+	mux := http.NewServeMux()
+	mux.Handle(pathGossip, CosignHandler(col))
+	mux.Handle("/", Handler(l))
+	logSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == pathShard {
+			reads.Add(1)
+		}
+		mux.ServeHTTP(w, r)
+	}))
+	defer logSrv.Close()
+	part, err := NewWitnessPartition(4, []string{"w0", "w1"}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := NewGossipPool("w0", NewWitness(&key.PublicKey), NewClient(logSrv.URL, &key.PublicKey))
+	if err := pool.EnablePartition(part, keys["w0"]); err != nil {
+		t.Fatal(err)
+	}
+	if err := pool.Exchange(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := reads.Load(), int64(len(part.AssignedShards("w0"))); got != want {
+		t.Fatalf("one exchange made %d shard-stream requests, want one per assigned shard (%d)", got, want)
+	}
+	ch, err := col.Cosigned()
+	if err != nil {
+		t.Fatalf("head not co-signed in the audit's round: %v", err)
+	}
+	if ch.STH.Size != l.Size() {
+		t.Fatalf("co-signed size %d, want the served head at %d", ch.STH.Size, l.Size())
+	}
+}
+
+// TestAuditShardsCaughtUpPastHead: AuditShards reads one element past
+// its capped batch. A shard whose next element lies past the head is
+// caught up, though more stream follows; one whose next element lies
+// under the head is not, and a later call finishes it.
+func TestAuditShardsCaughtUpPastHead(t *testing.T) {
+	l, key := shardedTestLog(t, 1, 2, 3)
+	head := l.STH() // 6 entries, all in shard 0
+	if _, err := l.AppendBatch([]Entry{testEntry(6), testEntry(7)}); err != nil {
+		t.Fatal(err)
+	}
+	audit := func(w *Witness, batch uint64) (uint64, bool) {
+		t.Helper()
+		caughtUp, err := w.AuditShards(head, logProofs(l), batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w.cursors[0].Count, caughtUp
+	}
+	exact := NewWitness(&key.PublicKey)
+	exact.SetAssignedShards([]int{0})
+	if count, caughtUp := audit(exact, 6); count != 6 || !caughtUp {
+		t.Fatalf("cap 6 over 6 entries under the head: audited %d, caught up %v; want 6, true", count, caughtUp)
+	}
+	short := NewWitness(&key.PublicKey)
+	short.SetAssignedShards([]int{0})
+	if count, caughtUp := audit(short, 5); count != 5 || caughtUp {
+		t.Fatalf("cap 5 over 6 entries under the head: audited %d, caught up %v; want 5, false", count, caughtUp)
+	}
+	if count, caughtUp := audit(short, 5); count != 6 || !caughtUp {
+		t.Fatalf("second call: audited %d, caught up %v; want 6, true", count, caughtUp)
+	}
+}
+
 // TestWitnessPostsOncePerHead: a partitioned witness speaks to the log
 // on the one view wire. Over rounds in which the log grows, it posts one
 // view to the log per new head and signs each head once: the
@@ -617,7 +697,7 @@ func TestWitnessPostsOncePerHead(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := NewGossipPool("w0", NewWitness(&key.PublicKey), NewClient(logSrv.URL, &key.PublicKey))
-	if err := pool.EnablePartition(part, keys["w0"], nil); err != nil {
+	if err := pool.EnablePartition(part, keys["w0"]); err != nil {
 		t.Fatal(err)
 	}
 	pool.AddPeer(NewClient(peer.URL, &key.PublicKey))

@@ -83,13 +83,6 @@ func (l *Log) EnableShardStreams(n int) error {
 	return nil
 }
 
-// ShardStreams reports the enabled shard-stream count (0: disabled).
-func (l *Log) ShardStreams() int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.shardStreams
-}
-
 // ShardStream returns shard s's stream slice [start, start+count) —
 // each element the canonical entry bytes plus its global index — and
 // the stream's current total length. A start at or beyond the total

@@ -134,12 +134,14 @@ func (l *Log) Tile(level, index uint64, width int) (*Tile, error) {
 	// Bound the request by the committed head (an atomic, not the log
 	// lock): the tree may momentarily hold nodes of a batch that is
 	// still fsyncing and could yet roll back, and an immutable-cacheable
-	// response must never leak those.
-	lo := index * TileWidth
-	hi := lo + uint64(width)
-	if hi > tileNodeCount(l.committed.Load(), level) {
+	// response must never leak those. An index past the level's last
+	// tile is refused before it is multiplied, so it cannot wrap.
+	n := tileNodeCount(l.committed.Load(), level)
+	if index > n/TileWidth || index*TileWidth+uint64(width) > n {
 		return nil, fmt.Errorf("%w: tile (%d, %d) width %d", ErrTileRange, level, index, width)
 	}
+	lo := index * TileWidth
+	hi := lo + uint64(width)
 	hashes, err := l.tree.nodes(int(level)*TileHeight, lo, hi)
 	if errors.Is(err, errColdRange) && l.cold != nil {
 		var ct *coldTile

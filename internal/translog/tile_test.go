@@ -576,14 +576,15 @@ func TestTileHTTPCacheHeaders(t *testing.T) {
 		{"/translog/v1/tile/0/1", 200, cacheImmutable},
 		{"/translog/v1/tile/1/0.p/2", 200, cachePartialTile},
 		{"/translog/v1/tile/0/2.p/88", 200, cachePartialTile},
-		{"/translog/v1/tile/0/2", 404, ""},       // right edge not full yet
-		{"/translog/v1/tile/0/2.p/89", 404, ""},  // one past the edge
-		{"/translog/v1/tile/8/0", 404, ""},       // level beyond maxTileLevel
-		{"/translog/v1/tile/0/0.p/256", 404, ""}, // full width via partial form
-		{"/translog/v1/tile/0/0.p/0", 404, ""},   // zero width
-		{"/translog/v1/tile/0/junk", 404, ""},    // malformed index
-		{"/translog/v1/tile/0", 404, ""},         // missing index
-		{"/translog/v1/tile/0/0/1/2", 404, ""},   // junk suffix
+		{"/translog/v1/tile/0/2", 404, ""},                 // right edge not full yet
+		{"/translog/v1/tile/0/2.p/89", 404, ""},            // one past the edge
+		{"/translog/v1/tile/8/0", 404, ""},                 // level beyond maxTileLevel
+		{"/translog/v1/tile/0/72057594037927937", 404, ""}, // 2^56+1: index·TileWidth would wrap to tile 1
+		{"/translog/v1/tile/0/0.p/256", 404, ""},           // full width via partial form
+		{"/translog/v1/tile/0/0.p/0", 404, ""},             // zero width
+		{"/translog/v1/tile/0/junk", 404, ""},              // malformed index
+		{"/translog/v1/tile/0", 404, ""},                   // missing index
+		{"/translog/v1/tile/0/0/1/2", 404, ""},             // junk suffix
 		{"/translog/v1/sth", 200, cacheNoCache},
 		{"/translog/v1/entries?start=0&count=10", 200, cacheImmutable},
 		{"/translog/v1/entries?start=590&count=20", 200, cacheNoCache}, // clamped at the head

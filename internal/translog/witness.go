@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -196,19 +197,17 @@ type Witness struct {
 	// head so a witness restart is not amnesia.
 	save func(SignedTreeHead) error
 
-	// Partitioned-audit state (SetAssignedShards): the shard slice this
-	// witness verifies entry-by-entry, and a chained-hash cursor per
-	// assigned shard recording exactly which stream prefix it audited
+	// Partitioned-audit state (SetAssignedShards): the sorted shard
+	// slice this witness verifies entry-by-entry, and a chained-hash
+	// cursor per shard recording exactly which stream prefix it audited
 	// under which head. Cursors are what turn a single-shard rewind —
 	// invisible in head size alone once the log regrows — into a
 	// conviction by an assigned witness, and what two overlapping
 	// witnesses compare during gossip to catch per-shard split views.
-	shards      int
-	assigned    []int
-	assignedSet map[int]bool
-	cursors     map[int]*shardCursor
-	// saveCursors, when set, persists the marshalled cursor state so a
-	// witness restart is not shard-audit amnesia.
+	assigned []int
+	cursors  map[int]*shardCursor
+	// saveCursors, when set (OpenWitnessState), persists the marshalled
+	// cursor state so a witness restart is not shard-audit amnesia.
 	saveCursors func([]byte) error
 }
 
@@ -225,7 +224,7 @@ type shardCursor struct {
 // NewWitness creates a witness verifying heads against the log public key
 // (the VM CA key).
 func NewWitness(pub *ecdsa.PublicKey) *Witness {
-	return &Witness{pub: pub}
+	return &Witness{pub: pub, cursors: make(map[int]*shardCursor)}
 }
 
 // Last returns the most recently accepted tree head.
@@ -337,32 +336,15 @@ func chainMark(prev Hash, pos, index uint64, leaf Hash) Hash {
 }
 
 // SetAssignedShards configures the witness's slice of the partition:
-// the total shard count and the sorted shard list this witness audits.
-// Cursors for shards no longer assigned are kept — reassignment must
-// not amnesia away audited history — but only assigned shards are
-// audited and judged from now on.
-func (w *Witness) SetAssignedShards(total int, assigned []int) {
+// the shards this witness audits. Cursors for shards no longer assigned
+// are kept — reassignment must not amnesia away audited history — but
+// only assigned shards are audited and judged from now on.
+func (w *Witness) SetAssignedShards(assigned []int) {
+	sorted := slices.Sorted(slices.Values(assigned))
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.shards = total
-	w.assigned = append([]int(nil), assigned...)
-	sort.Ints(w.assigned)
-	w.assignedSet = make(map[int]bool, len(assigned))
-	for _, s := range w.assigned {
-		w.assignedSet[s] = true
-	}
-	if w.cursors == nil {
-		w.cursors = make(map[int]*shardCursor, len(assigned))
-	}
-	mWitnessAssignedShards.Set(int64(len(w.assigned)))
-}
-
-// AssignedShards returns the sorted shard list this witness audits
-// (nil: partitioning off, the witness follows the whole fleet).
-func (w *Witness) AssignedShards() []int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return append([]int(nil), w.assigned...)
+	w.assigned = sorted
+	mWitnessAssignedShards.Set(int64(len(sorted)))
 }
 
 // snapshotCursorsLocked marshals the cursor state for persistence.
@@ -374,19 +356,14 @@ func (w *Witness) snapshotCursorsLocked() ([]byte, error) {
 	return json.Marshal(out)
 }
 
-// restoreCursors seeds the audit cursors from persisted state. Each
-// cursor's head is signature-checked — a tampered cursor file must not
-// plant false audit history (ErrStateTampered) — and a cursor never
-// moves backwards. An undecodable file is ErrStateCorrupt.
+// restoreCursors seeds a witness not yet shared (OpenWitnessState) with
+// its persisted audit cursors. Each cursor's head is signature-checked —
+// a tampered cursor file must not plant false audit history
+// (ErrStateTampered). An undecodable file is ErrStateCorrupt.
 func (w *Witness) restoreCursors(data []byte) error {
 	var in map[string]*shardCursor
 	if err := json.Unmarshal(data, &in); err != nil {
 		return fmt.Errorf("%w: persisted shard cursors undecodable: %v", ErrStateCorrupt, err)
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.cursors == nil {
-		w.cursors = make(map[int]*shardCursor, len(in))
 	}
 	for key, cur := range in {
 		s, err := strconv.Atoi(key)
@@ -398,9 +375,7 @@ func (w *Witness) restoreCursors(data []byte) error {
 				return fmt.Errorf("%w: persisted cursor for shard %d: %v", ErrStateTampered, s, err)
 			}
 		}
-		if have := w.cursors[s]; have == nil || cur.Count > have.Count {
-			w.cursors[s] = cur
-		}
+		w.cursors[s] = cur
 	}
 	return nil
 }
@@ -433,20 +408,22 @@ func (w *Witness) persistCursors() error {
 // chained cursor. A stream that regressed below an audited cursor is a
 // rollback conviction; an element that fails inclusion is a split-view
 // conviction — in both cases the evidence pairs the cursor's recorded
-// head with the served one. This is the whole per-witness audit cost,
-// proportional to the assigned slice, not the fleet (experiment E20).
-func (w *Witness) AuditShards(served SignedTreeHead, src ShardAuditSource, maxPerShard uint64) error {
+// head with the served one. caughtUp reports whether every assigned
+// stream is audited up to the head, the precondition for co-signing
+// it. This is the whole per-witness audit cost, proportional to the
+// assigned slice, not the fleet (experiment E20).
+func (w *Witness) AuditShards(served SignedTreeHead, src ShardAuditSource, maxPerShard uint64) (caughtUp bool, err error) {
 	if err := served.Verify(w.pub); err != nil {
-		return err
+		return false, err
 	}
 	w.mu.Lock()
-	assigned := append([]int(nil), w.assigned...)
+	assigned := w.assigned // replaced whole, never written in place
 	w.mu.Unlock()
 	var errs []error
-	changed := false
+	changed, caughtUp := false, true
 	for _, s := range assigned {
-		adv, err := w.auditShard(s, served, src, maxPerShard)
-		changed = changed || adv
+		adv, done, err := w.auditShard(s, served, src, maxPerShard)
+		changed, caughtUp = changed || adv, caughtUp && done
 		if err != nil {
 			errs = append(errs, err)
 		}
@@ -456,12 +433,14 @@ func (w *Witness) AuditShards(served SignedTreeHead, src ShardAuditSource, maxPe
 			errs = append(errs, err)
 		}
 	}
-	return errors.Join(errs...)
+	return caughtUp, errors.Join(errs...)
 }
 
 // auditShard advances one shard's cursor against the served head,
-// reporting whether the cursor moved.
-func (w *Witness) auditShard(shard int, served SignedTreeHead, src ShardAuditSource, maxPerShard uint64) (bool, error) {
+// reporting whether the cursor moved and whether no stream element
+// under the head is left unaudited. It reads one element past the
+// batch to tell the two apart.
+func (w *Witness) auditShard(shard int, served SignedTreeHead, src ShardAuditSource, maxPerShard uint64) (advanced, caughtUp bool, err error) {
 	w.mu.Lock()
 	cur := w.cursors[shard]
 	if cur == nil {
@@ -471,18 +450,18 @@ func (w *Witness) auditShard(shard int, served SignedTreeHead, src ShardAuditSou
 	start, mark, lastHead := cur.Count, cur.Mark, cur.Head
 	w.mu.Unlock()
 	if maxPerShard == 0 {
-		maxPerShard = ^uint64(0) - start
+		maxPerShard = ^uint64(0) - 1 - start
 	}
-	total, ents, err := src.ShardStream(shard, start, maxPerShard)
+	total, ents, err := src.ShardStream(shard, start, maxPerShard+1)
 	if err != nil {
-		return false, fmt.Errorf("translog: reading shard %d stream: %w", shard, err)
+		return false, false, fmt.Errorf("translog: reading shard %d stream: %w", shard, err)
 	}
 	if total < start {
 		have := lastHead
 		if start == 0 {
 			have = served
 		}
-		return false, &ConflictError{Kind: ErrRollback, Have: have, Got: served,
+		return false, false, &ConflictError{Kind: ErrRollback, Have: have, Got: served,
 			Detail: fmt.Sprintf("shard %d stream regressed from %d audited to %d served entries", shard, start, total)}
 	}
 	pos := start
@@ -490,39 +469,45 @@ func (w *Witness) auditShard(shard int, served SignedTreeHead, src ShardAuditSou
 		if ie.Index >= served.Size {
 			// Beyond the head we verified: audit it next round, once a
 			// head covering it has been advanced to.
+			caughtUp = true
 			break
+		}
+		if pos-start == maxPerShard {
+			break // the element past the batch lies under the head
 		}
 		leaf := LeafHash(ie.Canonical)
 		proof, err := src.InclusionProof(ie.Index, served.Size)
 		if err != nil {
 			// Transport degradation: the cursor stays where it is and the
 			// next round retries from the same position.
-			return pos > start, fmt.Errorf("translog: proving shard %d stream position %d: %w", shard, pos, err)
+			return pos > start, false, fmt.Errorf("translog: proving shard %d stream position %d: %w", shard, pos, err)
 		}
 		if err := VerifyInclusion(leaf, ie.Index, served.Size, proof, served.RootHash); err != nil {
 			have := lastHead
 			if start == 0 {
 				have = served
 			}
-			return pos > start, &ConflictError{Kind: ErrSplitView, Have: have, Got: served,
+			return pos > start, false, &ConflictError{Kind: ErrSplitView, Have: have, Got: served,
 				Detail: fmt.Sprintf("shard %d stream position %d (index %d) fails inclusion against the served head at size %d",
 					shard, pos, ie.Index, served.Size)}
 		}
 		mark = chainMark(mark, pos, ie.Index, leaf)
 		pos++
 	}
+	caughtUp = caughtUp || pos >= total
 	if pos == start {
-		return false, nil
+		return false, caughtUp, nil
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if cur.Count != start {
 		// A concurrent audit advanced this shard meanwhile; its chain is
-		// as valid as ours and already recorded — keep it.
-		return false, nil
+		// as valid as ours and already recorded — keep it, and judge
+		// the shard again next round.
+		return false, false, nil
 	}
 	cur.Count, cur.Mark, cur.Head = pos, mark, served
-	return true, nil
+	return true, caughtUp, nil
 }
 
 // shardMarks snapshots the audited cursors for the gossip wire: only
@@ -555,7 +540,7 @@ func (w *Witness) mergeShardMarks(peerName string, peerHead SignedTreeHead, mark
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for _, m := range marks {
-		if !w.assignedSet[m.Shard] {
+		if _, ok := slices.BinarySearch(w.assigned, m.Shard); !ok {
 			continue // outside our slice: we hold no first-hand chain to judge with
 		}
 		cur := w.cursors[m.Shard]
