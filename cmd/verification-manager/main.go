@@ -27,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"path/filepath"
 	"strings"
 	"time"
 
@@ -192,20 +193,30 @@ func runWorkflow(dir *statedir.Dir, hostList, enrollList string, learn, requireT
 	// by a monotonic counter in the platform NV file — which models
 	// hardware and therefore must not live inside the rewindable
 	// statedir.
-	var sealPlatform *sgx.Platform
+	logDir := dir.Path(statedir.DirVMLog)
+	store := translog.StoreConfig{Shards: logShards, CheckpointEvery: logCheckpointEvery}
 	if sealLog {
-		var err error
-		sealPlatform, err = translog.OpenSealedPlatform(dir, "verification-manager", nvFile, model)
+		platform, err := translog.OpenSealedPlatform(dir, "verification-manager", nvFile, model)
 		if err != nil {
 			log.Fatal(err)
 		}
+		// The anchor enclave is signed with the VM's long-term key; the
+		// sealed blob binds (AAD) to the CA key that signs tree heads,
+		// so it can never vouch for another log's freshness.
+		sealed, err := translog.NewSealedHeadAnchor(platform, vmKey,
+			filepath.Join(logDir, translog.SealedHeadFileName), ca.Certificate().PublicKey.(*ecdsa.PublicKey))
+		if err != nil {
+			log.Fatalf("launching sealed-head anchor: %v", err)
+		}
+		store.Anchors = []translog.TrustAnchor{sealed}
+	}
+	tlog, err := translog.OpenDurableLog(ca.Signer(), logDir, store)
+	if err != nil {
+		log.Fatal(err)
 	}
 	vm, err := verifier.New(verifier.Config{
 		Name: "verification-manager", Key: vmKey, SPID: sgx.SPID{0x42},
-		IAS: iasClient, Policy: policy, CA: ca,
-		LogDir:   dir.Path(statedir.DirVMLog),
-		LogStore: translog.StoreConfig{Shards: logShards, CheckpointEvery: logCheckpointEvery},
-		SealLog:  sealPlatform,
+		IAS: iasClient, Policy: policy, CA: ca, Log: tlog,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -223,7 +234,7 @@ func runWorkflow(dir *statedir.Dir, hostList, enrollList string, learn, requireT
 		}
 	}
 	log.Printf("durable transparency log open: %d entries recovered from %s",
-		vm.TransparencyLog().Size(), dir.Path(statedir.DirVMLog))
+		vm.TransparencyLog().Size(), logDir)
 	credMR, err := enclaveapp.ExpectedCredentialMeasurement(vendor, vm.PublicKey())
 	if err != nil {
 		log.Fatal(err)

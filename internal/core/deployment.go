@@ -24,6 +24,7 @@ import (
 	"vnfguard/internal/pki"
 	"vnfguard/internal/sgx"
 	"vnfguard/internal/simtime"
+	"vnfguard/internal/translog"
 	"vnfguard/internal/verifier"
 )
 
@@ -54,8 +55,9 @@ type Options struct {
 	// HTTPTransports runs IAS and host agents over real HTTP sockets
 	// instead of in-process calls.
 	HTTPTransports bool
-	// LogDir persists the VM's transparency log in that directory (see
-	// verifier.Config.LogDir): audit history then survives restarts. A
+	// LogDir persists the VM's transparency log in that directory (a
+	// translog.OpenDurableLog store handed to the VM as
+	// verifier.Config.Log): audit history then survives restarts. A
 	// reopen must present the same CA key — the deployment generates a
 	// fresh CA, so resuming the directory means reopening the log with
 	// translog.OpenDurableLog under the original deployment's CA signer.
@@ -125,15 +127,24 @@ func NewDeployment(opts Options) (*Deployment, error) {
 
 	policy := verifier.DefaultPolicy()
 	policy.RequireTPM = opts.RequireTPM
-	d.VM, err = verifier.New(verifier.Config{
+	vmCfg := verifier.Config{
 		Name:          "verification-manager",
 		SPID:          sgx.SPID{0x42},
 		IAS:           iasClient,
 		Policy:        policy,
 		ProvisionMode: opts.Provision,
-		LogDir:        opts.LogDir,
-	})
-	if err != nil {
+	}
+	if opts.LogDir != "" {
+		// The durable log's heads are signed by the CA key, so the CA
+		// comes first.
+		if vmCfg.CA, err = pki.NewCA(vmCfg.Name+" CA", 10*365*24*time.Hour); err != nil {
+			return nil, err
+		}
+		if vmCfg.Log, err = translog.OpenDurableLog(vmCfg.CA.Signer(), opts.LogDir, translog.StoreConfig{}); err != nil {
+			return nil, err
+		}
+	}
+	if d.VM, err = verifier.New(vmCfg); err != nil {
 		return nil, err
 	}
 

@@ -46,7 +46,7 @@ func (m *Manager) AttestHost(name string) (*HostAppraisal, error) {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownHost, name)
 	}
 
-	nonce := m.NewNonce()
+	nonce := newNonce()
 	useTPM := m.policy.RequireTPM || rec.aik != nil
 	evStart := time.Now()
 	ev, err := rec.conn.Attest(nonce, useTPM)
@@ -78,44 +78,22 @@ func (m *Manager) appraiseHostEvidence(rec *hostRecord, nonce []byte, ev *enclav
 		app.errs = append(app.errs, err)
 	}
 
-	// Freshness: the evidence must carry the nonce we issued.
-	if string(ev.Nonce) != string(nonce) || !m.consumeNonce(ev.Nonce) {
-		fail(fmt.Errorf("%w or replay", ErrNonceMismatch))
+	// Freshness: the evidence must carry the nonce this call sent.
+	if string(ev.Nonce) != string(nonce) {
+		fail(ErrNonceMismatch)
 	}
 
 	// Step 2: IAS validates the quote and revocation state.
-	avr, err := m.iasC.VerifyQuote(ev.Quote, base64.StdEncoding.EncodeToString(nonce)[:24])
-	if err != nil {
-		fail(fmt.Errorf("%w: %w", ErrIASReport, err))
-		return app
-	}
-	app.QuoteStatus = avr.Status()
-	if !avr.Status().Trusted() {
-		fail(fmt.Errorf("%w: %s", ErrQuoteStatus, avr.Status()))
-	}
-
-	quote, err := sgx.DecodeQuote(ev.Quote)
-	if err != nil {
-		fail(fmt.Errorf("quote decode: %w", err))
+	var quote *sgx.Quote
+	app.QuoteStatus, quote = m.appraiseQuote(ev.Quote, base64.StdEncoding.EncodeToString(nonce)[:24],
+		m.expectAtt, "attestation enclave", fail)
+	if quote == nil {
 		return app
 	}
 	// Channel binding: report data must commit to IML, nonce and TPM
 	// quote.
 	if quote.Body.ReportData != sgx.ReportDataFromHash(ev.BindingDigest()) {
 		fail(ErrEvidenceBinding)
-	}
-	// Enclave identity.
-	m.mu.Lock()
-	okMR := m.expectAtt[quote.Body.MRENCLAVE]
-	m.mu.Unlock()
-	if !okMR {
-		fail(fmt.Errorf("%w: attestation enclave %s", ErrUnexpectedMR, quote.Body.MRENCLAVE))
-	}
-	if quote.Body.Attributes.Debug && !m.policy.AllowDebug {
-		fail(ErrDebugEnclave)
-	}
-	if quote.Body.ISVSVN < m.policy.MinISVSVN {
-		fail(fmt.Errorf("%w: %d < %d", ErrSVNTooLow, quote.Body.ISVSVN, m.policy.MinISVSVN))
 	}
 
 	// Appraise the integrity measurement list.
@@ -141,6 +119,43 @@ func (m *Manager) appraiseHostEvidence(rec *hostRecord, nonce []byte, ev *enclav
 		}
 	}
 	return app
+}
+
+// appraiseQuote runs the quote checks host and credential-enclave
+// appraisals share: IAS must return a report for the quote with a
+// trusted status, and the quote must name an enclave in pins (what names
+// the pin set in the finding), carry no debug attribute unless policy
+// allows it, and meet the SVN floor. Every failed check goes to fail.
+// The quote is nil when no report came back or it does not decode, so
+// the caller's own checks of it stop there.
+func (m *Manager) appraiseQuote(raw []byte, iasNonce string, pins map[sgx.Measurement]bool, what string, fail func(error)) (ias.QuoteStatus, *sgx.Quote) {
+	avr, err := m.iasC.VerifyQuote(raw, iasNonce)
+	if err != nil {
+		fail(fmt.Errorf("%w: %w", ErrIASReport, err))
+		return "", nil
+	}
+	status := avr.Status()
+	if !status.Trusted() {
+		fail(fmt.Errorf("%w: %s", ErrQuoteStatus, status))
+	}
+	quote, err := sgx.DecodeQuote(raw)
+	if err != nil {
+		fail(fmt.Errorf("quote decode: %w", err))
+		return status, nil
+	}
+	m.mu.Lock()
+	pinned := pins[quote.Body.MRENCLAVE]
+	m.mu.Unlock()
+	if !pinned {
+		fail(fmt.Errorf("%w: %s %s", ErrUnexpectedMR, what, quote.Body.MRENCLAVE))
+	}
+	if quote.Body.Attributes.Debug && !m.policy.AllowDebug {
+		fail(ErrDebugEnclave)
+	}
+	if quote.Body.ISVSVN < m.policy.MinISVSVN {
+		fail(fmt.Errorf("%w: %d < %d", ErrSVNTooLow, quote.Body.ISVSVN, m.policy.MinISVSVN))
+	}
+	return status, quote
 }
 
 // HostTrusted reports whether a host's appraisal is current and trusted.
@@ -182,7 +197,7 @@ func (m *Manager) LearnHostGolden(name string) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownHost, name)
 	}
-	nonce := m.NewNonce()
+	nonce := newNonce()
 	ev, err := rec.conn.Attest(nonce, false)
 	if err != nil {
 		return err

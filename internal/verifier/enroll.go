@@ -2,6 +2,7 @@ package verifier
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"time"
 
@@ -136,32 +137,15 @@ func (m *Manager) attestEnclave(rec *hostRecord, hostName, vnf string) (*ra.Chal
 }
 
 // credentialEvidenceCheck validates a credential-enclave quote via IAS and
-// pins the enclave identity.
+// pins the enclave identity, joining every finding into its refusal.
 func (m *Manager) credentialEvidenceCheck(quoteBytes []byte) (string, error) {
-	avr, err := m.iasC.VerifyQuote(quoteBytes, "")
-	if err != nil {
-		return "IAS_ERROR", fmt.Errorf("%w: %w", ErrIASReport, err)
+	var errs []error
+	status, _ := m.appraiseQuote(quoteBytes, "", m.expectCred, "credential enclave",
+		func(err error) { errs = append(errs, err) })
+	if err := errors.Join(errs...); err != nil {
+		return "REJECTED", err
 	}
-	if !avr.Status().Trusted() {
-		return string(avr.Status()), fmt.Errorf("%w: %s", ErrQuoteStatus, avr.Status())
-	}
-	quote, err := sgx.DecodeQuote(quoteBytes)
-	if err != nil {
-		return "MALFORMED", err
-	}
-	m.mu.Lock()
-	okMR := m.expectCred[quote.Body.MRENCLAVE]
-	m.mu.Unlock()
-	if !okMR {
-		return "MEASUREMENT_MISMATCH", fmt.Errorf("%w: credential enclave %s", ErrUnexpectedMR, quote.Body.MRENCLAVE)
-	}
-	if quote.Body.Attributes.Debug && !m.policy.AllowDebug {
-		return "DEBUG_ENCLAVE", ErrDebugEnclave
-	}
-	if quote.Body.ISVSVN < m.policy.MinISVSVN {
-		return "SVN_TOO_LOW", ErrSVNTooLow
-	}
-	return string(avr.Status()), nil
+	return string(status), nil
 }
 
 // provision executes the credential hand-off for the configured mode.
@@ -178,7 +162,7 @@ func (m *Manager) provision(rec *hostRecord, enr *Enrollment) (cert *x509.Certif
 		if err != nil {
 			return nil, err
 		}
-		cert, err = m.ca.IssueClientCert(pki.ClientSubject(enr.CommonName), &key.PublicKey, m.certValidity)
+		cert, err = m.ca.IssueClientCert(pki.ClientSubject(enr.CommonName), &key.PublicKey, pki.DefaultValidity)
 		if err != nil {
 			return nil, err
 		}
@@ -202,7 +186,7 @@ func (m *Manager) provision(rec *hostRecord, enr *Enrollment) (cert *x509.Certif
 		if err := json.Unmarshal(respPayload, &resp); err != nil {
 			return nil, err
 		}
-		cert, err = m.ca.SignClientCSR(resp.CSRDER, m.certValidity)
+		cert, err = m.ca.SignClientCSR(resp.CSRDER, pki.DefaultValidity)
 		if err != nil {
 			return nil, err
 		}

@@ -16,7 +16,6 @@ import (
 	"crypto/x509"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -104,44 +103,18 @@ type Config struct {
 	// ProvisionMode selects VM-generated keys (the paper's design) or
 	// enclave-side CSR (hardening ablation).
 	ProvisionMode enclaveapp.ProvisionMode
-	// CertValidity bounds issued VNF certificates.
-	CertValidity time.Duration
 	// CA injects a pre-existing certificate authority (multi-process
 	// deployments share one CA across the init and run phases). When nil
 	// a fresh CA is created.
 	CA *pki.CA
-	// Log injects a pre-existing transparency log (deployments that run
-	// cmd/log-server in-process share it with the HTTP handler). When nil
-	// a fresh log signed by the CA key is created.
+	// Log is the transparency log the Manager records every trust
+	// decision in, and signs tree heads for with the CA key: a log whose
+	// head that key did not sign is refused with translog.ErrBadSTH.
+	// Callers open a durable one with translog.OpenDurableLog (anchored,
+	// for a sealed head, by a translog.SealedHeadAnchor signed with Key).
+	// The Manager owns it from New on and closes it on Close, or on a
+	// refusal. When nil a fresh in-memory log is created.
 	Log *translog.Log
-	// LogDir, when set (and Log is nil), opens a durable transparency log
-	// in that directory — typically a subdirectory of the deployment's
-	// statedir. The open replays, verifies and resumes any previous
-	// state, so audit history survives VM restarts; it fails with the
-	// translog.ErrState* errors if the on-disk log was rolled back,
-	// tampered with or damaged since the last run.
-	LogDir string
-	// LogStore tunes the durable store when LogDir is set. With
-	// LogStore.Shards > 1 the Manager also swaps its hot-path batcher
-	// for a translog.ShardedAppender: every enrolled host maps to the
-	// shard translog.ShardOf picks for its name, each host's attestation
-	// verdicts buffer behind that host's own lock, and a merging
-	// sequencer commits all hosts' batches as one Merkle batch per cycle
-	// — per-host WAL streams, one tree-head signature and one
-	// trust-anchor bump per cycle, so the audit log ingests a fleet of
-	// VMs without serialising them.
-	LogStore translog.StoreConfig
-	// SealLog, when non-nil (and the Manager opens a durable log via
-	// LogDir), anchors the log's newest signed tree head in an
-	// enclave-sealed, monotonic-counter-stamped blob on this SGX
-	// platform — the Manager's own enclave-rooted freshness memory. A
-	// statedir rewound consistently (segments, sth.json and even every
-	// witness's persisted head together) then still refuses to open,
-	// with translog.ErrSealedRollback, because the counter in platform
-	// NV outlives the disk. The anchor enclave is signed with the VM's
-	// long-term key, whose MRSIGNER namespaces the counter — supply the
-	// same Key across restarts (deployments load it from the statedir).
-	SealLog *sgx.Platform
 }
 
 // hostRecord tracks one registered host.
@@ -177,38 +150,39 @@ type Manager struct {
 	iasC ias.QuoteVerifier
 	ca   *pki.CA
 
-	policy       Policy
-	provMode     enclaveapp.ProvisionMode
-	certValidity time.Duration
+	policy   Policy
+	provMode enclaveapp.ProvisionMode
 
 	goldenIMA *ima.GoldenDB
 
 	// tlog is the transparency log recording every trust decision;
 	// tlogAppender batches the hot-path attestation entries through the
-	// merging sequencer, one buffer per log shard (Shards: 1 for a
-	// one-stream log). tlogOwned marks a durable log the Manager
-	// opened itself (from Config.LogDir) and must therefore close.
+	// merging sequencer, one buffer per WAL stream of the log's store.
 	tlog         *translog.Log
-	tlogOwned    bool
 	tlogAppender *translog.ShardedAppender
-	tlogShards   int
 
 	mu          sync.Mutex
 	expectAtt   map[sgx.Measurement]bool
 	expectCred  map[sgx.Measurement]bool
 	hosts       map[string]*hostRecord
 	enrollments map[string]*Enrollment
-	nonces      map[string]bool // issued, unconsumed nonces
 }
 
-// New creates a Manager with its embedded CA.
-func New(cfg Config) (*Manager, error) {
+// New creates a Manager with its embedded CA. It owns cfg.Log from the
+// call on: a refused log is closed before New returns.
+func New(cfg Config) (m *Manager, err error) {
+	if cfg.Log != nil {
+		defer func() {
+			if err != nil {
+				cfg.Log.Close()
+			}
+		}()
+	}
 	if cfg.IAS == nil {
 		return nil, errors.New("verifier: config requires an IAS client")
 	}
 	key := cfg.Key
 	if key == nil {
-		var err error
 		key, err = ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
 		if err != nil {
 			return nil, fmt.Errorf("verifier: generating VM key: %w", err)
@@ -220,75 +194,39 @@ func New(cfg Config) (*Manager, error) {
 	if cfg.ProvisionMode == "" {
 		cfg.ProvisionMode = enclaveapp.ModeVMGenerated
 	}
-	if cfg.CertValidity <= 0 {
-		cfg.CertValidity = pki.DefaultValidity
-	}
 	ca := cfg.CA
 	if ca == nil {
-		var err error
 		ca, err = pki.NewCA(cfg.Name+" CA", 10*365*24*time.Hour)
 		if err != nil {
 			return nil, err
 		}
 	}
 	tlog := cfg.Log
-	ownsLog := false
 	if tlog == nil {
-		var err error
-		if cfg.LogDir != "" {
-			store := cfg.LogStore
-			if cfg.SealLog != nil {
-				// The anchor enclave is signed with the VM's long-term
-				// key; the sealed blob binds (AAD) to the CA key that
-				// signs tree heads, so it can never vouch for another
-				// log's freshness. The anchor rides the store's anchor
-				// chain: sealed on every committed batch, checked at
-				// every open, closed with the log (OpenDurableLog
-				// releases it on refused opens too).
-				sealed, serr := translog.NewSealedHeadAnchor(cfg.SealLog, key,
-					filepath.Join(cfg.LogDir, translog.SealedHeadFileName),
-					ca.Certificate().PublicKey.(*ecdsa.PublicKey))
-				if serr != nil {
-					return nil, fmt.Errorf("verifier: launching sealed-head anchor: %w", serr)
-				}
-				store.Anchors = append(append([]translog.TrustAnchor(nil), store.Anchors...), sealed)
-			}
-			tlog, err = translog.OpenDurableLog(ca.Signer(), cfg.LogDir, store)
-			ownsLog = true
-		} else {
-			tlog, err = translog.NewLog(ca.Signer())
-		}
+		tlog, err = translog.NewLog(ca.Signer())
 		if err != nil {
 			return nil, err
 		}
-	}
-	// The effective shard count is whatever the durable store pinned at
-	// creation — a store opened with a different LogStore.Shards keeps
-	// its original layout, and the Manager's appender and LogShard
-	// mapping must agree with the streams the records actually land in.
-	logShards := cfg.LogStore.Shards
-	if tlog.Durable() {
-		logShards = tlog.StoreShards()
+	} else if err := tlog.STH().Verify(ca.Certificate().PublicKey.(*ecdsa.PublicKey)); err != nil {
+		return nil, fmt.Errorf("verifier: log not signed by the CA key: %w", err)
 	}
 	return &Manager{
-		name:         cfg.Name,
-		key:          key,
-		spid:         cfg.SPID,
-		iasC:         cfg.IAS,
-		ca:           ca,
-		tlog:         tlog,
-		tlogOwned:    ownsLog,
-		tlogAppender: translog.NewShardedAppender(tlog, translog.ShardedAppenderConfig{Shards: logShards}),
-		tlogShards:   logShards,
+		name: cfg.Name,
+		key:  key,
+		spid: cfg.SPID,
+		iasC: cfg.IAS,
+		ca:   ca,
+		tlog: tlog,
+		// A durable store's appender takes the stream count pinned at
+		// the store's creation, so LogShard maps hosts as the WAL does.
+		tlogAppender: translog.NewShardedAppender(tlog, translog.ShardedAppenderConfig{}),
 		policy:       cfg.Policy,
 		provMode:     cfg.ProvisionMode,
-		certValidity: cfg.CertValidity,
 		goldenIMA:    ima.NewGoldenDB(),
 		expectAtt:    make(map[sgx.Measurement]bool),
 		expectCred:   make(map[sgx.Measurement]bool),
 		hosts:        make(map[string]*hostRecord),
 		enrollments:  make(map[string]*Enrollment),
-		nonces:       make(map[string]bool),
 	}, nil
 }
 
@@ -348,27 +286,15 @@ func (m *Manager) Hosts() []HostStatus {
 	return out
 }
 
-// NewNonce issues a fresh attestation nonce (tracked for single use).
-func (m *Manager) NewNonce() []byte {
+// newNonce issues a fresh attestation nonce. Each attestation demands
+// evidence carrying the nonce it sent, which makes the nonce single-use
+// without a table of issued ones.
+func newNonce() []byte {
 	n := make([]byte, 16)
 	if _, err := rand.Read(n); err != nil {
 		panic("verifier: nonce entropy unavailable: " + err.Error())
 	}
-	m.mu.Lock()
-	m.nonces[string(n)] = true
-	m.mu.Unlock()
 	return n
-}
-
-// consumeNonce validates single-use freshness.
-func (m *Manager) consumeNonce(n []byte) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.nonces[string(n)] {
-		return false
-	}
-	delete(m.nonces, string(n))
-	return true
 }
 
 // NewHMACKey generates a per-VNF message-authentication key (paper §2:

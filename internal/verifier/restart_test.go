@@ -27,7 +27,7 @@ func TestRestartDurableLog(t *testing.T) {
 	}
 
 	// First VM lifetime: the full workflow, one credential revoked.
-	d := newDeployment(t, deployOpts{ca: ca, logDir: logDir})
+	d := newDeployment(t, deployOpts{ca: ca, log: openLog(t, ca, logDir, translog.StoreConfig{})})
 	d.deployAndLearn(t, "fw-keep")
 	d.deployAndLearn(t, "fw-revoke")
 	if _, err := d.m.AttestHost("host-a"); err != nil {
@@ -58,14 +58,18 @@ func TestRestartDurableLog(t *testing.T) {
 
 	// Second lifetime: same CA, same statedir, nothing else carried over
 	// (enrollment state is in-memory and deliberately not reused).
-	m2, err := New(Config{
-		Name: "vm-restarted", SPID: sgx.SPID{9},
-		IAS:    &ias.DirectClient{Service: d.iasSvc, Model: d.model},
-		CA:     ca,
-		LogDir: logDir,
-	})
+	reopened, err := translog.OpenDurableLog(ca.Signer(), logDir, translog.StoreConfig{})
 	if err != nil {
 		t.Fatalf("reopening VM over durable log: %v", err)
+	}
+	m2, err := New(Config{
+		Name: "vm-restarted", SPID: sgx.SPID{9},
+		IAS: &ias.DirectClient{Service: d.iasSvc, Model: d.model},
+		CA:  ca,
+		Log: reopened,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	defer m2.Close()
 
@@ -137,7 +141,7 @@ func TestRestartRefusesRolledBackStatedir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := newDeployment(t, deployOpts{ca: ca, logDir: logDir})
+	d := newDeployment(t, deployOpts{ca: ca, log: openLog(t, ca, logDir, translog.StoreConfig{})})
 	d.deployAndLearn(t, "fw-1")
 	if _, err := d.m.AttestHost("host-a"); err != nil {
 		t.Fatal(err)
@@ -151,12 +155,7 @@ func TestRestartRefusesRolledBackStatedir(t *testing.T) {
 
 	rollBackStore(t, logDir)
 
-	_, err = New(Config{
-		Name: "vm-restarted", SPID: sgx.SPID{9},
-		IAS:    &ias.DirectClient{Service: d.iasSvc, Model: d.model},
-		CA:     ca,
-		LogDir: logDir,
-	})
+	_, err = translog.OpenDurableLog(ca.Signer(), logDir, translog.StoreConfig{})
 	if !errors.Is(err, translog.ErrStateRollback) {
 		t.Fatalf("rolled-back statedir: got %v, want translog.ErrStateRollback", err)
 	}
@@ -176,7 +175,7 @@ func TestRestartShardedDurableLog(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d := newDeployment(t, deployOpts{ca: ca, logDir: logDir, logStore: store})
+	d := newDeployment(t, deployOpts{ca: ca, log: openLog(t, ca, logDir, store)})
 	shard, ok := d.m.LogShard("host-a")
 	if !ok || shard < 0 || shard >= 4 {
 		t.Fatalf("LogShard(host-a) = (%d,%v), want a slot in [0,4)", shard, ok)
@@ -218,15 +217,18 @@ func TestRestartShardedDurableLog(t *testing.T) {
 		t.Fatal("sharded store produced no per-host segment streams")
 	}
 
-	m2, err := New(Config{
-		Name: "vm-restarted", SPID: sgx.SPID{9},
-		IAS:      &ias.DirectClient{Service: d.iasSvc, Model: d.model},
-		CA:       ca,
-		LogDir:   logDir,
-		LogStore: store,
-	})
+	reopened, err := translog.OpenDurableLog(ca.Signer(), logDir, store)
 	if err != nil {
 		t.Fatalf("reopening VM over sharded durable log: %v", err)
+	}
+	m2, err := New(Config{
+		Name: "vm-restarted", SPID: sgx.SPID{9},
+		IAS: &ias.DirectClient{Service: d.iasSvc, Model: d.model},
+		CA:  ca,
+		Log: reopened,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	defer m2.Close()
 	if got, ok := m2.LogShard("host-a"); !ok || got != shard {
@@ -249,6 +251,17 @@ func TestRestartShardedDurableLog(t *testing.T) {
 	if _, err := m2.CredentialProof(dropped.Serial); !errors.Is(err, translog.ErrLogRevoked) {
 		t.Fatalf("revoked serial after sharded restart: got %v, want ErrLogRevoked", err)
 	}
+}
+
+// openLog opens a durable transparency log in dir under the CA key, for
+// a Manager to be handed.
+func openLog(t *testing.T, ca *pki.CA, dir string, store translog.StoreConfig) *translog.Log {
+	t.Helper()
+	l, err := translog.OpenDurableLog(ca.Signer(), dir, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
 }
 
 // rollBackStore deletes the WAL segments while keeping the persisted

@@ -18,7 +18,7 @@ import (
 	"vnfguard/internal/translog"
 )
 
-// sealFixture is the minimal trust fabric for Config.SealLog tests: an
+// sealFixture is the minimal trust fabric for sealed-log tests: an
 // IAS client (required by New), a shared CA, and one SGX platform that
 // plays the VM's machine across Manager lifetimes.
 type sealFixture struct {
@@ -63,21 +63,34 @@ func newSealFixture(t *testing.T) *sealFixture {
 	}
 }
 
+// manager opens the durable log under a sealed-head anchor signed with
+// the VM key, as the verification-manager binary's -seal-log does, and
+// hands it to a Manager; a refused open returns the open's error.
 func (f *sealFixture) manager(t *testing.T) (*Manager, error) {
 	t.Helper()
+	sealed, err := translog.NewSealedHeadAnchor(f.platform, f.key,
+		filepath.Join(f.logDir, translog.SealedHeadFileName), f.ca.Certificate().PublicKey.(*ecdsa.PublicKey))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tlog, err := translog.OpenDurableLog(f.ca.Signer(), f.logDir,
+		translog.StoreConfig{Anchors: []translog.TrustAnchor{sealed}})
+	if err != nil {
+		return nil, err
+	}
 	return New(Config{
 		Name: "vm-sealed", Key: f.key, SPID: sgx.SPID{7},
-		IAS:     f.ias,
-		CA:      f.ca,
-		LogDir:  f.logDir,
-		SealLog: f.platform,
+		IAS: f.ias,
+		CA:  f.ca,
+		Log: tlog,
 	})
 }
 
-// TestSealLogRestartAndTotalAmnesia: a Manager with Config.SealLog
+// TestSealLogRestartAndTotalAmnesia: a Manager on a sealed-head log
 // survives a clean restart on the same platform, but a statedir rewound
 // to an earlier committed snapshot — sealed blob included, i.e. nothing
-// on disk is inconsistent — is refused at New with ErrSealedRollback.
+// on disk is inconsistent — is refused at the open with
+// ErrSealedRollback.
 func TestSealLogRestartAndTotalAmnesia(t *testing.T) {
 	f := newSealFixture(t)
 
@@ -118,19 +131,20 @@ func TestSealLogRestartAndTotalAmnesia(t *testing.T) {
 	// consistent — only the counter on the platform knows better.
 	restoreFiles(t, f.logDir, snap)
 	if _, err := f.manager(t); !errors.Is(err, translog.ErrSealedRollback) {
-		t.Fatalf("total-amnesia rewind at New: got %v, want translog.ErrSealedRollback", err)
+		t.Fatalf("total-amnesia rewind at open: got %v, want translog.ErrSealedRollback", err)
 	}
 
 	// Without the sealed anchor the rewound statedir opens cleanly —
-	// the exact gap Config.SealLog closes.
-	plain, err := New(Config{
-		Name: "vm-unsealed", SPID: sgx.SPID{7},
-		IAS: f.ias, CA: f.ca, LogDir: f.logDir,
-	})
+	// the exact gap the sealed head closes.
+	plain, err := translog.OpenDurableLog(f.ca.Signer(), f.logDir, translog.StoreConfig{})
 	if err != nil {
 		t.Fatalf("rewound statedir should fool an unsealed Manager: %v", err)
 	}
-	plain.Close()
+	m, err := New(Config{Name: "vm-unsealed", SPID: sgx.SPID{7}, IAS: f.ias, CA: f.ca, Log: plain})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Close()
 }
 
 func snapshotFiles(t *testing.T, dir string) map[string][]byte {

@@ -3,6 +3,7 @@ package verifier
 import (
 	"crypto/ecdsa"
 	"crypto/x509"
+	"errors"
 	"strings"
 	"time"
 
@@ -52,23 +53,18 @@ func (m *Manager) FlushLog() error { return m.tlogAppender.Flush() }
 // a host's audit entries — the mapping the sharded appender and the
 // sharded WAL both use. Zero (with ok=false) when the log is unsharded.
 func (m *Manager) LogShard(host string) (shard int, ok bool) {
-	if m.tlogShards <= 1 {
+	n := m.tlogAppender.Shards()
+	if n <= 1 {
 		return 0, false
 	}
-	return translog.ShardOf(host, m.tlogShards), true
+	return translog.ShardOf(host, n), true
 }
 
 // Close releases the Manager's background resources: the appender is
-// flushed and stopped, and a durable log the Manager opened itself (via
-// Config.LogDir) is closed with its tail segment fsynced.
+// flushed and stopped, then the log is closed (a durable one with its
+// tail segment fsynced).
 func (m *Manager) Close() error {
-	err := m.tlogAppender.Close()
-	if m.tlogOwned {
-		if cerr := m.tlog.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
+	return errors.Join(m.tlogAppender.Close(), m.tlog.Close())
 }
 
 // auditSync commits entries immediately, as one batch under a single

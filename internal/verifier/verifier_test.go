@@ -39,12 +39,10 @@ type deployOpts struct {
 	requireTPM      bool
 	provMode        enclaveapp.ProvisionMode
 	attestationCode string
-	// ca and logDir let restart tests share a CA and a durable
-	// transparency log across two Manager lifetimes; logStore tunes the
-	// store (per-host sharding included).
-	ca       *pki.CA
-	logDir   string
-	logStore translog.StoreConfig
+	// ca and log let restart tests share a CA and a durable
+	// transparency log (openLog) across two Manager lifetimes.
+	ca  *pki.CA
+	log *translog.Log
 }
 
 func newDeployment(t *testing.T, opts deployOpts) *deployment {
@@ -74,8 +72,7 @@ func newDeployment(t *testing.T, opts deployOpts) *deployment {
 		Policy:        policy,
 		ProvisionMode: opts.provMode,
 		CA:            opts.ca,
-		LogDir:        opts.logDir,
-		LogStore:      opts.logStore,
+		Log:           opts.log,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -519,14 +516,28 @@ func TestAppraisalFreshness(t *testing.T) {
 	}
 }
 
-func TestNonceSingleUse(t *testing.T) {
-	d := newDeployment(t, deployOpts{})
-	n := d.m.NewNonce()
-	if !d.m.consumeNonce(n) {
-		t.Fatal("fresh nonce rejected")
+// TestNewRefusesLogSignedByAnotherKey: the Manager signs its log's tree
+// heads with the CA key, so a handed log whose head another key signed
+// is refused at New rather than extended under a second signer.
+func TestNewRefusesLogSignedByAnotherKey(t *testing.T) {
+	ca, err := pki.NewCA("vm CA", time.Hour)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if d.m.consumeNonce(n) {
-		t.Fatal("nonce consumed twice")
+	other, err := pki.NewCA("other CA", time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := translog.NewLog(other.Signer())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = New(Config{
+		Name: "vm", SPID: sgx.SPID{9}, IAS: &ias.DirectClient{},
+		CA: ca, Log: l,
+	})
+	if !errors.Is(err, translog.ErrBadSTH) {
+		t.Fatalf("log signed by another key: got %v, want translog.ErrBadSTH", err)
 	}
 }
 
